@@ -19,13 +19,12 @@ from .potentials import (PotentialSpec, even_polynomial, external_polynomial,
 from .sde import SimConfig
 
 _SCHEMA: dict[str, dict[str, type]] = {
-    "experiment": {"name": str, "out": str, "replicas": int, "threads": int,
-                   "dimension": int},
+    "experiment": {"name": str, "out": str, "replicas": int, "threads": int},
     "potential": {"kind": str, "coefficients": str, "convexity_constant": float,
                   "symmetric": bool, "bound_scale": float, "bound_degree": int},
     "external": {"kind": str, "coefficients": str},
     "sim": {"dt": float, "t_end": float, "t_start": float, "seed": int,
-            "noise_scale": float, "history_mode": str, "reservoir_size": int},
+            "noise_scale": float, "history_mode": str},
     "schedule": {"n_start": int, "n_end": int, "exponent": float},
     "grid": {"cells": int, "half_width": float},
     "init": {"kind": str, "position": float, "width": float, "mean": float,
@@ -40,7 +39,6 @@ class ExperimentConfig:
     out: str = "out"
     replicas: int = 1
     threads: int = 1
-    dimension: int = 1
     potential: PotentialSpec = field(default_factory=quadratic_symmetric)
     external: PotentialSpec | None = None
     sim: SimConfig = field(default_factory=lambda: SimConfig(dt=0.01, t_end=100.0, seed=0))
@@ -146,7 +144,6 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Exper
         seed=sim_kv.get("seed", 0),
         noise_scale=sim_kv.get("noise_scale", math.sqrt(2.0)),
         history_mode=sim_kv.get("history_mode", "running-moments"),
-        reservoir_size=sim_kv.get("reservoir_size", 1024),
     )
     sched_kv = sections.get("schedule", {})
     schedule = Schedule(n_end=sched_kv.get("n_end", 100),
@@ -160,7 +157,6 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Exper
         out=str(overrides.get("out") or exp.get("out", "out")),
         replicas=int(overrides.get("replicas") or exp.get("replicas", 1)),
         threads=int(overrides.get("threads") or exp.get("threads", 1)),
-        dimension=exp.get("dimension", 1),
         potential=_build_potential(sections.get("potential", {})),
         external=(_build_potential(sections["external"], external=True)
                   if "external" in sections else None),
@@ -178,8 +174,6 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Exper
         fixpoint_max_iter=fix.get("max_iter", 500),
         raw={k: dict(v) for k, v in sections.items()},
     )
-    if cfg.dimension not in (1, 2):
-        raise InvalidInputError("dimension must be 1 or 2")
     if cfg.replicas < 1 or cfg.threads < 1:
         raise InvalidInputError("replicas and threads must be positive")
     if cfg.init_kind not in ("uniform", "atom", "gaussian"):

@@ -1,10 +1,12 @@
 """Free-energy functionals and the decay-rate machinery.
 
 The free energy of a density is its entropy plus the external term plus
-half the self-interaction double integral.  The interaction integral is a
-direct cell-by-cell double sum (exact for the polynomial potentials, no
-FFT shortcuts), so the quadratic-expansion identities below hold to
-rounding on a shared grid.
+half the self-interaction double integral.  In 1-d every interaction
+integral -- self, cross, and against a signed difference -- is the bilinear
+form of `powersums` in cell power sums taken about the shared grid's
+midpoint.  For polynomial W it equals the cell-by-cell double sum up to
+rounding, in O(n) time and memory, so the quadratic-expansion identities
+below hold to rounding on a shared grid.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError
-from .gridkernel import interaction_energy, interaction_kernel, potential_on_grid
+from .gridkernel import grid_power_sums, interaction_energy, potential_on_grid
 from .measures import GridDensity
 from .potentials import PotentialSpec
+from .powersums import interaction_form
 
 _ENTROPY_FLOOR = 1e-300
 
@@ -74,13 +77,6 @@ def _require_shared_grid(a: GridDensity, b: GridDensity):
         raise InvalidInputError("both densities must live on one shared 1-d grid")
 
 
-def _cross_interaction(w: PotentialSpec, a: np.ndarray, b: np.ndarray,
-                       grid: GridDensity) -> float:
-    K = interaction_kernel(w, grid)
-    h = grid.cell_volume
-    return float(a @ (K @ b)) * h * h
-
-
 def frozen_energy_difference(w: PotentialSpec, mu: GridDensity,
                              nu: GridDensity) -> tuple[float, float]:
     """Both sides of the quadratic expansion of the frozen-potential energy gap.
@@ -91,19 +87,12 @@ def frozen_energy_difference(w: PotentialSpec, mu: GridDensity,
     for an even interaction.
     """
     _require_shared_grid(mu, nu)
-    conv_mu = _conv_values(w, mu)
-    h = mu.cell_volume
-    lhs = (entropy(mu) - entropy(nu)
-           + float(conv_mu @ (mu.values - nu.values)) * h)
-    diff = mu.values - nu.values
+    s_mu = grid_power_sums(w, mu, mu.values)
+    s_diff = grid_power_sums(w, mu, mu.values - nu.values)
+    lhs = entropy(mu) - entropy(nu) + interaction_form(w, s_diff, s_mu)
     rhs = (free_energy(w, mu).total - free_energy(w, nu).total
-           + 0.5 * _cross_interaction(w, diff, diff, mu))
+           + 0.5 * interaction_form(w, s_diff, s_diff))
     return lhs, rhs
-
-
-def _conv_values(w: PotentialSpec, g: GridDensity) -> np.ndarray:
-    K = interaction_kernel(w, g)
-    return (K @ g.values) * g.cell_volume
 
 
 def mixing_inequality(w: PotentialSpec, mu: GridDensity, nu: GridDensity,
@@ -119,16 +108,17 @@ def mixing_inequality(w: PotentialSpec, mu: GridDensity, nu: GridDensity,
     mix = GridDensity(mu.lo, mu.hi, (1.0 - lam) * mu.values + lam * nu.values)
     lhs = free_energy(w, mix).total
     gap_lhs, _ = frozen_energy_difference(w, mu, nu)
-    diff = mu.values - nu.values
+    s_diff = grid_power_sums(w, mu, mu.values - nu.values)
     rhs = (free_energy(w, mu).total - lam * gap_lhs
-           + 0.5 * lam * lam * _cross_interaction(w, diff, diff, mu))
+           + 0.5 * lam * lam * interaction_form(w, s_diff, s_diff))
     return lhs, rhs
 
 
 def frozen_energy(w: PotentialSpec, mu: GridDensity, g: GridDensity) -> float:
     """Free energy of g in the external potential generated by mu."""
     _require_shared_grid(mu, g)
-    return entropy(g) + float(_conv_values(w, mu) @ g.values) * g.cell_volume
+    return entropy(g) + interaction_form(w, grid_power_sums(w, g, g.values),
+                                         grid_power_sums(w, mu, mu.values))
 
 
 # ---------------------------------------------------------------------------

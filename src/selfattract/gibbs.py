@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError
 from .gridkernel import convolve_measure_on_grid, potential_on_grid
-from .measures import GridDensity, Measure, as_atoms, center, p_norm, recenter
+from .measures import (GridDensity, Measure, as_atoms, center, convolve_potential,
+                       p_norm, recenter)
 from .potentials import PotentialSpec
 from .transport import tp_distance_1d
 
@@ -49,9 +50,7 @@ def _auto_grid(w: PotentialSpec, v: PotentialSpec | None, m: Measure,
 
 def _exponent(w: PotentialSpec, v: PotentialSpec | None, m: Measure,
               xs: np.ndarray) -> np.ndarray:
-    from .measures import convolve_on_grid
-
-    out = convolve_on_grid(w, m, xs)
+    out = convolve_potential(w, m, xs)
     if v is not None:
         out = out + np.polynomial.polynomial.polyval(xs, v.poly1d_coefficients())
     return out

@@ -1,20 +1,20 @@
-"""Shared grid-evaluation helpers: potential values at cell centers and the
-direct interaction kernel W(x_i - x_j).
+"""Shared grid-evaluation helpers: potential values at cell centers, the
+convolution W*m at cell centers and the interaction energy of a density.
 
-The 1-d kernel depends only on the index difference, so one matrix per
-(potential, spacing, cells) geometry is cached and reused by the Gibbs map,
-the free-energy interaction term and the flow.
+In 1-d both go through the anchored power-sum expansion (`powersums`): for
+polynomial W the convolution is a polynomial whose coefficients are linear in
+the measure's power sums, and the interaction double sum over cells is a
+bilinear form in them, so O(n) work and memory replace the n-by-n kernel
+with no approximation.  2-d keeps direct sums.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .measures import GridDensity, Measure, as_atoms, convolve_on_grid
+from .measures import GridDensity, Measure, as_atoms, convolve_potential
 from .potentials import PotentialSpec, _polyval
-
-_kernel_cache: dict = {}
-_KERNEL_CACHE_MAX = 8
+from .powersums import anchor, convolution_matrix, interaction_form, power_sums
 
 
 def potential_on_grid(p: PotentialSpec, grid: GridDensity) -> np.ndarray:
@@ -25,32 +25,23 @@ def potential_on_grid(p: PotentialSpec, grid: GridDensity) -> np.ndarray:
     return _polyval(p.radial_coefficients(), r)
 
 
-def interaction_kernel(p: PotentialSpec, grid: GridDensity) -> np.ndarray:
-    """1-d n-by-n matrix W(x_i - x_j); Toeplitz, shared across domain shifts."""
-    n = grid.values.size
-    h = float(grid.spacing[0])
-    key = (p.kind, p.coefficients, round(h, 15), n)
-    hit = _kernel_cache.get(key)
-    if hit is not None:
-        return hit
-    base = _polyval(p.poly1d_coefficients(), np.arange(-(n - 1), n) * h)
-    idx = np.arange(n)
-    K = base[idx[:, None] - idx[None, :] + n - 1]
-    if len(_kernel_cache) >= _KERNEL_CACHE_MAX:
-        _kernel_cache.pop(next(iter(_kernel_cache)))
-    _kernel_cache[key] = K
-    return K
+def grid_power_sums(p: PotentialSpec, grid: GridDensity, values: np.ndarray) -> np.ndarray:
+    """Power sums of the cell masses values * h about the 1-d grid's midpoint,
+    as many as the interaction form of p reads; values may be signed."""
+    xs = grid.axis_centers(0)
+    count = convolution_matrix(p).shape[0]
+    return power_sums(xs, values * grid.cell_volume, anchor(xs), count)
 
 
 def convolve_measure_on_grid(p: PotentialSpec, m: Measure, grid: GridDensity) -> np.ndarray:
     """(W*m) at the grid's cell centers.
 
-    1-d uses the exact polynomial-moment expansion, as does the 2-d
+    1-d uses the anchored polynomial-moment expansion, as does the 2-d
     quadratic family (|x-y|^2 needs only the mean and the second moment);
     other 2-d cases fall back to a chunked direct sum.
     """
     if grid.dim == 1:
-        return convolve_on_grid(p, m, grid.axis_centers(0))
+        return convolve_potential(p, m, grid.axis_centers(0))
     atoms = as_atoms(m)
     pts = grid.centers()
     if p.kind == "quadratic-symmetric":
@@ -75,12 +66,13 @@ def convolve_measure_on_grid(p: PotentialSpec, m: Measure, grid: GridDensity) ->
 
 
 def interaction_energy(p: PotentialSpec, grid: GridDensity) -> float:
-    """Half the double integral of mu(x) W(x-y) mu(y); direct summation."""
+    """Half the double integral of mu(x) W(x-y) mu(y) over the cells.
+
+    1-d: the bilinear form in the cell power sums about the grid midpoint,
+    equal to the direct double sum up to rounding."""
     if grid.dim == 1:
-        K = interaction_kernel(p, grid)
-        v = grid.values
-        h = grid.cell_volume
-        return 0.5 * float(v @ (K @ v)) * h * h
+        sums = grid_power_sums(p, grid, grid.values)
+        return 0.5 * interaction_form(p, sums, sums)
     # conv already carries the source cell volume through the atom weights
     conv = convolve_measure_on_grid(p, grid, grid)
     return 0.5 * float((grid.values * conv).sum()) * grid.cell_volume

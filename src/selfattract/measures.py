@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError, UnsupportedInputError
 from .potentials import PotentialSpec, as_envelope, evaluate
+from .powersums import anchor, convolution_matrix, power_sums
 
 _MASS_TOL = 1e-9
 
@@ -189,52 +190,30 @@ def as_atoms(m: Measure) -> ParticleMeasure:
 # convolution, center, recentering
 
 
-def _poly_convolution_coeffs(p: PotentialSpec, m: ParticleMeasure, order: int) -> np.ndarray:
-    """Ascending coefficients of x -> (f * m)(x) for f the order-th derivative
-    of the 1-d polynomial W; exact weighted sum via binomial expansion."""
-    g = np.polynomial.polynomial.polyder(p.poly1d_coefficients(), order) if order else \
-        p.poly1d_coefficients()
-    deg = len(g) - 1
-    mass = m.total_mass
-    pw = m.positions
-    mom = np.empty(deg + 1)
-    mom[0] = mass
-    acc = np.copy(m.weights)
-    for j in range(1, deg + 1):
-        acc = acc * pw if j > 1 else m.weights * pw
-        mom[j] = acc.sum()
-    out = np.zeros(deg + 1)
-    for mdeg in range(deg + 1):
-        gm = g[mdeg]
-        if gm == 0.0:
-            continue
-        for i in range(mdeg + 1):
-            out[i] += gm * math.comb(mdeg, i) * ((-1.0) ** (mdeg - i)) * mom[mdeg - i]
-    return out
-
-
-def convolution_poly1d(p: PotentialSpec, m: Measure, order: int = 0) -> np.ndarray:
-    """1-d only: polynomial coefficients of (d^order W * m)(x)."""
-    atoms = as_atoms(m)
-    if atoms.dim != 1:
-        raise UnsupportedInputError("polynomial convolution shortcut is 1-d")
-    return _poly_convolution_coeffs(p, atoms, order)
+def _expansion(p: PotentialSpec, atoms: ParticleMeasure, order: int):
+    """1-d anchor a and ascending coefficients in (x - a) of (d^order W * m)(x)."""
+    a = anchor(atoms.positions)
+    T = convolution_matrix(p, order)
+    return a, T @ power_sums(atoms.positions, atoms.weights, a, T.shape[0])
 
 
 def convolve_potential(p: PotentialSpec, m: Measure, x, order: int = 0):
     """(W*m)(x), (grad W*m)(x) or (hess W*m)(x).
 
-    Exact weighted sums for atoms; fixed-order midpoint quadrature for grids.
+    1-d: the anchored power-sum expansion, exact for the polynomial
+    families; x may be a scalar or an array of points.  2-d: exact
+    weighted sums over atoms (midpoint quadrature for grids).
     """
     atoms = as_atoms(m)
     if atoms.total_mass <= 0:
         raise InvalidInputError("empty measure")
     x = np.asarray(x, dtype=float)
-    if atoms.dim == 1 and x.ndim == 1 and x.size == 1:
-        x = x.reshape(())
-    if atoms.dim == 1 and x.ndim == 0:
-        coeffs = _poly_convolution_coeffs(p, atoms, order)
-        return float(np.polynomial.polynomial.polyval(float(x), coeffs))
+    if atoms.dim == 1:
+        if x.ndim == 1 and x.size == 1:
+            x = x.reshape(())
+        a, coeffs = _expansion(p, atoms, order)
+        out = np.polynomial.polynomial.polyval(x - a, coeffs)
+        return float(out) if x.ndim == 0 else out
     if atoms.dim != x.shape[-1]:
         raise InvalidInputError("point dimension does not match the measure")
     # d = 2: direct weighted sum of evaluate over atoms.
@@ -245,25 +224,23 @@ def convolve_potential(p: PotentialSpec, m: Measure, x, order: int = 0):
     return float(total) if np.ndim(total) == 0 else total
 
 
-def convolve_on_grid(p: PotentialSpec, m: Measure, xs: np.ndarray, order: int = 0) -> np.ndarray:
-    """Vectorized 1-d convolution values at many points (polynomial kinds)."""
-    coeffs = convolution_poly1d(p, m, order)
-    return np.polynomial.polynomial.polyval(xs, coeffs)
-
-
 def center(p: PotentialSpec, m: Measure, tol: float = 1e-10, max_iter: int = 50):
-    """Unique root of grad (W*m); Newton from the mean with the exact Hessian."""
+    """Unique root of grad (W*m); Newton from the mean with the exact Hessian.
+
+    1-d works in y = x - a about the anchor a of the measure, so the
+    iteration is the same wherever the measure sits.
+    """
     atoms = as_atoms(m)
     if p.convexity_constant <= 0:
         raise InvalidInputError("center requires a uniformly convex potential")
     if atoms.dim == 1:
-        grad = _poly_convolution_coeffs(p, atoms, 1)
+        a, grad = _expansion(p, atoms, 1)
         hess = np.polynomial.polynomial.polyder(grad)
-        c = atoms.mean()
+        c = atoms.mean() - a
         for _ in range(max_iter):
             g = float(np.polynomial.polynomial.polyval(c, grad))
             if abs(g) <= tol:
-                return float(c)
+                return a + float(c)
             hval = float(np.polynomial.polynomial.polyval(c, hess))
             c -= g / hval
         raise NumericFailureError(f"center Newton did not converge (|grad|={abs(g):.3e})")

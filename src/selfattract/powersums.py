@@ -1,0 +1,80 @@
+"""Weighted power sums about an anchor: the one polynomial-moment expansion.
+
+For a polynomial W and a finite measure m with power sums
+S_j = sum_i w_i (x_i - a)^j about an anchor a, the convolution
+(d^k W * m)(x) is a polynomial in (x - a) whose coefficients are fixed
+linear combinations of the S_j, and the interaction integral of two
+measures is a bilinear form in their power sums.  Both are exact binomial
+identities for every anchor.  An anchor inside the support keeps each S_j
+of the size of the measure's spread wherever the measure sits, so results
+built on them are translation-equivariant to rounding; raw sums about the
+origin are not.  Sums move from one anchor to another by an exact binomial
+re-anchor.
+
+Sums are arrays of shape (count,) or (count, R) for R measures side by side.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .potentials import PotentialSpec
+
+
+def anchor(x) -> float:
+    """Midpoint of the bounding box of the points x, which lies inside their
+    support's hull."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * (float(x.min()) + float(x.max()))
+
+
+def power_sums(x, weights, a: float, count: int) -> np.ndarray:
+    """S_j = sum_i weights_i (x_i - a)^j for j = 0 .. count-1; signed weights
+    are allowed."""
+    y = np.asarray(x, dtype=float) - a
+    acc = np.asarray(weights, dtype=float)
+    out = np.empty(count)
+    for j in range(count):
+        if j:
+            acc = acc * y
+        out[j] = acc.sum()
+    return out
+
+
+def reanchor(sums: np.ndarray, shift) -> np.ndarray:
+    """Sums about a + shift from sums about a (shift scalar or per column):
+    (x - a - shift)^j = sum_i C(j, i) (x - a)^i (-shift)^(j-i)."""
+    sums = np.asarray(sums, dtype=float)
+    h = -np.asarray(shift, dtype=float)
+    out = np.zeros_like(sums)
+    for j in range(sums.shape[0]):
+        for i in range(j + 1):
+            out[j] = out[j] + math.comb(j, i) * h ** (j - i) * sums[i]
+    return out
+
+
+def convolution_matrix(p: PotentialSpec, order: int = 0) -> np.ndarray:
+    """Square T with (d^order W * m)(a + y) = sum_i (T @ S)_i y^i for S the
+    power sums of m about a; T.shape[0] is the number of sums it reads.
+
+    From g(y - z) = sum_n g_n sum_i C(n, i) y^i (-z)^(n-i) with g the
+    order-th derivative of W: T[i, j] = g_(i+j) C(i+j, i) (-1)^j.
+    """
+    g = np.polynomial.polynomial.polyder(p.poly1d_coefficients(), order)
+    L = g.size
+    T = np.zeros((L, L))
+    for i in range(L):
+        for j in range(L - i):
+            T[i, j] = g[i + j] * math.comb(i + j, i) * (-1.0) ** j
+    return T
+
+
+def interaction_form(p: PotentialSpec, sums_x: np.ndarray, sums_y: np.ndarray) -> float:
+    """Double integral of W(x - y) dm(x) dm'(y) from power sums of m (in x)
+    and m' (in y) about one anchor:
+    sum_(n, k) w_n C(n, k) (-1)^(n-k) S_k S'_(n-k)."""
+    T = convolution_matrix(p)
+    L = T.shape[0]
+    return float(sums_x[:L] @ (T @ sums_y[:L]))

@@ -4,7 +4,7 @@ Every stochastic routine draws from a Philox generator keyed by
 ``(seed, replica, channel)``.  Streams are independent across keys and
 bit-reproducible across runs, which lets coupled processes share one
 noise stream while auxiliary randomness (extra Brownian motions,
-initial-point sampling, reservoir decisions) lives on its own channel.
+initial-point sampling, bootstrap resampling) lives on its own channel.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 # channel ids
 NOISE = 0
 AUX_NOISE = 1
-RESERVOIR = 2
+RESERVOIR = 2        # keys the ergodicity bootstrap's resampling stream
 INIT_SAMPLING = 3
 
 _MASK = (1 << 64) - 1

@@ -7,6 +7,12 @@ sums of the path, which is the identity the whole simulator rests on:
 the running-moment drift and the brute-force full-history drift agree to
 rounding on the same noise path.
 
+Running sums are taken about an anchor (`powersums`): paths step in
+y = x - a, the anchor starts at x0 and moves onto the center, with an exact
+binomial re-anchor of the sums, whenever the center leaves the unit radius
+around it.  The sums then stay of the size of the path's spread wherever
+the path sits, so a path started at x0 + s is the x0 path shifted by s.
+
 Also here: the frozen-measure coupling used for one-step error analysis,
 the Ornstein-Uhlenbeck domination coupling, the contraction bootstrap for
 starting at time zero, and the non-symmetric counterexample pair whose
@@ -23,10 +29,12 @@ import numpy as np
 from . import rng
 from .errors import InvalidInputError, NumericFailureError, UnsupportedInputError
 from .gibbs import gibbs_map
-from .measures import ParticleMeasure
+from .measures import ParticleMeasure, center
 from .potentials import PotentialSpec
+from .powersums import anchor, convolution_matrix, power_sums, reanchor
 
 _SQRT2 = math.sqrt(2.0)
+_REANCHOR_RADIUS = 1.0   # the anchor follows the center once it is this far
 
 
 @dataclass(frozen=True)
@@ -37,7 +45,6 @@ class SimConfig:
     seed: int = 0
     noise_scale: float = _SQRT2
     history_mode: str = "running-moments"
-    reservoir_size: int = 1024
     center_every: int = 10
     record_moments_every: int | None = None
 
@@ -46,7 +53,7 @@ class SimConfig:
             raise InvalidInputError("dt must be positive")
         if self.t_end <= self.t_start or self.t_start < 0:
             raise InvalidInputError("need t_end > t_start >= 0")
-        if self.history_mode not in ("running-moments", "full-history", "reservoir"):
+        if self.history_mode not in ("running-moments", "full-history"):
             raise InvalidInputError(f"unknown history mode {self.history_mode!r}")
         if self.noise_scale < 0:
             raise InvalidInputError("noise scale must be non-negative")
@@ -125,106 +132,162 @@ class TrajectoryRecord:
         i1 = self.index_at(t_max)
         return float(np.abs(self.positions[:i1 + 1] - c).max())
 
-    def l_values(self, schedule) -> np.ndarray:
-        """One excursion bound per schedule window n: the past-path maximum
-        of |X_t - c(T_n)| up to T_{n+1}."""
-        return np.array([self.l_value(schedule.time(n), schedule.time(n + 1))
-                         for n in schedule.indices()])
-
 
 # ---------------------------------------------------------------------------
-# drift machinery for 1-d polynomial potentials
+# running-moment drift for 1-d polynomial potentials
+#
+# grad(W * mu)(a + y) = sum_i b_i y^i with b = T S / S_0, T the order-1
+# convolution matrix of `powersums` and S the path's weighted power sums
+# about the anchor a.  The helpers below work on Python floats (one path)
+# and on (R,) columns (replicas stepped together) alike.
 
 
-class _PolyDrift:
-    """Drift coefficients from running power sums.
-
-    grad(W * mu)(x) = sum_i b_i x^i with
-    b_i = sum_{m >= i} g_m C(m, i) (-1)^(m-i) S_(m-i) / S_0,
-    where g is the gradient polynomial of W and S_j the running weighted
-    power sums of the path.
-    """
-
-    def __init__(self, w: PotentialSpec, v: PotentialSpec | None):
-        g = np.polynomial.polynomial.polyder(w.poly1d_coefficients())
-        self.g = np.asarray(g, dtype=float)
-        self.n_moments = self.g.size            # S_0 .. S_(L-1) needed
-        self.table = [
-            [self.g[m] * math.comb(m, i) * ((-1.0) ** (m - i)) for i in range(m + 1)]
-            for m in range(self.g.size)
-        ]
-        if v is not None:
-            vg = np.polynomial.polynomial.polyder(v.poly1d_coefficients())
-            self.v_grad = np.asarray(vg, dtype=float)
-        else:
-            self.v_grad = None
-        self.is_linear = self.g.size <= 2
-
-    def coefficients(self, S) -> np.ndarray:
-        """b_i from power sums S (array-like of length n_moments, S[0] = mass)."""
-        L = self.n_moments
-        b = np.zeros(L) if np.ndim(S[0]) == 0 else np.zeros((L,) + np.shape(S[0]))
-        for m in range(L):
-            row = self.table[m]
-            for i in range(m + 1):
-                if row[i] != 0.0:
-                    b[i] = b[i] + row[i] * S[m - i]
-        return b / S[0]
-
-    def value(self, x, S):
-        """Interaction drift grad(W*mu)(x) from power sums."""
-        b = self.coefficients(S)
-        out = b[-1]
-        for i in range(len(b) - 2, -1, -1):
-            out = out * x + b[i]
-        return out
-
-    def external_value(self, x):
-        if self.v_grad is None:
-            return 0.0
-        out = self.v_grad[-1]
-        for i in range(len(self.v_grad) - 2, -1, -1):
-            out = out * x + self.v_grad[i]
-        return out
-
-    def center_from_sums(self, S, start, tol=1e-12, max_iter=60):
-        """Root of the drift polynomial (Newton); works on scalars or arrays."""
-        b = np.asarray(self.coefficients(S))
-        c = np.asarray(start, dtype=float)
-        if b.shape[0] < 2 or np.all(b[1:] == 0.0):
-            return c if c.ndim else float(c)
-        db = _polyder_cols(b.reshape(b.shape[0], -1)).reshape((b.shape[0] - 1,) + b.shape[1:])
-        flat = b.reshape(b.shape[0], -1)
-        dflat = db.reshape(db.shape[0], -1)
-        cc = np.atleast_1d(c).astype(float)
-        for _ in range(max_iter):
-            g = _polyval_cols(flat, cc)
-            if np.max(np.abs(g)) <= tol:
-                return float(cc[0]) if c.ndim == 0 else cc.reshape(c.shape)
-            h = _polyval_cols(dflat, cc)
-            cc = cc - g / h
-        raise NumericFailureError("center Newton on running moments did not converge")
+def _drift_terms(w: PotentialSpec) -> tuple[int, list]:
+    """Number of sums the drift reads and the nonzero entries (i, j, T_ij)."""
+    T = convolution_matrix(w, 1)
+    return T.shape[0], [(int(i), int(j), float(T[i, j])) for i, j in zip(*np.nonzero(T))]
 
 
-def _polyval_cols(b: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _coefficients(terms, count: int, S) -> list:
+    """Drift coefficients b in y from power sums S (S[0] = mass)."""
+    b = [0.0] * count
+    for i, j, t in terms:
+        b[i] = b[i] + t * S[j]
+    inv = 1.0 / S[0]
+    return [bi * inv for bi in b]
+
+
+def _horner(b, y):
     out = b[-1]
-    for i in range(b.shape[0] - 2, -1, -1):
-        out = out * x + b[i]
+    for bi in b[-2::-1]:
+        out = out * y + bi
     return out
 
 
-def _polyder_cols(b: np.ndarray) -> np.ndarray:
-    return b[1:] * np.arange(1, b.shape[0])[:, None]
+def _center(b, start, tol=1e-12, max_iter=60):
+    """Root in y of the drift polynomial b: closed form when it is linear,
+    Newton from ``start`` otherwise."""
+    if len(b) < 2:
+        return start
+    if len(b) == 2:
+        return -b[0] / b[1]
+    db = [k * b[k] for k in range(1, len(b))]
+    c = start
+    for _ in range(max_iter):
+        g = _horner(b, c)
+        if np.max(np.abs(g)) <= tol:
+            return c
+        c = c - g / _horner(db, c)
+    raise NumericFailureError("center Newton on running moments did not converge")
 
 
-def _initial_sums(drift: _PolyDrift, x0: float, t_start: float,
-                  initial_occupation: ParticleMeasure | None) -> list[float]:
-    L = drift.n_moments
+def _reanchored(S, shift) -> list:
+    new = reanchor(np.array(S), shift)
+    return new.tolist() if new.ndim == 1 else list(new)
+
+
+def _prehistory(x0: float, t_start: float,
+                initial_occupation: ParticleMeasure | None):
+    """Atoms and weights of the pre-history block of mass t_start."""
     if initial_occupation is None:
-        return [t_start * x0 ** j for j in range(L)]
-    pos = initial_occupation.positions
-    wts = initial_occupation.weights * (t_start / initial_occupation.total_mass)
-    return [float(wts @ pos ** j) for j in range(L)]
+        return np.array([float(x0)]), np.array([t_start])
+    return (initial_occupation.positions,
+            initial_occupation.weights * (t_start / initial_occupation.total_mass))
+
+
+def _run_moment_loop(w, v, x0, prehistory, increments, dt, center_every):
+    """Euler steps of y = x - a driven by the running power sums S about the
+    anchor a, which starts at x0.
+
+    Increments of shape (n,) step one path on Python floats; shape (n, R)
+    steps R replicas as columns.  The center is recomputed every
+    ``center_every`` steps (every step when the drift is linear); only then
+    may the anchor move.  Returns positions and centers in x, centers NaN
+    between recomputations.
+    """
+    count, terms = _drift_terms(w)
+    a = float(x0) if increments.ndim == 1 else np.full(increments.shape[1], float(x0))
+    S = [s + 0.0 * a for s in power_sums(*prehistory, float(x0), count).tolist()]
+    vg = None if v is None else \
+        np.polynomial.polynomial.polyder(v.poly1d_coefficients()).tolist()
+    every = 1 if count <= 2 else center_every
+    n = increments.shape[0]
+    noise = increments.tolist() if increments.ndim == 1 else increments
+    positions = np.empty((n + 1,) + np.shape(a))
+    centers = np.full(positions.shape, np.nan)
+    y = 0.0 * a
+    b = _coefficients(terms, count, S)
+    c = _center(b, y)
+    positions[0] = y
+    centers[0] = c
+    segments = [(0, a)]
+    for i in range(n):
+        d = _horner(b, y)
+        if vg is not None:
+            d = d + _horner(vg, y + a)
+        y = y - d * dt + noise[i]
+        p = dt
+        for j in range(1, count):
+            p = p * y
+            S[j] = S[j] + p
+        S[0] = S[0] + dt
+        positions[i + 1] = y
+        b = _coefficients(terms, count, S)
+        if (i + 1) % every == 0:
+            c = _center(b, c)
+            centers[i + 1] = c
+            far = abs(c) > _REANCHOR_RADIUS   # a bool for one path
+            if far is True or (far is not False and far.any()):
+                shift = c * far
+                S = _reanchored(S, shift)
+                b = _coefficients(terms, count, S)
+                y, c, a = y - shift, c - shift, a + shift
+                segments.append((i + 2, a))
+    # back to x in place, one anchor segment at a time
+    segments.append((n + 1, None))
+    for (start, a_seg), (stop, _) in zip(segments, segments[1:]):
+        positions[start:stop] += a_seg
+        centers[start:stop] += a_seg
+    return positions, centers
+
+
+def _interpolate_center_gaps(centers: np.ndarray):
+    bad = np.isnan(centers)
+    if bad.any():
+        idx = np.arange(centers.size)
+        centers[bad] = np.interp(idx[bad], idx[~bad], centers[~bad])
+
+
+def _moment_track(positions, weights, idx, count, prehistory=None) -> np.ndarray:
+    """Raw moments 1 .. count-1 of the normalized occupation at rows idx."""
+    track = np.empty((idx.size, count - 1))
+    csum = [np.cumsum(weights * positions ** j) for j in range(count)]
+    if prehistory is not None:
+        # replace the placeholder first atom by the true warm-start sums
+        init = power_sums(*prehistory, 0.0, count)
+        for j in range(count):
+            csum[j] = csum[j] + (init[j] - weights[0] * positions[0] ** j)
+    mass = np.where(csum[0][idx] > 0, csum[0][idx], np.nan)
+    for col in range(1, count):
+        track[:, col - 1] = csum[col][idx] / mass
+    return track
+
+
+def _record(w, v, cfg, replica, times, positions, centers,
+            initial_occupation) -> TrajectoryRecord:
+    n = positions.size - 1
+    weights = np.full(n + 1, cfg.dt)
+    weights[0] = cfg.t_start
+    thin = cfg.record_moments_every or max(1, n // 2000)
+    idx = np.arange(0, n + 1, thin)
+    _interpolate_center_gaps(centers)
+    pre = (_prehistory(positions[0], cfg.t_start, initial_occupation)
+           if initial_occupation is not None else None)
+    count = max(2, convolution_matrix(w, 1).shape[0])
+    mom = _moment_track(positions, weights, idx, count, pre)
+    return TrajectoryRecord(w, v, cfg, replica, times, positions, weights,
+                            centers, times[idx], mom,
+                            initial_occupation=initial_occupation)
 
 
 def simulate(w: PotentialSpec, x0: float, cfg: SimConfig,
@@ -238,197 +301,54 @@ def simulate(w: PotentialSpec, x0: float, cfg: SimConfig,
     bootstrap and then switch to stepping.
     """
     _check_dt(w, cfg)
-    drift = _PolyDrift(w, v)
-
     if cfg.t_start == 0.0:
-        return _simulate_from_zero(w, x0, cfg, drift, replica)
+        return _simulate_from_zero(w, x0, cfg, v, replica)
 
     n = cfg.n_steps
     increments = (cfg.noise_scale * math.sqrt(cfg.dt)
                   * rng.normal_increments(cfg.seed, n, replica))
     times = cfg.t_start + cfg.dt * np.arange(n + 1)
 
+    pre = _prehistory(x0, cfg.t_start, initial_occupation)
     if cfg.history_mode == "running-moments":
-        positions, centers = _run_moment_loop(drift, x0, cfg, increments,
-                                              initial_occupation)
-    elif cfg.history_mode == "full-history":
-        positions, centers = _run_full_history_loop(drift, x0, cfg, increments,
-                                                    initial_occupation)
+        positions, centers = _run_moment_loop(w, v, x0, pre, increments, cfg.dt,
+                                              cfg.center_every)
     else:
-        positions, centers = _run_reservoir_loop(drift, x0, cfg, increments, replica)
+        positions, centers = _run_full_history_loop(w, v, x0, cfg, increments, pre)
     if not np.all(np.isfinite(positions)):
         raise NumericFailureError("path lost finiteness (explosion); "
                                   "check the step size against the potential")
-
-    weights = np.full(n + 1, cfg.dt)
-    weights[0] = cfg.t_start
-    thin = cfg.record_moments_every or max(1, n // 2000)
-    idx = np.arange(0, n + 1, thin)
-    init_sums = (_initial_sums(drift, x0, cfg.t_start, initial_occupation)
-                 if initial_occupation is not None else None)
-    mom = _moment_track(drift, positions, weights, idx, init_sums)
-    return TrajectoryRecord(w, v, cfg, replica, times, positions, weights,
-                            centers, times[idx], mom,
-                            initial_occupation=initial_occupation)
+    return _record(w, v, cfg, replica, times, positions, centers, initial_occupation)
 
 
-def _moment_track(drift: _PolyDrift, positions, weights, idx,
-                  init_sums=None) -> np.ndarray:
-    L = max(2, drift.n_moments)
-    track = np.empty((idx.size, L - 1))
-    csum = [np.cumsum(weights * positions ** j) for j in range(L)]
-    if init_sums is not None:
-        # replace the placeholder first atom by the true warm-start sums
-        for j in range(min(L, len(init_sums))):
-            csum[j] = csum[j] + (init_sums[j] - weights[0] * positions[0] ** j)
-    mass = np.where(csum[0][idx] > 0, csum[0][idx], np.nan)
-    for col in range(1, L):
-        track[:, col - 1] = csum[col][idx] / mass
-    return track
-
-
-def _run_moment_loop(drift, x0, cfg, increments, initial_occupation):
+def _run_full_history_loop(w, v, x0, cfg, increments, prehistory):
+    """Brute-force drift summed over every past atom: the exactness oracle
+    for the running-moment loop."""
     n = cfg.n_steps
     dt = cfg.dt
     positions = np.empty(n + 1)
     positions[0] = x0
-    centers = np.empty(n + 1)
-    S = _initial_sums(drift, x0, cfg.t_start, initial_occupation)
-    L = len(S)
-    noise = increments.tolist()
+    base_pos, base_w = prehistory
+    g = np.polynomial.polynomial.polyder(w.poly1d_coefficients())
+    vg = None if v is None else np.polynomial.polynomial.polyder(v.poly1d_coefficients())
     x = float(x0)
-    if drift.is_linear:
-        # quadratic families: drift = b0 + b1 x with b from two sums
-        g0 = drift.table[0][0] if L > 0 else 0.0
-        g1 = drift.table[1][1] if L > 1 else 0.0
-        g10 = drift.table[1][0] if L > 1 else 0.0
-        ext = drift.v_grad
-        S0, S1 = S[0], (S[1] if L > 1 else 0.0)
-        pos = positions
-        cen = centers
-        cen[0] = drift.center_from_sums([S0, S1] if L > 1 else [S0], x)
-        for i in range(n):
-            d = (g0 * S0 + g10 * S1) / S0 + g1 * x
-            if ext is not None:
-                e = ext[-1]
-                for j in range(len(ext) - 2, -1, -1):
-                    e = e * x + ext[j]
-                d += e
-            x += -d * dt + noise[i]
-            S0 += dt
-            S1 += dt * x
-            pos[i + 1] = x
-            # linear drift: the center is the root of b0 + b1 x, exact
-            cen[i + 1] = -((g0 * S0 + g10 * S1) / S0) / g1 if g1 != 0.0 else S1 / S0
-        return positions, centers
-
-    last_center = drift.center_from_sums(S, x)
-    centers[0] = last_center
-    last_knot_x = x
-    for i in range(n):
-        d = drift.value(x, S) + drift.external_value(x)
-        x += -d * dt + noise[i]
-        for j in range(L - 1, 0, -1):
-            S[j] += dt * x ** j
-        S[0] += dt
-        positions[i + 1] = x
-        if (i + 1) % cfg.center_every == 0 or abs(x - last_knot_x) > 0.5:
-            last_center = drift.center_from_sums(S, last_center)
-            centers[i + 1] = last_center
-            last_knot_x = x
-        else:
-            centers[i + 1] = np.nan
-    _interpolate_center_gaps(centers)
-    return positions, centers
-
-
-def _interpolate_center_gaps(centers: np.ndarray):
-    bad = np.isnan(centers)
-    if bad.any():
-        idx = np.arange(centers.size)
-        centers[bad] = np.interp(idx[bad], idx[~bad], centers[~bad])
-
-
-def _run_full_history_loop(drift, x0, cfg, increments, initial_occupation):
-    n = cfg.n_steps
-    dt = cfg.dt
-    positions = np.empty(n + 1)
-    positions[0] = x0
-    centers = np.empty(n + 1)
-    if initial_occupation is None:
-        base_pos = np.array([x0])
-        base_w = np.array([cfg.t_start])
-    else:
-        base_pos = initial_occupation.positions.copy()
-        base_w = initial_occupation.weights * (cfg.t_start / initial_occupation.total_mass)
-    g = drift.g
-    x = float(x0)
-    S = _initial_sums(drift, x0, cfg.t_start, initial_occupation)
-    last_center = drift.center_from_sums(S, x)
-    centers[0] = last_center
     mass = float(base_w.sum())
     for i in range(n):
         d = float(base_w @ np.polynomial.polynomial.polyval(x - base_pos, g))
         if i > 0:
             d += dt * float(np.polynomial.polynomial.polyval(
                 x - positions[1:i + 1], g).sum())
-        d = d / mass + drift.external_value(x)
+        d = d / mass
+        if vg is not None:
+            d += float(np.polynomial.polynomial.polyval(x, vg))
         x += -d * dt + increments[i]
         mass += dt
         positions[i + 1] = x
-        for j in range(len(S) - 1, 0, -1):
-            S[j] += dt * x ** j
-        S[0] += dt
-        if (i + 1) % cfg.center_every == 0:
-            last_center = drift.center_from_sums(S, last_center)
-            centers[i + 1] = last_center
-        else:
-            centers[i + 1] = np.nan
-    _interpolate_center_gaps(centers)
-    return positions, centers
-
-
-def _run_reservoir_loop(drift, x0, cfg, increments, replica):
-    """Approximate history: a uniform reservoir over the atom stream, where
-    the pre-history block counts as t_start/dt virtual atoms at x0.  While
-    the stream fits in the reservoir this coincides with the full history."""
-    n = cfg.n_steps
-    dt = cfg.dt
-    R = cfg.reservoir_size
-    res = np.full(R, float(x0))
-    positions = np.empty(n + 1)
-    positions[0] = x0
-    centers = np.empty(n + 1)
-    g = drift.g
-    pick = rng.stream(cfg.seed, replica, rng.RESERVOIR)
-    u_accept = pick.random(n)
-    u_slot = pick.integers(0, R, size=n)
-    x = float(x0)
-    S = _initial_sums(drift, x0, cfg.t_start, None)
-    last_center = drift.center_from_sums(S, x)
-    centers[0] = last_center
-    seen = max(1, int(round(cfg.t_start / dt)))
-    filled = min(seen, R)
-    for i in range(n):
-        d = float(np.polynomial.polynomial.polyval(x - res[:filled], g).mean())
-        d += drift.external_value(x)
-        x += -d * dt + increments[i]
-        seen += 1
-        if filled < R:
-            res[filled] = x
-            filled += 1
-        elif u_accept[i] < R / seen:
-            res[u_slot[i]] = x
-        positions[i + 1] = x
-        for j in range(len(S) - 1, 0, -1):
-            S[j] += dt * x ** j
-        S[0] += dt
-        if (i + 1) % cfg.center_every == 0:
-            last_center = drift.center_from_sums(S, last_center)
-            centers[i + 1] = last_center
-        else:
-            centers[i + 1] = np.nan
-    _interpolate_center_gaps(centers)
+    centers = np.full(n + 1, np.nan)
+    for i in range(0, n + 1, cfg.center_every):
+        occ = ParticleMeasure(np.concatenate((base_pos, positions[1:i + 1])),
+                              np.concatenate((base_w, np.full(i, dt))))
+        centers[i] = center(w, occ) if w.convexity_constant > 0 else occ.mean()
     return positions, centers
 
 
@@ -443,7 +363,6 @@ def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
     _check_dt(w, cfg)
     if cfg.t_start == 0.0:
         raise UnsupportedInputError("ensemble runs start from positive time")
-    drift = _PolyDrift(w, v)
     n = cfg.n_steps
     dt = cfg.dt
     scale = cfg.noise_scale * math.sqrt(dt)
@@ -452,66 +371,39 @@ def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
         noise[:, r] = scale * rng.normal_increments(cfg.seed, n, r)
     times = cfg.t_start + dt * np.arange(n + 1)
 
-    x = np.full(n_replicas, float(x0))
-    S = [np.full(n_replicas, s) for s in _initial_sums(drift, x0, cfg.t_start,
-                                                       initial_occupation)]
-    L = len(S)
-    positions = np.empty((n + 1, n_replicas))
-    positions[0] = x
-    centers = np.empty((n + 1, n_replicas))
-    centers[0] = drift.center_from_sums(np.stack(S), x)
-    if drift.is_linear and drift.v_grad is None and L == 2:
-        # quadratic families: drift = t00 + t11 (x - mean); centers recovered
-        # from cumulative sums after the loop
-        t00 = drift.table[0][0]
-        t11 = drift.table[1][1]
-        S0, S1 = S[0], S[1]
+    pre = _prehistory(x0, cfg.t_start, initial_occupation)
+    T = convolution_matrix(w, 1)
+    if T.shape[0] == 2 and v is None:
+        # quadratic families: drift = t00 + t11 (x - mean) with the mean from
+        # sums about the origin; centers recovered from cumulative sums after
+        # the loop
+        t00 = T[0, 0]
+        t11 = T[1, 0]
+        s0, s1 = power_sums(*pre, 0.0, 2)
+        x = np.full(n_replicas, float(x0))
+        S0 = np.full(n_replicas, s0)
+        S1 = np.full(n_replicas, s1)
+        positions = np.empty((n + 1, n_replicas))
+        positions[0] = x
         for i in range(n):
             d = t00 + t11 * (x - S1 / S0)
             x = x - d * dt + noise[i]
             S0 = S0 + dt
             S1 = S1 + dt * x
             positions[i + 1] = x
-        mass = S[0][0] + dt * np.arange(n + 1)
-        sums = S[1][None, :] + dt * np.concatenate(
+        mass = s0 + dt * np.arange(n + 1)
+        sums = s1 + dt * np.concatenate(
             (np.zeros((1, n_replicas)), np.cumsum(positions[1:], axis=0)))
         means = sums / mass[:, None]
-        centers[:] = means - t00 / t11 if t11 != 0.0 else means
+        centers = means - t00 / t11 if t11 != 0.0 else means
     else:
-        knot = centers[0].copy()
-        for i in range(n):
-            b = drift.coefficients(S)
-            d = _polyval_cols(b, x) + drift.external_value(x)
-            x = x - d * dt + noise[i]
-            for j in range(L - 1, 0, -1):
-                S[j] = S[j] + dt * x ** j
-            S[0] = S[0] + dt
-            positions[i + 1] = x
-            if drift.is_linear:
-                centers[i + 1] = drift.center_from_sums(np.stack(S), x)
-            elif (i + 1) % cfg.center_every == 0:
-                knot = drift.center_from_sums(np.stack(S), knot)
-                centers[i + 1] = knot
-            else:
-                centers[i + 1] = np.nan
+        positions, centers = _run_moment_loop(w, v, x0, pre, noise, dt, cfg.center_every)
     if not np.all(np.isfinite(positions)):
         raise NumericFailureError("ensemble lost finiteness (explosion); "
                                   "check the step size against the potential")
-    records = []
-    weights = np.full(n + 1, dt)
-    weights[0] = cfg.t_start
-    thin = cfg.record_moments_every or max(1, n // 2000)
-    idx = np.arange(0, n + 1, thin)
-    init_sums = (_initial_sums(drift, x0, cfg.t_start, initial_occupation)
-                 if initial_occupation is not None else None)
-    for r in range(n_replicas):
-        cen = centers[:, r].copy()
-        _interpolate_center_gaps(cen)
-        mom = _moment_track(drift, positions[:, r], weights, idx, init_sums)
-        records.append(TrajectoryRecord(w, v, cfg, r, times, positions[:, r].copy(),
-                                        weights.copy(), cen, times[idx], mom,
-                                        initial_occupation=initial_occupation))
-    return records
+    return [_record(w, v, cfg, r, times, positions[:, r].copy(), centers[:, r].copy(),
+                    initial_occupation)
+            for r in range(n_replicas)]
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +437,13 @@ def coupled_frozen(w: PotentialSpec, record: TrajectoryRecord,
     i1 = record.index_at(t1)
     if not (0 <= i0 < i1 <= record.times.size - 1):
         raise InvalidInputError("window must lie inside the simulated range")
-    drift = _PolyDrift(w, v)
     occ = record.occupation(t0)
-    mass = float(record.times[i0])
-    S = [mass * float(occ.weights @ occ.positions ** j)
-         for j in range(drift.n_moments)]
-    b = drift.coefficients(S)
-    c0 = drift.center_from_sums(S, float(record.positions[i0]))
+    a = anchor(occ.positions)
+    count, terms = _drift_terms(w)
+    b = _coefficients(terms, count,
+                      power_sums(occ.positions, occ.weights, a, count).tolist())
+    c0 = a + _center(b, float(record.positions[i0]) - a)
+    vg = None if v is None else np.polynomial.polynomial.polyder(v.poly1d_coefficients())
 
     if y_start is None:
         dens = gibbs_map(w, occ, v=v).density
@@ -564,8 +456,10 @@ def coupled_frozen(w: PotentialSpec, record: TrajectoryRecord,
     ys = np.empty(i1 - i0 + 1)
     ys[0] = y
     for step, i in enumerate(range(i0, i1)):
-        d = _polyval_cols(b, np.asarray(y)) + drift.external_value(y)
-        y = y - float(d) * cfg.dt + incs[i]
+        d = _horner(b, y - a)
+        if vg is not None:
+            d += float(np.polynomial.polynomial.polyval(y, vg))
+        y = y - d * cfg.dt + incs[i]
         ys[step + 1] = y
     return CoupledPaths(times=record.times[i0:i1 + 1],
                         x_path=record.positions[i0:i1 + 1].copy(),
@@ -621,7 +515,8 @@ def ou_domination(w: PotentialSpec, cfg: SimConfig, seed: int | None = None,
     |X - c| <= 2 + Z + eps fails after burn-in (d = 1 here, so 3d - 1 = 2).
 
     eps allows for the Euler discretization; it defaults to 0.05 at dt = 1e-3
-    and scales with sqrt(dt).
+    and scales with sqrt(dt).  X does not depend on Z, so the path and its
+    every-step center come from the running-moment loop first.
     """
     _check_dt(w, cfg)
     if w.convexity_constant <= 0:
@@ -633,64 +528,40 @@ def ou_domination(w: PotentialSpec, cfg: SimConfig, seed: int | None = None,
     if eps_disc is None:
         eps_disc = 0.05 * math.sqrt(dt / 1e-3)
     c_w = w.convexity_constant
-    drift = _PolyDrift(w, None)
     sq_dt = math.sqrt(dt)
-    db = (sq_dt * rng.normal_increments(seed, n, 0, rng.NOISE)).tolist()
+    db = sq_dt * rng.normal_increments(seed, n, 0, rng.NOISE)
     dbeta = (sq_dt * rng.normal_increments(seed, n, 0, rng.AUX_NOISE)).tolist()
-    noise_scale = cfg.noise_scale
 
-    x = float(x0)
-    S = _initial_sums(drift, x0, cfg.t_start, None)
-    L = len(S)
-    c = drift.center_from_sums(S, x)
-    z = max(1.0, abs(x - c))
-    xs = np.empty(n + 1)
-    cs = np.empty(n + 1)
+    xs, cs = _run_moment_loop(w, None, x0, _prehistory(x0, cfg.t_start, None),
+                              cfg.noise_scale * db, dt, 1)
+    gaps = (xs - cs).tolist()
+    db = db.tolist()
+    z = max(1.0, abs(gaps[0]))
     zs = np.empty(n + 1)
-    xs[0], cs[0], zs[0] = x, c, z
-    linear = drift.is_linear
+    zs[0] = z
     violations = 0
     checked = 0
     reflections = 0
     t_check = cfg.t_start + burn_in
     times = cfg.t_start + dt * np.arange(n + 1)
     for i in range(n):
-        gap = x - c
-        r = abs(gap)
-        a = blend(r, blend_low)
+        gap = gaps[i]
+        a = blend(abs(gap), blend_low)
         dg = (a * (db[i] if gap >= 0 else -db[i])
               + math.sqrt(max(0.0, 1.0 - a * a)) * dbeta[i])
         z += _SQRT2 * dg - (0.5 * c_w * z - 2.0 / z) * dt
         if z < z_min:
             z = z_min
             reflections += 1
-        d = drift.value(x, S) if not linear else _lin_value(drift, S, x)
-        x += -d * dt + noise_scale * db[i]
-        for j in range(L - 1, 0, -1):
-            S[j] += dt * x ** j
-        S[0] += dt
-        c = drift.center_from_sums(S, c) if not linear else _lin_center(drift, S)
-        xs[i + 1], cs[i + 1], zs[i + 1] = x, c, z
+        zs[i + 1] = z
         if times[i + 1] >= t_check:
             checked += 1
-            if abs(x - c) > 2.0 + z + eps_disc:
+            if abs(gaps[i + 1]) > 2.0 + z + eps_disc:
                 violations += 1
     frac = violations / checked if checked else 0.0
     return OuDominationResult(times=times, x_path=xs, center_track=cs, z_path=zs,
                               violation_fraction=frac, n_checked=checked,
                               n_reflections=reflections, eps_disc=eps_disc)
-
-
-def _lin_value(drift: _PolyDrift, S, x: float) -> float:
-    b0 = (drift.table[0][0] * S[0] + (drift.table[1][0] * S[1] if drift.n_moments > 1 else 0.0)) / S[0]
-    b1 = drift.table[1][1] if drift.n_moments > 1 else 0.0
-    return b0 + b1 * x
-
-
-def _lin_center(drift: _PolyDrift, S) -> float:
-    b0 = (drift.table[0][0] * S[0] + drift.table[1][0] * S[1]) / S[0]
-    b1 = drift.table[1][1]
-    return -b0 / b1
 
 
 def ou_modulus_exact(c_w: float, d: int, dt: float, t_end: float, seed: int,
@@ -758,7 +629,8 @@ def picard_bootstrap(w: PotentialSpec, x0: float, times: np.ndarray,
 
     The iteration map rebuilds the path from the supplied noise with the
     drift taken against the previous iterate's occupation measure; on a
-    short enough interval it contracts at rate about one half.
+    short enough interval it contracts at rate about one half.  Sums are
+    anchored at x0, inside the half-unit ball the path stays in.
     """
     times = np.asarray(times, dtype=float)
     noise = np.asarray(noise_path, dtype=float)
@@ -772,7 +644,7 @@ def picard_bootstrap(w: PotentialSpec, x0: float, times: np.ndarray,
     if float(np.abs(noise).max()) > 0.5 + 1e-12:
         raise InvalidInputError("noise path leaves the half-unit ball; resample "
                                 "with a smaller delta")
-    g = np.asarray(np.polynomial.polynomial.polyder(w.poly1d_coefficients()))
+    count, terms = _drift_terms(w)
     dts = np.diff(times)
     m = times.size
     path = x0 + noise.copy()
@@ -780,24 +652,21 @@ def picard_bootstrap(w: PotentialSpec, x0: float, times: np.ndarray,
     for _ in range(max_rounds):
         new = np.empty(m)
         new[0] = x0
+        # before any occupation accrues the drift is against the first atom
+        b = _coefficients(terms, count, power_sums(path[:1], [1.0], x0, count).tolist())
         # prefix power sums of the old path build the frozen drift at each step
-        L = g.size
-        S = np.zeros(L)
-        y = x0
+        S = [0.0] * count
+        y = 0.0
         for j in range(m - 1):
-            if j == 0:
-                d = float(np.polynomial.polynomial.polyval(y - path[0], g))
-            else:
-                b = np.zeros(L)
-                for mm in range(L):
-                    for i in range(mm + 1):
-                        b[i] += g[mm] * math.comb(mm, i) * ((-1.0) ** (mm - i)) * S[mm - i]
-                b /= S[0]
-                d = float(np.polynomial.polynomial.polyval(y, b))
-            y = y + (noise[j + 1] - noise[j]) - d * dts[j]
-            new[j + 1] = y
-            for p in range(L - 1, -1, -1):
-                S[p] += dts[j] * path[j + 1] ** p
+            if j > 0:
+                b = _coefficients(terms, count, S)
+            y = y + (noise[j + 1] - noise[j]) - _horner(b, y) * dts[j]
+            new[j + 1] = x0 + y
+            p = dts[j]
+            u = path[j + 1] - x0
+            for k in range(count):
+                S[k] += p
+                p *= u
         sup = float(np.abs(new - path).max())
         sups.append(sup)
         path = new
@@ -816,8 +685,8 @@ def _lipschitz_radius2(w: PotentialSpec) -> float:
     return float(np.abs(h).max())
 
 
-def _simulate_from_zero(w, x0, cfg, drift, replica):
-    if drift.v_grad is not None:
+def _simulate_from_zero(w, x0, cfg, v, replica):
+    if v is not None:
         raise UnsupportedInputError("the t = 0 bootstrap handles the pure "
                                     "interaction case only")
     if cfg.history_mode != "running-moments":
@@ -830,26 +699,23 @@ def _simulate_from_zero(w, x0, cfg, drift, replica):
     while m > 2 and float(np.abs(noise_path[:m + 1]).max()) > 0.5:
         m //= 2
     boot = picard_bootstrap(w, x0, cfg.dt * np.arange(m + 1), noise_path[:m + 1])
-    occupation = ParticleMeasure(boot.path[1:], np.full(m, cfg.dt))
-    tail_cfg = SimConfig(dt=cfg.dt, t_start=cfg.dt * m, t_end=cfg.t_end,
-                         seed=cfg.seed, noise_scale=cfg.noise_scale,
-                         history_mode=cfg.history_mode,
-                         reservoir_size=cfg.reservoir_size,
-                         center_every=cfg.center_every,
-                         record_moments_every=cfg.record_moments_every)
+    x_tail = float(boot.path[-1])
+    t_tail = cfg.dt * m
     # reuse the tail of the same increment stream
-    tail_n = tail_cfg.n_steps
-    positions, centers = _run_moment_loop(drift, float(boot.path[-1]), tail_cfg,
-                                          incs[m:m + tail_n], occupation)
-    times = np.concatenate((boot.times[:-1],
-                            tail_cfg.t_start + cfg.dt * np.arange(tail_n + 1)))
+    tail_n = int(round((cfg.t_end - t_tail) / cfg.dt))
+    positions, centers = _run_moment_loop(w, None, x_tail,
+                                          (boot.path[1:], np.full(m, cfg.dt)),
+                                          incs[m:m + tail_n], cfg.dt, cfg.center_every)
+    _interpolate_center_gaps(centers)
+    times = np.concatenate((boot.times[:-1], t_tail + cfg.dt * np.arange(tail_n + 1)))
     full_pos = np.concatenate((boot.path[:-1], positions))
     weights = np.full(times.size, cfg.dt)
     weights[0] = 0.0
     cent = np.concatenate((np.full(m, centers[0]), centers))
     thin = cfg.record_moments_every or max(1, times.size // 2000)
     idx = np.arange(0, times.size, thin)
-    mom = _moment_track(drift, full_pos, weights, idx)
+    mom = _moment_track(full_pos, weights, idx,
+                        max(2, convolution_matrix(w, 1).shape[0]))
     return TrajectoryRecord(w, None, cfg, replica, times, full_pos, weights,
                             cent, times[idx], mom)
 

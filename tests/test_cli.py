@@ -1,12 +1,13 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from selfattract.cli import main
-from selfattract.config import load_config
+from selfattract.config import _SCHEMA, load_config
 from selfattract.errors import InvalidInputError
 from selfattract.persist import load_measure, write_particle_measure
 from selfattract import ParticleMeasure
@@ -57,6 +58,21 @@ class TestConfig:
         cfg = write(tmp_path / "bad.cfg", "[sim]\nddt = 0.1\n")
         code = main(["--config", cfg, "simulate"])
         assert code == 2
+
+    def test_schema_file_matches_parser(self):
+        # a knob deleted from one of the two must not linger in the other
+        text = (Path(__file__).resolve().parents[1] / "config-schema.txt").read_text()
+        declared: dict[str, set] = {}
+        section = None
+        for line in text.splitlines():
+            head = re.match(r"\[(\w+)\]", line)
+            key = re.match(r"(\w+)\s*=", line)
+            if head:
+                section = head.group(1)
+                declared[section] = set()
+            elif key:
+                declared[section].add(key.group(1))
+        assert declared == {name: set(keys) for name, keys in _SCHEMA.items()}
 
 
 class TestCommands:

@@ -1,0 +1,148 @@
+"""The anchored power-sum engine and the translation equivariance it buys.
+
+Without V the model depends only on differences X_t - X_s, so shifting the
+input by s must shift every output by s: centers, Gibbs densities, free
+energies and SDE paths alike.
+"""
+
+import tracemalloc
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from selfattract import (GridDensity, ParticleMeasure, SimConfig, center, dirac,
+                         even_polynomial, free_energy, frozen_energy_difference,
+                         gaussian_density, gibbs_map, quadratic_shifted,
+                         quadratic_symmetric, simulate, simulate_ensemble)
+from selfattract.gridkernel import interaction_energy
+from selfattract.powersums import power_sums, reanchor
+from conftest import make_rng
+
+POTENTIALS = {
+    "quadratic": quadratic_symmetric(1.0),
+    "quartic": even_polynomial([0.5, 0.1]),
+    "sextic": even_polynomial([0.5, 0.1, 0.01]),
+}
+SHIFTS = (10.0, 100.0, 1000.0)
+
+
+def skewed_atoms() -> ParticleMeasure:
+    gen = make_rng(5)
+    pos = np.concatenate((gen.normal(0.0, 1.0, 300), gen.normal(1.5, 0.4, 100)))
+    return ParticleMeasure(pos, gen.uniform(0.5, 1.0, pos.size))
+
+
+def shifted(m: ParticleMeasure, s: float) -> ParticleMeasure:
+    return ParticleMeasure(m.positions + s, m.weights)
+
+
+def test_reanchor_matches_sums_about_the_new_anchor():
+    gen = make_rng(3)
+    x = gen.normal(2.0, 1.5, 50)
+    w = gen.uniform(-1.0, 1.0, 50)
+    for shift in (-1.3, 0.4, 2.5):
+        got = reanchor(power_sums(x, w, 2.0, 7), shift)
+        want = power_sums(x, w, 2.0 + shift, 7)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-11)
+    cols = np.stack([power_sums(x, w, 2.0, 5), power_sums(x, -w, 2.0, 5)], axis=1)
+    moved = reanchor(cols, np.array([0.0, -0.7]))
+    assert np.array_equal(moved[:, 0], cols[:, 0])
+    assert np.allclose(moved[:, 1], power_sums(x, -w, 1.3, 5), rtol=1e-12, atol=1e-11)
+
+
+@pytest.mark.parametrize("w", [quadratic_symmetric(1.0), quadratic_shifted(1.0),
+                               even_polynomial([0.5, 0.1]),
+                               even_polynomial([0.5, 0.1, 0.01])],
+                         ids=["quadratic", "shifted", "quartic", "sextic"])
+@pytest.mark.parametrize("s", [0.0, 100.0])
+def test_interaction_energy_equals_direct_double_sum(w, s):
+    g = gaussian_density(0.3 + s, 1.0, -6.0 + s, 6.0 + s, 256)
+    xs = g.axis_centers(0)
+    kernel = np.polynomial.polynomial.polyval(xs[:, None] - xs[None, :],
+                                              w.poly1d_coefficients())
+    want = 0.5 * float(g.values @ kernel @ g.values) * g.cell_volume ** 2
+    assert interaction_energy(w, g) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("name", POTENTIALS)
+@pytest.mark.parametrize("s", SHIFTS)
+def test_center_is_equivariant(name, s):
+    w = POTENTIALS[name]
+    atoms = skewed_atoms()
+    assert abs(center(w, shifted(atoms, s)) - s - center(w, atoms)) <= 1e-9
+    grid = gaussian_density(0.5, 1.2, -8.0, 8.0, 1024)
+    moved = GridDensity(grid.lo + s, grid.hi + s, grid.values)
+    assert abs(center(w, moved) - s - center(w, grid)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", POTENTIALS)
+@pytest.mark.parametrize("s", SHIFTS)
+def test_gibbs_map_is_equivariant(name, s):
+    w = POTENTIALS[name]
+    atoms = skewed_atoms()
+    base = gibbs_map(w, atoms).density
+    moved = gibbs_map(w, shifted(atoms, s)).density
+    assert float(np.abs(moved.values - base.values).max()) <= 1e-9
+
+
+@pytest.mark.parametrize("name", POTENTIALS)
+@pytest.mark.parametrize("s", SHIFTS)
+def test_free_energy_is_equivariant(name, s):
+    w = POTENTIALS[name]
+    grid = gaussian_density(0.5, 1.2, -8.0, 8.0, 1024)
+    moved = GridDensity(grid.lo + s, grid.hi + s, grid.values)
+    want = free_energy(w, grid).total
+    assert free_energy(w, moved).total == pytest.approx(want, rel=1e-12)
+
+
+EQUIVARIANCE_CFG = SimConfig(dt=0.01, t_end=51.0, t_start=1.0, seed=12)  # 5000 steps
+
+
+@lru_cache(maxsize=None)
+def paths(name: str, x0: float) -> tuple[np.ndarray, np.ndarray]:
+    w = POTENTIALS[name]
+    single = simulate(w, x0, EQUIVARIANCE_CFG).positions
+    ensemble = np.stack([rec.positions for rec in
+                         simulate_ensemble(w, x0, EQUIVARIANCE_CFG, 2)])
+    return single, ensemble
+
+
+@pytest.mark.parametrize("name", POTENTIALS)
+@pytest.mark.parametrize("s", SHIFTS)
+def test_sde_paths_are_equivariant(name, s):
+    tol = 1e-9 * max(1.0, s)
+    base_single, base_ensemble = paths(name, 0.0)
+    single, ensemble = paths(name, s)
+    assert base_single.size == EQUIVARIANCE_CFG.n_steps + 1
+    assert float(np.abs(single - s - base_single).max()) <= tol
+    assert float(np.abs(ensemble - s - base_ensemble).max()) <= tol
+
+
+def test_energies_on_a_wide_grid_need_linear_memory():
+    w = even_polynomial([0.5, 0.1])
+    mu = gaussian_density(0.0, 1.0, -8.0, 8.0, 4096)
+    nu = gaussian_density(0.5, 1.3, -8.0, 8.0, 4096)
+    tracemalloc.start()
+    try:
+        free_energy(w, mu)
+        frozen_energy_difference(w, mu, nu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+
+def test_reanchored_paths_match_the_full_history_oracle():
+    # the pre-history sits at 0 and the path starts at 4, so the center is
+    # far from the anchor x0 at the first recomputation and the sums re-anchor
+    w = even_polynomial([0.5, 0.25])
+    cfg = SimConfig(dt=0.01, t_end=6.0, t_start=1.0, seed=5)
+    oracle_cfg = SimConfig(dt=0.01, t_end=6.0, t_start=1.0, seed=5,
+                           history_mode="full-history")
+    single = simulate(w, 4.0, cfg, initial_occupation=dirac(0.0))
+    oracle = simulate(w, 4.0, oracle_cfg, initial_occupation=dirac(0.0))
+    assert np.abs(single.positions - oracle.positions).max() <= 1e-12
+    ensemble = simulate_ensemble(w, 4.0, cfg, 2, initial_occupation=dirac(0.0))
+    assert np.abs(ensemble[0].positions - single.positions).max() <= 1e-13

@@ -7,8 +7,9 @@ from selfattract import (InvalidInputError, ParticleMeasure, SimConfig,
                          coupled_frozen, counterexample_system, dirac,
                          even_polynomial, ou_domination, picard_bootstrap,
                          quadratic_symmetric, simulate, simulate_ensemble)
-from selfattract.sde import (_PolyDrift, counterexample_mean_track,
-                             ou_modulus_exact, ou_stationary_envelope_moment)
+from selfattract.powersums import anchor, convolution_matrix, power_sums
+from selfattract.sde import (counterexample_mean_track, ou_modulus_exact,
+                             ou_stationary_envelope_moment)
 from conftest import make_rng
 
 
@@ -80,22 +81,6 @@ class TestSimulate:
         bound = env(gap) / (quad.convexity_constant * rec.times[:-1])
         # discrete estimate, allow integrator slack proportional to dt
         assert np.all(dc <= bound + 10 * cfg.dt)
-
-    def test_reservoir_exact_while_stream_fits(self, quad):
-        # reservoir larger than the whole atom stream reproduces the exact
-        # occupation, hence the exact path
-        exact = simulate(quad, 0.0, short_cfg(t_end=20.0, seed=2))
-        approx = simulate(quad, 0.0, short_cfg(t_end=20.0, seed=2,
-                                               history_mode="reservoir",
-                                               reservoir_size=4096))
-        assert np.abs(exact.positions - approx.positions).max() < 1e-10
-
-    def test_reservoir_subsampled_stays_loose(self, quad):
-        exact = simulate(quad, 0.0, short_cfg(t_end=20.0, seed=2))
-        approx = simulate(quad, 0.0, short_cfg(t_end=20.0, seed=2,
-                                               history_mode="reservoir",
-                                               reservoir_size=64))
-        assert np.abs(exact.positions - approx.positions).max() < 1.0
 
     def test_warm_start_occupation(self, quad):
         gen = make_rng(8)
@@ -284,13 +269,14 @@ class TestCounterexample:
 def test_poly_drift_coefficients_match_direct_convolution(quad):
     gen = make_rng(71)
     w = even_polynomial([0.5, 0.25])
-    drift = _PolyDrift(w, None)
     pos = gen.uniform(-2, 2, size=30)
     wts = gen.uniform(0.1, 1.0, size=30)
-    S = [float(wts @ pos ** j) for j in range(drift.n_moments)]
-    from selfattract import convolve_potential
-
-    m = ParticleMeasure(pos, wts / wts.sum())  # drift is against the normalized law
+    a = anchor(pos)
+    S = power_sums(pos, wts, a, 4)
+    # the drift is against the normalized law
+    coeffs = convolution_matrix(w, 1) @ S / S[0]
+    grad = np.polynomial.polynomial.polyder(w.poly1d_coefficients())
     for x in (-1.5, 0.0, 0.7, 2.2):
-        want = convolve_potential(w, m, x, 1)
-        assert drift.value(x, S) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        want = float(wts @ np.polynomial.polynomial.polyval(x - pos, grad)) / wts.sum()
+        got = np.polynomial.polynomial.polyval(x - a, coeffs)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
