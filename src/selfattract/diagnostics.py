@@ -18,7 +18,7 @@ from . import rng
 from .errors import InvalidInputError
 from .flow import Schedule
 from .gibbs import gibbs_map
-from .measures import GridDensity, recenter
+from .measures import GridDensity, ParticleMeasure, recenter
 from .potentials import PotentialSpec
 from .sde import TrajectoryRecord
 from .transport import tp_distance_1d, w2_distance
@@ -150,13 +150,26 @@ def ergodicity_check(w: PotentialSpec, records: list[TrajectoryRecord],
     curves = []
     finals = []
     for rec in records:
+        # sort the whole occupation once; each checkpoint's prefix is that
+        # order masked by the step at which each atom entered (the warm-start
+        # block counts as step 0), so it needs no re-sort.  Going from the
+        # last checkpoint back, each mask runs over the previous prefix only.
+        occ = rec.occupation()
+        n_pre = occ.positions.size - (rec.times.size - 1)
+        order = np.argsort(occ.positions, kind="stable")
+        pos = occ.positions[order]
+        wts = occ.weights[order]
+        step = np.concatenate((np.zeros(n_pre, dtype=np.intp),
+                               np.arange(1, rec.times.size)))[order]
         vals = []
-        for t in ts:
-            occ = rec.occupation(t)
-            c = rec.center_at(t)
-            d = w2_distance(recenter(occ, c), rho_inf).value
-            vals.append(d)
-            report.series.append((f"w2_replica{rec.replica}", float(t), d))
+        for t in ts[::-1]:
+            keep = step <= rec.index_at(t)
+            pos, wts, step = pos[keep], wts[keep], step[keep]
+            prefix = ParticleMeasure(pos - rec.center_at(t), wts / wts.sum())
+            vals.append(w2_distance(prefix, rho_inf).value)
+        vals.reverse()
+        report.series.extend((f"w2_replica{rec.replica}", float(t), d)
+                             for t, d in zip(ts, vals))
         curves.append(vals)
         finals.append(vals[-1])
     curves = np.asarray(curves)

@@ -60,9 +60,12 @@ def convolution_matrix(p: PotentialSpec, order: int = 0) -> np.ndarray:
     power sums of m about a; T.shape[0] is the number of sums it reads.
 
     From g(y - z) = sum_n g_n sum_i C(n, i) y^i (-z)^(n-i) with g the
-    order-th derivative of W: T[i, j] = g_(i+j) C(i+j, i) (-1)^j.
+    order-th derivative of W: T[i, j] = g_(i+j) C(i+j, i) (-1)^j.  Trailing
+    zero coefficients of g are dropped, so T reads no sum it does not use and
+    an identically zero g gives the 1 x 1 zero matrix.
     """
-    g = np.polynomial.polynomial.polyder(p.poly1d_coefficients(), order)
+    g = np.polynomial.polynomial.polytrim(
+        np.polynomial.polynomial.polyder(p.poly1d_coefficients(), order))
     L = g.size
     T = np.zeros((L, L))
     for i in range(L):

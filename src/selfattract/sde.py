@@ -13,6 +13,12 @@ binomial re-anchor of the sums, whenever the center leaves the unit radius
 around it.  The sums then stay of the size of the path's spread wherever
 the path sits, so a path started at x0 + s is the x0 path shifted by s.
 
+For quadratic W (drift t00 + t11 (x - mean)) the Euler scheme reduces to a
+scalar linear recursion in y = x - mean with the mean carried by the
+occupation mass; the ensemble sums that recursion in closed form with
+blockwise scaled cumulative sums instead of stepping it, which matches the
+stepped scheme to rounding.
+
 Also here: the frozen-measure coupling used for one-step error analysis,
 the Ornstein-Uhlenbeck domination coupling, the contraction bootstrap for
 starting at time zero, and the non-symmetric counterexample pair whose
@@ -46,7 +52,6 @@ class SimConfig:
     noise_scale: float = _SQRT2
     history_mode: str = "running-moments"
     center_every: int = 10
-    record_moments_every: int | None = None
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -86,8 +91,6 @@ class TrajectoryRecord:
     positions: np.ndarray
     weights: np.ndarray
     center_track: np.ndarray
-    moment_times: np.ndarray
-    moment_track: np.ndarray
     initial_occupation: ParticleMeasure | None = None
     coupling_track: dict | None = None
 
@@ -258,36 +261,13 @@ def _interpolate_center_gaps(centers: np.ndarray):
         centers[bad] = np.interp(idx[bad], idx[~bad], centers[~bad])
 
 
-def _moment_track(positions, weights, idx, count, prehistory=None) -> np.ndarray:
-    """Raw moments 1 .. count-1 of the normalized occupation at rows idx."""
-    track = np.empty((idx.size, count - 1))
-    csum = [np.cumsum(weights * positions ** j) for j in range(count)]
-    if prehistory is not None:
-        # replace the placeholder first atom by the true warm-start sums
-        init = power_sums(*prehistory, 0.0, count)
-        for j in range(count):
-            csum[j] = csum[j] + (init[j] - weights[0] * positions[0] ** j)
-    mass = np.where(csum[0][idx] > 0, csum[0][idx], np.nan)
-    for col in range(1, count):
-        track[:, col - 1] = csum[col][idx] / mass
-    return track
-
-
 def _record(w, v, cfg, replica, times, positions, centers,
             initial_occupation) -> TrajectoryRecord:
-    n = positions.size - 1
-    weights = np.full(n + 1, cfg.dt)
+    weights = np.full(positions.size, cfg.dt)
     weights[0] = cfg.t_start
-    thin = cfg.record_moments_every or max(1, n // 2000)
-    idx = np.arange(0, n + 1, thin)
     _interpolate_center_gaps(centers)
-    pre = (_prehistory(positions[0], cfg.t_start, initial_occupation)
-           if initial_occupation is not None else None)
-    count = max(2, convolution_matrix(w, 1).shape[0])
-    mom = _moment_track(positions, weights, idx, count, pre)
     return TrajectoryRecord(w, v, cfg, replica, times, positions, weights,
-                            centers, times[idx], mom,
-                            initial_occupation=initial_occupation)
+                            centers, initial_occupation=initial_occupation)
 
 
 def simulate(w: PotentialSpec, x0: float, cfg: SimConfig,
@@ -357,53 +337,84 @@ def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
                       initial_occupation: ParticleMeasure | None = None
                       ) -> list[TrajectoryRecord]:
     """Replica ensemble with independent noise streams, stepped in lock-step
-    across replicas (running-moments mode, 1-d)."""
+    across replicas (running-moments mode, 1-d).  Quadratic W without V takes
+    the closed form of the same Euler scheme."""
     if cfg.history_mode != "running-moments":
-        return [simulate(w, x0, cfg, v=v, replica=r) for r in range(n_replicas)]
+        return [simulate(w, x0, cfg, v=v, replica=r,
+                         initial_occupation=initial_occupation)
+                for r in range(n_replicas)]
     _check_dt(w, cfg)
     if cfg.t_start == 0.0:
         raise UnsupportedInputError("ensemble runs start from positive time")
     n = cfg.n_steps
     dt = cfg.dt
     scale = cfg.noise_scale * math.sqrt(dt)
-    noise = np.empty((n, n_replicas))
+    noise = np.empty((n_replicas, n))
     for r in range(n_replicas):
-        noise[:, r] = scale * rng.normal_increments(cfg.seed, n, r)
+        np.multiply(rng.normal_increments(cfg.seed, n, r), scale, out=noise[r])
     times = cfg.t_start + dt * np.arange(n + 1)
 
     pre = _prehistory(x0, cfg.t_start, initial_occupation)
     T = convolution_matrix(w, 1)
     if T.shape[0] == 2 and v is None:
-        # quadratic families: drift = t00 + t11 (x - mean) with the mean from
-        # sums about the origin; centers recovered from cumulative sums after
-        # the loop
-        t00 = T[0, 0]
-        t11 = T[1, 0]
-        s0, s1 = power_sums(*pre, 0.0, 2)
-        x = np.full(n_replicas, float(x0))
-        S0 = np.full(n_replicas, s0)
-        S1 = np.full(n_replicas, s1)
-        positions = np.empty((n + 1, n_replicas))
-        positions[0] = x
-        for i in range(n):
-            d = t00 + t11 * (x - S1 / S0)
-            x = x - d * dt + noise[i]
-            S0 = S0 + dt
-            S1 = S1 + dt * x
-            positions[i + 1] = x
-        mass = s0 + dt * np.arange(n + 1)
-        sums = s1 + dt * np.concatenate(
-            (np.zeros((1, n_replicas)), np.cumsum(positions[1:], axis=0)))
-        means = sums / mass[:, None]
-        centers = means - t00 / t11 if t11 != 0.0 else means
+        positions, centers = _run_quadratic_closed_form(T, x0, pre, noise, dt)
     else:
-        positions, centers = _run_moment_loop(w, v, x0, pre, noise, dt, cfg.center_every)
+        positions, centers = _run_moment_loop(w, v, x0, pre, noise.T, dt,
+                                              cfg.center_every)
+        positions, centers = positions.T, centers.T
+    del noise   # freed before the stepped branch copies out its columns
     if not np.all(np.isfinite(positions)):
         raise NumericFailureError("ensemble lost finiteness (explosion); "
                                   "check the step size against the potential")
-    return [_record(w, v, cfg, r, times, positions[:, r].copy(), centers[:, r].copy(),
-                    initial_occupation)
+    # closed-form rows are contiguous already and are handed out as views
+    return [_record(w, v, cfg, r, times, np.ascontiguousarray(positions[r]),
+                    np.ascontiguousarray(centers[r]), initial_occupation)
             for r in range(n_replicas)]
+
+
+def _run_quadratic_closed_form(T, x0, prehistory, noise, dt):
+    """The Euler scheme for drift t00 + t11 (x - mean), summed in closed form.
+
+    With y = x - mean, alpha = 1 - t11 dt, S0_i the occupation mass after i
+    steps and eta_i = xi_i - t00 dt, one step is the linear recursion
+        y_(i+1) = (S0_i / S0_(i+1)) (alpha y_i + eta_i),
+        mean_(i+1) = mean_i + dt y_(i+1) / S0_i,
+    so z_i = y_i S0_i / alpha^i is a cumulative sum of S0_i eta_i / alpha^(i+1).
+    The sum restarts every block, short enough that alpha^(-k) stays below
+    about e^30.  ``noise`` (R, n) is overwritten: it holds eta, then the
+    mean increments of each block.  Returns positions and centers (R, n+1).
+    t11 != 0 because `convolution_matrix` trims zero coefficients.
+    """
+    t00, t11 = T[0, 0], T[1, 0]
+    R, n = noise.shape
+    s0, s1 = power_sums(*prehistory, float(x0), 2)
+    S0 = s0 + dt * np.arange(n + 1)
+    alpha = 1.0 - t11 * dt
+    block = max(8, min(8192, int(30.0 / max(abs(t11) * dt, 1e-12))))
+    up = alpha ** np.arange(1, min(block, n) + 1)
+    positions = np.empty((R, n + 1))
+    centers = np.empty((R, n + 1))
+    y = np.full(R, -s1 / s0)
+    mean = np.full(R, float(x0) + s1 / s0)
+    positions[:, 0] = x0
+    centers[:, 0] = mean - t00 / t11
+    for p in range(0, n, block):
+        b = min(block, n - p)
+        eta = noise[:, p:p + b]
+        seg = positions[:, p + 1:p + b + 1]
+        eta -= t00 * dt
+        np.multiply(eta, S0[p:p + b] / up[:b], out=seg)
+        np.cumsum(seg, axis=1, out=seg)
+        seg += (y * S0[p])[:, None]
+        seg *= up[:b] / S0[p + 1:p + b + 1]
+        y = seg[:, -1].copy()
+        np.multiply(seg, dt / S0[p:p + b], out=eta)
+        np.cumsum(eta, axis=1, out=eta)
+        eta += mean[:, None]
+        mean = eta[:, -1].copy()
+        seg += eta
+        np.subtract(eta, t00 / t11, out=centers[:, p + 1:p + b + 1])
+    return positions, centers
 
 
 # ---------------------------------------------------------------------------
@@ -712,12 +723,7 @@ def _simulate_from_zero(w, x0, cfg, v, replica):
     weights = np.full(times.size, cfg.dt)
     weights[0] = 0.0
     cent = np.concatenate((np.full(m, centers[0]), centers))
-    thin = cfg.record_moments_every or max(1, times.size // 2000)
-    idx = np.arange(0, times.size, thin)
-    mom = _moment_track(full_pos, weights, idx,
-                        max(2, convolution_matrix(w, 1).shape[0]))
-    return TrajectoryRecord(w, None, cfg, replica, times, full_pos, weights,
-                            cent, times[idx], mom)
+    return TrajectoryRecord(w, None, cfg, replica, times, full_pos, weights, cent)
 
 
 # ---------------------------------------------------------------------------

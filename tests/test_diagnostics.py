@@ -5,7 +5,8 @@ import pytest
 
 from selfattract import (ParticleMeasure, Schedule, SimConfig,
                          counterexample_system, gaussian_density,
-                         quadratic_symmetric, simulate, simulate_ensemble)
+                         quadratic_symmetric, recenter, simulate,
+                         simulate_ensemble, w2_distance)
 from selfattract.diagnostics import (center_convergence, ergodicity_check,
                                      one_step_error)
 from conftest import make_rng
@@ -93,6 +94,24 @@ class TestErgodicity:
                                   min_passing=2, n_boot=50)
         dists = [v for label, _, v in report.series if label.startswith("w2")]
         assert max(dists) < 0.05
+
+    def test_sorted_prefixes_match_per_checkpoint_occupations(self, quad):
+        # each checkpoint's W2 comes from one sort of the whole path; it must
+        # equal W2 of that checkpoint's own occupation measure
+        gen = make_rng(13)
+        warm = ParticleMeasure(gen.standard_normal(300), gen.uniform(0.5, 1.0, 300))
+        plain = simulate_ensemble(quad, 0.0, SimConfig(dt=0.01, t_end=80.0, seed=2), 1)
+        warmed = simulate_ensemble(quad, 0.0, SimConfig(dt=0.01, t_end=80.0, t_start=5.0,
+                                                        seed=3), 1, initial_occupation=warm)
+        from_zero = simulate(quad, 0.0, SimConfig(dt=1e-3, t_end=20.0, t_start=0.0, seed=4))
+        rho = gaussian_density(0, 1, -8, 8, 512)
+        for rec in (plain[0], warmed[0], from_zero):
+            report = ergodicity_check(quad, [rec], rho, min_passing=0, n_boot=10)
+            series = [(t, v) for label, t, v in report.series if label.startswith("w2")]
+            assert len(series) >= 10
+            for t, got in series:
+                want = w2_distance(recenter(rec.occupation(t), rec.center_at(t)), rho).value
+                assert abs(got - want) <= 1e-12
 
     def test_report_is_reproducible(self, quad):
         cfg = SimConfig(dt=0.01, t_end=60.0, t_start=1.0, seed=14)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from selfattract import rng
 from selfattract import (InvalidInputError, ParticleMeasure, SimConfig,
                          coupled_frozen, counterexample_system, dirac,
                          even_polynomial, ou_domination, picard_bootstrap,
-                         quadratic_symmetric, simulate, simulate_ensemble)
+                         quadratic_shifted, quadratic_symmetric, simulate,
+                         simulate_ensemble, zero_interaction)
 from selfattract.powersums import anchor, convolution_matrix, power_sums
 from selfattract.sde import (counterexample_mean_track, ou_modulus_exact,
                              ou_stationary_envelope_moment)
@@ -105,6 +107,49 @@ class TestEnsemble:
     def test_replicas_differ(self, quad):
         ens = simulate_ensemble(quad, 0.0, short_cfg(), 2)
         assert np.abs(ens[0].positions - ens[1].positions).max() > 1e-3
+
+    def test_full_history_ensemble_keeps_warm_block(self, quad):
+        warm = ParticleMeasure(make_rng(19).standard_normal(10) + 1.0, np.full(10, 0.1))
+        cfg = short_cfg(seed=41, history_mode="full-history")
+        ens = simulate_ensemble(quad, 0.0, cfg, 2, initial_occupation=warm)
+        for r, rec in enumerate(ens):
+            single = simulate(quad, 0.0, cfg, replica=r, initial_occupation=warm)
+            assert rec.initial_occupation is warm
+            assert np.array_equal(rec.positions, single.positions)
+            assert np.array_equal(rec.center_track, single.center_track)
+
+    @pytest.mark.parametrize("w", [quadratic_symmetric(1.0), quadratic_symmetric(0.3),
+                                   quadratic_shifted(1.0)],
+                             ids=["unit", "weak", "shifted"])
+    @pytest.mark.parametrize("x0", [0.0, 1000.0])
+    @pytest.mark.parametrize("warm", [False, True], ids=["atom", "warm"])
+    def test_closed_form_matches_euler_loop(self, w, x0, warm):
+        # the quadratic ensemble sums the Euler recursion in closed form;
+        # `simulate` steps the same scheme one step at a time
+        init = None
+        if warm:
+            gen = make_rng(27)
+            init = ParticleMeasure(x0 + gen.standard_normal(10), gen.uniform(0.5, 1.0, 10))
+        cfg = SimConfig(dt=0.01, t_end=501.0, t_start=1.0, seed=58)
+        ens = simulate_ensemble(w, x0, cfg, 2, initial_occupation=init)
+        for r, rec in enumerate(ens):
+            single = simulate(w, x0, cfg, replica=r, initial_occupation=init)
+            assert rec.positions.size == 50_001
+            assert np.abs(rec.positions - single.positions).max() <= 1e-11
+            assert np.abs(rec.center_track - single.center_track).max() <= 1e-11
+
+    def test_zero_slope_quadratic_matches_zero_interaction(self):
+        # W = 0 x^2 has an identically zero drift, like zero_interaction():
+        # the path is x0 plus the noise and the center keeps its start
+        cfg = short_cfg(seed=12)
+        ref = simulate(zero_interaction(), 0.5, cfg)
+        incs = cfg.noise_scale * math.sqrt(cfg.dt) * rng.normal_increments(cfg.seed, cfg.n_steps, 0)
+        assert np.allclose(ref.positions[1:], 0.5 + np.cumsum(incs), atol=1e-13)
+        assert np.all(ref.center_track == 0.5)
+        for w in (even_polynomial([0.0]), zero_interaction()):
+            for rec in (simulate(w, 0.5, cfg), simulate_ensemble(w, 0.5, cfg, 2)[0]):
+                assert np.array_equal(rec.positions, ref.positions)
+                assert np.array_equal(rec.center_track, ref.center_track)
 
 
 class TestCoupledFrozen:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfattract import (DominatingPolynomial, ParticleMeasure,
+from selfattract import (DominatingPolynomial, GridDensity, ParticleMeasure,
                          UnsupportedInputError, centered_distance, dirac,
                          displacement_interpolate, gaussian_density,
                          min_cost_assignment, p_norm, quadratic_symmetric,
@@ -95,6 +95,61 @@ class TestW2:
             m2 = ParticleMeasure(y, np.full(6, 1 / 6))
             got = w2_distance(m1, m2).value
             assert got == pytest.approx(w2_bruteforce_equal_atoms(x, y), abs=1e-10)
+
+    def test_equal_weight_clouds_match_sorted_oracle(self):
+        # equal counts and weights: W2^2 = mean((sort x - sort y)^2) exactly
+        gen = make_rng(61)
+        for n in (1, 2, 7, 100, 5000):
+            x = 3.0 * gen.standard_normal(n)
+            y = gen.standard_normal(n) + 0.4
+            want = math.sqrt(np.mean((np.sort(x) - np.sort(y)) ** 2))
+            got = w2_distance(ParticleMeasure(x, np.full(n, 1 / n)),
+                              ParticleMeasure(y, np.full(n, 1 / n))).value
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_tied_atoms(self):
+        x = np.array([0.5, -1.0, 0.5, 0.5, 2.0, -1.0])
+        y = np.array([1.0, 1.0, 1.0, -2.0, 0.0, 0.0])
+        want = math.sqrt(np.mean((np.sort(x) - np.sort(y)) ** 2))
+        got = w2_distance(ParticleMeasure(x, np.full(6, 1 / 6)),
+                          ParticleMeasure(y, np.full(6, 1 / 6))).value
+        assert got == pytest.approx(want, abs=1e-14)
+
+    def test_single_atom_against_cloud(self):
+        gen = make_rng(62)
+        x = gen.uniform(-2, 2, size=9)
+        w = gen.uniform(0.2, 1.0, size=9)
+        w = w / w.sum()
+        want = math.sqrt(float(w @ (x - 0.3) ** 2))
+        cloud = ParticleMeasure(x, w)
+        assert w2_distance(dirac(0.3), cloud).value == pytest.approx(want, abs=1e-14)
+        assert w2_distance(cloud, dirac(0.3)).value == pytest.approx(want, abs=1e-14)
+
+    def test_grid_with_empty_cells_against_atoms(self):
+        # mass 1/2 on each of two cells with empty cells between: the
+        # quantile jumps across the gap; each half meets its own atom
+        vals = np.zeros(32)
+        vals[[5, 20]] = 1.0
+        grid = GridDensity(np.array([-4.0]), np.array([4.0]), vals).normalized()
+        atoms = ParticleMeasure(np.array([-2.0, 1.5]), np.array([0.5, 0.5]))
+        h = 0.25
+
+        def mean_sq(lo, a):   # mean of (u - a)^2 for u uniform on [lo, lo + h]
+            return ((lo + h - a) ** 3 - (lo - a) ** 3) / (3.0 * h)
+
+        want = math.sqrt(0.5 * mean_sq(-4.0 + 5 * h, -2.0)
+                         + 0.5 * mean_sq(-4.0 + 20 * h, 1.5))
+        assert w2_distance(grid, atoms).value == pytest.approx(want, abs=1e-14)
+        assert w2_distance(atoms, grid).value == pytest.approx(want, abs=1e-14)
+
+    def test_grid_against_grid(self):
+        # a translated copy of a grid density is at W2 distance |shift|
+        g = gaussian_density(0.2, 0.7, -6.0, 6.0, 300)
+        moved = GridDensity(g.lo + 1.25, g.hi + 1.25, g.values)
+        assert w2_distance(g, moved).value == pytest.approx(1.25, abs=1e-14)
+        other = gaussian_density(-0.5, 1.3, -7.0, 5.0, 200)
+        assert w2_distance(g, other).value == pytest.approx(
+            w2_distance(other, g).value, abs=1e-14)
 
     def test_2d_assignment_method(self):
         gen = make_rng(4)
