@@ -13,6 +13,12 @@ binomial re-anchor of the sums, whenever the center leaves the unit radius
 around it.  The sums then stay of the size of the path's spread wherever
 the path sits, so a path started at x0 + s is the x0 path shifted by s.
 
+One path steps on Python floats.  A replica ensemble keeps the sums of all
+R replicas as one (count, R) array, adds the dt-weighted powers dt y^j of
+the new positions to it each step (the products one path adds), and takes
+its drift coefficients from one matmul per step; the occupation mass is the
+same for every replica.
+
 For quadratic W (drift t00 + t11 (x - mean)) the Euler scheme reduces to a
 scalar linear recursion in y = x - mean with the mean carried by the
 occupation mass; the ensemble sums that recursion in closed form with
@@ -141,8 +147,8 @@ class TrajectoryRecord:
 #
 # grad(W * mu)(a + y) = sum_i b_i y^i with b = T S / S_0, T the order-1
 # convolution matrix of `powersums` and S the path's weighted power sums
-# about the anchor a.  The helpers below work on Python floats (one path)
-# and on (R,) columns (replicas stepped together) alike.
+# about the anchor a.  `_horner` and `_center` take b as a list of floats
+# (one path) or as the rows of a (count, R) array (replicas side by side).
 
 
 def _drift_terms(w: PotentialSpec) -> tuple[int, list]:
@@ -184,11 +190,6 @@ def _center(b, start, tol=1e-12, max_iter=60):
     raise NumericFailureError("center Newton on running moments did not converge")
 
 
-def _reanchored(S, shift) -> list:
-    new = reanchor(np.array(S), shift)
-    return new.tolist() if new.ndim == 1 else list(new)
-
-
 def _prehistory(x0: float, t_start: float,
                 initial_occupation: ParticleMeasure | None):
     """Atoms and weights of the pre-history block of mass t_start."""
@@ -199,26 +200,24 @@ def _prehistory(x0: float, t_start: float,
 
 
 def _run_moment_loop(w, v, x0, prehistory, increments, dt, center_every):
-    """Euler steps of y = x - a driven by the running power sums S about the
-    anchor a, which starts at x0.
+    """Euler steps of one path, y = x - a on Python floats, driven by the
+    running power sums S about the anchor a, which starts at x0.
 
-    Increments of shape (n,) step one path on Python floats; shape (n, R)
-    steps R replicas as columns.  The center is recomputed every
-    ``center_every`` steps (every step when the drift is linear); only then
-    may the anchor move.  Returns positions and centers in x, centers NaN
-    between recomputations.
+    The center is recomputed every ``center_every`` steps (every step when
+    the drift is linear); only then may the anchor move.  Returns positions
+    and centers in x, centers NaN between recomputations.
     """
     count, terms = _drift_terms(w)
-    a = float(x0) if increments.ndim == 1 else np.full(increments.shape[1], float(x0))
-    S = [s + 0.0 * a for s in power_sums(*prehistory, float(x0), count).tolist()]
+    a = float(x0)
+    S = power_sums(*prehistory, a, count).tolist()
     vg = None if v is None else \
         np.polynomial.polynomial.polyder(v.poly1d_coefficients()).tolist()
     every = 1 if count <= 2 else center_every
     n = increments.shape[0]
-    noise = increments.tolist() if increments.ndim == 1 else increments
-    positions = np.empty((n + 1,) + np.shape(a))
-    centers = np.full(positions.shape, np.nan)
-    y = 0.0 * a
+    noise = increments.tolist()
+    positions = np.empty(n + 1)
+    centers = np.full(n + 1, np.nan)
+    y = 0.0
     b = _coefficients(terms, count, S)
     c = _center(b, y)
     positions[0] = y
@@ -239,19 +238,91 @@ def _run_moment_loop(w, v, x0, prehistory, increments, dt, center_every):
         if (i + 1) % every == 0:
             c = _center(b, c)
             centers[i + 1] = c
-            far = abs(c) > _REANCHOR_RADIUS   # a bool for one path
-            if far is True or (far is not False and far.any()):
-                shift = c * far
-                S = _reanchored(S, shift)
+            if abs(c) > _REANCHOR_RADIUS:
+                S = reanchor(S, c).tolist()
                 b = _coefficients(terms, count, S)
-                y, c, a = y - shift, c - shift, a + shift
+                y, a, c = y - c, a + c, 0.0
                 segments.append((i + 2, a))
-    # back to x in place, one anchor segment at a time
-    segments.append((n + 1, None))
-    for (start, a_seg), (stop, _) in zip(segments, segments[1:]):
-        positions[start:stop] += a_seg
-        centers[start:stop] += a_seg
+    _back_to_x(positions, centers, segments)
     return positions, centers
+
+
+def _run_moment_columns(T, v, x0, prehistory, noise, dt, center_every):
+    """The same Euler scheme for R replicas side by side; ``noise`` is (R, n).
+
+    The sums about each column's anchor are one (count, R) array S.  P holds
+    the dt-weighted powers dt y^j of the current positions, the products one
+    path adds to its sums, so a step adds P to S and the drift times dt is
+    the column sum of B * P, with B = T S / mass from one matmul (the mass is
+    the same for every replica).  Returns positions and centers (R, n+1) in
+    x, centers NaN between recomputations.
+    """
+    count = T.shape[0]
+    R, n = noise.shape
+    sums = power_sums(*prehistory, float(x0), count)
+    mass = float(sums[0])
+    S = np.repeat(sums[:, None], R, axis=1)
+    a = np.full(R, float(x0))
+    vg = None if v is None else \
+        np.polynomial.polynomial.polyder(v.poly1d_coefficients()).tolist()
+    every = 1 if count <= 2 else center_every
+    positions = np.empty((R, n + 1))
+    centers = np.full((R, n + 1), np.nan)
+    y = np.zeros(R)
+    P = np.zeros((max(count, 2), R))   # a zero drift (count 1) never reads row 1
+    P[0] = dt
+    powers = P[:count]
+    B = np.empty((count, R))
+    prod = np.empty((count, R))
+    d = np.empty(R)
+    np.matmul(T, S, out=B)
+    B *= 1.0 / mass
+    c = _center(B, np.zeros(R))
+    positions[:, 0] = 0.0
+    centers[:, 0] = c
+    segments = [(0, a)]
+    for i in range(n):
+        np.multiply(B, powers, out=prod)
+        np.add.reduce(prod, axis=0, out=d)
+        if vg is not None:
+            d += _horner(vg, y + a) * dt
+        y -= d
+        y += noise[:, i]
+        positions[:, i + 1] = y
+        np.multiply(y, dt, out=P[1])
+        for j in range(2, count):
+            np.multiply(P[j - 1], y, out=P[j])
+        S += powers
+        mass += dt
+        np.matmul(T, S, out=B)
+        B *= 1.0 / mass
+        if (i + 1) % every == 0:
+            c = _center(B, c)
+            centers[:, i + 1] = c
+            far = np.abs(c) > _REANCHOR_RADIUS
+            if far.any():
+                shift = c * far
+                S[...] = reanchor(S, shift)
+                np.matmul(T, S, out=B)
+                B *= 1.0 / mass
+                y -= shift
+                np.multiply(y, dt, out=P[1])
+                for j in range(2, count):
+                    np.multiply(P[j - 1], y, out=P[j])
+                c, a = c - shift, a + shift
+                segments.append((i + 2, a))
+    _back_to_x(positions, centers, segments)
+    return positions, centers
+
+
+def _back_to_x(positions, centers, segments):
+    """Positions and centers from y back to x in place, one anchor segment
+    (start index, anchor) at a time along the last axis."""
+    segments.append((positions.shape[-1], None))
+    for (start, a_seg), (stop, _) in zip(segments, segments[1:]):
+        a_seg = np.asarray(a_seg)[..., None]
+        positions[..., start:stop] += a_seg
+        centers[..., start:stop] += a_seg
 
 
 def _interpolate_center_gaps(centers: np.ndarray):
@@ -261,10 +332,17 @@ def _interpolate_center_gaps(centers: np.ndarray):
         centers[bad] = np.interp(idx[bad], idx[~bad], centers[~bad])
 
 
-def _record(w, v, cfg, replica, times, positions, centers,
-            initial_occupation) -> TrajectoryRecord:
-    weights = np.full(positions.size, cfg.dt)
+def _occupation_weights(cfg: SimConfig, size: int) -> np.ndarray:
+    """Read-only occupation weights: t_start for the pre-history, then dt.
+    Every replica of an ensemble shares the one array."""
+    weights = np.full(size, cfg.dt)
     weights[0] = cfg.t_start
+    weights.flags.writeable = False
+    return weights
+
+
+def _record(w, v, cfg, replica, times, positions, weights, centers,
+            initial_occupation) -> TrajectoryRecord:
     _interpolate_center_gaps(centers)
     return TrajectoryRecord(w, v, cfg, replica, times, positions, weights,
                             centers, initial_occupation=initial_occupation)
@@ -298,7 +376,8 @@ def simulate(w: PotentialSpec, x0: float, cfg: SimConfig,
     if not np.all(np.isfinite(positions)):
         raise NumericFailureError("path lost finiteness (explosion); "
                                   "check the step size against the potential")
-    return _record(w, v, cfg, replica, times, positions, centers, initial_occupation)
+    return _record(w, v, cfg, replica, times, positions,
+                   _occupation_weights(cfg, n + 1), centers, initial_occupation)
 
 
 def _run_full_history_loop(w, v, x0, cfg, increments, prehistory):
@@ -325,7 +404,11 @@ def _run_full_history_loop(w, v, x0, cfg, increments, prehistory):
         mass += dt
         positions[i + 1] = x
     centers = np.full(n + 1, np.nan)
+    zero_drift = not convolution_matrix(w, 1).any()
     for i in range(0, n + 1, cfg.center_every):
+        if zero_drift:
+            centers[i] = x0   # no attraction: the center stays at the start
+            continue
         occ = ParticleMeasure(np.concatenate((base_pos, positions[1:i + 1])),
                               np.concatenate((base_w, np.full(i, dt))))
         centers[i] = center(w, occ) if w.convexity_constant > 0 else occ.mean()
@@ -338,7 +421,9 @@ def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
                       ) -> list[TrajectoryRecord]:
     """Replica ensemble with independent noise streams, stepped in lock-step
     across replicas (running-moments mode, 1-d).  Quadratic W without V takes
-    the closed form of the same Euler scheme."""
+    the closed form of the same Euler scheme.  The records share ``times``
+    and one read-only ``weights`` array and hold row views of one positions
+    and one centers array."""
     if cfg.history_mode != "running-moments":
         return [simulate(w, x0, cfg, v=v, replica=r,
                          initial_occupation=initial_occupation)
@@ -359,16 +444,15 @@ def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
     if T.shape[0] == 2 and v is None:
         positions, centers = _run_quadratic_closed_form(T, x0, pre, noise, dt)
     else:
-        positions, centers = _run_moment_loop(w, v, x0, pre, noise.T, dt,
-                                              cfg.center_every)
-        positions, centers = positions.T, centers.T
-    del noise   # freed before the stepped branch copies out its columns
+        positions, centers = _run_moment_columns(T, v, x0, pre, noise, dt,
+                                                 cfg.center_every)
+    del noise   # freed before the finiteness mask is allocated
     if not np.all(np.isfinite(positions)):
         raise NumericFailureError("ensemble lost finiteness (explosion); "
                                   "check the step size against the potential")
-    # closed-form rows are contiguous already and are handed out as views
-    return [_record(w, v, cfg, r, times, np.ascontiguousarray(positions[r]),
-                    np.ascontiguousarray(centers[r]), initial_occupation)
+    weights = _occupation_weights(cfg, n + 1)
+    return [_record(w, v, cfg, r, times, positions[r], weights, centers[r],
+                    initial_occupation)
             for r in range(n_replicas)]
 
 

@@ -163,10 +163,13 @@ def _quantile_pieces(m: Measure):
     position order, are flat pieces (width None); grid cells are ramps, and
     cells whose mass does not move the normalized CDF are dropped."""
     if isinstance(m, ParticleMeasure):
-        order = np.argsort(m.positions, kind="stable")
-        cum = np.cumsum(m.weights[order])
+        pos, wts = m.positions, m.weights
+        if (pos[1:] < pos[:-1]).any():   # ordered input is its own stable sort
+            order = np.argsort(pos, kind="stable")
+            pos, wts = pos[order], wts[order]
+        cum = np.cumsum(wts)
         cum /= cum[-1]
-        return cum, m.positions[order], None
+        return cum, pos, None
     edges = np.linspace(m.lo[0], m.hi[0], m.values.size + 1)
     cum = np.cumsum(m.values * m.cell_volume)
     cum /= cum[-1]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import pytest
 from selfattract import rng
 from selfattract import (InvalidInputError, ParticleMeasure, SimConfig,
                          coupled_frozen, counterexample_system, dirac,
-                         even_polynomial, ou_domination, picard_bootstrap,
+                         even_polynomial, external_polynomial, ou_domination,
+                         picard_bootstrap,
                          quadratic_shifted, quadratic_symmetric, simulate,
                          simulate_ensemble, zero_interaction)
+from selfattract import sde
 from selfattract.powersums import anchor, convolution_matrix, power_sums
 from selfattract.sde import (counterexample_mean_track, ou_modulus_exact,
                              ou_stationary_envelope_moment)
@@ -84,6 +87,15 @@ class TestSimulate:
         # discrete estimate, allow integrator slack proportional to dt
         assert np.all(dc <= bound + 10 * cfg.dt)
 
+    def test_zero_interaction_center_agrees_across_history_modes(self):
+        # no attraction: both modes keep the start point as the center
+        cfg = short_cfg(seed=2, t_end=3.0)
+        moments = simulate(zero_interaction(), 0.5, cfg)
+        oracle = simulate(zero_interaction(), 0.5,
+                          short_cfg(seed=2, t_end=3.0, history_mode="full-history"))
+        assert np.abs(moments.positions - oracle.positions).max() <= 1e-12
+        assert np.array_equal(moments.center_track, oracle.center_track)
+
     def test_warm_start_occupation(self, quad):
         gen = make_rng(8)
         warm = ParticleMeasure(gen.standard_normal(4000), np.full(4000, 1 / 4000))
@@ -103,6 +115,69 @@ class TestEnsemble:
         for r, rec in enumerate(ens):
             single = simulate(quad, 0.2, cfg, replica=r)
             assert np.allclose(rec.positions, single.positions, atol=1e-13)
+
+    @pytest.mark.parametrize("w", [even_polynomial([0.5, 0.1]), quadratic_symmetric(1.0)],
+                             ids=["quartic", "quadratic"])
+    def test_external_potential_matches_single_runs(self, w):
+        # with V even quadratic W is stepped, not summed in closed form
+        v = external_polynomial([0.3])
+        cfg = SimConfig(dt=0.01, t_end=101.0, t_start=1.0, seed=31)
+        ens = simulate_ensemble(w, 0.7, cfg, 3, v=v)
+        for r, rec in enumerate(ens):
+            single = simulate(w, 0.7, cfg, v=v, replica=r)
+            assert rec.positions.size == 10_001
+            assert np.abs(rec.positions - single.positions).max() <= 1e-12
+            assert np.abs(rec.center_track - single.center_track).max() <= 1e-11
+
+    def test_replicas_reanchor_at_different_steps(self, monkeypatch):
+        # the pre-history at 0 pulls every center away from the anchor
+        # x0 = 3 at once; under the weak attraction the centers then wander
+        # off on their own schedules, so later re-anchors move some columns
+        shifts = []
+        original = sde.reanchor
+
+        def recording_reanchor(sums, shift):
+            shifts.append(np.array(shift))
+            return original(sums, shift)
+
+        monkeypatch.setattr(sde, "reanchor", recording_reanchor)
+        w = even_polynomial([0.05, 0.01])
+        cfg = SimConfig(dt=0.01, t_end=101.0, t_start=1.0, seed=8)
+        ens = simulate_ensemble(w, 3.0, cfg, 4, initial_occupation=dirac(0.0))
+        partial = [s for s in shifts if s.ndim == 1 and (s == 0).any() and (s != 0).any()]
+        assert partial
+        for r, rec in enumerate(ens):
+            single = simulate(w, 3.0, cfg, replica=r, initial_occupation=dirac(0.0))
+            assert np.abs(rec.positions - single.positions).max() <= 1e-12
+
+    def test_one_replica_ensemble_matches_single_run(self):
+        w = even_polynomial([0.5, 0.1])
+        cfg = SimConfig(dt=0.01, t_end=101.0, t_start=1.0, seed=9)
+        (rec,) = simulate_ensemble(w, 3.0, cfg, 1)
+        single = simulate(w, 3.0, cfg)
+        assert np.abs(rec.positions - single.positions).max() <= 1e-12
+
+    def test_records_share_one_read_only_weights_array(self):
+        for w in (quadratic_symmetric(1.0), even_polynomial([0.5, 0.1])):
+            ens = simulate_ensemble(w, 0.0, short_cfg(), 3)
+            assert all(rec.weights is ens[0].weights for rec in ens)
+            assert ens[0].weights[0] == 1.0 and np.all(ens[0].weights[1:] == 0.01)
+            with pytest.raises(ValueError):
+                ens[1].weights[0] = 2.0
+
+    def test_stepped_ensemble_memory_is_its_outputs(self):
+        # noise (R, n) plus positions and centers (R, n + 1) bound the peak
+        w = even_polynomial([0.5, 0.1])
+        cfg = SimConfig(dt=0.01, t_end=201.0, t_start=1.0, seed=3)
+        R, n = 64, cfg.n_steps
+        tracemalloc.start()
+        try:
+            ens = simulate_ensemble(w, 0.0, cfg, R)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ens) == R and n == 20_000
+        assert peak <= 1.25 * 8 * (R * n + 2 * R * (n + 1))
 
     def test_replicas_differ(self, quad):
         ens = simulate_ensemble(quad, 0.0, short_cfg(), 2)

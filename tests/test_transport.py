@@ -11,6 +11,7 @@ from selfattract import (DominatingPolynomial, GridDensity, ParticleMeasure,
                          displacement_interpolate, gaussian_density,
                          min_cost_assignment, p_norm, quadratic_symmetric,
                          recenter, tail_profile, tp_distance_1d, w2_distance)
+from selfattract.transport import _quantile_pieces
 from conftest import make_rng, random_atoms
 
 ENV = DominatingPolynomial(1.0, 2)
@@ -114,6 +115,25 @@ class TestW2:
         got = w2_distance(ParticleMeasure(x, np.full(6, 1 / 6)),
                           ParticleMeasure(y, np.full(6, 1 / 6))).value
         assert got == pytest.approx(want, abs=1e-14)
+
+    def test_quantile_pieces_of_ordered_atoms_skip_the_sort(self):
+        # sorted, tied and unsorted atoms give the pieces of an explicit
+        # stable sort; already ordered positions come back as they are
+        gen = make_rng(63)
+        sorted_x = np.sort(gen.standard_normal(50))
+        tied = np.array([-1.0, -1.0, 0.5, 0.5, 0.5, 2.0])
+        unsorted = np.array([0.5, -1.0, 0.5, 0.5, 2.0, -1.0])
+        for x in (sorted_x, tied, unsorted):
+            m = ParticleMeasure(x, gen.uniform(0.2, 1.0, x.size))
+            order = np.argsort(m.positions, kind="stable")
+            want = np.cumsum(m.weights[order])
+            want /= want[-1]
+            cum, start, width = _quantile_pieces(m)
+            assert np.array_equal(cum, want)
+            assert np.array_equal(start, m.positions[order])
+            assert width is None
+        m = ParticleMeasure(sorted_x, np.ones(50))
+        assert _quantile_pieces(m)[1] is m.positions
 
     def test_single_atom_against_cloud(self):
         gen = make_rng(62)
