@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -50,15 +49,9 @@ def _cmd_simulate(cfg: ExperimentConfig, do_assert: bool) -> int:
         records = simulate_ensemble(cfg.potential, cfg.init_position, cfg.sim,
                                     cfg.replicas, v=cfg.external)
     else:
-        def one(r):
-            return simulate(cfg.potential, cfg.init_position, cfg.sim,
+        records = [simulate(cfg.potential, cfg.init_position, cfg.sim,
                             v=cfg.external, replica=r)
-        if cfg.threads > 1:
-            # results keyed by replica index, so the ordering is deterministic
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                records = list(pool.map(one, range(cfg.replicas)))
-        else:
-            records = [one(r) for r in range(cfg.replicas)]
+                   for r in range(cfg.replicas)]
     for rec in records:
         thin = max(1, rec.times.size // 2000)
         rows = zip(rec.times[::thin], rec.positions[::thin], rec.center_track[::thin])
@@ -201,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="config file (key-value text)")
     parser.add_argument("--seed", type=int, default=None, help="override the seed")
     parser.add_argument("--out", default=None, help="override the output directory")
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--replicas", type=int, default=None)
     parser.add_argument("--assert", dest="do_assert", action="store_true",
                         help="exit nonzero when a verdict fails")
@@ -222,8 +214,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, overrides={
-            "seed": args.seed, "out": args.out, "threads": args.threads,
-            "replicas": args.replicas,
+            "seed": args.seed, "out": args.out, "replicas": args.replicas,
         })
     except InvalidInputError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from .potentials import (PotentialSpec, even_polynomial, external_polynomial,
 from .sde import SimConfig
 
 _SCHEMA: dict[str, dict[str, type]] = {
-    "experiment": {"name": str, "out": str, "replicas": int, "threads": int},
+    "experiment": {"name": str, "out": str, "replicas": int},
     "potential": {"kind": str, "coefficients": str, "convexity_constant": float,
                   "symmetric": bool, "bound_scale": float, "bound_degree": int},
     "external": {"kind": str, "coefficients": str},
@@ -38,7 +38,6 @@ class ExperimentConfig:
     name: str = "experiment"
     out: str = "out"
     replicas: int = 1
-    threads: int = 1
     potential: PotentialSpec = field(default_factory=quadratic_symmetric)
     external: PotentialSpec | None = None
     sim: SimConfig = field(default_factory=lambda: SimConfig(dt=0.01, t_end=100.0, seed=0))
@@ -156,7 +155,6 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Exper
         name=exp.get("name", "experiment"),
         out=str(overrides.get("out") or exp.get("out", "out")),
         replicas=int(overrides.get("replicas") or exp.get("replicas", 1)),
-        threads=int(overrides.get("threads") or exp.get("threads", 1)),
         potential=_build_potential(sections.get("potential", {})),
         external=(_build_potential(sections["external"], external=True)
                   if "external" in sections else None),
@@ -174,8 +172,8 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Exper
         fixpoint_max_iter=fix.get("max_iter", 500),
         raw={k: dict(v) for k, v in sections.items()},
     )
-    if cfg.replicas < 1 or cfg.threads < 1:
-        raise InvalidInputError("replicas and threads must be positive")
+    if cfg.replicas < 1:
+        raise InvalidInputError("replicas must be positive")
     if cfg.init_kind not in ("uniform", "atom", "gaussian"):
         raise InvalidInputError(f"unknown init kind {cfg.init_kind!r}")
     return cfg

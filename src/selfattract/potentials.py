@@ -45,6 +45,12 @@ class DominatingPolynomial:
         out = self.scale * (x + np.sign(x) * np.abs(x) ** (self.degree + 1) / (self.degree + 1))
         return float(out) if out.ndim == 0 else out
 
+    def moment_antiderivative(self, x):
+        """Even primitive of x -> x P(|x|), vanishing at 0."""
+        x = np.asarray(x, dtype=float)
+        out = self.scale * (0.5 * x * x + np.abs(x) ** (self.degree + 2) / (self.degree + 2))
+        return float(out) if out.ndim == 0 else out
+
     def integral(self, a: float, b: float) -> float:
         """Integral of P(|x|) over [a, b]."""
         return float(self.antiderivative(b) - self.antiderivative(a))

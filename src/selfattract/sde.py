@@ -41,7 +41,7 @@ import numpy as np
 from . import rng
 from .errors import InvalidInputError, NumericFailureError, UnsupportedInputError
 from .gibbs import gibbs_map
-from .measures import ParticleMeasure, center
+from .measures import ParticleMeasure
 from .potentials import PotentialSpec
 from .powersums import anchor, convolution_matrix, power_sums, reanchor
 
@@ -388,7 +388,8 @@ def _run_full_history_loop(w, v, x0, cfg, increments, prehistory):
     positions = np.empty(n + 1)
     positions[0] = x0
     base_pos, base_w = prehistory
-    g = np.polynomial.polynomial.polyder(w.poly1d_coefficients())
+    g = np.polynomial.polynomial.polytrim(
+        np.polynomial.polynomial.polyder(w.poly1d_coefficients()))
     vg = None if v is None else np.polynomial.polynomial.polyder(v.poly1d_coefficients())
     x = float(x0)
     mass = float(base_w.sum())
@@ -403,16 +404,31 @@ def _run_full_history_loop(w, v, x0, cfg, increments, prehistory):
         x += -d * dt + increments[i]
         mass += dt
         positions[i + 1] = x
+    # center knots where the moment loop places them: every step for a
+    # linear drift; no attraction keeps the start point
+    atoms = np.concatenate((base_pos, positions[1:]))
+    weights = np.concatenate((base_w, np.full(n, dt)))
     centers = np.full(n + 1, np.nan)
-    zero_drift = not convolution_matrix(w, 1).any()
-    for i in range(0, n + 1, cfg.center_every):
-        if zero_drift:
-            centers[i] = x0   # no attraction: the center stays at the start
-            continue
-        occ = ParticleMeasure(np.concatenate((base_pos, positions[1:i + 1])),
-                              np.concatenate((base_w, np.full(i, dt))))
-        centers[i] = center(w, occ) if w.convexity_constant > 0 else occ.mean()
+    c = float(x0)
+    for i in range(0, n + 1, 1 if g.size <= 2 else cfg.center_every):
+        if g.any():
+            c = _history_center(g, atoms[:base_w.size + i], weights[:base_w.size + i], c)
+        centers[i] = c
     return positions, centers
+
+
+def _history_center(g, pos, wts, c, tol=1e-12, max_iter=60):
+    """Root of c -> sum_k w_k W'(c - x_k) / mass, summed over every atom, by
+    Newton from c (the stopping rule of `_center`)."""
+    h = np.polynomial.polynomial.polyder(g)
+    mass = float(wts.sum())
+    for _ in range(max_iter):
+        r = c - pos
+        val = float(wts @ np.polynomial.polynomial.polyval(r, g)) / mass
+        if abs(val) <= tol:
+            return c
+        c -= val * mass / float(wts @ np.polynomial.polynomial.polyval(r, h))
+    raise NumericFailureError("center Newton on the full history did not converge")
 
 
 def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
@@ -423,14 +439,13 @@ def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
     across replicas (running-moments mode, 1-d).  Quadratic W without V takes
     the closed form of the same Euler scheme.  The records share ``times``
     and one read-only ``weights`` array and hold row views of one positions
-    and one centers array."""
-    if cfg.history_mode != "running-moments":
+    and one centers array.  Full-history runs and runs from t = 0 (through
+    the contraction bootstrap) take the replicas one by one."""
+    if cfg.history_mode != "running-moments" or cfg.t_start == 0.0:
         return [simulate(w, x0, cfg, v=v, replica=r,
                          initial_occupation=initial_occupation)
                 for r in range(n_replicas)]
     _check_dt(w, cfg)
-    if cfg.t_start == 0.0:
-        raise UnsupportedInputError("ensemble runs start from positive time")
     n = cfg.n_steps
     dt = cfg.dt
     scale = cfg.noise_scale * math.sqrt(dt)

@@ -1,14 +1,17 @@
 """Transport distances between measures.
 
-The 1-d translation distance integrates the envelope-weighted CDF gap
-exactly: both CDFs are piecewise linear (atoms contribute jumps, grid
-densities contribute ramps), so on every interval between breakpoints the
-gap is linear and the integral of P(|x|)|gap| has a closed form.  The
-quadratic Wasserstein distance in 1-d is the same construction on the
-quantile side: both quantiles are linear between the merged probability
-knots of the two measures, so the squared quantile gap integrates exactly
-in one O(n) pass.  In 2-d it is an exact minimum-cost assignment for small
-equal-weight clouds.
+Both 1-d distances read one piecewise-linear description of a measure,
+`_quantile_pieces`: an atom is a flat quantile piece and a CDF step at its
+position, a grid cell a ramp of both from its start to its end.  Each
+merges the knots of its two measures by counting and integrates exactly
+over the merged intervals in one vectorised pass.  For tp, the integral of
+P(|x|) |F1 - F2| dx, the CDF gap is linear, g = c0 + c1 x, between merged
+x-knots; an interval is split only where g changes sign, and P(|x|) g
+integrates to c0 dPhi0 + c1 dPhi1 with Phi0 the odd primitive of P(|x|) and
+Phi1 the even primitive of x P(|x|), both valid across x = 0.  For W2 the
+quantile gap is linear between merged probability knots and its square
+integrates to w (ga^2 + ga gb + gb^2) / 3.  In 2-d W2 is an exact
+minimum-cost assignment for small equal-weight clouds.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError, UnsupportedInputError
 from .measures import GridDensity, Measure, ParticleMeasure, center, recenter
-from .potentials import DominatingPolynomial, PotentialSpec, as_envelope
+from .potentials import PotentialSpec, as_envelope
 
 _MASS_GAP_TOL = 1e-9
 
@@ -36,132 +39,16 @@ class DistanceResult:
 
 
 # ---------------------------------------------------------------------------
-# piecewise-linear CDF machinery (1-d)
-
-
-def _cdf_pieces(m: Measure):
-    """(knots, cum) describing the CDF: piecewise linear between knots,
-    jumps encoded by repeated knot positions (atoms)."""
-    if isinstance(m, ParticleMeasure):
-        if m.dim != 1:
-            raise UnsupportedInputError("CDF representation is 1-d")
-        order = np.argsort(m.positions, kind="stable")
-        pos = m.positions[order]
-        cum = np.cumsum(m.weights[order])
-        knots = np.repeat(pos, 2)
-        vals = np.empty_like(knots)
-        vals[0::2] = cum - m.weights[order]
-        vals[1::2] = cum
-        return knots, vals
-    if m.dim != 1:
-        raise UnsupportedInputError("CDF representation is 1-d")
-    edges = np.linspace(m.lo[0], m.hi[0], m.values.size + 1)
-    cum = np.concatenate(([0.0], np.cumsum(m.values) * m.cell_volume))
-    return edges, cum
-
-
-def _cdf_eval(knots: np.ndarray, vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """CDF values at points that avoid the knots (interior of intervals)."""
-    out = np.interp(xs, knots, vals, left=0.0, right=vals[-1])
-    return out
-
-
-def _integrate_env_abs_linear(env: DominatingPolynomial, a: float, b: float,
-                              ga: float, gb: float) -> float:
-    """Integral over [a, b] of P(|x|) * |g(x)| for g linear with g(a)=ga, g(b)=gb."""
-    if b <= a:
-        return 0.0
-    pieces = [a, b]
-    if a < 0.0 < b:
-        pieces.append(0.0)
-    slope = (gb - ga) / (b - a)
-    if ga * gb < 0.0:
-        pieces.append(a - ga / slope)
-    pieces = sorted(pieces)
-    total = 0.0
-    A, k = env.scale, env.degree
-    for u, v in zip(pieces[:-1], pieces[1:]):
-        if v <= u:
-            continue
-        mid = 0.5 * (u + v)
-        s = 1.0 if mid >= 0 else -1.0          # sign of x on the piece
-        gm = ga + slope * (mid - a)
-        sg = 1.0 if gm >= 0 else -1.0          # sign of g on the piece
-        c0 = ga - slope * a                    # g(x) = c0 + c1 x on the piece
-        c1 = slope
-        sk = s ** k
-        # closed form for the integral of A(1 + s^k x^k)(c0 + c1 x) dx
-        val = (c0 * (v - u)
-               + c1 * (v * v - u * u) / 2.0
-               + sk * c0 * (v ** (k + 1) - u ** (k + 1)) / (k + 1)
-               + sk * c1 * (v ** (k + 2) - u ** (k + 2)) / (k + 2))
-        total += sg * A * val
-    return total
-
-
-def tp_distance_1d(envelope, m1: Measure, m2: Measure) -> DistanceResult:
-    """Translation distance: integral of P(|x|) |F1(x) - F2(x)| dx.
-
-    Exact for atomic inputs (piecewise-polynomial integration between atoms);
-    exact up to the piecewise-constant density convention for grids.
-    """
-    env = as_envelope(envelope)
-    k1, v1 = _cdf_pieces(m1)
-    k2, v2 = _cdf_pieces(m2)
-    if abs(v1[-1] - v2[-1]) > _MASS_GAP_TOL:
-        raise NumericFailureError(
-            "total masses differ; the CDF gap does not vanish at infinity "
-            "(extend the grid or normalize the inputs)")
-    breaks = np.unique(np.concatenate((k1, k2)))
-    if breaks.size < 2:
-        return DistanceResult(0.0, "tp-1d")
-    a = breaks[:-1]
-    b = breaks[1:]
-    # two interior Gauss nodes reconstruct the (linear) gap on each interval;
-    # intervals narrower than float resolution contribute below rounding
-    off = (b - a) / (2.0 * math.sqrt(3.0))
-    xm = 0.5 * (a + b)
-    xl, xr = xm - off, xm + off
-    keep = xr > xl
-    a, b, xl, xr = a[keep], b[keep], xl[keep], xr[keep]
-    if a.size == 0:
-        return DistanceResult(0.0, "tp-1d")
-    gl = _cdf_eval(k1, v1, xl) - _cdf_eval(k2, v2, xl)
-    gr = _cdf_eval(k1, v1, xr) - _cdf_eval(k2, v2, xr)
-    slope = (gr - gl) / (xr - xl)
-    ga = gl + slope * (a - xl)
-    gb = gl + slope * (b - xl)
-
-    # vector path: intervals where neither the gap nor x changes sign
-    messy = (ga * gb < 0.0) | ((a < 0.0) & (b > 0.0))
-    clean = ~messy & ~((ga == 0.0) & (gb == 0.0))
-    A, k = env.scale, env.degree
-    total = 0.0
-    if np.any(clean):
-        aa, bb = a[clean], b[clean]
-        c1 = slope[clean]
-        c0 = ga[clean] - c1 * aa
-        s = np.where(aa + bb >= 0.0, 1.0, -1.0)
-        sg = np.where(ga[clean] + gb[clean] >= 0.0, 1.0, -1.0)
-        val = (c0 * (bb - aa) + c1 * (bb * bb - aa * aa) / 2.0
-               + s ** k * (c0 * (bb ** (k + 1) - aa ** (k + 1)) / (k + 1)
-                           + c1 * (bb ** (k + 2) - aa ** (k + 2)) / (k + 2)))
-        total += A * float((sg * val).sum())
-    for i in np.nonzero(messy)[0]:
-        total += _integrate_env_abs_linear(env, a[i], b[i], ga[i], gb[i])
-    return DistanceResult(float(total), "tp-1d")
-
-
-# ---------------------------------------------------------------------------
-# quantile machinery (1-d W2)
+# piecewise-linear pieces of a 1-d measure; W2 reads them as quantiles
 
 
 def _quantile_pieces(m: Measure):
-    """(cum, start, width): on the k-th probability interval
+    """(cum, start, end): on the k-th probability interval
     (cum[k-1], cum[k]] (cum[-1] = 1, and 0 before the first) the quantile of
-    m runs linearly from start[k] to start[k] + width[k].  Atoms, in stable
-    position order, are flat pieces (width None); grid cells are ramps, and
-    cells whose mass does not move the normalized CDF are dropped."""
+    m runs linearly from start[k] to end[k].  Atoms, in stable position
+    order, are flat pieces (end None); grid cells are ramps, and cells whose
+    mass does not move the normalized CDF are dropped.  Read as a CDF, an
+    atom is a step at start and a cell a ramp from start to end."""
     if isinstance(m, ParticleMeasure):
         pos, wts = m.positions, m.weights
         if (pos[1:] < pos[:-1]).any():   # ordered input is its own stable sort
@@ -174,19 +61,33 @@ def _quantile_pieces(m: Measure):
     cum = np.cumsum(m.values * m.cell_volume)
     cum /= cum[-1]
     keep = np.diff(cum, prepend=0.0) > 0
-    return cum[keep], edges[:-1][keep], np.diff(edges)[keep]
+    return cum[keep], edges[:-1][keep], edges[1:][keep]
+
+
+def _merge(ka: np.ndarray, kb: np.ndarray, merged: np.ndarray) -> np.ndarray:
+    """Write the sorted knots ka and kb, merged by counting (ties: ka
+    first), into merged; return nb[i], the number of kb knots among the
+    first i merged knots."""
+    from_b = np.zeros(ka.size + kb.size, dtype=bool)
+    from_b[np.arange(kb.size) + np.searchsorted(ka, kb, side="right")] = True
+    merged[from_b] = kb
+    merged[~from_b] = ka
+    nb = np.zeros(from_b.size + 1, dtype=np.intp)
+    np.cumsum(from_b, out=nb[1:])
+    return nb
 
 
 def _quantile_on_piece(pieces, k: np.ndarray, ps: np.ndarray, dp=0.0):
     """Quantile at probabilities ps inside pieces k, and its rise over
     [ps, ps + dp] (dp within the same piece)."""
-    cum, start, width = pieces
-    if width is None:
+    cum, start, end = pieces
+    if end is None:
         return start[k], 0.0
     left = np.concatenate(([0.0], cum[:-1]))[k]
     span = cum[k] - left
-    width = width[k]
-    return start[k] + width * ((ps - left) / span), width * (dp / span)
+    lo = start[k]
+    width = end[k] - lo
+    return lo + width * ((ps - left) / span), width * (dp / span)
 
 
 def _quantile_at(pieces, ps: np.ndarray) -> np.ndarray:
@@ -203,26 +104,88 @@ def _w2_quantile(m1: Measure, m2: Measure) -> float:
     b = _quantile_pieces(m2)
     if a[0].size < b[0].size:
         a, b = b, a   # W2 is symmetric; search the shorter knot list
-    ka, kb = a[0][:-1], b[0][:-1]
-    from_b = np.zeros(ka.size + kb.size, dtype=bool)
-    from_b[np.arange(kb.size) + np.searchsorted(ka, kb, side="right")] = True
-    ps = np.empty(from_b.size + 2)   # 0, the merged knots, 1
+    ps = np.empty(a[0].size + b[0].size)   # 0, the merged inner knots, 1
     ps[0], ps[-1] = 0.0, 1.0
-    inner = ps[1:-1]
-    inner[from_b] = kb
-    inner[~from_b] = ka
+    ib = _merge(a[0][:-1], b[0][:-1], ps[1:-1])
     lo = ps[:-1]
     w = np.diff(ps)
-    # the piece of each measure on every merged interval
-    ib = np.zeros(lo.size, dtype=np.intp)
-    np.cumsum(from_b, out=ib[1:])
-    ia = np.arange(lo.size) - ib
+    ia = np.arange(lo.size) - ib   # the piece of each measure on every interval
     qa, ra = _quantile_on_piece(a, ia, lo, w)
     qb, rb = _quantile_on_piece(b, ib, lo, w)
     ga = qa - qb
     gb = ga + (ra - rb)
     total = float(w @ (ga * ga + ga * gb + gb * gb)) / 3.0
     return math.sqrt(max(0.0, total))
+
+
+# ---------------------------------------------------------------------------
+# tp: the CDF side of the same pieces
+
+
+def _cdf_segments(pieces):
+    """(knots, level, slope): between knots j - 1 and j the CDF is
+    level[j] + slope[j] (x - knots[j - 1]), with level[0] = 0 before the
+    first knot.  Atoms are steps at their positions (slope None); grid cells
+    give the ends of runs of adjacent cells and the inner edges once, so
+    the knots of a grid are distinct."""
+    cum, start, end = pieces
+    if end is None:
+        return start, np.concatenate(([0.0], cum)), None
+    knots = np.column_stack((start, end)).ravel()
+    values = np.column_stack((np.concatenate(([0.0], cum[:-1])), cum)).ravel()
+    keep = np.ones(knots.size, dtype=bool)
+    keep[2::2] = start[1:] != end[:-1]
+    knots, values = knots[keep], values[keep]
+    slope = np.zeros(knots.size + 1)
+    slope[1:-1] = np.diff(values) / np.diff(knots)
+    return knots, np.concatenate(([0.0], values)), slope
+
+
+def _cdf_after_knot(segments, j: np.ndarray, xs: np.ndarray):
+    """CDF value and slope just right of xs, on segment j (xs lies between
+    knots j - 1 and j)."""
+    knots, level, slope = segments
+    if slope is None:
+        return level[j], 0.0
+    s = slope[j]
+    return level[j] + s * (xs - knots[j - 1]), s
+
+
+def tp_distance_1d(envelope, m1: Measure, m2: Measure) -> DistanceResult:
+    """Translation distance: integral of P(|x|) |F1(x) - F2(x)| dx, exact for
+    the piecewise-linear CDFs of atoms and grid cells."""
+    if m1.dim != 1 or m2.dim != 1:
+        raise UnsupportedInputError("the tp distance is 1-d")
+    mass1, mass2 = (m.total_mass if isinstance(m, ParticleMeasure) else m.mass
+                    for m in (m1, m2))
+    if abs(mass1 - mass2) > _MASS_GAP_TOL:
+        raise NumericFailureError(
+            "total masses differ; the CDF gap does not vanish at infinity "
+            "(extend the grid or normalize the inputs)")
+    a = _cdf_segments(_quantile_pieces(m1))
+    b = _cdf_segments(_quantile_pieces(m2))
+    xs = np.empty(a[0].size + b[0].size)
+    nb = _merge(a[0], b[0], xs)
+    lo = xs[:-1]
+    ib = nb[1:-1]          # knots of b at or left of each interval
+    ia = np.arange(1, xs.size) - ib
+    fa, sa = _cdf_after_knot(a, ia, lo)
+    fb, sb = _cdf_after_knot(b, ib, lo)
+    ga = fa - fb
+    c1 = sa - sb
+    c0 = ga - c1 * lo
+    env = as_envelope(envelope)
+    phi0 = env.antiderivative(xs)
+    phi1 = env.moment_antiderivative(xs)
+    signed = c0 * np.diff(phi0) + c1 * np.diff(phi1)
+    parts = np.abs(signed)
+    cross = np.nonzero(ga * (ga + c1 * np.diff(xs)) < 0.0)[0]
+    if cross.size:   # g changes sign at r: split the interval there
+        r = lo[cross] - ga[cross] / c1[cross]
+        left = (c0[cross] * (env.antiderivative(r) - phi0[cross])
+                + c1[cross] * (env.moment_antiderivative(r) - phi1[cross]))
+        parts[cross] = np.abs(left) + np.abs(signed[cross] - left)
+    return DistanceResult(0.5 * (mass1 + mass2) * float(parts.sum()), "tp-1d")
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +250,7 @@ def min_cost_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
 def w2_distance(m1: Measure, m2: Measure) -> DistanceResult:
     """Quadratic Wasserstein distance; quantile formula in 1-d, exact
     assignment for equal-weight atomic clouds of at most 64 points in 2-d."""
-    d1 = m1.dim if isinstance(m1, ParticleMeasure) else m1.dim
-    if d1 == 1:
+    if m1.dim == 1:
         return DistanceResult(_w2_quantile(m1, m2), "w2-quantile")
     if not (isinstance(m1, ParticleMeasure) and isinstance(m2, ParticleMeasure)):
         raise UnsupportedInputError("2-d W2 needs atomic inputs")

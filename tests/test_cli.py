@@ -10,7 +10,7 @@ from selfattract.cli import main
 from selfattract.config import _SCHEMA, load_config
 from selfattract.errors import InvalidInputError
 from selfattract.persist import load_measure, write_particle_measure
-from selfattract import ParticleMeasure
+from selfattract import ParticleMeasure, simulate
 
 
 def write(path: Path, text: str) -> str:
@@ -109,6 +109,27 @@ class TestCommands:
         assert main(["--config", cfg, "--out", str(out2), "simulate"]) == 0
         for name in ("path_r0.csv", "occupation_r0.csv", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_simulate_replicas_from_time_zero(self, tmp_path):
+        # replicas started at t = 0 run one by one through the bootstrap;
+        # each CSV path is the thinned single-replica path, digit for digit
+        cfg = write(tmp_path / "z.cfg",
+                    "[sim]\ndt = 0.01\nt_start = 0.0\nt_end = 5.0\nseed = 3\n"
+                    "[experiment]\nreplicas = 2\n")
+        out = tmp_path / "oz"
+        assert main(["--config", cfg, "--out", str(out), "simulate"]) == 0
+        loaded = load_config(cfg)
+        for r in range(2):
+            rec = simulate(loaded.potential, loaded.init_position, loaded.sim, replica=r)
+            thin = max(1, rec.times.size // 2000)
+            want = np.column_stack((rec.times, rec.positions, rec.center_track))[::thin]
+            got = np.loadtxt(out / f"path_r{r}.csv", delimiter=",", skiprows=1)
+            assert np.array_equal(got, want)
+
+    def test_threads_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", "simulate"])
+        assert exc.value.code == 2
 
     def test_compare_emits_jsonl(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

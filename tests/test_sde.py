@@ -88,13 +88,20 @@ class TestSimulate:
         assert np.all(dc <= bound + 10 * cfg.dt)
 
     def test_zero_interaction_center_agrees_across_history_modes(self):
-        # no attraction: both modes keep the start point as the center
+        # no attraction: both modes keep the start point as the center;
+        # otherwise both take the root of W' * mu, at every step for a
+        # linear drift, also where W is not uniformly convex
         cfg = short_cfg(seed=2, t_end=3.0)
+        oracle_cfg = short_cfg(seed=2, t_end=3.0, history_mode="full-history")
         moments = simulate(zero_interaction(), 0.5, cfg)
-        oracle = simulate(zero_interaction(), 0.5,
-                          short_cfg(seed=2, t_end=3.0, history_mode="full-history"))
+        oracle = simulate(zero_interaction(), 0.5, oracle_cfg)
         assert np.abs(moments.positions - oracle.positions).max() <= 1e-12
         assert np.array_equal(moments.center_track, oracle.center_track)
+        for w in (even_polynomial([0.0, 0.1]), quadratic_symmetric(1.0)):
+            moments = simulate(w, 0.5, cfg)
+            oracle = simulate(w, 0.5, oracle_cfg)
+            assert np.abs(moments.positions - oracle.positions).max() <= 1e-12
+            assert np.abs(moments.center_track - oracle.center_track).max() <= 1e-9
 
     def test_warm_start_occupation(self, quad):
         gen = make_rng(8)

@@ -78,6 +78,113 @@ class TestTpDistance:
             assert tp_distance_1d(ENV, a, a).value <= 1e-14
 
 
+def cdf_by_definition(m, xs):
+    """Right-continuous CDF of m at xs: the weight of atoms at or left of x,
+    or the integral of the cell-constant density up to x."""
+    if isinstance(m, ParticleMeasure):
+        order = np.argsort(m.positions)
+        cum = np.concatenate(([0.0], np.cumsum(m.weights[order])))
+        return cum[np.searchsorted(m.positions[order], xs, side="right")]
+    edges = np.linspace(m.lo[0], m.hi[0], m.values.size + 1)
+    cum = np.concatenate(([0.0], np.cumsum(m.values) * m.cell_volume))
+    return np.interp(xs, edges, cum)
+
+
+def cdf_knots(m):
+    if isinstance(m, ParticleMeasure):
+        return m.positions
+    return np.linspace(m.lo[0], m.hi[0], m.values.size + 1)
+
+
+def tp_quadrature(env, m1, m2, points=2 ** 20):
+    """Oracle: both CDFs evaluated on a partition of 2^20 points that holds
+    every knot, so the gap is linear on each piece and P(|x|)|gap| is a
+    polynomial there except on the few pieces where the gap changes sign;
+    3-point Gauss-Legendre on every piece."""
+    knots = np.concatenate((cdf_knots(m1), cdf_knots(m2)))
+    xs = np.union1d(np.linspace(knots.min(), knots.max(), points), knots)
+    a, b = xs[:-1], xs[1:]
+    total = 0.0
+    for t, wt in zip(*np.polynomial.legendre.leggauss(3)):
+        x = 0.5 * (a + b) + 0.5 * (b - a) * t
+        gap = cdf_by_definition(m1, x) - cdf_by_definition(m2, x)
+        total += float((0.5 * wt * (b - a) * env(np.abs(x)) * np.abs(gap)).sum())
+    return total
+
+
+def gap_sign_changes(m1, m2):
+    xs = np.union1d(cdf_knots(m1), cdf_knots(m2))
+    gap = cdf_by_definition(m1, xs) - cdf_by_definition(m2, xs)
+    signs = np.sign(gap[np.abs(gap) > 1e-12])
+    return int((signs[1:] != signs[:-1]).sum())
+
+
+def bumps(lo, hi, cells, centers, widths, empty=None):
+    xs = lo + (np.arange(cells) + 0.5) * (hi - lo) / cells
+    vals = sum(np.exp(-0.5 * ((xs - c) / s) ** 2) for c, s in zip(centers, widths))
+    if empty is not None:
+        vals[(xs > empty[0]) & (xs < empty[1])] = 0.0
+    return GridDensity(np.array([lo]), np.array([hi]), vals).normalized()
+
+
+def scaled(m, c):
+    if isinstance(m, ParticleMeasure):
+        return ParticleMeasure(m.positions, c * m.weights)
+    return GridDensity(m.lo, m.hi, c * m.values)
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+class TestTpOnGrids:
+    # grids straddling 0 on different geometries: the second starts 0.37 of
+    # a cell off the first's lattice, and has a band of empty cells; four of
+    # the atoms sit on edges of the first grid, to within an ulp
+    G1 = bumps(-5.0, 3.0, 400, (-1.8, 0.0, 1.5), (0.6, 0.4, 0.5))
+    G2 = bumps(-4.4 + 0.37 * 0.02, 4.2, 430, (-2.2, -0.8, 0.4, 1.6),
+               (0.3, 0.5, 0.3, 0.4), empty=(-0.4, -0.1))
+    ATOMS = ParticleMeasure(np.array([-2.5, -0.7, 0.0, 0.45, 1.9]),
+                            np.array([0.1, 0.3, 0.15, 0.25, 0.2]))
+
+    def test_grid_against_grid(self, degree):
+        env = DominatingPolynomial(1.5, degree)
+        assert gap_sign_changes(self.G1, self.G2) >= 3
+        want = tp_quadrature(env, self.G1, self.G2)
+        assert tp_distance_1d(env, self.G1, self.G2).value == pytest.approx(want, rel=1e-8)
+        assert tp_distance_1d(env, self.G2, self.G1).value == pytest.approx(want, rel=1e-8)
+
+    def test_grid_against_atoms(self, degree):
+        env = DominatingPolynomial(1.5, degree)
+        for grid in (self.G1, self.G2):
+            assert gap_sign_changes(grid, self.ATOMS) >= 3
+            want = tp_quadrature(env, grid, self.ATOMS)
+            assert tp_distance_1d(env, grid, self.ATOMS).value == pytest.approx(want, rel=1e-8)
+            assert tp_distance_1d(env, self.ATOMS, grid).value == pytest.approx(want, rel=1e-8)
+
+    def test_grid_against_its_translate(self, degree):
+        # shift s > 0: F(x) >= F(x - s), so tp = E[Phi0(Y + s) - Phi0(Y)];
+        # on a cell of constant density the expectation integrates Psi, the
+        # primitive of Phi0, in closed form
+        env = DominatingPolynomial(1.5, degree)
+        k, s = degree, 0.37 * 0.02 + 0.5
+        moved = GridDensity(self.G1.lo + s, self.G1.hi + s, self.G1.values)
+
+        def psi(x):
+            return env.scale * (x * x / 2 + np.abs(x) ** (k + 2) / ((k + 1) * (k + 2)))
+
+        edges = np.linspace(self.G1.lo[0], self.G1.hi[0], self.G1.values.size + 1)
+        lo, hi = edges[:-1], edges[1:]
+        want = float(self.G1.values @ (psi(hi + s) - psi(lo + s) - psi(hi) + psi(lo)))
+        assert tp_distance_1d(env, self.G1, moved).value == pytest.approx(want, rel=1e-8)
+        assert tp_distance_1d(env, moved, self.G1).value == pytest.approx(want, rel=1e-8)
+
+    def test_equal_masses_scale_the_distance(self, degree):
+        env = DominatingPolynomial(1.5, degree)
+        for m1, m2 in ((self.G1, self.G2), (self.G2, self.ATOMS)):
+            want = tp_quadrature(env, m1, m2)
+            for c in (0.25, 3.0):
+                got = tp_distance_1d(env, scaled(m1, c), scaled(m2, c)).value
+                assert got == pytest.approx(c * want, rel=1e-8)
+
+
 class TestW2:
     def test_dirac_pair(self):
         assert w2_distance(dirac(0.0), dirac(-2.5)).value == pytest.approx(2.5)
