@@ -13,17 +13,20 @@ binomial re-anchor of the sums, whenever the center leaves the unit radius
 around it.  The sums then stay of the size of the path's spread wherever
 the path sits, so a path started at x0 + s is the x0 path shifted by s.
 
-One path steps on Python floats.  A replica ensemble keeps the sums of all
-R replicas as one (count, R) array, adds the dt-weighted powers dt y^j of
-the new positions to it each step (the products one path adds), and takes
-its drift coefficients from one matmul per step; the occupation mass is the
-same for every replica.
+A self-driven path is a replica ensemble of one: `simulate` and
+`simulate_ensemble` share one body.  The ensemble keeps the sums of all R
+replicas as one (count, R) array, adds the dt-weighted powers dt y^j of the
+new positions to it each step, and takes its drift coefficients from one
+matrix product per step; the occupation mass is the same for every
+replica.  For quadratic W without V (drift t00 + t11 (x - mean)) the Euler
+scheme reduces to a scalar linear recursion in y = x - mean with the mean
+carried by the occupation mass; it is summed in closed form with blockwise
+scaled cumulative sums instead of stepped, which matches the stepped
+scheme to rounding.
 
-For quadratic W (drift t00 + t11 (x - mean)) the Euler scheme reduces to a
-scalar linear recursion in y = x - mean with the mean carried by the
-occupation mass; the ensemble sums that recursion in closed form with
-blockwise scaled cumulative sums instead of stepping it, which matches the
-stepped scheme to rounding.
+A path driven by a drift it does not generate itself -- the measure frozen
+at a window start, or the previous Picard iterate -- steps one float loop
+over a given column of drift coefficients per step.
 
 Also here: the frozen-measure coupling used for one-step error analysis,
 the Ornstein-Uhlenbeck domination coupling, the contraction bootstrap for
@@ -47,6 +50,7 @@ from .powersums import anchor, convolution_matrix, power_sums, reanchor
 
 _SQRT2 = math.sqrt(2.0)
 _REANCHOR_RADIUS = 1.0   # the anchor follows the center once it is this far
+_CENTER_EVERY = 10       # steps between Newton centers of a nonlinear drift
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,6 @@ class SimConfig:
     seed: int = 0
     noise_scale: float = _SQRT2
     history_mode: str = "running-moments"
-    center_every: int = 10
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -146,24 +149,10 @@ class TrajectoryRecord:
 # running-moment drift for 1-d polynomial potentials
 #
 # grad(W * mu)(a + y) = sum_i b_i y^i with b = T S / S_0, T the order-1
-# convolution matrix of `powersums` and S the path's weighted power sums
-# about the anchor a.  `_horner` and `_center` take b as a list of floats
-# (one path) or as the rows of a (count, R) array (replicas side by side).
-
-
-def _drift_terms(w: PotentialSpec) -> tuple[int, list]:
-    """Number of sums the drift reads and the nonzero entries (i, j, T_ij)."""
-    T = convolution_matrix(w, 1)
-    return T.shape[0], [(int(i), int(j), float(T[i, j])) for i, j in zip(*np.nonzero(T))]
-
-
-def _coefficients(terms, count: int, S) -> list:
-    """Drift coefficients b in y from power sums S (S[0] = mass)."""
-    b = [0.0] * count
-    for i, j, t in terms:
-        b[i] = b[i] + t * S[j]
-    inv = 1.0 / S[0]
-    return [bi * inv for bi in b]
+# convolution matrix of `powersums` and S the weighted power sums of mu
+# about the anchor a.  `_horner` and `_center` take b as a sequence of
+# floats (one drift) or as the rows of a (count, R) array (replicas side by
+# side).
 
 
 def _horner(b, y):
@@ -175,7 +164,8 @@ def _horner(b, y):
 
 def _center(b, start, tol=1e-12, max_iter=60):
     """Root in y of the drift polynomial b: closed form when it is linear,
-    Newton from ``start`` otherwise."""
+    Newton from ``start`` otherwise.  A column stops at its own first
+    iterate with |g| <= tol, so it does not depend on the other columns."""
     if len(b) < 2:
         return start
     if len(b) == 2:
@@ -184,9 +174,10 @@ def _center(b, start, tol=1e-12, max_iter=60):
     c = start
     for _ in range(max_iter):
         g = _horner(b, c)
-        if np.max(np.abs(g)) <= tol:
+        moving = np.abs(g) > tol
+        if not moving.any():
             return c
-        c = c - g / _horner(db, c)
+        c = c - np.where(moving, g / _horner(db, c), 0.0)
     raise NumericFailureError("center Newton on running moments did not converge")
 
 
@@ -199,63 +190,50 @@ def _prehistory(x0: float, t_start: float,
             initial_occupation.weights * (t_start / initial_occupation.total_mass))
 
 
-def _run_moment_loop(w, v, x0, prehistory, increments, dt, center_every):
-    """Euler steps of one path, y = x - a on Python floats, driven by the
-    running power sums S about the anchor a, which starts at x0.
-
-    The center is recomputed every ``center_every`` steps (every step when
-    the drift is linear); only then may the anchor move.  Returns positions
-    and centers in x, centers NaN between recomputations.
-    """
-    count, terms = _drift_terms(w)
-    a = float(x0)
-    S = power_sums(*prehistory, a, count).tolist()
-    vg = None if v is None else \
-        np.polynomial.polynomial.polyder(v.poly1d_coefficients()).tolist()
-    every = 1 if count <= 2 else center_every
-    n = increments.shape[0]
-    noise = increments.tolist()
-    positions = np.empty(n + 1)
-    centers = np.full(n + 1, np.nan)
-    y = 0.0
-    b = _coefficients(terms, count, S)
-    c = _center(b, y)
-    positions[0] = y
-    centers[0] = c
-    segments = [(0, a)]
-    for i in range(n):
-        d = _horner(b, y)
+def _step_driven(B, a, x, noise, dt, vg=None):
+    """Euler steps of one path under a drift it does not generate: step k
+    moves x by -(b_k(x - a) + V'(x)) dt_k + noise_k, with b_k = B[:, k] the
+    drift coefficients about the anchor a and ``vg`` the coefficients of V'
+    (or None).  ``dt`` is one step size or one per step.  Returns the n + 1
+    positions."""
+    n = len(noise)
+    out = np.empty(n + 1)
+    out[0] = x
+    steps = zip(B.T.tolist(), noise.tolist(), np.broadcast_to(dt, n).tolist())
+    for k, (b, xi, h) in enumerate(steps, 1):
+        d = _horner(b, x - a)
         if vg is not None:
-            d = d + _horner(vg, y + a)
-        y = y - d * dt + noise[i]
-        p = dt
-        for j in range(1, count):
-            p = p * y
-            S[j] = S[j] + p
-        S[0] = S[0] + dt
-        positions[i + 1] = y
-        b = _coefficients(terms, count, S)
-        if (i + 1) % every == 0:
-            c = _center(b, c)
-            centers[i + 1] = c
-            if abs(c) > _REANCHOR_RADIUS:
-                S = reanchor(S, c).tolist()
-                b = _coefficients(terms, count, S)
-                y, a, c = y - c, a + c, 0.0
-                segments.append((i + 2, a))
-    _back_to_x(positions, centers, segments)
-    return positions, centers
+            d = d + _horner(vg, x)
+        x = x - d * h + xi
+        out[k] = x
+    return out
 
 
-def _run_moment_columns(T, v, x0, prehistory, noise, dt, center_every):
-    """The same Euler scheme for R replicas side by side; ``noise`` is (R, n).
+def _run_moments(w, v, x0, prehistory, noise, dt, every=_CENTER_EVERY):
+    """Positions and centers (R, n+1) in x of the running-moment Euler scheme
+    for R replicas; ``noise`` is (R, n).  Quadratic W without V takes the
+    closed form, everything else the column stepper, which places a Newton
+    center every ``every`` steps."""
+    T = convolution_matrix(w, 1)
+    if T.shape[0] == 2 and v is None:
+        return _run_quadratic_closed_form(T, x0, prehistory, noise, dt)
+    return _run_moment_columns(T, v, x0, prehistory, noise, dt, every)
+
+
+def _run_moment_columns(T, v, x0, prehistory, noise, dt, every):
+    """The Euler scheme for R replicas side by side; ``noise`` is (R, n).
 
     The sums about each column's anchor are one (count, R) array S.  P holds
     the dt-weighted powers dt y^j of the current positions, the products one
     path adds to its sums, so a step adds P to S and the drift times dt is
-    the column sum of B * P, with B = T S / mass from one matmul (the mass is
-    the same for every replica).  Returns positions and centers (R, n+1) in
-    x, centers NaN between recomputations.
+    the column sum of B * P, with B = T S / mass from one matrix product
+    (the mass is the same for every replica).  The product is `np.einsum`,
+    which adds each column's terms in order without BLAS: BLAS takes another
+    kernel for one column than for several, and a replica's path would then
+    depend on the ensemble size.  numpy adds a lone column of 8 or more
+    terms pairwise, so from W of degree 8 on a one-replica path matches an
+    ensemble row to rounding only.  Returns positions and centers (R, n+1)
+    in x, centers NaN between recomputations.
     """
     count = T.shape[0]
     R, n = noise.shape
@@ -265,7 +243,8 @@ def _run_moment_columns(T, v, x0, prehistory, noise, dt, center_every):
     a = np.full(R, float(x0))
     vg = None if v is None else \
         np.polynomial.polynomial.polyder(v.poly1d_coefficients()).tolist()
-    every = 1 if count <= 2 else center_every
+    if count <= 2:
+        every = 1
     positions = np.empty((R, n + 1))
     centers = np.full((R, n + 1), np.nan)
     y = np.zeros(R)
@@ -275,7 +254,7 @@ def _run_moment_columns(T, v, x0, prehistory, noise, dt, center_every):
     B = np.empty((count, R))
     prod = np.empty((count, R))
     d = np.empty(R)
-    np.matmul(T, S, out=B)
+    np.einsum("ij,jr->ir", T, S, out=B)
     B *= 1.0 / mass
     c = _center(B, np.zeros(R))
     positions[:, 0] = 0.0
@@ -294,7 +273,7 @@ def _run_moment_columns(T, v, x0, prehistory, noise, dt, center_every):
             np.multiply(P[j - 1], y, out=P[j])
         S += powers
         mass += dt
-        np.matmul(T, S, out=B)
+        np.einsum("ij,jr->ir", T, S, out=B)
         B *= 1.0 / mass
         if (i + 1) % every == 0:
             c = _center(B, c)
@@ -303,7 +282,7 @@ def _run_moment_columns(T, v, x0, prehistory, noise, dt, center_every):
             if far.any():
                 shift = c * far
                 S[...] = reanchor(S, shift)
-                np.matmul(T, S, out=B)
+                np.einsum("ij,jr->ir", T, S, out=B)
                 B *= 1.0 / mass
                 y -= shift
                 np.multiply(y, dt, out=P[1])
@@ -311,18 +290,12 @@ def _run_moment_columns(T, v, x0, prehistory, noise, dt, center_every):
                     np.multiply(P[j - 1], y, out=P[j])
                 c, a = c - shift, a + shift
                 segments.append((i + 2, a))
-    _back_to_x(positions, centers, segments)
-    return positions, centers
-
-
-def _back_to_x(positions, centers, segments):
-    """Positions and centers from y back to x in place, one anchor segment
-    (start index, anchor) at a time along the last axis."""
-    segments.append((positions.shape[-1], None))
+    # back from y to x, one anchor segment (start index, anchors) at a time
+    segments.append((n + 1, None))
     for (start, a_seg), (stop, _) in zip(segments, segments[1:]):
-        a_seg = np.asarray(a_seg)[..., None]
-        positions[..., start:stop] += a_seg
-        centers[..., start:stop] += a_seg
+        positions[:, start:stop] += a_seg[:, None]
+        centers[:, start:stop] += a_seg[:, None]
+    return positions, centers
 
 
 def _interpolate_center_gaps(centers: np.ndarray):
@@ -341,13 +314,6 @@ def _occupation_weights(cfg: SimConfig, size: int) -> np.ndarray:
     return weights
 
 
-def _record(w, v, cfg, replica, times, positions, weights, centers,
-            initial_occupation) -> TrajectoryRecord:
-    _interpolate_center_gaps(centers)
-    return TrajectoryRecord(w, v, cfg, replica, times, positions, weights,
-                            centers, initial_occupation=initial_occupation)
-
-
 def simulate(w: PotentialSpec, x0: float, cfg: SimConfig,
              v: PotentialSpec | None = None, replica: int = 0,
              initial_occupation: ParticleMeasure | None = None) -> TrajectoryRecord:
@@ -361,28 +327,60 @@ def simulate(w: PotentialSpec, x0: float, cfg: SimConfig,
     _check_dt(w, cfg)
     if cfg.t_start == 0.0:
         return _simulate_from_zero(w, x0, cfg, v, replica)
+    return _simulate_replicas(w, x0, cfg, [replica], v, initial_occupation)[0]
 
+
+def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
+                      n_replicas: int, v: PotentialSpec | None = None,
+                      initial_occupation: ParticleMeasure | None = None
+                      ) -> list[TrajectoryRecord]:
+    """Replica ensemble with independent noise streams; replica r is the
+    path ``simulate(..., replica=r)`` returns.  Running-moment replicas step
+    in lock-step (quadratic W without V in closed form).  The records share
+    ``times`` and one read-only ``weights`` array and hold row views of one
+    positions and one centers array.  Runs from t = 0 (through the
+    contraction bootstrap) take the replicas one by one."""
+    if cfg.t_start == 0.0:
+        return [simulate(w, x0, cfg, v=v, replica=r,
+                         initial_occupation=initial_occupation)
+                for r in range(n_replicas)]
+    _check_dt(w, cfg)
+    return _simulate_replicas(w, x0, cfg, range(n_replicas), v, initial_occupation)
+
+
+def _simulate_replicas(w, x0, cfg, replicas, v, initial_occupation):
+    """Records of the given replica ids, each driven by its own noise row."""
     n = cfg.n_steps
-    increments = (cfg.noise_scale * math.sqrt(cfg.dt)
-                  * rng.normal_increments(cfg.seed, n, replica))
-    times = cfg.t_start + cfg.dt * np.arange(n + 1)
-
+    dt = cfg.dt
+    scale = cfg.noise_scale * math.sqrt(dt)
+    noise = np.empty((len(replicas), n))
+    for k, r in enumerate(replicas):
+        np.multiply(rng.normal_increments(cfg.seed, n, r), scale, out=noise[k])
     pre = _prehistory(x0, cfg.t_start, initial_occupation)
     if cfg.history_mode == "running-moments":
-        positions, centers = _run_moment_loop(w, v, x0, pre, increments, cfg.dt,
-                                              cfg.center_every)
+        positions, centers = _run_moments(w, v, x0, pre, noise, dt)
     else:
-        positions, centers = _run_full_history_loop(w, v, x0, cfg, increments, pre)
+        positions = np.empty((len(replicas), n + 1))
+        centers = np.empty_like(positions)
+        for k in range(len(replicas)):
+            positions[k], centers[k] = _run_full_history_loop(w, v, x0, cfg,
+                                                              noise[k], pre)
+    del noise   # freed before the finiteness mask is allocated
     if not np.all(np.isfinite(positions)):
         raise NumericFailureError("path lost finiteness (explosion); "
                                   "check the step size against the potential")
-    return _record(w, v, cfg, replica, times, positions,
-                   _occupation_weights(cfg, n + 1), centers, initial_occupation)
+    times = cfg.t_start + dt * np.arange(n + 1)
+    weights = _occupation_weights(cfg, n + 1)
+    for row in centers:
+        _interpolate_center_gaps(row)
+    return [TrajectoryRecord(w, v, cfg, r, times, positions[k], weights, centers[k],
+                             initial_occupation=initial_occupation)
+            for k, r in enumerate(replicas)]
 
 
 def _run_full_history_loop(w, v, x0, cfg, increments, prehistory):
     """Brute-force drift summed over every past atom: the exactness oracle
-    for the running-moment loop."""
+    for the running-moment steppers."""
     n = cfg.n_steps
     dt = cfg.dt
     positions = np.empty(n + 1)
@@ -404,13 +402,13 @@ def _run_full_history_loop(w, v, x0, cfg, increments, prehistory):
         x += -d * dt + increments[i]
         mass += dt
         positions[i + 1] = x
-    # center knots where the moment loop places them: every step for a
+    # center knots where the moment steppers place them: every step for a
     # linear drift; no attraction keeps the start point
     atoms = np.concatenate((base_pos, positions[1:]))
     weights = np.concatenate((base_w, np.full(n, dt)))
     centers = np.full(n + 1, np.nan)
     c = float(x0)
-    for i in range(0, n + 1, 1 if g.size <= 2 else cfg.center_every):
+    for i in range(0, n + 1, 1 if g.size <= 2 else _CENTER_EVERY):
         if g.any():
             c = _history_center(g, atoms[:base_w.size + i], weights[:base_w.size + i], c)
         centers[i] = c
@@ -429,46 +427,6 @@ def _history_center(g, pos, wts, c, tol=1e-12, max_iter=60):
             return c
         c -= val * mass / float(wts @ np.polynomial.polynomial.polyval(r, h))
     raise NumericFailureError("center Newton on the full history did not converge")
-
-
-def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
-                      n_replicas: int, v: PotentialSpec | None = None,
-                      initial_occupation: ParticleMeasure | None = None
-                      ) -> list[TrajectoryRecord]:
-    """Replica ensemble with independent noise streams, stepped in lock-step
-    across replicas (running-moments mode, 1-d).  Quadratic W without V takes
-    the closed form of the same Euler scheme.  The records share ``times``
-    and one read-only ``weights`` array and hold row views of one positions
-    and one centers array.  Full-history runs and runs from t = 0 (through
-    the contraction bootstrap) take the replicas one by one."""
-    if cfg.history_mode != "running-moments" or cfg.t_start == 0.0:
-        return [simulate(w, x0, cfg, v=v, replica=r,
-                         initial_occupation=initial_occupation)
-                for r in range(n_replicas)]
-    _check_dt(w, cfg)
-    n = cfg.n_steps
-    dt = cfg.dt
-    scale = cfg.noise_scale * math.sqrt(dt)
-    noise = np.empty((n_replicas, n))
-    for r in range(n_replicas):
-        np.multiply(rng.normal_increments(cfg.seed, n, r), scale, out=noise[r])
-    times = cfg.t_start + dt * np.arange(n + 1)
-
-    pre = _prehistory(x0, cfg.t_start, initial_occupation)
-    T = convolution_matrix(w, 1)
-    if T.shape[0] == 2 and v is None:
-        positions, centers = _run_quadratic_closed_form(T, x0, pre, noise, dt)
-    else:
-        positions, centers = _run_moment_columns(T, v, x0, pre, noise, dt,
-                                                 cfg.center_every)
-    del noise   # freed before the finiteness mask is allocated
-    if not np.all(np.isfinite(positions)):
-        raise NumericFailureError("ensemble lost finiteness (explosion); "
-                                  "check the step size against the potential")
-    weights = _occupation_weights(cfg, n + 1)
-    return [_record(w, v, cfg, r, times, positions[r], weights, centers[r],
-                    initial_occupation)
-            for r in range(n_replicas)]
 
 
 def _run_quadratic_closed_form(T, x0, prehistory, noise, dt):
@@ -549,11 +507,12 @@ def coupled_frozen(w: PotentialSpec, record: TrajectoryRecord,
         raise InvalidInputError("window must lie inside the simulated range")
     occ = record.occupation(t0)
     a = anchor(occ.positions)
-    count, terms = _drift_terms(w)
-    b = _coefficients(terms, count,
-                      power_sums(occ.positions, occ.weights, a, count).tolist())
+    T = convolution_matrix(w, 1)
+    S = power_sums(occ.positions, occ.weights, a, T.shape[0])
+    b = T @ S / S[0]
     c0 = a + _center(b, float(record.positions[i0]) - a)
-    vg = None if v is None else np.polynomial.polynomial.polyder(v.poly1d_coefficients())
+    vg = None if v is None else \
+        np.polynomial.polynomial.polyder(v.poly1d_coefficients()).tolist()
 
     if y_start is None:
         dens = gibbs_map(w, occ, v=v).density
@@ -562,15 +521,8 @@ def coupled_frozen(w: PotentialSpec, record: TrajectoryRecord,
 
     incs = (cfg.noise_scale * math.sqrt(cfg.dt)
             * rng.normal_increments(cfg.seed, cfg.n_steps, record.replica))
-    y = float(y_start)
-    ys = np.empty(i1 - i0 + 1)
-    ys[0] = y
-    for step, i in enumerate(range(i0, i1)):
-        d = _horner(b, y - a)
-        if vg is not None:
-            d += float(np.polynomial.polynomial.polyval(y, vg))
-        y = y - d * cfg.dt + incs[i]
-        ys[step + 1] = y
+    B = np.broadcast_to(b[:, None], (b.size, i1 - i0))
+    ys = _step_driven(B, a, float(y_start), incs[i0:i1], cfg.dt, vg)
     return CoupledPaths(times=record.times[i0:i1 + 1],
                         x_path=record.positions[i0:i1 + 1].copy(),
                         y_path=ys, window=(t0, t1), y_start=float(y_start),
@@ -626,7 +578,7 @@ def ou_domination(w: PotentialSpec, cfg: SimConfig, seed: int | None = None,
 
     eps allows for the Euler discretization; it defaults to 0.05 at dt = 1e-3
     and scales with sqrt(dt).  X does not depend on Z, so the path and its
-    every-step center come from the running-moment loop first.
+    every-step center come from the running-moment stepper first.
     """
     _check_dt(w, cfg)
     if w.convexity_constant <= 0:
@@ -642,8 +594,8 @@ def ou_domination(w: PotentialSpec, cfg: SimConfig, seed: int | None = None,
     db = sq_dt * rng.normal_increments(seed, n, 0, rng.NOISE)
     dbeta = (sq_dt * rng.normal_increments(seed, n, 0, rng.AUX_NOISE)).tolist()
 
-    xs, cs = _run_moment_loop(w, None, x0, _prehistory(x0, cfg.t_start, None),
-                              cfg.noise_scale * db, dt, 1)
+    (xs,), (cs,) = _run_moments(w, None, x0, _prehistory(x0, cfg.t_start, None),
+                                (cfg.noise_scale * db)[None], dt, every=1)
     gaps = (xs - cs).tolist()
     db = db.tolist()
     z = max(1.0, abs(gaps[0]))
@@ -754,29 +706,21 @@ def picard_bootstrap(w: PotentialSpec, x0: float, times: np.ndarray,
     if float(np.abs(noise).max()) > 0.5 + 1e-12:
         raise InvalidInputError("noise path leaves the half-unit ball; resample "
                                 "with a smaller delta")
-    count, terms = _drift_terms(w)
+    T = convolution_matrix(w, 1)
+    count = T.shape[0]
     dts = np.diff(times)
-    m = times.size
-    path = x0 + noise.copy()
+    increments = np.diff(noise)
+    path = x0 + noise
     sups = []
     for _ in range(max_rounds):
-        new = np.empty(m)
-        new[0] = x0
-        # before any occupation accrues the drift is against the first atom
-        b = _coefficients(terms, count, power_sums(path[:1], [1.0], x0, count).tolist())
-        # prefix power sums of the old path build the frozen drift at each step
-        S = [0.0] * count
-        y = 0.0
-        for j in range(m - 1):
-            if j > 0:
-                b = _coefficients(terms, count, S)
-            y = y + (noise[j + 1] - noise[j]) - _horner(b, y) * dts[j]
-            new[j + 1] = x0 + y
-            p = dts[j]
-            u = path[j + 1] - x0
-            for k in range(count):
-                S[k] += p
-                p *= u
+        # step j > 0 drifts against the old path's atoms 1..j, each of mass
+        # dt: prefix sums of its dt-weighted powers; step 0, before any
+        # occupation accrues, against its first atom
+        u = path[1:-1] - x0
+        P = np.cumprod([dts[:-1]] + [u] * (count - 1), axis=0)
+        S = np.column_stack((power_sums(path[:1], [1.0], x0, count),
+                             np.cumsum(P, axis=1)))
+        new = _step_driven(T @ S / S[0], x0, x0, increments, dts)
         sup = float(np.abs(new - path).max())
         sups.append(sup)
         path = new
@@ -802,27 +746,36 @@ def _simulate_from_zero(w, x0, cfg, v, replica):
     if cfg.history_mode != "running-moments":
         raise UnsupportedInputError("t = 0 runs use running-moments history")
     lip = _lipschitz_radius2(w)
-    raw = rng.normal_increments(cfg.seed, cfg.n_steps, replica)
-    incs = cfg.noise_scale * math.sqrt(cfg.dt) * raw
+    n = cfg.n_steps
+    incs = (cfg.noise_scale * math.sqrt(cfg.dt)
+            * rng.normal_increments(cfg.seed, n, replica))
     noise_path = np.concatenate(([0.0], np.cumsum(incs)))
-    m = int(min(cfg.n_steps // 2, max(2, math.floor((1.0 / (3.2 * lip)) / cfg.dt))))
-    while m > 2 and float(np.abs(noise_path[:m + 1]).max()) > 0.5:
+    # the bootstrap segment: at most half the run, delta * Lip(grad W) below
+    # 1/3.2, and the noise path inside the half-unit ball
+    m = n // 2
+    if lip > 0:
+        m = min(m, max(2, math.floor((1.0 / (3.2 * lip)) / cfg.dt)))
+    while m >= 2 and float(np.abs(noise_path[:m + 1]).max()) > 0.5:
         m //= 2
+    if m < 2:
+        raise InvalidInputError(
+            "the t = 0 bootstrap needs 2 or more steps in the first half of the "
+            f"run ({n} steps) on which the noise path stays within 0.5 of x0; "
+            "lengthen the run, or lower dt or noise_scale")
     boot = picard_bootstrap(w, x0, cfg.dt * np.arange(m + 1), noise_path[:m + 1])
     x_tail = float(boot.path[-1])
     t_tail = cfg.dt * m
     # reuse the tail of the same increment stream
     tail_n = int(round((cfg.t_end - t_tail) / cfg.dt))
-    positions, centers = _run_moment_loop(w, None, x_tail,
-                                          (boot.path[1:], np.full(m, cfg.dt)),
-                                          incs[m:m + tail_n], cfg.dt, cfg.center_every)
+    (positions,), (centers,) = _run_moments(w, None, x_tail,
+                                            (boot.path[1:], np.full(m, cfg.dt)),
+                                            incs[None, m:m + tail_n], cfg.dt)
     _interpolate_center_gaps(centers)
     times = np.concatenate((boot.times[:-1], t_tail + cfg.dt * np.arange(tail_n + 1)))
     full_pos = np.concatenate((boot.path[:-1], positions))
-    weights = np.full(times.size, cfg.dt)
-    weights[0] = 0.0
     cent = np.concatenate((np.full(m, centers[0]), centers))
-    return TrajectoryRecord(w, None, cfg, replica, times, full_pos, weights, cent)
+    return TrajectoryRecord(w, None, cfg, replica, times, full_pos,
+                            _occupation_weights(cfg, times.size), cent)
 
 
 # ---------------------------------------------------------------------------

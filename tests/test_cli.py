@@ -10,7 +10,7 @@ from selfattract.cli import main
 from selfattract.config import _SCHEMA, load_config
 from selfattract.errors import InvalidInputError
 from selfattract.persist import load_measure, write_particle_measure
-from selfattract import ParticleMeasure, simulate
+from selfattract import ParticleMeasure, simulate, simulate_ensemble
 
 
 def write(path: Path, text: str) -> str:
@@ -125,6 +125,32 @@ class TestCommands:
             want = np.column_stack((rec.times, rec.positions, rec.center_track))[::thin]
             got = np.loadtxt(out / f"path_r{r}.csv", delimiter=",", skiprows=1)
             assert np.array_equal(got, want)
+
+    def test_single_path_is_a_row_of_an_ensemble(self, tmp_path):
+        # one replica through `simulate` writes the replica-0 row of a
+        # three-replica ensemble, digit for digit
+        cfg = write(tmp_path / "q.cfg",
+                    "[potential]\nkind = even-polynomial\ncoefficients = 0.5 0.1\n"
+                    "[sim]\ndt = 0.01\nt_end = 41.0\nseed = 6\n")
+        out = tmp_path / "oq"
+        assert main(["--config", cfg, "--out", str(out), "--replicas", "1", "simulate"]) == 0
+        loaded = load_config(cfg)
+        rec = simulate_ensemble(loaded.potential, loaded.init_position, loaded.sim, 3)[0]
+        thin = max(1, rec.times.size // 2000)
+        want = np.column_stack((rec.times, rec.positions, rec.center_track))[::thin]
+        got = np.loadtxt(out / "path_r0.csv", delimiter=",", skiprows=1)
+        assert thin == 2 and np.array_equal(got, want)
+
+    def test_simulate_from_time_zero_without_interaction(self, tmp_path):
+        cfg = write(tmp_path / "z.cfg",
+                    "[potential]\nkind = even-polynomial\ncoefficients = 0\n"
+                    "[sim]\nt_start = 0.0\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "oz"), "simulate"]) == 0
+
+    def test_too_short_run_from_time_zero_exit_code(self, tmp_path, capsys):
+        cfg = write(tmp_path / "s.cfg", "[sim]\nt_start = 0.0\nt_end = 0.03\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "os"), "simulate"]) == 2
+        assert "t = 0 bootstrap" in capsys.readouterr().err
 
     def test_threads_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -121,7 +122,8 @@ class TestEnsemble:
         ens = simulate_ensemble(quad, 0.2, cfg, 3)
         for r, rec in enumerate(ens):
             single = simulate(quad, 0.2, cfg, replica=r)
-            assert np.allclose(rec.positions, single.positions, atol=1e-13)
+            assert np.array_equal(rec.positions, single.positions)
+            assert np.array_equal(rec.center_track, single.center_track)
 
     @pytest.mark.parametrize("w", [even_polynomial([0.5, 0.1]), quadratic_symmetric(1.0)],
                              ids=["quartic", "quadratic"])
@@ -133,8 +135,8 @@ class TestEnsemble:
         for r, rec in enumerate(ens):
             single = simulate(w, 0.7, cfg, v=v, replica=r)
             assert rec.positions.size == 10_001
-            assert np.abs(rec.positions - single.positions).max() <= 1e-12
-            assert np.abs(rec.center_track - single.center_track).max() <= 1e-11
+            assert np.array_equal(rec.positions, single.positions)
+            assert np.array_equal(rec.center_track, single.center_track)
 
     def test_replicas_reanchor_at_different_steps(self, monkeypatch):
         # the pre-history at 0 pulls every center away from the anchor
@@ -155,14 +157,15 @@ class TestEnsemble:
         assert partial
         for r, rec in enumerate(ens):
             single = simulate(w, 3.0, cfg, replica=r, initial_occupation=dirac(0.0))
-            assert np.abs(rec.positions - single.positions).max() <= 1e-12
+            assert np.array_equal(rec.positions, single.positions)
 
     def test_one_replica_ensemble_matches_single_run(self):
         w = even_polynomial([0.5, 0.1])
         cfg = SimConfig(dt=0.01, t_end=101.0, t_start=1.0, seed=9)
         (rec,) = simulate_ensemble(w, 3.0, cfg, 1)
         single = simulate(w, 3.0, cfg)
-        assert np.abs(rec.positions - single.positions).max() <= 1e-12
+        assert np.array_equal(rec.positions, single.positions)
+        assert np.array_equal(rec.center_track, single.center_track)
 
     def test_records_share_one_read_only_weights_array(self):
         for w in (quadratic_symmetric(1.0), even_polynomial([0.5, 0.1])):
@@ -206,19 +209,30 @@ class TestEnsemble:
     @pytest.mark.parametrize("x0", [0.0, 1000.0])
     @pytest.mark.parametrize("warm", [False, True], ids=["atom", "warm"])
     def test_closed_form_matches_euler_loop(self, w, x0, warm):
-        # the quadratic ensemble sums the Euler recursion in closed form;
-        # `simulate` steps the same scheme one step at a time
+        # the quadratic closed form sums the Euler recursion that the column
+        # stepper takes one step at a time, on the same noise
         init = None
         if warm:
             gen = make_rng(27)
             init = ParticleMeasure(x0 + gen.standard_normal(10), gen.uniform(0.5, 1.0, 10))
         cfg = SimConfig(dt=0.01, t_end=501.0, t_start=1.0, seed=58)
-        ens = simulate_ensemble(w, x0, cfg, 2, initial_occupation=init)
-        for r, rec in enumerate(ens):
-            single = simulate(w, x0, cfg, replica=r, initial_occupation=init)
-            assert rec.positions.size == 50_001
-            assert np.abs(rec.positions - single.positions).max() <= 1e-11
-            assert np.abs(rec.center_track - single.center_track).max() <= 1e-11
+        pre = sde._prehistory(x0, cfg.t_start, init)
+        T = convolution_matrix(w, 1)
+        noise = np.stack([cfg.noise_scale * math.sqrt(cfg.dt)
+                          * rng.normal_increments(cfg.seed, cfg.n_steps, r) for r in range(2)])
+        stepped = sde._run_moment_columns(T, None, x0, pre, noise, cfg.dt, 1)
+        summed = sde._run_quadratic_closed_form(T, x0, pre, noise, cfg.dt)
+        assert summed[0].shape == (2, 50_001)
+        for got, want in zip(summed, stepped):
+            assert np.abs(got - want).max() <= 1e-11
+        # and against the full-history oracle on a short run (relative away
+        # from the origin, where one ulp of x is 1e-13)
+        short = SimConfig(dt=0.01, t_end=6.0, t_start=1.0, seed=58)
+        rec = simulate(w, x0, short, initial_occupation=init)
+        oracle = simulate(w, x0, dataclasses.replace(short, history_mode="full-history"),
+                          initial_occupation=init)
+        assert np.abs(rec.positions - oracle.positions).max() <= 1e-12 * max(1.0, x0)
+        assert np.abs(rec.center_track - oracle.center_track).max() <= 1e-12 * max(1.0, x0)
 
     def test_zero_slope_quadratic_matches_zero_interaction(self):
         # W = 0 x^2 has an identically zero drift, like zero_interaction():
@@ -259,6 +273,30 @@ class TestCoupledFrozen:
                  + (t1 - t0) * env(2 * l_n) / (t0 * c_w)
                  + 10 * cfg.dt * (1 + env(2 * l_n)))
         assert np.all(np.abs(cp.x_path - cp.y_path) <= bound)
+
+    @pytest.mark.parametrize("v", [None, external_polynomial([0.3])], ids=["W", "W+V"])
+    def test_matches_direct_sum_oracle(self, v):
+        # the companion's drift summed over the frozen occupation's atoms
+        w = even_polynomial([0.5, 0.1])
+        rec = simulate(w, 0.4, SimConfig(dt=0.01, t_end=60.0, t_start=1.0, seed=4), v=v)
+        t0, t1 = 40.0, 45.0
+        cp = coupled_frozen(w, rec, (t0, t1), seed=3, v=v)
+        cfg = rec.config
+        occ = rec.occupation(t0)
+        incs = cfg.noise_scale * math.sqrt(cfg.dt) * rng.normal_increments(cfg.seed, cfg.n_steps, 0)
+        poly = np.polynomial.polynomial
+        g = poly.polyder(w.poly1d_coefficients())
+        y = cp.y_start
+        want = [y]
+        for i in range(rec.index_at(t0), rec.index_at(t1)):
+            d = float(occ.weights @ poly.polyval(y - occ.positions, g)) / occ.weights.sum()
+            if v is not None:
+                d += poly.polyval(y, poly.polyder(v.poly1d_coefficients()))
+            y = y - d * cfg.dt + incs[i]
+            want.append(y)
+        want = np.array(want)
+        assert cp.y_path.size == want.size == 501
+        assert np.abs(cp.y_path - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_window_occupation_gap_shrinks(self, quad):
         cfg = SimConfig(dt=0.01, t_end=300.0, t_start=1.0, seed=21)
@@ -353,6 +391,42 @@ class TestPicardBootstrap:
             s1 += fdt * x[j + 1]
         sup = np.abs(res.path - x[::refine]).max()
         assert sup <= 5 * dt
+
+    def test_matches_direct_sum_oracle(self):
+        # every Picard round, step j > 0 drifts against the previous
+        # iterate's atoms 1..j of mass dt, step 0 against its first atom
+        w = even_polynomial([0.5, 0.1])
+        dt, m, x0 = 1e-3, 40, 0.7
+        noise = self._noise(m, dt, seed=11)
+        res = picard_bootstrap(w, x0, dt * np.arange(m + 1), noise)
+        poly = np.polynomial.polynomial
+        g = poly.polyder(w.poly1d_coefficients())
+        path = x0 + noise
+        for _ in res.sup_distances:
+            new = [x0]
+            for j in range(m):
+                atoms, wts = (path[:1], np.ones(1)) if j == 0 else (path[1:j + 1], np.full(j, dt))
+                d = float(wts @ poly.polyval(new[-1] - atoms, g)) / wts.sum()
+                new.append(new[-1] - d * dt + (noise[j + 1] - noise[j]))
+            path = np.array(new)
+        assert len(res.sup_distances) >= 3
+        assert np.abs(res.path - path).max() <= 1e-12 * np.abs(path).max()
+
+    def test_zero_interaction_from_time_zero_is_the_noise_path(self):
+        # no drift, so no contraction limit on the bootstrap segment
+        cfg = SimConfig(dt=1e-3, t_end=1.0, t_start=0.0)
+        rec = simulate(zero_interaction(), 0.0, cfg)
+        incs = cfg.noise_scale * math.sqrt(cfg.dt) * rng.normal_increments(cfg.seed, cfg.n_steps, 0)
+        assert rec.times.size == cfg.n_steps + 1
+        assert np.abs(rec.positions[1:] - np.cumsum(incs)).max() <= 1e-13
+
+    @pytest.mark.parametrize("kw", [dict(dt=0.01, t_end=0.03),
+                                    dict(dt=0.01, t_end=1.0, noise_scale=20.0),
+                                    dict(dt=1e-3, t_end=1.0, noise_scale=20.0)],
+                             ids=["short", "noisy", "noisy-at-two-steps"])
+    def test_start_at_zero_names_the_bootstrap_condition(self, quad, kw):
+        with pytest.raises(InvalidInputError, match="t = 0 bootstrap needs 2 or more steps"):
+            simulate(quad, 0.0, SimConfig(t_start=0.0, **kw))
 
     def test_interval_too_long_rejected(self, quad):
         dt, m = 1e-2, 60  # delta = 0.6 > 1/3
