@@ -45,13 +45,12 @@ def _initial_density(cfg: ExperimentConfig) -> GridDensity:
 
 def _cmd_simulate(cfg: ExperimentConfig, do_assert: bool) -> int:
     out = _out_dir(cfg)
-    if cfg.replicas > 1 and cfg.sim.history_mode == "running-moments":
+    if cfg.replicas > 1:
         records = simulate_ensemble(cfg.potential, cfg.init_position, cfg.sim,
                                     cfg.replicas, v=cfg.external)
     else:
         records = [simulate(cfg.potential, cfg.init_position, cfg.sim,
-                            v=cfg.external, replica=r)
-                   for r in range(cfg.replicas)]
+                            v=cfg.external)]
     for rec in records:
         thin = max(1, rec.times.size // 2000)
         rows = zip(rec.times[::thin], rec.positions[::thin], rec.center_track[::thin])

@@ -24,7 +24,7 @@ _SCHEMA: dict[str, dict[str, type]] = {
                   "symmetric": bool, "bound_scale": float, "bound_degree": int},
     "external": {"kind": str, "coefficients": str},
     "sim": {"dt": float, "t_end": float, "t_start": float, "seed": int,
-            "noise_scale": float, "history_mode": str},
+            "noise_scale": float},
     "schedule": {"n_start": int, "n_end": int, "exponent": float},
     "grid": {"cells": int, "half_width": float},
     "init": {"kind": str, "position": float, "width": float, "mean": float,
@@ -62,7 +62,6 @@ class ExperimentConfig:
         out["sim_effective"] = {
             "dt": self.sim.dt, "t_start": self.sim.t_start, "t_end": self.sim.t_end,
             "seed": self.sim.seed, "noise_scale": self.sim.noise_scale,
-            "history_mode": self.sim.history_mode,
         }
         return out
 
@@ -142,7 +141,6 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Exper
         t_start=sim_kv.get("t_start", 1.0),
         seed=sim_kv.get("seed", 0),
         noise_scale=sim_kv.get("noise_scale", math.sqrt(2.0)),
-        history_mode=sim_kv.get("history_mode", "running-moments"),
     )
     sched_kv = sections.get("schedule", {})
     schedule = Schedule(n_end=sched_kv.get("n_end", 100),

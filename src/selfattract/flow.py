@@ -56,11 +56,6 @@ class FlowState:
     step_distance: float
 
 
-def default_smoothing_width(t: float) -> float:
-    """Width used to smooth raw empirical input before it enters the flow."""
-    return float(min(0.5, max(1e-3, 1.0 / t)))
-
-
 def _recenter_policy(w: PotentialSpec, g: GridDensity, c: float) -> tuple[GridDensity, float]:
     """Shift the domain (whole cells) when the center strays past 10% of the
     half-width from the box middle."""

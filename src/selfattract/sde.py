@@ -4,8 +4,9 @@ The drift at time t is the gradient of the potential convolved with the
 normalized occupation measure of the path so far.  For polynomial
 interactions that convolution is an exact function of the running power
 sums of the path, which is the identity the whole simulator rests on:
-the running-moment drift and the brute-force full-history drift agree to
-rounding on the same noise path.
+the running-moment drift and the brute-force drift summed over the full
+history agree to rounding on the same noise path.  The brute-force sum is
+kept as a test oracle (`_full_history_path`), not as a mode.
 
 Running sums are taken about an anchor (`powersums`): paths step in
 y = x - a, the anchor starts at x0 and moves onto the center, with an exact
@@ -13,16 +14,18 @@ binomial re-anchor of the sums, whenever the center leaves the unit radius
 around it.  The sums then stay of the size of the path's spread wherever
 the path sits, so a path started at x0 + s is the x0 path shifted by s.
 
-A self-driven path is a replica ensemble of one: `simulate` and
-`simulate_ensemble` share one body.  The ensemble keeps the sums of all R
-replicas as one (count, R) array, adds the dt-weighted powers dt y^j of the
-new positions to it each step, and takes its drift coefficients from one
-matrix product per step; the occupation mass is the same for every
-replica.  For quadratic W without V (drift t00 + t11 (x - mean)) the Euler
-scheme reduces to a scalar linear recursion in y = x - mean with the mean
-carried by the occupation mass; it is summed in closed form with blockwise
-scaled cumulative sums instead of stepped, which matches the stepped
-scheme to rounding.
+Every self-driven path is a row of a replica ensemble: `simulate` and
+`simulate_ensemble` share one body for every start time.  The ensemble
+keeps the sums of all R replicas as one (count, R) array, adds the
+dt-weighted powers dt y^j of the new positions to it each step, and takes
+its drift coefficients from one matrix product per step; the occupation
+mass is the same for every replica.  For quadratic W without V (drift
+t00 + t11 (x - mean)) the Euler scheme reduces to a scalar linear
+recursion in y = x - mean with the mean carried by the occupation mass; it
+is summed in closed form with blockwise scaled cumulative sums (`_ar1`,
+shared with the exact OU modulus) instead of stepped, which matches the
+stepped scheme to rounding.  A run from t = 0 builds each row from a short
+contraction-bootstrap segment and a running-moment tail anchored at x0.
 
 A path driven by a drift it does not generate itself -- the measure frozen
 at a window start, or the previous Picard iterate -- steps one float loop
@@ -60,15 +63,12 @@ class SimConfig:
     t_start: float = 1.0
     seed: int = 0
     noise_scale: float = _SQRT2
-    history_mode: str = "running-moments"
 
     def __post_init__(self):
         if self.dt <= 0:
             raise InvalidInputError("dt must be positive")
         if self.t_end <= self.t_start or self.t_start < 0:
             raise InvalidInputError("need t_end > t_start >= 0")
-        if self.history_mode not in ("running-moments", "full-history"):
-            raise InvalidInputError(f"unknown history mode {self.history_mode!r}")
         if self.noise_scale < 0:
             raise InvalidInputError("noise scale must be non-negative")
 
@@ -101,7 +101,6 @@ class TrajectoryRecord:
     weights: np.ndarray
     center_track: np.ndarray
     initial_occupation: ParticleMeasure | None = None
-    coupling_track: dict | None = None
 
     def index_at(self, t: float) -> int:
         """Largest step index with times[index] <= t (+ tolerance)."""
@@ -190,6 +189,20 @@ def _prehistory(x0: float, t_start: float,
             initial_occupation.weights * (t_start / initial_occupation.total_mass))
 
 
+def _increments(cfg: SimConfig, n: int, replica: int, out=None) -> np.ndarray:
+    """The first n noise increments noise_scale sqrt(dt) xi of a replica's
+    stream, into ``out`` when given.  The draw for n is a prefix of the draw
+    for any longer n."""
+    return np.multiply(rng.normal_increments(cfg.seed, n, replica),
+                       cfg.noise_scale * math.sqrt(cfg.dt), out=out)
+
+
+def _v_gradient(v: PotentialSpec | None):
+    """Coefficients of V' as a list of floats, or None without V."""
+    return None if v is None else \
+        np.polynomial.polynomial.polyder(v.poly1d_coefficients()).tolist()
+
+
 def _step_driven(B, a, x, noise, dt, vg=None):
     """Euler steps of one path under a drift it does not generate: step k
     moves x by -(b_k(x - a) + V'(x)) dt_k + noise_k, with b_k = B[:, k] the
@@ -209,18 +222,18 @@ def _step_driven(B, a, x, noise, dt, vg=None):
     return out
 
 
-def _run_moments(w, v, x0, prehistory, noise, dt, every=_CENTER_EVERY):
+def _run_moments(w, v, x0, prehistory, noise, dt, every=_CENTER_EVERY, y0=0.0):
     """Positions and centers (R, n+1) in x of the running-moment Euler scheme
-    for R replicas; ``noise`` is (R, n).  Quadratic W without V takes the
-    closed form, everything else the column stepper, which places a Newton
-    center every ``every`` steps."""
+    for R replicas started at x0 + y0, their sums anchored at x0; ``noise``
+    is (R, n).  Quadratic W without V takes the closed form, everything else
+    the column stepper, which places a Newton center every ``every`` steps."""
     T = convolution_matrix(w, 1)
     if T.shape[0] == 2 and v is None:
-        return _run_quadratic_closed_form(T, x0, prehistory, noise, dt)
-    return _run_moment_columns(T, v, x0, prehistory, noise, dt, every)
+        return _run_quadratic_closed_form(T, x0, prehistory, noise, dt, y0)
+    return _run_moment_columns(T, v, x0, prehistory, noise, dt, every, y0)
 
 
-def _run_moment_columns(T, v, x0, prehistory, noise, dt, every):
+def _run_moment_columns(T, v, x0, prehistory, noise, dt, every, y0=0.0):
     """The Euler scheme for R replicas side by side; ``noise`` is (R, n).
 
     The sums about each column's anchor are one (count, R) array S.  P holds
@@ -232,8 +245,10 @@ def _run_moment_columns(T, v, x0, prehistory, noise, dt, every):
     kernel for one column than for several, and a replica's path would then
     depend on the ensemble size.  numpy adds a lone column of 8 or more
     terms pairwise, so from W of degree 8 on a one-replica path matches an
-    ensemble row to rounding only.  Returns positions and centers (R, n+1)
-    in x, centers NaN between recomputations.
+    ensemble row to rounding only.  A center that leaves the unit radius
+    re-anchors its column before the next position is stored, so each step
+    refreshes P and B once.  Returns positions and centers (R, n+1) in x,
+    centers NaN between recomputations.
     """
     count = T.shape[0]
     R, n = noise.shape
@@ -241,55 +256,50 @@ def _run_moment_columns(T, v, x0, prehistory, noise, dt, every):
     mass = float(sums[0])
     S = np.repeat(sums[:, None], R, axis=1)
     a = np.full(R, float(x0))
-    vg = None if v is None else \
-        np.polynomial.polynomial.polyder(v.poly1d_coefficients()).tolist()
+    vg = _v_gradient(v)
     if count <= 2:
         every = 1
     positions = np.empty((R, n + 1))
     centers = np.full((R, n + 1), np.nan)
-    y = np.zeros(R)
+    y = np.full(R, float(y0))
+    c = np.zeros(R)
     P = np.zeros((max(count, 2), R))   # a zero drift (count 1) never reads row 1
     P[0] = dt
     powers = P[:count]
     B = np.empty((count, R))
     prod = np.empty((count, R))
     d = np.empty(R)
-    np.einsum("ij,jr->ir", T, S, out=B)
-    B *= 1.0 / mass
-    c = _center(B, np.zeros(R))
-    positions[:, 0] = 0.0
-    centers[:, 0] = c
+    shift = None
     segments = [(0, a)]
-    for i in range(n):
-        np.multiply(B, powers, out=prod)
-        np.add.reduce(prod, axis=0, out=d)
-        if vg is not None:
-            d += _horner(vg, y + a) * dt
-        y -= d
-        y += noise[:, i]
-        positions[:, i + 1] = y
+    for i in range(n + 1):
+        if i:
+            y -= d
+            y += noise[:, i - 1]
+        if shift is not None:   # the re-anchor the last center asked for
+            S[...] = reanchor(S, shift)
+            y -= shift
+            c, a, shift = c - shift, a + shift, None
+            segments.append((i, a))
+        positions[:, i] = y
         np.multiply(y, dt, out=P[1])
         for j in range(2, count):
             np.multiply(P[j - 1], y, out=P[j])
-        S += powers
-        mass += dt
+        if i:
+            S += powers
+            mass += dt
         np.einsum("ij,jr->ir", T, S, out=B)
         B *= 1.0 / mass
-        if (i + 1) % every == 0:
+        if i % every == 0:
             c = _center(B, c)
-            centers[:, i + 1] = c
+            centers[:, i] = c
             far = np.abs(c) > _REANCHOR_RADIUS
             if far.any():
                 shift = c * far
-                S[...] = reanchor(S, shift)
-                np.einsum("ij,jr->ir", T, S, out=B)
-                B *= 1.0 / mass
-                y -= shift
-                np.multiply(y, dt, out=P[1])
-                for j in range(2, count):
-                    np.multiply(P[j - 1], y, out=P[j])
-                c, a = c - shift, a + shift
-                segments.append((i + 2, a))
+        if i < n:
+            np.multiply(B, powers, out=prod)
+            np.add.reduce(prod, axis=0, out=d)
+            if vg is not None:
+                d += _horner(vg, y + a) * dt
     # back from y to x, one anchor segment (start index, anchors) at a time
     segments.append((n + 1, None))
     for (start, a_seg), (stop, _) in zip(segments, segments[1:]):
@@ -305,15 +315,6 @@ def _interpolate_center_gaps(centers: np.ndarray):
         centers[bad] = np.interp(idx[bad], idx[~bad], centers[~bad])
 
 
-def _occupation_weights(cfg: SimConfig, size: int) -> np.ndarray:
-    """Read-only occupation weights: t_start for the pre-history, then dt.
-    Every replica of an ensemble shares the one array."""
-    weights = np.full(size, cfg.dt)
-    weights[0] = cfg.t_start
-    weights.flags.writeable = False
-    return weights
-
-
 def simulate(w: PotentialSpec, x0: float, cfg: SimConfig,
              v: PotentialSpec | None = None, replica: int = 0,
              initial_occupation: ParticleMeasure | None = None) -> TrajectoryRecord:
@@ -325,8 +326,6 @@ def simulate(w: PotentialSpec, x0: float, cfg: SimConfig,
     bootstrap and then switch to stepping.
     """
     _check_dt(w, cfg)
-    if cfg.t_start == 0.0:
-        return _simulate_from_zero(w, x0, cfg, v, replica)
     return _simulate_replicas(w, x0, cfg, [replica], v, initial_occupation)[0]
 
 
@@ -336,14 +335,10 @@ def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
                       ) -> list[TrajectoryRecord]:
     """Replica ensemble with independent noise streams; replica r is the
     path ``simulate(..., replica=r)`` returns.  Running-moment replicas step
-    in lock-step (quadratic W without V in closed form).  The records share
-    ``times`` and one read-only ``weights`` array and hold row views of one
-    positions and one centers array.  Runs from t = 0 (through the
-    contraction bootstrap) take the replicas one by one."""
-    if cfg.t_start == 0.0:
-        return [simulate(w, x0, cfg, v=v, replica=r,
-                         initial_occupation=initial_occupation)
-                for r in range(n_replicas)]
+    in lock-step (quadratic W without V in closed form); runs from t = 0
+    take each replica through its own contraction bootstrap.  The records
+    share ``times`` and one read-only ``weights`` array and hold row views
+    of one positions and one centers array."""
     _check_dt(w, cfg)
     return _simulate_replicas(w, x0, cfg, range(n_replicas), v, initial_occupation)
 
@@ -352,25 +347,28 @@ def _simulate_replicas(w, x0, cfg, replicas, v, initial_occupation):
     """Records of the given replica ids, each driven by its own noise row."""
     n = cfg.n_steps
     dt = cfg.dt
-    scale = cfg.noise_scale * math.sqrt(dt)
     noise = np.empty((len(replicas), n))
     for k, r in enumerate(replicas):
-        np.multiply(rng.normal_increments(cfg.seed, n, r), scale, out=noise[k])
-    pre = _prehistory(x0, cfg.t_start, initial_occupation)
-    if cfg.history_mode == "running-moments":
-        positions, centers = _run_moments(w, v, x0, pre, noise, dt)
-    else:
+        _increments(cfg, n, r, out=noise[k])
+    if cfg.t_start == 0.0:
+        initial_occupation = None   # no pre-history block at t = 0
         positions = np.empty((len(replicas), n + 1))
         centers = np.empty_like(positions)
         for k in range(len(replicas)):
-            positions[k], centers[k] = _run_full_history_loop(w, v, x0, cfg,
-                                                              noise[k], pre)
+            positions[k], centers[k] = _from_zero(w, x0, dt, v, noise[k])
+    else:
+        pre = _prehistory(x0, cfg.t_start, initial_occupation)
+        positions, centers = _run_moments(w, v, x0, pre, noise, dt)
     del noise   # freed before the finiteness mask is allocated
     if not np.all(np.isfinite(positions)):
         raise NumericFailureError("path lost finiteness (explosion); "
                                   "check the step size against the potential")
     times = cfg.t_start + dt * np.arange(n + 1)
-    weights = _occupation_weights(cfg, n + 1)
+    # occupation weights: t_start for the pre-history, then dt; every
+    # replica shares the one read-only array
+    weights = np.full(n + 1, dt)
+    weights[0] = cfg.t_start
+    weights.flags.writeable = False
     for row in centers:
         _interpolate_center_gaps(row)
     return [TrajectoryRecord(w, v, cfg, r, times, positions[k], weights, centers[k],
@@ -378,17 +376,21 @@ def _simulate_replicas(w, x0, cfg, replicas, v, initial_occupation):
             for k, r in enumerate(replicas)]
 
 
-def _run_full_history_loop(w, v, x0, cfg, increments, prehistory):
-    """Brute-force drift summed over every past atom: the exactness oracle
-    for the running-moment steppers."""
+def _full_history_path(w, x0, cfg, v=None, replica=0, initial_occupation=None):
+    """Brute-force drift summed over every past atom, on the noise of
+    ``simulate(..., replica=replica)`` with t_start > 0: the exactness
+    oracle for the running-moment steppers.  Returns positions and centers
+    (n+1), the centers placed where the moment steppers place them and
+    interpolated between."""
     n = cfg.n_steps
     dt = cfg.dt
+    increments = _increments(cfg, n, replica)
+    base_pos, base_w = _prehistory(x0, cfg.t_start, initial_occupation)
     positions = np.empty(n + 1)
     positions[0] = x0
-    base_pos, base_w = prehistory
     g = np.polynomial.polynomial.polytrim(
         np.polynomial.polynomial.polyder(w.poly1d_coefficients()))
-    vg = None if v is None else np.polynomial.polynomial.polyder(v.poly1d_coefficients())
+    vg = _v_gradient(v)
     x = float(x0)
     mass = float(base_w.sum())
     for i in range(n):
@@ -412,6 +414,7 @@ def _run_full_history_loop(w, v, x0, cfg, increments, prehistory):
         if g.any():
             c = _history_center(g, atoms[:base_w.size + i], weights[:base_w.size + i], c)
         centers[i] = c
+    _interpolate_center_gaps(centers)
     return positions, centers
 
 
@@ -429,48 +432,58 @@ def _history_center(g, pos, wts, c, tol=1e-12, max_iter=60):
     raise NumericFailureError("center Newton on the full history did not converge")
 
 
-def _run_quadratic_closed_form(T, x0, prehistory, noise, dt):
+def _ar1(alpha, z, f, out):
+    """The linear recursion z_(k+1) = alpha z_k + f_k, summed along the last
+    axis: ``z`` holds z_0, ``f`` (..., n) holds f_0 .. f_(n-1) and ``out``
+    (..., n) receives z_1 .. z_n.  From a block start p,
+        z_(p+j) = alpha^j (z_p + sum_(i<j) alpha^(-i-1) f_(p+i)),
+    one scaled cumulative sum; the sum restarts every block, short enough
+    that alpha^(-j) stays below about e^30.  Returns ``out``."""
+    n = f.shape[-1]
+    block = max(8, min(8192, int(30.0 / max(abs(1.0 - alpha), 1e-12))))
+    up = alpha ** np.arange(1, min(block, n) + 1)
+    for p in range(0, n, block):
+        seg = out[..., p:p + block]
+        b = seg.shape[-1]
+        np.divide(f[..., p:p + b], up[:b], out=seg)
+        np.cumsum(seg, axis=-1, out=seg)
+        seg += z[..., None]
+        seg *= up[:b]
+        z = seg[..., -1]
+    return out
+
+
+def _run_quadratic_closed_form(T, x0, prehistory, noise, dt, y0=0.0):
     """The Euler scheme for drift t00 + t11 (x - mean), summed in closed form.
 
     With y = x - mean, alpha = 1 - t11 dt, S0_i the occupation mass after i
     steps and eta_i = xi_i - t00 dt, one step is the linear recursion
         y_(i+1) = (S0_i / S0_(i+1)) (alpha y_i + eta_i),
         mean_(i+1) = mean_i + dt y_(i+1) / S0_i,
-    so z_i = y_i S0_i / alpha^i is a cumulative sum of S0_i eta_i / alpha^(i+1).
-    The sum restarts every block, short enough that alpha^(-k) stays below
-    about e^30.  ``noise`` (R, n) is overwritten: it holds eta, then the
-    mean increments of each block.  Returns positions and centers (R, n+1).
-    t11 != 0 because `convolution_matrix` trims zero coefficients.
+    so z_i = y_i S0_i follows z_(i+1) = alpha z_i + S0_i eta_i (`_ar1`).
+    Paths start at x0 + y0, their sums anchored at x0.  ``noise`` (R, n) is
+    overwritten: it holds S0 eta, then the means; z and then y stand in the
+    positions.  Returns positions and centers (R, n+1).  t11 != 0 because
+    `convolution_matrix` trims zero coefficients.
     """
     t00, t11 = T[0, 0], T[1, 0]
     R, n = noise.shape
     s0, s1 = power_sums(*prehistory, float(x0), 2)
     S0 = s0 + dt * np.arange(n + 1)
-    alpha = 1.0 - t11 * dt
-    block = max(8, min(8192, int(30.0 / max(abs(t11) * dt, 1e-12))))
-    up = alpha ** np.arange(1, min(block, n) + 1)
     positions = np.empty((R, n + 1))
     centers = np.empty((R, n + 1))
-    y = np.full(R, -s1 / s0)
-    mean = np.full(R, float(x0) + s1 / s0)
-    positions[:, 0] = x0
-    centers[:, 0] = mean - t00 / t11
-    for p in range(0, n, block):
-        b = min(block, n - p)
-        eta = noise[:, p:p + b]
-        seg = positions[:, p + 1:p + b + 1]
-        eta -= t00 * dt
-        np.multiply(eta, S0[p:p + b] / up[:b], out=seg)
-        np.cumsum(seg, axis=1, out=seg)
-        seg += (y * S0[p])[:, None]
-        seg *= up[:b] / S0[p + 1:p + b + 1]
-        y = seg[:, -1].copy()
-        np.multiply(seg, dt / S0[p:p + b], out=eta)
-        np.cumsum(eta, axis=1, out=eta)
-        eta += mean[:, None]
-        mean = eta[:, -1].copy()
-        seg += eta
-        np.subtract(eta, t00 / t11, out=centers[:, p + 1:p + b + 1])
+    positions[:, 0] = x0 + y0
+    centers[:, 0] = x0 + s1 / s0 - t00 / t11
+    noise -= t00 * dt
+    noise *= S0[:-1]
+    y = _ar1(1.0 - t11 * dt, np.full(R, (y0 - s1 / s0) * s0), noise, positions[:, 1:])
+    y /= S0[1:]
+    np.divide(y, S0[:-1], out=noise)
+    noise *= dt
+    np.cumsum(noise, axis=1, out=noise)
+    noise += x0 + s1 / s0
+    y += noise
+    np.subtract(noise, t00 / t11, out=centers[:, 1:])
     return positions, centers
 
 
@@ -511,18 +524,16 @@ def coupled_frozen(w: PotentialSpec, record: TrajectoryRecord,
     S = power_sums(occ.positions, occ.weights, a, T.shape[0])
     b = T @ S / S[0]
     c0 = a + _center(b, float(record.positions[i0]) - a)
-    vg = None if v is None else \
-        np.polynomial.polynomial.polyder(v.poly1d_coefficients()).tolist()
+    vg = _v_gradient(v)
 
     if y_start is None:
         dens = gibbs_map(w, occ, v=v).density
         y_start = _sample_restricted(dens, c0 - 1.0, c0 + 1.0,
                                      rng.stream(seed, 0, rng.INIT_SAMPLING))
 
-    incs = (cfg.noise_scale * math.sqrt(cfg.dt)
-            * rng.normal_increments(cfg.seed, cfg.n_steps, record.replica))
+    incs = _increments(cfg, i1, record.replica)[i0:]
     B = np.broadcast_to(b[:, None], (b.size, i1 - i0))
-    ys = _step_driven(B, a, float(y_start), incs[i0:i1], cfg.dt, vg)
+    ys = _step_driven(B, a, float(y_start), incs, cfg.dt, vg)
     return CoupledPaths(times=record.times[i0:i1 + 1],
                         x_path=record.positions[i0:i1 + 1].copy(),
                         y_path=ys, window=(t0, t1), y_start=float(y_start),
@@ -643,19 +654,10 @@ def ou_modulus_exact(c_w: float, d: int, dt: float, t_end: float, seed: int,
         u[0] = z0
     out = np.empty((n + 1, m))
     out[0] = u
-    # blockwise exact AR(1): within a block the scaled-cumsum trick is stable
-    block = max(8, min(8192, int(30.0 / max(theta * dt, 1e-12))))
+    # the exact transition u_(k+1) = a u_k + s xi_k, time along the rows
     xi = gen.standard_normal((n, m))
-    pos = 0
-    while pos < n:
-        b = min(block, n - pos)
-        powers = a ** np.arange(1, b + 1)
-        inv = a ** (-np.arange(b, dtype=float))
-        zcum = np.cumsum(xi[pos:pos + b] * inv[:, None], axis=0)
-        seg = powers[:, None] * u[None, :] + s * (powers / a)[:, None] * zcum
-        out[pos + 1:pos + b + 1] = seg
-        u = seg[-1]
-        pos += b
+    xi *= s
+    _ar1(a, u, xi.T, out[1:].T)
     ts = dt * np.arange(n + 1)
     return ts, np.linalg.norm(out, axis=1)
 
@@ -739,22 +741,23 @@ def _lipschitz_radius2(w: PotentialSpec) -> float:
     return float(np.abs(h).max())
 
 
-def _simulate_from_zero(w, x0, cfg, v, replica):
+def _from_zero(w, x0, dt, v, incs):
+    """Positions and centers (n+1, centers NaN between recomputations) of a
+    run from t = 0 on the n increments ``incs`` (overwritten): the
+    contraction bootstrap on a short first segment, then the running-moment
+    tail.  The tail's sums stay anchored at x0 like the bootstrap's, so a
+    path without attraction keeps x0 as its center."""
     if v is not None:
         raise UnsupportedInputError("the t = 0 bootstrap handles the pure "
                                     "interaction case only")
-    if cfg.history_mode != "running-moments":
-        raise UnsupportedInputError("t = 0 runs use running-moments history")
     lip = _lipschitz_radius2(w)
-    n = cfg.n_steps
-    incs = (cfg.noise_scale * math.sqrt(cfg.dt)
-            * rng.normal_increments(cfg.seed, n, replica))
+    n = incs.size
     noise_path = np.concatenate(([0.0], np.cumsum(incs)))
     # the bootstrap segment: at most half the run, delta * Lip(grad W) below
     # 1/3.2, and the noise path inside the half-unit ball
     m = n // 2
     if lip > 0:
-        m = min(m, max(2, math.floor((1.0 / (3.2 * lip)) / cfg.dt)))
+        m = min(m, max(2, math.floor((1.0 / (3.2 * lip)) / dt)))
     while m >= 2 and float(np.abs(noise_path[:m + 1]).max()) > 0.5:
         m //= 2
     if m < 2:
@@ -762,20 +765,12 @@ def _simulate_from_zero(w, x0, cfg, v, replica):
             "the t = 0 bootstrap needs 2 or more steps in the first half of the "
             f"run ({n} steps) on which the noise path stays within 0.5 of x0; "
             "lengthen the run, or lower dt or noise_scale")
-    boot = picard_bootstrap(w, x0, cfg.dt * np.arange(m + 1), noise_path[:m + 1])
-    x_tail = float(boot.path[-1])
-    t_tail = cfg.dt * m
-    # reuse the tail of the same increment stream
-    tail_n = int(round((cfg.t_end - t_tail) / cfg.dt))
-    (positions,), (centers,) = _run_moments(w, None, x_tail,
-                                            (boot.path[1:], np.full(m, cfg.dt)),
-                                            incs[None, m:m + tail_n], cfg.dt)
-    _interpolate_center_gaps(centers)
-    times = np.concatenate((boot.times[:-1], t_tail + cfg.dt * np.arange(tail_n + 1)))
-    full_pos = np.concatenate((boot.path[:-1], positions))
-    cent = np.concatenate((np.full(m, centers[0]), centers))
-    return TrajectoryRecord(w, None, cfg, replica, times, full_pos,
-                            _occupation_weights(cfg, times.size), cent)
+    boot = picard_bootstrap(w, x0, dt * np.arange(m + 1), noise_path[:m + 1])
+    # the tail goes on with the same increment stream
+    (positions,), (centers,) = _run_moments(w, None, x0, (boot.path[1:], np.full(m, dt)),
+                                            incs[None, m:], dt, y0=boot.path[-1] - x0)
+    return (np.concatenate((boot.path[:-1], positions)),
+            np.concatenate((np.full(m, centers[0]), centers)))
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,12 @@ class TestConfig:
         code = main(["--config", cfg, "simulate"])
         assert code == 2
 
+    def test_history_mode_is_not_a_config_key(self, tmp_path, capsys):
+        # the full-history drift is a test oracle, not a mode
+        cfg = write(tmp_path / "h.cfg", "[sim]\nhistory_mode = full-history\n")
+        assert main(["--config", cfg, "simulate"]) == 2
+        assert "unknown config key [sim] history_mode" in capsys.readouterr().err
+
     def test_schema_file_matches_parser(self):
         # a knob deleted from one of the two must not linger in the other
         text = (Path(__file__).resolve().parents[1] / "config-schema.txt").read_text()
@@ -111,7 +117,7 @@ class TestCommands:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_simulate_replicas_from_time_zero(self, tmp_path):
-        # replicas started at t = 0 run one by one through the bootstrap;
+        # replicas started at t = 0 each run through their own bootstrap;
         # each CSV path is the thinned single-replica path, digit for digit
         cfg = write(tmp_path / "z.cfg",
                     "[sim]\ndt = 0.01\nt_start = 0.0\nt_end = 5.0\nseed = 3\n"

@@ -15,6 +15,7 @@ from selfattract import (GridDensity, ParticleMeasure, SimConfig, center, dirac,
                          even_polynomial, free_energy, frozen_energy_difference,
                          gaussian_density, gibbs_map, quadratic_shifted,
                          quadratic_symmetric, simulate, simulate_ensemble)
+from selfattract import sde
 from selfattract.gridkernel import interaction_energy
 from selfattract.powersums import power_sums, reanchor
 from conftest import make_rng
@@ -139,10 +140,8 @@ def test_reanchored_paths_match_the_full_history_oracle():
     # far from the anchor x0 at the first recomputation and the sums re-anchor
     w = even_polynomial([0.5, 0.25])
     cfg = SimConfig(dt=0.01, t_end=6.0, t_start=1.0, seed=5)
-    oracle_cfg = SimConfig(dt=0.01, t_end=6.0, t_start=1.0, seed=5,
-                           history_mode="full-history")
     single = simulate(w, 4.0, cfg, initial_occupation=dirac(0.0))
-    oracle = simulate(w, 4.0, oracle_cfg, initial_occupation=dirac(0.0))
-    assert np.abs(single.positions - oracle.positions).max() <= 1e-12
+    oracle, _ = sde._full_history_path(w, 4.0, cfg, initial_occupation=dirac(0.0))
+    assert np.abs(single.positions - oracle).max() <= 1e-12
     ensemble = simulate_ensemble(w, 4.0, cfg, 2, initial_occupation=dirac(0.0))
     assert np.abs(ensemble[0].positions - single.positions).max() <= 1e-13

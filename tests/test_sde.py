@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -28,14 +27,14 @@ def short_cfg(**kw):
 class TestSimulate:
     def test_running_moments_equal_full_history(self, quad):
         r1 = simulate(quad, 0.5, short_cfg())
-        r2 = simulate(quad, 0.5, short_cfg(history_mode="full-history"))
-        assert np.abs(r1.positions - r2.positions).max() <= 1e-12
+        oracle, _ = sde._full_history_path(quad, 0.5, short_cfg())
+        assert np.abs(r1.positions - oracle).max() <= 1e-12
 
     def test_identity_holds_for_quartic(self):
         w = even_polynomial([0.5, 0.25])
         r1 = simulate(w, 0.5, short_cfg())
-        r2 = simulate(w, 0.5, short_cfg(history_mode="full-history"))
-        assert np.abs(r1.positions - r2.positions).max() <= 1e-12
+        oracle, _ = sde._full_history_path(w, 0.5, short_cfg())
+        assert np.abs(r1.positions - oracle).max() <= 1e-12
 
     def test_bit_identical_reruns(self, quad):
         cfg = short_cfg(seed=123)
@@ -89,20 +88,20 @@ class TestSimulate:
         assert np.all(dc <= bound + 10 * cfg.dt)
 
     def test_zero_interaction_center_agrees_across_history_modes(self):
-        # no attraction: both modes keep the start point as the center;
-        # otherwise both take the root of W' * mu, at every step for a
-        # linear drift, also where W is not uniformly convex
+        # no attraction: the moment stepper and the full-history oracle keep
+        # the start point as the center; otherwise both take the root of
+        # W' * mu, at every step for a linear drift, also where W is not
+        # uniformly convex
         cfg = short_cfg(seed=2, t_end=3.0)
-        oracle_cfg = short_cfg(seed=2, t_end=3.0, history_mode="full-history")
         moments = simulate(zero_interaction(), 0.5, cfg)
-        oracle = simulate(zero_interaction(), 0.5, oracle_cfg)
-        assert np.abs(moments.positions - oracle.positions).max() <= 1e-12
-        assert np.array_equal(moments.center_track, oracle.center_track)
+        positions, centers = sde._full_history_path(zero_interaction(), 0.5, cfg)
+        assert np.abs(moments.positions - positions).max() <= 1e-12
+        assert np.array_equal(moments.center_track, centers)
         for w in (even_polynomial([0.0, 0.1]), quadratic_symmetric(1.0)):
             moments = simulate(w, 0.5, cfg)
-            oracle = simulate(w, 0.5, oracle_cfg)
-            assert np.abs(moments.positions - oracle.positions).max() <= 1e-12
-            assert np.abs(moments.center_track - oracle.center_track).max() <= 1e-9
+            positions, centers = sde._full_history_path(w, 0.5, cfg)
+            assert np.abs(moments.positions - positions).max() <= 1e-12
+            assert np.abs(moments.center_track - centers).max() <= 1e-9
 
     def test_warm_start_occupation(self, quad):
         gen = make_rng(8)
@@ -194,14 +193,17 @@ class TestEnsemble:
         assert np.abs(ens[0].positions - ens[1].positions).max() > 1e-3
 
     def test_full_history_ensemble_keeps_warm_block(self, quad):
+        # every row of a warm-started ensemble is its replica's path under
+        # the drift summed over the warm block and the path's own atoms
         warm = ParticleMeasure(make_rng(19).standard_normal(10) + 1.0, np.full(10, 0.1))
-        cfg = short_cfg(seed=41, history_mode="full-history")
+        cfg = short_cfg(seed=41)
         ens = simulate_ensemble(quad, 0.0, cfg, 2, initial_occupation=warm)
         for r, rec in enumerate(ens):
-            single = simulate(quad, 0.0, cfg, replica=r, initial_occupation=warm)
+            positions, centers = sde._full_history_path(quad, 0.0, cfg, replica=r,
+                                                        initial_occupation=warm)
             assert rec.initial_occupation is warm
-            assert np.array_equal(rec.positions, single.positions)
-            assert np.array_equal(rec.center_track, single.center_track)
+            assert np.abs(rec.positions - positions).max() <= 1e-12
+            assert np.abs(rec.center_track - centers).max() <= 1e-12
 
     @pytest.mark.parametrize("w", [quadratic_symmetric(1.0), quadratic_symmetric(0.3),
                                    quadratic_shifted(1.0)],
@@ -229,10 +231,9 @@ class TestEnsemble:
         # from the origin, where one ulp of x is 1e-13)
         short = SimConfig(dt=0.01, t_end=6.0, t_start=1.0, seed=58)
         rec = simulate(w, x0, short, initial_occupation=init)
-        oracle = simulate(w, x0, dataclasses.replace(short, history_mode="full-history"),
-                          initial_occupation=init)
-        assert np.abs(rec.positions - oracle.positions).max() <= 1e-12 * max(1.0, x0)
-        assert np.abs(rec.center_track - oracle.center_track).max() <= 1e-12 * max(1.0, x0)
+        positions, centers = sde._full_history_path(w, x0, short, initial_occupation=init)
+        assert np.abs(rec.positions - positions).max() <= 1e-12 * max(1.0, x0)
+        assert np.abs(rec.center_track - centers).max() <= 1e-12 * max(1.0, x0)
 
     def test_zero_slope_quadratic_matches_zero_interaction(self):
         # W = 0 x^2 has an identically zero drift, like zero_interaction():
@@ -246,6 +247,23 @@ class TestEnsemble:
             for rec in (simulate(w, 0.5, cfg), simulate_ensemble(w, 0.5, cfg, 2)[0]):
                 assert np.array_equal(rec.positions, ref.positions)
                 assert np.array_equal(rec.center_track, ref.center_track)
+
+
+    @pytest.mark.parametrize("alpha,n", [(1.0 - 1e-4, 20_000), (0.9, 2_000)],
+                             ids=["near-one", "decaying"])
+    def test_ar1_block_sum_matches_the_recursion(self, alpha, n):
+        # both runs cross more than one block of the scaled cumulative sum
+        gen = make_rng(5)
+        f = gen.standard_normal((2, n))
+        z0 = np.array([0.3, -2.0])
+        got = sde._ar1(alpha, z0, f, np.empty((2, n)))
+        want = np.empty((2, n))
+        for r in range(2):
+            z = float(z0[r])
+            for k in range(n):
+                z = alpha * z + float(f[r, k])
+                want[r, k] = z
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestCoupledFrozen:
@@ -297,6 +315,21 @@ class TestCoupledFrozen:
         want = np.array(want)
         assert cp.y_path.size == want.size == 501
         assert np.abs(cp.y_path - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_draws_only_the_increments_up_to_the_window_end(self, quad, monkeypatch):
+        rec = simulate(quad, 0.0, SimConfig(dt=0.01, t_end=300.0, t_start=1.0, seed=13))
+        t0, t1 = 20.0, 21.0
+        drawn = []
+        original = rng.normal_increments
+
+        def recording(seed, n, *args, **kwargs):
+            drawn.append(n)
+            return original(seed, n, *args, **kwargs)
+
+        monkeypatch.setattr(rng, "normal_increments", recording)
+        cp = coupled_frozen(quad, rec, (t0, t1), seed=2)
+        assert drawn and max(drawn) <= rec.index_at(t1)
+        assert cp.y_path.size == rec.index_at(t1) - rec.index_at(t0) + 1
 
     def test_window_occupation_gap_shrinks(self, quad):
         cfg = SimConfig(dt=0.01, t_end=300.0, t_start=1.0, seed=21)
@@ -433,6 +466,24 @@ class TestPicardBootstrap:
         noise = np.zeros(m + 1)
         with pytest.raises(InvalidInputError):
             picard_bootstrap(quad, 0.0, dt * np.arange(m + 1), noise)
+
+    def test_start_at_zero_without_attraction_keeps_x0_as_center(self):
+        for x0 in (0.0, 2.5):
+            cfg = SimConfig(dt=1e-3, t_end=1.0, t_start=0.0)
+            rec = simulate(zero_interaction(), x0, cfg)
+            assert np.all(rec.center_track == x0)
+
+    @pytest.mark.parametrize("w", [quadratic_symmetric(1.0), even_polynomial([0.5, 0.1])],
+                             ids=["quadratic", "quartic"])
+    def test_start_at_zero_ensemble_rows_are_single_runs(self, w):
+        cfg = SimConfig(dt=1e-3, t_end=2.0, t_start=0.0, seed=83)
+        ens = simulate_ensemble(w, 0.4, cfg, 3)
+        for r, rec in enumerate(ens):
+            single = simulate(w, 0.4, cfg, replica=r)
+            assert rec.times[0] == 0.0 and rec.weights[0] == 0.0
+            assert np.array_equal(rec.times, single.times)
+            assert np.array_equal(rec.positions, single.positions)
+            assert np.array_equal(rec.center_track, single.center_track)
 
     def test_start_at_zero_runs_through_bootstrap(self, quad):
         cfg = SimConfig(dt=1e-3, t_end=1.0, t_start=0.0, seed=83)
