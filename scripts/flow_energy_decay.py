@@ -6,10 +6,10 @@ fitted decay exponent of the relative free energy.
 """
 
 import argparse
-import csv
 
 from selfattract import (RateParams, Schedule, dirac, envelope_compare,
                          quadratic_symmetric, run_flow, smooth)
+from selfattract.persist import write_series_csv
 
 
 def main():
@@ -25,11 +25,9 @@ def main():
     states = run_flow(w, init, Schedule(n_start=1, n_end=args.n_end))
     rep = envelope_compare(states, RateParams(c7=args.c7, k=w.bound_degree))
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "t", "relative_energy", "envelope"])
-        for st, y in zip(states, rep["envelope_trace"]):
-            writer.writerow([st.n, st.time, st.free_energy.relative, y])
+    write_series_csv(args.out, ["n", "t", "relative_energy", "envelope"],
+                     ((st.n, st.time, st.free_energy.relative, y)
+                      for st, y in zip(states, rep["envelope_trace"])))
     print(f"wrote {args.out}")
     print(f"decay exponent fit: {rep['decay_exponent']:.4f}")
     print(f"envelope satisfied at {rep['fraction_satisfied']:.1%} of steps")

@@ -89,7 +89,7 @@ def _coerce(section: str, key: str, value: str):
         raise InvalidInputError(f"bad value for [{section}] {key}: {value!r}")
 
 
-def _build_potential(kv: dict, external: bool = False) -> PotentialSpec:
+def _build_potential(kv: dict) -> PotentialSpec:
     kind = kv.get("kind", "quadratic-symmetric")
     coeffs = [float(c) for c in str(kv.get("coefficients", "1.0")).split()]
     extra = {}
@@ -154,7 +154,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Exper
         out=str(overrides.get("out") or exp.get("out", "out")),
         replicas=int(overrides.get("replicas") or exp.get("replicas", 1)),
         potential=_build_potential(sections.get("potential", {})),
-        external=(_build_potential(sections["external"], external=True)
+        external=(_build_potential(sections["external"])
                   if "external" in sections else None),
         sim=sim,
         schedule=schedule,

@@ -1,10 +1,10 @@
 """Free-energy functionals and the decay-rate machinery.
 
 The free energy of a density is its entropy plus the external term plus
-half the self-interaction double integral.  In 1-d every interaction
-integral -- self, cross, and against a signed difference -- is the bilinear
-form of `powersums` in cell power sums taken about the shared grid's
-midpoint.  For polynomial W it equals the cell-by-cell double sum up to
+half the self-interaction double integral.  Every interaction integral --
+self (1-d and 2-d), cross and against a signed difference (1-d) -- is the
+bilinear form of `powersums` in cell power sums taken about the shared
+grid's midpoint.  For polynomial W it equals the cell-by-cell double sum up to
 rounding, in O(n) time and memory, so the quadratic-expansion identities
 below hold to rounding on a shared grid.
 """

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError
-from .gridkernel import convolve_measure_on_grid, potential_on_grid
+from .gridkernel import potential_on_grid
 from .measures import (GridDensity, Measure, as_atoms, center, convolve_potential,
                        p_norm, recenter)
 from .potentials import PotentialSpec
@@ -63,13 +63,12 @@ def gibbs_map(w: PotentialSpec, m: Measure, v: PotentialSpec | None = None,
     The evaluation grid defaults to an auto-sized box around the center of m;
     pass ``grid`` to reuse an existing geometry (the flow does).
     """
-    if p_norm(w, m) == float("inf"):
-        raise InvalidInputError("measure has infinite envelope norm")
+    p_norm(w, m)    # raises NumericFailureError when the envelope norm diverges
     if grid is None:
         if as_atoms(m).dim != 1:
             raise InvalidInputError("2-d Gibbs map needs an explicit grid")
         grid = _auto_grid(w, v, m, cells)
-    phi = convolve_measure_on_grid(w, m, grid)
+    phi = convolve_potential(w, m, grid.centers())
     if v is not None:
         phi = phi + potential_on_grid(v, grid)
     phi_min = float(phi.min())

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError, UnsupportedInputError
-from .potentials import PotentialSpec, as_envelope, evaluate
-from .powersums import anchor, convolution_matrix, power_sums
+from .potentials import PotentialSpec, as_envelope, polynomial_derivative
+from .powersums import anchor, convolution_matrix, convolution_tensor, power_sums
 
 _MASS_TOL = 1e-9
 
@@ -191,18 +191,29 @@ def as_atoms(m: Measure) -> ParticleMeasure:
 
 
 def _expansion(p: PotentialSpec, atoms: ParticleMeasure, order: int):
-    """1-d anchor a and ascending coefficients in (x - a) of (d^order W * m)(x)."""
+    """Anchor a, ascending coefficients in y = x - a, and the derivative order
+    still to take of them to get (d^order W * m)(x).
+
+    1-d expands the order-th derivative of W (`convolution_matrix`), so none
+    is left; 2-d expands W itself (`convolution_tensor`) and leaves all of
+    them to `polynomial_derivative`.
+    """
     a = anchor(atoms.positions)
-    T = convolution_matrix(p, order)
-    return a, T @ power_sums(atoms.positions, atoms.weights, a, T.shape[0])
+    if atoms.dim == 1:
+        T = convolution_matrix(p, order)
+        return a, T @ power_sums(atoms.positions, atoms.weights, a, T.shape[0]), 0
+    T = convolution_tensor(p)
+    S = power_sums(atoms.positions, atoms.weights, a, T.shape[2:])
+    return a, np.einsum("ijkl,kl->ij", T, S), order
 
 
 def convolve_potential(p: PotentialSpec, m: Measure, x, order: int = 0):
-    """(W*m)(x), (grad W*m)(x) or (hess W*m)(x).
+    """(W*m)(x), (grad W*m)(x) or (hess W*m)(x) by the anchored power-sum
+    expansion, exact for the polynomial families (midpoint quadrature for
+    grids).
 
-    1-d: the anchored power-sum expansion, exact for the polynomial
-    families; x may be a scalar or an array of points.  2-d: exact
-    weighted sums over atoms (midpoint quadrature for grids).
+    1-d: x is a scalar or an array of points.  2-d: x has shape (..., 2);
+    the result has shape (...), (..., 2) or (..., 2, 2) by order.
     """
     atoms = as_atoms(m)
     if atoms.total_mass <= 0:
@@ -211,47 +222,33 @@ def convolve_potential(p: PotentialSpec, m: Measure, x, order: int = 0):
     if atoms.dim == 1:
         if x.ndim == 1 and x.size == 1:
             x = x.reshape(())
-        a, coeffs = _expansion(p, atoms, order)
-        out = np.polynomial.polynomial.polyval(x - a, coeffs)
-        return float(out) if x.ndim == 0 else out
-    if atoms.dim != x.shape[-1]:
+    elif atoms.dim != x.shape[-1]:
         raise InvalidInputError("point dimension does not match the measure")
-    # d = 2: direct weighted sum of evaluate over atoms.
-    total = None
-    for pos, w in zip(atoms.positions, atoms.weights):
-        term = evaluate(p, x - pos, order)
-        total = w * np.asarray(term) if total is None else total + w * np.asarray(term)
-    return float(total) if np.ndim(total) == 0 else total
+    a, coeffs, k = _expansion(p, atoms, order)
+    out = polynomial_derivative(coeffs, x - a, k)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def center(p: PotentialSpec, m: Measure, tol: float = 1e-10, max_iter: int = 50):
     """Unique root of grad (W*m); Newton from the mean with the exact Hessian.
 
-    1-d works in y = x - a about the anchor a of the measure, so the
-    iteration is the same wherever the measure sits.
+    Works in y = x - a about the anchor a of the measure, on one expansion,
+    so the iteration is the same wherever the measure sits.
     """
     atoms = as_atoms(m)
     if p.convexity_constant <= 0:
         raise InvalidInputError("center requires a uniformly convex potential")
-    if atoms.dim == 1:
-        a, grad = _expansion(p, atoms, 1)
-        hess = np.polynomial.polynomial.polyder(grad)
-        c = atoms.mean() - a
-        for _ in range(max_iter):
-            g = float(np.polynomial.polynomial.polyval(c, grad))
-            if abs(g) <= tol:
-                return a + float(c)
-            hval = float(np.polynomial.polynomial.polyval(c, hess))
-            c -= g / hval
-        raise NumericFailureError(f"center Newton did not converge (|grad|={abs(g):.3e})")
-    c = np.asarray(atoms.mean(), dtype=float)
+    a, grad, k = _expansion(p, atoms, 1)
+    c = atoms.mean() - a
     for _ in range(max_iter):
-        g = np.asarray(convolve_potential(p, atoms, c, 1))
+        g = polynomial_derivative(grad, c, k)
         if float(np.linalg.norm(g)) <= tol:
-            return c
-        h = np.asarray(convolve_potential(p, atoms, c, 2))
-        c = c - np.linalg.solve(h, g)
-    raise NumericFailureError("center Newton did not converge in 2-d")
+            out = a + c
+            return float(out) if np.ndim(out) == 0 else out
+        h = polynomial_derivative(grad, c, k + 1)
+        c = c - (g / h if atoms.dim == 1 else np.linalg.solve(h, g))
+    raise NumericFailureError(
+        f"center Newton did not converge (|grad|={float(np.linalg.norm(g)):.3e})")
 
 
 def recenter(m: Measure, c) -> Measure:
@@ -383,9 +380,6 @@ def moments(m: Measure, max_degree: int) -> np.ndarray:
         raise InvalidInputError("max_degree must be at least 1")
     atoms = as_atoms(m).normalized()
     pos = np.atleast_2d(atoms.positions.T).T  # (n, d)
-    out = np.empty((max_degree, pos.shape[1]))
-    acc = np.ones_like(pos)
-    for j in range(1, max_degree + 1):
-        acc = acc * pos
-        out[j - 1] = atoms.weights @ acc
+    out = np.stack([power_sums(col, atoms.weights, 0.0, max_degree + 1)[1:]
+                    for col in pos.T], axis=1)
     return out[:, 0] if atoms.dim == 1 else out

@@ -20,7 +20,7 @@ from .measures import GridDensity, ParticleMeasure
 
 def write_series_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(x)) if isinstance(x, (float, np.floating))

@@ -10,6 +10,7 @@ grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,55 +124,70 @@ class PotentialSpec:
             raise UnsupportedInputError("shifted potential is not spherically symmetric")
         return self.poly1d_coefficients()
 
+    def poly2d_coefficients(self) -> np.ndarray:
+        """Coefficients P[i, j] of W(x) = sum P[i, j] x1^i x2^j in 2-d: each
+        |x|^(2j) = (x1^2 + x2^2)^j expanded binomially."""
+        w = self.radial_coefficients()
+        out = np.zeros((w.size, w.size))
+        for n in range(0, w.size, 2):
+            for k in range(0, n + 1, 2):
+                out[k, n - k] = w[n] * math.comb(n // 2, k // 2)
+        return out
 
-def _polyval(coeffs: np.ndarray, x):
-    return np.polynomial.polynomial.polyval(x, coeffs)
+
+def polynomial_derivative(coeffs, y, order: int = 0):
+    """Value, gradient or Hessian at y of a polynomial in ascending
+    coefficients, by differentiating the coefficients along each axis.
+
+    1-d: coeffs of shape (L,); returns the order-th derivative at y, of y's
+    shape.  2-d: coeffs[i, j] multiplies y1^i y2^j and y has shape (..., 2);
+    returns shape (...) for order 0, (..., 2) for the gradient and
+    (..., 2, 2) for the Hessian.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim == 1:
+        for _ in range(order):
+            c = _derivative(c, 0)
+        return np.polynomial.polynomial.polyval(y, c)
+    y = np.asarray(y, dtype=float)
+    out = np.empty(y.shape[:-1] + (2,) * order)
+    for axes in np.ndindex(*(2,) * order):
+        d = c
+        for axis in axes:
+            d = _derivative(d, axis)
+        out[(...,) + axes] = np.polynomial.polynomial.polyval2d(y[..., 0], y[..., 1], d)
+    return out
 
 
-def _polyder(coeffs: np.ndarray, m: int = 1) -> np.ndarray:
-    return np.polynomial.polynomial.polyder(coeffs, m)
+def _derivative(c: np.ndarray, axis: int) -> np.ndarray:
+    """`polyder` of a coefficient array along one axis, with the same
+    products j * c[j] but without its per-call overhead (Newton calls this
+    on every iteration)."""
+    n = c.shape[axis]
+    if n == 1:
+        return np.zeros_like(c)
+    j = np.arange(1.0, n).reshape((-1,) + (1,) * (c.ndim - 1 - axis))
+    return c[(slice(None),) * axis + (slice(1, None),)] * j
 
 
 def evaluate(p: PotentialSpec, x, order: int = 0):
     """W(x), grad W(x) or hess W(x); exact for the polynomial families.
 
-    x is a scalar (d = 1) or a length-d array (d = 2 supported).  Returns a
-    float for order 0, a float / vector for order 1, a float / matrix for
-    order 2.
+    x is a scalar (d = 1) or a length-2 array (d = 2, through the coordinate
+    polynomial `PotentialSpec.poly2d_coefficients`).  Returns a float for
+    order 0, a float / vector for order 1, a float / matrix for order 2.
     """
     if order not in (0, 1, 2):
         raise InvalidInputError("order must be 0, 1 or 2")
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("potential argument must be finite")
-
     if x.ndim == 0:
-        w = p.poly1d_coefficients()
-        if order == 0:
-            return float(_polyval(w, x))
-        return float(_polyval(_polyder(w, order), x))
-
-    if x.shape[-1] > 2:
+        return float(polynomial_derivative(p.poly1d_coefficients(), x, order))
+    if x.shape != (2,):
         raise UnsupportedInputError("only d in {1, 2} is supported")
-    if p.kind == "quadratic-shifted":
-        raise UnsupportedInputError("shifted potential is one-dimensional")
-
-    w = p.radial_coefficients()
-    r = float(np.linalg.norm(x))
-    if order == 0:
-        return float(_polyval(w, r))
-    # s(r) = w'(r)/r is a polynomial in r^2 for even w; evaluate it directly.
-    wd = _polyder(w)          # w'
-    s_coeffs = wd[1::2]       # w'(r)/r in powers of r^2
-    s = float(np.polynomial.polynomial.polyval(r * r, s_coeffs))
-    if order == 1:
-        return s * x
-    wdd = float(_polyval(_polyder(w, 2), r))
-    d = x.shape[-1]
-    if r == 0.0:
-        return wdd * np.eye(d)
-    u = x / r
-    return s * np.eye(d) + (wdd - s) * np.outer(u, u)
+    out = polynomial_derivative(p.poly2d_coefficients(), x, order)
+    return float(out) if order == 0 else out
 
 
 def dominating_polynomial(p: PotentialSpec, r: float) -> float:
@@ -223,9 +239,7 @@ def certify(p: PotentialSpec, sample_radius: float, n_samples: int = 512) -> Cer
 
     xs = np.linspace(-sample_radius, sample_radius, n_samples)
     w = p.poly1d_coefficients()
-    vals = _polyval(w, xs)
-    grads = _polyval(_polyder(w, 1), xs)
-    hesss = _polyval(_polyder(w, 2), xs)
+    vals, grads, hesss = (polynomial_derivative(w, xs, k) for k in range(3))
 
     # directional curvature: in d=1 just W''; spherically symmetric kinds also
     # carry the tangential eigenvalue w'(r)/r relevant in d=2.
@@ -233,7 +247,7 @@ def certify(p: PotentialSpec, sample_radius: float, n_samples: int = 512) -> Cer
     if p.kind != "quadratic-shifted":
         rs = np.abs(xs[xs != 0])
         if rs.size:
-            s_coeffs = _polyder(w)[1::2]
+            s_coeffs = _derivative(w, 0)[1::2]
             curvatures.append(np.polynomial.polynomial.polyval(rs * rs, s_coeffs).min())
     min_curv = float(min(curvatures))
     curvature_pass = p.convexity_constant > 0 and min_curv >= p.convexity_constant - 1e-9
@@ -271,8 +285,7 @@ def _auto_envelope(poly: np.ndarray, degree: int, probe_radius: float = 50.0) ->
     P stays sub-multiplicative.  Probes both half-lines: the shifted family
     is not even."""
     xs = np.linspace(-probe_radius, probe_radius, 8001)
-    need = np.abs(_polyval(poly, xs)) + np.abs(_polyval(_polyder(poly), xs)) \
-        + np.abs(_polyval(_polyder(poly, 2), xs))
+    need = sum(np.abs(polynomial_derivative(poly, xs, k)) for k in range(3))
     dom = float((need / (1.0 + np.abs(xs) ** degree)).max()) * 1.05
     # sub-multiplicativity worst case sits at r1 = r2 = (1 - 2^(1-k))^(1/k)
     a_star = (1.0 - 2.0 ** (1 - degree)) ** (1.0 / degree)

@@ -322,8 +322,9 @@ def simulate(w: PotentialSpec, x0: float, cfg: SimConfig,
 
     The occupation measure starts as a pre-history block of mass t_start
     (an atom at x0, or ``initial_occupation`` rescaled to that mass); runs
-    started at t = 0 first build a short segment with the contraction
-    bootstrap and then switch to stepping.
+    started at t = 0 have no pre-history, so they take no
+    ``initial_occupation``, and first build a short segment with the
+    contraction bootstrap and then switch to stepping.
     """
     _check_dt(w, cfg)
     return _simulate_replicas(w, x0, cfg, [replica], v, initial_occupation)[0]
@@ -345,13 +346,14 @@ def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
 
 def _simulate_replicas(w, x0, cfg, replicas, v, initial_occupation):
     """Records of the given replica ids, each driven by its own noise row."""
+    if cfg.t_start == 0.0 and initial_occupation is not None:
+        raise InvalidInputError("a run from t = 0 has no pre-history to warm-start")
     n = cfg.n_steps
     dt = cfg.dt
     noise = np.empty((len(replicas), n))
     for k, r in enumerate(replicas):
         _increments(cfg, n, r, out=noise[k])
     if cfg.t_start == 0.0:
-        initial_occupation = None   # no pre-history block at t = 0
         positions = np.empty((len(replicas), n + 1))
         centers = np.empty_like(positions)
         for k in range(len(replicas)):

@@ -196,6 +196,19 @@ class TestCommands:
         header = (out / "energy_trace.csv").read_text().splitlines()[0]
         assert header == "step,entropy,interaction,total,relative"
 
+    def test_csv_rows_end_in_newline_alone(self, tmp_path):
+        sim = write(tmp_path / "s.cfg", "[sim]\ndt = 0.01\nt_end = 5.0\nseed = 7\n")
+        flow = write(tmp_path / "f.cfg",
+                     "[init]\nkind = atom\nposition = 0.0\nwidth = 0.5\n"
+                     "[schedule]\nn_end = 10\n[grid]\ncells = 256\nhalf_width = 7.0\n")
+        assert main(["--config", sim, "--out", str(tmp_path / "s"), "simulate"]) == 0
+        assert main(["--config", flow, "--out", str(tmp_path / "f"), "flow"]) == 0
+        for name in ("s/path_r0.csv", "s/occupation_r0.csv", "f/flow.csv",
+                     "f/final_density.csv"):
+            assert b"\r" not in (tmp_path / name).read_bytes(), name
+        assert load_measure(tmp_path / "s/occupation_r0.csv").mass == pytest.approx(1.0)
+        assert load_measure(tmp_path / "f/final_density.csv").mass == pytest.approx(1.0)
+
     def test_numeric_failure_exit_code(self, tmp_path):
         cfg = write(tmp_path / "nf.cfg",
                     "[fixpoint]\nmax_iter = 1\ntol = 1e-15\n"

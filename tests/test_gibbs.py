@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from selfattract import (GridDensity, NumericFailureError, ParticleMeasure,
-                         dirac, entropy, external_polynomial, gaussian_density,
-                         gibbs_map, quadratic_shifted, quadratic_symmetric,
-                         solve_fixed_point, tail_profile, uniform_density,
-                         zero_interaction)
+                         dirac, entropy, even_polynomial, external_polynomial,
+                         gaussian_density, gibbs_map, quadratic_shifted,
+                         quadratic_symmetric, solve_fixed_point, tail_profile,
+                         uniform_density, zero_interaction)
 from selfattract.energy import frozen_energy
 from selfattract.measures import p_norm_difference
 from conftest import make_rng, random_mixture
@@ -56,6 +56,12 @@ class TestGibbsMap:
         res = gibbs_map(quad, m)
         want = 0.5 * math.log(2 * math.pi) + 0.5 * (m1 * m1 - m2)
         assert res.log_partition == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_divergent_envelope_norm_fails(self):
+        # quartic envelope at 1e80 overflows: p_norm is the one check
+        with pytest.raises(NumericFailureError, match="envelope norm diverged"):
+            gibbs_map(even_polynomial([0.5, 0.1]), dirac(1e80))
 
     def test_misplaced_grid_fails_with_hint(self, quad):
         grid = uniform_density(40.0, 50.0, 256)

@@ -11,10 +11,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from selfattract import (GridDensity, ParticleMeasure, SimConfig, center, dirac,
-                         even_polynomial, free_energy, frozen_energy_difference,
-                         gaussian_density, gibbs_map, quadratic_shifted,
-                         quadratic_symmetric, simulate, simulate_ensemble)
+from selfattract import (GridDensity, ParticleMeasure, SimConfig, center,
+                         convolve_potential, dirac, even_polynomial, free_energy,
+                         frozen_energy_difference, gaussian_density, gibbs_map,
+                         quadratic_shifted, quadratic_symmetric, simulate,
+                         simulate_ensemble, zero_interaction)
 from selfattract import sde
 from selfattract.gridkernel import interaction_energy
 from selfattract.powersums import power_sums, reanchor
@@ -95,6 +96,83 @@ def test_free_energy_is_equivariant(name, s):
     moved = GridDensity(grid.lo + s, grid.hi + s, grid.values)
     want = free_energy(w, grid).total
     assert free_energy(w, moved).total == pytest.approx(want, rel=1e-12)
+
+
+# 2-d: the same engine per axis, checked against direct double sums
+POTENTIALS_2D = dict(POTENTIALS, flat_quartic=even_polynomial([0.5, 0.0]))
+DIRECTIONS = {"x1": (1.0, 0.0), "x2": (0.0, 1.0), "diagonal": (1.0, 1.0)}
+
+
+def random_grid_2d(shift) -> GridDensity:
+    vals = make_rng(8).uniform(0.1, 1.0, (32, 32))
+    return GridDensity(np.array([-3.0, -2.5]) + shift, np.array([2.5, 3.0]) + shift,
+                       vals).normalized()
+
+
+def radial_terms(w, u: np.ndarray, order: int) -> np.ndarray:
+    """W, grad W or hess W at each row of u, from W(x) = sum_j c_j |x|^(2j)."""
+    c = w.radial_coefficients()[2::2]
+    r2 = np.einsum("...k,...k->...", u, u)
+    if order == 0:
+        return sum(cj * r2 ** j for j, cj in enumerate(c, start=1))
+    s = sum(2 * j * cj * r2 ** (j - 1) for j, cj in enumerate(c, start=1))
+    if order == 1:
+        return s[..., None] * u
+    t = sum(4 * j * (j - 1) * cj * r2 ** (j - 2) for j, cj in enumerate(c, start=1) if j > 1)
+    return s[..., None, None] * np.eye(2) + np.asarray(t)[..., None, None] \
+        * u[..., :, None] * u[..., None, :]
+
+
+def direct_sums_2d(w, g: GridDensity, x: np.ndarray):
+    """(W*g)(x) and its gradient and Hessian, and half the double sum of
+    g W g over the cells, term by term."""
+    pts = g.centers().reshape(-1, 2)
+    mass = g.values.reshape(-1) * g.cell_volume
+    conv = [np.tensordot(mass, radial_terms(w, x - pts, k), axes=1) for k in (0, 1, 2)]
+    kernel = radial_terms(w, pts[:, None, :] - pts[None, :, :], 0)
+    return conv, 0.5 * float(mass @ kernel @ mass)
+
+
+@pytest.mark.parametrize("name", POTENTIALS_2D)
+@pytest.mark.parametrize("s, direction", [(0.0, "x1")] + [(s, d) for s in SHIFTS
+                                                          for d in DIRECTIONS])
+def test_2d_engine_equals_direct_double_sums(name, s, direction):
+    w = POTENTIALS_2D[name]
+    shift = s * np.array(DIRECTIONS[direction])
+    g = random_grid_2d(shift)
+    x = shift + np.array([1.3, -0.8])
+    conv, energy = direct_sums_2d(w, g, x)
+    for order, want in enumerate(conv):
+        got = convolve_potential(w, g, x, order)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert interaction_energy(w, g) == pytest.approx(energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", POTENTIALS_2D)
+@pytest.mark.parametrize("s", SHIFTS)
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_2d_center_gibbs_and_energy_are_equivariant(name, s, direction):
+    w = POTENTIALS_2D[name]
+    shift = s * np.array(DIRECTIONS[direction])
+    base, moved = random_grid_2d(0.0), random_grid_2d(shift)
+    assert np.abs(center(w, moved) - shift - center(w, base)).max() <= 1e-9 * max(1.0, s)
+    box = np.full((32, 32), 1.0 / 144.0)
+    on_base = GridDensity(np.array([-6.0, -6.0]), np.array([6.0, 6.0]), box)
+    on_moved = GridDensity(on_base.lo + shift, on_base.hi + shift, box)
+    want = gibbs_map(w, base, grid=on_base).density.values
+    got = gibbs_map(w, moved, grid=on_moved).density.values
+    assert np.abs(got - want).max() <= 1e-9
+    assert interaction_energy(w, moved) == pytest.approx(interaction_energy(w, base),
+                                                         rel=1e-12)
+
+
+def test_2d_zero_interaction_is_zero():
+    w, g = zero_interaction(), random_grid_2d(np.array([10.0, -3.0]))
+    x = np.array([11.3, -3.8])
+    assert convolve_potential(w, g, x, 0) == 0.0
+    assert np.all(convolve_potential(w, g, x, 1) == 0.0)
+    assert np.all(convolve_potential(w, g, x, 2) == 0.0)
+    assert interaction_energy(w, g) == 0.0
 
 
 EQUIVARIANCE_CFG = SimConfig(dt=0.01, t_end=51.0, t_start=1.0, seed=12)  # 5000 steps

@@ -461,6 +461,16 @@ class TestPicardBootstrap:
         with pytest.raises(InvalidInputError, match="t = 0 bootstrap needs 2 or more steps"):
             simulate(quad, 0.0, SimConfig(t_start=0.0, **kw))
 
+    @pytest.mark.parametrize("run", [
+        lambda w, cfg, occ: simulate(w, 0.0, cfg, initial_occupation=occ),
+        lambda w, cfg, occ: simulate_ensemble(w, 0.0, cfg, 2, initial_occupation=occ)],
+        ids=["simulate", "ensemble"])
+    def test_warm_start_at_zero_rejected(self, quad, run):
+        # at t = 0 the pre-history has no mass to carry a warm start
+        cfg = SimConfig(dt=1e-3, t_end=1.0, t_start=0.0, seed=3)
+        with pytest.raises(InvalidInputError, match="no pre-history"):
+            run(quad, cfg, dirac(3.0))
+
     def test_interval_too_long_rejected(self, quad):
         dt, m = 1e-2, 60  # delta = 0.6 > 1/3
         noise = np.zeros(m + 1)
