@@ -26,8 +26,8 @@ def main():
     rep = envelope_compare(states, RateParams(c7=args.c7, k=w.bound_degree))
 
     write_series_csv(args.out, ["n", "t", "relative_energy", "envelope"],
-                     ((st.n, st.time, st.free_energy.relative, y)
-                      for st, y in zip(states, rep["envelope_trace"])))
+                     [[st.n for st in states], rep["times"], rep["energy_trace"],
+                      rep["envelope_trace"]])
     print(f"wrote {args.out}")
     print(f"decay exponent fit: {rep['decay_exponent']:.4f}")
     print(f"envelope satisfied at {rep['fraction_satisfied']:.1%} of steps")

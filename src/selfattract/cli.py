@@ -53,14 +53,15 @@ def _cmd_simulate(cfg: ExperimentConfig, do_assert: bool) -> int:
                             v=cfg.external)]
     for rec in records:
         thin = max(1, rec.times.size // 2000)
-        rows = zip(rec.times[::thin], rec.positions[::thin], rec.center_track[::thin])
-        write_series_csv(out / f"path_r{rec.replica}.csv", ["t", "x", "center"], rows)
+        write_series_csv(out / f"path_r{rec.replica}.csv", ["t", "x", "center"],
+                         [rec.times[::thin], rec.positions[::thin],
+                          rec.center_track[::thin]])
         occ = rec.occupation()
         hist, edges = np.histogram(occ.positions, bins=128, weights=occ.weights)
         mids = 0.5 * (edges[:-1] + edges[1:])
         width = edges[1] - edges[0]
         write_series_csv(out / f"occupation_r{rec.replica}.csv", ["x", "density"],
-                         zip(mids, hist / width))
+                         [mids, hist / width])
     write_manifest(out / "manifest.json", "simulate", cfg.resolved(), cfg.sim.seed)
     return 0
 
@@ -69,18 +70,21 @@ def _cmd_flow(cfg: ExperimentConfig, do_assert: bool) -> int:
     out = _out_dir(cfg)
     init = _initial_density(cfg)
     states = run_flow(cfg.potential, init, cfg.schedule, v=cfg.external)
-    rows = [(st.n, st.time, st.free_energy.total, st.free_energy.relative,
-             st.center, st.step_distance) for st in states]
+    steps = [st.n for st in states]
+    energies = [st.free_energy for st in states]
+    totals = [e.total for e in energies]
+    relatives = [e.relative for e in energies]
     write_series_csv(out / "flow.csv", ["n", "t", "free_energy", "relative",
-                                        "center", "step_tp"], rows)
-    energy_rows = [(st.n, st.free_energy.entropy, st.free_energy.interaction_term,
-                    st.free_energy.total, st.free_energy.relative) for st in states]
+                                        "center", "step_tp"],
+                     [steps, [st.time for st in states], totals, relatives,
+                      [st.center for st in states], [st.step_distance for st in states]])
     write_series_csv(out / "energy_trace.csv",
                      ["step", "entropy", "interaction", "total", "relative"],
-                     energy_rows)
+                     [steps, [e.entropy for e in energies],
+                      [e.interaction_term for e in energies], totals, relatives])
     write_grid_density(out / "final_density.csv", states[-1].density)
     write_manifest(out / "manifest.json", "flow", cfg.resolved(), cfg.sim.seed)
-    rel = np.array([st.free_energy.relative for st in states])
+    rel = np.array(relatives)
     monotone = bool(np.all(np.diff(rel) <= 1e-8))
     if do_assert and not monotone:
         print("FAIL: relative free energy increased along the flow", file=sys.stderr)
@@ -96,10 +100,9 @@ def _cmd_fixpoint(cfg: ExperimentConfig, do_assert: bool) -> int:
                                max_iter=cfg.fixpoint_max_iter, return_info=True,
                                track_energy=True)
     write_grid_density(out / "density.csv", result.density)
-    rows = [(i + 1, r, e) for i, (r, e)
-            in enumerate(zip(result.residuals, result.energies))]
     write_series_csv(out / "convergence.csv", ["iteration", "residual", "free_energy"],
-                     rows)
+                     [np.arange(1, len(result.residuals) + 1), result.residuals,
+                      result.energies])
     write_manifest(out / "manifest.json", "fixpoint", cfg.resolved(), cfg.sim.seed)
     return 0
 
@@ -158,13 +161,13 @@ def _cmd_appendix2(cfg: ExperimentConfig, do_assert: bool) -> int:
         ts, ys, cs = counterexample_system(cfg.sim.t_end, cfg.sim.dt,
                                            cfg.sim.seed + r)
         write_series_csv(out / f"counterexample_r{r}.csv", ["t", "y", "center"],
-                         zip(ts, ys, cs))
+                         [ts, ys, cs])
         mask = ts >= min(100.0, cfg.sim.t_end / 10)
         slope, _ = np.polyfit(np.log(ts[mask]), cs[mask], 1)
         slopes.append(float(slope))
     mean_slope = float(np.mean(slopes))
     write_series_csv(out / "slopes.csv", ["replica", "slope"],
-                     list(enumerate(slopes)))
+                     [np.arange(len(slopes)), slopes])
     write_manifest(out / "manifest.json", "appendix2", cfg.resolved(), cfg.sim.seed)
     print(f"center-vs-log-time slope (replica mean): {mean_slope:.4f}")
     if do_assert and not 0.9 <= mean_slope <= 1.1:

@@ -18,10 +18,12 @@ from . import rng
 from .errors import InvalidInputError
 from .flow import Schedule
 from .gibbs import gibbs_map
-from .measures import GridDensity, ParticleMeasure, recenter
+from .measures import GridDensity, recenter
 from .potentials import PotentialSpec
+from .powersums import convolution_matrix
 from .sde import TrajectoryRecord
-from .transport import tp_distance_1d, w2_distance
+from .transport import QuantileTarget, tp_distance_1d
+from .transport import w2_distance  # noqa: F401  (bench/tracer.py wraps it here)
 
 
 @dataclass
@@ -69,24 +71,27 @@ def one_step_error(w: PotentialSpec, record: TrajectoryRecord, schedule: Schedul
                    v: PotentialSpec | None = None) -> DiagnosticsReport:
     """Per window: centered translation distance between the window occupation
     measure and the Gibbs image of the pre-window occupation measure, plus a
-    log-log slope of that error against the window length."""
+    log-log slope of that error against the window length.
+
+    The Gibbs image reads the pre-window occupation only through its power
+    sums, which the record gives at every knot in one pass over the path."""
     report = DiagnosticsReport(experiment="one-step-error")
-    errors = []
-    lengths = []
-    for n in schedule.indices():
-        t0, t1 = schedule.time(n), schedule.time(n + 1)
+    windows = [(schedule.time(n), schedule.time(n + 1)) for n in schedule.indices()]
+    for t0, t1 in windows:
         if t1 > record.times[-1] + 1e-9 or t0 < record.times[0] - 1e-9:
             raise InvalidInputError("trajectory does not cover the schedule")
-        pre = record.occupation(t0)
+    count = max(2, convolution_matrix(w).shape[0])
+    pres = record.power_sums_at([t0 for t0, _ in windows], count)
+    errors = []
+    for (t0, t1), pre in zip(windows, pres):
         image = gibbs_map(w, pre, v=v).density
         c = record.center_at(t0)
         window = record.window_occupation(t0, t1)
         err = tp_distance_1d(w, recenter(window, c), recenter(image, c)).value
         errors.append(err)
-        lengths.append(t1 - t0)
         report.series.append(("tp_error", t0, err))
     errors = np.asarray(errors)
-    lengths = np.asarray(lengths)
+    lengths = np.array([t1 - t0 for t0, t1 in windows])
     slope, intercept, resid = _fit_loglog(lengths, np.maximum(errors, 1e-300))
     report.fits.append(("log_error_vs_log_window", {
         "slope": slope, "intercept": intercept}, resid))
@@ -133,41 +138,61 @@ def _checkpoints(t0: float, t1: float, per_decade: int = 10) -> np.ndarray:
     return np.logspace(lo, hi, n)
 
 
+def _sorted_prefixes(rec: TrajectoryRecord, ts: np.ndarray):
+    """Per time t: the centered atoms of the occupation up to t in position
+    order, and their cumulative weights normalized to end at 1.
+
+    Each prefix's path atoms are sorted on their own (all of weight dt) and
+    the pre-history block, sorted once, is inserted before equal positions,
+    as a stable sort of the whole occupation would place it.  Cumulative
+    weights are counted, dt times the path atoms so far plus the pre-history
+    mass so far, not summed atom by atom.
+    """
+    pre_pos, pre_w = rec.prehistory()
+    order = np.argsort(pre_pos, kind="stable")
+    pre_pos = pre_pos[order]
+    pre_cum = np.concatenate(([0.0], np.cumsum(pre_w[order])))
+    dt = rec.config.dt
+    for t in ts:
+        i = rec.index_at(t)
+        xs = np.sort(rec.positions[1:i + 1])
+        at = np.searchsorted(xs, pre_pos, side="left")
+        pos = np.insert(xs, at, pre_pos)
+        pos -= rec.center_at(t)
+        runs = np.diff(np.concatenate(([0], at + np.arange(at.size), [pos.size])))
+        n_pre = np.repeat(np.arange(at.size + 1), runs)   # pre atoms at or before
+        cum = dt * (np.arange(1, pos.size + 1) - n_pre) + np.repeat(pre_cum, runs)
+        cum /= cum[-1]
+        yield pos, cum
+
+
 def ergodicity_check(w: PotentialSpec, records: list[TrajectoryRecord],
                      rho_inf: GridDensity, per_decade: int = 10,
                      final_w2_bound: float = 0.1, min_passing: int | None = None,
                      n_boot: int = 200) -> DiagnosticsReport:
     """Per-replica Wasserstein distance of the centered occupation measure to
     the fixed point at logarithmic checkpoints, with a fitted decay exponent
-    for exp(-a (log t)^(1/(k+1)))."""
+    for exp(-a (log t)^(1/(k+1))).
+
+    The checkpoints run from max(2 t_start, t_start + 1) to the records' end,
+    which must lie beyond it."""
     if not records:
         raise InvalidInputError("need at least one replica")
     report = DiagnosticsReport(experiment="ergodicity")
     k = w.bound_degree
     t0 = float(records[0].times[0])
     t1 = float(records[0].times[-1])
-    ts = _checkpoints(max(t0 * 2, t0 + 1.0), t1, per_decade)
+    first = max(t0 * 2, t0 + 1.0)
+    if t1 <= first:
+        raise InvalidInputError(
+            f"ergodicity checkpoints start at max(2 t_start, t_start + 1) = {first:g}; "
+            f"the records end at t = {t1:g}, they must run beyond it")
+    ts = _checkpoints(first, t1, per_decade)
+    target = QuantileTarget(rho_inf)
     curves = []
     finals = []
     for rec in records:
-        # sort the whole occupation once; each checkpoint's prefix is that
-        # order masked by the step at which each atom entered (the warm-start
-        # block counts as step 0), so it needs no re-sort.  Going from the
-        # last checkpoint back, each mask runs over the previous prefix only.
-        occ = rec.occupation()
-        n_pre = occ.positions.size - (rec.times.size - 1)
-        order = np.argsort(occ.positions, kind="stable")
-        pos = occ.positions[order]
-        wts = occ.weights[order]
-        step = np.concatenate((np.zeros(n_pre, dtype=np.intp),
-                               np.arange(1, rec.times.size)))[order]
-        vals = []
-        for t in ts[::-1]:
-            keep = step <= rec.index_at(t)
-            pos, wts, step = pos[keep], wts[keep], step[keep]
-            prefix = ParticleMeasure(pos - rec.center_at(t), wts / wts.sum())
-            vals.append(w2_distance(prefix, rho_inf).value)
-        vals.reverse()
+        vals = [target.w2(pos, cum) for pos, cum in _sorted_prefixes(rec, ts)]
         report.series.extend((f"w2_replica{rec.replica}", float(t), d)
                              for t, d in zip(ts, vals))
         curves.append(vals)

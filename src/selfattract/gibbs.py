@@ -13,9 +13,10 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError
 from .gridkernel import potential_on_grid
-from .measures import (GridDensity, Measure, as_atoms, center, convolve_potential,
+from .measures import (GridDensity, Measure, _summable, center, convolve_potential,
                        p_norm, recenter)
 from .potentials import PotentialSpec
+from .powersums import PowerSums
 from .transport import tp_distance_1d
 
 _TAIL_MASS = 1e-10
@@ -28,12 +29,11 @@ class GibbsResult:
     center: object
 
 
-def _auto_grid(w: PotentialSpec, v: PotentialSpec | None, m: Measure,
+def _auto_grid(w: PotentialSpec, v: PotentialSpec | None, m: Measure | PowerSums,
                cells: int) -> GridDensity:
     """1-d grid centered at the measure's center, wide enough that the Gibbs
     exponent at the boundary is ~ 46 nats above the minimum (tail < 1e-10)."""
-    atoms = as_atoms(m)
-    c = center(w, m) if w.convexity_constant > 0 else atoms.mean()
+    c = center(w, m) if w.convexity_constant > 0 else _summable(m).mean()
     conv = w.convexity_constant + (v.convexity_constant if v is not None else 0.0)
     radius = max(4.0, 2.0 * math.sqrt(46.0 / max(conv, 1e-2)))
     for _ in range(40):
@@ -48,7 +48,7 @@ def _auto_grid(w: PotentialSpec, v: PotentialSpec | None, m: Measure,
     return GridDensity(np.array([c - radius]), np.array([c + radius]), vals)
 
 
-def _exponent(w: PotentialSpec, v: PotentialSpec | None, m: Measure,
+def _exponent(w: PotentialSpec, v: PotentialSpec | None, m: Measure | PowerSums,
               xs: np.ndarray) -> np.ndarray:
     out = convolve_potential(w, m, xs)
     if v is not None:
@@ -56,16 +56,22 @@ def _exponent(w: PotentialSpec, v: PotentialSpec | None, m: Measure,
     return out
 
 
-def gibbs_map(w: PotentialSpec, m: Measure, v: PotentialSpec | None = None,
+def gibbs_map(w: PotentialSpec, m: Measure | PowerSums, v: PotentialSpec | None = None,
               grid: GridDensity | None = None, cells: int = 1024) -> GibbsResult:
     """Normalized density proportional to exp(-(V + W*m)) on a grid.
 
-    The evaluation grid defaults to an auto-sized box around the center of m;
-    pass ``grid`` to reuse an existing geometry (the flow does).
+    m is a measure or, in 1-d, its `PowerSums`: the exponent reads m only
+    through them.  The evaluation grid defaults to an auto-sized box around
+    the center of m; pass ``grid`` to reuse an existing geometry (the flow
+    does).
     """
-    p_norm(w, m)    # raises NumericFailureError when the envelope norm diverges
+    if isinstance(m, PowerSums):
+        if not np.all(np.isfinite(m.sums)):
+            raise NumericFailureError("power sums of the measure overflowed")
+    else:
+        p_norm(w, m)    # raises NumericFailureError when the envelope norm diverges
     if grid is None:
-        if as_atoms(m).dim != 1:
+        if m.dim != 1:
             raise InvalidInputError("2-d Gibbs map needs an explicit grid")
         grid = _auto_grid(w, v, m, cells)
     phi = convolve_potential(w, m, grid.centers())

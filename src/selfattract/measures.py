@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError, UnsupportedInputError
 from .potentials import PotentialSpec, as_envelope, polynomial_derivative
-from .powersums import anchor, convolution_matrix, convolution_tensor, power_sums
+from .powersums import PowerSums, anchor, convolution_matrix, convolution_tensor, power_sums
 
 _MASS_TOL = 1e-9
 
@@ -190,14 +190,24 @@ def as_atoms(m: Measure) -> ParticleMeasure:
 # convolution, center, recentering
 
 
-def _expansion(p: PotentialSpec, atoms: ParticleMeasure, order: int):
+def _summable(m):
+    """The measure as weighted atoms, or as given when it is `PowerSums`."""
+    return m if isinstance(m, PowerSums) else as_atoms(m)
+
+
+def _expansion(p: PotentialSpec, atoms, order: int):
     """Anchor a, ascending coefficients in y = x - a, and the derivative order
     still to take of them to get (d^order W * m)(x).
 
     1-d expands the order-th derivative of W (`convolution_matrix`), so none
     is left; 2-d expands W itself (`convolution_tensor`) and leaves all of
-    them to `polynomial_derivative`.
+    them to `polynomial_derivative`.  `PowerSums` bring their own anchor.
     """
+    if isinstance(atoms, PowerSums):
+        T = convolution_matrix(p, order)
+        if atoms.sums.size < T.shape[0]:
+            raise InvalidInputError(f"W reads {T.shape[0]} power sums, got {atoms.sums.size}")
+        return atoms.anchor, T @ atoms.sums[:T.shape[0]], 0
     a = anchor(atoms.positions)
     if atoms.dim == 1:
         T = convolution_matrix(p, order)
@@ -213,9 +223,10 @@ def convolve_potential(p: PotentialSpec, m: Measure, x, order: int = 0):
     grids).
 
     1-d: x is a scalar or an array of points.  2-d: x has shape (..., 2);
-    the result has shape (...), (..., 2) or (..., 2, 2) by order.
+    the result has shape (...), (..., 2) or (..., 2, 2) by order.  m may be
+    a measure or its `PowerSums`.
     """
-    atoms = as_atoms(m)
+    atoms = _summable(m)
     if atoms.total_mass <= 0:
         raise InvalidInputError("empty measure")
     x = np.asarray(x, dtype=float)
@@ -233,9 +244,10 @@ def center(p: PotentialSpec, m: Measure, tol: float = 1e-10, max_iter: int = 50)
     """Unique root of grad (W*m); Newton from the mean with the exact Hessian.
 
     Works in y = x - a about the anchor a of the measure, on one expansion,
-    so the iteration is the same wherever the measure sits.
+    so the iteration is the same wherever the measure sits.  m may be a
+    measure or its `PowerSums`.
     """
-    atoms = as_atoms(m)
+    atoms = _summable(m)
     if p.convexity_constant <= 0:
         raise InvalidInputError("center requires a uniformly convex potential")
     a, grad, k = _expansion(p, atoms, 1)

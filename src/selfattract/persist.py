@@ -18,24 +18,37 @@ from .errors import InvalidInputError
 from .measures import GridDensity, ParticleMeasure
 
 
-def write_series_csv(path: Path, header: list[str], rows) -> None:
+def _format_column(column) -> list[str]:
+    """Cells of one column: floats through repr (exact round trip), integers
+    and booleans through str."""
+    values = np.asarray(column)
+    if values.dtype.kind == "f":
+        return list(map(repr, values.tolist()))
+    if values.dtype.kind in "iub":
+        return list(map(str, values.tolist()))
+    raise InvalidInputError(f"CSV columns hold numbers, not {values.dtype}")
+
+
+def write_series_csv(path: Path, header: list[str], columns) -> None:
+    """One CSV file from equal-length columns, each formatted once and the
+    file written in one piece; rows end in a bare newline."""
+    cells = [_format_column(c) for c in columns]
+    if len({len(c) for c in cells}) > 1:
+        raise InvalidInputError("CSV columns differ in length")
+    lines = [",".join(header)]
+    lines.extend(map(",".join, zip(*cells)))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(x)) if isinstance(x, (float, np.floating))
-                             else x for x in row])
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_grid_density(path: Path, g: GridDensity) -> None:
     """Density CSV (x, density) plus a small key-value header file."""
     if g.dim != 1:
-        rows = [(x1, x2, val) for (x1, x2), val in
-                zip(g.centers().reshape(-1, 2), g.values.reshape(-1))]
-        write_series_csv(path, ["x1", "x2", "density"], rows)
+        xs = g.centers().reshape(-1, 2)
+        write_series_csv(path, ["x1", "x2", "density"],
+                         [xs[:, 0], xs[:, 1], g.values.reshape(-1)])
     else:
-        write_series_csv(path, ["x", "density"],
-                         zip(g.axis_centers(0), g.values))
+        write_series_csv(path, ["x", "density"], [g.axis_centers(0), g.values])
     meta = path.with_suffix(path.suffix + ".meta")
     with open(meta, "w") as fh:
         fh.write(f"dim = {g.dim}\n")
@@ -47,7 +60,7 @@ def write_grid_density(path: Path, g: GridDensity) -> None:
 def write_particle_measure(path: Path, m: ParticleMeasure) -> None:
     if m.dim != 1:
         raise InvalidInputError("particle CSV format is 1-d")
-    write_series_csv(path, ["position", "weight"], zip(m.positions, m.weights))
+    write_series_csv(path, ["position", "weight"], [m.positions, m.weights])
 
 
 def load_measure(path: Path):

@@ -23,6 +23,7 @@ side.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +36,26 @@ def anchor(x):
     x = np.asarray(x, dtype=float)
     mid = 0.5 * (x.min(axis=0) + x.max(axis=0))
     return float(mid) if x.ndim == 1 else mid
+
+
+@dataclass(frozen=True)
+class PowerSums:
+    """A 1-d measure known through its power sums about an anchor,
+    sums[j] = sum_i w_i (x_i - anchor)^j.  `convolve_potential`, `center`
+    and `gibbs_map` take it in place of the measure; it needs as many sums
+    as W's convolution matrix reads, and at least two."""
+
+    anchor: float
+    sums: np.ndarray
+
+    dim = 1
+
+    @property
+    def total_mass(self) -> float:
+        return float(self.sums[0])
+
+    def mean(self) -> float:
+        return self.anchor + float(self.sums[1] / self.sums[0])
 
 
 def power_sums(x, weights, a, count) -> np.ndarray:

@@ -49,7 +49,7 @@ from .errors import InvalidInputError, NumericFailureError, UnsupportedInputErro
 from .gibbs import gibbs_map
 from .measures import ParticleMeasure
 from .potentials import PotentialSpec
-from .powersums import anchor, convolution_matrix, power_sums, reanchor
+from .powersums import PowerSums, anchor, convolution_matrix, power_sums, reanchor
 
 _SQRT2 = math.sqrt(2.0)
 _REANCHOR_RADIUS = 1.0   # the anchor follows the center once it is this far
@@ -106,24 +106,50 @@ class TrajectoryRecord:
         """Largest step index with times[index] <= t (+ tolerance)."""
         return int(np.searchsorted(self.times, t + 1e-12, side="right") - 1)
 
-    def occupation(self, upto: float | None = None) -> ParticleMeasure:
-        """Normalized occupation measure of the path up to time ``upto``.
+    def prehistory(self) -> tuple[np.ndarray, np.ndarray]:
+        """Atoms and weights of the pre-history block: the warm-start
+        occupation scaled to mass weights[0] when one was supplied, otherwise
+        an atom of mass t_start at the starting point, and nothing for a run
+        from t = 0."""
+        if self.weights[0] == 0:
+            return self.positions[:0], self.weights[:0]
+        return _prehistory(self.positions[0], self.weights[0], self.initial_occupation)
 
-        The pre-history block is the warm-start occupation when one was
-        supplied, otherwise an atom of mass t_start at the starting point.
-        """
+    def occupation(self, upto: float | None = None) -> ParticleMeasure:
+        """Normalized occupation measure of the path up to time ``upto``:
+        the pre-history block, then one atom of weight dt per step."""
         i = self.times.size - 1 if upto is None else self.index_at(upto)
-        pos = self.positions[1:i + 1]
-        w = self.weights[1:i + 1]
-        if self.initial_occupation is not None:
-            pre = self.initial_occupation
-            scale = self.weights[0] / pre.total_mass
-            pos = np.concatenate((pre.positions, pos))
-            w = np.concatenate((pre.weights * scale, w))
-        elif self.weights[0] > 0:
-            pos = np.concatenate((self.positions[:1], pos))
-            w = np.concatenate((self.weights[:1], w))
+        pre_pos, pre_w = self.prehistory()
+        pos = np.concatenate((pre_pos, self.positions[1:i + 1]))
+        w = np.concatenate((pre_w, self.weights[1:i + 1]))
         return ParticleMeasure(pos, w / w.sum())
+
+    def power_sums_at(self, times, count: int) -> list[PowerSums]:
+        """Power sums S_j, j < count, of the normalized occupation up to each
+        of the increasing ``times``, all about one anchor: the midpoint of the
+        path up to the last time.
+
+        The path atoms between consecutive times are summed as one segment
+        (one `np.add.reduceat` per power) and the segments are cumulated on
+        top of the pre-history block, so no prefix occupation is built.
+        """
+        idx = np.array([self.index_at(t) for t in times])
+        a = anchor(self.positions[:idx[-1] + 1])
+        pre_pos, pre_w = self.prehistory()
+        y = self.positions[1:idx[-1] + 1] - a
+        bounds = np.concatenate(([0], idx))
+        full = np.diff(bounds) > 0            # reduceat misreads empty segments
+        seg = np.zeros((idx.size, count))
+        seg[:, 0] = np.diff(bounds)
+        acc = y
+        for j in range(1, count):
+            seg[full, j] = np.add.reduceat(acc, bounds[:-1][full])
+            if j + 1 < count:
+                acc = acc * y
+        sums = power_sums(pre_pos, pre_w, a, count) + self.config.dt * np.cumsum(seg, axis=0)
+        if not np.all(sums[:, 0] > 0):
+            raise InvalidInputError("the occupation is empty at the first time")
+        return [PowerSums(a, row) for row in sums / sums[:, :1]]
 
     def window_occupation(self, t0: float, t1: float) -> ParticleMeasure:
         """Normalized occupation measure over (t0, t1]."""
