@@ -25,5 +25,4 @@ from .sde import (CoupledPaths, OuDominationResult, PicardResult, SimConfig,
                   TrajectoryRecord, coupled_frozen, counterexample_system,
                   ou_domination, picard_bootstrap, simulate, simulate_ensemble)
 from .transport import (DistanceResult, centered_distance,
-                        displacement_interpolate, min_cost_assignment,
-                        tp_distance_1d, w2_distance)
+                        displacement_interpolate, tp_distance_1d, w2_distance)

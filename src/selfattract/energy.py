@@ -194,14 +194,3 @@ def energy_envelope(params: RateParams, y0: float, t0: float, t1: float,
         ys[i + 1] = y
     ts = np.exp(np.linspace(theta0, theta1, n_steps + 1))
     return ts, ys
-
-
-def envelope_closed_form(params: RateParams, y_start: float, t_start: float,
-                         ts: np.ndarray) -> np.ndarray:
-    """Small-y closed form of the envelope, anchored at (t_start, y_start)."""
-    if y_start >= params.eps0:
-        raise InvalidInputError("closed form is valid in the small-y branch only")
-    u0 = -math.log(y_start)
-    k = params.k
-    base = u0 ** (k + 1) + 0.5 * params.c7 * (k + 1) * np.log(np.asarray(ts) / t_start)
-    return np.exp(-(base ** (1.0 / (k + 1))))

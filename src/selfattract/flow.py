@@ -144,14 +144,3 @@ def envelope_compare(states: list[FlowState], params: RateParams,
         "energy_trace": f_rel,
         "envelope_trace": y_at,
     }
-
-
-def tail_certificate_track(w: PotentialSpec, states: list[FlowState],
-                           alpha: float | None = None) -> np.ndarray:
-    """Fitted tail constants along the run (should stay within a bounded
-    multiple of the initial one)."""
-    from .measures import tail_profile
-
-    if alpha is None:
-        alpha = w.convexity_constant
-    return np.array([tail_profile(w, st.density, alpha).certificate for st in states])

@@ -50,10 +50,6 @@ class ParticleMeasure:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    @property
-    def is_probability(self) -> bool:
-        return abs(self.total_mass - 1.0) <= 1e-12
-
     def normalized(self) -> "ParticleMeasure":
         return ParticleMeasure(self.positions, self.weights / self.total_mass)
 
@@ -331,16 +327,6 @@ def p_norm(p, m: Measure) -> float:
     return out
 
 
-def p_norm_difference(p, a: GridDensity, b: GridDensity) -> float:
-    """Envelope norm of the signed difference of two densities on one grid."""
-    if a.dim != 1 or a.cells != b.cells or not np.allclose(a.lo, b.lo) \
-            or not np.allclose(a.hi, b.hi):
-        raise InvalidInputError("densities must share one 1-d grid")
-    env = as_envelope(p)
-    xs = a.axis_centers(0)
-    return float(env(np.abs(xs)) @ np.abs(a.values - b.values)) * a.cell_volume
-
-
 @dataclass(frozen=True)
 class TailProfile:
     """Exceedance of the centered measure with a fitted exponential certificate."""
@@ -349,9 +335,6 @@ class TailProfile:
     certificate: float | None   # minimal C with exceedance(r) <= C exp(-alpha r)
     radii: np.ndarray
     exceedance: np.ndarray
-
-    def certifies(self, c_bound: float) -> bool:
-        return self.certificate is not None and self.certificate <= c_bound
 
 
 def tail_profile(p: PotentialSpec, m: Measure, alpha: float,

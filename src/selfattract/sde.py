@@ -6,7 +6,8 @@ interactions that convolution is an exact function of the running power
 sums of the path, which is the identity the whole simulator rests on:
 the running-moment drift and the brute-force drift summed over the full
 history agree to rounding on the same noise path.  The brute-force sum is
-kept as a test oracle (`_full_history_path`), not as a mode.
+not a mode here: it lives with the tests as their exactness oracle
+(`tests/oracles.py`).
 
 Running sums are taken about an anchor (`powersums`): paths step in
 y = x - a, the anchor starts at x0 and moves onto the center, with an exact
@@ -22,10 +23,10 @@ its drift coefficients from one matrix product per step; the occupation
 mass is the same for every replica.  For quadratic W without V (drift
 t00 + t11 (x - mean)) the Euler scheme reduces to a scalar linear
 recursion in y = x - mean with the mean carried by the occupation mass; it
-is summed in closed form with blockwise scaled cumulative sums (`_ar1`,
-shared with the exact OU modulus) instead of stepped, which matches the
-stepped scheme to rounding.  A run from t = 0 builds each row from a short
-contraction-bootstrap segment and a running-moment tail anchored at x0.
+is summed in closed form with blockwise scaled cumulative sums (`_ar1`)
+instead of stepped, which matches the stepped scheme to rounding.  A run
+from t = 0 builds each row from a short contraction-bootstrap segment and
+a running-moment tail anchored at x0.
 
 A path driven by a drift it does not generate itself -- the measure frozen
 at a window start, or the previous Picard iterate -- steps one float loop
@@ -162,12 +163,6 @@ class TrajectoryRecord:
 
     def center_at(self, t: float) -> float:
         return float(self.center_track[self.index_at(t)])
-
-    def l_value(self, t_center: float, t_max: float) -> float:
-        """max over the whole past [start, t_max] of |X_t - c(t_center)|."""
-        c = self.center_at(t_center)
-        i1 = self.index_at(t_max)
-        return float(np.abs(self.positions[:i1 + 1] - c).max())
 
 
 # ---------------------------------------------------------------------------
@@ -404,62 +399,6 @@ def _simulate_replicas(w, x0, cfg, replicas, v, initial_occupation):
             for k, r in enumerate(replicas)]
 
 
-def _full_history_path(w, x0, cfg, v=None, replica=0, initial_occupation=None):
-    """Brute-force drift summed over every past atom, on the noise of
-    ``simulate(..., replica=replica)`` with t_start > 0: the exactness
-    oracle for the running-moment steppers.  Returns positions and centers
-    (n+1), the centers placed where the moment steppers place them and
-    interpolated between."""
-    n = cfg.n_steps
-    dt = cfg.dt
-    increments = _increments(cfg, n, replica)
-    base_pos, base_w = _prehistory(x0, cfg.t_start, initial_occupation)
-    positions = np.empty(n + 1)
-    positions[0] = x0
-    g = np.polynomial.polynomial.polytrim(
-        np.polynomial.polynomial.polyder(w.poly1d_coefficients()))
-    vg = _v_gradient(v)
-    x = float(x0)
-    mass = float(base_w.sum())
-    for i in range(n):
-        d = float(base_w @ np.polynomial.polynomial.polyval(x - base_pos, g))
-        if i > 0:
-            d += dt * float(np.polynomial.polynomial.polyval(
-                x - positions[1:i + 1], g).sum())
-        d = d / mass
-        if vg is not None:
-            d += float(np.polynomial.polynomial.polyval(x, vg))
-        x += -d * dt + increments[i]
-        mass += dt
-        positions[i + 1] = x
-    # center knots where the moment steppers place them: every step for a
-    # linear drift; no attraction keeps the start point
-    atoms = np.concatenate((base_pos, positions[1:]))
-    weights = np.concatenate((base_w, np.full(n, dt)))
-    centers = np.full(n + 1, np.nan)
-    c = float(x0)
-    for i in range(0, n + 1, 1 if g.size <= 2 else _CENTER_EVERY):
-        if g.any():
-            c = _history_center(g, atoms[:base_w.size + i], weights[:base_w.size + i], c)
-        centers[i] = c
-    _interpolate_center_gaps(centers)
-    return positions, centers
-
-
-def _history_center(g, pos, wts, c, tol=1e-12, max_iter=60):
-    """Root of c -> sum_k w_k W'(c - x_k) / mass, summed over every atom, by
-    Newton from c (the stopping rule of `_center`)."""
-    h = np.polynomial.polynomial.polyder(g)
-    mass = float(wts.sum())
-    for _ in range(max_iter):
-        r = c - pos
-        val = float(wts @ np.polynomial.polynomial.polyval(r, g)) / mass
-        if abs(val) <= tol:
-            return c
-        c -= val * mass / float(wts @ np.polynomial.polynomial.polyval(r, h))
-    raise NumericFailureError("center Newton on the full history did not converge")
-
-
 def _ar1(alpha, z, f, out):
     """The linear recursion z_(k+1) = alpha z_k + f_k, summed along the last
     axis: ``z`` holds z_0, ``f`` (..., n) holds f_0 .. f_(n-1) and ``out``
@@ -539,6 +478,9 @@ def coupled_frozen(w: PotentialSpec, record: TrajectoryRecord,
 
     The companion starts from a draw of the frozen Gibbs density restricted
     to the unit interval around the frozen center (or from ``y_start``).
+    Drift, center and Gibbs image read the frozen measure only through its
+    power sums (`TrajectoryRecord.power_sums_at`), so no prefix occupation
+    is built.
     """
     t0, t1 = window
     cfg = record.config
@@ -546,16 +488,15 @@ def coupled_frozen(w: PotentialSpec, record: TrajectoryRecord,
     i1 = record.index_at(t1)
     if not (0 <= i0 < i1 <= record.times.size - 1):
         raise InvalidInputError("window must lie inside the simulated range")
-    occ = record.occupation(t0)
-    a = anchor(occ.positions)
     T = convolution_matrix(w, 1)
-    S = power_sums(occ.positions, occ.weights, a, T.shape[0])
-    b = T @ S / S[0]
+    frozen, = record.power_sums_at([t0], max(2, convolution_matrix(w).shape[0]))
+    a = frozen.anchor
+    b = T @ frozen.sums[:T.shape[0]]   # the sums are normalized: S_0 = 1
     c0 = a + _center(b, float(record.positions[i0]) - a)
     vg = _v_gradient(v)
 
     if y_start is None:
-        dens = gibbs_map(w, occ, v=v).density
+        dens = gibbs_map(w, frozen, v=v).density
         y_start = _sample_restricted(dens, c0 - 1.0, c0 + 1.0,
                                      rng.stream(seed, 0, rng.INIT_SAMPLING))
 
@@ -663,39 +604,6 @@ def ou_domination(w: PotentialSpec, cfg: SimConfig, seed: int | None = None,
     return OuDominationResult(times=times, x_path=xs, center_track=cs, z_path=zs,
                               violation_fraction=frac, n_checked=checked,
                               n_reflections=reflections, eps_disc=eps_disc)
-
-
-def ou_modulus_exact(c_w: float, d: int, dt: float, t_end: float, seed: int,
-                     z0: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-in-law path of Z = |U| for the 3d-dimensional OU process
-    dU = sqrt(2) dB - (c_w/2) U dt, using the exact AR(1) transition."""
-    m = 3 * d
-    n = int(round(t_end / dt))
-    theta = 0.5 * c_w
-    a = math.exp(-theta * dt)
-    s = math.sqrt((2.0 / c_w) * (1.0 - a * a))
-    gen = rng.stream(seed, 0, rng.NOISE)
-    if z0 is None:
-        u = gen.standard_normal(m) * math.sqrt(2.0 / c_w)
-    else:
-        u = np.zeros(m)
-        u[0] = z0
-    out = np.empty((n + 1, m))
-    out[0] = u
-    # the exact transition u_(k+1) = a u_k + s xi_k, time along the rows
-    xi = gen.standard_normal((n, m))
-    xi *= s
-    _ar1(a, u, xi.T, out[1:].T)
-    ts = dt * np.arange(n + 1)
-    return ts, np.linalg.norm(out, axis=1)
-
-
-def ou_stationary_envelope_moment(c_w: float, d: int, scale: float, degree: int) -> float:
-    """Closed-form stationary mean of P(Z): A (1 + E Z^k) for the 3d-dim OU
-    modulus, via chi moments."""
-    m = 3 * d
-    ez_k = (4.0 / c_w) ** (degree / 2.0) * math.gamma((m + degree) / 2.0) / math.gamma(m / 2.0)
-    return scale * (1.0 + ez_k)
 
 
 # ---------------------------------------------------------------------------
@@ -842,11 +750,3 @@ def counterexample_system(t_end: float, dt: float, seed: int,
         ys.append(y)
         cs.append(c)
     return np.asarray(ts), np.asarray(ys), np.asarray(cs)
-
-
-def counterexample_mean_track(t: np.ndarray, y0: float = 0.0,
-                              t_start: float = 1.0) -> np.ndarray:
-    """Closed-form mean of Y: ((y0 + 1) t0 e^{t0 - t} - 1)/t, against which
-    replica averages can be checked."""
-    t = np.asarray(t, dtype=float)
-    return ((y0 + 1.0) * t_start * np.exp(t_start - t) - 1.0) / t

@@ -12,8 +12,7 @@ Phi1 the even primitive of x P(|x|), both valid across x = 0.  For W2 the
 quantile gap is linear between merged probability knots and its square
 integrates to w (ga^2 + ga gb + gb^2) / 3.  `QuantileTarget` does the
 same against one fixed measure for many sorted atom measures (the prefix
-occupations of a path), reading the fixed measure's pieces once.  In 2-d W2
-is an exact minimum-cost assignment for small equal-weight clouds.
+occupations of a path), reading the fixed measure's pieces once.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ _MASS_GAP_TOL = 1e-9
 @dataclass(frozen=True)
 class DistanceResult:
     value: float
-    method: str          # tp-1d | w2-quantile | w2-assignment
+    method: str          # tp-1d | w2-quantile
     centered_at: object = None
 
     def __float__(self):
@@ -240,82 +239,12 @@ def tp_distance_1d(envelope, m1: Measure, m2: Measure) -> DistanceResult:
     return DistanceResult(0.5 * (mass1 + mass2) * float(parts.sum()), "tp-1d")
 
 
-# ---------------------------------------------------------------------------
-# exact small assignment (2-d W2)
-
-
-def min_cost_assignment(cost: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact minimum-cost perfect matching of a square cost matrix.
-
-    Classic O(n^3) potentials-and-augmenting-paths scheme; intended for the
-    small clouds (n <= 64) used in the 2-d Wasserstein check.
-    """
-    cost = np.asarray(cost, dtype=float)
-    n = cost.shape[0]
-    if cost.shape != (n, n):
-        raise InvalidInputError("cost matrix must be square")
-    INF = float("inf")
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match = np.zeros(n + 1, dtype=int)   # match[j] = row assigned to column j
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = np.full(n + 1, INF)
-        way = np.zeros(n + 1, dtype=int)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = INF
-            j1 = -1
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    assign = np.empty(n, dtype=int)      # assign[row] = column
-    for j in range(1, n + 1):
-        assign[match[j] - 1] = j - 1
-    total = float(cost[np.arange(n), assign].sum())
-    return assign, total
-
-
 def w2_distance(m1: Measure, m2: Measure) -> DistanceResult:
-    """Quadratic Wasserstein distance; quantile formula in 1-d, exact
-    assignment for equal-weight atomic clouds of at most 64 points in 2-d."""
-    if m1.dim == 1:
-        return DistanceResult(_w2_quantile(m1, m2), "w2-quantile")
-    if not (isinstance(m1, ParticleMeasure) and isinstance(m2, ParticleMeasure)):
-        raise UnsupportedInputError("2-d W2 needs atomic inputs")
-    n = m1.positions.shape[0]
-    if m2.positions.shape[0] != n or n > 64:
-        raise UnsupportedInputError("2-d W2 assignment needs equal counts, n <= 64")
-    if (np.ptp(m1.weights) > 1e-12 * m1.total_mass
-            or np.ptp(m2.weights) > 1e-12 * m2.total_mass):
-        raise UnsupportedInputError("2-d W2 assignment needs equal weights")
-    diff = m1.positions[:, None, :] - m2.positions[None, :, :]
-    cost = np.einsum("ijk,ijk->ij", diff, diff)
-    _, total = min_cost_assignment(cost)
-    return DistanceResult(math.sqrt(total / n), "w2-assignment")
+    """Quadratic Wasserstein distance between 1-d measures, by the quantile
+    formula."""
+    if m1.dim != 1 or m2.dim != 1:
+        raise UnsupportedInputError("the W2 distance is 1-d")
+    return DistanceResult(_w2_quantile(m1, m2), "w2-quantile")
 
 
 def centered_distance(w: PotentialSpec, m1: Measure, m2: Measure,

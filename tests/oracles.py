@@ -1,0 +1,68 @@
+"""Reference computations the package is checked against.
+
+The full-history drift is the definition the running-moment simulator
+reproduces: the gradient of W summed over every past atom of the path, on
+the same noise and pre-history as `simulate`.
+"""
+
+import numpy as np
+
+from selfattract.errors import NumericFailureError
+from selfattract.sde import (_CENTER_EVERY, _increments, _interpolate_center_gaps,
+                             _prehistory, _v_gradient)
+
+
+def full_history_path(w, x0, cfg, v=None, replica=0, initial_occupation=None):
+    """Brute-force drift summed over every past atom, on the noise of
+    ``simulate(..., replica=replica)`` with t_start > 0: the exactness
+    oracle for the running-moment steppers.  Returns positions and centers
+    (n+1), the centers placed where the moment steppers place them and
+    interpolated between."""
+    n = cfg.n_steps
+    dt = cfg.dt
+    increments = _increments(cfg, n, replica)
+    base_pos, base_w = _prehistory(x0, cfg.t_start, initial_occupation)
+    positions = np.empty(n + 1)
+    positions[0] = x0
+    g = np.polynomial.polynomial.polytrim(
+        np.polynomial.polynomial.polyder(w.poly1d_coefficients()))
+    vg = _v_gradient(v)
+    x = float(x0)
+    mass = float(base_w.sum())
+    for i in range(n):
+        d = float(base_w @ np.polynomial.polynomial.polyval(x - base_pos, g))
+        if i > 0:
+            d += dt * float(np.polynomial.polynomial.polyval(
+                x - positions[1:i + 1], g).sum())
+        d = d / mass
+        if vg is not None:
+            d += float(np.polynomial.polynomial.polyval(x, vg))
+        x += -d * dt + increments[i]
+        mass += dt
+        positions[i + 1] = x
+    # center knots where the moment steppers place them: every step for a
+    # linear drift; no attraction keeps the start point
+    atoms = np.concatenate((base_pos, positions[1:]))
+    weights = np.concatenate((base_w, np.full(n, dt)))
+    centers = np.full(n + 1, np.nan)
+    c = float(x0)
+    for i in range(0, n + 1, 1 if g.size <= 2 else _CENTER_EVERY):
+        if g.any():
+            c = history_center(g, atoms[:base_w.size + i], weights[:base_w.size + i], c)
+        centers[i] = c
+    _interpolate_center_gaps(centers)
+    return positions, centers
+
+
+def history_center(g, pos, wts, c, tol=1e-12, max_iter=60):
+    """Root of c -> sum_k w_k W'(c - x_k) / mass, summed over every atom, by
+    Newton from c (the stopping rule of `sde._center`)."""
+    h = np.polynomial.polynomial.polyder(g)
+    mass = float(wts.sum())
+    for _ in range(max_iter):
+        r = c - pos
+        val = float(wts @ np.polynomial.polynomial.polyval(r, g)) / mass
+        if abs(val) <= tol:
+            return c
+        c -= val * mass / float(wts @ np.polynomial.polynomial.polyval(r, h))
+    raise NumericFailureError("center Newton on the full history did not converge")

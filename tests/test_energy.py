@@ -9,9 +9,21 @@ from selfattract import (GridDensity, RateParams, energy_envelope, entropy,
                          recenter, relative_free_energy, smooth, dirac,
                          uniform_density, w2_distance, zero_interaction,
                          displacement_interpolate)
-from selfattract.energy import envelope_closed_form, frozen_energy
+from selfattract.energy import frozen_energy
+from selfattract.errors import InvalidInputError
 from selfattract.gibbs import gibbs_map
 from conftest import make_rng, random_mixture
+
+
+def envelope_closed_form(params: RateParams, y_start: float, t_start: float,
+                         ts: np.ndarray) -> np.ndarray:
+    """Small-y closed form of the envelope, anchored at (t_start, y_start)."""
+    if y_start >= params.eps0:
+        raise InvalidInputError("closed form is valid in the small-y branch only")
+    u0 = -math.log(y_start)
+    k = params.k
+    base = u0 ** (k + 1) + 0.5 * params.c7 * (k + 1) * np.log(np.asarray(ts) / t_start)
+    return np.exp(-(base ** (1.0 / (k + 1))))
 
 
 def gaussian_free_energy(sigma):

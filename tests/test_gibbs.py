@@ -9,8 +9,19 @@ from selfattract import (GridDensity, NumericFailureError, ParticleMeasure,
                          quadratic_symmetric, solve_fixed_point, tail_profile,
                          uniform_density, zero_interaction)
 from selfattract.energy import frozen_energy
-from selfattract.measures import p_norm_difference
+from selfattract.errors import InvalidInputError
+from selfattract.potentials import as_envelope
 from conftest import make_rng, random_mixture
+
+
+def p_norm_difference(p, a: GridDensity, b: GridDensity) -> float:
+    """Envelope norm of the signed difference of two densities on one grid."""
+    if a.dim != 1 or a.cells != b.cells or not np.allclose(a.lo, b.lo) \
+            or not np.allclose(a.hi, b.hi):
+        raise InvalidInputError("densities must share one 1-d grid")
+    env = as_envelope(p)
+    xs = a.axis_centers(0)
+    return float(env(np.abs(xs)) @ np.abs(a.values - b.values)) * a.cell_volume
 
 
 def gauss_values(xs, mean, sigma=1.0):

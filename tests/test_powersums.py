@@ -16,10 +16,10 @@ from selfattract import (GridDensity, ParticleMeasure, SimConfig, center,
                          frozen_energy_difference, gaussian_density, gibbs_map,
                          quadratic_shifted, quadratic_symmetric, simulate,
                          simulate_ensemble, zero_interaction)
-from selfattract import sde
 from selfattract.gridkernel import interaction_energy
 from selfattract.powersums import power_sums, reanchor
 from conftest import make_rng
+from oracles import full_history_path
 
 POTENTIALS = {
     "quadratic": quadratic_symmetric(1.0),
@@ -219,7 +219,7 @@ def test_reanchored_paths_match_the_full_history_oracle():
     w = even_polynomial([0.5, 0.25])
     cfg = SimConfig(dt=0.01, t_end=6.0, t_start=1.0, seed=5)
     single = simulate(w, 4.0, cfg, initial_occupation=dirac(0.0))
-    oracle, _ = sde._full_history_path(w, 4.0, cfg, initial_occupation=dirac(0.0))
+    oracle, _ = full_history_path(w, 4.0, cfg, initial_occupation=dirac(0.0))
     assert np.abs(single.positions - oracle).max() <= 1e-12
     ensemble = simulate_ensemble(w, 4.0, cfg, 2, initial_occupation=dirac(0.0))
     assert np.abs(ensemble[0].positions - single.positions).max() <= 1e-13

@@ -13,9 +13,9 @@ from selfattract import (InvalidInputError, ParticleMeasure, SimConfig,
                          simulate_ensemble, zero_interaction)
 from selfattract import sde
 from selfattract.powersums import anchor, convolution_matrix, power_sums
-from selfattract.sde import (counterexample_mean_track, ou_modulus_exact,
-                             ou_stationary_envelope_moment)
+from selfattract.sde import TrajectoryRecord
 from conftest import make_rng
+from oracles import full_history_path
 
 
 def short_cfg(**kw):
@@ -27,13 +27,13 @@ def short_cfg(**kw):
 class TestSimulate:
     def test_running_moments_equal_full_history(self, quad):
         r1 = simulate(quad, 0.5, short_cfg())
-        oracle, _ = sde._full_history_path(quad, 0.5, short_cfg())
+        oracle, _ = full_history_path(quad, 0.5, short_cfg())
         assert np.abs(r1.positions - oracle).max() <= 1e-12
 
     def test_identity_holds_for_quartic(self):
         w = even_polynomial([0.5, 0.25])
         r1 = simulate(w, 0.5, short_cfg())
-        oracle, _ = sde._full_history_path(w, 0.5, short_cfg())
+        oracle, _ = full_history_path(w, 0.5, short_cfg())
         assert np.abs(r1.positions - oracle).max() <= 1e-12
 
     def test_bit_identical_reruns(self, quad):
@@ -94,12 +94,12 @@ class TestSimulate:
         # uniformly convex
         cfg = short_cfg(seed=2, t_end=3.0)
         moments = simulate(zero_interaction(), 0.5, cfg)
-        positions, centers = sde._full_history_path(zero_interaction(), 0.5, cfg)
+        positions, centers = full_history_path(zero_interaction(), 0.5, cfg)
         assert np.abs(moments.positions - positions).max() <= 1e-12
         assert np.array_equal(moments.center_track, centers)
         for w in (even_polynomial([0.0, 0.1]), quadratic_symmetric(1.0)):
             moments = simulate(w, 0.5, cfg)
-            positions, centers = sde._full_history_path(w, 0.5, cfg)
+            positions, centers = full_history_path(w, 0.5, cfg)
             assert np.abs(moments.positions - positions).max() <= 1e-12
             assert np.abs(moments.center_track - centers).max() <= 1e-9
 
@@ -199,8 +199,8 @@ class TestEnsemble:
         cfg = short_cfg(seed=41)
         ens = simulate_ensemble(quad, 0.0, cfg, 2, initial_occupation=warm)
         for r, rec in enumerate(ens):
-            positions, centers = sde._full_history_path(quad, 0.0, cfg, replica=r,
-                                                        initial_occupation=warm)
+            positions, centers = full_history_path(quad, 0.0, cfg, replica=r,
+                                                   initial_occupation=warm)
             assert rec.initial_occupation is warm
             assert np.abs(rec.positions - positions).max() <= 1e-12
             assert np.abs(rec.center_track - centers).max() <= 1e-12
@@ -231,7 +231,7 @@ class TestEnsemble:
         # from the origin, where one ulp of x is 1e-13)
         short = SimConfig(dt=0.01, t_end=6.0, t_start=1.0, seed=58)
         rec = simulate(w, x0, short, initial_occupation=init)
-        positions, centers = sde._full_history_path(w, x0, short, initial_occupation=init)
+        positions, centers = full_history_path(w, x0, short, initial_occupation=init)
         assert np.abs(rec.positions - positions).max() <= 1e-12 * max(1.0, x0)
         assert np.abs(rec.center_track - centers).max() <= 1e-12 * max(1.0, x0)
 
@@ -282,7 +282,8 @@ class TestCoupledFrozen:
         n = 30
         t0, t1 = n ** 1.5, (n + 1) ** 1.5
         cp = coupled_frozen(quad, rec, (t0, t1), seed=2)
-        l_n = rec.l_value(t0, t1)
+        # the farthest the whole past up to t1 strays from the center at t0
+        l_n = np.abs(rec.positions[:rec.index_at(t1) + 1] - rec.center_at(t0)).max()
         env = quad.bound
         c_w = quad.convexity_constant
         gap0 = abs(cp.x_path[0] - cp.y_path[0])
@@ -315,6 +316,23 @@ class TestCoupledFrozen:
         want = np.array(want)
         assert cp.y_path.size == want.size == 501
         assert np.abs(cp.y_path - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("start", ["drawn", "given"])
+    def test_reads_the_frozen_measure_through_its_power_sums(self, start, monkeypatch):
+        # the frozen measure enters only through the record's prefix power
+        # sums: no prefix occupation is built, with or without y_start
+        w = even_polynomial([0.5, 0.1])
+        rec = simulate(w, 0.4, SimConfig(dt=0.01, t_end=60.0, t_start=1.0, seed=4))
+        t0 = 40.0
+        y_start = None if start == "drawn" else float(rec.positions[rec.index_at(t0)])
+
+        def no_occupation(self, upto=None):
+            raise AssertionError("coupled_frozen built a prefix occupation")
+
+        monkeypatch.setattr(TrajectoryRecord, "occupation", no_occupation)
+        cp = coupled_frozen(w, rec, (t0, 45.0), seed=3, y_start=y_start)
+        assert cp.y_path.size == 501 and np.all(np.isfinite(cp.y_path))
+        assert abs(cp.frozen_center - rec.center_at(t0)) < 1.0
 
     def test_draws_only_the_increments_up_to_the_window_end(self, quad, monkeypatch):
         rec = simulate(quad, 0.0, SimConfig(dt=0.01, t_end=300.0, t_start=1.0, seed=13))
@@ -356,20 +374,6 @@ class TestOuDomination:
         cfg = SimConfig(dt=1e-3, t_end=51.0, t_start=1.0, seed=17)
         res = ou_domination(quad, cfg, burn_in=10.0)
         assert res.violation_fraction <= 0.01
-
-    def test_occupation_tail_decays_at_unit_rate(self):
-        # stationary law of Z: the time spent above r decays at least like e^-r
-        ts, zs = ou_modulus_exact(1.0, 1, 0.005, 5000.0, seed=23)
-        rs = np.linspace(2.0, 5.0, 10)
-        frac = np.array([(zs > r).mean() for r in rs])
-        slope = np.polyfit(rs, np.log(np.maximum(frac, 1e-12)), 1)[0]
-        assert slope <= -1.0
-
-    def test_envelope_time_average_matches_stationary_moment(self):
-        ts, zs = ou_modulus_exact(1.0, 1, 0.005, 10_000.0, seed=3)
-        avg = float(np.mean(1.0 + zs ** 2))
-        want = ou_stationary_envelope_moment(1.0, 1, 1.0, 2)
-        assert abs(avg - want) / want <= 0.05
 
     def test_reflection_events_counted(self, quad):
         cfg = SimConfig(dt=1e-3, t_end=3.0, t_start=1.0, seed=29)
@@ -509,7 +513,8 @@ class TestCounterexample:
         for r in range(48):
             ts, ys, _ = counterexample_system(2.0, 0.005, seed=100 + r)
             ys_at_2.append(ys[-1])
-        want = counterexample_mean_track(np.array([2.0]), y0=0.0)[0]
+        # closed-form mean of Y from y0 = 0 at t0 = 1: (t0 e^(t0 - t) - 1) / t
+        want = (math.exp(1.0 - 2.0) - 1.0) / 2.0
         assert np.mean(ys_at_2) == pytest.approx(want, abs=0.12)
 
     def test_center_grows_like_log_t(self):
