@@ -18,7 +18,7 @@ from . import rng
 from .errors import InvalidInputError
 from .flow import Schedule
 from .gibbs import gibbs_map
-from .measures import GridDensity, recenter
+from .measures import GridDensity, centered, recenter
 from .potentials import PotentialSpec
 from .powersums import convolution_matrix
 from .sde import TrajectoryRecord
@@ -171,8 +171,8 @@ def ergodicity_check(w: PotentialSpec, records: list[TrajectoryRecord],
                      final_w2_bound: float = 0.1, min_passing: int | None = None,
                      n_boot: int = 200) -> DiagnosticsReport:
     """Per-replica Wasserstein distance of the centered occupation measure to
-    the fixed point at logarithmic checkpoints, with a fitted decay exponent
-    for exp(-a (log t)^(1/(k+1))).
+    the fixed point (centered too when W has a center) at logarithmic
+    checkpoints, with a fitted decay exponent for exp(-a (log t)^(1/(k+1))).
 
     The checkpoints run from max(2 t_start, t_start + 1) to the records' end,
     which must lie beyond it."""
@@ -188,7 +188,7 @@ def ergodicity_check(w: PotentialSpec, records: list[TrajectoryRecord],
             f"ergodicity checkpoints start at max(2 t_start, t_start + 1) = {first:g}; "
             f"the records end at t = {t1:g}, they must run beyond it")
     ts = _checkpoints(first, t1, per_decade)
-    target = QuantileTarget(rho_inf)
+    target = QuantileTarget(centered(w, rho_inf) if w.convexity_constant > 0 else rho_inf)
     curves = []
     finals = []
     for rec in records:

@@ -13,8 +13,8 @@ import numpy as np
 
 from .energy import EnergyBreakdown, RateParams, energy_envelope, free_energy
 from .errors import InvalidInputError
-from .gibbs import _snap_shift, gibbs_map, solve_fixed_point
-from .measures import GridDensity, center, recenter
+from .gibbs import _box_follows, gibbs_map, solve_fixed_point
+from .measures import GridDensity, center
 from .potentials import PotentialSpec
 from .transport import tp_distance_1d
 
@@ -56,16 +56,13 @@ class FlowState:
     step_distance: float
 
 
-def _recenter_policy(w: PotentialSpec, g: GridDensity, c: float) -> tuple[GridDensity, float]:
-    """Shift the domain (whole cells) when the center strays past 10% of the
-    half-width from the box middle."""
+def _recenter_policy(w: PotentialSpec, g: GridDensity, c: float) -> GridDensity:
+    """The box follows the measure: once the center c strays past 10% of the
+    half-width from the box middle, the box moves by whole cells to put its
+    middle at c, and the measure stays where it is."""
     mid = 0.5 * float(g.lo[0] + g.hi[0])
     half = 0.5 * float(g.hi[0] - g.lo[0])
-    if abs(c - mid) > 0.1 * half:
-        shift = _snap_shift(c - mid, float(g.spacing[0]))
-        if shift != 0.0:
-            return recenter(g, shift), c - shift
-    return g, c
+    return _box_follows(g, c) if abs(c - mid) > 0.1 * half else g
 
 
 def initial_state(w: PotentialSpec, init: GridDensity, s: Schedule,
@@ -81,18 +78,18 @@ def initial_state(w: PotentialSpec, init: GridDensity, s: Schedule,
 def euler_step(w: PotentialSpec, state: FlowState, next_time: float,
                v: PotentialSpec | None = None,
                reference_total: float | None = None) -> FlowState:
-    """One mixing step: rho <- rho + lam (Pi(rho) - rho), lam = dT / T_next."""
+    """One mixing step: rho <- rho + lam (Pi(rho) - rho), lam = dT / T_next,
+    with the box first following the state's center (`_recenter_policy`)."""
     if next_time <= state.time:
         raise InvalidInputError("next_time must exceed the state time")
     lam = (next_time - state.time) / next_time
     if not 0.0 < lam < 1.0:
         raise InvalidInputError(f"mixing weight {lam} outside (0, 1)")
-    image = gibbs_map(w, state.density, v=v, grid=state.density).density
-    mixed = GridDensity(state.density.lo, state.density.hi,
-                        (1.0 - lam) * state.density.values + lam * image.values)
+    rho = _recenter_policy(w, state.density, state.center)
+    image = gibbs_map(w, rho, v=v, grid=rho).density
+    mixed = GridDensity(rho.lo, rho.hi, (1.0 - lam) * rho.values + lam * image.values)
     mixed = mixed.normalized()
     c = center(w, mixed) if w.convexity_constant > 0 else mixed.mean()
-    mixed, c = _recenter_policy(w, mixed, float(c))
     step = tp_distance_1d(w, state.density, mixed).value
     e = free_energy(w, mixed, v=v, relative_to=reference_total)
     return FlowState(n=state.n + 1, time=next_time, density=mixed,

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericFailureError
 from .gridkernel import potential_on_grid
 from .measures import (GridDensity, Measure, _summable, center, convolve_potential,
-                       p_norm, recenter)
+                       p_norm)
 from .potentials import PotentialSpec
 from .powersums import PowerSums
 from .transport import tp_distance_1d
@@ -107,9 +107,22 @@ def _boundary_mass(g: GridDensity) -> float:
     return float(edge * g.cell_volume)
 
 
-def _snap_shift(c: float, width: float) -> float:
-    """Shift rounded to a whole number of cells so values stay aligned."""
-    return round(c / width) * width
+def _box_follows(g: GridDensity, c: float) -> GridDensity:
+    """The 1-d grid with its box moved by the whole number of cells nearest
+    to c minus the box middle, and the measure left in place: the values move
+    the same number of slots the other way, zero-filled, and are renormalized
+    for the tail that leaves the box.  Whole cells keep the old and the new
+    grid on one lattice."""
+    h = float(g.spacing[0])
+    k = round((c - 0.5 * float(g.lo[0] + g.hi[0])) / h)
+    if k == 0:
+        return g
+    vals = np.zeros_like(g.values)
+    if k > 0:
+        vals[:-k] = g.values[k:]
+    else:
+        vals[-k:] = g.values[:k]
+    return GridDensity(g.lo + k * h, g.hi + k * h, vals).normalized()
 
 
 @dataclass(frozen=True)
@@ -126,26 +139,25 @@ def solve_fixed_point(w: PotentialSpec, init: GridDensity,
                       return_info: bool = False, track_energy: bool = False):
     """Damped iteration rho <- (1 - damping) rho + damping * Pi(rho).
 
-    Each step re-centers the iterate (domain shift snapped to whole cells so
-    successive iterates stay mixable).  Convergence is measured by the 1-d
-    translation distance between successive centered iterates (L1 in 2-d).
+    In 1-d the grid box follows the iterate: before each Gibbs image the box
+    moves by whole cells to the iterate's center (`_box_follows`), and the
+    iterate stays where it is.  Convergence is measured by the 1-d
+    translation distance between successive iterates (L1 in 2-d).
     """
     if not 0.0 < damping <= 1.0:
         raise InvalidInputError("damping must lie in (0, 1]")
     init.require_probability()
+    follow = w.convexity_constant > 0 and init.dim == 1
     rho = init
     residuals = []
     energies = []
     for it in range(1, max_iter + 1):
+        if follow:
+            rho = _box_follows(rho, center(w, rho))
         image = gibbs_map(w, rho, v=v, grid=rho).density
         mixed = GridDensity(rho.lo, rho.hi,
                             (1.0 - damping) * rho.values + damping * image.values)
         mixed = mixed.normalized()
-        if w.convexity_constant > 0 and mixed.dim == 1:
-            c = center(w, mixed)
-            shift = _snap_shift(c, float(mixed.spacing[0]))
-            if shift != 0.0:
-                mixed = recenter(mixed, shift)
         if mixed.dim == 1:
             res = tp_distance_1d(w, rho, mixed).value
         else:

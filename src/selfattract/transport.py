@@ -8,7 +8,12 @@ over the merged intervals in one vectorised pass.  For tp, the integral of
 P(|x|) |F1 - F2| dx, the CDF gap is linear, g = c0 + c1 x, between merged
 x-knots; an interval is split only where g changes sign, and P(|x|) g
 integrates to c0 dPhi0 + c1 dPhi1 with Phi0 the odd primitive of P(|x|) and
-Phi1 the even primitive of x P(|x|), both valid across x = 0.  For W2 the
+Phi1 the even primitive of x P(|x|), both valid across x = 0.  Two grids on
+one lattice (one cell width, boxes a whole number of cells apart, as the
+flow's and the fixed point's box moves leave them) skip the knots: the gap
+is the difference of the two normalized CDFs at the edges of the union box,
+linear on each cell.  Both cases (`_lattice_gap`, `_merged_gap`) end in
+the same integration tail, `_abs_gap_integral`.  For W2 the
 quantile gap is linear between merged probability knots and its square
 integrates to w (ga^2 + ga gb + gb^2) / 3.  `QuantileTarget` does the
 same against one fixed measure for many sorted atom measures (the prefix
@@ -202,6 +207,62 @@ def _cdf_after_knot(segments, j: np.ndarray, xs: np.ndarray):
     return level[j] + s * (xs - knots[j - 1]), s
 
 
+def _lattice_gap(m1: Measure, m2: Measure):
+    """(knots, ga, c1) as in `_abs_gap_integral` for two 1-d grids on one
+    lattice -- the same cell width, boxes a whole number of cells apart to a
+    few ulps of their coordinates: the knots are the edges of the union box,
+    and the gap there is the difference of the two normalized CDFs, each 0
+    before its box and 1 after it.  None for any other pair."""
+    if not (isinstance(m1, GridDensity) and isinstance(m2, GridDensity)):
+        return None
+    ends = np.array([m1.lo[0], m1.hi[0], m2.lo[0], m2.hi[0]])
+    base, h = ends[[0, 2]].min(), float(m1.spacing[0])
+    k = np.rint((ends - base) / h).astype(np.intp)
+    if (k[3] - k[2] != m2.values.size
+            or np.abs(ends - base - k * h).max() > 8 * np.spacing(np.abs(ends).max())):
+        return None
+    edges = np.linspace(base, ends[[1, 3]].max(), max(k[1], k[3]) + 1)
+    gap = np.zeros(edges.size)
+    for m, first, sign in ((m1, k[0], 1.0), (m2, k[2], -1.0)):
+        cum = np.cumsum(m.values * m.cell_volume)
+        gap[first + 1:first + cum.size + 1] += sign * (cum / cum[-1])
+        gap[first + cum.size + 1:] += sign
+    return edges, gap[:-1], np.diff(gap) / np.diff(edges)
+
+
+def _merged_gap(m1: Measure, m2: Measure):
+    """(knots, ga, c1) as in `_abs_gap_integral` for any two 1-d measures:
+    the knots of both CDFs merged by counting, and each CDF's one-sided
+    value and slope on every merged interval."""
+    a, b = (_cdf_segments(_quantile_pieces(m)) for m in (m1, m2))
+    xs = np.empty(a[0].size + b[0].size)
+    nb = _merge(a[0], b[0], xs)
+    ib = nb[1:-1]          # knots of b at or left of each interval
+    ia = np.arange(1, xs.size) - ib
+    fa, sa = _cdf_after_knot(a, ia, xs[:-1])
+    fb, sb = _cdf_after_knot(b, ib, xs[:-1])
+    return xs, fa - fb, sa - sb
+
+
+def _abs_gap_integral(env, xs: np.ndarray, ga: np.ndarray, c1: np.ndarray) -> float:
+    """Integral of P(|x|) |g| over [xs[0], xs[-1]] when g = ga + c1 (x - lo)
+    on each interval [lo, hi] between the sorted knots xs.  An interval is
+    split only where g changes sign."""
+    lo = xs[:-1]
+    c0 = ga - c1 * lo
+    phi0 = env.antiderivative(xs)
+    phi1 = env.moment_antiderivative(xs)
+    signed = c0 * np.diff(phi0) + c1 * np.diff(phi1)
+    parts = np.abs(signed)
+    cross = np.nonzero(ga * (ga + c1 * np.diff(xs)) < 0.0)[0]
+    if cross.size:   # g changes sign at r: split the interval there
+        r = lo[cross] - ga[cross] / c1[cross]
+        left = (c0[cross] * (env.antiderivative(r) - phi0[cross])
+                + c1[cross] * (env.moment_antiderivative(r) - phi1[cross]))
+        parts[cross] = np.abs(left) + np.abs(signed[cross] - left)
+    return float(parts.sum())
+
+
 def tp_distance_1d(envelope, m1: Measure, m2: Measure) -> DistanceResult:
     """Translation distance: integral of P(|x|) |F1(x) - F2(x)| dx, exact for
     the piecewise-linear CDFs of atoms and grid cells."""
@@ -213,30 +274,9 @@ def tp_distance_1d(envelope, m1: Measure, m2: Measure) -> DistanceResult:
         raise NumericFailureError(
             "total masses differ; the CDF gap does not vanish at infinity "
             "(extend the grid or normalize the inputs)")
-    a = _cdf_segments(_quantile_pieces(m1))
-    b = _cdf_segments(_quantile_pieces(m2))
-    xs = np.empty(a[0].size + b[0].size)
-    nb = _merge(a[0], b[0], xs)
-    lo = xs[:-1]
-    ib = nb[1:-1]          # knots of b at or left of each interval
-    ia = np.arange(1, xs.size) - ib
-    fa, sa = _cdf_after_knot(a, ia, lo)
-    fb, sb = _cdf_after_knot(b, ib, lo)
-    ga = fa - fb
-    c1 = sa - sb
-    c0 = ga - c1 * lo
-    env = as_envelope(envelope)
-    phi0 = env.antiderivative(xs)
-    phi1 = env.moment_antiderivative(xs)
-    signed = c0 * np.diff(phi0) + c1 * np.diff(phi1)
-    parts = np.abs(signed)
-    cross = np.nonzero(ga * (ga + c1 * np.diff(xs)) < 0.0)[0]
-    if cross.size:   # g changes sign at r: split the interval there
-        r = lo[cross] - ga[cross] / c1[cross]
-        left = (c0[cross] * (env.antiderivative(r) - phi0[cross])
-                + c1[cross] * (env.moment_antiderivative(r) - phi1[cross]))
-        parts[cross] = np.abs(left) + np.abs(signed[cross] - left)
-    return DistanceResult(0.5 * (mass1 + mass2) * float(parts.sum()), "tp-1d")
+    knots = _lattice_gap(m1, m2) or _merged_gap(m1, m2)
+    total = _abs_gap_integral(as_envelope(envelope), *knots)
+    return DistanceResult(0.5 * (mass1 + mass2) * total, "tp-1d")
 
 
 def w2_distance(m1: Measure, m2: Measure) -> DistanceResult:

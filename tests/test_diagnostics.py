@@ -8,7 +8,7 @@ from selfattract import (InvalidInputError, NumericFailureError, ParticleMeasure
                          counterexample_system, even_polynomial,
                          external_polynomial, gaussian_density, gibbs_map,
                          quadratic_symmetric, recenter, simulate,
-                         simulate_ensemble, w2_distance)
+                         simulate_ensemble, w2_distance, zero_interaction)
 from selfattract.diagnostics import (center_convergence, ergodicity_check,
                                      one_step_error)
 from selfattract.powersums import PowerSums, power_sums
@@ -115,6 +115,14 @@ class TestErgodicity:
             for t, got in series:
                 want = w2_distance(recenter(rec.occupation(t), rec.center_at(t)), rho).value
                 assert abs(got - want) <= 1e-12
+
+    def test_without_a_center_the_fixed_point_is_read_as_given(self):
+        # W = 0 has no center to put the fixed point at; V = x^2 / 2 places it
+        w, v = zero_interaction(), external_polynomial([0.5])
+        records = simulate_ensemble(w, 0.0, SimConfig(dt=0.01, t_end=60.0, seed=5), 2, v=v)
+        rho = gaussian_density(0, 1, -8, 8, 512)
+        report = ergodicity_check(w, records, rho, min_passing=0, n_boot=10)
+        assert len([label for label, _, _ in report.series]) >= 20
 
     def test_report_is_reproducible(self, quad):
         cfg = SimConfig(dt=0.01, t_end=60.0, t_start=1.0, seed=14)
@@ -228,10 +236,12 @@ class TestPrefixSums:
         rec = _records()[name]
         moved = _shifted(rec, 1000.0)
         sched = Schedule(n_start=3, n_end=18)
+        # the fixed point moves with the record: ergodicity centers both
         rho = gaussian_density(0, 1, -8, 8, 512)
-        for run in (lambda r: one_step_error(quad, r, sched),
-                    lambda r: ergodicity_check(quad, [r], rho, min_passing=0, n_boot=10)):
-            base, shifted = run(rec).series, run(moved).series
+        far = gaussian_density(1000, 1, 992, 1008, 512)
+        for run in (lambda r, g: one_step_error(quad, r, sched),
+                    lambda r, g: ergodicity_check(quad, [r], g, min_passing=0, n_boot=10)):
+            base, shifted = run(rec, rho).series, run(moved, far).series
             assert [(label, t) for label, t, _ in base] == [(label, t) for label, t, _
                                                             in shifted]
             assert max(abs(a[2] - b[2]) for a, b in zip(base, shifted)) <= 1e-9

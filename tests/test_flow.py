@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from selfattract import (InvalidInputError, RateParams, Schedule, dirac,
-                         envelope_compare, euler_step, gaussian_density,
-                         quadratic_symmetric, run_flow, schedule_times, smooth,
-                         solve_fixed_point, tp_distance_1d, uniform_density)
+                         envelope_compare, euler_step, external_polynomial,
+                         gaussian_density, quadratic_symmetric, run_flow,
+                         schedule_times, smooth, solve_fixed_point, tp_distance_1d,
+                         uniform_density)
 from selfattract.flow import initial_state
 from selfattract.measures import tail_profile
 from selfattract.energy import free_energy
@@ -95,6 +96,22 @@ class TestRunFlow:
         first_half = inc[: inc.size // 2].sum()
         second_half = inc[inc.size // 2:].sum()
         assert second_half <= 0.2 * first_half + 1e-12
+
+    def test_off_center_start_keeps_its_center(self, quad):
+        # without V nothing pulls the measure anywhere: the box follows it,
+        # and it stays at 3
+        init = smooth(dirac(3.0), 0.5, lo=-8, hi=8, cells=1024)
+        states = run_flow(quad, init, Schedule(n_end=60))
+        assert np.abs(np.array([st.center for st in states]) - 3.0).max() <= 1e-9
+        assert states[-1].density.lo[0] > -8.0
+
+    def test_energy_decreases_from_off_center_start_with_v(self, quad):
+        v = external_polynomial([0.5])   # V = x^2 / 2 pulls the measure to 0
+        init = smooth(dirac(3.0), 0.5, lo=-8, hi=8, cells=1024)
+        states = run_flow(quad, init, Schedule(n_end=40), v=v)
+        rel = np.array([st.free_energy.relative for st in states])
+        assert np.all(np.diff(rel) <= 1e-8)
+        assert states[-1].center < 1.0
 
     def test_tail_certificates_stay_bounded(self, quad):
         init = smooth(dirac(0.0), 0.5, lo=-8, hi=8, cells=1024)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from selfattract import (GridDensity, NumericFailureError, ParticleMeasure,
-                         dirac, entropy, even_polynomial, external_polynomial,
-                         gaussian_density, gibbs_map, quadratic_shifted,
-                         quadratic_symmetric, solve_fixed_point, tail_profile,
+                         center, dirac, entropy, even_polynomial,
+                         external_polynomial, gaussian_density, gibbs_map,
+                         quadratic_shifted, quadratic_symmetric, recenter, smooth,
+                         solve_fixed_point, tail_profile, tp_distance_1d,
                          uniform_density, zero_interaction)
 from selfattract.energy import frozen_energy
 from selfattract.errors import InvalidInputError
@@ -131,6 +132,25 @@ class TestFixedPoint:
         rho = solve_fixed_point(w, uniform_density(-6, 6, 512))
         image = gibbs_map(w, rho, grid=rho).density
         assert np.abs(image.values - rho.values).max() <= 1e-7
+
+    @pytest.mark.parametrize("w", [quadratic_symmetric(1.0), even_polynomial([0.5, 0.1])],
+                             ids=["quadratic", "quartic"])
+    def test_box_follows_an_off_center_start(self, w):
+        # the box moves by whole cells to the measure, which stays put: every
+        # start converges where it is, and at whole-cell starts (h = 1/64)
+        # the centered result is the centered result of the start at 0
+        def solve(x0):
+            rho = solve_fixed_point(w, smooth(dirac(x0), 0.5, lo=-8, hi=8, cells=1024))
+            c = center(w, rho)
+            assert abs(c - x0) <= 0.25
+            assert abs(c - 0.5 * float(rho.lo[0] + rho.hi[0])) <= 0.5 * float(rho.spacing[0])
+            return recenter(rho, c)
+
+        at_zero = solve(0.0)
+        for x0 in (0.4, 1.0, 3.0):
+            rho = solve(x0)
+            if x0 * 64 == round(x0 * 64):
+                assert tp_distance_1d(w, rho, at_zero).value <= 1e-10
 
     def test_divergent_damping_rejected(self, quad):
         with pytest.raises(Exception):

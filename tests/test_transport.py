@@ -9,6 +9,7 @@ from selfattract import (DominatingPolynomial, GridDensity, ParticleMeasure,
                          displacement_interpolate, gaussian_density,
                          p_norm, quadratic_symmetric,
                          recenter, tail_profile, tp_distance_1d, w2_distance)
+from selfattract import transport
 from selfattract.transport import _quantile_pieces
 from conftest import make_rng, random_atoms
 
@@ -181,6 +182,59 @@ class TestTpOnGrids:
             for c in (0.25, 3.0):
                 got = tp_distance_1d(env, scaled(m1, c), scaled(m2, c)).value
                 assert got == pytest.approx(c * want, rel=1e-8)
+
+
+def lattice_grid(gen, lo, hi, cells):
+    """Random bumps with a run of zero-mass cells at each end of the box."""
+    xs = lo + (np.arange(cells) + 0.5) * (hi - lo) / cells
+    k = int(gen.integers(2, 5))
+    vals = sum(gen.uniform(0.2, 1.0) * np.exp(-0.5 * ((xs - c) / s) ** 2)
+               for c, s in zip(gen.uniform(-2.5, 1.5, k), gen.uniform(0.2, 0.8, k)))
+    vals[:int(gen.integers(1, 30))] = 0.0
+    vals[-int(gen.integers(1, 30)):] = 0.0
+    return GridDensity(np.array([lo]), np.array([hi]), vals).normalized()
+
+
+class TestTpOnLattice:
+    """Two grids of one cell width whose boxes lie a whole number of cells
+    apart take a direct pass over the union box's edges, with no knot
+    merge; it must give what the general pass gives."""
+
+    H = 8.0 / 400
+
+    @staticmethod
+    def general(env, m1, m2, monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(transport, "_lattice_gap", lambda a, b: None)
+            return tp_distance_1d(env, m1, m2).value
+
+    @pytest.mark.parametrize("degree", [2, 4])
+    @pytest.mark.parametrize("k", [0, 1, -1, 37, -150])
+    def test_matches_the_general_pass(self, degree, k, monkeypatch):
+        env = DominatingPolynomial(1.5, degree)
+        gen = make_rng(1000 + 7 * degree + k)
+        changes = 0
+        for _ in range(8):
+            a = lattice_grid(gen, -5.0, 3.0, 400)
+            b = lattice_grid(gen, -5.0 + k * self.H, 3.0 + k * self.H, 400)
+            assert a.values[0] == 0.0 and b.values[-1] == 0.0
+            assert transport._lattice_gap(a, b) is not None
+            changes += gap_sign_changes(a, b)
+            for m1, m2 in ((a, b), (b, a)):
+                want = self.general(env, m1, m2, monkeypatch)
+                assert tp_distance_1d(env, m1, m2).value == pytest.approx(want, rel=1e-13)
+        assert changes >= 4   # the gap changes sign: the split is covered
+
+    @pytest.mark.parametrize("frac", [0.37, 1e-7])
+    def test_off_lattice_offsets_take_the_general_pass(self, frac):
+        env = DominatingPolynomial(1.5, 4)
+        gen = make_rng(5)
+        a = lattice_grid(gen, -5.0, 3.0, 400)
+        s = (12 + frac) * self.H
+        b = lattice_grid(gen, -5.0 + s, 3.0 + s, 400)
+        assert transport._lattice_gap(a, b) is None
+        want = tp_quadrature(env, a, b)
+        assert tp_distance_1d(env, a, b).value == pytest.approx(want, rel=1e-8)
 
 
 class TestW2:
