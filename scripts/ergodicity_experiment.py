@@ -27,7 +27,7 @@ def main():
     w = quadratic_symmetric(args.strength)
     cfg = SimConfig(dt=args.dt, t_end=args.t_end, t_start=1.0, seed=args.seed)
     records = simulate_ensemble(w, 0.0, cfg, args.replicas)
-    rho = solve_fixed_point(w, uniform_density(-8, 8, 2048))
+    rho = solve_fixed_point(w, uniform_density(-8, 8, 2048)).density
     report = ergodicity_check(w, records, rho)
     Path(args.out).write_text(report.to_jsonl())
     print(report.summary())

@@ -11,18 +11,14 @@ from .energy import (EnergyBreakdown, RateParams, energy_envelope, entropy,
                      free_energy, frozen_energy_difference, mixing_inequality,
                      rate_function, relative_free_energy)
 from .errors import InvalidInputError, NumericFailureError, UnsupportedInputError
-from .flow import (FlowState, Schedule, envelope_compare, euler_step, run_flow,
-                   schedule_times)
+from .flow import FlowState, Schedule, envelope_compare, euler_step, run_flow
 from .gibbs import GibbsResult, gibbs_map, solve_fixed_point
-from .measures import (GridDensity, ParticleMeasure, TailProfile, center,
-                       convolve_potential, dirac, gaussian_density, moments,
-                       p_norm, recenter, smooth, tail_profile, uniform_density)
+from .measures import (GridDensity, ParticleMeasure, center, convolve_potential, dirac,
+                       gaussian_density, p_norm, recenter, smooth, uniform_density)
 from .potentials import (CertificateReport, DominatingPolynomial, PotentialSpec,
-                         certify, dominating_polynomial, evaluate,
-                         even_polynomial, external_polynomial, quadratic_shifted,
-                         quadratic_symmetric, zero_interaction)
-from .sde import (CoupledPaths, OuDominationResult, PicardResult, SimConfig,
-                  TrajectoryRecord, coupled_frozen, counterexample_system,
-                  ou_domination, picard_bootstrap, simulate, simulate_ensemble)
-from .transport import (DistanceResult, centered_distance,
-                        displacement_interpolate, tp_distance_1d, w2_distance)
+                         certify, even_polynomial, external_polynomial,
+                         quadratic_shifted, quadratic_symmetric, zero_interaction)
+from .sde import (OuDominationResult, PicardResult, SimConfig, TrajectoryRecord,
+                  counterexample_system, ou_domination, picard_bootstrap, simulate,
+                  simulate_ensemble)
+from .transport import DistanceResult, centered_distance, tp_distance_1d, w2_distance

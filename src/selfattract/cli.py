@@ -23,7 +23,8 @@ from .measures import GridDensity, dirac, gaussian_density, smooth, uniform_dens
 from .persist import (load_measure, write_grid_density, write_manifest,
                       write_series_csv)
 from .potentials import certify
-from .sde import counterexample_system, simulate, simulate_ensemble
+from .sde import counterexample_system, simulate_ensemble
+from .sde import simulate  # noqa: F401  (bench/tracer.py wraps it here)
 from .transport import centered_distance, tp_distance_1d, w2_distance
 
 
@@ -45,12 +46,8 @@ def _initial_density(cfg: ExperimentConfig) -> GridDensity:
 
 def _cmd_simulate(cfg: ExperimentConfig, do_assert: bool) -> int:
     out = _out_dir(cfg)
-    if cfg.replicas > 1:
-        records = simulate_ensemble(cfg.potential, cfg.init_position, cfg.sim,
-                                    cfg.replicas, v=cfg.external)
-    else:
-        records = [simulate(cfg.potential, cfg.init_position, cfg.sim,
-                            v=cfg.external)]
+    records = simulate_ensemble(cfg.potential, cfg.init_position, cfg.sim,
+                                cfg.replicas, v=cfg.external)
     for rec in records:
         thin = max(1, rec.times.size // 2000)
         write_series_csv(out / f"path_r{rec.replica}.csv", ["t", "x", "center"],
@@ -97,8 +94,7 @@ def _cmd_fixpoint(cfg: ExperimentConfig, do_assert: bool) -> int:
     init = _initial_density(cfg)
     result = solve_fixed_point(cfg.potential, init, v=cfg.external,
                                damping=cfg.damping, tol=cfg.fixpoint_tol,
-                               max_iter=cfg.fixpoint_max_iter, return_info=True,
-                               track_energy=True)
+                               max_iter=cfg.fixpoint_max_iter, track_energy=True)
     write_grid_density(out / "density.csv", result.density)
     write_series_csv(out / "convergence.csv", ["iteration", "residual", "free_energy"],
                      [np.arange(1, len(result.residuals) + 1), result.residuals,
@@ -135,7 +131,7 @@ def _cmd_diagnose(cfg: ExperimentConfig, do_assert: bool) -> int:
     records = simulate_ensemble(cfg.potential, cfg.init_position, cfg.sim,
                                 cfg.replicas, v=cfg.external)
     rho = solve_fixed_point(cfg.potential, _initial_density(cfg), v=cfg.external,
-                            damping=cfg.damping, tol=cfg.fixpoint_tol)
+                            damping=cfg.damping, tol=cfg.fixpoint_tol).density
     reports = [ergodicity_check(cfg.potential, records, rho)]
     horizon = cfg.schedule.time(cfg.schedule.n_end)
     if horizon <= cfg.sim.t_end + 1e-9 and cfg.schedule.time(cfg.schedule.n_start) >= cfg.sim.t_start:

@@ -82,11 +82,21 @@ def _coerce(section: str, key: str, value: str):
     if want is bool:
         return _parse_bool(value)
     if want is str:
+        if key == "coefficients":   # kept as text for the manifest, checked here
+            for token in value.split():
+                _number(section, key, token, float)
         return value
+    return _number(section, key, value, want)
+
+
+def _number(section: str, key: str, text: str, want: type):
     try:
-        return want(value)
+        out = want(text)
     except ValueError:
-        raise InvalidInputError(f"bad value for [{section}] {key}: {value!r}")
+        raise InvalidInputError(f"bad value for [{section}] {key}: {text!r}")
+    if not math.isfinite(out):
+        raise InvalidInputError(f"[{section}] {key} must be finite, got {text!r}")
+    return out
 
 
 def _build_potential(kv: dict) -> PotentialSpec:
@@ -149,10 +159,11 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Exper
     grid = sections.get("grid", {})
     init = sections.get("init", {})
     fix = sections.get("fixpoint", {})
+    replicas = overrides.get("replicas")
     cfg = ExperimentConfig(
         name=exp.get("name", "experiment"),
         out=str(overrides.get("out") or exp.get("out", "out")),
-        replicas=int(overrides.get("replicas") or exp.get("replicas", 1)),
+        replicas=int(exp.get("replicas", 1) if replicas is None else replicas),
         potential=_build_potential(sections.get("potential", {})),
         external=(_build_potential(sections["external"])
                   if "external" in sections else None),

@@ -114,13 +114,6 @@ def mixing_inequality(w: PotentialSpec, mu: GridDensity, nu: GridDensity,
     return lhs, rhs
 
 
-def frozen_energy(w: PotentialSpec, mu: GridDensity, g: GridDensity) -> float:
-    """Free energy of g in the external potential generated by mu."""
-    _require_shared_grid(mu, g)
-    return entropy(g) + interaction_form(w, grid_power_sums(w, g, g.values),
-                                         grid_power_sums(w, mu, mu.values))
-
-
 # ---------------------------------------------------------------------------
 # decay-rate function and energy envelope
 

@@ -41,11 +41,6 @@ class Schedule:
         return range(self.n_start, self.n_end)
 
 
-def schedule_times(s: Schedule) -> list[tuple[float, float]]:
-    """Pairs (T_n, T_{n+1} - T_n) for n from n_start to n_end - 1."""
-    return [(s.time(n), s.time(n + 1) - s.time(n)) for n in s.indices()]
-
-
 @dataclass(frozen=True)
 class FlowState:
     n: int
@@ -102,7 +97,7 @@ def run_flow(w: PotentialSpec, init: GridDensity, s: Schedule,
     """All states from n_start to n_end, with energies relative to the fixed
     point (solved on the same grid when not supplied)."""
     if rho_inf is None:
-        rho_inf = solve_fixed_point(w, init, v=v, damping=0.5, tol=1e-11)
+        rho_inf = solve_fixed_point(w, init, v=v, damping=0.5, tol=1e-11).density
     ref = free_energy(w, rho_inf, v=v).total
     states = [initial_state(w, init, s, v=v, reference_total=ref)]
     for n in s.indices():

@@ -128,7 +128,6 @@ def _box_follows(g: GridDensity, c: float) -> GridDensity:
 @dataclass(frozen=True)
 class FixedPointResult:
     density: GridDensity
-    iterations: int
     residuals: tuple[float, ...]
     energies: tuple[float, ...] = ()
 
@@ -136,13 +135,15 @@ class FixedPointResult:
 def solve_fixed_point(w: PotentialSpec, init: GridDensity,
                       v: PotentialSpec | None = None, damping: float = 0.5,
                       tol: float = 1e-12, max_iter: int = 500,
-                      return_info: bool = False, track_energy: bool = False):
+                      track_energy: bool = False) -> FixedPointResult:
     """Damped iteration rho <- (1 - damping) rho + damping * Pi(rho).
 
     In 1-d the grid box follows the iterate: before each Gibbs image the box
     moves by whole cells to the iterate's center (`_box_follows`), and the
     iterate stays where it is.  Convergence is measured by the 1-d
-    translation distance between successive iterates (L1 in 2-d).
+    translation distance between successive iterates (L1 in 2-d).  The
+    result carries the last iterate, the residuals and, with
+    ``track_energy``, the free energy of every iterate.
     """
     if not 0.0 < damping <= 1.0:
         raise InvalidInputError("damping must lie in (0, 1]")
@@ -151,7 +152,7 @@ def solve_fixed_point(w: PotentialSpec, init: GridDensity,
     rho = init
     residuals = []
     energies = []
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         if follow:
             rho = _box_follows(rho, center(w, rho))
         image = gibbs_map(w, rho, v=v, grid=rho).density
@@ -169,8 +170,6 @@ def solve_fixed_point(w: PotentialSpec, init: GridDensity,
 
             energies.append(free_energy(w, rho, v=v).total)
         if res < tol:
-            if return_info:
-                return FixedPointResult(rho, it, tuple(residuals), tuple(energies))
-            return rho
+            return FixedPointResult(rho, tuple(residuals), tuple(energies))
     raise NumericFailureError(
         f"fixed point not reached in {max_iter} iterations (residual {residuals[-1]:.3e})")

@@ -310,7 +310,7 @@ def smooth(m: ParticleMeasure, h: float, lo: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# envelope norm, tail profiles, moments
+# envelope norm
 
 
 def p_norm(p, m: Measure) -> float:
@@ -325,56 +325,3 @@ def p_norm(p, m: Measure) -> float:
     if not math.isfinite(out):
         raise NumericFailureError("envelope norm diverged")
     return out
-
-
-@dataclass(frozen=True)
-class TailProfile:
-    """Exceedance of the centered measure with a fitted exponential certificate."""
-
-    alpha: float
-    certificate: float | None   # minimal C with exceedance(r) <= C exp(-alpha r)
-    radii: np.ndarray
-    exceedance: np.ndarray
-
-
-def tail_profile(p: PotentialSpec, m: Measure, alpha: float,
-                 radii: np.ndarray | None = None) -> TailProfile:
-    """Exceedance r -> m({|y - c_m| > r}) on a radius grid with the minimal
-    certifying constant over the sampled range."""
-    if alpha <= 0:
-        raise InvalidInputError("alpha must be positive")
-    atoms = as_atoms(m).normalized()
-    if p.convexity_constant > 0:
-        c = center(p, m)
-    else:
-        c = atoms.mean()
-    if atoms.dim == 1:
-        dist = np.abs(atoms.positions - c)
-    else:
-        dist = np.linalg.norm(atoms.positions - np.asarray(c), axis=1)
-    rmax = float(dist.max())
-    if radii is None:
-        radii = np.linspace(0.0, rmax, 128)
-    order = np.argsort(dist)
-    sorted_d = dist[order]
-    tail = np.concatenate((np.cumsum(atoms.weights[order][::-1])[::-1], [0.0]))
-    idx = np.searchsorted(sorted_d, radii, side="right")
-    exceed = tail[idx]
-    cert = float(np.max(exceed * np.exp(alpha * radii))) if exceed.size else None
-    return TailProfile(alpha=alpha, certificate=cert, radii=np.asarray(radii),
-                       exceedance=exceed)
-
-
-def moments(m: Measure, max_degree: int) -> np.ndarray:
-    """Raw per-axis moments of the normalized measure, exact for atoms.
-
-    Returns shape (max_degree,) in 1-d and (max_degree, d) in 2-d; entry
-    j-1 is the moment of order j.
-    """
-    if max_degree < 1:
-        raise InvalidInputError("max_degree must be at least 1")
-    atoms = as_atoms(m).normalized()
-    pos = np.atleast_2d(atoms.positions.T).T  # (n, d)
-    out = np.stack([power_sums(col, atoms.weights, 0.0, max_degree + 1)[1:]
-                    for col in pos.T], axis=1)
-    return out[:, 0] if atoms.dim == 1 else out

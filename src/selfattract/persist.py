@@ -57,38 +57,52 @@ def write_grid_density(path: Path, g: GridDensity) -> None:
         fh.write(f"cells = {' '.join(str(c) for c in g.values.shape)}\n")
 
 
-def write_particle_measure(path: Path, m: ParticleMeasure) -> None:
-    if m.dim != 1:
-        raise InvalidInputError("particle CSV format is 1-d")
-    write_series_csv(path, ["position", "weight"], [m.positions, m.weights])
-
-
 def load_measure(path: Path):
-    """Sniff the header row: position/weight -> atoms, x/density -> grid."""
+    """Sniff the header row: position/weight -> atoms, x/density -> grid.
+    A file that is not one of these two tables raises `InvalidInputError`
+    naming it."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
+    try:
+        with open(path, newline="") as fh:
+            table = [row for row in csv.reader(fh) if row]
+        return _measure_from_table(path, table)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read measure file {path}: {exc.strerror}")
+    except (InvalidInputError, ValueError) as exc:
+        raise InvalidInputError(f"measure file {path}: {exc}")
+
+
+def _measure_from_table(path: Path, table: list[list[str]]):
+    if not table:
+        raise InvalidInputError("the file is empty")
+    header, rows = table[0], table[1:]
     cols = [c.strip().lower() for c in header]
-    data = np.asarray(rows)
+    if cols not in (["position", "weight"], ["x", "density"]):
+        raise InvalidInputError(f"unrecognized header {header!r}")
+    if not rows or any(len(row) != 2 for row in rows):
+        raise InvalidInputError("need one or more rows of two cells")
+    data = np.array([[float(v) for v in row] for row in rows])
+    if not np.all(np.isfinite(data)):
+        raise InvalidInputError("cells must be finite")
     if cols == ["position", "weight"]:
         return ParticleMeasure(data[:, 0], data[:, 1])
-    if cols == ["x", "density"]:
-        meta = path.with_suffix(path.suffix + ".meta")
-        if meta.exists():
-            kv = {}
-            for line in meta.read_text().splitlines():
-                key, _, value = line.partition("=")
-                kv[key.strip()] = value.strip()
-            lo = np.array([float(v) for v in kv["lo"].split()])
-            hi = np.array([float(v) for v in kv["hi"].split()])
-            return GridDensity(lo, hi, data[:, 1])
-        xs = data[:, 0]
-        width = xs[1] - xs[0]
-        return GridDensity(np.array([xs[0] - width / 2]),
-                           np.array([xs[-1] + width / 2]), data[:, 1])
-    raise InvalidInputError(f"unrecognized measure CSV header {header!r}")
+    meta = path.with_suffix(path.suffix + ".meta")
+    if meta.exists():
+        kv = {}
+        for line in meta.read_text().splitlines():
+            key, _, value = line.partition("=")
+            kv[key.strip()] = value.strip()
+        if not {"lo", "hi"} <= kv.keys():
+            raise InvalidInputError(f"{meta.name} needs lo and hi lines")
+        lo = np.array([float(v) for v in kv["lo"].split()])
+        hi = np.array([float(v) for v in kv["hi"].split()])
+        return GridDensity(lo, hi, data[:, 1])
+    if len(rows) < 2:
+        raise InvalidInputError(f"a grid without {meta.name} needs two or more rows")
+    xs = data[:, 0]
+    width = xs[1] - xs[0]
+    return GridDensity(np.array([xs[0] - width / 2]),
+                       np.array([xs[-1] + width / 2]), data[:, 1])
 
 
 def config_digest(resolved: dict) -> str:

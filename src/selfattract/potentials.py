@@ -52,10 +52,6 @@ class DominatingPolynomial:
         out = self.scale * (0.5 * x * x + np.abs(x) ** (self.degree + 2) / (self.degree + 2))
         return float(out) if out.ndim == 0 else out
 
-    def integral(self, a: float, b: float) -> float:
-        """Integral of P(|x|) over [a, b]."""
-        return float(self.antiderivative(b) - self.antiderivative(a))
-
 
 def as_envelope(p) -> DominatingPolynomial:
     """Coerce a PotentialSpec (or an envelope) to its DominatingPolynomial."""
@@ -168,33 +164,6 @@ def _derivative(c: np.ndarray, axis: int) -> np.ndarray:
         return np.zeros_like(c)
     j = np.arange(1.0, n).reshape((-1,) + (1,) * (c.ndim - 1 - axis))
     return c[(slice(None),) * axis + (slice(1, None),)] * j
-
-
-def evaluate(p: PotentialSpec, x, order: int = 0):
-    """W(x), grad W(x) or hess W(x); exact for the polynomial families.
-
-    x is a scalar (d = 1) or a length-2 array (d = 2, through the coordinate
-    polynomial `PotentialSpec.poly2d_coefficients`).  Returns a float for
-    order 0, a float / vector for order 1, a float / matrix for order 2.
-    """
-    if order not in (0, 1, 2):
-        raise InvalidInputError("order must be 0, 1 or 2")
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("potential argument must be finite")
-    if x.ndim == 0:
-        return float(polynomial_derivative(p.poly1d_coefficients(), x, order))
-    if x.shape != (2,):
-        raise UnsupportedInputError("only d in {1, 2} is supported")
-    out = polynomial_derivative(p.poly2d_coefficients(), x, order)
-    return float(out) if order == 0 else out
-
-
-def dominating_polynomial(p: PotentialSpec, r: float) -> float:
-    """Envelope value A(1 + r**k)."""
-    if r < 0:
-        raise InvalidInputError("radius must be non-negative")
-    return float(p.bound(r))
 
 
 @dataclass(frozen=True)

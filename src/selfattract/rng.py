@@ -4,7 +4,7 @@ Every stochastic routine draws from a Philox generator keyed by
 ``(seed, replica, channel)``.  Streams are independent across keys and
 bit-reproducible across runs, which lets coupled processes share one
 noise stream while auxiliary randomness (extra Brownian motions,
-initial-point sampling, bootstrap resampling) lives on its own channel.
+bootstrap resampling) lives on its own channel.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 NOISE = 0
 AUX_NOISE = 1
 RESERVOIR = 2        # keys the ergodicity bootstrap's resampling stream
-INIT_SAMPLING = 3
 
 _MASK = (1 << 64) - 1
 

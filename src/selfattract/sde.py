@@ -28,14 +28,10 @@ instead of stepped, which matches the stepped scheme to rounding.  A run
 from t = 0 builds each row from a short contraction-bootstrap segment and
 a running-moment tail anchored at x0.
 
-A path driven by a drift it does not generate itself -- the measure frozen
-at a window start, or the previous Picard iterate -- steps one float loop
-over a given column of drift coefficients per step.
-
-Also here: the frozen-measure coupling used for one-step error analysis,
-the Ornstein-Uhlenbeck domination coupling, the contraction bootstrap for
-starting at time zero, and the non-symmetric counterexample pair whose
-center drifts like log t.
+Also here: the Ornstein-Uhlenbeck domination coupling, the contraction
+bootstrap for starting at time zero (each Picard round steps one float
+loop over the drift of the previous iterate), and the non-symmetric
+counterexample pair whose center drifts like log t.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidInputError, NumericFailureError, UnsupportedInputError
-from .gibbs import gibbs_map
 from .measures import ParticleMeasure
 from .potentials import PotentialSpec
 from .powersums import PowerSums, anchor, convolution_matrix, power_sums, reanchor
@@ -224,21 +219,14 @@ def _v_gradient(v: PotentialSpec | None):
         np.polynomial.polynomial.polyder(v.poly1d_coefficients()).tolist()
 
 
-def _step_driven(B, a, x, noise, dt, vg=None):
+def _step_driven(B, a, x, noise, dts):
     """Euler steps of one path under a drift it does not generate: step k
-    moves x by -(b_k(x - a) + V'(x)) dt_k + noise_k, with b_k = B[:, k] the
-    drift coefficients about the anchor a and ``vg`` the coefficients of V'
-    (or None).  ``dt`` is one step size or one per step.  Returns the n + 1
-    positions."""
-    n = len(noise)
-    out = np.empty(n + 1)
+    moves x by -b_k(x - a) dts[k] + noise[k], with b_k = B[:, k] the drift
+    coefficients about the anchor a.  Returns the n + 1 positions."""
+    out = np.empty(len(noise) + 1)
     out[0] = x
-    steps = zip(B.T.tolist(), noise.tolist(), np.broadcast_to(dt, n).tolist())
-    for k, (b, xi, h) in enumerate(steps, 1):
-        d = _horner(b, x - a)
-        if vg is not None:
-            d = d + _horner(vg, x)
-        x = x - d * h + xi
+    for k, (b, xi, h) in enumerate(zip(B.T.tolist(), noise.tolist(), dts.tolist()), 1):
+        x = x - _horner(b, x - a) * h + xi
         out[k] = x
     return out
 
@@ -452,74 +440,6 @@ def _run_quadratic_closed_form(T, x0, prehistory, noise, dt, y0=0.0):
     y += noise
     np.subtract(noise, t00 / t11, out=centers[:, 1:])
     return positions, centers
-
-
-# ---------------------------------------------------------------------------
-# frozen-measure coupling
-
-
-@dataclass(frozen=True)
-class CoupledPaths:
-    times: np.ndarray
-    x_path: np.ndarray
-    y_path: np.ndarray
-    window: tuple[float, float]
-    y_start: float
-    frozen_center: float
-
-
-def coupled_frozen(w: PotentialSpec, record: TrajectoryRecord,
-                   window: tuple[float, float], seed: int,
-                   v: PotentialSpec | None = None,
-                   y_start: float | None = None) -> CoupledPaths:
-    """Drive a companion process by the same noise, but with the occupation
-    measure frozen at the window start; its stationary law is the Gibbs
-    image of that frozen measure.
-
-    The companion starts from a draw of the frozen Gibbs density restricted
-    to the unit interval around the frozen center (or from ``y_start``).
-    Drift, center and Gibbs image read the frozen measure only through its
-    power sums (`TrajectoryRecord.power_sums_at`), so no prefix occupation
-    is built.
-    """
-    t0, t1 = window
-    cfg = record.config
-    i0 = record.index_at(t0)
-    i1 = record.index_at(t1)
-    if not (0 <= i0 < i1 <= record.times.size - 1):
-        raise InvalidInputError("window must lie inside the simulated range")
-    T = convolution_matrix(w, 1)
-    frozen, = record.power_sums_at([t0], max(2, convolution_matrix(w).shape[0]))
-    a = frozen.anchor
-    b = T @ frozen.sums[:T.shape[0]]   # the sums are normalized: S_0 = 1
-    c0 = a + _center(b, float(record.positions[i0]) - a)
-    vg = _v_gradient(v)
-
-    if y_start is None:
-        dens = gibbs_map(w, frozen, v=v).density
-        y_start = _sample_restricted(dens, c0 - 1.0, c0 + 1.0,
-                                     rng.stream(seed, 0, rng.INIT_SAMPLING))
-
-    incs = _increments(cfg, i1, record.replica)[i0:]
-    B = np.broadcast_to(b[:, None], (b.size, i1 - i0))
-    ys = _step_driven(B, a, float(y_start), incs, cfg.dt, vg)
-    return CoupledPaths(times=record.times[i0:i1 + 1],
-                        x_path=record.positions[i0:i1 + 1].copy(),
-                        y_path=ys, window=(t0, t1), y_start=float(y_start),
-                        frozen_center=float(c0))
-
-
-def _sample_restricted(dens, lo: float, hi: float, gen: np.random.Generator) -> float:
-    xs = dens.axis_centers(0)
-    mask = (xs >= lo) & (xs <= hi)
-    if not mask.any():
-        raise NumericFailureError("restriction window misses the density grid")
-    weights = dens.values[mask]
-    cum = np.cumsum(weights)
-    cum /= cum[-1]
-    u = gen.random()
-    j = int(np.searchsorted(cum, u, side="left"))
-    return float(xs[mask][j])
 
 
 # ---------------------------------------------------------------------------

@@ -96,11 +96,6 @@ def _quantile_on_piece(pieces, k: np.ndarray, ps: np.ndarray, dp=0.0):
     return lo + width * ((ps - left) / span), width * (dp / span)
 
 
-def _quantile_at(pieces, ps: np.ndarray) -> np.ndarray:
-    k = np.minimum(np.searchsorted(pieces[0], ps, side="left"), pieces[0].size - 1)
-    return _quantile_on_piece(pieces, k, ps)[0]
-
-
 def _w2_quantile(m1: Measure, m2: Measure) -> float:
     """Integral over p in [0, 1] of (q1 - q2)^2.  Both quantiles are linear on
     every interval between the merged interior knots of the two measures, so
@@ -313,30 +308,3 @@ def centered_distance(w: PotentialSpec, m1: Measure, m2: Measure,
     else:
         raise InvalidInputError("which must be 'tp' or 'w2'")
     return DistanceResult(res.value, res.method, centered_at=at)
-
-
-# ---------------------------------------------------------------------------
-# displacement interpolation (for the convexity checks)
-
-
-def displacement_interpolate(m0: GridDensity, m1: GridDensity, s: float,
-                             cells: int | None = None,
-                             n_nodes: int = 16384) -> GridDensity:
-    """Law of (1-s) xi_0 + s xi_1 under the monotone 1-d coupling, re-binned.
-
-    Samples the interpolated quantile at uniform probability nodes and bins
-    the resulting equal-weight atoms back onto a grid.
-    """
-    if not 0.0 <= s <= 1.0:
-        raise InvalidInputError("interpolation parameter must lie in [0, 1]")
-    ps = (np.arange(n_nodes) + 0.5) / n_nodes
-    xs = ((1.0 - s) * _quantile_at(_quantile_pieces(m0), ps)
-          + s * _quantile_at(_quantile_pieces(m1), ps))
-    lo = min(m0.lo[0], m1.lo[0])
-    hi = max(m0.hi[0], m1.hi[0])
-    if cells is None:
-        cells = m0.values.size
-    hist, edges = np.histogram(xs, bins=cells, range=(lo, hi))
-    width = edges[1] - edges[0]
-    vals = hist / (n_nodes * width)
-    return GridDensity(np.array([lo]), np.array([hi]), vals).normalized()

@@ -2,12 +2,15 @@
 
 The full-history drift is the definition the running-moment simulator
 reproduces: the gradient of W summed over every past atom of the path, on
-the same noise and pre-history as `simulate`.
+the same noise and pre-history as `simulate`.  The tail certificate and the
+displacement interpolant are the 1-d measurements that tail and convexity
+properties of the Gibbs map, the flow and the free energy are stated in.
 """
 
 import numpy as np
 
 from selfattract.errors import NumericFailureError
+from selfattract.measures import GridDensity, center
 from selfattract.sde import (_CENTER_EVERY, _increments, _interpolate_center_gaps,
                              _prehistory, _v_gradient)
 
@@ -66,3 +69,34 @@ def history_center(g, pos, wts, c, tol=1e-12, max_iter=60):
             return c
         c -= val * mass / float(wts @ np.polynomial.polynomial.polyval(r, h))
     raise NumericFailureError("center Newton on the full history did not converge")
+
+
+def tail_certificate(w, m, alpha, n_radii=128):
+    """Smallest C with m(|x - c| > r) <= C exp(-alpha r) at n_radii radii
+    from 0 to the farthest cell with mass, c the center of the 1-d grid
+    density m under the convex W."""
+    p = m.values * m.cell_volume
+    keep = p > 0
+    dist = np.abs(m.axis_centers(0)[keep] - center(w, m))
+    p = p[keep] / p[keep].sum()
+    order = np.argsort(dist)
+    tail = np.concatenate((np.cumsum(p[order][::-1])[::-1], [0.0]))
+    radii = np.linspace(0.0, dist.max(), n_radii)
+    exceed = tail[np.searchsorted(dist[order], radii, side="right")]
+    return float(np.max(exceed * np.exp(alpha * radii)))
+
+
+def displacement_interpolate(m0, m1, s, n_nodes=16384):
+    """Law of (1 - s) q0(U) + s q1(U), U uniform and q0, q1 the quantiles
+    of two 1-d grid densities on one box (the monotone coupling), sampled at
+    n_nodes equal-probability nodes and binned back onto the box."""
+    ps = (np.arange(n_nodes) + 0.5) / n_nodes
+    edges = np.linspace(m0.lo[0], m0.hi[0], m0.values.size + 1)
+
+    def quantile(m):
+        cum = np.concatenate(([0.0], np.cumsum(m.values)))
+        return np.interp(ps, cum / cum[-1], edges)
+
+    xs = (1.0 - s) * quantile(m0) + s * quantile(m1)
+    hist, _ = np.histogram(xs, bins=edges)
+    return GridDensity(m0.lo, m0.hi, hist / (n_nodes * (edges[1] - edges[0]))).normalized()

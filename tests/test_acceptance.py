@@ -30,7 +30,7 @@ def report(criterion: str, ok: bool, detail: str):
 
 def test_criterion_1_fixed_point_of_the_gibbs_map():
     start = time.perf_counter()
-    rho = solve_fixed_point(QUAD, uniform_density(-5.0, 5.0, 1024))
+    rho = solve_fixed_point(QUAD, uniform_density(-5.0, 5.0, 1024)).density
     elapsed = time.perf_counter() - start
     xs = rho.axis_centers(0)
     target = np.exp(-xs ** 2 / 2) / math.sqrt(2 * math.pi)

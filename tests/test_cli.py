@@ -9,8 +9,8 @@ import pytest
 from selfattract.cli import main
 from selfattract.config import _SCHEMA, load_config
 from selfattract.errors import InvalidInputError
-from selfattract.persist import load_measure, write_particle_measure
-from selfattract import ParticleMeasure, simulate, simulate_ensemble
+from selfattract.persist import load_measure, write_series_csv
+from selfattract import simulate, simulate_ensemble
 
 
 def write(path: Path, text: str) -> str:
@@ -53,6 +53,25 @@ class TestConfig:
         cfg = load_config(path, overrides={"seed": 9, "out": "b"})
         assert cfg.sim.seed == 9
         assert cfg.out == "b"
+
+    def test_replicas_flag_zero_is_not_ignored(self, tmp_path, capsys):
+        cfg = write(tmp_path / "r.cfg", "[experiment]\nreplicas = 3\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                     "--replicas", "0", "simulate"]) == 2
+        assert capsys.readouterr().err == "config error: replicas must be positive\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("sim", "dt", "nan"), ("sim", "t_end", "inf"), ("grid", "half_width", "nan"),
+        ("fixpoint", "tol", "nan"), ("potential", "coefficients", "0.5 -inf"),
+        ("potential", "coefficients", "0.5 x")])
+    def test_non_finite_or_non_numeric_value_is_a_config_error(self, tmp_path, capsys,
+                                                               section, key, value):
+        cfg = write(tmp_path / "n.cfg", f"[{section}]\n{key} = {value}\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "fixpoint"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"[{section}] {key}" in err
+        assert err.count("\n") == 1
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         cfg = write(tmp_path / "bad.cfg", "[sim]\nddt = 0.1\n")
@@ -166,14 +185,29 @@ class TestCommands:
     def test_compare_emits_jsonl(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        write_particle_measure(a, ParticleMeasure(np.array([0.0]), np.array([1.0])))
-        write_particle_measure(b, ParticleMeasure(np.array([1.0]), np.array([1.0])))
+        write_series_csv(a, ["position", "weight"], [np.array([0.0]), np.array([1.0])])
+        write_series_csv(b, ["position", "weight"], [np.array([1.0]), np.array([1.0])])
         code = main(["compare", str(a), str(b)])
         assert code == 0
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         by_name = {d["distance"]: d for d in lines}
         assert by_name["w2"]["value"] == pytest.approx(1.0)
         assert by_name["tp-centered"]["value"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("text", [
+        None, "", "position,weight\n0.0,abc\n", "position,weight\n0.0,1.0\n1.0\n",
+        "x,density\n0.0,1.0\n", "x,density\n" + "".join(f"{i},1.0\n" for i in range(15)) + "15,nan\n"],
+        ids=["missing", "empty", "non-numeric", "ragged", "one-row-grid", "non-finite"])
+    def test_compare_rejects_a_malformed_measure_file(self, tmp_path, capsys, text):
+        good = tmp_path / "good.csv"
+        good.write_text("position,weight\n0.0,1.0\n")
+        bad = tmp_path / "bad.csv"
+        if text is not None:
+            bad.write_text(text)
+        assert main(["compare", str(bad), str(good)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and str(bad) in err
+        assert err.count("\n") == 1
 
     def test_appendix2_slope_near_one(self, tmp_path, capsys):
         cfg = write(tmp_path / "a.cfg",

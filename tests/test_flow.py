@@ -4,32 +4,32 @@ import pytest
 from selfattract import (InvalidInputError, RateParams, Schedule, dirac,
                          envelope_compare, euler_step, external_polynomial,
                          gaussian_density, quadratic_symmetric, run_flow,
-                         schedule_times, smooth, solve_fixed_point, tp_distance_1d,
+                         smooth, solve_fixed_point, tp_distance_1d,
                          uniform_density)
 from selfattract.flow import initial_state
-from selfattract.measures import tail_profile
 from selfattract.energy import free_energy
+from oracles import tail_certificate
 
 
 class TestSchedule:
     def test_exact_powers(self):
         s = Schedule(n_end=10)
-        times = dict((n, t) for (t, _), n in zip(schedule_times(s), s.indices()))
-        assert times[4] == 8.0
-        assert times[1] == 1.0
+        assert s.time(4) == 8.0
+        assert s.time(1) == 1.0
+        assert list(s.indices()) == list(range(1, 10))
 
     def test_interval_scaling(self):
         s = Schedule(n_end=101)
-        pairs = schedule_times(s)
-        t100, dt100 = pairs[-1]
-        assert t100 == pytest.approx(100.0 ** 1.5)
-        assert dt100 / 100.0 ** 0.5 == pytest.approx(1.5, rel=0.02)
+        n = s.indices()[-1]
+        assert n == 100
+        assert s.time(n) == pytest.approx(100.0 ** 1.5)
+        assert (s.time(n + 1) - s.time(n)) / 100.0 ** 0.5 == pytest.approx(1.5, rel=0.02)
 
     def test_strictly_increasing(self):
         s = Schedule(n_end=40)
-        ts = [t for t, _ in schedule_times(s)]
+        ts = [s.time(n) for n in s.indices()]
         assert all(b > a for a, b in zip(ts, ts[1:]))
-        assert all(dt > 0 for _, dt in schedule_times(s))
+        assert s.time(s.n_end) > ts[-1]
 
     def test_rejects_bad_range(self):
         with pytest.raises(InvalidInputError):
@@ -39,7 +39,7 @@ class TestSchedule:
 @pytest.fixture(scope="module")
 def rho_quad():
     return solve_fixed_point(quadratic_symmetric(1.0), uniform_density(-8, 8, 1024),
-                             tol=1e-13)
+                             tol=1e-13).density
 
 
 class TestEulerStep:
@@ -118,7 +118,7 @@ class TestRunFlow:
         states = run_flow(quad, init, Schedule(n_end=50))
         # fitted tail constants along the run stay within a bounded multiple
         # of the initial one
-        track = np.array([tail_profile(quad, st.density, quad.convexity_constant).certificate
+        track = np.array([tail_certificate(quad, st.density, quad.convexity_constant)
                           for st in states])
         assert np.all(np.isfinite(track))
         assert track.max() <= 2.0 * track[0]

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from selfattract import (GridDensity, InvalidInputError, ParticleMeasure,
                          center, convolve_potential, dirac, entropy,
-                         gaussian_density, gibbs_map, moments, p_norm,
+                         gaussian_density, gibbs_map, p_norm,
                          quadratic_shifted, quadratic_symmetric, recenter,
-                         smooth, tail_profile, tp_distance_1d, uniform_density)
+                         smooth, tp_distance_1d, uniform_density)
 from conftest import make_rng, random_atoms
+from oracles import tail_certificate
 
 
 def halves(a=-1.0, b=1.0):
@@ -140,47 +141,10 @@ class TestPNorm:
 
 
 class TestTailProfile:
-    def test_compact_support_certifies(self, quad):
-        m = halves(-1.0, 1.0)
-        prof = tail_profile(quad, m, alpha=1.0)
-        assert prof.certificate is not None
-        assert prof.exceedance[-1] == 0.0
-
-    def test_gaussian_certificate_below_two(self, quad, std_gauss_grid):
-        prof = tail_profile(quad, std_gauss_grid, alpha=1.0,
-                            radii=np.linspace(0, 6, 200))
-        assert prof.certificate is not None and prof.certificate <= 2.0
-
-    def test_exceedance_nonincreasing(self, quad, std_gauss_grid):
-        prof = tail_profile(quad, std_gauss_grid, alpha=0.7)
-        assert np.all(np.diff(prof.exceedance) <= 1e-15)
-
     def test_gibbs_image_has_exponential_tail(self, quad):
         m = halves(0.0, 2.0)
         dens = gibbs_map(quad, m).density
-        prof = tail_profile(quad, dens, alpha=quad.convexity_constant)
-        assert prof.certificate is not None and prof.certificate < 5.0
-
-
-class TestMoments:
-    def test_dirac(self):
-        assert moments(dirac(1.7), 1)[0] == pytest.approx(1.7)
-
-    def test_two_atoms(self):
-        got = moments(halves(), 2)
-        assert got[0] == pytest.approx(0.0, abs=1e-15)
-        assert got[1] == pytest.approx(1.0)
-
-    def test_gaussian_grid(self, std_gauss_grid):
-        got = moments(std_gauss_grid, 2)
-        assert got[0] == pytest.approx(0.0, abs=1e-9)
-        assert got[1] == pytest.approx(1.0, abs=1e-6)
-
-    def test_2d_atoms(self):
-        m = ParticleMeasure(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, 0.5]))
-        got = moments(m, 2)
-        assert np.allclose(got[0], [2.0, 3.0])
-        assert np.allclose(got[1], [5.0, 10.0])
+        assert tail_certificate(quad, dens, alpha=quad.convexity_constant) < 5.0
 
 
 @given(st.integers(0, 10_000))

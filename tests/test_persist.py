@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from selfattract import InvalidInputError
-from selfattract.persist import write_series_csv
+from selfattract.persist import load_measure, write_series_csv
 from conftest import make_rng
 
 
@@ -64,3 +64,11 @@ def test_columns_of_different_lengths_are_rejected(tmp_path):
 def test_non_numeric_column_is_rejected(tmp_path):
     with pytest.raises(InvalidInputError, match="numbers"):
         write_series_csv(tmp_path / "x.csv", ["a"], [["x", "y"]])
+
+
+def test_load_measure_names_a_meta_file_without_bounds(tmp_path):
+    path = tmp_path / "g.csv"
+    write_series_csv(path, ["x", "density"], [np.arange(16.0), np.ones(16)])
+    (tmp_path / "g.csv.meta").write_text("dim = 1\n")
+    with pytest.raises(InvalidInputError, match="g.csv.meta needs lo and hi lines"):
+        load_measure(path)

@@ -4,25 +4,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfattract import (DominatingPolynomial, InvalidInputError, certify,
-                         dominating_polynomial, evaluate, even_polynomial,
-                         external_polynomial, quadratic_shifted,
+                         even_polynomial, external_polynomial, quadratic_shifted,
                          quadratic_symmetric, zero_interaction)
+from selfattract.potentials import polynomial_derivative
+
+
+def derivative(p, x, order=0):
+    """W(x), W'(x) or W''(x) of a 1-d potential."""
+    return float(polynomial_derivative(p.poly1d_coefficients(), x, order))
 
 
 def test_evaluate_quadratic_value():
     w = quadratic_symmetric(1.0)
-    assert evaluate(w, 2.0, 0) == 2.0
+    assert derivative(w, 2.0, 0) == 2.0
 
 
 def test_evaluate_shifted_at_its_minimum():
     w = quadratic_shifted(1.0)
-    assert evaluate(w, 1.0, 0) == 0.0
-    assert evaluate(w, 1.0, 1) == 0.0
+    assert derivative(w, 1.0, 0) == 0.0
+    assert derivative(w, 1.0, 1) == 0.0
 
 
 def test_evaluate_even_polynomial_gradient():
     w = even_polynomial([0.5, 0.25])  # x^2/2 + x^4/4
-    assert evaluate(w, 1.0, 1) == pytest.approx(2.0, abs=1e-14)
+    assert derivative(w, 1.0, 1) == pytest.approx(2.0, abs=1e-14)
 
 
 @given(st.floats(-3.0, 3.0), st.sampled_from([1, 2]))
@@ -31,24 +36,19 @@ def test_evaluate_derivatives_match_finite_differences(x, order):
     w = even_polynomial([0.5, 0.1])
     h = 1e-5
     if order == 1:
-        approx = (evaluate(w, x + h, 0) - evaluate(w, x - h, 0)) / (2 * h)
+        approx = (derivative(w, x + h, 0) - derivative(w, x - h, 0)) / (2 * h)
     else:
-        approx = (evaluate(w, x + h, 1) - evaluate(w, x - h, 1)) / (2 * h)
-    assert evaluate(w, x, order) == pytest.approx(approx, abs=1e-6, rel=1e-6)
-
-
-def test_evaluate_rejects_non_finite():
-    with pytest.raises(InvalidInputError):
-        evaluate(quadratic_symmetric(), float("nan"), 0)
+        approx = (derivative(w, x + h, 1) - derivative(w, x - h, 1)) / (2 * h)
+    assert derivative(w, x, order) == pytest.approx(approx, abs=1e-6, rel=1e-6)
 
 
 def test_evaluate_2d_gradient_is_radial():
     w = even_polynomial([0.5, 0.25])
     x = np.array([0.6, -0.8])  # |x| = 1
-    grad = evaluate(w, x, 1)
+    grad = polynomial_derivative(w.poly2d_coefficients(), x, 1)
     # w'(r) = r + r^3 -> 2 at r=1, direction x
     assert np.allclose(grad, 2.0 * x)
-    hess = evaluate(w, x, 2)
+    hess = polynomial_derivative(w.poly2d_coefficients(), x, 2)
     assert np.allclose(hess, hess.T)
     eigs = np.linalg.eigvalsh(hess)
     # radial eigenvalue w''(1) = 4, tangential w'(1)/1 = 2
@@ -57,20 +57,20 @@ def test_evaluate_2d_gradient_is_radial():
 
 def test_dominating_polynomial_values():
     w = quadratic_symmetric(1.0, bound_scale=1.0)
-    assert dominating_polynomial(w, 0.0) == 1.0
-    assert dominating_polynomial(w, 2.0) == 5.0
+    assert w.bound(0.0) == 1.0
+    assert w.bound(2.0) == 5.0
     w3 = even_polynomial([0.5], bound_scale=2.0, bound_degree=3)
-    assert dominating_polynomial(w3, 1.0) == 4.0
+    assert w3.bound(1.0) == 4.0
 
 
 def test_dominating_polynomial_monotone_and_bounded_below():
     w = quadratic_symmetric()
     rs = np.linspace(0, 10, 50)
-    vals = [dominating_polynomial(w, r) for r in rs]
+    vals = [w.bound(r) for r in rs]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[0] >= 1.0
     with pytest.raises(InvalidInputError):
-        dominating_polynomial(w, -0.1)
+        w.bound(-0.1)
 
 
 def test_certify_quadratic_passes():
@@ -110,27 +110,28 @@ def test_envelope_submultiplicative_on_samples():
 @settings(max_examples=50, deadline=None)
 def test_certified_curvature_lower_bound(x):
     w = even_polynomial([0.7, 0.05])
-    assert evaluate(w, x, 2) >= w.convexity_constant - 1e-12
+    assert derivative(w, x, 2) >= w.convexity_constant - 1e-12
 
 
 def test_evaluate_is_pure():
     w = quadratic_symmetric(1.3)
-    a = evaluate(w, 1.2345, 1)
-    b = evaluate(w, 1.2345, 1)
+    a = derivative(w, 1.2345, 1)
+    b = derivative(w, 1.2345, 1)
     assert a == b
 
 
 def test_envelope_integral_closed_form():
     env = DominatingPolynomial(1.0, 2)
-    # integral of 1 + x^2 over [0, 1]
-    assert env.integral(0.0, 1.0) == pytest.approx(4.0 / 3.0, abs=1e-15)
-    assert env.integral(-1.0, 1.0) == pytest.approx(8.0 / 3.0, abs=1e-15)
+    # integral of 1 + x^2 over [0, 1] and over [-1, 1]
+    prim = env.antiderivative
+    assert prim(1.0) - prim(0.0) == pytest.approx(4.0 / 3.0, abs=1e-15)
+    assert prim(1.0) - prim(-1.0) == pytest.approx(8.0 / 3.0, abs=1e-15)
 
 
 def test_zero_interaction_evaluates_to_zero():
     w = zero_interaction()
-    assert evaluate(w, 3.0, 0) == 0.0
-    assert evaluate(w, 3.0, 1) == 0.0
+    assert derivative(w, 3.0, 0) == 0.0
+    assert derivative(w, 3.0, 1) == 0.0
 
 
 def test_external_polynomial_is_convex_claim():

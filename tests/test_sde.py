@@ -6,14 +6,13 @@ import pytest
 
 from selfattract import rng
 from selfattract import (InvalidInputError, ParticleMeasure, SimConfig,
-                         coupled_frozen, counterexample_system, dirac,
+                         counterexample_system, dirac,
                          even_polynomial, external_polynomial, ou_domination,
                          picard_bootstrap,
                          quadratic_shifted, quadratic_symmetric, simulate,
                          simulate_ensemble, zero_interaction)
 from selfattract import sde
 from selfattract.powersums import anchor, convolution_matrix, power_sums
-from selfattract.sde import TrajectoryRecord
 from conftest import make_rng
 from oracles import full_history_path
 
@@ -264,109 +263,6 @@ class TestEnsemble:
                 z = alpha * z + float(f[r, k])
                 want[r, k] = z
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
-class TestCoupledFrozen:
-    def test_same_start_same_drift_identical(self, quad):
-        rec = simulate(quad, 0.0, short_cfg(t_end=30.0, seed=3))
-        # freeze at the window start and launch the companion from the same
-        # point: paths coincide while the occupation stays frozen only in law,
-        # so compare against a companion with zero elapsed window
-        cp = coupled_frozen(quad, rec, (20.0, 20.0 + 2 * 0.01), seed=1,
-                            y_start=float(rec.positions[rec.index_at(20.0)]))
-        assert abs(cp.x_path[0] - cp.y_path[0]) == 0.0
-
-    def test_divergence_bound_along_window(self, quad):
-        cfg = SimConfig(dt=0.01, t_end=300.0, t_start=1.0, seed=13)
-        rec = simulate(quad, 0.0, cfg)
-        n = 30
-        t0, t1 = n ** 1.5, (n + 1) ** 1.5
-        cp = coupled_frozen(quad, rec, (t0, t1), seed=2)
-        # the farthest the whole past up to t1 strays from the center at t0
-        l_n = np.abs(rec.positions[:rec.index_at(t1) + 1] - rec.center_at(t0)).max()
-        env = quad.bound
-        c_w = quad.convexity_constant
-        gap0 = abs(cp.x_path[0] - cp.y_path[0])
-        ts = cp.times - cp.times[0]
-        bound = (np.exp(-c_w * ts) * gap0
-                 + (t1 - t0) * env(2 * l_n) / (t0 * c_w)
-                 + 10 * cfg.dt * (1 + env(2 * l_n)))
-        assert np.all(np.abs(cp.x_path - cp.y_path) <= bound)
-
-    @pytest.mark.parametrize("v", [None, external_polynomial([0.3])], ids=["W", "W+V"])
-    def test_matches_direct_sum_oracle(self, v):
-        # the companion's drift summed over the frozen occupation's atoms
-        w = even_polynomial([0.5, 0.1])
-        rec = simulate(w, 0.4, SimConfig(dt=0.01, t_end=60.0, t_start=1.0, seed=4), v=v)
-        t0, t1 = 40.0, 45.0
-        cp = coupled_frozen(w, rec, (t0, t1), seed=3, v=v)
-        cfg = rec.config
-        occ = rec.occupation(t0)
-        incs = cfg.noise_scale * math.sqrt(cfg.dt) * rng.normal_increments(cfg.seed, cfg.n_steps, 0)
-        poly = np.polynomial.polynomial
-        g = poly.polyder(w.poly1d_coefficients())
-        y = cp.y_start
-        want = [y]
-        for i in range(rec.index_at(t0), rec.index_at(t1)):
-            d = float(occ.weights @ poly.polyval(y - occ.positions, g)) / occ.weights.sum()
-            if v is not None:
-                d += poly.polyval(y, poly.polyder(v.poly1d_coefficients()))
-            y = y - d * cfg.dt + incs[i]
-            want.append(y)
-        want = np.array(want)
-        assert cp.y_path.size == want.size == 501
-        assert np.abs(cp.y_path - want).max() <= 1e-12 * np.abs(want).max()
-
-    @pytest.mark.parametrize("start", ["drawn", "given"])
-    def test_reads_the_frozen_measure_through_its_power_sums(self, start, monkeypatch):
-        # the frozen measure enters only through the record's prefix power
-        # sums: no prefix occupation is built, with or without y_start
-        w = even_polynomial([0.5, 0.1])
-        rec = simulate(w, 0.4, SimConfig(dt=0.01, t_end=60.0, t_start=1.0, seed=4))
-        t0 = 40.0
-        y_start = None if start == "drawn" else float(rec.positions[rec.index_at(t0)])
-
-        def no_occupation(self, upto=None):
-            raise AssertionError("coupled_frozen built a prefix occupation")
-
-        monkeypatch.setattr(TrajectoryRecord, "occupation", no_occupation)
-        cp = coupled_frozen(w, rec, (t0, 45.0), seed=3, y_start=y_start)
-        assert cp.y_path.size == 501 and np.all(np.isfinite(cp.y_path))
-        assert abs(cp.frozen_center - rec.center_at(t0)) < 1.0
-
-    def test_draws_only_the_increments_up_to_the_window_end(self, quad, monkeypatch):
-        rec = simulate(quad, 0.0, SimConfig(dt=0.01, t_end=300.0, t_start=1.0, seed=13))
-        t0, t1 = 20.0, 21.0
-        drawn = []
-        original = rng.normal_increments
-
-        def recording(seed, n, *args, **kwargs):
-            drawn.append(n)
-            return original(seed, n, *args, **kwargs)
-
-        monkeypatch.setattr(rng, "normal_increments", recording)
-        cp = coupled_frozen(quad, rec, (t0, t1), seed=2)
-        assert drawn and max(drawn) <= rec.index_at(t1)
-        assert cp.y_path.size == rec.index_at(t1) - rec.index_at(t0) + 1
-
-    def test_window_occupation_gap_shrinks(self, quad):
-        cfg = SimConfig(dt=0.01, t_end=300.0, t_start=1.0, seed=21)
-        rec = simulate(quad, 0.0, cfg)
-        from selfattract import recenter, tp_distance_1d
-
-        gaps = []
-        for n in (8, 20, 40):
-            t0, t1 = n ** 1.5, (n + 1) ** 1.5
-            cp = coupled_frozen(quad, rec, (t0, t1), seed=5)
-            x_occ = ParticleMeasure(cp.x_path[1:],
-                                    np.full(cp.x_path.size - 1, 1.0))
-            y_occ = ParticleMeasure(cp.y_path[1:],
-                                    np.full(cp.y_path.size - 1, 1.0))
-            c = cp.frozen_center
-            d = tp_distance_1d(quad, recenter(x_occ.normalized(), c),
-                               recenter(y_occ.normalized(), c)).value
-            gaps.append(d)
-        assert gaps[-1] < gaps[0]
 
 
 class TestOuDomination:
