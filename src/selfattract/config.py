@@ -160,9 +160,12 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Exper
     init = sections.get("init", {})
     fix = sections.get("fixpoint", {})
     replicas = overrides.get("replicas")
+    out = overrides.get("out")
+    if out == "":
+        raise InvalidInputError("--out needs a directory name")
     cfg = ExperimentConfig(
         name=exp.get("name", "experiment"),
-        out=str(overrides.get("out") or exp.get("out", "out")),
+        out=str(exp.get("out", "out") if out is None else out),
         replicas=int(exp.get("replicas", 1) if replicas is None else replicas),
         potential=_build_potential(sections.get("potential", {})),
         external=(_build_potential(sections["external"])

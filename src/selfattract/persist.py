@@ -100,7 +100,11 @@ def _measure_from_table(path: Path, table: list[list[str]]):
     if len(rows) < 2:
         raise InvalidInputError(f"a grid without {meta.name} needs two or more rows")
     xs = data[:, 0]
-    width = xs[1] - xs[0]
+    steps = np.diff(xs)
+    width = steps[0]
+    if not (width > 0 and np.all(np.abs(steps - width) <= 1e-6 * width)):
+        raise InvalidInputError(f"a grid without {meta.name} needs evenly spaced, "
+                                "increasing x")
     return GridDensity(np.array([xs[0] - width / 2]),
                        np.array([xs[-1] + width / 2]), data[:, 1])
 

@@ -10,17 +10,22 @@ not a mode here: it lives with the tests as their exactness oracle
 (`tests/oracles.py`).
 
 Running sums are taken about an anchor (`powersums`): paths step in
-y = x - a, the anchor starts at x0 and moves onto the center, with an exact
-binomial re-anchor of the sums, whenever the center leaves the unit radius
-around it.  The sums then stay of the size of the path's spread wherever
-the path sits, so a path started at x0 + s is the x0 path shifted by s.
+y = x - a, the anchor starts at x0 and moves onto the running mean, with an
+exact binomial re-anchor of the sums, whenever the mean leaves the unit
+radius around it.  The sums then stay of the size of the path's spread
+wherever the path sits, so a path started at x0 + s is the x0 path shifted
+by s.
 
 Every self-driven path is a row of a replica ensemble: `simulate` and
 `simulate_ensemble` share one body for every start time.  The ensemble
 keeps the sums of all R replicas as one (count, R) array, adds the
 dt-weighted powers dt y^j of the new positions to it each step, and takes
-its drift coefficients from one matrix product per step; the occupation
-mass is the same for every replica.  For quadratic W without V (drift
+its drift from one contraction per step; the occupation mass is the same
+for every replica.  Each replica's increments are drawn into its row of the
+positions array, which the stepper overwrites step by step.  The center of
+W' * mu feeds nothing back into the drift, so the stepper only copies the
+sums at each center knot and solves a block of knots at once, by Newton
+from each column's running mean.  For quadratic W without V (drift
 t00 + t11 (x - mean)) the Euler scheme reduces to a scalar linear
 recursion in y = x - mean with the mean carried by the occupation mass; it
 is summed in closed form with blockwise scaled cumulative sums (`_ar1`)
@@ -48,8 +53,9 @@ from .potentials import PotentialSpec
 from .powersums import PowerSums, anchor, convolution_matrix, power_sums, reanchor
 
 _SQRT2 = math.sqrt(2.0)
-_REANCHOR_RADIUS = 1.0   # the anchor follows the center once it is this far
+_REANCHOR_RADIUS = 1.0   # the anchor follows the mean once it is this far
 _CENTER_EVERY = 10       # steps between Newton centers of a nonlinear drift
+_CENTER_BLOCK = 64       # center knots the column stepper solves at once
 
 
 @dataclass(frozen=True)
@@ -165,9 +171,8 @@ class TrajectoryRecord:
 #
 # grad(W * mu)(a + y) = sum_i b_i y^i with b = T S / S_0, T the order-1
 # convolution matrix of `powersums` and S the weighted power sums of mu
-# about the anchor a.  `_horner` and `_center` take b as a sequence of
-# floats (one drift) or as the rows of a (count, R) array (replicas side by
-# side).
+# about the anchor a.  `_horner` takes b as a sequence of floats (one
+# drift) or of arrays (columns side by side).
 
 
 def _horner(b, y):
@@ -177,23 +182,34 @@ def _horner(b, y):
     return out
 
 
-def _center(b, start, tol=1e-12, max_iter=60):
-    """Root in y of the drift polynomial b: closed form when it is linear,
-    Newton from ``start`` otherwise.  A column stops at its own first
-    iterate with |g| <= tol, so it does not depend on the other columns."""
-    if len(b) < 2:
-        return start
-    if len(b) == 2:
+def _block_centers(T, S, mass, tol=1e-12, max_iter=60):
+    """Roots in y of the drift polynomials T S / mass of a block of knots,
+    S (K, count, R) and mass (K, 1): zero without attraction, closed form
+    for a linear drift, Newton from each column's running mean S1/S0
+    otherwise.  Every operation is elementwise, a column stops at its own
+    first iterate with |g| <= tol and divides only while it moves, so its
+    root does not depend on the other columns or on the block length."""
+    count = T.shape[0]
+    if count < 2:
+        return np.zeros((S.shape[0], S.shape[2]))
+    b = [sum(T[i, j] * S[:, j] for j in range(count)) / mass for i in range(count)]
+    if count == 2:
         return -b[0] / b[1]
-    db = [k * b[k] for k in range(1, len(b))]
-    c = start
+    db = [k * b[k] for k in range(1, count)]
+    c = S[:, 1] / S[:, 0]
     for _ in range(max_iter):
         g = _horner(b, c)
         moving = np.abs(g) > tol
         if not moving.any():
             return c
-        c = c - np.where(moving, g / _horner(db, c), 0.0)
+        c = c - np.divide(g, _horner(db, c), out=np.zeros_like(c), where=moving)
     raise NumericFailureError("center Newton on running moments did not converge")
+
+
+def _check_finite(positions):
+    if not np.all(np.isfinite(positions)):
+        raise NumericFailureError("path lost finiteness (explosion); "
+                                  "check the step size against the potential")
 
 
 def _prehistory(x0: float, t_start: float,
@@ -231,36 +247,54 @@ def _step_driven(B, a, x, noise, dts):
     return out
 
 
-def _run_moments(w, v, x0, prehistory, noise, dt, every=_CENTER_EVERY, y0=0.0):
+def _run_moments(w, v, x0, prehistory, draw, shape, dt, every=_CENTER_EVERY, y0=0.0):
     """Positions and centers (R, n+1) in x of the running-moment Euler scheme
-    for R replicas started at x0 + y0, their sums anchored at x0; ``noise``
-    is (R, n).  Quadratic W without V takes the closed form, everything else
-    the column stepper, which places a Newton center every ``every`` steps."""
+    for R replicas started at x0 + y0, their sums anchored at x0, on the
+    (R, n) = ``shape`` increments that ``draw(out)`` writes into ``out``.
+    Quadratic W without V takes the closed form on a noise array of its own,
+    everything else the column stepper, which draws into its positions and
+    places a center every ``every`` steps.  A non-finite path raises
+    `NumericFailureError`."""
     T = convolution_matrix(w, 1)
+    R, n = shape
     if T.shape[0] == 2 and v is None:
-        return _run_quadratic_closed_form(T, x0, prehistory, noise, dt, y0)
-    return _run_moment_columns(T, v, x0, prehistory, noise, dt, every, y0)
+        noise = np.empty(shape)
+        draw(noise)
+        positions, centers = _run_quadratic_closed_form(T, x0, prehistory, noise, dt, y0)
+        del noise   # freed before the finiteness mask is allocated
+        _check_finite(positions)
+        return positions, centers
+    positions = np.empty((R, n + 1))
+    draw(positions[:, 1:])
+    return _run_moment_columns(T, v, x0, prehistory, positions, dt, every, y0)
 
 
-def _run_moment_columns(T, v, x0, prehistory, noise, dt, every, y0=0.0):
-    """The Euler scheme for R replicas side by side; ``noise`` is (R, n).
+def _run_moment_columns(T, v, x0, prehistory, positions, dt, every, y0=0.0):
+    """The Euler scheme for R replicas side by side.  ``positions`` (R, n+1)
+    holds each replica's n increments in columns 1..n: step i reads column i
+    and overwrites it with the new position, so no noise array is kept.
 
     The sums about each column's anchor are one (count, R) array S.  P holds
     the dt-weighted powers dt y^j of the current positions, the products one
     path adds to its sums, so a step adds P to S and the drift times dt is
-    the column sum of B * P, with B = T S / mass from one matrix product
-    (the mass is the same for every replica).  The product is `np.einsum`,
-    which adds each column's terms in order without BLAS: BLAS takes another
-    kernel for one column than for several, and a replica's path would then
-    depend on the ensemble size.  numpy adds a lone column of 8 or more
-    terms pairwise, so from W of degree 8 on a one-replica path matches an
-    ensemble row to rounding only.  A center that leaves the unit radius
-    re-anchors its column before the next position is stored, so each step
-    refreshes P and B once.  Returns positions and centers (R, n+1) in x,
-    centers NaN between recomputations.
+    sum_ij T_ij S_j P_i / mass, one `np.einsum` contraction (the mass is the
+    same for every replica).  einsum adds each column's terms in order
+    without BLAS: BLAS takes another kernel for one column than for several,
+    and a replica's path would then depend on the ensemble size.  numpy adds
+    a lone column of 8 or more terms pairwise, so from W of degree 8 on a
+    one-replica path matches an ensemble row to rounding only.
+
+    The center of W' * mu feeds nothing back into the drift.  Every
+    ``every`` steps the loop copies (S, mass, anchor) into a buffer of
+    `_CENTER_BLOCK` knots and solves a full buffer at once (`_block_centers`);
+    each block fills the center gaps up to its last knot by linear
+    interpolation and checks its positions for finiteness.  Once a column's
+    running mean S1/S0 leaves the unit radius, its anchor moves onto that
+    mean, with an exact re-anchor of its sums, before the next position is
+    stored.  Returns positions and centers (R, n+1) in x.
     """
     count = T.shape[0]
-    R, n = noise.shape
+    R, n = positions.shape[0], positions.shape[1] - 1
     sums = power_sums(*prehistory, float(x0), count)
     mass = float(sums[0])
     S = np.repeat(sums[:, None], R, axis=1)
@@ -268,26 +302,26 @@ def _run_moment_columns(T, v, x0, prehistory, noise, dt, every, y0=0.0):
     vg = _v_gradient(v)
     if count <= 2:
         every = 1
-    positions = np.empty((R, n + 1))
-    centers = np.full((R, n + 1), np.nan)
+    centers = np.empty((R, n + 1))
+    knot_S = np.empty((_CENTER_BLOCK, count, R))
+    knot_mass = np.empty((_CENTER_BLOCK, 1))
+    knot_a = np.empty((_CENTER_BLOCK, R))
+    k = 0                              # knots in the buffer
+    checked = 0                        # positions before this index are finite
     y = np.full(R, float(y0))
-    c = np.zeros(R)
     P = np.zeros((max(count, 2), R))   # a zero drift (count 1) never reads row 1
     P[0] = dt
     powers = P[:count]
-    B = np.empty((count, R))
-    prod = np.empty((count, R))
-    d = np.empty(R)
     shift = None
     segments = [(0, a)]
     for i in range(n + 1):
         if i:
             y -= d
-            y += noise[:, i - 1]
-        if shift is not None:   # the re-anchor the last center asked for
+            y += positions[:, i]
+        if shift is not None:   # the re-anchor the last knot asked for
             S[...] = reanchor(S, shift)
             y -= shift
-            c, a, shift = c - shift, a + shift, None
+            a, shift = a + shift, None
             segments.append((i, a))
         positions[:, i] = y
         np.multiply(y, dt, out=P[1])
@@ -296,32 +330,35 @@ def _run_moment_columns(T, v, x0, prehistory, noise, dt, every, y0=0.0):
         if i:
             S += powers
             mass += dt
-        np.einsum("ij,jr->ir", T, S, out=B)
-        B *= 1.0 / mass
         if i % every == 0:
-            c = _center(B, c)
-            centers[:, i] = c
-            far = np.abs(c) > _REANCHOR_RADIUS
-            if far.any():
-                shift = c * far
+            knot_S[k], knot_mass[k], knot_a[k] = S, mass, a
+            k += 1
+            if count > 1:
+                mean = S[1] / S[0]
+                far = np.abs(mean) > _REANCHOR_RADIUS
+                if far.any():
+                    shift = mean * far
+        if k == _CENTER_BLOCK or i == n:
+            _check_finite(positions[:, checked:i + 1])
+            last = i - i % every   # the block's last knot; it holds k of them
+            first = last - (k - 1) * every
+            centers[:, first:last + 1:every] = (
+                _block_centers(T, knot_S[:k], knot_mass[:k]) + knot_a[:k]).T
+            lo = max(first - every, 0)   # the previous block's last knot
+            slope = (centers[:, lo + every:last + 1:every] - centers[:, lo:last:every]) / every
+            for j in range(1, every):
+                centers[:, lo + j:last:every] = slope * j + centers[:, lo:last:every]
+            centers[:, last + 1:i + 1] = centers[:, last, None]
+            k, checked = 0, i + 1
         if i < n:
-            np.multiply(B, powers, out=prod)
-            np.add.reduce(prod, axis=0, out=d)
+            d = np.einsum("ij,jr,ir->r", T, S, powers) / mass
             if vg is not None:
                 d += _horner(vg, y + a) * dt
     # back from y to x, one anchor segment (start index, anchors) at a time
     segments.append((n + 1, None))
     for (start, a_seg), (stop, _) in zip(segments, segments[1:]):
         positions[:, start:stop] += a_seg[:, None]
-        centers[:, start:stop] += a_seg[:, None]
     return positions, centers
-
-
-def _interpolate_center_gaps(centers: np.ndarray):
-    bad = np.isnan(centers)
-    if bad.any():
-        idx = np.arange(centers.size)
-        centers[bad] = np.interp(idx[bad], idx[~bad], centers[~bad])
 
 
 def simulate(w: PotentialSpec, x0: float, cfg: SimConfig,
@@ -359,29 +396,27 @@ def _simulate_replicas(w, x0, cfg, replicas, v, initial_occupation):
         raise InvalidInputError("a run from t = 0 has no pre-history to warm-start")
     n = cfg.n_steps
     dt = cfg.dt
-    noise = np.empty((len(replicas), n))
-    for k, r in enumerate(replicas):
-        _increments(cfg, n, r, out=noise[k])
+
+    def draw(out):
+        for row, r in zip(out, replicas):
+            _increments(cfg, n, r, out=row)
+
     if cfg.t_start == 0.0:
+        noise = np.empty((len(replicas), n))
+        draw(noise)
         positions = np.empty((len(replicas), n + 1))
         centers = np.empty_like(positions)
-        for k in range(len(replicas)):
-            positions[k], centers[k] = _from_zero(w, x0, dt, v, noise[k])
+        for k, incs in enumerate(noise):
+            positions[k], centers[k] = _from_zero(w, x0, dt, v, incs)
     else:
         pre = _prehistory(x0, cfg.t_start, initial_occupation)
-        positions, centers = _run_moments(w, v, x0, pre, noise, dt)
-    del noise   # freed before the finiteness mask is allocated
-    if not np.all(np.isfinite(positions)):
-        raise NumericFailureError("path lost finiteness (explosion); "
-                                  "check the step size against the potential")
+        positions, centers = _run_moments(w, v, x0, pre, draw, (len(replicas), n), dt)
     times = cfg.t_start + dt * np.arange(n + 1)
     # occupation weights: t_start for the pre-history, then dt; every
     # replica shares the one read-only array
     weights = np.full(n + 1, dt)
     weights[0] = cfg.t_start
     weights.flags.writeable = False
-    for row in centers:
-        _interpolate_center_gaps(row)
     return [TrajectoryRecord(w, v, cfg, r, times, positions[k], weights, centers[k],
                              initial_occupation=initial_occupation)
             for k, r in enumerate(replicas)]
@@ -495,7 +530,8 @@ def ou_domination(w: PotentialSpec, cfg: SimConfig, seed: int | None = None,
     dbeta = (sq_dt * rng.normal_increments(seed, n, 0, rng.AUX_NOISE)).tolist()
 
     (xs,), (cs,) = _run_moments(w, None, x0, _prehistory(x0, cfg.t_start, None),
-                                (cfg.noise_scale * db)[None], dt, every=1)
+                                lambda out: np.multiply(cfg.noise_scale, db, out=out[0]),
+                                (1, n), dt, every=1)
     gaps = (xs - cs).tolist()
     db = db.tolist()
     z = max(1.0, abs(gaps[0]))
@@ -598,11 +634,10 @@ def _lipschitz_radius2(w: PotentialSpec) -> float:
 
 
 def _from_zero(w, x0, dt, v, incs):
-    """Positions and centers (n+1, centers NaN between recomputations) of a
-    run from t = 0 on the n increments ``incs`` (overwritten): the
-    contraction bootstrap on a short first segment, then the running-moment
-    tail.  The tail's sums stay anchored at x0 like the bootstrap's, so a
-    path without attraction keeps x0 as its center."""
+    """Positions and centers (n+1) of a run from t = 0 on the n increments
+    ``incs``: the contraction bootstrap on a short first segment, then the
+    running-moment tail.  The tail's sums stay anchored at x0 like the
+    bootstrap's, so a path without attraction keeps x0 as its center."""
     if v is not None:
         raise UnsupportedInputError("the t = 0 bootstrap handles the pure "
                                     "interaction case only")
@@ -624,7 +659,8 @@ def _from_zero(w, x0, dt, v, incs):
     boot = picard_bootstrap(w, x0, dt * np.arange(m + 1), noise_path[:m + 1])
     # the tail goes on with the same increment stream
     (positions,), (centers,) = _run_moments(w, None, x0, (boot.path[1:], np.full(m, dt)),
-                                            incs[None, m:], dt, y0=boot.path[-1] - x0)
+                                            lambda out: np.copyto(out[0], incs[m:]),
+                                            (1, n - m), dt, y0=boot.path[-1] - x0)
     return (np.concatenate((boot.path[:-1], positions)),
             np.concatenate((np.full(m, centers[0]), centers)))
 

@@ -11,8 +11,7 @@ import numpy as np
 
 from selfattract.errors import NumericFailureError
 from selfattract.measures import GridDensity, center
-from selfattract.sde import (_CENTER_EVERY, _increments, _interpolate_center_gaps,
-                             _prehistory, _v_gradient)
+from selfattract.sde import _CENTER_EVERY, _increments, _prehistory, _v_gradient
 
 
 def full_history_path(w, x0, cfg, v=None, replica=0, initial_occupation=None):
@@ -57,17 +56,29 @@ def full_history_path(w, x0, cfg, v=None, replica=0, initial_occupation=None):
     return positions, centers
 
 
+def _interpolate_center_gaps(centers):
+    """Fill the NaN entries of a center track by linear interpolation
+    between its knots, holding the last knot's value after it."""
+    bad = np.isnan(centers)
+    if bad.any():
+        idx = np.arange(centers.size)
+        centers[bad] = np.interp(idx[bad], idx[~bad], centers[~bad])
+
+
+def history_drift(g, pos, wts, c):
+    """sum_k w_k W'(c - x_k) / mass, summed over every atom; g holds W'."""
+    return float(wts @ np.polynomial.polynomial.polyval(c - pos, g)) / float(wts.sum())
+
+
 def history_center(g, pos, wts, c, tol=1e-12, max_iter=60):
-    """Root of c -> sum_k w_k W'(c - x_k) / mass, summed over every atom, by
-    Newton from c (the stopping rule of `sde._center`)."""
+    """Root of `history_drift` in c by Newton from c (the stopping rule of
+    `sde._block_centers`)."""
     h = np.polynomial.polynomial.polyder(g)
-    mass = float(wts.sum())
     for _ in range(max_iter):
-        r = c - pos
-        val = float(wts @ np.polynomial.polynomial.polyval(r, g)) / mass
+        val = history_drift(g, pos, wts, c)
         if abs(val) <= tol:
             return c
-        c -= val * mass / float(wts @ np.polynomial.polynomial.polyval(r, h))
+        c -= val / history_drift(h, pos, wts, c)
     raise NumericFailureError("center Newton on the full history did not converge")
 
 

@@ -61,6 +61,14 @@ class TestConfig:
         assert capsys.readouterr().err == "config error: replicas must be positive\n"
         assert not (tmp_path / "o").exists()
 
+    def test_empty_out_flag_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # an empty --out is rejected, not read as "take the file's out"
+        monkeypatch.chdir(tmp_path)
+        cfg = write(tmp_path / "o.cfg", "[experiment]\nout = fromfile\n")
+        assert main(["--config", cfg, "--out", "", "simulate"]) == 2
+        assert capsys.readouterr().err == "config error: --out needs a directory name\n"
+        assert not (tmp_path / "fromfile").exists()
+
     @pytest.mark.parametrize("section,key,value", [
         ("sim", "dt", "nan"), ("sim", "t_end", "inf"), ("grid", "half_width", "nan"),
         ("fixpoint", "tol", "nan"), ("potential", "coefficients", "0.5 -inf"),
@@ -196,8 +204,10 @@ class TestCommands:
 
     @pytest.mark.parametrize("text", [
         None, "", "position,weight\n0.0,abc\n", "position,weight\n0.0,1.0\n1.0\n",
-        "x,density\n0.0,1.0\n", "x,density\n" + "".join(f"{i},1.0\n" for i in range(15)) + "15,nan\n"],
-        ids=["missing", "empty", "non-numeric", "ragged", "one-row-grid", "non-finite"])
+        "x,density\n0.0,1.0\n", "x,density\n" + "".join(f"{i},1.0\n" for i in range(15)) + "15,nan\n",
+        "x,density\n" + "".join(f"{i},1.0\n" for i in range(17) if i != 2)],
+        ids=["missing", "empty", "non-numeric", "ragged", "one-row-grid", "non-finite",
+             "uneven-grid"])
     def test_compare_rejects_a_malformed_measure_file(self, tmp_path, capsys, text):
         good = tmp_path / "good.csv"
         good.write_text("position,weight\n0.0,1.0\n")

@@ -1,10 +1,11 @@
 import csv
+import re
 
 import numpy as np
 import pytest
 
-from selfattract import InvalidInputError
-from selfattract.persist import load_measure, write_series_csv
+from selfattract import GridDensity, InvalidInputError
+from selfattract.persist import load_measure, write_grid_density, write_series_csv
 from conftest import make_rng
 
 
@@ -72,3 +73,21 @@ def test_load_measure_names_a_meta_file_without_bounds(tmp_path):
     (tmp_path / "g.csv.meta").write_text("dim = 1\n")
     with pytest.raises(InvalidInputError, match="g.csv.meta needs lo and hi lines"):
         load_measure(path)
+
+
+def test_load_measure_rejects_an_uneven_grid_without_meta(tmp_path):
+    path = tmp_path / "u.csv"
+    xs = np.delete(np.arange(17.0), 2)   # 0, 1, 3, 4, ..., 16
+    write_series_csv(path, ["x", "density"], [xs, np.ones(16)])
+    with pytest.raises(InvalidInputError, match=f"{re.escape(str(path))}.*evenly spaced"):
+        load_measure(path)
+
+
+def test_load_measure_reads_a_written_grid_without_its_meta(tmp_path):
+    g = GridDensity(-3.7, 5.1, make_rng(3).uniform(0.1, 1.0, 300))
+    path = tmp_path / "g.csv"
+    write_grid_density(path, g)
+    (tmp_path / "g.csv.meta").unlink()
+    m = load_measure(path)
+    assert np.array_equal(m.values, g.values)
+    assert np.abs(m.lo - g.lo).max() <= 1e-12 and np.abs(m.hi - g.hi).max() <= 1e-12

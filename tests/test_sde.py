@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from selfattract import rng
-from selfattract import (InvalidInputError, ParticleMeasure, SimConfig,
+from selfattract import (InvalidInputError, NumericFailureError, ParticleMeasure, SimConfig,
                          counterexample_system, dirac,
                          even_polynomial, external_polynomial, ou_domination,
                          picard_bootstrap,
@@ -14,7 +14,7 @@ from selfattract import (InvalidInputError, ParticleMeasure, SimConfig,
 from selfattract import sde
 from selfattract.powersums import anchor, convolution_matrix, power_sums
 from conftest import make_rng
-from oracles import full_history_path
+from oracles import full_history_path, history_drift
 
 
 def short_cfg(**kw):
@@ -174,7 +174,8 @@ class TestEnsemble:
                 ens[1].weights[0] = 2.0
 
     def test_stepped_ensemble_memory_is_its_outputs(self):
-        # noise (R, n) plus positions and centers (R, n + 1) bound the peak
+        # the increments are drawn into the positions, so positions and
+        # centers (R, n + 1) bound the peak
         w = even_polynomial([0.5, 0.1])
         cfg = SimConfig(dt=0.01, t_end=201.0, t_start=1.0, seed=3)
         R, n = 64, cfg.n_steps
@@ -185,7 +186,51 @@ class TestEnsemble:
         finally:
             tracemalloc.stop()
         assert len(ens) == R and n == 20_000
-        assert peak <= 1.25 * 8 * (R * n + 2 * R * (n + 1))
+        assert peak <= 1.1 * 8 * 2 * R * (n + 1)
+
+    @pytest.mark.parametrize("v", [None, external_polynomial([0.3])], ids=["W", "W+V"])
+    def test_block_centers_are_exact_and_independent_of_the_block_length(self, v,
+                                                                        monkeypatch):
+        # 301 knots: four full blocks of the default length and a partial one,
+        # with re-anchors as the mean leaves the warm start at 0 for x0 = 3
+        w = even_polynomial([0.5, 0.1])
+        cfg = SimConfig(dt=0.01, t_end=31.0, t_start=1.0, seed=6)
+        ens = simulate_ensemble(w, 3.0, cfg, 3, v=v, initial_occupation=dirac(0.0))
+        monkeypatch.setattr(sde, "_CENTER_BLOCK", 1)
+        for rec, one in zip(ens, simulate_ensemble(w, 3.0, cfg, 3, v=v,
+                                                   initial_occupation=dirac(0.0))):
+            assert np.array_equal(rec.positions, one.positions)
+            assert np.array_equal(rec.center_track, one.center_track)
+        # at every knot the center is a root of W' * mu summed over the history
+        g = np.polynomial.polynomial.polyder(w.poly1d_coefficients())
+        for rec in ens:
+            pre_pos, pre_w = rec.prehistory()
+            atoms = np.concatenate((pre_pos, rec.positions[1:]))
+            wts = np.concatenate((pre_w, rec.weights[1:]))
+            for i in range(0, cfg.n_steps + 1, sde._CENTER_EVERY):
+                m = pre_w.size + i
+                assert abs(history_drift(g, atoms[:m], wts[:m], rec.center_track[i])) <= 1e-12
+
+    def test_exploding_stepped_path_is_a_numeric_failure(self):
+        # a steep V overshoots from x0 = 30 at once; the stepper checks each
+        # block of positions for finiteness before it solves its centers
+        w = even_polynomial([0.5, 0.1])
+        cfg = SimConfig(dt=0.01, t_end=11.0, t_start=1.0, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericFailureError, match="lost finiteness"):
+            simulate_ensemble(w, 30.0, cfg, 2, v=external_polynomial([0.0, 1.0]))
+
+    def test_block_newton_divides_only_on_moving_columns(self):
+        # under pure quartic W a point mass has g = g' = 0 at its mean: that
+        # column is done at once and must not divide while the other moves
+        T = convolution_matrix(even_polynomial([0.0, 0.1]), 1)
+        S = np.stack([power_sums([0.0], [1.0], 0.0, 4),
+                      power_sums([0.0, 1.0], [0.8, 0.2], 0.0, 4)], axis=1)[None]
+        with np.errstate(all="raise"):
+            c = sde._block_centers(T, S, np.ones((1, 1)))
+        assert c[0, 0] == 0.0
+        assert abs(history_drift([0, 0, 0, 0.4], np.array([0.0, 1.0]),
+                                 np.array([0.8, 0.2]), c[0, 1])) <= 1e-12
 
     def test_replicas_differ(self, quad):
         ens = simulate_ensemble(quad, 0.0, short_cfg(), 2)
@@ -221,7 +266,9 @@ class TestEnsemble:
         T = convolution_matrix(w, 1)
         noise = np.stack([cfg.noise_scale * math.sqrt(cfg.dt)
                           * rng.normal_increments(cfg.seed, cfg.n_steps, r) for r in range(2)])
-        stepped = sde._run_moment_columns(T, None, x0, pre, noise, cfg.dt, 1)
+        steps = np.empty((2, cfg.n_steps + 1))
+        steps[:, 1:] = noise
+        stepped = sde._run_moment_columns(T, None, x0, pre, steps, cfg.dt, 1)
         summed = sde._run_quadratic_closed_form(T, x0, pre, noise, cfg.dt)
         assert summed[0].shape == (2, 50_001)
         for got, want in zip(summed, stepped):
