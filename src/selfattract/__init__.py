@@ -12,7 +12,7 @@ from .energy import (EnergyBreakdown, RateParams, energy_envelope, entropy,
                      rate_function, relative_free_energy)
 from .errors import InvalidInputError, NumericFailureError, UnsupportedInputError
 from .flow import FlowState, Schedule, envelope_compare, euler_step, run_flow
-from .gibbs import GibbsResult, gibbs_map, solve_fixed_point
+from .gibbs import gibbs_map, solve_fixed_point
 from .measures import (GridDensity, ParticleMeasure, center, convolve_potential, dirac,
                        gaussian_density, p_norm, recenter, smooth, uniform_density)
 from .potentials import (CertificateReport, DominatingPolynomial, PotentialSpec,
@@ -21,4 +21,4 @@ from .potentials import (CertificateReport, DominatingPolynomial, PotentialSpec,
 from .sde import (OuDominationResult, PicardResult, SimConfig, TrajectoryRecord,
                   counterexample_system, ou_domination, picard_bootstrap, simulate,
                   simulate_ensemble)
-from .transport import DistanceResult, centered_distance, tp_distance_1d, w2_distance
+from .transport import tp_distance_1d, w2_distance

@@ -9,6 +9,7 @@ verdicts under --assert, 2 configuration errors, 3 numeric failures.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -19,13 +20,14 @@ from .diagnostics import center_convergence, ergodicity_check, one_step_error
 from .errors import InvalidInputError, NumericFailureError
 from .flow import run_flow
 from .gibbs import solve_fixed_point
-from .measures import GridDensity, dirac, gaussian_density, smooth, uniform_density
+from .measures import (GridDensity, centered, dirac, gaussian_density, smooth,
+                       uniform_density)
 from .persist import (load_measure, write_grid_density, write_manifest,
                       write_series_csv)
 from .potentials import certify
 from .sde import counterexample_system, simulate_ensemble
 from .sde import simulate  # noqa: F401  (bench/tracer.py wraps it here)
-from .transport import centered_distance, tp_distance_1d, w2_distance
+from .transport import tp_distance_1d, w2_distance
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -106,19 +108,15 @@ def _cmd_fixpoint(cfg: ExperimentConfig, do_assert: bool) -> int:
 def _cmd_compare(args, cfg: ExperimentConfig) -> int:
     a = load_measure(Path(args.measures[0]))
     b = load_measure(Path(args.measures[1]))
-    import json as _json
-
-    results = []
-    results.append(("tp-1d", tp_distance_1d(cfg.potential, a, b)))
-    results.append(("w2", w2_distance(a, b)))
-    if cfg.potential.convexity_constant > 0:
-        results.append(("tp-centered", centered_distance(cfg.potential, a, b, "tp")))
-        results.append(("w2-centered", centered_distance(cfg.potential, a, b, "w2")))
-    lines = []
-    for name, res in results:
-        lines.append(_json.dumps({"distance": name, "value": res.value,
-                                  "method": res.method}))
-    text = "\n".join(lines) + "\n"
+    w = cfg.potential
+    rows = [("tp-1d", tp_distance_1d(w, a, b), "tp-1d"),
+            ("w2", w2_distance(a, b), "w2-quantile")]
+    if w.convexity_constant > 0:
+        a, b = centered(w, a), centered(w, b)
+        rows += [("tp-centered", tp_distance_1d(w, a, b), "tp-1d"),
+                 ("w2-centered", w2_distance(a, b), "w2-quantile")]
+    text = "".join(json.dumps({"distance": d, "value": x, "method": m}) + "\n"
+                   for d, x, m in rows)
     if args.out_file:
         Path(args.out_file).write_text(text)
     else:
@@ -131,7 +129,8 @@ def _cmd_diagnose(cfg: ExperimentConfig, do_assert: bool) -> int:
     records = simulate_ensemble(cfg.potential, cfg.init_position, cfg.sim,
                                 cfg.replicas, v=cfg.external)
     rho = solve_fixed_point(cfg.potential, _initial_density(cfg), v=cfg.external,
-                            damping=cfg.damping, tol=cfg.fixpoint_tol).density
+                            damping=cfg.damping, tol=cfg.fixpoint_tol,
+                            max_iter=cfg.fixpoint_max_iter).density
     reports = [ergodicity_check(cfg.potential, records, rho)]
     horizon = cfg.schedule.time(cfg.schedule.n_end)
     if horizon <= cfg.sim.t_end + 1e-9 and cfg.schedule.time(cfg.schedule.n_start) >= cfg.sim.t_start:

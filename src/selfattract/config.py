@@ -56,9 +56,8 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """Plain dict for hashing and manifests."""
-        out = dict(self.raw)
-        out.setdefault("experiment", {})
-        out["experiment"]["name"] = self.name
+        out = {section: dict(kv) for section, kv in self.raw.items()}
+        out.setdefault("experiment", {}).update(name=self.name, replicas=self.replicas)
         out["sim_effective"] = {
             "dt": self.sim.dt, "t_start": self.sim.t_start, "t_end": self.sim.t_end,
             "seed": self.sim.seed, "noise_scale": self.sim.noise_scale,
@@ -160,12 +159,14 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Exper
     init = sections.get("init", {})
     fix = sections.get("fixpoint", {})
     replicas = overrides.get("replicas")
-    out = overrides.get("out")
-    if out == "":
-        raise InvalidInputError("--out needs a directory name")
+    out, source = overrides.get("out"), "--out"
+    if out is None:
+        out, source = exp.get("out", "out"), "[experiment] out"
+    if not out:
+        raise InvalidInputError(f"{source} needs a directory name")
     cfg = ExperimentConfig(
         name=exp.get("name", "experiment"),
-        out=str(exp.get("out", "out") if out is None else out),
+        out=out,
         replicas=int(exp.get("replicas", 1) if replicas is None else replicas),
         potential=_build_potential(sections.get("potential", {})),
         external=(_build_potential(sections["external"])

@@ -84,10 +84,10 @@ def one_step_error(w: PotentialSpec, record: TrajectoryRecord, schedule: Schedul
     pres = record.power_sums_at([t0 for t0, _ in windows], count)
     errors = []
     for (t0, t1), pre in zip(windows, pres):
-        image = gibbs_map(w, pre, v=v).density
+        image = gibbs_map(w, pre, v=v)
         c = record.center_at(t0)
         window = record.window_occupation(t0, t1)
-        err = tp_distance_1d(w, recenter(window, c), recenter(image, c)).value
+        err = tp_distance_1d(w, recenter(window, c), recenter(image, c))
         errors.append(err)
         report.series.append(("tp_error", t0, err))
     errors = np.asarray(errors)

@@ -81,11 +81,11 @@ def euler_step(w: PotentialSpec, state: FlowState, next_time: float,
     if not 0.0 < lam < 1.0:
         raise InvalidInputError(f"mixing weight {lam} outside (0, 1)")
     rho = _recenter_policy(w, state.density, state.center)
-    image = gibbs_map(w, rho, v=v, grid=rho).density
+    image = gibbs_map(w, rho, v=v, grid=rho)
     mixed = GridDensity(rho.lo, rho.hi, (1.0 - lam) * rho.values + lam * image.values)
     mixed = mixed.normalized()
     c = center(w, mixed) if w.convexity_constant > 0 else mixed.mean()
-    step = tp_distance_1d(w, state.density, mixed).value
+    step = tp_distance_1d(w, state.density, mixed)
     e = free_energy(w, mixed, v=v, relative_to=reference_total)
     return FlowState(n=state.n + 1, time=next_time, density=mixed,
                      center=float(c), free_energy=e, step_distance=step)

@@ -1,7 +1,8 @@
 """The Gibbs map m -> Z^-1 exp(-(V + W*m)) dx and its fixed point.
 
-Normalization goes through log-sum-exp with max subtraction so that the
-polynomial growth of the exponent never underflows the partition sum.
+`gibbs_map` returns the image as a `GridDensity`.  Normalization subtracts
+the exponent's minimum before exponentiating, so that the polynomial growth
+of the exponent never underflows the partition sum.
 """
 
 from __future__ import annotations
@@ -18,15 +19,6 @@ from .measures import (GridDensity, Measure, _summable, center, convolve_potenti
 from .potentials import PotentialSpec
 from .powersums import PowerSums
 from .transport import tp_distance_1d
-
-_TAIL_MASS = 1e-10
-
-
-@dataclass(frozen=True)
-class GibbsResult:
-    density: GridDensity
-    log_partition: float
-    center: object
 
 
 def _auto_grid(w: PotentialSpec, v: PotentialSpec | None, m: Measure | PowerSums,
@@ -57,8 +49,8 @@ def _exponent(w: PotentialSpec, v: PotentialSpec | None, m: Measure | PowerSums,
 
 
 def gibbs_map(w: PotentialSpec, m: Measure | PowerSums, v: PotentialSpec | None = None,
-              grid: GridDensity | None = None, cells: int = 1024) -> GibbsResult:
-    """Normalized density proportional to exp(-(V + W*m)) on a grid.
+              grid: GridDensity | None = None, cells: int = 1024) -> GridDensity:
+    """The normalized density proportional to exp(-(V + W*m)) on a grid.
 
     m is a measure or, in 1-d, its `PowerSums`: the exponent reads m only
     through them.  The evaluation grid defaults to an auto-sized box around
@@ -77,26 +69,19 @@ def gibbs_map(w: PotentialSpec, m: Measure | PowerSums, v: PotentialSpec | None 
     phi = convolve_potential(w, m, grid.centers())
     if v is not None:
         phi = phi + potential_on_grid(v, grid)
-    phi_min = float(phi.min())
-    expo = -(phi - phi_min)
-    weights = np.exp(expo)
+    weights = np.exp(phi.min() - phi)
     z = float(weights.sum())
     if not math.isfinite(z) or z <= 0.0:
         raise NumericFailureError(
             "all Gibbs cell weights underflowed; the grid is misplaced -- "
             "re-center it on the measure before applying the map")
-    log_partition = math.log(z) + math.log(grid.cell_volume) - phi_min
     density = GridDensity(grid.lo, grid.hi, weights / (z * grid.cell_volume))
     boundary = _boundary_mass(density)
     if boundary > 1e-5:
         raise NumericFailureError(
             f"Gibbs density keeps {boundary:.2e} mass at the grid boundary; "
             "re-center or widen the grid")
-    if w.convexity_constant > 0:
-        c = center(w, density)
-    else:
-        c = density.mean()
-    return GibbsResult(density=density, log_partition=log_partition, center=c)
+    return density
 
 
 def _boundary_mass(g: GridDensity) -> float:
@@ -155,12 +140,12 @@ def solve_fixed_point(w: PotentialSpec, init: GridDensity,
     for _ in range(max_iter):
         if follow:
             rho = _box_follows(rho, center(w, rho))
-        image = gibbs_map(w, rho, v=v, grid=rho).density
+        image = gibbs_map(w, rho, v=v, grid=rho)
         mixed = GridDensity(rho.lo, rho.hi,
                             (1.0 - damping) * rho.values + damping * image.values)
         mixed = mixed.normalized()
         if mixed.dim == 1:
-            res = tp_distance_1d(w, rho, mixed).value
+            res = tp_distance_1d(w, rho, mixed)
         else:
             res = float(np.abs(mixed.values - rho.values).sum() * rho.cell_volume)
         residuals.append(res)

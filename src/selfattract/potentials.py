@@ -94,13 +94,6 @@ class PotentialSpec:
     def bound(self) -> DominatingPolynomial:
         return DominatingPolynomial(scale=self.bound_scale, degree=self.bound_degree)
 
-    @property
-    def degree(self) -> int:
-        """Polynomial degree of the potential itself."""
-        if self.kind in ("quadratic-symmetric", "quadratic-shifted"):
-            return 2
-        return 2 * len(self.coefficients) if self.coefficients else 0
-
     def poly1d_coefficients(self) -> np.ndarray:
         """Ascending-power coefficients of W as a 1-d polynomial in x."""
         if self.kind == "quadratic-symmetric":

@@ -1,6 +1,9 @@
-"""Transport distances between measures.
+"""Transport distances between 1-d measures.
 
-Both 1-d distances read one piecewise-linear description of a measure,
+`tp_distance_1d` and `w2_distance` return floats; a centered distance is
+either one of them on `measures.centered` inputs.
+
+Both distances read one piecewise-linear description of a measure,
 `_quantile_pieces`: an atom is a flat quantile piece and a CDF step at its
 position, a grid cell a ramp of both from its start to its end.  Each
 merges the knots of its two measures by counting and integrates exactly
@@ -23,25 +26,14 @@ occupations of a path), reading the fixed measure's pieces once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericFailureError, UnsupportedInputError
-from .measures import GridDensity, Measure, ParticleMeasure, center, recenter
-from .potentials import PotentialSpec, as_envelope
+from .errors import NumericFailureError, UnsupportedInputError
+from .measures import GridDensity, Measure, ParticleMeasure
+from .potentials import as_envelope
 
 _MASS_GAP_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class DistanceResult:
-    value: float
-    method: str          # tp-1d | w2-quantile
-    centered_at: object = None
-
-    def __float__(self):
-        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +250,7 @@ def _abs_gap_integral(env, xs: np.ndarray, ga: np.ndarray, c1: np.ndarray) -> fl
     return float(parts.sum())
 
 
-def tp_distance_1d(envelope, m1: Measure, m2: Measure) -> DistanceResult:
+def tp_distance_1d(envelope, m1: Measure, m2: Measure) -> float:
     """Translation distance: integral of P(|x|) |F1(x) - F2(x)| dx, exact for
     the piecewise-linear CDFs of atoms and grid cells."""
     if m1.dim != 1 or m2.dim != 1:
@@ -271,40 +263,12 @@ def tp_distance_1d(envelope, m1: Measure, m2: Measure) -> DistanceResult:
             "(extend the grid or normalize the inputs)")
     knots = _lattice_gap(m1, m2) or _merged_gap(m1, m2)
     total = _abs_gap_integral(as_envelope(envelope), *knots)
-    return DistanceResult(0.5 * (mass1 + mass2) * total, "tp-1d")
+    return 0.5 * (mass1 + mass2) * total
 
 
-def w2_distance(m1: Measure, m2: Measure) -> DistanceResult:
+def w2_distance(m1: Measure, m2: Measure) -> float:
     """Quadratic Wasserstein distance between 1-d measures, by the quantile
     formula."""
     if m1.dim != 1 or m2.dim != 1:
         raise UnsupportedInputError("the W2 distance is 1-d")
-    return DistanceResult(_w2_quantile(m1, m2), "w2-quantile")
-
-
-def centered_distance(w: PotentialSpec, m1: Measure, m2: Measure,
-                      which: str = "tp", envelope=None,
-                      common_center=None) -> DistanceResult:
-    """Distance after recentering.
-
-    With ``common_center`` both measures are shifted by that one point (the
-    windowed comparisons of the flow use the pre-window center); otherwise
-    each measure is shifted to its own center.
-    """
-    if common_center is not None:
-        a = recenter(m1, common_center)
-        b = recenter(m2, common_center)
-        at = common_center
-    else:
-        c1 = center(w, m1)
-        c2 = center(w, m2)
-        a = recenter(m1, c1)
-        b = recenter(m2, c2)
-        at = (c1, c2)
-    if which == "tp":
-        res = tp_distance_1d(envelope if envelope is not None else w, a, b)
-    elif which == "w2":
-        res = w2_distance(a, b)
-    else:
-        raise InvalidInputError("which must be 'tp' or 'w2'")
-    return DistanceResult(res.value, res.method, centered_at=at)
+    return _w2_quantile(m1, m2)

@@ -86,7 +86,7 @@ def test_criterion_4_monotone_flow(flow_states):
     centered = recenter(final.density, final.center)
     target = gaussian_density(0.0, 1.0, float(centered.lo[0]),
                               float(centered.hi[0]), 1024)
-    dist = tp_distance_1d(QUAD, centered, target).value
+    dist = tp_distance_1d(QUAD, centered, target)
     report("criterion 4 (monotone flow to the Gaussian)",
            monotone and dist <= 1e-2 and elapsed < 30.0,
            f"monotone {monotone}, final tp {dist:.2e} (<= 1e-2), "
@@ -102,7 +102,7 @@ def test_criterion_5_sde_ergodicity():
     for rec in records:
         occ = rec.occupation()
         centered = recenter(occ, rec.center_track[-1])
-        dists.append(w2_distance(centered, rho).value)
+        dists.append(w2_distance(centered, rho))
     elapsed = time.perf_counter() - start
     n_pass = sum(d <= 0.1 for d in dists)
     report("criterion 5 (ergodicity of 8 replicas)",
@@ -118,7 +118,7 @@ def test_criterion_6_transport_energy_bound():
     for _ in range(100):
         m = random_mixture(gen, lo=-10.0, hi=10.0, cells=1024)
         m = recenter(m, m.mean())
-        w2 = w2_distance(m, rho).value
+        w2 = w2_distance(m, rho)
         rel = relative_free_energy(QUAD, m, rho)
         if w2 * w2 > 2.0 / QUAD.convexity_constant * rel + 1e-6:
             violations += 1
@@ -135,7 +135,7 @@ def test_criterion_7_transport_oracles():
     for _ in range(200):
         m1 = random_atoms(gen, n_max=8)
         m2 = random_atoms(gen, n_max=8)
-        got = tp_distance_1d(env, m1, m2).value
+        got = tp_distance_1d(env, m1, m2)
         want = monotone_coupling_cost(env, m1, m2)
         worst_tp = max(worst_tp, abs(got - want))
     worst_w2 = 0.0
@@ -143,7 +143,7 @@ def test_criterion_7_transport_oracles():
         x = gen.uniform(-3.0, 3.0, size=6)
         y = gen.uniform(-3.0, 3.0, size=6)
         got = w2_distance(ParticleMeasure(x, np.full(6, 1 / 6)),
-                          ParticleMeasure(y, np.full(6, 1 / 6))).value
+                          ParticleMeasure(y, np.full(6, 1 / 6)))
         worst_w2 = max(worst_w2, abs(got - w2_bruteforce_equal_atoms(x, y)))
     report("criterion 7 (transport oracles)",
            worst_tp <= 1e-10 and worst_w2 <= 1e-10,

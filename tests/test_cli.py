@@ -69,6 +69,22 @@ class TestConfig:
         assert capsys.readouterr().err == "config error: --out needs a directory name\n"
         assert not (tmp_path / "fromfile").exists()
 
+    def test_empty_out_in_file_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # an empty [experiment] out would write every artifact into the cwd
+        monkeypatch.chdir(tmp_path)
+        cfg = write(tmp_path / "o.cfg", "[experiment]\nout =\n[sim]\nt_end = 3.0\n")
+        assert main(["--config", cfg, "simulate"]) == 2
+        assert capsys.readouterr().err == "config error: [experiment] out needs a directory name\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o.cfg"]
+
+    def test_resolved_records_effective_replicas_and_leaves_raw(self, tmp_path):
+        path = write(tmp_path / "r.cfg", "[experiment]\nreplicas = 2\n")
+        cfg = load_config(path, overrides={"replicas": 3})
+        before = json.dumps(cfg.raw, sort_keys=True)
+        resolved = cfg.resolved()
+        assert resolved["experiment"] == {"name": "experiment", "replicas": 3}
+        assert json.dumps(cfg.raw, sort_keys=True) == before
+
     @pytest.mark.parametrize("section,key,value", [
         ("sim", "dt", "nan"), ("sim", "t_end", "inf"), ("grid", "half_width", "nan"),
         ("fixpoint", "tol", "nan"), ("potential", "coefficients", "0.5 -inf"),
@@ -198,6 +214,9 @@ class TestCommands:
         code = main(["compare", str(a), str(b)])
         assert code == 0
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+        assert [(d["distance"], d["method"]) for d in lines] == [
+            ("tp-1d", "tp-1d"), ("w2", "w2-quantile"), ("tp-centered", "tp-1d"),
+            ("w2-centered", "w2-quantile")]
         by_name = {d["distance"]: d for d in lines}
         assert by_name["w2"]["value"] == pytest.approx(1.0)
         assert by_name["tp-centered"]["value"] == pytest.approx(0.0, abs=1e-12)
@@ -259,6 +278,13 @@ class TestCommands:
                     "[grid]\ncells = 256\nhalf_width = 6.0\n")
         code = main(["--config", cfg, "--out", str(tmp_path / "o"), "fixpoint"])
         assert code == 3
+
+    def test_diagnose_reads_fixpoint_max_iter(self, tmp_path, capsys):
+        cfg = write(tmp_path / "m.cfg",
+                    "[sim]\nt_end = 30.0\n[fixpoint]\nmax_iter = 1\n"
+                    "[grid]\ncells = 256\nhalf_width = 6.0\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "diagnose"]) == 3
+        assert "fixed point not reached in 1 iterations" in capsys.readouterr().err
 
     def test_diagnose_runs(self, tmp_path):
         cfg = write(tmp_path / "d.cfg",

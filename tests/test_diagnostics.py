@@ -113,7 +113,7 @@ class TestErgodicity:
             series = [(t, v) for label, t, v in report.series if label.startswith("w2")]
             assert len(series) >= 10
             for t, got in series:
-                want = w2_distance(recenter(rec.occupation(t), rec.center_at(t)), rho).value
+                want = w2_distance(recenter(rec.occupation(t), rec.center_at(t)), rho)
                 assert abs(got - want) <= 1e-12
 
     def test_without_a_center_the_fixed_point_is_read_as_given(self):
@@ -186,7 +186,7 @@ class TestPrefixSums:
         series = [(t, v) for label, t, v in report.series if label.startswith("w2")]
         assert len(series) >= 10
         for t, got in series:
-            want = w2_distance(recenter(rec.occupation(t), rec.center_at(t)), rho).value
+            want = w2_distance(recenter(rec.occupation(t), rec.center_at(t)), rho)
             assert abs(got - want) <= 1e-12
 
     @pytest.mark.parametrize("name", ["plain", "warm", "from_zero"])
@@ -209,8 +209,8 @@ class TestPrefixSums:
     def test_gibbs_map_on_sums_matches_occupation(self, w, v):
         rec = _records()["warm"]
         for t, pre in zip((6.0, 30.0, 80.0), rec.power_sums_at((6.0, 30.0, 80.0), 5)):
-            want = gibbs_map(w, rec.occupation(t), v=v).density
-            got = gibbs_map(w, pre, v=v).density
+            want = gibbs_map(w, rec.occupation(t), v=v)
+            got = gibbs_map(w, pre, v=v)
             assert np.abs(got.lo - want.lo).max() <= 1e-12
             assert np.abs(got.hi - want.hi).max() <= 1e-12
             assert np.abs(got.values - want.values).max() <= 1e-12

@@ -180,7 +180,7 @@ class TestTransportEnergyBound:
     def test_gaussian_family(self, quad, std_gauss_grid):
         for sigma in (0.6, 0.9, 1.4, 2.0):
             g = gaussian_density(0.0, sigma, -12, 12, 2048)
-            w2 = w2_distance(g, std_gauss_grid).value
+            w2 = w2_distance(g, std_gauss_grid)
             rel = relative_free_energy(quad, g, std_gauss_grid)
             assert w2 * w2 <= 2.0 / quad.convexity_constant * rel + 1e-6
 
@@ -189,7 +189,7 @@ class TestTransportEnergyBound:
         for _ in range(20):
             m = random_mixture(gen, lo=-10, hi=10, cells=1024)
             m = recenter(m, m.mean())
-            w2 = w2_distance(m, std_gauss_grid).value
+            w2 = w2_distance(m, std_gauss_grid)
             rel = relative_free_energy(quad, m, std_gauss_grid)
             assert w2 * w2 <= 2.0 / quad.convexity_constant * rel + 1e-6
 
@@ -216,7 +216,7 @@ def test_frozen_energy_minimized_by_gibbs_image(quad):
     gen = make_rng(59)
     for _ in range(2):
         mu = random_mixture(gen, cells=512)
-        image = gibbs_map(quad, mu, grid=mu).density
+        image = gibbs_map(quad, mu, grid=mu)
         base, _ = frozen_energy_difference(quad, mu, image)
         for _ in range(9):
             nu = random_mixture(gen, cells=512)

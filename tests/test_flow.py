@@ -49,7 +49,7 @@ class TestEulerStep:
         ref = free_energy(quad, rho_quad).total
         state = initial_state(quad, rho_quad, s, reference_total=ref)
         nxt = euler_step(quad, state, s.time(n + 1), reference_total=ref)
-        assert tp_distance_1d(quad, nxt.density, rho_quad).value <= 1e-8
+        assert tp_distance_1d(quad, nxt.density, rho_quad) <= 1e-8
         assert nxt.free_energy.relative <= 1e-10
 
     def test_mass_preserved(self, quad):
@@ -76,7 +76,7 @@ class TestRunFlow:
     def test_start_at_fixed_point_stays_there(self, quad, rho_quad):
         states = run_flow(quad, rho_quad, Schedule(n_end=12), rho_inf=rho_quad)
         for st in states:
-            assert tp_distance_1d(quad, st.density, rho_quad).value <= 1e-7
+            assert tp_distance_1d(quad, st.density, rho_quad) <= 1e-7
 
     def test_smoothed_atom_approaches_gaussian(self, quad, rho_quad):
         init = smooth(dirac(0.0), 0.5, lo=-8, hi=8, cells=1024)
@@ -87,7 +87,7 @@ class TestRunFlow:
         centered = recenter(final.density, final.center)
         target = gaussian_density(0, 1, float(centered.lo[0]),
                                   float(centered.hi[0]), 1024)
-        assert tp_distance_1d(quad, centered, target).value <= 2e-3
+        assert tp_distance_1d(quad, centered, target) <= 2e-3
 
     def test_center_increments_flatten(self, quad):
         init = smooth(dirac(0.4), 0.5, lo=-8, hi=8, cells=1024)

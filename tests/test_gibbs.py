@@ -5,7 +5,7 @@ import pytest
 
 from selfattract import (GridDensity, NumericFailureError, ParticleMeasure,
                          center, dirac, even_polynomial, external_polynomial,
-                         frozen_energy_difference,
+                         frozen_energy_difference, gaussian_density,
                          gibbs_map, quadratic_shifted, quadratic_symmetric,
                          recenter, smooth, solve_fixed_point, tp_distance_1d,
                          uniform_density, zero_interaction)
@@ -32,41 +32,42 @@ def gauss_values(xs, mean, sigma=1.0):
 class TestGibbsMap:
     def test_quadratic_gives_gaussian_at_the_mean(self, quad):
         m = ParticleMeasure(np.array([0.1, 1.3]), np.array([0.5, 0.5]))
-        res = gibbs_map(quad, m, cells=1024)
-        xs = res.density.axis_centers(0)
-        assert np.abs(res.density.values - gauss_values(xs, 0.7)).max() <= 1e-6
-        assert res.center == pytest.approx(0.7, abs=1e-8)
+        image = gibbs_map(quad, m, cells=1024)
+        xs = image.axis_centers(0)
+        assert np.abs(image.values - gauss_values(xs, 0.7)).max() <= 1e-6
+        assert center(quad, image) == pytest.approx(0.7, abs=1e-8)
 
     def test_shifted_potential_shifts_the_gaussian(self):
         w = quadratic_shifted(1.0)
         m = ParticleMeasure(np.array([-0.5, 0.9]), np.array([0.5, 0.5]))
         mean = m.mean()
-        res = gibbs_map(w, m, cells=1024)
-        xs = res.density.axis_centers(0)
-        assert np.abs(res.density.values - gauss_values(xs, mean + 1.0)).max() <= 1e-6
+        image = gibbs_map(w, m, cells=1024)
+        xs = image.axis_centers(0)
+        assert np.abs(image.values - gauss_values(xs, mean + 1.0)).max() <= 1e-6
 
     def test_fixed_point_is_invariant(self, quad):
         rho = solve_fixed_point(quad, uniform_density(-6, 6, 1024)).density
-        image = gibbs_map(quad, rho, grid=rho).density
+        image = gibbs_map(quad, rho, grid=rho)
         assert np.abs(image.values - rho.values).max() <= 1e-8
 
     def test_mass_is_exactly_one_and_positive(self, quad):
-        res = gibbs_map(quad, dirac(0.4), cells=512)
-        assert res.density.mass == pytest.approx(1.0, abs=1e-12)
-        assert np.all(res.density.values > 0)
+        image = gibbs_map(quad, dirac(0.4), cells=512)
+        assert image.mass == pytest.approx(1.0, abs=1e-12)
+        assert np.all(image.values > 0)
 
     def test_tail_decays_at_the_convexity_rate(self, quad):
-        res = gibbs_map(quad, dirac(0.0))
-        assert tail_certificate(quad, res.density, alpha=quad.convexity_constant) < 10.0
+        image = gibbs_map(quad, dirac(0.0))
+        assert tail_certificate(quad, image, alpha=quad.convexity_constant) < 10.0
 
-    def test_log_partition_quadratic_closed_form(self, quad):
-        # W*m = x^2/2 - m1 x + m2/2 -> log Z = log sqrt(2 pi) + (m1^2 - m2)/2
-        m = ParticleMeasure(np.array([0.2, 1.2]), np.array([0.5, 0.5]))
-        m1 = m.mean()
-        m2 = float(m.weights @ m.positions ** 2)
-        res = gibbs_map(quad, m)
-        want = 0.5 * math.log(2 * math.pi) + 0.5 * (m1 * m1 - m2)
-        assert res.log_partition == pytest.approx(want, abs=1e-9)
+    def test_given_grid_solves_no_center(self, quad, monkeypatch):
+        # the image is the density alone: on a given grid no Newton center runs
+        def no_center(*args, **kwargs):
+            raise AssertionError("gibbs_map called center")
+
+        monkeypatch.setattr("selfattract.gibbs.center", no_center)
+        rho = gaussian_density(0.3, 1.0, -8, 8, 256)
+        image = gibbs_map(quad, rho, grid=rho)
+        assert image.mass == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergent_envelope_norm_fails(self):
@@ -86,8 +87,8 @@ class TestGibbsMap:
         for _ in range(15):
             m1 = random_mixture(gen, cells=512)
             m2 = random_mixture(gen, cells=512)
-            num = p_norm_difference(quad, gibbs_map(quad, m1, grid=base).density,
-                                    gibbs_map(quad, m2, grid=base).density)
+            num = p_norm_difference(quad, gibbs_map(quad, m1, grid=base),
+                                    gibbs_map(quad, m2, grid=base))
             den = p_norm_difference(quad, m1, m2)
             if den > 1e-12:
                 ratios.append(num / den)
@@ -98,7 +99,7 @@ class TestGibbsMap:
         # F_mu(image) <= F_mu(nu) reads lhs(mu, nu) <= lhs(mu, image)
         gen = make_rng(15)
         mu = random_mixture(gen, cells=512)
-        image = gibbs_map(quad, mu, grid=mu).density
+        image = gibbs_map(quad, mu, grid=mu)
         best, _ = frozen_energy_difference(quad, mu, image)
         for _ in range(10):
             other = random_mixture(gen, cells=512)
@@ -132,7 +133,7 @@ class TestFixedPoint:
 
         w = even_polynomial([0.5, 0.1])
         rho = solve_fixed_point(w, uniform_density(-6, 6, 512)).density
-        image = gibbs_map(w, rho, grid=rho).density
+        image = gibbs_map(w, rho, grid=rho)
         assert np.abs(image.values - rho.values).max() <= 1e-7
 
     @pytest.mark.parametrize("w", [quadratic_symmetric(1.0), even_polynomial([0.5, 0.1])],
@@ -153,7 +154,7 @@ class TestFixedPoint:
         for x0 in (0.4, 1.0, 3.0):
             rho = solve(x0)
             if x0 * 64 == round(x0 * 64):
-                assert tp_distance_1d(w, rho, at_zero).value <= 1e-10
+                assert tp_distance_1d(w, rho, at_zero) <= 1e-10
 
     def test_divergent_damping_rejected(self, quad):
         with pytest.raises(Exception):

@@ -83,8 +83,8 @@ def test_center_is_equivariant(name, s):
 def test_gibbs_map_is_equivariant(name, s):
     w = POTENTIALS[name]
     atoms = skewed_atoms()
-    base = gibbs_map(w, atoms).density
-    moved = gibbs_map(w, shifted(atoms, s)).density
+    base = gibbs_map(w, atoms)
+    moved = gibbs_map(w, shifted(atoms, s))
     assert float(np.abs(moved.values - base.values).max()) <= 1e-9
 
 
@@ -159,8 +159,8 @@ def test_2d_center_gibbs_and_energy_are_equivariant(name, s, direction):
     box = np.full((32, 32), 1.0 / 144.0)
     on_base = GridDensity(np.array([-6.0, -6.0]), np.array([6.0, 6.0]), box)
     on_moved = GridDensity(on_base.lo + shift, on_base.hi + shift, box)
-    want = gibbs_map(w, base, grid=on_base).density.values
-    got = gibbs_map(w, moved, grid=on_moved).density.values
+    want = gibbs_map(w, base, grid=on_base).values
+    got = gibbs_map(w, moved, grid=on_moved).values
     assert np.abs(got - want).max() <= 1e-9
     assert interaction_energy(w, moved) == pytest.approx(interaction_energy(w, base),
                                                          rel=1e-12)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from selfattract import (DominatingPolynomial, GridDensity, ParticleMeasure,
-                         UnsupportedInputError, centered_distance, dirac,
-                         gaussian_density, p_norm, recenter, tp_distance_1d,
-                         w2_distance)
+                         UnsupportedInputError, dirac, gaussian_density, p_norm,
+                         recenter, tp_distance_1d, w2_distance)
 from selfattract import transport
+from selfattract.measures import centered
 from selfattract.transport import _quantile_pieces
 from conftest import make_rng, random_atoms
 from oracles import displacement_interpolate
@@ -49,18 +49,18 @@ def w2_bruteforce_equal_atoms(x, y):
 class TestTpDistance:
     def test_identical_measures(self):
         m = dirac(0.3)
-        assert tp_distance_1d(ENV, m, m).value == 0.0
+        assert tp_distance_1d(ENV, m, m) == 0.0
 
     def test_dirac_pair_closed_form(self):
         d = tp_distance_1d(ENV, dirac(0.0), dirac(1.0))
-        assert d.value == pytest.approx(4.0 / 3.0, abs=1e-14)
+        assert d == pytest.approx(4.0 / 3.0, abs=1e-14)
 
     def test_matches_monotone_coupling_oracle(self):
         gen = make_rng(21)
         for _ in range(60):
             m1 = random_atoms(gen)
             m2 = random_atoms(gen)
-            got = tp_distance_1d(ENV, m1, m2).value
+            got = tp_distance_1d(ENV, m1, m2)
             want = monotone_coupling_cost(ENV, m1, m2)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -68,13 +68,13 @@ class TestTpDistance:
         gen = make_rng(13)
         for _ in range(25):
             a, b, c = (random_atoms(gen, radius=3.0) for _ in range(3))
-            dab = tp_distance_1d(ENV, a, b).value
-            dba = tp_distance_1d(ENV, b, a).value
+            dab = tp_distance_1d(ENV, a, b)
+            dba = tp_distance_1d(ENV, b, a)
             assert dab == pytest.approx(dba, abs=1e-12)
-            dac = tp_distance_1d(ENV, a, c).value
-            dcb = tp_distance_1d(ENV, c, b).value
+            dac = tp_distance_1d(ENV, a, c)
+            dcb = tp_distance_1d(ENV, c, b)
             assert dab <= dac + dcb + 1e-10
-            assert tp_distance_1d(ENV, a, a).value <= 1e-14
+            assert tp_distance_1d(ENV, a, a) <= 1e-14
 
 
 def cdf_by_definition(m, xs):
@@ -147,16 +147,16 @@ class TestTpOnGrids:
         env = DominatingPolynomial(1.5, degree)
         assert gap_sign_changes(self.G1, self.G2) >= 3
         want = tp_quadrature(env, self.G1, self.G2)
-        assert tp_distance_1d(env, self.G1, self.G2).value == pytest.approx(want, rel=1e-8)
-        assert tp_distance_1d(env, self.G2, self.G1).value == pytest.approx(want, rel=1e-8)
+        assert tp_distance_1d(env, self.G1, self.G2) == pytest.approx(want, rel=1e-8)
+        assert tp_distance_1d(env, self.G2, self.G1) == pytest.approx(want, rel=1e-8)
 
     def test_grid_against_atoms(self, degree):
         env = DominatingPolynomial(1.5, degree)
         for grid in (self.G1, self.G2):
             assert gap_sign_changes(grid, self.ATOMS) >= 3
             want = tp_quadrature(env, grid, self.ATOMS)
-            assert tp_distance_1d(env, grid, self.ATOMS).value == pytest.approx(want, rel=1e-8)
-            assert tp_distance_1d(env, self.ATOMS, grid).value == pytest.approx(want, rel=1e-8)
+            assert tp_distance_1d(env, grid, self.ATOMS) == pytest.approx(want, rel=1e-8)
+            assert tp_distance_1d(env, self.ATOMS, grid) == pytest.approx(want, rel=1e-8)
 
     def test_grid_against_its_translate(self, degree):
         # shift s > 0: F(x) >= F(x - s), so tp = E[Phi0(Y + s) - Phi0(Y)];
@@ -172,15 +172,15 @@ class TestTpOnGrids:
         edges = np.linspace(self.G1.lo[0], self.G1.hi[0], self.G1.values.size + 1)
         lo, hi = edges[:-1], edges[1:]
         want = float(self.G1.values @ (psi(hi + s) - psi(lo + s) - psi(hi) + psi(lo)))
-        assert tp_distance_1d(env, self.G1, moved).value == pytest.approx(want, rel=1e-8)
-        assert tp_distance_1d(env, moved, self.G1).value == pytest.approx(want, rel=1e-8)
+        assert tp_distance_1d(env, self.G1, moved) == pytest.approx(want, rel=1e-8)
+        assert tp_distance_1d(env, moved, self.G1) == pytest.approx(want, rel=1e-8)
 
     def test_equal_masses_scale_the_distance(self, degree):
         env = DominatingPolynomial(1.5, degree)
         for m1, m2 in ((self.G1, self.G2), (self.G2, self.ATOMS)):
             want = tp_quadrature(env, m1, m2)
             for c in (0.25, 3.0):
-                got = tp_distance_1d(env, scaled(m1, c), scaled(m2, c)).value
+                got = tp_distance_1d(env, scaled(m1, c), scaled(m2, c))
                 assert got == pytest.approx(c * want, rel=1e-8)
 
 
@@ -206,7 +206,7 @@ class TestTpOnLattice:
     def general(env, m1, m2, monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(transport, "_lattice_gap", lambda a, b: None)
-            return tp_distance_1d(env, m1, m2).value
+            return tp_distance_1d(env, m1, m2)
 
     @pytest.mark.parametrize("degree", [2, 4])
     @pytest.mark.parametrize("k", [0, 1, -1, 37, -150])
@@ -222,7 +222,7 @@ class TestTpOnLattice:
             changes += gap_sign_changes(a, b)
             for m1, m2 in ((a, b), (b, a)):
                 want = self.general(env, m1, m2, monkeypatch)
-                assert tp_distance_1d(env, m1, m2).value == pytest.approx(want, rel=1e-13)
+                assert tp_distance_1d(env, m1, m2) == pytest.approx(want, rel=1e-13)
         assert changes >= 4   # the gap changes sign: the split is covered
 
     @pytest.mark.parametrize("frac", [0.37, 1e-7])
@@ -234,17 +234,17 @@ class TestTpOnLattice:
         b = lattice_grid(gen, -5.0 + s, 3.0 + s, 400)
         assert transport._lattice_gap(a, b) is None
         want = tp_quadrature(env, a, b)
-        assert tp_distance_1d(env, a, b).value == pytest.approx(want, rel=1e-8)
+        assert tp_distance_1d(env, a, b) == pytest.approx(want, rel=1e-8)
 
 
 class TestW2:
     def test_dirac_pair(self):
-        assert w2_distance(dirac(0.0), dirac(-2.5)).value == pytest.approx(2.5)
+        assert w2_distance(dirac(0.0), dirac(-2.5)) == pytest.approx(2.5)
 
     def test_gaussian_grids(self):
         g1 = gaussian_density(0.0, 1.0, -10, 10, 2048)
         g2 = gaussian_density(0.0, 1.4, -10, 10, 2048)
-        assert w2_distance(g1, g2).value == pytest.approx(0.4, abs=1e-4)
+        assert w2_distance(g1, g2) == pytest.approx(0.4, abs=1e-4)
 
     def test_quantile_equals_bruteforce_assignment(self):
         gen = make_rng(2)
@@ -253,7 +253,7 @@ class TestW2:
             y = gen.uniform(-3, 3, size=6)
             m1 = ParticleMeasure(x, np.full(6, 1 / 6))
             m2 = ParticleMeasure(y, np.full(6, 1 / 6))
-            got = w2_distance(m1, m2).value
+            got = w2_distance(m1, m2)
             assert got == pytest.approx(w2_bruteforce_equal_atoms(x, y), abs=1e-10)
 
     def test_equal_weight_clouds_match_sorted_oracle(self):
@@ -264,7 +264,7 @@ class TestW2:
             y = gen.standard_normal(n) + 0.4
             want = math.sqrt(np.mean((np.sort(x) - np.sort(y)) ** 2))
             got = w2_distance(ParticleMeasure(x, np.full(n, 1 / n)),
-                              ParticleMeasure(y, np.full(n, 1 / n))).value
+                              ParticleMeasure(y, np.full(n, 1 / n)))
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_tied_atoms(self):
@@ -272,7 +272,7 @@ class TestW2:
         y = np.array([1.0, 1.0, 1.0, -2.0, 0.0, 0.0])
         want = math.sqrt(np.mean((np.sort(x) - np.sort(y)) ** 2))
         got = w2_distance(ParticleMeasure(x, np.full(6, 1 / 6)),
-                          ParticleMeasure(y, np.full(6, 1 / 6))).value
+                          ParticleMeasure(y, np.full(6, 1 / 6)))
         assert got == pytest.approx(want, abs=1e-14)
 
     def test_quantile_pieces_of_ordered_atoms_skip_the_sort(self):
@@ -301,8 +301,8 @@ class TestW2:
         w = w / w.sum()
         want = math.sqrt(float(w @ (x - 0.3) ** 2))
         cloud = ParticleMeasure(x, w)
-        assert w2_distance(dirac(0.3), cloud).value == pytest.approx(want, abs=1e-14)
-        assert w2_distance(cloud, dirac(0.3)).value == pytest.approx(want, abs=1e-14)
+        assert w2_distance(dirac(0.3), cloud) == pytest.approx(want, abs=1e-14)
+        assert w2_distance(cloud, dirac(0.3)) == pytest.approx(want, abs=1e-14)
 
     def test_grid_with_empty_cells_against_atoms(self):
         # mass 1/2 on each of two cells with empty cells between: the
@@ -318,17 +318,17 @@ class TestW2:
 
         want = math.sqrt(0.5 * mean_sq(-4.0 + 5 * h, -2.0)
                          + 0.5 * mean_sq(-4.0 + 20 * h, 1.5))
-        assert w2_distance(grid, atoms).value == pytest.approx(want, abs=1e-14)
-        assert w2_distance(atoms, grid).value == pytest.approx(want, abs=1e-14)
+        assert w2_distance(grid, atoms) == pytest.approx(want, abs=1e-14)
+        assert w2_distance(atoms, grid) == pytest.approx(want, abs=1e-14)
 
     def test_grid_against_grid(self):
         # a translated copy of a grid density is at W2 distance |shift|
         g = gaussian_density(0.2, 0.7, -6.0, 6.0, 300)
         moved = GridDensity(g.lo + 1.25, g.hi + 1.25, g.values)
-        assert w2_distance(g, moved).value == pytest.approx(1.25, abs=1e-14)
+        assert w2_distance(g, moved) == pytest.approx(1.25, abs=1e-14)
         other = gaussian_density(-0.5, 1.3, -7.0, 5.0, 200)
-        assert w2_distance(g, other).value == pytest.approx(
-            w2_distance(other, g).value, abs=1e-14)
+        assert w2_distance(g, other) == pytest.approx(
+            w2_distance(other, g), abs=1e-14)
 
     @pytest.mark.parametrize("dims", [(1, 2), (2, 1), (2, 2)],
                              ids=["1d-2d", "2d-1d", "2d-2d"])
@@ -351,22 +351,22 @@ class TestCenteredDistance:
             v = float(gen.uniform(-1.5, 1.5))
             shifted = recenter(m, -v)  # atoms moved by +v
             c = float(np.average(m.positions, weights=m.weights))
-            d = centered_distance(quad, m, shifted, "tp", common_center=c)
             a = recenter(m, c)
+            d = tp_distance_1d(quad, a, recenter(shifted, c))
             bound = abs(v) * env(abs(v)) * p_norm(quad, a)
-            assert d.value <= bound + 1e-9
+            assert d <= bound + 1e-9
 
     def test_own_center_cancels_translation(self, quad):
         m = random_atoms(make_rng(23), radius=2.0)
         shifted = recenter(m, -1.7)
-        d = centered_distance(quad, m, shifted, "tp")
-        assert d.value == pytest.approx(0.0, abs=1e-9)
+        d = tp_distance_1d(quad, centered(quad, m), centered(quad, shifted))
+        assert d == pytest.approx(0.0, abs=1e-9)
 
     def test_gaussians_same_shape_w2(self, quad):
         g1 = gaussian_density(0.0, 1.0, -8, 8, 1024)
         g2 = gaussian_density(3.0, 1.0, -5, 11, 1024)
-        d = centered_distance(quad, g1, g2, "w2")
-        assert d.value == pytest.approx(0.0, abs=1e-6)
+        d = w2_distance(centered(quad, g1), centered(quad, g2))
+        assert d == pytest.approx(0.0, abs=1e-6)
 
     def test_center_shift_inflation(self, quad):
         # tp after a common shift by v is at most P(|v|) times the raw tp
@@ -376,8 +376,8 @@ class TestCenteredDistance:
             m1 = random_atoms(gen, radius=2.0)
             m2 = random_atoms(gen, radius=2.0)
             v = float(gen.uniform(-2, 2))
-            raw = tp_distance_1d(env, m1, m2).value
-            shifted = tp_distance_1d(env, recenter(m1, v), recenter(m2, v)).value
+            raw = tp_distance_1d(env, m1, m2)
+            shifted = tp_distance_1d(env, recenter(m1, v), recenter(m2, v))
             assert shifted <= env(abs(v)) * raw + 1e-9
 
 
@@ -388,10 +388,10 @@ def test_w2_squared_bounded_by_tp_on_tail_class(quad):
     for _ in range(30):
         m1 = random_atoms(gen, radius=3.0)
         m2 = random_atoms(gen, radius=3.0)
-        tp = tp_distance_1d(ENV, m1, m2).value
+        tp = tp_distance_1d(ENV, m1, m2)
         if tp < 1e-12:
             continue
-        w2 = w2_distance(m1, m2).value
+        w2 = w2_distance(m1, m2)
         ratios.append(w2 * w2 / tp)
     assert max(ratios) < 10.0
 
@@ -412,4 +412,4 @@ def test_displacement_interpolation_endpoints():
     assert mid.mass == pytest.approx(1.0, abs=1e-9)
     assert mid.mean() == pytest.approx(0.5 * (-1.0) + 0.5 * 1.5, abs=5e-3)
     ends = displacement_interpolate(g0, g1, 0.0)
-    assert w2_distance(ends, g0).value < 5e-3
+    assert w2_distance(ends, g0) < 5e-3
