@@ -55,9 +55,12 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
     def resolved(self) -> dict:
-        """Plain dict for hashing and manifests."""
+        """Plain dict for hashing and manifests.  It leaves out the output
+        directory, which names where a run writes, not what it computes."""
         out = {section: dict(kv) for section, kv in self.raw.items()}
-        out.setdefault("experiment", {}).update(name=self.name, replicas=self.replicas)
+        exp = out.setdefault("experiment", {})
+        exp.pop("out", None)
+        exp.update(name=self.name, replicas=self.replicas)
         out["sim_effective"] = {
             "dt": self.sim.dt, "t_start": self.sim.t_start, "t_end": self.sim.t_end,
             "seed": self.sim.seed, "noise_scale": self.sim.noise_scale,
@@ -101,11 +104,7 @@ def _number(section: str, key: str, text: str, want: type):
 def _build_potential(kv: dict) -> PotentialSpec:
     kind = kv.get("kind", "quadratic-symmetric")
     coeffs = [float(c) for c in str(kv.get("coefficients", "1.0")).split()]
-    extra = {}
-    if "bound_scale" in kv:
-        extra["bound_scale"] = kv["bound_scale"]
-    if "bound_degree" in kv and kind not in ("quadratic-symmetric", "quadratic-shifted"):
-        extra["bound_degree"] = kv["bound_degree"]
+    extra = {key: kv[key] for key in ("bound_scale", "bound_degree") if key in kv}
     if kind == "quadratic-symmetric":
         return quadratic_symmetric(coeffs[0], **extra)
     if kind == "quadratic-shifted":

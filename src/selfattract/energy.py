@@ -1,12 +1,13 @@
 """Free-energy functionals and the decay-rate machinery.
 
 The free energy of a density is its entropy plus the external term plus
-half the self-interaction double integral.  Every interaction integral --
-self (1-d and 2-d), cross and against a signed difference (1-d) -- is the
-bilinear form of `powersums` in cell power sums taken about the shared
-grid's midpoint.  For polynomial W it equals the cell-by-cell double sum up to
-rounding, in O(n) time and memory, so the quadratic-expansion identities
-below hold to rounding on a shared grid.
+half the self-interaction double integral, on a grid of the line (the
+package implements d = 1 of the paper's R^d).  Every interaction integral
+-- self, cross and against a signed difference -- is the bilinear form of
+`powersums` in cell power sums taken about the shared grid's midpoint.  For
+polynomial W it equals the cell-by-cell double sum up to rounding, in O(n)
+time and memory, so the quadratic-expansion identities below hold to
+rounding on a shared grid.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def entropy(m: GridDensity) -> float:
     if np.any(v < 0):
         raise InvalidInputError("entropy needs a non-negative density")
     mask = v > _ENTROPY_FLOOR
-    return float((v[mask] * np.log(v[mask])).sum() * m.cell_volume)
+    return float((v[mask] * np.log(v[mask])).sum() * m.spacing)
 
 
 def free_energy(w: PotentialSpec, m: GridDensity,
@@ -59,7 +60,7 @@ def free_energy(w: PotentialSpec, m: GridDensity,
     ent = entropy(m)
     ext = 0.0
     if v is not None:
-        ext = float((potential_on_grid(v, m) * m.values).sum()) * m.cell_volume
+        ext = float((potential_on_grid(v, m) * m.values).sum()) * m.spacing
     inter = interaction_energy(w, m)
     return EnergyBreakdown(entropy=ent, external_term=ext, interaction_term=inter,
                            relative_to=relative_to)
@@ -72,9 +73,8 @@ def relative_free_energy(w: PotentialSpec, m: GridDensity, rho_inf: GridDensity,
 
 
 def _require_shared_grid(a: GridDensity, b: GridDensity):
-    if a.dim != 1 or b.dim != 1 or a.cells != b.cells \
-            or not np.allclose(a.lo, b.lo) or not np.allclose(a.hi, b.hi):
-        raise InvalidInputError("both densities must live on one shared 1-d grid")
+    if a.values.size != b.values.size or not np.allclose([a.lo, a.hi], [b.lo, b.hi]):
+        raise InvalidInputError("both densities must live on one shared grid")
 
 
 def frozen_energy_difference(w: PotentialSpec, mu: GridDensity,

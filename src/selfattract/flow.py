@@ -55,8 +55,8 @@ def _recenter_policy(w: PotentialSpec, g: GridDensity, c: float) -> GridDensity:
     """The box follows the measure: once the center c strays past 10% of the
     half-width from the box middle, the box moves by whole cells to put its
     middle at c, and the measure stays where it is."""
-    mid = 0.5 * float(g.lo[0] + g.hi[0])
-    half = 0.5 * float(g.hi[0] - g.lo[0])
+    mid = 0.5 * (g.lo + g.hi)
+    half = 0.5 * (g.hi - g.lo)
     return _box_follows(g, c) if abs(c - mid) > 0.1 * half else g
 
 

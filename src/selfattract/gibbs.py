@@ -23,7 +23,7 @@ from .transport import tp_distance_1d
 
 def _auto_grid(w: PotentialSpec, v: PotentialSpec | None, m: Measure | PowerSums,
                cells: int) -> GridDensity:
-    """1-d grid centered at the measure's center, wide enough that the Gibbs
+    """Grid centered at the measure's center, wide enough that the Gibbs
     exponent at the boundary is ~ 46 nats above the minimum (tail < 1e-10)."""
     c = center(w, m) if w.convexity_constant > 0 else _summable(m).mean()
     conv = w.convexity_constant + (v.convexity_constant if v is not None else 0.0)
@@ -36,8 +36,7 @@ def _auto_grid(w: PotentialSpec, v: PotentialSpec | None, m: Measure | PowerSums
         radius *= 1.5
     else:
         raise NumericFailureError("could not bracket the Gibbs density support")
-    vals = np.full(cells, 1.0 / (2 * radius))
-    return GridDensity(np.array([c - radius]), np.array([c + radius]), vals)
+    return GridDensity(c - radius, c + radius, np.full(cells, 1.0 / (2 * radius)))
 
 
 def _exponent(w: PotentialSpec, v: PotentialSpec | None, m: Measure | PowerSums,
@@ -52,7 +51,7 @@ def gibbs_map(w: PotentialSpec, m: Measure | PowerSums, v: PotentialSpec | None 
               grid: GridDensity | None = None, cells: int = 1024) -> GridDensity:
     """The normalized density proportional to exp(-(V + W*m)) on a grid.
 
-    m is a measure or, in 1-d, its `PowerSums`: the exponent reads m only
+    m is a measure or its `PowerSums`: the exponent reads m only
     through them.  The evaluation grid defaults to an auto-sized box around
     the center of m; pass ``grid`` to reuse an existing geometry (the flow
     does).
@@ -63,8 +62,6 @@ def gibbs_map(w: PotentialSpec, m: Measure | PowerSums, v: PotentialSpec | None 
     else:
         p_norm(w, m)    # raises NumericFailureError when the envelope norm diverges
     if grid is None:
-        if m.dim != 1:
-            raise InvalidInputError("2-d Gibbs map needs an explicit grid")
         grid = _auto_grid(w, v, m, cells)
     phi = convolve_potential(w, m, grid.centers())
     if v is not None:
@@ -75,8 +72,8 @@ def gibbs_map(w: PotentialSpec, m: Measure | PowerSums, v: PotentialSpec | None 
         raise NumericFailureError(
             "all Gibbs cell weights underflowed; the grid is misplaced -- "
             "re-center it on the measure before applying the map")
-    density = GridDensity(grid.lo, grid.hi, weights / (z * grid.cell_volume))
-    boundary = _boundary_mass(density)
+    density = GridDensity(grid.lo, grid.hi, weights / (z * grid.spacing))
+    boundary = float((density.values[0] + density.values[-1]) * density.spacing)
     if boundary > 1e-5:
         raise NumericFailureError(
             f"Gibbs density keeps {boundary:.2e} mass at the grid boundary; "
@@ -84,22 +81,14 @@ def gibbs_map(w: PotentialSpec, m: Measure | PowerSums, v: PotentialSpec | None 
     return density
 
 
-def _boundary_mass(g: GridDensity) -> float:
-    if g.dim == 1:
-        return float((g.values[0] + g.values[-1]) * g.cell_volume)
-    edge = (g.values[0, :].sum() + g.values[-1, :].sum()
-            + g.values[:, 0].sum() + g.values[:, -1].sum())
-    return float(edge * g.cell_volume)
-
-
 def _box_follows(g: GridDensity, c: float) -> GridDensity:
-    """The 1-d grid with its box moved by the whole number of cells nearest
+    """The grid with its box moved by the whole number of cells nearest
     to c minus the box middle, and the measure left in place: the values move
     the same number of slots the other way, zero-filled, and are renormalized
     for the tail that leaves the box.  Whole cells keep the old and the new
     grid on one lattice."""
-    h = float(g.spacing[0])
-    k = round((c - 0.5 * float(g.lo[0] + g.hi[0])) / h)
+    h = g.spacing
+    k = round((c - 0.5 * (g.lo + g.hi)) / h)
     if k == 0:
         return g
     vals = np.zeros_like(g.values)
@@ -123,17 +112,17 @@ def solve_fixed_point(w: PotentialSpec, init: GridDensity,
                       track_energy: bool = False) -> FixedPointResult:
     """Damped iteration rho <- (1 - damping) rho + damping * Pi(rho).
 
-    In 1-d the grid box follows the iterate: before each Gibbs image the box
-    moves by whole cells to the iterate's center (`_box_follows`), and the
-    iterate stays where it is.  Convergence is measured by the 1-d
-    translation distance between successive iterates (L1 in 2-d).  The
+    When W has a center, the grid box follows the iterate: before each
+    Gibbs image the box moves by whole cells to the iterate's center
+    (`_box_follows`), and the iterate stays where it is.  Convergence is
+    measured by the translation distance between successive iterates.  The
     result carries the last iterate, the residuals and, with
     ``track_energy``, the free energy of every iterate.
     """
     if not 0.0 < damping <= 1.0:
         raise InvalidInputError("damping must lie in (0, 1]")
     init.require_probability()
-    follow = w.convexity_constant > 0 and init.dim == 1
+    follow = w.convexity_constant > 0
     rho = init
     residuals = []
     energies = []
@@ -144,10 +133,7 @@ def solve_fixed_point(w: PotentialSpec, init: GridDensity,
         mixed = GridDensity(rho.lo, rho.hi,
                             (1.0 - damping) * rho.values + damping * image.values)
         mixed = mixed.normalized()
-        if mixed.dim == 1:
-            res = tp_distance_1d(w, rho, mixed)
-        else:
-            res = float(np.abs(mixed.values - rho.values).sum() * rho.cell_volume)
+        res = tp_distance_1d(w, rho, mixed)
         residuals.append(res)
         rho = mixed
         if track_energy:

@@ -1,6 +1,7 @@
 """Measure representations and measure-level primitives.
 
-Two representations are used throughout: weighted atoms (occupation
+Measures live on the line: the package implements d = 1 of the paper's
+R^d.  Two representations are used throughout: weighted atoms (occupation
 measures of simulated paths) and densities on a uniform grid (anything
 that needs an entropy or a Gibbs image).  All quadrature is midpoint
 rule on the grid, with reductions in a fixed order so that results are
@@ -14,16 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericFailureError, UnsupportedInputError
+from .errors import InvalidInputError, NumericFailureError
 from .potentials import PotentialSpec, as_envelope, polynomial_derivative
-from .powersums import PowerSums, anchor, convolution_matrix, convolution_tensor, power_sums
+from .powersums import PowerSums, anchor, convolution_matrix, power_sums
 
 _MASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class ParticleMeasure:
-    """Finite weighted atoms; positions shape (n,) in 1-d or (n, d)."""
+    """Finite weighted atoms on the line; positions and weights of shape (n,)."""
 
     positions: np.ndarray
     weights: np.ndarray
@@ -31,9 +32,11 @@ class ParticleMeasure:
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
         w = np.asarray(self.weights, dtype=float)
-        if pos.shape[0] != w.shape[0]:
+        if pos.ndim != 1:
+            raise InvalidInputError("atom positions must be a 1-d array")
+        if pos.shape != w.shape:
             raise InvalidInputError("positions and weights must have equal length")
-        if pos.shape[0] == 0:
+        if pos.size == 0:
             raise InvalidInputError("measure needs at least one atom")
         if not np.all(np.isfinite(pos)):
             raise InvalidInputError("atom positions must be finite")
@@ -43,53 +46,39 @@ class ParticleMeasure:
         object.__setattr__(self, "weights", w)
 
     @property
-    def dim(self) -> int:
-        return 1 if self.positions.ndim == 1 else self.positions.shape[1]
-
-    @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
     def normalized(self) -> "ParticleMeasure":
         return ParticleMeasure(self.positions, self.weights / self.total_mass)
 
-    def mean(self):
-        if self.dim == 1:
-            return float(self.weights @ self.positions) / self.total_mass
-        return np.asarray(self.weights @ self.positions) / self.total_mass
+    def mean(self) -> float:
+        return float(self.weights @ self.positions) / self.total_mass
 
 
-def dirac(position, weight: float = 1.0) -> ParticleMeasure:
-    pos = np.atleast_1d(np.asarray(position, dtype=float))
-    if pos.size == 1:
-        return ParticleMeasure(pos.reshape(1), np.array([weight]))
-    return ParticleMeasure(pos.reshape(1, -1), np.array([weight]))
+def dirac(position: float, weight: float = 1.0) -> ParticleMeasure:
+    return ParticleMeasure(np.array([position], dtype=float), np.array([weight]))
 
 
 @dataclass(frozen=True)
 class GridDensity:
-    """Probability density sampled at cell midpoints of a uniform grid.
+    """Probability density sampled at the cell midpoints of a uniform grid on
+    the interval [lo, hi] of the line (d = 1 of the paper's R^d): floats
+    lo < hi and values of shape (cells,), in units of 1/length."""
 
-    1-d: lo/hi floats, values shape (cells,).  2-d: lo/hi length-2 arrays,
-    values shape (cells_x, cells_y).  Units of values are 1/length^d.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
+    lo: float
+    hi: float
     values: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        lo, hi = float(self.lo), float(self.hi)
         v = np.asarray(self.values, dtype=float)
-        if lo.shape != hi.shape or lo.ndim != 1 or lo.size not in (1, 2):
-            raise InvalidInputError("domain must be a 1-d or 2-d box")
-        if np.any(hi <= lo):
+        if not hi > lo:
             raise InvalidInputError("domain box must have positive extent")
-        if v.ndim != lo.size:
-            raise InvalidInputError("values rank must match domain dimension")
-        if min(v.shape) < 16:
-            raise InvalidInputError("need at least 16 cells per axis")
+        if v.ndim != 1:
+            raise InvalidInputError("grid values must be a 1-d array")
+        if v.size < 16:
+            raise InvalidInputError("need at least 16 cells")
         if not np.all(np.isfinite(v)):
             raise NumericFailureError("grid density has non-finite cells")
         if np.any(v < 0):
@@ -99,37 +88,16 @@ class GridDensity:
         object.__setattr__(self, "values", v)
 
     @property
-    def dim(self) -> int:
-        return self.lo.size
-
-    @property
-    def cells(self) -> tuple[int, ...]:
-        return self.values.shape
-
-    @property
-    def spacing(self) -> np.ndarray:
-        return (self.hi - self.lo) / np.asarray(self.values.shape, dtype=float)
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
-
-    def axis_centers(self, axis: int = 0) -> np.ndarray:
-        n = self.values.shape[axis]
-        h = self.spacing[axis]
-        return self.lo[axis] + (np.arange(n) + 0.5) * h
+    def spacing(self) -> float:
+        return (self.hi - self.lo) / self.values.size
 
     def centers(self) -> np.ndarray:
-        """Cell midpoints: shape (n,) in 1-d, (nx, ny, 2) in 2-d."""
-        if self.dim == 1:
-            return self.axis_centers(0)
-        cx = self.axis_centers(0)
-        cy = self.axis_centers(1)
-        return np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1)
+        """Cell midpoints."""
+        return self.lo + (np.arange(self.values.size) + 0.5) * self.spacing
 
     @property
     def mass(self) -> float:
-        return float(self.values.sum() * self.cell_volume)
+        return float(self.values.sum() * self.spacing)
 
     def normalized(self) -> "GridDensity":
         m = self.mass
@@ -141,28 +109,22 @@ class GridDensity:
         if abs(self.mass - 1.0) > _MASS_TOL:
             raise InvalidInputError(f"grid mass {self.mass} is not 1 within {_MASS_TOL}")
 
-    def mean(self):
-        if self.dim == 1:
-            m = float(self.axis_centers(0) @ self.values) * self.cell_volume / self.mass
-            return m
-        c = self.centers()
-        m = np.tensordot(self.values, c, axes=([0, 1], [0, 1])) * self.cell_volume / self.mass
-        return np.asarray(m)
+    def mean(self) -> float:
+        return float(self.centers() @ self.values) * self.spacing / self.mass
 
 
 Measure = ParticleMeasure | GridDensity
 
 
 def uniform_density(lo: float, hi: float, cells: int = 1024) -> GridDensity:
-    vals = np.full(cells, 1.0 / (hi - lo))
-    return GridDensity(np.array([lo]), np.array([hi]), vals)
+    return GridDensity(lo, hi, np.full(cells, 1.0 / (hi - lo)))
 
 
 def gaussian_density(mean: float, sigma: float, lo: float, hi: float,
                      cells: int = 1024) -> GridDensity:
     xs = np.linspace(lo, hi, cells, endpoint=False) + (hi - lo) / cells / 2
     vals = np.exp(-0.5 * ((xs - mean) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-    return GridDensity(np.array([lo]), np.array([hi]), vals).normalized()
+    return GridDensity(lo, hi, vals).normalized()
 
 
 def as_atoms(m: Measure) -> ParticleMeasure:
@@ -170,12 +132,7 @@ def as_atoms(m: Measure) -> ParticleMeasure:
     mass are dropped."""
     if isinstance(m, ParticleMeasure):
         return m
-    if m.dim == 1:
-        pos = m.axis_centers(0)
-        w = m.values * m.cell_volume
-    else:
-        pos = m.centers().reshape(-1, 2)
-        w = m.values.reshape(-1) * m.cell_volume
+    pos, w = m.centers(), m.values * m.spacing
     keep = w > 0
     if not keep.all():
         pos, w = pos[keep], w[keep]
@@ -192,52 +149,36 @@ def _summable(m):
 
 
 def _expansion(p: PotentialSpec, atoms, order: int):
-    """Anchor a, ascending coefficients in y = x - a, and the derivative order
-    still to take of them to get (d^order W * m)(x).
-
-    1-d expands the order-th derivative of W (`convolution_matrix`), so none
-    is left; 2-d expands W itself (`convolution_tensor`) and leaves all of
-    them to `polynomial_derivative`.  `PowerSums` bring their own anchor.
-    """
+    """Anchor a and the ascending coefficients in y = x - a of
+    (d^order W * m)(x), from the power sums of m about a (`PowerSums` bring
+    their own anchor and sums)."""
+    T = convolution_matrix(p, order)
     if isinstance(atoms, PowerSums):
-        T = convolution_matrix(p, order)
         if atoms.sums.size < T.shape[0]:
             raise InvalidInputError(f"W reads {T.shape[0]} power sums, got {atoms.sums.size}")
-        return atoms.anchor, T @ atoms.sums[:T.shape[0]], 0
+        return atoms.anchor, T @ atoms.sums[:T.shape[0]]
     a = anchor(atoms.positions)
-    if atoms.dim == 1:
-        T = convolution_matrix(p, order)
-        return a, T @ power_sums(atoms.positions, atoms.weights, a, T.shape[0]), 0
-    T = convolution_tensor(p)
-    S = power_sums(atoms.positions, atoms.weights, a, T.shape[2:])
-    return a, np.einsum("ijkl,kl->ij", T, S), order
+    return a, T @ power_sums(atoms.positions, atoms.weights, a, T.shape[0])
 
 
 def convolve_potential(p: PotentialSpec, m: Measure, x, order: int = 0):
-    """(W*m)(x), (grad W*m)(x) or (hess W*m)(x) by the anchored power-sum
-    expansion, exact for the polynomial families (midpoint quadrature for
-    grids).
-
-    1-d: x is a scalar or an array of points.  2-d: x has shape (..., 2);
-    the result has shape (...), (..., 2) or (..., 2, 2) by order.  m may be
-    a measure or its `PowerSums`.
-    """
+    """(W*m)(x), (W'*m)(x) or (W''*m)(x) at a point or an array of points x,
+    by the anchored power-sum expansion, exact for the polynomial families
+    (midpoint quadrature for grids).  m may be a measure or its
+    `PowerSums`."""
     atoms = _summable(m)
     if atoms.total_mass <= 0:
         raise InvalidInputError("empty measure")
     x = np.asarray(x, dtype=float)
-    if atoms.dim == 1:
-        if x.ndim == 1 and x.size == 1:
-            x = x.reshape(())
-    elif atoms.dim != x.shape[-1]:
-        raise InvalidInputError("point dimension does not match the measure")
-    a, coeffs, k = _expansion(p, atoms, order)
-    out = polynomial_derivative(coeffs, x - a, k)
+    if x.ndim == 1 and x.size == 1:
+        x = x.reshape(())
+    a, coeffs = _expansion(p, atoms, order)
+    out = polynomial_derivative(coeffs, x - a)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def center(p: PotentialSpec, m: Measure, tol: float = 1e-10, max_iter: int = 50):
-    """Unique root of grad (W*m); Newton from the mean with the exact Hessian.
+def center(p: PotentialSpec, m: Measure, tol: float = 1e-10, max_iter: int = 50) -> float:
+    """Unique root of W' * m; Newton from the mean with the exact derivative.
 
     Works in y = x - a about the anchor a of the measure, on one expansion,
     so the iteration is the same wherever the measure sits.  m may be a
@@ -246,25 +187,21 @@ def center(p: PotentialSpec, m: Measure, tol: float = 1e-10, max_iter: int = 50)
     atoms = _summable(m)
     if p.convexity_constant <= 0:
         raise InvalidInputError("center requires a uniformly convex potential")
-    a, grad, k = _expansion(p, atoms, 1)
+    a, grad = _expansion(p, atoms, 1)
     c = atoms.mean() - a
     for _ in range(max_iter):
-        g = polynomial_derivative(grad, c, k)
-        if float(np.linalg.norm(g)) <= tol:
-            out = a + c
-            return float(out) if np.ndim(out) == 0 else out
-        h = polynomial_derivative(grad, c, k + 1)
-        c = c - (g / h if atoms.dim == 1 else np.linalg.solve(h, g))
-    raise NumericFailureError(
-        f"center Newton did not converge (|grad|={float(np.linalg.norm(g)):.3e})")
+        g = polynomial_derivative(grad, c)
+        if abs(g) <= tol:
+            return float(a + c)
+        c = c - g / polynomial_derivative(grad, c, 1)
+    raise NumericFailureError(f"center Newton did not converge (|grad|={abs(g):.3e})")
 
 
 def recenter(m: Measure, c) -> Measure:
     """Translate the measure by -c, i.e. return m(. + c)."""
     if isinstance(m, ParticleMeasure):
         return ParticleMeasure(m.positions - c, m.weights)
-    shift = np.atleast_1d(np.asarray(c, dtype=float))
-    return GridDensity(m.lo - shift, m.hi - shift, m.values)
+    return GridDensity(m.lo - c, m.hi - c, m.values)
 
 
 def centered(p: PotentialSpec, m: Measure) -> Measure:
@@ -272,7 +209,7 @@ def centered(p: PotentialSpec, m: Measure) -> Measure:
 
 
 # ---------------------------------------------------------------------------
-# smoothing (1-d: exact overlap of the flat kernel with cells)
+# smoothing: exact overlap of the flat kernel with cells
 
 
 def smooth(m: ParticleMeasure, h: float, lo: float | None = None,
@@ -284,8 +221,6 @@ def smooth(m: ParticleMeasure, h: float, lo: float | None = None,
     """
     if h <= 0:
         raise InvalidInputError("smoothing width must be positive")
-    if m.dim != 1:
-        raise UnsupportedInputError("smoothing is implemented in 1-d")
     pos = m.positions
     if lo is None:
         lo = float(pos.min()) - h
@@ -306,7 +241,7 @@ def smooth(m: ParticleMeasure, h: float, lo: float | None = None,
         ww = m.weights[start:start + chunk, None]
         cdf = np.clip((edges[None, :] - (pp - h)) / (2 * h), 0.0, 1.0)
         masses += (ww * np.diff(cdf, axis=1)).sum(axis=0)
-    return GridDensity(np.array([lo]), np.array([hi]), masses / width)
+    return GridDensity(lo, hi, masses / width)
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +250,8 @@ def smooth(m: ParticleMeasure, h: float, lo: float | None = None,
 
 def p_norm(p, m: Measure) -> float:
     """Integral of P(|y|) against |m|; at least the total mass since P >= 1."""
-    env = as_envelope(p)
     atoms = as_atoms(m)
-    if atoms.dim == 1:
-        r = np.abs(atoms.positions)
-    else:
-        r = np.linalg.norm(atoms.positions, axis=1)
-    out = float(atoms.weights @ env(r))
+    out = float(atoms.weights @ as_envelope(p)(np.abs(atoms.positions)))
     if not math.isfinite(out):
         raise NumericFailureError("envelope norm diverged")
     return out

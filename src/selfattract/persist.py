@@ -43,24 +43,17 @@ def write_series_csv(path: Path, header: list[str], columns) -> None:
 
 def write_grid_density(path: Path, g: GridDensity) -> None:
     """Density CSV (x, density) plus a small key-value header file."""
-    if g.dim != 1:
-        xs = g.centers().reshape(-1, 2)
-        write_series_csv(path, ["x1", "x2", "density"],
-                         [xs[:, 0], xs[:, 1], g.values.reshape(-1)])
-    else:
-        write_series_csv(path, ["x", "density"], [g.axis_centers(0), g.values])
+    write_series_csv(path, ["x", "density"], [g.centers(), g.values])
     meta = path.with_suffix(path.suffix + ".meta")
     with open(meta, "w") as fh:
-        fh.write(f"dim = {g.dim}\n")
-        fh.write(f"lo = {' '.join(repr(float(v)) for v in g.lo)}\n")
-        fh.write(f"hi = {' '.join(repr(float(v)) for v in g.hi)}\n")
-        fh.write(f"cells = {' '.join(str(c) for c in g.values.shape)}\n")
+        fh.write(f"dim = 1\nlo = {g.lo!r}\nhi = {g.hi!r}\ncells = {g.values.size}\n")
 
 
 def load_measure(path: Path):
     """Sniff the header row: position/weight -> atoms, x/density -> grid.
-    A file that is not one of these two tables raises `InvalidInputError`
-    naming it."""
+    A file that is not one of these two tables, or a grid whose x column is
+    not the cell midpoints of its box, raises `InvalidInputError` naming
+    it."""
     path = Path(path)
     try:
         with open(path, newline="") as fh:
@@ -86,6 +79,7 @@ def _measure_from_table(path: Path, table: list[list[str]]):
         raise InvalidInputError("cells must be finite")
     if cols == ["position", "weight"]:
         return ParticleMeasure(data[:, 0], data[:, 1])
+    xs = data[:, 0]
     meta = path.with_suffix(path.suffix + ".meta")
     if meta.exists():
         kv = {}
@@ -94,19 +88,17 @@ def _measure_from_table(path: Path, table: list[list[str]]):
             kv[key.strip()] = value.strip()
         if not {"lo", "hi"} <= kv.keys():
             raise InvalidInputError(f"{meta.name} needs lo and hi lines")
-        lo = np.array([float(v) for v in kv["lo"].split()])
-        hi = np.array([float(v) for v in kv["hi"].split()])
-        return GridDensity(lo, hi, data[:, 1])
-    if len(rows) < 2:
+        lo, hi, box = float(kv["lo"]), float(kv["hi"]), f"the box in {meta.name}"
+    elif len(rows) < 2:
         raise InvalidInputError(f"a grid without {meta.name} needs two or more rows")
-    xs = data[:, 0]
-    steps = np.diff(xs)
-    width = steps[0]
-    if not (width > 0 and np.all(np.abs(steps - width) <= 1e-6 * width)):
-        raise InvalidInputError(f"a grid without {meta.name} needs evenly spaced, "
-                                "increasing x")
-    return GridDensity(np.array([xs[0] - width / 2]),
-                       np.array([xs[-1] + width / 2]), data[:, 1])
+    else:
+        width = xs[1] - xs[0]
+        lo, hi, box = xs[0] - width / 2, xs[-1] + width / 2, "the box its end rows span"
+    g = GridDensity(lo, hi, data[:, 1])
+    if np.abs(xs - g.centers()).max() > 1e-6 * g.spacing:
+        raise InvalidInputError(f"x must be the evenly spaced, increasing cell midpoints "
+                                f"of {box}")
+    return g
 
 
 def config_digest(resolved: dict) -> str:

@@ -10,12 +10,11 @@ grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedInputError
+from .errors import InvalidInputError
 
 KINDS = ("quadratic-symmetric", "quadratic-shifted", "even-polynomial", "external")
 
@@ -107,56 +106,23 @@ class PotentialSpec:
             out[2 * j] = cj
         return out
 
-    def radial_coefficients(self) -> np.ndarray:
-        """Coefficients of w(r) with W(x) = w(|x|): ascending powers of r."""
-        if self.kind == "quadratic-shifted":
-            raise UnsupportedInputError("shifted potential is not spherically symmetric")
-        return self.poly1d_coefficients()
-
-    def poly2d_coefficients(self) -> np.ndarray:
-        """Coefficients P[i, j] of W(x) = sum P[i, j] x1^i x2^j in 2-d: each
-        |x|^(2j) = (x1^2 + x2^2)^j expanded binomially."""
-        w = self.radial_coefficients()
-        out = np.zeros((w.size, w.size))
-        for n in range(0, w.size, 2):
-            for k in range(0, n + 1, 2):
-                out[k, n - k] = w[n] * math.comb(n // 2, k // 2)
-        return out
-
 
 def polynomial_derivative(coeffs, y, order: int = 0):
-    """Value, gradient or Hessian at y of a polynomial in ascending
-    coefficients, by differentiating the coefficients along each axis.
-
-    1-d: coeffs of shape (L,); returns the order-th derivative at y, of y's
-    shape.  2-d: coeffs[i, j] multiplies y1^i y2^j and y has shape (..., 2);
-    returns shape (...) for order 0, (..., 2) for the gradient and
-    (..., 2, 2) for the Hessian.
-    """
+    """The order-th derivative at y (of y's shape) of the polynomial with
+    ascending coefficients coeffs."""
     c = np.asarray(coeffs, dtype=float)
-    if c.ndim == 1:
-        for _ in range(order):
-            c = _derivative(c, 0)
-        return np.polynomial.polynomial.polyval(y, c)
-    y = np.asarray(y, dtype=float)
-    out = np.empty(y.shape[:-1] + (2,) * order)
-    for axes in np.ndindex(*(2,) * order):
-        d = c
-        for axis in axes:
-            d = _derivative(d, axis)
-        out[(...,) + axes] = np.polynomial.polynomial.polyval2d(y[..., 0], y[..., 1], d)
-    return out
+    for _ in range(order):
+        c = _derivative(c)
+    return np.polynomial.polynomial.polyval(y, c)
 
 
-def _derivative(c: np.ndarray, axis: int) -> np.ndarray:
-    """`polyder` of a coefficient array along one axis, with the same
-    products j * c[j] but without its per-call overhead (Newton calls this
-    on every iteration)."""
-    n = c.shape[axis]
-    if n == 1:
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """`polyder` of ascending coefficients, with the same products j * c[j]
+    but without its per-call overhead (Newton calls this on every
+    iteration)."""
+    if c.size == 1:
         return np.zeros_like(c)
-    j = np.arange(1.0, n).reshape((-1,) + (1,) * (c.ndim - 1 - axis))
-    return c[(slice(None),) * axis + (slice(1, None),)] * j
+    return c[1:] * np.arange(1.0, c.size)
 
 
 @dataclass(frozen=True)
@@ -203,13 +169,15 @@ def certify(p: PotentialSpec, sample_radius: float, n_samples: int = 512) -> Cer
     w = p.poly1d_coefficients()
     vals, grads, hesss = (polynomial_derivative(w, xs, k) for k in range(3))
 
-    # directional curvature: in d=1 just W''; spherically symmetric kinds also
-    # carry the tangential eigenvalue w'(r)/r relevant in d=2.
+    # directional curvature: W'' on the line, where the package works (d = 1
+    # of the paper's R^d).  The radial kinds also check w'(r)/r, the
+    # tangential Hessian eigenvalue of W(x) = w(|x|) for d >= 2: a 1-d
+    # computation on the same samples.
     curvatures = [hesss.min()]
     if p.kind != "quadratic-shifted":
         rs = np.abs(xs[xs != 0])
         if rs.size:
-            s_coeffs = _derivative(w, 0)[1::2]
+            s_coeffs = _derivative(w)[1::2]
             curvatures.append(np.polynomial.polynomial.polyval(rs * rs, s_coeffs).min())
     min_curv = float(min(curvatures))
     curvature_pass = p.convexity_constant > 0 and min_curv >= p.convexity_constant - 1e-9

@@ -1,4 +1,4 @@
-"""Transport distances between 1-d measures.
+"""Transport distances between measures on the line.
 
 `tp_distance_1d` and `w2_distance` return floats; a centered distance is
 either one of them on `measures.centered` inputs.
@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericFailureError, UnsupportedInputError
+from .errors import NumericFailureError
 from .measures import GridDensity, Measure, ParticleMeasure
 from .potentials import as_envelope
 
@@ -55,8 +55,8 @@ def _quantile_pieces(m: Measure):
         cum = np.cumsum(wts)
         cum /= cum[-1]
         return cum, pos, None
-    edges = np.linspace(m.lo[0], m.hi[0], m.values.size + 1)
-    cum = np.cumsum(m.values * m.cell_volume)
+    edges = np.linspace(m.lo, m.hi, m.values.size + 1)
+    cum = np.cumsum(m.values * m.spacing)
     cum /= cum[-1]
     keep = np.diff(cum, prepend=0.0) > 0
     return cum[keep], edges[:-1][keep], edges[1:][keep]
@@ -88,8 +88,10 @@ def _quantile_on_piece(pieces, k: np.ndarray, ps: np.ndarray, dp=0.0):
     return lo + width * ((ps - left) / span), width * (dp / span)
 
 
-def _w2_quantile(m1: Measure, m2: Measure) -> float:
-    """Integral over p in [0, 1] of (q1 - q2)^2.  Both quantiles are linear on
+def w2_distance(m1: Measure, m2: Measure) -> float:
+    """Quadratic Wasserstein distance between two measures by the quantile
+    formula: the root of the integral over p in [0, 1] of (q1 - q2)^2.  Both
+    quantiles are linear on
     every interval between the merged interior knots of the two measures, so
     the gap g is linear there and the integral is w (ga^2 + ga gb + gb^2) / 3
     exactly: one O(n) pass once the knots are merged by counting."""
@@ -202,8 +204,8 @@ def _lattice_gap(m1: Measure, m2: Measure):
     before its box and 1 after it.  None for any other pair."""
     if not (isinstance(m1, GridDensity) and isinstance(m2, GridDensity)):
         return None
-    ends = np.array([m1.lo[0], m1.hi[0], m2.lo[0], m2.hi[0]])
-    base, h = ends[[0, 2]].min(), float(m1.spacing[0])
+    ends = np.array([m1.lo, m1.hi, m2.lo, m2.hi])
+    base, h = ends[[0, 2]].min(), m1.spacing
     k = np.rint((ends - base) / h).astype(np.intp)
     if (k[3] - k[2] != m2.values.size
             or np.abs(ends - base - k * h).max() > 8 * np.spacing(np.abs(ends).max())):
@@ -211,7 +213,7 @@ def _lattice_gap(m1: Measure, m2: Measure):
     edges = np.linspace(base, ends[[1, 3]].max(), max(k[1], k[3]) + 1)
     gap = np.zeros(edges.size)
     for m, first, sign in ((m1, k[0], 1.0), (m2, k[2], -1.0)):
-        cum = np.cumsum(m.values * m.cell_volume)
+        cum = np.cumsum(m.values * m.spacing)
         gap[first + 1:first + cum.size + 1] += sign * (cum / cum[-1])
         gap[first + cum.size + 1:] += sign
     return edges, gap[:-1], np.diff(gap) / np.diff(edges)
@@ -253,8 +255,6 @@ def _abs_gap_integral(env, xs: np.ndarray, ga: np.ndarray, c1: np.ndarray) -> fl
 def tp_distance_1d(envelope, m1: Measure, m2: Measure) -> float:
     """Translation distance: integral of P(|x|) |F1(x) - F2(x)| dx, exact for
     the piecewise-linear CDFs of atoms and grid cells."""
-    if m1.dim != 1 or m2.dim != 1:
-        raise UnsupportedInputError("the tp distance is 1-d")
     mass1, mass2 = (m.total_mass if isinstance(m, ParticleMeasure) else m.mass
                     for m in (m1, m2))
     if abs(mass1 - mass2) > _MASS_GAP_TOL:
@@ -264,11 +264,3 @@ def tp_distance_1d(envelope, m1: Measure, m2: Measure) -> float:
     knots = _lattice_gap(m1, m2) or _merged_gap(m1, m2)
     total = _abs_gap_integral(as_envelope(envelope), *knots)
     return 0.5 * (mass1 + mass2) * total
-
-
-def w2_distance(m1: Measure, m2: Measure) -> float:
-    """Quadratic Wasserstein distance between 1-d measures, by the quantile
-    formula."""
-    if m1.dim != 1 or m2.dim != 1:
-        raise UnsupportedInputError("the W2 distance is 1-d")
-    return _w2_quantile(m1, m2)

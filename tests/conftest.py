@@ -19,12 +19,9 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
 
 
-def random_atoms(gen, n_max=8, radius=4.0, dim=1) -> ParticleMeasure:
+def random_atoms(gen, n_max=8, radius=4.0) -> ParticleMeasure:
     n = int(gen.integers(1, n_max + 1))
-    if dim == 1:
-        pos = gen.uniform(-radius, radius, size=n)
-    else:
-        pos = gen.uniform(-radius, radius, size=(n, dim))
+    pos = gen.uniform(-radius, radius, size=n)
     w = gen.uniform(0.2, 1.0, size=n)
     return ParticleMeasure(pos, w / w.sum())
 
@@ -40,4 +37,4 @@ def random_mixture(gen, lo=-8.0, hi=8.0, cells=1024, spread=2.0) -> GridDensity:
     vals = np.zeros(cells)
     for m, s, w in zip(means, sigmas, weights):
         vals += w * np.exp(-0.5 * ((xs - m) / s) ** 2) / (s * np.sqrt(2 * np.pi))
-    return GridDensity(np.array([lo]), np.array([hi]), vals).normalized()
+    return GridDensity(lo, hi, vals).normalized()

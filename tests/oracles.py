@@ -86,9 +86,9 @@ def tail_certificate(w, m, alpha, n_radii=128):
     """Smallest C with m(|x - c| > r) <= C exp(-alpha r) at n_radii radii
     from 0 to the farthest cell with mass, c the center of the 1-d grid
     density m under the convex W."""
-    p = m.values * m.cell_volume
+    p = m.values * m.spacing
     keep = p > 0
-    dist = np.abs(m.axis_centers(0)[keep] - center(w, m))
+    dist = np.abs(m.centers()[keep] - center(w, m))
     p = p[keep] / p[keep].sum()
     order = np.argsort(dist)
     tail = np.concatenate((np.cumsum(p[order][::-1])[::-1], [0.0]))
@@ -102,7 +102,7 @@ def displacement_interpolate(m0, m1, s, n_nodes=16384):
     of two 1-d grid densities on one box (the monotone coupling), sampled at
     n_nodes equal-probability nodes and binned back onto the box."""
     ps = (np.arange(n_nodes) + 0.5) / n_nodes
-    edges = np.linspace(m0.lo[0], m0.hi[0], m0.values.size + 1)
+    edges = np.linspace(m0.lo, m0.hi, m0.values.size + 1)
 
     def quantile(m):
         cum = np.concatenate(([0.0], np.cumsum(m.values)))

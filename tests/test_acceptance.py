@@ -32,7 +32,7 @@ def test_criterion_1_fixed_point_of_the_gibbs_map():
     start = time.perf_counter()
     rho = solve_fixed_point(QUAD, uniform_density(-5.0, 5.0, 1024)).density
     elapsed = time.perf_counter() - start
-    xs = rho.axis_centers(0)
+    xs = rho.centers()
     target = np.exp(-xs ** 2 / 2) / math.sqrt(2 * math.pi)
     sup = float(np.abs(rho.values - target).max())
     report("criterion 1 (fixed point from uniform)",
@@ -84,8 +84,8 @@ def test_criterion_4_monotone_flow(flow_states):
     monotone = bool(np.all(np.diff(rel) <= 1e-8))
     final = states[-1]
     centered = recenter(final.density, final.center)
-    target = gaussian_density(0.0, 1.0, float(centered.lo[0]),
-                              float(centered.hi[0]), 1024)
+    target = gaussian_density(0.0, 1.0, float(centered.lo),
+                              float(centered.hi), 1024)
     dist = tp_distance_1d(QUAD, centered, target)
     report("criterion 4 (monotone flow to the Gaussian)",
            monotone and dist <= 1e-2 and elapsed < 30.0,

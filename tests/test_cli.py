@@ -85,6 +85,25 @@ class TestConfig:
         assert resolved["experiment"] == {"name": "experiment", "replicas": 3}
         assert json.dumps(cfg.raw, sort_keys=True) == before
 
+    @pytest.mark.parametrize("kind", ["quadratic-symmetric", "quadratic-shifted"])
+    def test_bound_degree_reaches_the_quadratic_kinds(self, tmp_path, kind):
+        cfg = write(tmp_path / "b.cfg", f"[potential]\nkind = {kind}\ncoefficients = 1.0\n"
+                    "bound_degree = 4\n[sim]\nt_end = 3.0\n")
+        assert load_config(cfg).potential.bound_degree == 4
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "simulate"]) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["config"]["potential"]["bound_degree"] == 4
+
+    def test_manifest_leaves_out_the_output_directory(self, tmp_path):
+        # the hashed config says what ran, not where the files went
+        manifests = []
+        for name in ("a", "b"):
+            cfg = write(tmp_path / f"{name}.cfg", f"[experiment]\nout = {name}\n"
+                        "[sim]\nt_end = 3.0\n")
+            assert main(["--config", cfg, "--out", str(tmp_path / "o"), "simulate"]) == 0
+            manifests.append((tmp_path / "o" / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+
     @pytest.mark.parametrize("section,key,value", [
         ("sim", "dt", "nan"), ("sim", "t_end", "inf"), ("grid", "half_width", "nan"),
         ("fixpoint", "tol", "nan"), ("potential", "coefficients", "0.5 -inf"),
@@ -131,7 +150,7 @@ class TestCommands:
         code = main(["--config", cfg, "--out", str(out), "fixpoint"])
         assert code == 0
         dens = load_measure(out / "density.csv")
-        xs = dens.axis_centers(0)
+        xs = dens.centers()
         target = np.exp(-xs ** 2 / 2) / math.sqrt(2 * math.pi)
         assert np.abs(dens.values - target).max() <= 1e-3
         manifest = json.loads((out / "manifest.json").read_text())

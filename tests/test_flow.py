@@ -85,8 +85,8 @@ class TestRunFlow:
         from selfattract import recenter
 
         centered = recenter(final.density, final.center)
-        target = gaussian_density(0, 1, float(centered.lo[0]),
-                                  float(centered.hi[0]), 1024)
+        target = gaussian_density(0, 1, float(centered.lo),
+                                  float(centered.hi), 1024)
         assert tp_distance_1d(quad, centered, target) <= 2e-3
 
     def test_center_increments_flatten(self, quad):
@@ -103,7 +103,7 @@ class TestRunFlow:
         init = smooth(dirac(3.0), 0.5, lo=-8, hi=8, cells=1024)
         states = run_flow(quad, init, Schedule(n_end=60))
         assert np.abs(np.array([st.center for st in states]) - 3.0).max() <= 1e-9
-        assert states[-1].density.lo[0] > -8.0
+        assert states[-1].density.lo > -8.0
 
     def test_energy_decreases_from_off_center_start_with_v(self, quad):
         v = external_polynomial([0.5])   # V = x^2 / 2 pulls the measure to 0

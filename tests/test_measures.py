@@ -30,7 +30,7 @@ class TestConvolve:
         assert val == pytest.approx(0.5, abs=1e-6)
 
     def test_empty_grid_rejected(self, quad):
-        g = GridDensity(np.array([-1.0]), np.array([1.0]), np.zeros(32))
+        g = GridDensity(-1.0, 1.0, np.zeros(32))
         with pytest.raises(InvalidInputError):
             convolve_potential(quad, g, 0.0, 0)
 
@@ -96,7 +96,7 @@ class TestRecenter:
 class TestSmooth:
     def test_flat_bump(self):
         g = smooth(dirac(0.0), 0.5)
-        inside = np.abs(g.axis_centers(0)) < 0.45
+        inside = np.abs(g.centers()) < 0.45
         assert np.allclose(g.values[inside], 1.0)
         assert g.mass == pytest.approx(1.0, abs=1e-12)
 
@@ -152,13 +152,22 @@ class TestTailProfile:
 def test_grid_mass_one_after_normalize(seed):
     gen = make_rng(seed)
     vals = gen.uniform(0.0, 3.0, size=64)
-    g = GridDensity(np.array([-2.0]), np.array([2.0]), vals).normalized()
+    g = GridDensity(-2.0, 2.0, vals).normalized()
     assert abs(g.mass - 1.0) <= 1e-12
 
 
 def test_grid_rejects_too_few_cells():
     with pytest.raises(InvalidInputError):
-        GridDensity(np.array([0.0]), np.array([1.0]), np.ones(8))
+        GridDensity(0.0, 1.0, np.ones(8))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ParticleMeasure(np.ones((2, 2)), np.array([0.5, 0.5])),
+    lambda: GridDensity(-1.0, 1.0, np.ones((16, 16)))], ids=["particles", "grid"])
+def test_non_1d_inputs_rejected(build):
+    # the package works on the line: a measure is refused when it is built
+    with pytest.raises(InvalidInputError, match="must be a 1-d array"):
+        build()
 
 
 def test_particle_rejects_nonpositive_weights():

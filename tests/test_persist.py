@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from selfattract import GridDensity, InvalidInputError
+from selfattract import GridDensity, InvalidInputError, gaussian_density
 from selfattract.persist import load_measure, write_grid_density, write_series_csv
 from conftest import make_rng
 
@@ -91,3 +91,27 @@ def test_load_measure_reads_a_written_grid_without_its_meta(tmp_path):
     m = load_measure(path)
     assert np.array_equal(m.values, g.values)
     assert np.abs(m.lo - g.lo).max() <= 1e-12 and np.abs(m.hi - g.hi).max() <= 1e-12
+
+
+def test_written_meta_holds_dim_lo_hi_and_cells(tmp_path):
+    g = GridDensity(-3.7, 5.1, make_rng(3).uniform(0.1, 1.0, 300))
+    path = tmp_path / "g.csv"
+    write_grid_density(path, g)
+    assert (tmp_path / "g.csv.meta").read_bytes() == b"dim = 1\nlo = -3.7\nhi = 5.1\ncells = 300\n"
+    m = load_measure(path)
+    assert (m.lo, m.hi) == (g.lo, g.hi) and np.array_equal(m.values, g.values)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda csv_path, meta: csv_path.write_text(
+        "".join(csv_path.read_text().splitlines(keepends=True)[:-24])),
+    lambda csv_path, meta: meta.write_text("dim = 1\nlo = 100.0\nhi = 116.0\ncells = 1024\n"),
+    lambda csv_path, meta: meta.write_text("dim = 2\nlo = -8.0 -8.0\nhi = 8.0 8.0\n"
+                                           "cells = 1024 1024\n")],
+    ids=["rows-cut", "box-shifted", "two-numbers-on-lo"])
+def test_load_measure_checks_the_table_against_its_meta(tmp_path, edit):
+    path = tmp_path / "density.csv"
+    write_grid_density(path, gaussian_density(0.0, 1.0, -8.0, 8.0, 1024))
+    edit(path, tmp_path / "density.csv.meta")
+    with pytest.raises(InvalidInputError, match=re.escape(f"measure file {path}: ")):
+        load_measure(path)

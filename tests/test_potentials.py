@@ -42,19 +42,6 @@ def test_evaluate_derivatives_match_finite_differences(x, order):
     assert derivative(w, x, order) == pytest.approx(approx, abs=1e-6, rel=1e-6)
 
 
-def test_evaluate_2d_gradient_is_radial():
-    w = even_polynomial([0.5, 0.25])
-    x = np.array([0.6, -0.8])  # |x| = 1
-    grad = polynomial_derivative(w.poly2d_coefficients(), x, 1)
-    # w'(r) = r + r^3 -> 2 at r=1, direction x
-    assert np.allclose(grad, 2.0 * x)
-    hess = polynomial_derivative(w.poly2d_coefficients(), x, 2)
-    assert np.allclose(hess, hess.T)
-    eigs = np.linalg.eigvalsh(hess)
-    # radial eigenvalue w''(1) = 4, tangential w'(1)/1 = 2
-    assert sorted(np.round(eigs, 10)) == [2.0, 4.0]
-
-
 def test_dominating_polynomial_values():
     w = quadratic_symmetric(1.0, bound_scale=1.0)
     assert w.bound(0.0) == 1.0

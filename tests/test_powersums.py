@@ -60,10 +60,10 @@ def test_reanchor_matches_sums_about_the_new_anchor():
 @pytest.mark.parametrize("s", [0.0, 100.0])
 def test_interaction_energy_equals_direct_double_sum(w, s):
     g = gaussian_density(0.3 + s, 1.0, -6.0 + s, 6.0 + s, 256)
-    xs = g.axis_centers(0)
+    xs = g.centers()
     kernel = np.polynomial.polynomial.polyval(xs[:, None] - xs[None, :],
                                               w.poly1d_coefficients())
-    want = 0.5 * float(g.values @ kernel @ g.values) * g.cell_volume ** 2
+    want = 0.5 * float(g.values @ kernel @ g.values) * g.spacing ** 2
     assert interaction_energy(w, g) == pytest.approx(want, rel=1e-13)
 
 
@@ -98,36 +98,44 @@ def test_free_energy_is_equivariant(name, s):
     assert free_energy(w, moved).total == pytest.approx(want, rel=1e-12)
 
 
-# 2-d: the same engine per axis, checked against direct double sums
+# A measure on a line in R^2: for a radial W(x) = w(|x|) its sums in the
+# plane are the 1-d sums of its coordinate t along the line, so the engine
+# is checked against direct 2-d double sums wherever the line sits.
 POTENTIALS_2D = dict(POTENTIALS, flat_quartic=even_polynomial([0.5, 0.0]))
 DIRECTIONS = {"x1": (1.0, 0.0), "x2": (0.0, 1.0), "diagonal": (1.0, 1.0)}
 
 
-def random_grid_2d(shift) -> GridDensity:
-    vals = make_rng(8).uniform(0.1, 1.0, (32, 32))
-    return GridDensity(np.array([-3.0, -2.5]) + shift, np.array([2.5, 3.0]) + shift,
-                       vals).normalized()
+def line_through(direction: str, s: float) -> tuple[np.ndarray, float]:
+    """The unit vector u of a direction, and the coordinate along u of the
+    shift s * direction."""
+    d = np.array(DIRECTIONS[direction])
+    return d / np.linalg.norm(d), s * float(np.linalg.norm(d))
 
 
-def radial_terms(w, u: np.ndarray, order: int) -> np.ndarray:
-    """W, grad W or hess W at each row of u, from W(x) = sum_j c_j |x|^(2j)."""
-    c = w.radial_coefficients()[2::2]
-    r2 = np.einsum("...k,...k->...", u, u)
+def random_grid_on_line(offset: float) -> GridDensity:
+    vals = make_rng(8).uniform(0.1, 1.0, 64)
+    return GridDensity(-3.0 + offset, 2.5 + offset, vals).normalized()
+
+
+def radial_terms(w, v: np.ndarray, order: int) -> np.ndarray:
+    """W, grad W or hess W at each row of v, from W(x) = sum_j c_j |x|^(2j)."""
+    c = w.poly1d_coefficients()[2::2]
+    r2 = np.einsum("...k,...k->...", v, v)
     if order == 0:
         return sum(cj * r2 ** j for j, cj in enumerate(c, start=1))
     s = sum(2 * j * cj * r2 ** (j - 1) for j, cj in enumerate(c, start=1))
     if order == 1:
-        return s[..., None] * u
+        return s[..., None] * v
     t = sum(4 * j * (j - 1) * cj * r2 ** (j - 2) for j, cj in enumerate(c, start=1) if j > 1)
     return s[..., None, None] * np.eye(2) + np.asarray(t)[..., None, None] \
-        * u[..., :, None] * u[..., None, :]
+        * v[..., :, None] * v[..., None, :]
 
 
-def direct_sums_2d(w, g: GridDensity, x: np.ndarray):
-    """(W*g)(x) and its gradient and Hessian, and half the double sum of
-    g W g over the cells, term by term."""
-    pts = g.centers().reshape(-1, 2)
-    mass = g.values.reshape(-1) * g.cell_volume
+def direct_sums_2d(w, g: GridDensity, u: np.ndarray, x: np.ndarray):
+    """(W*g)(x) and its gradient and Hessian in the plane, for g laid on the
+    line t -> t u, and half the double sum of g W g, term by term."""
+    pts = g.centers()[:, None] * u
+    mass = g.values * g.spacing
     conv = [np.tensordot(mass, radial_terms(w, x - pts, k), axes=1) for k in (0, 1, 2)]
     kernel = radial_terms(w, pts[:, None, :] - pts[None, :, :], 0)
     return conv, 0.5 * float(mass @ kernel @ mass)
@@ -138,13 +146,14 @@ def direct_sums_2d(w, g: GridDensity, x: np.ndarray):
                                                           for d in DIRECTIONS])
 def test_2d_engine_equals_direct_double_sums(name, s, direction):
     w = POTENTIALS_2D[name]
-    shift = s * np.array(DIRECTIONS[direction])
-    g = random_grid_2d(shift)
-    x = shift + np.array([1.3, -0.8])
-    conv, energy = direct_sums_2d(w, g, x)
-    for order, want in enumerate(conv):
-        got = convolve_potential(w, g, x, order)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    u, offset = line_through(direction, s)
+    g = random_grid_on_line(offset)
+    t = offset + 1.3
+    conv, energy = direct_sums_2d(w, g, u, t * u)
+    got = [convolve_potential(w, g, t, order) for order in (0, 1, 2)]
+    assert abs(got[0] - conv[0]) <= 1e-12 * abs(conv[0])
+    assert np.linalg.norm(got[1] * u - conv[1]) <= 1e-12 * np.linalg.norm(conv[1])
+    assert abs(got[2] - u @ conv[2] @ u) <= 1e-12 * abs(u @ conv[2] @ u)
     assert interaction_energy(w, g) == pytest.approx(energy, rel=1e-12)
 
 
@@ -153,12 +162,14 @@ def test_2d_engine_equals_direct_double_sums(name, s, direction):
 @pytest.mark.parametrize("direction", DIRECTIONS)
 def test_2d_center_gibbs_and_energy_are_equivariant(name, s, direction):
     w = POTENTIALS_2D[name]
+    u, offset = line_through(direction, s)
     shift = s * np.array(DIRECTIONS[direction])
-    base, moved = random_grid_2d(0.0), random_grid_2d(shift)
-    assert np.abs(center(w, moved) - shift - center(w, base)).max() <= 1e-9 * max(1.0, s)
-    box = np.full((32, 32), 1.0 / 144.0)
-    on_base = GridDensity(np.array([-6.0, -6.0]), np.array([6.0, 6.0]), box)
-    on_moved = GridDensity(on_base.lo + shift, on_base.hi + shift, box)
+    base, moved = random_grid_on_line(0.0), random_grid_on_line(offset)
+    assert np.abs(center(w, moved) * u - shift - center(w, base) * u).max() \
+        <= 1e-9 * max(1.0, s)
+    box = np.full(64, 1.0 / 12.0)
+    on_base = GridDensity(-6.0, 6.0, box)
+    on_moved = GridDensity(on_base.lo + offset, on_base.hi + offset, box)
     want = gibbs_map(w, base, grid=on_base).values
     got = gibbs_map(w, moved, grid=on_moved).values
     assert np.abs(got - want).max() <= 1e-9
@@ -167,11 +178,11 @@ def test_2d_center_gibbs_and_energy_are_equivariant(name, s, direction):
 
 
 def test_2d_zero_interaction_is_zero():
-    w, g = zero_interaction(), random_grid_2d(np.array([10.0, -3.0]))
-    x = np.array([11.3, -3.8])
-    assert convolve_potential(w, g, x, 0) == 0.0
-    assert np.all(convolve_potential(w, g, x, 1) == 0.0)
-    assert np.all(convolve_potential(w, g, x, 2) == 0.0)
+    w = zero_interaction()
+    _, offset = line_through("diagonal", 10.0)
+    g = random_grid_on_line(offset)
+    for order in (0, 1, 2):
+        assert convolve_potential(w, g, offset + 1.3, order) == 0.0
     assert interaction_energy(w, g) == 0.0
 
 

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from selfattract import (DominatingPolynomial, GridDensity, ParticleMeasure,
-                         UnsupportedInputError, dirac, gaussian_density, p_norm,
-                         recenter, tp_distance_1d, w2_distance)
+from selfattract import (DominatingPolynomial, GridDensity, InvalidInputError,
+                         ParticleMeasure, dirac, gaussian_density, p_norm, recenter,
+                         tp_distance_1d, w2_distance)
 from selfattract import transport
 from selfattract.measures import centered
 from selfattract.transport import _quantile_pieces
@@ -84,15 +84,15 @@ def cdf_by_definition(m, xs):
         order = np.argsort(m.positions)
         cum = np.concatenate(([0.0], np.cumsum(m.weights[order])))
         return cum[np.searchsorted(m.positions[order], xs, side="right")]
-    edges = np.linspace(m.lo[0], m.hi[0], m.values.size + 1)
-    cum = np.concatenate(([0.0], np.cumsum(m.values) * m.cell_volume))
+    edges = np.linspace(m.lo, m.hi, m.values.size + 1)
+    cum = np.concatenate(([0.0], np.cumsum(m.values) * m.spacing))
     return np.interp(xs, edges, cum)
 
 
 def cdf_knots(m):
     if isinstance(m, ParticleMeasure):
         return m.positions
-    return np.linspace(m.lo[0], m.hi[0], m.values.size + 1)
+    return np.linspace(m.lo, m.hi, m.values.size + 1)
 
 
 def tp_quadrature(env, m1, m2, points=2 ** 20):
@@ -123,7 +123,7 @@ def bumps(lo, hi, cells, centers, widths, empty=None):
     vals = sum(np.exp(-0.5 * ((xs - c) / s) ** 2) for c, s in zip(centers, widths))
     if empty is not None:
         vals[(xs > empty[0]) & (xs < empty[1])] = 0.0
-    return GridDensity(np.array([lo]), np.array([hi]), vals).normalized()
+    return GridDensity(lo, hi, vals).normalized()
 
 
 def scaled(m, c):
@@ -169,7 +169,7 @@ class TestTpOnGrids:
         def psi(x):
             return env.scale * (x * x / 2 + np.abs(x) ** (k + 2) / ((k + 1) * (k + 2)))
 
-        edges = np.linspace(self.G1.lo[0], self.G1.hi[0], self.G1.values.size + 1)
+        edges = np.linspace(self.G1.lo, self.G1.hi, self.G1.values.size + 1)
         lo, hi = edges[:-1], edges[1:]
         want = float(self.G1.values @ (psi(hi + s) - psi(lo + s) - psi(hi) + psi(lo)))
         assert tp_distance_1d(env, self.G1, moved) == pytest.approx(want, rel=1e-8)
@@ -192,7 +192,7 @@ def lattice_grid(gen, lo, hi, cells):
                for c, s in zip(gen.uniform(-2.5, 1.5, k), gen.uniform(0.2, 0.8, k)))
     vals[:int(gen.integers(1, 30))] = 0.0
     vals[-int(gen.integers(1, 30)):] = 0.0
-    return GridDensity(np.array([lo]), np.array([hi]), vals).normalized()
+    return GridDensity(lo, hi, vals).normalized()
 
 
 class TestTpOnLattice:
@@ -309,7 +309,7 @@ class TestW2:
         # quantile jumps across the gap; each half meets its own atom
         vals = np.zeros(32)
         vals[[5, 20]] = 1.0
-        grid = GridDensity(np.array([-4.0]), np.array([4.0]), vals).normalized()
+        grid = GridDensity(-4.0, 4.0, vals).normalized()
         atoms = ParticleMeasure(np.array([-2.0, 1.5]), np.array([0.5, 0.5]))
         h = 0.25
 
@@ -334,11 +334,14 @@ class TestW2:
                              ids=["1d-2d", "2d-1d", "2d-2d"])
     def test_non_1d_inputs_rejected(self, dims):
         # W2 is the 1-d quantile formula; a 2-d input on either side is
-        # refused by name, as tp_distance_1d refuses it
-        clouds = {1: ParticleMeasure(np.array([0.0, 1.0]), np.array([0.3, 0.7])),
-                  2: ParticleMeasure(np.ones((2, 2)), np.array([0.5, 0.5]))}
-        with pytest.raises(UnsupportedInputError, match="W2 distance is 1-d"):
-            w2_distance(clouds[dims[0]], clouds[dims[1]])
+        # refused when its measure is built, before W2 sees it
+        def cloud(dim):
+            if dim == 1:
+                return ParticleMeasure(np.array([0.0, 1.0]), np.array([0.3, 0.7]))
+            return ParticleMeasure(np.ones((2, 2)), np.array([0.5, 0.5]))
+
+        with pytest.raises(InvalidInputError, match="must be a 1-d array"):
+            w2_distance(cloud(dims[0]), cloud(dims[1]))
 
 
 class TestCenteredDistance:
