@@ -112,7 +112,10 @@ def _build_potential(kv: dict) -> PotentialSpec:
                                  **extra)
     if kind == "even-polynomial":
         if not coeffs or all(c == 0.0 for c in coeffs):
-            return zero_interaction()
+            if "convexity_constant" in kv:
+                raise InvalidInputError("W = 0 (all coefficients zero) has no "
+                                        "convexity_constant to claim")
+            return zero_interaction(**extra)
         return even_polynomial(coeffs,
                                convexity_constant=kv.get("convexity_constant"),
                                **extra)

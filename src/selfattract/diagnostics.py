@@ -138,31 +138,59 @@ def _checkpoints(t0: float, t1: float, per_decade: int = 10) -> np.ndarray:
     return np.logspace(lo, hi, n)
 
 
+_PREFIX_CHUNK = 32768   # atoms per chunk of a sorted prefix
+
+
 def _sorted_prefixes(rec: TrajectoryRecord, ts: np.ndarray):
     """Per time t: the centered atoms of the occupation up to t in position
-    order, and their cumulative weights normalized to end at 1.
+    order, with their cumulative weights normalized to end at 1, as an
+    iterator of consecutive (positions, cum) chunks of `_PREFIX_CHUNK`
+    atoms, to be read before the next time's.
 
-    Each prefix's path atoms are sorted on their own (all of weight dt) and
-    the pre-history block, sorted once, is inserted before equal positions,
-    as a stable sort of the whole occupation would place it.  Cumulative
-    weights are counted, dt times the path atoms so far plus the pre-history
-    mass so far, not summed atom by atom.
+    Each prefix's path atoms (all of weight dt) are copied into one buffer,
+    allocated once, and sorted there; the pre-history block, sorted once,
+    goes into the chunks it falls in, before equal positions, as a stable
+    sort of the whole occupation would place it.  Cumulative weights are
+    counted, dt times the path atoms so far plus the pre-history mass so
+    far, not summed atom by atom.  So the pass holds the buffer and a few
+    chunks, whatever the path length.
     """
     pre_pos, pre_w = rec.prehistory()
     order = np.argsort(pre_pos, kind="stable")
     pre_pos = pre_pos[order]
     pre_cum = np.concatenate(([0.0], np.cumsum(pre_w[order])))
-    dt = rec.config.dt
+    buf = np.empty(rec.index_at(ts[-1]))
     for t in ts:
         i = rec.index_at(t)
-        xs = np.sort(rec.positions[1:i + 1])
-        at = np.searchsorted(xs, pre_pos, side="left")
-        pos = np.insert(xs, at, pre_pos)
-        pos -= rec.center_at(t)
-        runs = np.diff(np.concatenate(([0], at + np.arange(at.size), [pos.size])))
-        n_pre = np.repeat(np.arange(at.size + 1), runs)   # pre atoms at or before
-        cum = dt * (np.arange(1, pos.size + 1) - n_pre) + np.repeat(pre_cum, runs)
-        cum /= cum[-1]
+        xs = buf[:i]
+        xs[:] = rec.positions[1:i + 1]
+        xs.sort()
+        yield _prefix_chunks(xs, pre_pos, pre_cum, rec.config.dt, rec.center_at(t))
+
+
+def _prefix_chunks(xs, pre_pos, pre_cum, dt, c):
+    """The chunks of `_sorted_prefixes` for the sorted path atoms xs."""
+    total = dt * xs.size + pre_cum[-1]
+    merged = np.searchsorted(xs, pre_pos, side="left")   # index of each pre atom
+    merged += np.arange(merged.size)                      # in the whole prefix
+    for s in range(0, xs.size + pre_pos.size, _PREFIX_CHUNK):
+        e = min(s + _PREFIX_CHUNK, xs.size + pre_pos.size)
+        p0, p1 = np.searchsorted(merged, (s, e))   # pre atoms in [s, e)
+        if p0 == p1:   # path atoms only, as in most chunks
+            pos = xs[s - p0:e - p1] - c
+            cum = dt * np.arange(s - p0 + 1, e - p1 + 1) + pre_cum[p0]
+        else:
+            at = merged[p0:p1] - s
+            from_pre = np.zeros(e - s, dtype=bool)
+            from_pre[at] = True
+            pos = np.empty(e - s)
+            pos[at] = pre_pos[p0:p1]
+            pos[~from_pre] = xs[s - p0:e - p1]
+            pos -= c
+            n_pre = np.cumsum(from_pre)   # pre atoms at or before each atom
+            n_pre += p0
+            cum = dt * (np.arange(s + 1, e + 1) - n_pre) + pre_cum[n_pre]
+        cum /= total
         yield pos, cum
 
 
@@ -192,7 +220,7 @@ def ergodicity_check(w: PotentialSpec, records: list[TrajectoryRecord],
     curves = []
     finals = []
     for rec in records:
-        vals = [target.w2(pos, cum) for pos, cum in _sorted_prefixes(rec, ts)]
+        vals = [target.w2(chunks) for chunks in _sorted_prefixes(rec, ts)]
         report.series.extend((f"w2_replica{rec.replica}", float(t), d)
                              for t, d in zip(ts, vals))
         curves.append(vals)

@@ -279,6 +279,6 @@ def external_polynomial(coefficients, convexity_constant: float | None = None,
                          True, base.bound_degree, base.bound_scale)
 
 
-def zero_interaction() -> PotentialSpec:
+def zero_interaction(bound_scale: float = 1.0, bound_degree: int = 2) -> PotentialSpec:
     """W identically zero (useful with an external potential)."""
-    return PotentialSpec("even-polynomial", (), 0.0, True, 2, 1.0)
+    return PotentialSpec("even-polynomial", (), 0.0, True, bound_degree, float(bound_scale))

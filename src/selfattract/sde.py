@@ -29,7 +29,9 @@ from each column's running mean.  For quadratic W without V (drift
 t00 + t11 (x - mean)) the Euler scheme reduces to a scalar linear
 recursion in y = x - mean with the mean carried by the occupation mass; it
 is summed in closed form with blockwise scaled cumulative sums (`_ar1`)
-instead of stepped, which matches the stepped scheme to rounding.  A run
+instead of stepped, which matches the stepped scheme to rounding; its
+increments are drawn into the centers array, where the means are summed
+and the centers finished in place.  A run
 from t = 0 builds each row from a short contraction-bootstrap segment and
 a running-moment tail anchored at x0.
 
@@ -207,7 +209,10 @@ def _block_centers(T, S, mass, tol=1e-12, max_iter=60):
 
 
 def _check_finite(positions):
-    if not np.all(np.isfinite(positions)):
+    # min and max propagate NaN, so two reductions check every entry
+    # without a mask the size of the positions
+    if not (np.isfinite(positions.min(initial=0.0))
+            and np.isfinite(positions.max(initial=0.0))):
         raise NumericFailureError("path lost finiteness (explosion); "
                                   "check the step size against the potential")
 
@@ -251,17 +256,16 @@ def _run_moments(w, v, x0, prehistory, draw, shape, dt, every=_CENTER_EVERY, y0=
     """Positions and centers (R, n+1) in x of the running-moment Euler scheme
     for R replicas started at x0 + y0, their sums anchored at x0, on the
     (R, n) = ``shape`` increments that ``draw(out)`` writes into ``out``.
-    Quadratic W without V takes the closed form on a noise array of its own,
-    everything else the column stepper, which draws into its positions and
-    places a center every ``every`` steps.  A non-finite path raises
-    `NumericFailureError`."""
+    Quadratic W without V takes the closed form, which draws into its
+    centers, everything else the column stepper, which draws into its
+    positions and places a center every ``every`` steps.  A non-finite path
+    raises `NumericFailureError`."""
     T = convolution_matrix(w, 1)
     R, n = shape
     if T.shape[0] == 2 and v is None:
-        noise = np.empty(shape)
-        draw(noise)
-        positions, centers = _run_quadratic_closed_form(T, x0, prehistory, noise, dt, y0)
-        del noise   # freed before the finiteness mask is allocated
+        centers = np.empty((R, n + 1))
+        draw(centers[:, 1:])
+        positions, centers = _run_quadratic_closed_form(T, x0, prehistory, centers, dt, y0)
         _check_finite(positions)
         return positions, centers
     positions = np.empty((R, n + 1))
@@ -443,7 +447,7 @@ def _ar1(alpha, z, f, out):
     return out
 
 
-def _run_quadratic_closed_form(T, x0, prehistory, noise, dt, y0=0.0):
+def _run_quadratic_closed_form(T, x0, prehistory, centers, dt, y0=0.0):
     """The Euler scheme for drift t00 + t11 (x - mean), summed in closed form.
 
     With y = x - mean, alpha = 1 - t11 dt, S0_i the occupation mass after i
@@ -451,29 +455,31 @@ def _run_quadratic_closed_form(T, x0, prehistory, noise, dt, y0=0.0):
         y_(i+1) = (S0_i / S0_(i+1)) (alpha y_i + eta_i),
         mean_(i+1) = mean_i + dt y_(i+1) / S0_i,
     so z_i = y_i S0_i follows z_(i+1) = alpha z_i + S0_i eta_i (`_ar1`).
-    Paths start at x0 + y0, their sums anchored at x0.  ``noise`` (R, n) is
-    overwritten: it holds S0 eta, then the means; z and then y stand in the
-    positions.  Returns positions and centers (R, n+1).  t11 != 0 because
-    `convolution_matrix` trims zero coefficients.
+    Paths start at x0 + y0, their sums anchored at x0.  ``centers`` (R, n+1)
+    holds each replica's n increments in columns 1..n and is the working
+    space: those columns hold S0 eta, then the means, then the centers,
+    while z and then y stand in the positions.  Returns positions and
+    centers (R, n+1).  t11 != 0 because `convolution_matrix` trims zero
+    coefficients.
     """
     t00, t11 = T[0, 0], T[1, 0]
-    R, n = noise.shape
+    R, n = centers.shape[0], centers.shape[1] - 1
     s0, s1 = power_sums(*prehistory, float(x0), 2)
     S0 = s0 + dt * np.arange(n + 1)
     positions = np.empty((R, n + 1))
-    centers = np.empty((R, n + 1))
     positions[:, 0] = x0 + y0
     centers[:, 0] = x0 + s1 / s0 - t00 / t11
-    noise -= t00 * dt
-    noise *= S0[:-1]
-    y = _ar1(1.0 - t11 * dt, np.full(R, (y0 - s1 / s0) * s0), noise, positions[:, 1:])
+    tail = centers[:, 1:]
+    tail -= t00 * dt
+    tail *= S0[:-1]
+    y = _ar1(1.0 - t11 * dt, np.full(R, (y0 - s1 / s0) * s0), tail, positions[:, 1:])
     y /= S0[1:]
-    np.divide(y, S0[:-1], out=noise)
-    noise *= dt
-    np.cumsum(noise, axis=1, out=noise)
-    noise += x0 + s1 / s0
-    y += noise
-    np.subtract(noise, t00 / t11, out=centers[:, 1:])
+    np.divide(y, S0[:-1], out=tail)
+    tail *= dt
+    np.cumsum(tail, axis=1, out=tail)
+    tail += x0 + s1 / s0
+    y += tail
+    tail -= t00 / t11
     return positions, centers
 
 

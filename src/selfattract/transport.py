@@ -20,7 +20,8 @@ the same integration tail, `_abs_gap_integral`.  For W2 the
 quantile gap is linear between merged probability knots and its square
 integrates to w (ga^2 + ga gb + gb^2) / 3.  `QuantileTarget` does the
 same against one fixed measure for many sorted atom measures (the prefix
-occupations of a path), reading the fixed measure's pieces once.
+occupations of a path), reading the fixed measure's pieces once and each
+atom measure in chunks.
 """
 
 from __future__ import annotations
@@ -126,7 +127,10 @@ class QuantileTarget:
     quantile runs linearly with rate r adds
     int (x - q)^2 = w (x - q_mid)^2 + r^2 w^3 / 12, so the total is a sum of
     non-negative terms with no cancellation between atoms (1-d quantile
-    formula, Villani 2003, Thm 2.18).
+    formula, Villani 2003, Thm 2.18).  The atoms therefore come in chunks
+    and are summed one chunk at a time: a chunk takes the knots below its
+    last u_i that earlier chunks left, and its first interval starts at the
+    last u_i of the chunk before.
     """
 
     def __init__(self, m: Measure):
@@ -149,17 +153,23 @@ class QuantileTarget:
         return (float(np.einsum("i,i,i->", w, gap, gap))
                 + float(np.einsum("i,i,i->", rw, rw, w)) / 12.0)
 
-    def w2(self, positions: np.ndarray, cum: np.ndarray) -> float:
-        """W2 to the atoms at sorted ``positions`` whose cumulative weights,
-        normalized to end at 1, are ``cum``."""
+    def w2(self, chunks) -> float:
+        """W2 to atoms in position order, given as consecutive
+        (positions, cum) chunks, cum their cumulative weights normalized to
+        end at 1.  The last cum and the first knot not yet passed carry
+        from one chunk to the next."""
         inner = self.cum[:-1]
-        own = np.searchsorted(cum, inner, side="right")   # u[own - 1] <= c < u[own]
-        runs = np.diff(np.concatenate(([0], own, [cum.size])))
-        piece = np.repeat(np.arange(self.cum.size), runs)   # c[piece - 1] < u <= c[piece]
-        prev = np.concatenate(([0.0], cum[:-1]))
-        total = (self._gap_integral(piece, prev, cum, positions)
-                 + self._gap_integral(np.arange(inner.size), prev[own], inner,
-                                      positions[own]))
+        total, u, j0 = 0.0, 0.0, 0
+        for positions, cum in chunks:
+            j1 = int(np.searchsorted(inner, cum[-1], side="left"))   # knots c < cum[-1]
+            own = np.searchsorted(cum, inner[j0:j1], side="right")  # u[own - 1] <= c < u[own]
+            runs = np.diff(own, prepend=0, append=cum.size)
+            piece = np.repeat(np.arange(j0, j1 + 1), runs)   # c[piece - 1] < u <= c[piece]
+            prev = np.concatenate(([u], cum[:-1]))
+            total += (self._gap_integral(piece, prev, cum, positions)
+                      + self._gap_integral(np.arange(j0, j1), prev[own], inner[j0:j1],
+                                           positions[own]))
+            u, j0 = cum[-1], j1
         return math.sqrt(max(0.0, total))
 
 

@@ -94,6 +94,21 @@ class TestConfig:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["config"]["potential"]["bound_degree"] == 4
 
+    def test_zero_interaction_keeps_its_envelope_keys(self, tmp_path):
+        # all-zero coefficients build W = 0 with the envelope the file names
+        text = ("[potential]\nkind = even-polynomial\ncoefficients = 0\n"
+                "bound_degree = 4\nbound_scale = 3.0\n[sim]\nt_end = 3.0\n")
+        cfg = write(tmp_path / "z.cfg", text)
+        w = load_config(cfg).potential
+        assert (w.coefficients, w.bound_degree, w.bound_scale) == ((), 4, 3.0)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "simulate"]) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["config"]["potential"]["bound_degree"] == 4
+        assert manifest["config"]["potential"]["bound_scale"] == 3.0
+        # W = 0 has no uniform convexity, so claiming one is a config error
+        bad = write(tmp_path / "c.cfg", text.replace("[sim]", "convexity_constant = 1.0\n[sim]"))
+        assert main(["--config", bad, "--out", str(tmp_path / "c"), "simulate"]) == 2
+
     def test_manifest_leaves_out_the_output_directory(self, tmp_path):
         # the hashed config says what ran, not where the files went
         manifests = []

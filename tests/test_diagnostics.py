@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from selfattract import (InvalidInputError, NumericFailureError, ParticleMeasure
                          external_polynomial, gaussian_density, gibbs_map,
                          quadratic_symmetric, recenter, simulate,
                          simulate_ensemble, w2_distance, zero_interaction)
+from selfattract import diagnostics
 from selfattract.diagnostics import (center_convergence, ergodicity_check,
                                      one_step_error)
 from selfattract.powersums import PowerSums, power_sums
@@ -115,6 +118,61 @@ class TestErgodicity:
             for t, got in series:
                 want = w2_distance(recenter(rec.occupation(t), rec.center_at(t)), rho)
                 assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("chunk", [2, 97])
+    def test_sorted_prefix_chunks_match_across_chunk_boundaries(self, quad, chunk,
+                                                               monkeypatch):
+        # with chunks of 2 or 97 atoms, pre-history atoms, their ties with
+        # path atoms and the fixed point's knots fall on chunk boundaries
+        monkeypatch.setattr(diagnostics, "_PREFIX_CHUNK", chunk)
+        gen = make_rng(31)
+        cfg = SimConfig(dt=0.01, t_end=40.0, t_start=5.0, seed=7)
+        (rec,) = simulate_ensemble(quad, 0.0, cfg, 1,
+                                   initial_occupation=ParticleMeasure(np.zeros(1), np.ones(1)))
+        tied = rec.positions[1::23][:150]   # each equal to a path atom
+        warm = np.concatenate((tied, gen.standard_normal(150)))
+        rec = dataclasses.replace(rec, initial_occupation=ParticleMeasure(
+            warm, gen.uniform(0.5, 1.0, warm.size)))
+        rho = gaussian_density(0, 1, -8, 8, 512)
+        ts = diagnostics._checkpoints(10.0, 40.0)
+        for t, chunks in zip(ts, diagnostics._sorted_prefixes(rec, ts)):
+            chunks = list(chunks)
+            assert all(pos.size == chunk for pos, _ in chunks[:-1])
+            occ = rec.occupation(t)
+            order = np.argsort(occ.positions, kind="stable")   # pre-history first
+            pos = np.concatenate([p for p, _ in chunks])
+            cum = np.concatenate([c for _, c in chunks])
+            assert np.array_equal(pos, occ.positions[order] - rec.center_at(t))
+            assert np.abs(cum - np.cumsum(occ.weights[order])).max() <= 1e-12
+            assert cum[-1] == 1.0
+        report = ergodicity_check(quad, [rec], rho, min_passing=0, n_boot=10)
+        series = [(t, v) for label, t, v in report.series if label.startswith("w2")]
+        assert len(series) == ts.size
+        for t, got in series:
+            want = w2_distance(recenter(rec.occupation(t), rec.center_at(t)), rho)
+            assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1_000_000, 4_000_000], ids=["1M", "4M"])
+    def test_prefix_pass_memory_is_its_sort_buffer_and_a_constant(self, quad, n):
+        # a record of n path atoms with views for its weights and centers;
+        # the W2 pass over its full prefix holds the one sort buffer and
+        # chunks of a fixed size, whatever n is
+        cfg = SimConfig(dt=0.01, t_end=1.0 + 0.01 * n)
+        times = cfg.t_start + cfg.dt * np.arange(n + 1)
+        rec = TrajectoryRecord(quad, None, cfg, 0, times, make_rng(5).standard_normal(n + 1),
+                               np.broadcast_to(cfg.dt, (n + 1,)),
+                               np.broadcast_to(0.0, (n + 1,)))
+        target = diagnostics.QuantileTarget(gaussian_density(0, 1, -8, 8, 1024))
+        tracemalloc.start()
+        try:
+            (chunks,) = diagnostics._sorted_prefixes(rec, times[-1:])
+            d = target.w2(chunks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < d < 0.1
+        # 8 n bytes of sort buffer, then a few arrays of a chunk's length
+        assert peak - 8 * n <= 16 * 8 * diagnostics._PREFIX_CHUNK
 
     def test_without_a_center_the_fixed_point_is_read_as_given(self):
         # W = 0 has no center to put the fixed point at; V = x^2 / 2 places it

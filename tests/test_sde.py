@@ -174,19 +174,21 @@ class TestEnsemble:
                 ens[1].weights[0] = 2.0
 
     def test_stepped_ensemble_memory_is_its_outputs(self):
-        # the increments are drawn into the positions, so positions and
-        # centers (R, n + 1) bound the peak
-        w = even_polynomial([0.5, 0.1])
+        # the stepper draws the increments into the positions and the
+        # quadratic closed form into the centers, so positions and centers
+        # (R, n + 1) bound the peak
         cfg = SimConfig(dt=0.01, t_end=201.0, t_start=1.0, seed=3)
         R, n = 64, cfg.n_steps
-        tracemalloc.start()
-        try:
-            ens = simulate_ensemble(w, 0.0, cfg, R)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(ens) == R and n == 20_000
-        assert peak <= 1.1 * 8 * 2 * R * (n + 1)
+        for w in (even_polynomial([0.5, 0.1]), quadratic_symmetric(1.0)):
+            tracemalloc.start()
+            try:
+                ens = simulate_ensemble(w, 0.0, cfg, R)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(ens) == R and n == 20_000
+            assert peak <= 1.1 * 8 * 2 * R * (n + 1)
+            del ens
 
     @pytest.mark.parametrize("v", [None, external_polynomial([0.3])], ids=["W", "W+V"])
     def test_block_centers_are_exact_and_independent_of_the_block_length(self, v,
@@ -268,8 +270,8 @@ class TestEnsemble:
                           * rng.normal_increments(cfg.seed, cfg.n_steps, r) for r in range(2)])
         steps = np.empty((2, cfg.n_steps + 1))
         steps[:, 1:] = noise
+        summed = sde._run_quadratic_closed_form(T, x0, pre, steps.copy(), cfg.dt)
         stepped = sde._run_moment_columns(T, None, x0, pre, steps, cfg.dt, 1)
-        summed = sde._run_quadratic_closed_form(T, x0, pre, noise, cfg.dt)
         assert summed[0].shape == (2, 50_001)
         for got, want in zip(summed, stepped):
             assert np.abs(got - want).max() <= 1e-11

@@ -330,6 +330,20 @@ class TestW2:
         assert w2_distance(g, other) == pytest.approx(
             w2_distance(other, g), abs=1e-14)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 8])
+    def test_quantile_target_sums_chunks_that_end_on_its_knots(self, chunk):
+        # weights 1/8 against knots at multiples of 1/4 (atoms) or 1/16
+        # (cells): chunks of 1, 2 and 3 atoms end exactly on knots
+        gen = make_rng(64)
+        x = np.sort(gen.standard_normal(8))
+        for fixed in (ParticleMeasure(np.array([-1.0, 0.0, 0.5, 2.0]), np.full(4, 0.25)),
+                      GridDensity(-2.0, 2.0, np.ones(16)).normalized()):
+            cum = np.arange(1, 9) / 8.0
+            chunks = [(x[s:s + chunk], cum[s:s + chunk]) for s in range(0, 8, chunk)]
+            want = w2_distance(ParticleMeasure(x, np.full(8, 0.125)), fixed)
+            got = transport.QuantileTarget(fixed).w2(chunks)
+            assert got == pytest.approx(want, abs=1e-14)
+
     @pytest.mark.parametrize("dims", [(1, 2), (2, 1), (2, 2)],
                              ids=["1d-2d", "2d-1d", "2d-2d"])
     def test_non_1d_inputs_rejected(self, dims):
