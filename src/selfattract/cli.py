@@ -37,7 +37,11 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _initial_density(cfg: ExperimentConfig) -> GridDensity:
-    lo, hi = -cfg.grid_half_width, cfg.grid_half_width
+    """The start density on the box of half-width ``grid_half_width``
+    centered on the init's location: the atom's position, the Gaussian's
+    mean, 0 for uniform."""
+    mid = {"atom": cfg.init_position, "gaussian": cfg.init_mean}.get(cfg.init_kind, 0.0)
+    lo, hi = mid - cfg.grid_half_width, mid + cfg.grid_half_width
     if cfg.init_kind == "uniform":
         return uniform_density(lo, hi, cfg.grid_cells)
     if cfg.init_kind == "gaussian":

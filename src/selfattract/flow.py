@@ -3,18 +3,21 @@
 One step mixes the current density with its Gibbs image, weighted by the
 relative length of the next schedule interval; every state records the
 center, the free-energy breakdown and the translation distance moved.
+Each density is read once (`measures.density_sums`, a few floats kept on
+its state) for its center, its free energy and the next step's Gibbs
+image.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .energy import EnergyBreakdown, RateParams, energy_envelope, free_energy
 from .errors import InvalidInputError
 from .gibbs import _box_follows, gibbs_map, solve_fixed_point
-from .measures import GridDensity, center
+from .measures import DensitySums, GridDensity, center, density_sums
 from .potentials import PotentialSpec
 from .transport import tp_distance_1d
 
@@ -49,6 +52,8 @@ class FlowState:
     center: float
     free_energy: EnergyBreakdown
     step_distance: float
+    # the density read for the flow's W: a few floats, never its atoms
+    sums: DensitySums | None = field(default=None, repr=False, compare=False)
 
 
 def _recenter_policy(w: PotentialSpec, g: GridDensity, c: float) -> GridDensity:
@@ -64,31 +69,43 @@ def initial_state(w: PotentialSpec, init: GridDensity, s: Schedule,
                   v: PotentialSpec | None = None,
                   reference_total: float | None = None) -> FlowState:
     init.require_probability()
-    c = center(w, init) if w.convexity_constant > 0 else init.mean()
-    e = free_energy(w, init, v=v, relative_to=reference_total)
+    sums = density_sums(w, init)
+    c = center(w, sums) if w.convexity_constant > 0 else init.mean()
+    e = free_energy(w, init, v=v, relative_to=reference_total, sums=sums)
     return FlowState(n=s.n_start, time=s.time(s.n_start), density=init,
-                     center=float(c), free_energy=e, step_distance=0.0)
+                     center=float(c), free_energy=e, step_distance=0.0, sums=sums)
 
 
 def euler_step(w: PotentialSpec, state: FlowState, next_time: float,
                v: PotentialSpec | None = None,
                reference_total: float | None = None) -> FlowState:
     """One mixing step: rho <- rho + lam (Pi(rho) - rho), lam = dT / T_next,
-    with the box first following the state's center (`_recenter_policy`)."""
+    with the box first following the state's center (`_recenter_policy`).
+
+    Each derived quantity is computed once.  The new density is read once
+    (`density_sums`) for its center, its free energy and, through the
+    returned state, the next step's Gibbs image; the state's density is read
+    again only when its box moves or the state was read for another W.
+    The convolution matrices and tp's lattice primitives come from their
+    caches, so a step whose box stands still builds neither."""
     if next_time <= state.time:
         raise InvalidInputError("next_time must exceed the state time")
     lam = (next_time - state.time) / next_time
     if not 0.0 < lam < 1.0:
         raise InvalidInputError(f"mixing weight {lam} outside (0, 1)")
     rho = _recenter_policy(w, state.density, state.center)
-    image = gibbs_map(w, rho, v=v, grid=rho)
+    sums = state.sums
+    if rho is not state.density or sums is None or sums.potential != w:
+        sums = density_sums(w, rho)
+    image = gibbs_map(w, sums, v=v, grid=rho)
     mixed = GridDensity(rho.lo, rho.hi, (1.0 - lam) * rho.values + lam * image.values)
     mixed = mixed.normalized()
-    c = center(w, mixed) if w.convexity_constant > 0 else mixed.mean()
+    sums = density_sums(w, mixed)
+    c = center(w, sums) if w.convexity_constant > 0 else mixed.mean()
     step = tp_distance_1d(w, state.density, mixed)
-    e = free_energy(w, mixed, v=v, relative_to=reference_total)
+    e = free_energy(w, mixed, v=v, relative_to=reference_total, sums=sums)
     return FlowState(n=state.n + 1, time=next_time, density=mixed,
-                     center=float(c), free_energy=e, step_distance=step)
+                     center=float(c), free_energy=e, step_distance=step, sums=sums)
 
 
 def run_flow(w: PotentialSpec, init: GridDensity, s: Schedule,

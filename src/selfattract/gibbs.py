@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError
 from .gridkernel import potential_on_grid
-from .measures import (GridDensity, Measure, _summable, center, convolve_potential,
-                       p_norm)
+from .measures import (DensitySums, GridDensity, Measure, _finite_norm, _summable,
+                       center, convolve_potential, density_sums, p_norm)
 from .potentials import PotentialSpec
 from .powersums import PowerSums
 from .transport import tp_distance_1d
@@ -52,15 +52,22 @@ def gibbs_map(w: PotentialSpec, m: Measure | PowerSums, v: PotentialSpec | None 
     """The normalized density proportional to exp(-(V + W*m)) on a grid.
 
     m is a measure or its `PowerSums`: the exponent reads m only
-    through them.  The evaluation grid defaults to an auto-sized box around
-    the center of m; pass ``grid`` to reuse an existing geometry (the flow
-    does).
+    through them.  A grid density is read once (`density_sums`), and its
+    `DensitySums` may be passed instead, as the flow and the fixed point
+    do.  The evaluation grid defaults to an auto-sized box around the center
+    of m; pass ``grid`` to reuse an existing geometry (the flow does).
+    NumericFailureError when the envelope norm of m diverges, or for bare
+    `PowerSums`, when they overflowed.
     """
-    if isinstance(m, PowerSums):
+    if isinstance(m, GridDensity):
+        m = density_sums(w, m)
+    if isinstance(m, DensitySums):
+        _finite_norm(m.envelope_norm)
+    elif isinstance(m, PowerSums):
         if not np.all(np.isfinite(m.sums)):
             raise NumericFailureError("power sums of the measure overflowed")
     else:
-        p_norm(w, m)    # raises NumericFailureError when the envelope norm diverges
+        p_norm(w, m)
     if grid is None:
         grid = _auto_grid(w, v, m, cells)
     phi = convolve_potential(w, m, grid.centers())
@@ -117,29 +124,34 @@ def solve_fixed_point(w: PotentialSpec, init: GridDensity,
     (`_box_follows`), and the iterate stays where it is.  Convergence is
     measured by the translation distance between successive iterates.  The
     result carries the last iterate, the residuals and, with
-    ``track_energy``, the free energy of every iterate.
+    ``track_energy``, the free energy of every iterate.  Each iterate is read
+    once (`density_sums`) for its center, its Gibbs image and its free
+    energy, and again only when its box moves.
     """
     if not 0.0 < damping <= 1.0:
         raise InvalidInputError("damping must lie in (0, 1]")
     init.require_probability()
     follow = w.convexity_constant > 0
     rho = init
+    sums = density_sums(w, rho)
     residuals = []
     energies = []
     for _ in range(max_iter):
         if follow:
-            rho = _box_follows(rho, center(w, rho))
-        image = gibbs_map(w, rho, v=v, grid=rho)
+            moved = _box_follows(rho, center(w, sums))
+            if moved is not rho:
+                rho, sums = moved, density_sums(w, moved)
+        image = gibbs_map(w, sums, v=v, grid=rho)
         mixed = GridDensity(rho.lo, rho.hi,
                             (1.0 - damping) * rho.values + damping * image.values)
         mixed = mixed.normalized()
         res = tp_distance_1d(w, rho, mixed)
         residuals.append(res)
-        rho = mixed
+        rho, sums = mixed, density_sums(w, mixed)
         if track_energy:
             from .energy import free_energy
 
-            energies.append(free_energy(w, rho, v=v).total)
+            energies.append(free_energy(w, rho, v=v, sums=sums).total)
         if res < tol:
             return FixedPointResult(rho, tuple(residuals), tuple(energies))
     raise NumericFailureError(

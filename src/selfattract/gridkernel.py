@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measures import GridDensity
+from .measures import DensitySums, GridDensity
 from .potentials import PotentialSpec, polynomial_derivative
 from .powersums import anchor, convolution_matrix, interaction_form, power_sums
 
@@ -31,9 +31,12 @@ def grid_power_sums(p: PotentialSpec, grid: GridDensity, values: np.ndarray) -> 
                       convolution_matrix(p).shape[0])
 
 
-def interaction_energy(p: PotentialSpec, grid: GridDensity) -> float:
+def interaction_energy(p: PotentialSpec, grid: GridDensity,
+                       sums: DensitySums | None = None) -> float:
     """Half the double integral of mu(x) W(x-y) mu(y) over the cells: the
     bilinear form in the cell power sums about the grid midpoint, equal to
-    the direct double sum up to rounding."""
-    sums = grid_power_sums(p, grid, grid.values)
-    return 0.5 * interaction_form(p, sums, sums)
+    the direct double sum up to rounding.  ``sums``, the grid read by
+    `density_sums`, give those cell sums when they cover every cell."""
+    s = (sums.sums if sums is not None and sums.whole
+         else grid_power_sums(p, grid, grid.values))
+    return 0.5 * interaction_form(p, s, s)

@@ -45,6 +45,15 @@ class ParticleMeasure:
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "weights", w)
 
+    @classmethod
+    def _view(cls, positions: np.ndarray, weights: np.ndarray) -> "ParticleMeasure":
+        """Atoms read off a validated `GridDensity`, built without checking
+        them again."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "positions", positions)
+        object.__setattr__(m, "weights", weights)
+        return m
+
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
@@ -63,8 +72,9 @@ def dirac(position: float, weight: float = 1.0) -> ParticleMeasure:
 @dataclass(frozen=True)
 class GridDensity:
     """Probability density sampled at the cell midpoints of a uniform grid on
-    the interval [lo, hi] of the line (d = 1 of the paper's R^d): floats
-    lo < hi and values of shape (cells,), in units of 1/length."""
+    the interval [lo, hi] of the line (d = 1 of the paper's R^d): finite
+    floats lo < hi and values of shape (cells,), in units of 1/length.  The
+    checks run once, here; views of the density (`as_atoms`) trust them."""
 
     lo: float
     hi: float
@@ -75,6 +85,8 @@ class GridDensity:
         v = np.asarray(self.values, dtype=float)
         if not hi > lo:
             raise InvalidInputError("domain box must have positive extent")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InvalidInputError("domain box must be finite")
         if v.ndim != 1:
             raise InvalidInputError("grid values must be a 1-d array")
         if v.size < 16:
@@ -129,14 +141,46 @@ def gaussian_density(mean: float, sigma: float, lo: float, hi: float,
 
 def as_atoms(m: Measure) -> ParticleMeasure:
     """View of the measure as weighted atoms at cell midpoints; cells with no
-    mass are dropped."""
+    mass are dropped.  The grid was validated when it was built, so the
+    view is not checked again."""
     if isinstance(m, ParticleMeasure):
         return m
     pos, w = m.centers(), m.values * m.spacing
     keep = w > 0
     if not keep.all():
         pos, w = pos[keep], w[keep]
-    return ParticleMeasure(pos, w)
+    return ParticleMeasure._view(pos, w)
+
+
+@dataclass(frozen=True, slots=True)
+class DensitySums(PowerSums):
+    """A grid density read once as weighted atoms (`as_atoms`) for the
+    potential W: the atoms' `PowerSums` about their anchor, as many as W's
+    convolution reads and at least two, with what else the flow and the
+    fixed point read off the same atoms -- their own mean, from which
+    `center` starts Newton (`mean` returns it), and their envelope norm,
+    which `gibbs_map` checks.  ``whole`` says every cell is an atom: the
+    sums are then also the cell sums about the grid's midpoint that the
+    free energy reads.  `gibbs_map`, `center` and `convolve_potential` take
+    it in place of the density and give the same numbers bit for bit."""
+
+    potential: PotentialSpec
+    atom_mean: float
+    envelope_norm: float
+    whole: bool
+
+    def mean(self) -> float:
+        return self.atom_mean
+
+
+def density_sums(p: PotentialSpec, g: GridDensity) -> DensitySums:
+    """Read the grid density g once for the potential p (`DensitySums`)."""
+    atoms = as_atoms(g)
+    a = anchor(atoms.positions)
+    sums = power_sums(atoms.positions, atoms.weights, a,
+                      max(2, convolution_matrix(p).shape[0]))
+    return DensitySums(a, sums, p, atoms.mean(), _envelope_integral(p, atoms),
+                       atoms.positions.size == g.values.size)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +292,17 @@ def smooth(m: ParticleMeasure, h: float, lo: float | None = None,
 # envelope norm
 
 
-def p_norm(p, m: Measure) -> float:
-    """Integral of P(|y|) against |m|; at least the total mass since P >= 1."""
-    atoms = as_atoms(m)
-    out = float(atoms.weights @ as_envelope(p)(np.abs(atoms.positions)))
+def _envelope_integral(p, atoms: ParticleMeasure) -> float:
+    return float(atoms.weights @ as_envelope(p)(np.abs(atoms.positions)))
+
+
+def _finite_norm(out: float) -> float:
+    """The envelope norm out, or NumericFailureError when it diverged."""
     if not math.isfinite(out):
         raise NumericFailureError("envelope norm diverged")
     return out
+
+
+def p_norm(p, m: Measure) -> float:
+    """Integral of P(|y|) against |m|; at least the total mass since P >= 1."""
+    return _finite_norm(_envelope_integral(p, as_atoms(m)))

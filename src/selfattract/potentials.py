@@ -82,6 +82,8 @@ class PotentialSpec:
     bound_scale: float
 
     def __post_init__(self):
+        # a tuple of floats, so every spec hashes (caches key on it)
+        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         if self.kind not in KINDS:
             raise InvalidInputError(f"unknown potential kind {self.kind!r}")
         if self.bound_degree < 2 or self.bound_scale < 1.0:

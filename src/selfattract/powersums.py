@@ -18,12 +18,15 @@ side.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .potentials import PotentialSpec
+
+_MATRIX_CACHE = 32   # convolution matrices kept, one per (potential, order)
 
 
 def anchor(x) -> float:
@@ -33,7 +36,7 @@ def anchor(x) -> float:
     return float(0.5 * (x.min() + x.max()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PowerSums:
     """A 1-d measure known through its power sums about an anchor,
     sums[j] = sum_i w_i (x_i - anchor)^j.  `convolve_potential`, `center`
@@ -76,6 +79,7 @@ def reanchor(sums: np.ndarray, shift) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=_MATRIX_CACHE)
 def convolution_matrix(p: PotentialSpec, order: int = 0) -> np.ndarray:
     """Square T with (d^order W * m)(a + y) = sum_i (T @ S)_i y^i for S the
     power sums of m about a; T.shape[0] is the number of sums it reads.
@@ -84,6 +88,10 @@ def convolution_matrix(p: PotentialSpec, order: int = 0) -> np.ndarray:
     order-th derivative of W: T[i, j] = g_(i+j) C(i+j, i) (-1)^j.  Trailing
     zero coefficients of g are dropped, so T reads no sum it does not use and
     an identically zero g gives the 1 x 1 zero matrix.
+
+    Memoized per (potential, order) in a least-recently-used cache of
+    `_MATRIX_CACHE` entries: every caller shares one matrix, so it is
+    read-only, and a write raises ``ValueError``.
     """
     g = np.polynomial.polynomial.polytrim(
         np.polynomial.polynomial.polyder(p.poly1d_coefficients(), order))
@@ -92,6 +100,7 @@ def convolution_matrix(p: PotentialSpec, order: int = 0) -> np.ndarray:
     for i in range(L):
         for j in range(L - i):
             T[i, j] = g[i + j] * math.comb(i + j, i) * (-1.0) ** j
+    T.flags.writeable = False
     return T
 
 

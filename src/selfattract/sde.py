@@ -208,13 +208,24 @@ def _block_centers(T, S, mass, tol=1e-12, max_iter=60):
     raise NumericFailureError("center Newton on running moments did not converge")
 
 
-def _check_finite(positions):
+def _check_finite(positions, first, origin, dt):
+    """NumericFailureError when a block of paths, columns ``first``.. of
+    (R, n+1) positions, holds a non-finite entry.  The message names the
+    earliest one's replica, step and t, from ``origin`` = (the rows'
+    replica ids, the path step of column 0, the path's time at step 0)."""
     # min and max propagate NaN, so two reductions check every entry
     # without a mask the size of the positions
-    if not (np.isfinite(positions.min(initial=0.0))
+    if (np.isfinite(positions.min(initial=0.0))
             and np.isfinite(positions.max(initial=0.0))):
-        raise NumericFailureError("path lost finiteness (explosion); "
-                                  "check the step size against the potential")
+        return
+    bad = ~np.isfinite(positions)
+    col = int(np.argmax(bad.any(axis=0)))
+    ids, step0, t0 = origin
+    step = step0 + first + col
+    raise NumericFailureError(
+        f"path lost finiteness (explosion) at step {step}, t = {t0 + dt * step!r}, "
+        f"replica {ids[int(np.argmax(bad[:, col]))]}; "
+        "check the step size against the potential")
 
 
 def _prehistory(x0: float, t_start: float,
@@ -252,28 +263,30 @@ def _step_driven(B, a, x, noise, dts):
     return out
 
 
-def _run_moments(w, v, x0, prehistory, draw, shape, dt, every=_CENTER_EVERY, y0=0.0):
+def _run_moments(w, v, x0, prehistory, draw, shape, dt, origin, every=_CENTER_EVERY,
+                 y0=0.0):
     """Positions and centers (R, n+1) in x of the running-moment Euler scheme
     for R replicas started at x0 + y0, their sums anchored at x0, on the
     (R, n) = ``shape`` increments that ``draw(out)`` writes into ``out``.
     Quadratic W without V takes the closed form, which draws into its
     centers, everything else the column stepper, which draws into its
     positions and places a center every ``every`` steps.  A non-finite path
-    raises `NumericFailureError`."""
+    raises `NumericFailureError` naming the replica, step and t that
+    ``origin`` (`_check_finite`) gives."""
     T = convolution_matrix(w, 1)
     R, n = shape
     if T.shape[0] == 2 and v is None:
         centers = np.empty((R, n + 1))
         draw(centers[:, 1:])
         positions, centers = _run_quadratic_closed_form(T, x0, prehistory, centers, dt, y0)
-        _check_finite(positions)
+        _check_finite(positions, 0, origin, dt)
         return positions, centers
     positions = np.empty((R, n + 1))
     draw(positions[:, 1:])
-    return _run_moment_columns(T, v, x0, prehistory, positions, dt, every, y0)
+    return _run_moment_columns(T, v, x0, prehistory, positions, dt, every, origin, y0)
 
 
-def _run_moment_columns(T, v, x0, prehistory, positions, dt, every, y0=0.0):
+def _run_moment_columns(T, v, x0, prehistory, positions, dt, every, origin, y0=0.0):
     """The Euler scheme for R replicas side by side.  ``positions`` (R, n+1)
     holds each replica's n increments in columns 1..n: step i reads column i
     and overwrites it with the new position, so no noise array is kept.
@@ -343,7 +356,7 @@ def _run_moment_columns(T, v, x0, prehistory, positions, dt, every, y0=0.0):
                 if far.any():
                     shift = mean * far
         if k == _CENTER_BLOCK or i == n:
-            _check_finite(positions[:, checked:i + 1])
+            _check_finite(positions[:, checked:i + 1], checked, origin, dt)
             last = i - i % every   # the block's last knot; it holds k of them
             first = last - (k - 1) * every
             centers[:, first:last + 1:every] = (
@@ -410,11 +423,12 @@ def _simulate_replicas(w, x0, cfg, replicas, v, initial_occupation):
         draw(noise)
         positions = np.empty((len(replicas), n + 1))
         centers = np.empty_like(positions)
-        for k, incs in enumerate(noise):
-            positions[k], centers[k] = _from_zero(w, x0, dt, v, incs)
+        for k, (r, incs) in enumerate(zip(replicas, noise)):
+            positions[k], centers[k] = _from_zero(w, x0, dt, v, incs, r)
     else:
         pre = _prehistory(x0, cfg.t_start, initial_occupation)
-        positions, centers = _run_moments(w, v, x0, pre, draw, (len(replicas), n), dt)
+        positions, centers = _run_moments(w, v, x0, pre, draw, (len(replicas), n), dt,
+                                          (replicas, 0, cfg.t_start))
     times = cfg.t_start + dt * np.arange(n + 1)
     # occupation weights: t_start for the pre-history, then dt; every
     # replica shares the one read-only array
@@ -537,7 +551,7 @@ def ou_domination(w: PotentialSpec, cfg: SimConfig, seed: int | None = None,
 
     (xs,), (cs,) = _run_moments(w, None, x0, _prehistory(x0, cfg.t_start, None),
                                 lambda out: np.multiply(cfg.noise_scale, db, out=out[0]),
-                                (1, n), dt, every=1)
+                                (1, n), dt, ((0,), 0, cfg.t_start), every=1)
     gaps = (xs - cs).tolist()
     db = db.tolist()
     z = max(1.0, abs(gaps[0]))
@@ -639,11 +653,12 @@ def _lipschitz_radius2(w: PotentialSpec) -> float:
     return float(np.abs(h).max())
 
 
-def _from_zero(w, x0, dt, v, incs):
-    """Positions and centers (n+1) of a run from t = 0 on the n increments
-    ``incs``: the contraction bootstrap on a short first segment, then the
-    running-moment tail.  The tail's sums stay anchored at x0 like the
-    bootstrap's, so a path without attraction keeps x0 as its center."""
+def _from_zero(w, x0, dt, v, incs, replica):
+    """Positions and centers (n+1) of replica ``replica``'s run from t = 0
+    on the n increments ``incs``: the contraction bootstrap on a short first
+    segment, then the running-moment tail.  The tail's sums stay anchored at
+    x0 like the bootstrap's, so a path without attraction keeps x0 as its
+    center."""
     if v is not None:
         raise UnsupportedInputError("the t = 0 bootstrap handles the pure "
                                     "interaction case only")
@@ -666,7 +681,8 @@ def _from_zero(w, x0, dt, v, incs):
     # the tail goes on with the same increment stream
     (positions,), (centers,) = _run_moments(w, None, x0, (boot.path[1:], np.full(m, dt)),
                                             lambda out: np.copyto(out[0], incs[m:]),
-                                            (1, n - m), dt, y0=boot.path[-1] - x0)
+                                            (1, n - m), dt, ((replica,), m, 0.0),
+                                            y0=boot.path[-1] - x0)
     return (np.concatenate((boot.path[:-1], positions)),
             np.concatenate((np.full(m, centers[0]), centers)))
 

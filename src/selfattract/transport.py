@@ -15,10 +15,13 @@ Phi1 the even primitive of x P(|x|), both valid across x = 0.  Two grids on
 one lattice (one cell width, boxes a whole number of cells apart, as the
 flow's and the fixed point's box moves leave them) skip the knots: the gap
 is the difference of the two normalized CDFs at the edges of the union box,
-linear on each cell.  Both cases (`_lattice_gap`, `_merged_gap`) end in
-the same integration tail, `_abs_gap_integral`.  For W2 the
-quantile gap is linear between merged probability knots and its square
-integrates to w (ga^2 + ga gb + gb^2) / 3.  `QuantileTarget` does the
+linear on each cell; Phi0 and Phi1 at those edges and their differences
+are the lattice's primitives, memoized per (envelope, box ends, cell count)
+in a small cache (`_lattice_primitives`), so a flow or a fixed point
+reuses them while its box stands still.  Both cases (`_lattice_gap`,
+`_merged_gap`) end in the same integration tail, `_abs_gap_integral`.
+For W2 the quantile gap is linear between merged probability knots and its
+square integrates to w (ga^2 + ga gb + gb^2) / 3.  `QuantileTarget` does the
 same against one fixed measure for many sorted atom measures (the prefix
 occupations of a path), reading the fixed measure's pieces once and each
 atom measure in chunks.
@@ -26,6 +29,7 @@ atom measure in chunks.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -35,6 +39,7 @@ from .measures import GridDensity, Measure, ParticleMeasure
 from .potentials import as_envelope
 
 _MASS_GAP_TOL = 1e-9
+_LATTICE_CACHE = 2   # lattices whose tp primitives are kept: a box, and the union box of a move
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +211,30 @@ def _cdf_after_knot(segments, j: np.ndarray, xs: np.ndarray):
     return level[j] + s * (xs - knots[j - 1]), s
 
 
+def _primitives(env, xs: np.ndarray):
+    """(xs, Phi0, Phi1, dPhi0, dPhi1, dx): the envelope primitives at the
+    sorted knots xs and their differences over each interval."""
+    phi0, phi1 = env.antiderivative(xs), env.moment_antiderivative(xs)
+    return xs, phi0, phi1, np.diff(phi0), np.diff(phi1), np.diff(xs)
+
+
+@functools.lru_cache(maxsize=_LATTICE_CACHE)
+def _lattice_primitives(env, lo: float, hi: float, cells: int):
+    """`_primitives` at the cells + 1 edges of the uniform lattice on
+    [lo, hi], read-only: a flow or a fixed point reuses them for as long as
+    its box stands still."""
+    prim = _primitives(env, np.linspace(lo, hi, cells + 1))
+    for a in prim:
+        a.flags.writeable = False
+    return prim
+
+
 def _lattice_gap(m1: Measure, m2: Measure):
-    """(knots, ga, c1) as in `_abs_gap_integral` for two 1-d grids on one
-    lattice -- the same cell width, boxes a whole number of cells apart to a
-    few ulps of their coordinates: the knots are the edges of the union box,
-    and the gap there is the difference of the two normalized CDFs, each 0
-    before its box and 1 after it.  None for any other pair."""
+    """(lattice, gap) for two 1-d grids on one lattice -- the same cell
+    width, boxes a whole number of cells apart to a few ulps of their
+    coordinates: the union box as (lo, hi, cells), and the gap at its
+    edges, the difference of the two normalized CDFs, each 0 before its box
+    and 1 after it.  None for any other pair."""
     if not (isinstance(m1, GridDensity) and isinstance(m2, GridDensity)):
         return None
     ends = np.array([m1.lo, m1.hi, m2.lo, m2.hi])
@@ -220,13 +243,13 @@ def _lattice_gap(m1: Measure, m2: Measure):
     if (k[3] - k[2] != m2.values.size
             or np.abs(ends - base - k * h).max() > 8 * np.spacing(np.abs(ends).max())):
         return None
-    edges = np.linspace(base, ends[[1, 3]].max(), max(k[1], k[3]) + 1)
-    gap = np.zeros(edges.size)
+    cells = int(max(k[1], k[3]))
+    gap = np.zeros(cells + 1)
     for m, first, sign in ((m1, k[0], 1.0), (m2, k[2], -1.0)):
         cum = np.cumsum(m.values * m.spacing)
         gap[first + 1:first + cum.size + 1] += sign * (cum / cum[-1])
         gap[first + cum.size + 1:] += sign
-    return edges, gap[:-1], np.diff(gap) / np.diff(edges)
+    return (float(base), float(ends[[1, 3]].max()), cells), gap
 
 
 def _merged_gap(m1: Measure, m2: Measure):
@@ -243,17 +266,16 @@ def _merged_gap(m1: Measure, m2: Measure):
     return xs, fa - fb, sa - sb
 
 
-def _abs_gap_integral(env, xs: np.ndarray, ga: np.ndarray, c1: np.ndarray) -> float:
+def _abs_gap_integral(env, prim, ga: np.ndarray, c1: np.ndarray) -> float:
     """Integral of P(|x|) |g| over [xs[0], xs[-1]] when g = ga + c1 (x - lo)
-    on each interval [lo, hi] between the sorted knots xs.  An interval is
-    split only where g changes sign."""
+    on each interval [lo, hi] between the sorted knots xs, given with
+    their `_primitives`.  An interval is split only where g changes sign."""
+    xs, phi0, phi1, dphi0, dphi1, dx = prim
     lo = xs[:-1]
     c0 = ga - c1 * lo
-    phi0 = env.antiderivative(xs)
-    phi1 = env.moment_antiderivative(xs)
-    signed = c0 * np.diff(phi0) + c1 * np.diff(phi1)
+    signed = c0 * dphi0 + c1 * dphi1
     parts = np.abs(signed)
-    cross = np.nonzero(ga * (ga + c1 * np.diff(xs)) < 0.0)[0]
+    cross = np.nonzero(ga * (ga + c1 * dx) < 0.0)[0]
     if cross.size:   # g changes sign at r: split the interval there
         r = lo[cross] - ga[cross] / c1[cross]
         left = (c0[cross] * (env.antiderivative(r) - phi0[cross])
@@ -271,6 +293,14 @@ def tp_distance_1d(envelope, m1: Measure, m2: Measure) -> float:
         raise NumericFailureError(
             "total masses differ; the CDF gap does not vanish at infinity "
             "(extend the grid or normalize the inputs)")
-    knots = _lattice_gap(m1, m2) or _merged_gap(m1, m2)
-    total = _abs_gap_integral(as_envelope(envelope), *knots)
+    env = as_envelope(envelope)
+    lattice = _lattice_gap(m1, m2)
+    if lattice is None:
+        xs, ga, c1 = _merged_gap(m1, m2)
+        prim = _primitives(env, xs)
+    else:
+        box, gap = lattice
+        prim = _lattice_primitives(env, *box)
+        ga, c1 = gap[:-1], np.diff(gap) / prim[-1]   # prim[-1]: the cell widths
+    total = _abs_gap_integral(env, prim, ga, c1)
     return 0.5 * (mass1 + mass2) * total

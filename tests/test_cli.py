@@ -293,6 +293,34 @@ class TestCommands:
         header = (out / "energy_trace.csv").read_text().splitlines()[0]
         assert header == "step,entropy,interaction,total,relative"
 
+    SHIPPED_FLOW = Path(__file__).resolve().parents[1] / "configs" / "flow_from_atom.cfg"
+
+    def test_gaussian_start_box_follows_its_mean(self, tmp_path):
+        # the start box is centered on the init: without V the flow keeps the
+        # Gaussian's center at 30, where a box about 0 would hold only its
+        # far tail
+        text = self.SHIPPED_FLOW.read_text()
+        assert "kind = atom\n" in text
+        cfg = write(tmp_path / "g.cfg", text.replace(
+            "kind = atom\n", "kind = gaussian\nmean = 30.0\nsigma = 1.0\n"))
+        assert main(["--config", cfg, "--out", str(tmp_path / "g"), "--assert", "flow"]) == 0
+        rows = np.loadtxt(tmp_path / "g/flow.csv", delimiter=",", skiprows=1)
+        assert rows.shape[0] > 300
+        assert np.abs(rows[:, 4] - 30.0).max() <= 1e-9
+
+    def test_far_atom_start_runs_flow_and_fixpoint(self, tmp_path):
+        # an atom at 1000 lies far outside a box about 0; the start box is
+        # centered on it, so both commands run (quadratic W)
+        text = self.SHIPPED_FLOW.read_text()
+        assert "position = 0.0\n" in text and "quadratic-symmetric" in text
+        cfg = write(tmp_path / "a.cfg", text.replace("position = 0.0\n", "position = 1000.0\n"))
+        assert main(["--config", cfg, "--out", str(tmp_path / "f"), "--assert", "flow"]) == 0
+        assert main(["--config", cfg, "--out", str(tmp_path / "p"), "fixpoint"]) == 0
+        rows = np.loadtxt(tmp_path / "f/flow.csv", delimiter=",", skiprows=1)
+        assert np.abs(rows[:, 4] - 1000.0).max() <= 1e-9
+        dens = load_measure(tmp_path / "p/density.csv")
+        assert abs(dens.mean() - 1000.0) <= 1e-6
+
     def test_csv_rows_end_in_newline_alone(self, tmp_path):
         sim = write(tmp_path / "s.cfg", "[sim]\ndt = 0.01\nt_end = 5.0\nseed = 7\n")
         flow = write(tmp_path / "f.cfg",

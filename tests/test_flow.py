@@ -1,12 +1,18 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from selfattract import (InvalidInputError, RateParams, Schedule, dirac,
-                         envelope_compare, euler_step, external_polynomial,
+                         envelope_compare, euler_step, even_polynomial,
+                         external_polynomial,
                          gaussian_density, quadratic_symmetric, run_flow,
                          smooth, solve_fixed_point, tp_distance_1d,
                          uniform_density)
+from selfattract import transport
 from selfattract.flow import initial_state
+from selfattract.powersums import convolution_matrix
 from selfattract.energy import free_energy
 from oracles import tail_certificate
 
@@ -58,6 +64,24 @@ class TestEulerStep:
         state = initial_state(quad, init, s, reference_total=0.0)
         nxt = euler_step(quad, state, s.time(2), reference_total=0.0)
         assert nxt.density.mass == pytest.approx(1.0, abs=1e-9)
+
+    def test_state_sums_are_the_density_read_again(self, quad):
+        # a step reuses its state's read of the density; reading it again
+        # gives the same next state bit for bit, boxes moving or not
+        init = smooth(dirac(3.0), 0.5, lo=-8, hi=8, cells=512)
+        s = Schedule(n_end=30)
+        state = initial_state(quad, init, s, reference_total=0.0)
+        moves = 0
+        for n in s.indices():
+            nxt = euler_step(quad, state, s.time(n + 1), reference_total=0.0)
+            again = euler_step(quad, dataclasses.replace(state, sums=None),
+                               s.time(n + 1), reference_total=0.0)
+            assert (nxt.center, nxt.free_energy, nxt.step_distance) == \
+                (again.center, again.free_energy, again.step_distance)
+            assert np.array_equal(nxt.density.values, again.density.values)
+            moves += nxt.density.lo != state.density.lo
+            state = nxt
+        assert moves >= 1
 
     def test_rejects_non_increasing_time(self, quad, rho_quad):
         s = Schedule(n_end=5)
@@ -112,6 +136,27 @@ class TestRunFlow:
         rel = np.array([st.free_energy.relative for st in states])
         assert np.all(np.diff(rel) <= 1e-8)
         assert states[-1].center < 1.0
+
+    @pytest.mark.parametrize("n_end", [51, 101])
+    def test_memory_is_its_states_values_and_a_constant(self, n_end):
+        # a state keeps its density's values and a few floats, never a view
+        # of the density: the peak is the states' value arrays plus the
+        # fixed point, the step's temporaries and the caches, none of which
+        # grows with the step count
+        cells = 4096
+        w = even_polynomial([0.5, 0.1])
+        init = smooth(dirac(0.0), 0.5, lo=-8, hi=8, cells=cells)
+        convolution_matrix.cache_clear()
+        transport._lattice_primitives.cache_clear()
+        tracemalloc.start()
+        try:
+            states = run_flow(w, init, Schedule(n_end=n_end))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(states) == n_end
+        values = sum(st.density.values.nbytes for st in states)
+        assert peak <= 1.1 * values + 32 * 8 * cells
 
     def test_tail_certificates_stay_bounded(self, quad):
         init = smooth(dirac(0.0), 0.5, lo=-8, hi=8, cells=1024)

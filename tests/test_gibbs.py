@@ -9,7 +9,10 @@ from selfattract import (GridDensity, NumericFailureError, ParticleMeasure,
                          gibbs_map, quadratic_shifted, quadratic_symmetric,
                          recenter, smooth, solve_fixed_point, tp_distance_1d,
                          uniform_density, zero_interaction)
+from selfattract import gibbs as gibbs_module
+from selfattract import transport
 from selfattract.errors import InvalidInputError
+from selfattract.powersums import convolution_matrix
 from selfattract.potentials import as_envelope
 from conftest import make_rng, random_mixture
 from oracles import tail_certificate
@@ -154,6 +157,38 @@ class TestFixedPoint:
             rho = solve(x0)
             if x0 * 64 == round(x0 * 64):
                 assert tp_distance_1d(w, rho, at_zero) <= 1e-10
+
+    @pytest.mark.parametrize("w", [quadratic_symmetric(1.0), even_polynomial([0.5, 0.1])],
+                             ids=["quadratic", "quartic"])
+    def test_moving_box_residuals_match_cold_caches(self, w, monkeypatch):
+        # V pulls an off-center start to 0, and the box follows it there in
+        # several moves; clearing every cache between iterations (after each
+        # residual) changes no bit of the residuals
+        v = external_polynomial([0.5])
+        init = smooth(dirac(2.3), 0.5, lo=-8, hi=8, cells=512)
+        boxes = set()
+        follows = gibbs_module._box_follows
+
+        def record(g, c):
+            moved = follows(g, c)
+            boxes.add(moved.lo)
+            return moved
+
+        monkeypatch.setattr(gibbs_module, "_box_follows", record)
+        warm = solve_fixed_point(w, init, v=v, tol=1e-11, track_energy=True)
+        assert len(boxes) >= 3
+        tp = gibbs_module.tp_distance_1d
+
+        def tp_then_clear(*args):
+            out = tp(*args)
+            convolution_matrix.cache_clear()
+            transport._lattice_primitives.cache_clear()
+            return out
+
+        monkeypatch.setattr(gibbs_module, "tp_distance_1d", tp_then_clear)
+        cold = solve_fixed_point(w, init, v=v, tol=1e-11, track_energy=True)
+        assert warm.residuals == cold.residuals and warm.energies == cold.energies
+        assert np.array_equal(warm.density.values, cold.density.values)
 
     def test_divergent_damping_rejected(self, quad):
         with pytest.raises(Exception):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfattract import (GridDensity, InvalidInputError, ParticleMeasure,
-                         center, convolve_potential, dirac, entropy,
-                         gaussian_density, gibbs_map, p_norm,
+from selfattract import (GridDensity, InvalidInputError, NumericFailureError,
+                         ParticleMeasure, center, convolve_potential, dirac, entropy,
+                         even_polynomial, free_energy, gaussian_density, gibbs_map, p_norm,
                          quadratic_shifted, quadratic_symmetric, recenter,
                          smooth, tp_distance_1d, uniform_density)
+from selfattract.measures import as_atoms, density_sums
 from conftest import make_rng, random_atoms
 from oracles import tail_certificate
 
@@ -154,6 +155,43 @@ def test_grid_mass_one_after_normalize(seed):
     vals = gen.uniform(0.0, 3.0, size=64)
     g = GridDensity(-2.0, 2.0, vals).normalized()
     assert abs(g.mass - 1.0) <= 1e-12
+
+
+class TestDensitySums:
+    """A grid density read once stands in for it bit for bit."""
+
+    @pytest.mark.parametrize("w", [quadratic_symmetric(1.0), quadratic_shifted(0.7),
+                                   even_polynomial([0.5, 0.1])],
+                             ids=["quadratic", "shifted", "quartic"])
+    @pytest.mark.parametrize("start", ["atom", "full"])
+    def test_read_matches_the_density(self, w, start):
+        # the smoothed atom has empty cells, which the atom view drops: its
+        # anchor and sums then differ from the grid's, and the free energy
+        # reads its own; the full Gaussian covers every cell
+        g = (smooth(dirac(1.3), 0.5, lo=-6.5, hi=9.5, cells=512) if start == "atom"
+             else gaussian_density(1.3, 1.0, -6.5, 9.5, 512))
+        read = density_sums(w, g)
+        assert read.whole == (start == "full")
+        assert read.mean() == as_atoms(g).mean()
+        assert center(w, read) == center(w, g)
+        xs = np.linspace(-3.0, 5.0, 7)
+        for order in (0, 1, 2):
+            assert np.array_equal(convolve_potential(w, read, xs, order),
+                                  convolve_potential(w, g, xs, order))
+        assert np.array_equal(gibbs_map(w, read, grid=g).values,
+                              gibbs_map(w, as_atoms(g), grid=g).values)
+        assert free_energy(w, g, sums=read) == free_energy(w, g)
+
+    def test_divergent_envelope_norm_fails(self):
+        g = uniform_density(1e80, 1e80 + 1e70, 64)
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericFailureError, match="envelope norm diverged"):
+            gibbs_map(even_polynomial([0.5, 0.1]), density_sums(even_polynomial([0.5, 0.1]), g),
+                      grid=g)
+
+    def test_grid_box_must_be_finite(self):
+        with pytest.raises(InvalidInputError, match="finite"):
+            GridDensity(-np.inf, 0.0, np.ones(16))
 
 
 def test_grid_rejects_too_few_cells():

@@ -17,7 +17,7 @@ from selfattract import (GridDensity, ParticleMeasure, SimConfig, center,
                          quadratic_shifted, quadratic_symmetric, simulate,
                          simulate_ensemble, zero_interaction)
 from selfattract.gridkernel import interaction_energy
-from selfattract.powersums import power_sums, reanchor
+from selfattract.powersums import convolution_matrix, power_sums, reanchor
 from conftest import make_rng
 from oracles import full_history_path
 
@@ -37,6 +37,20 @@ def skewed_atoms() -> ParticleMeasure:
 
 def shifted(m: ParticleMeasure, s: float) -> ParticleMeasure:
     return ParticleMeasure(m.positions + s, m.weights)
+
+
+def test_convolution_matrix_is_memoized_and_read_only():
+    # every caller shares one matrix per (potential, order): a write raises
+    w = even_polynomial([0.5, 0.1])
+    T = convolution_matrix(w, 1)
+    assert convolution_matrix(even_polynomial([0.5, 0.1]), 1) is T
+    with pytest.raises(ValueError):
+        T[0, 0] = 1.0
+    convolution_matrix.cache_clear()
+    fresh = convolution_matrix(w, 1)
+    assert fresh is not T and np.array_equal(fresh, T)
+    assert not fresh.flags.writeable
+    assert convolution_matrix(w, 0).shape == (5, 5) and fresh.shape == (4, 4)
 
 
 def test_reanchor_matches_sums_about_the_new_anchor():

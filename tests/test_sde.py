@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,33 @@ from selfattract import sde
 from selfattract.powersums import anchor, convolution_matrix, power_sums
 from conftest import make_rng
 from oracles import full_history_path, history_drift
+
+
+def checked_blocks(monkeypatch) -> list:
+    """Record a copy of every (block, first column) `_check_finite` sees."""
+    blocks = []
+    check = sde._check_finite
+
+    def record(positions, first, origin, dt):
+        blocks.append((positions.copy(), first))
+        return check(positions, first, origin, dt)
+
+    monkeypatch.setattr(sde, "_check_finite", record)
+    return blocks
+
+
+def first_non_finite(block, first, ids):
+    """(step, replica id) of the earliest non-finite entry, lowest row first."""
+    for col in range(block.shape[1]):
+        for row in range(block.shape[0]):
+            if not math.isfinite(block[row, col]):
+                return first + col, ids[row]
+    return None
+
+
+def explosion_fields(err):
+    found = re.search(r"at step (\d+), t = (\S+), replica (\d+);", str(err.value))
+    return int(found[1]), float(found[2]), int(found[3])
 
 
 def short_cfg(**kw):
@@ -213,14 +241,37 @@ class TestEnsemble:
                 m = pre_w.size + i
                 assert abs(history_drift(g, atoms[:m], wts[:m], rec.center_track[i])) <= 1e-12
 
-    def test_exploding_stepped_path_is_a_numeric_failure(self):
+    def test_exploding_stepped_path_is_a_numeric_failure(self, monkeypatch):
         # a steep V overshoots from x0 = 30 at once; the stepper checks each
-        # block of positions for finiteness before it solves its centers
+        # block of positions for finiteness before it solves its centers, and
+        # names the replica id, step and t of the earliest non-finite entry
         w = even_polynomial([0.5, 0.1])
+        v = external_polynomial([0.0, 1.0])
         cfg = SimConfig(dt=0.01, t_end=11.0, t_start=1.0, seed=1)
+        blocks = checked_blocks(monkeypatch)
+        runs = [([2], lambda: simulate(w, 30.0, cfg, v=v, replica=2)),
+                (range(3), lambda: simulate_ensemble(w, 30.0, cfg, 3, v=v))]
+        for ids, run in runs:
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NumericFailureError, match="lost finiteness") as err:
+                run()
+            step, t, replica = explosion_fields(err)
+            assert (step, replica) == first_non_finite(*blocks[-1], ids)
+            assert t == cfg.t_start + cfg.dt * step
+            assert 0 < step < cfg.n_steps
+
+    def test_exploding_closed_form_names_replica_step_and_t(self, quad, monkeypatch):
+        # noise of scale 1e306 overflows the closed form's S0 eta products
+        cfg = SimConfig(dt=0.01, t_end=101.0, t_start=100.0, seed=1, noise_scale=1e306)
+        blocks = checked_blocks(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericFailureError, match="lost finiteness"):
-            simulate_ensemble(w, 30.0, cfg, 2, v=external_polynomial([0.0, 1.0]))
+                pytest.raises(NumericFailureError, match="lost finiteness") as err:
+            simulate_ensemble(quad, 0.0, cfg, 3)
+        (block, first), = blocks
+        assert first == 0 and block.shape == (3, cfg.n_steps + 1)
+        step, t, replica = explosion_fields(err)
+        assert (step, replica) == first_non_finite(block, first, range(3))
+        assert t == cfg.t_start + cfg.dt * step
 
     def test_block_newton_divides_only_on_moving_columns(self):
         # under pure quartic W a point mass has g = g' = 0 at its mean: that
@@ -271,7 +322,8 @@ class TestEnsemble:
         steps = np.empty((2, cfg.n_steps + 1))
         steps[:, 1:] = noise
         summed = sde._run_quadratic_closed_form(T, x0, pre, steps.copy(), cfg.dt)
-        stepped = sde._run_moment_columns(T, None, x0, pre, steps, cfg.dt, 1)
+        stepped = sde._run_moment_columns(T, None, x0, pre, steps, cfg.dt, 1,
+                                          (range(2), 0, cfg.t_start))
         assert summed[0].shape == (2, 50_001)
         for got, want in zip(summed, stepped):
             assert np.abs(got - want).max() <= 1e-11

@@ -7,7 +7,9 @@ import pytest
 from selfattract import (DominatingPolynomial, GridDensity, InvalidInputError,
                          ParticleMeasure, dirac, gaussian_density, p_norm, recenter,
                          tp_distance_1d, w2_distance)
-from selfattract import transport
+from selfattract import even_polynomial, transport
+from selfattract.gibbs import _box_follows
+from selfattract.powersums import convolution_matrix
 from selfattract.measures import centered
 from selfattract.transport import _quantile_pieces
 from conftest import make_rng, random_atoms
@@ -224,6 +226,28 @@ class TestTpOnLattice:
                 want = self.general(env, m1, m2, monkeypatch)
                 assert tp_distance_1d(env, m1, m2) == pytest.approx(want, rel=1e-13)
         assert changes >= 4   # the gap changes sign: the split is covered
+
+    @pytest.mark.parametrize("k", [3, -40])
+    def test_moved_box_matches_cold_caches(self, k):
+        # the lattice primitives are keyed by envelope, box ends and cell
+        # count: after `_box_follows` moves a box, tp reads the new box's
+        # primitives, bit for bit what it computes with every cache cleared
+        w = even_polynomial([0.5, 0.1])
+        gen = make_rng(77 + k)
+        a, b = (lattice_grid(gen, -5.0, 3.0, 400) for _ in range(2))
+        tp_distance_1d(w, a, b)   # the old box's primitives are cached
+        c = 0.5 * (a.lo + a.hi) + k * self.H
+        moved, moved_b = _box_follows(a, c), _box_follows(b, c)
+        assert moved.lo == pytest.approx(a.lo + k * self.H, abs=1e-12)
+        pairs = ((a, moved), (moved, b), (moved, moved_b), (a, b))
+        warm = [tp_distance_1d(w, m1, m2) for m1, m2 in pairs]
+        cold = []
+        for m1, m2 in pairs:
+            convolution_matrix.cache_clear()
+            transport._lattice_primitives.cache_clear()
+            cold.append(tp_distance_1d(w, m1, m2))
+        assert warm == cold
+        assert min(warm[1:]) > 0.0
 
     @pytest.mark.parametrize("frac", [0.37, 1e-7])
     def test_off_lattice_offsets_take_the_general_pass(self, frac):
