@@ -22,7 +22,7 @@ from .flow import run_flow
 from .gibbs import solve_fixed_point
 from .measures import (GridDensity, centered, dirac, gaussian_density, smooth,
                        uniform_density)
-from .persist import (load_measure, write_grid_density, write_manifest,
+from .persist import (format_column, load_measure, write_grid_density, write_manifest,
                       write_series_csv)
 from .potentials import certify
 from .sde import counterexample_system, simulate_ensemble
@@ -51,14 +51,17 @@ def _initial_density(cfg: ExperimentConfig) -> GridDensity:
 
 
 def _cmd_simulate(cfg: ExperimentConfig, do_assert: bool) -> int:
+    """Per replica, its thinned path (t, x, center) and its occupation
+    histogram.  The records share one ``times`` array, so the time column
+    is formatted once for every path file."""
     out = _out_dir(cfg)
     records = simulate_ensemble(cfg.potential, cfg.init_position, cfg.sim,
                                 cfg.replicas, v=cfg.external)
+    thin = max(1, records[0].times.size // 2000)
+    times = format_column(records[0].times[::thin])
     for rec in records:
-        thin = max(1, rec.times.size // 2000)
         write_series_csv(out / f"path_r{rec.replica}.csv", ["t", "x", "center"],
-                         [rec.times[::thin], rec.positions[::thin],
-                          rec.center_track[::thin]])
+                         [times, rec.positions[::thin], rec.center_track[::thin]])
         occ = rec.occupation()
         hist, edges = np.histogram(occ.positions, bins=128, weights=occ.weights)
         mids = 0.5 * (edges[:-1] + edges[1:])

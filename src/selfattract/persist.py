@@ -1,7 +1,9 @@
 """CSV / JSON-lines artifacts and run manifests.
 
 Floats are written with repr so artifacts round-trip exactly and reruns of
-the same seed produce byte-identical files.
+the same seed produce byte-identical files.  A column several files share,
+like the time column of `simulate`'s path files, is formatted once
+(`format_column`) and handed to each file as its `Cells`.
 """
 
 from __future__ import annotations
@@ -18,21 +20,30 @@ from .errors import InvalidInputError
 from .measures import GridDensity, ParticleMeasure
 
 
-def _format_column(column) -> list[str]:
+class Cells(list):
+    """The formatted cells of one column (`format_column`), which
+    `write_series_csv` writes as they are: a column that several files
+    share is formatted once."""
+
+
+def format_column(column) -> Cells:
     """Cells of one column: floats through repr (exact round trip), integers
-    and booleans through str."""
+    and booleans through str; a `Cells` column is already formatted."""
+    if isinstance(column, Cells):
+        return column
     values = np.asarray(column)
     if values.dtype.kind == "f":
-        return list(map(repr, values.tolist()))
+        return Cells(map(repr, values.tolist()))
     if values.dtype.kind in "iub":
-        return list(map(str, values.tolist()))
+        return Cells(map(str, values.tolist()))
     raise InvalidInputError(f"CSV columns hold numbers, not {values.dtype}")
 
 
 def write_series_csv(path: Path, header: list[str], columns) -> None:
-    """One CSV file from equal-length columns, each formatted once and the
-    file written in one piece; rows end in a bare newline."""
-    cells = [_format_column(c) for c in columns]
+    """One CSV file from equal-length columns, each formatted once
+    (`format_column`) and the file written in one piece; rows end in a bare
+    newline."""
+    cells = [format_column(c) for c in columns]
     if len({len(c) for c in cells}) > 1:
         raise InvalidInputError("CSV columns differ in length")
     lines = [",".join(header)]

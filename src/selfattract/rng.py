@@ -27,6 +27,8 @@ def stream(seed: int, replica: int = 0, channel: int = NOISE) -> np.random.Gener
 
 
 def normal_increments(seed: int, n: int, replica: int = 0,
-                      channel: int = NOISE) -> np.ndarray:
-    """n standard-normal draws from the keyed stream."""
-    return stream(seed, replica, channel).standard_normal(n)
+                      channel: int = NOISE, out: np.ndarray | None = None) -> np.ndarray:
+    """n standard-normal draws from the keyed stream, written into ``out``
+    (a contiguous float64 array of n entries) when given.  Returns the
+    draws; they are the same numbers either way."""
+    return stream(seed, replica, channel).standard_normal(n, out=out)

@@ -54,10 +54,17 @@ from .measures import ParticleMeasure
 from .potentials import PotentialSpec
 from .powersums import PowerSums, anchor, convolution_matrix, power_sums, reanchor
 
+try:   # the C einsum that np.einsum calls, without its per-call Python layers
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:   # numpy 1.x keeps it elsewhere; the public one computes the same
+    _c_einsum = np.einsum
+
 _SQRT2 = math.sqrt(2.0)
 _REANCHOR_RADIUS = 1.0   # the anchor follows the mean once it is this far
 _CENTER_EVERY = 10       # steps between Newton centers of a nonlinear drift
 _CENTER_BLOCK = 64       # center knots the column stepper solves at once
+_NEWTON_ITERS = 60       # Newton updates a center knot gets before it fails
+_BOOTSTRAP_MAX_RATIO = 0.9   # a Picard round shrinking the sup distance less fails
 
 
 @dataclass(frozen=True)
@@ -184,13 +191,18 @@ def _horner(b, y):
     return out
 
 
-def _block_centers(T, S, mass, tol=1e-12, max_iter=60):
+def _block_centers(T, S, mass, locate=None, tol=1e-12):
     """Roots in y of the drift polynomials T S / mass of a block of knots,
     S (K, count, R) and mass (K, 1): zero without attraction, closed form
     for a linear drift, Newton from each column's running mean S1/S0
     otherwise.  Every operation is elementwise, a column stops at its own
     first iterate with |g| <= tol and divides only while it moves, so its
-    root does not depend on the other columns or on the block length."""
+    root does not depend on the other columns or on the block length.
+
+    A column still above tol after `_NEWTON_ITERS` updates raises
+    NumericFailureError naming the earliest such knot by ``locate(knot,
+    column)`` (`_locate`'s words; block indices without it) and its final
+    |g|."""
     count = T.shape[0]
     if count < 2:
         return np.zeros((S.shape[0], S.shape[2]))
@@ -199,20 +211,33 @@ def _block_centers(T, S, mass, tol=1e-12, max_iter=60):
         return -b[0] / b[1]
     db = [k * b[k] for k in range(1, count)]
     c = S[:, 1] / S[:, 0]
-    for _ in range(max_iter):
+    for it in range(_NEWTON_ITERS + 1):
         g = _horner(b, c)
         moving = np.abs(g) > tol
         if not moving.any():
             return c
-        c = c - np.divide(g, _horner(db, c), out=np.zeros_like(c), where=moving)
-    raise NumericFailureError("center Newton on running moments did not converge")
+        if it < _NEWTON_ITERS:
+            c = c - np.divide(g, _horner(db, c), out=np.zeros_like(c), where=moving)
+    knot, col = (int(i) for i in np.argwhere(moving)[0])
+    where = f"knot {knot}, column {col}" if locate is None else locate(knot, col)
+    raise NumericFailureError(
+        f"center Newton on running moments did not converge at {where}: "
+        f"|g| = {float(abs(g[knot, col]))!r} after {_NEWTON_ITERS} iterations")
+
+
+def _locate(origin, step, row, dt):
+    """Step, t and replica id of ``row`` at ``step`` of a column run, from
+    ``origin`` = (the rows' replica ids, the path step of column 0, the
+    path's time at step 0)."""
+    ids, step0, t0 = origin
+    step += step0
+    return f"step {step}, t = {t0 + dt * step!r}, replica {ids[row]}"
 
 
 def _check_finite(positions, first, origin, dt):
     """NumericFailureError when a block of paths, columns ``first``.. of
     (R, n+1) positions, holds a non-finite entry.  The message names the
-    earliest one's replica, step and t, from ``origin`` = (the rows'
-    replica ids, the path step of column 0, the path's time at step 0)."""
+    earliest one's replica, step and t (`_locate`)."""
     # min and max propagate NaN, so two reductions check every entry
     # without a mask the size of the positions
     if (np.isfinite(positions.min(initial=0.0))
@@ -220,11 +245,9 @@ def _check_finite(positions, first, origin, dt):
         return
     bad = ~np.isfinite(positions)
     col = int(np.argmax(bad.any(axis=0)))
-    ids, step0, t0 = origin
-    step = step0 + first + col
     raise NumericFailureError(
-        f"path lost finiteness (explosion) at step {step}, t = {t0 + dt * step!r}, "
-        f"replica {ids[int(np.argmax(bad[:, col]))]}; "
+        f"path lost finiteness (explosion) at "
+        f"{_locate(origin, first + col, int(np.argmax(bad[:, col])), dt)}; "
         "check the step size against the potential")
 
 
@@ -239,10 +262,11 @@ def _prehistory(x0: float, t_start: float,
 
 def _increments(cfg: SimConfig, n: int, replica: int, out=None) -> np.ndarray:
     """The first n noise increments noise_scale sqrt(dt) xi of a replica's
-    stream, into ``out`` when given.  The draw for n is a prefix of the draw
-    for any longer n."""
-    return np.multiply(rng.normal_increments(cfg.seed, n, replica),
-                       cfg.noise_scale * math.sqrt(cfg.dt), out=out)
+    stream, drawn into ``out`` when given and scaled in place.  The draw for
+    n is a prefix of the draw for any longer n."""
+    draws = rng.normal_increments(cfg.seed, n, replica, out=out)
+    draws *= cfg.noise_scale * math.sqrt(cfg.dt)
+    return draws
 
 
 def _v_gradient(v: PotentialSpec | None):
@@ -294,12 +318,24 @@ def _run_moment_columns(T, v, x0, prehistory, positions, dt, every, origin, y0=0
     The sums about each column's anchor are one (count, R) array S.  P holds
     the dt-weighted powers dt y^j of the current positions, the products one
     path adds to its sums, so a step adds P to S and the drift times dt is
-    sum_ij T_ij S_j P_i / mass, one `np.einsum` contraction (the mass is the
+    sum_ij T_ij S_j P_i / mass, one einsum contraction (the mass is the
     same for every replica).  einsum adds each column's terms in order
     without BLAS: BLAS takes another kernel for one column than for several,
     and a replica's path would then depend on the ensemble size.  numpy adds
     a lone column of 8 or more terms pairwise, so from W of degree 8 on a
     one-replica path matches an ensemble row to rounding only.
+
+    A step is a fixed run of numpy calls on (R,) and (count, R) arrays,
+    each on views built before the loop and with its output passed
+    positionally: the last y minus the drift, into the drift's buffer; that
+    plus the increment column i holds, into column i, which is then y;
+    count - 1 multiplies down the power chain P[j] = P[j-1] y; S += P; and
+    the drift, contracted into the kept buffer by numpy's C einsum (which
+    `np.einsum` forwards to through a Python dispatch layer) and divided by
+    the mass in place.  A step builds the one column view and allocates no
+    array unless V adds its term or a knot re-anchors or solves a block; at
+    64 replicas its cost is the per-call overhead of those calls, not
+    their arithmetic.
 
     The center of W' * mu feeds nothing back into the drift.  Every
     ``every`` steps the loop copies (S, mass, anchor) into a buffer of
@@ -325,33 +361,41 @@ def _run_moment_columns(T, v, x0, prehistory, positions, dt, every, origin, y0=0
     knot_a = np.empty((_CENTER_BLOCK, R))
     k = 0                              # knots in the buffer
     checked = 0                        # positions before this index are finite
-    y = np.full(R, float(y0))
     P = np.zeros((max(count, 2), R))   # a zero drift (count 1) never reads row 1
     P[0] = dt
     powers = P[:count]
+    chain = [(P[j - 1], P[j]) for j in range(2, count)]
+    P0, P1 = P[0], P[1]                # P0 holds dt: y * P0 is dt y, array by array
+    S0, S1 = S[0], S[1 % count]        # S keeps its buffer through re-anchors
+    d = np.empty(R)                    # the drift times dt of the last step
+    columns = positions.T              # columns[i] is the view positions[:, i]
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    einsum = _c_einsum
     shift = None
     segments = [(0, a)]
+    y = columns[0]                     # y of step i is column i, in place
+    y[...] = y0
     for i in range(n + 1):
         if i:
-            y -= d
-            y += positions[:, i]
+            subtract(y, d, d)
+            y = columns[i]
+            add(d, y, y)
         if shift is not None:   # the re-anchor the last knot asked for
             S[...] = reanchor(S, shift)
             y -= shift
             a, shift = a + shift, None
             segments.append((i, a))
-        positions[:, i] = y
-        np.multiply(y, dt, out=P[1])
-        for j in range(2, count):
-            np.multiply(P[j - 1], y, out=P[j])
+        multiply(y, P0, P1)
+        for prev, cur in chain:
+            multiply(prev, y, cur)
         if i:
-            S += powers
+            add(S, powers, S)
             mass += dt
         if i % every == 0:
             knot_S[k], knot_mass[k], knot_a[k] = S, mass, a
             k += 1
             if count > 1:
-                mean = S[1] / S[0]
+                mean = S1 / S0
                 far = np.abs(mean) > _REANCHOR_RADIUS
                 if far.any():
                     shift = mean * far
@@ -359,8 +403,9 @@ def _run_moment_columns(T, v, x0, prehistory, positions, dt, every, origin, y0=0
             _check_finite(positions[:, checked:i + 1], checked, origin, dt)
             last = i - i % every   # the block's last knot; it holds k of them
             first = last - (k - 1) * every
-            centers[:, first:last + 1:every] = (
-                _block_centers(T, knot_S[:k], knot_mass[:k]) + knot_a[:k]).T
+            centers[:, first:last + 1:every] = (_block_centers(
+                T, knot_S[:k], knot_mass[:k],
+                lambda j, r: _locate(origin, first + j * every, r, dt)) + knot_a[:k]).T
             lo = max(first - every, 0)   # the previous block's last knot
             slope = (centers[:, lo + every:last + 1:every] - centers[:, lo:last:every]) / every
             for j in range(1, every):
@@ -368,7 +413,8 @@ def _run_moment_columns(T, v, x0, prehistory, positions, dt, every, origin, y0=0
             centers[:, last + 1:i + 1] = centers[:, last, None]
             k, checked = 0, i + 1
         if i < n:
-            d = np.einsum("ij,jr,ir->r", T, S, powers) / mass
+            einsum("ij,jr,ir->r", T, S, powers, out=d)
+            divide(d, mass, d)
             if vg is not None:
                 d += _horner(vg, y + a) * dt
     # back from y to x, one anchor segment (start index, anchors) at a time
@@ -620,6 +666,8 @@ def picard_bootstrap(w: PotentialSpec, x0: float, times: np.ndarray,
     if float(np.abs(noise).max()) > 0.5 + 1e-12:
         raise InvalidInputError("noise path leaves the half-unit ball; resample "
                                 "with a smaller delta")
+    if max_rounds < 1:
+        raise InvalidInputError("max_rounds must be positive")
     T = convolution_matrix(w, 1)
     count = T.shape[0]
     dts = np.diff(times)
@@ -638,12 +686,22 @@ def picard_bootstrap(w: PotentialSpec, x0: float, times: np.ndarray,
         sup = float(np.abs(new - path).max())
         sups.append(sup)
         path = new
-        if len(sups) >= 2 and sups[-2] > 0 and sups[-1] / sups[-2] > 0.9:
-            raise NumericFailureError("bootstrap iteration is not contracting; "
-                                      "the interval is too long")
+        ratio = sups[-1] / sups[-2] if len(sups) >= 2 and sups[-2] > 0 else None
+        if ratio is not None and ratio > _BOOTSTRAP_MAX_RATIO:
+            raise NumericFailureError(
+                f"bootstrap iteration is not contracting ({_rounds(sups, ratio)}); "
+                "the interval is too long")
         if sup < tol:
             return PicardResult(times=times, path=path, sup_distances=tuple(sups))
-    raise NumericFailureError("bootstrap did not reach tolerance")
+    raise NumericFailureError(f"bootstrap did not reach tolerance {tol!r} "
+                              f"({_rounds(sups, ratio)})")
+
+
+def _rounds(sups, ratio):
+    """The bootstrap's progress in words: its round, last sup distance and
+    last contraction ratio."""
+    return (f"round {len(sups)}, last sup distance {sups[-1]!r}, contraction ratio "
+            f"{'undefined' if ratio is None else repr(ratio)}")
 
 
 def _lipschitz_radius2(w: PotentialSpec) -> float:
@@ -677,7 +735,10 @@ def _from_zero(w, x0, dt, v, incs, replica):
             "the t = 0 bootstrap needs 2 or more steps in the first half of the "
             f"run ({n} steps) on which the noise path stays within 0.5 of x0; "
             "lengthen the run, or lower dt or noise_scale")
-    boot = picard_bootstrap(w, x0, dt * np.arange(m + 1), noise_path[:m + 1])
+    try:
+        boot = picard_bootstrap(w, x0, dt * np.arange(m + 1), noise_path[:m + 1])
+    except NumericFailureError as exc:
+        raise NumericFailureError(f"replica {replica}: {exc}") from exc
     # the tail goes on with the same increment stream
     (positions,), (centers,) = _run_moments(w, None, x0, (boot.path[1:], np.full(m, dt)),
                                             lambda out: np.copyto(out[0], incs[m:]),

@@ -2,16 +2,20 @@
 
 The full-history drift is the definition the running-moment simulator
 reproduces: the gradient of W summed over every past atom of the path, on
-the same noise and pre-history as `simulate`.  The tail certificate and the
-displacement interpolant are the 1-d measurements that tail and convexity
-properties of the Gibbs map, the flow and the free energy are stated in.
+the same noise and pre-history as `simulate`.  `loop_moment_columns` is
+the column stepper's loop as first written, the bitwise reference for the
+stepper's per-call rewrites.  The tail certificate and the displacement
+interpolant are the 1-d measurements that tail and convexity properties of
+the Gibbs map, the flow and the free energy are stated in.
 """
 
 import numpy as np
 
 from selfattract.errors import NumericFailureError
 from selfattract.measures import GridDensity, center
-from selfattract.sde import _CENTER_EVERY, _increments, _prehistory, _v_gradient
+from selfattract.powersums import power_sums, reanchor
+from selfattract.sde import (_CENTER_BLOCK, _CENTER_EVERY, _REANCHOR_RADIUS, _block_centers,
+                             _check_finite, _horner, _increments, _prehistory, _v_gradient)
 
 
 def full_history_path(w, x0, cfg, v=None, replica=0, initial_occupation=None):
@@ -53,6 +57,80 @@ def full_history_path(w, x0, cfg, v=None, replica=0, initial_occupation=None):
             c = history_center(g, atoms[:base_w.size + i], weights[:base_w.size + i], c)
         centers[i] = c
     _interpolate_center_gaps(centers)
+    return positions, centers
+
+
+def loop_moment_columns(T, v, x0, prehistory, positions, dt, every, origin, y0=0.0):
+    """The column stepper as first written, one fresh view and keyword
+    ``out`` per numpy call: the bitwise reference for
+    `sde._run_moment_columns`, which must return the same positions and
+    centers to the last bit on the same arguments (positions (R, n+1)
+    holding the increments in columns 1..n, overwritten in place)."""
+    count = T.shape[0]
+    R, n = positions.shape[0], positions.shape[1] - 1
+    sums = power_sums(*prehistory, float(x0), count)
+    mass = float(sums[0])
+    S = np.repeat(sums[:, None], R, axis=1)
+    a = np.full(R, float(x0))
+    vg = _v_gradient(v)
+    if count <= 2:
+        every = 1
+    centers = np.empty((R, n + 1))
+    knot_S = np.empty((_CENTER_BLOCK, count, R))
+    knot_mass = np.empty((_CENTER_BLOCK, 1))
+    knot_a = np.empty((_CENTER_BLOCK, R))
+    k = 0                              # knots in the buffer
+    checked = 0                        # positions before this index are finite
+    y = np.full(R, float(y0))
+    P = np.zeros((max(count, 2), R))   # a zero drift (count 1) never reads row 1
+    P[0] = dt
+    powers = P[:count]
+    shift = None
+    segments = [(0, a)]
+    for i in range(n + 1):
+        if i:
+            y -= d
+            y += positions[:, i]
+        if shift is not None:   # the re-anchor the last knot asked for
+            S[...] = reanchor(S, shift)
+            y -= shift
+            a, shift = a + shift, None
+            segments.append((i, a))
+        positions[:, i] = y
+        np.multiply(y, dt, out=P[1])
+        for j in range(2, count):
+            np.multiply(P[j - 1], y, out=P[j])
+        if i:
+            S += powers
+            mass += dt
+        if i % every == 0:
+            knot_S[k], knot_mass[k], knot_a[k] = S, mass, a
+            k += 1
+            if count > 1:
+                mean = S[1] / S[0]
+                far = np.abs(mean) > _REANCHOR_RADIUS
+                if far.any():
+                    shift = mean * far
+        if k == _CENTER_BLOCK or i == n:
+            _check_finite(positions[:, checked:i + 1], checked, origin, dt)
+            last = i - i % every   # the block's last knot; it holds k of them
+            first = last - (k - 1) * every
+            centers[:, first:last + 1:every] = (
+                _block_centers(T, knot_S[:k], knot_mass[:k]) + knot_a[:k]).T
+            lo = max(first - every, 0)   # the previous block's last knot
+            slope = (centers[:, lo + every:last + 1:every] - centers[:, lo:last:every]) / every
+            for j in range(1, every):
+                centers[:, lo + j:last:every] = slope * j + centers[:, lo:last:every]
+            centers[:, last + 1:i + 1] = centers[:, last, None]
+            k, checked = 0, i + 1
+        if i < n:
+            d = np.einsum("ij,jr,ir->r", T, S, powers) / mass
+            if vg is not None:
+                d += _horner(vg, y + a) * dt
+    # back from y to x, one anchor segment (start index, anchors) at a time
+    segments.append((n + 1, None))
+    for (start, a_seg), (stop, _) in zip(segments, segments[1:]):
+        positions[:, start:stop] += a_seg[:, None]
     return positions, centers
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from selfattract import GridDensity, InvalidInputError, gaussian_density
-from selfattract.persist import load_measure, write_grid_density, write_series_csv
+from selfattract.persist import (format_column, load_measure, write_grid_density,
+                                 write_series_csv)
 from conftest import make_rng
 
 
@@ -47,6 +48,9 @@ def test_column_writer_matches_row_writer_byte_for_byte(tmp_path):
     _row_writer(tmp_path / "rows.csv", header, zip(*cols))
     write_series_csv(tmp_path / "cols.csv", header, cols)
     assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    # columns formatted beforehand, as files sharing a column pass it
+    write_series_csv(tmp_path / "cells.csv", header, [format_column(c) for c in cols])
+    assert (tmp_path / "cells.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 @pytest.mark.parametrize("cols", [[], [np.array([])], [np.array([-0.0]), np.array([7])]])

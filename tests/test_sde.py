@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import tracemalloc
@@ -15,7 +16,7 @@ from selfattract import (InvalidInputError, NumericFailureError, ParticleMeasure
 from selfattract import sde
 from selfattract.powersums import anchor, convolution_matrix, power_sums
 from conftest import make_rng
-from oracles import full_history_path, history_drift
+from oracles import full_history_path, history_drift, loop_moment_columns
 
 
 def checked_blocks(monkeypatch) -> list:
@@ -366,6 +367,95 @@ class TestEnsemble:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+class TestColumnStepper:
+    # the stepper against the loop it replaced, on one set of increments:
+    # (W, V, x0, warm start, replicas, steps); 3 * 640 + 11 steps leave the
+    # last center block partial
+    CASES = {
+        "zero-W": (zero_interaction(), external_polynomial([0.3]), 0.0, None, 3, 1931),
+        "quadratic+V": (quadratic_symmetric(1.0), external_polynomial([0.3]), 0.5, None,
+                        3, 700),
+        "quartic": (even_polynomial([0.5, 0.1]), None, 0.0, None, 4, 3 * 640 + 11),
+        "quartic+V": (even_polynomial([0.5, 0.1]), external_polynomial([0.3]), 1.0, None,
+                      4, 3 * 640 + 11),
+        "degree-6": (even_polynomial([0.5, 0.1, 0.01]), None, 0.0, None, 3, 3 * 640 + 11),
+        "re-anchor": (even_polynomial([0.5, 0.1]), None, 3.0, dirac(0.0), 3, 1500),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_stepper_matches_the_loop_reference_bit_for_bit(self, case, monkeypatch):
+        w, v, x0, warm, R, n = self.CASES[case]
+        cfg = SimConfig(dt=0.01, t_end=1.0 + 0.01 * n, t_start=1.0, seed=11)
+        assert cfg.n_steps == n
+        pre = sde._prehistory(x0, cfg.t_start, warm)
+        T = convolution_matrix(w, 1)
+        increments = np.zeros((R, n + 1))
+        for r in range(R):
+            sde._increments(cfg, n, r, out=increments[r, 1:])
+        shifts = []
+        reanchor = sde.reanchor
+
+        def record(S, shift):
+            shifts.append(shift.copy())
+            return reanchor(S, shift)
+
+        monkeypatch.setattr(sde, "reanchor", record)
+        args = (T, v, x0, pre)
+        rest = (cfg.dt, sde._CENTER_EVERY, (range(R), 0, cfg.t_start))
+        got = sde._run_moment_columns(*args, increments.copy(), *rest)
+        want = loop_moment_columns(*args, increments.copy(), *rest)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert np.all(np.isfinite(got[1]))
+        assert T.shape[0] == {"zero-W": 1, "quadratic+V": 2, "degree-6": 6}.get(case, 4)
+        if case == "re-anchor":
+            assert shifts and np.count_nonzero(shifts[0]) == R
+
+    def test_drawn_row_is_the_allocated_draw(self):
+        rows = np.zeros((2, 1001))
+        row = rows[1, 1:]
+        assert rng.normal_increments(7, 1000, 3, out=row) is row
+        assert np.all(rows[0] == 0.0) and rows[1, 0] == 0.0
+        assert np.array_equal(row, rng.normal_increments(7, 1000, 3))
+
+    def test_center_newton_failure_names_replica_step_t_and_residual(self, monkeypatch):
+        # with one Newton update per knot, the first knot whose column is
+        # still off its root fails; the message names that knot's replica
+        # id, step and t and its final |g|, each checked against |g| one
+        # update from the running mean recomputed from the finished paths
+        w = even_polynomial([0.5, 0.1])
+        cfg = SimConfig(dt=0.01, t_end=3.0, t_start=1.0, seed=2)
+        T = convolution_matrix(w, 1)
+        knots = np.arange(0, cfg.n_steps + 1, sde._CENTER_EVERY)
+        for ids, run in (([5], lambda: [simulate(w, 0.0, cfg, replica=5)]),
+                         (range(3), lambda: simulate_ensemble(w, 0.0, cfg, 3))):
+            residuals = np.array([[one_update_residual(T, ps) for ps in
+                                   rec.power_sums_at(rec.times[knots], T.shape[0])]
+                                  for rec in run()])
+            knot = int(np.argmax((residuals > 1e-12).any(axis=0)))
+            row = int(np.argmax(residuals[:, knot] > 1e-12))
+            assert knot > 0 and residuals[:, :knot].max() <= 1e-13
+            with monkeypatch.context() as m:
+                m.setattr(sde, "_NEWTON_ITERS", 1)
+                with pytest.raises(NumericFailureError, match="center Newton") as err:
+                    run()
+            found = re.search(r"at step (\d+), t = (\S+), replica (\d+): \|g\| = (\S+) "
+                              r"after 1 iterations", str(err.value))
+            assert (int(found[1]), int(found[3])) == (knots[knot], ids[row])
+            assert float(found[2]) == cfg.t_start + cfg.dt * knots[knot]
+            assert float(found[4]) == pytest.approx(residuals[row, knot], rel=1e-6)
+
+
+def one_update_residual(T, ps):
+    """|g| of the drift polynomial T S / S0 one Newton update from the
+    running mean of the power sums ``ps``."""
+    poly = np.polynomial.polynomial
+    b = T @ ps.sums / ps.sums[0]
+    c = ps.sums[1] / ps.sums[0]
+    c -= poly.polyval(c, b) / poly.polyval(c, np.arange(1, b.size) * b[1:])
+    return abs(poly.polyval(c, b))
+
+
 class TestOuDomination:
     def test_violation_fraction_small(self, quad):
         cfg = SimConfig(dt=1e-3, t_end=51.0, t_start=1.0, seed=17)
@@ -471,6 +561,39 @@ class TestPicardBootstrap:
         cfg = SimConfig(dt=1e-3, t_end=1.0, t_start=0.0, seed=3)
         with pytest.raises(InvalidInputError, match="no pre-history"):
             run(quad, cfg, dirac(3.0))
+
+    def test_failures_from_a_zero_start_name_replica_round_sup_and_ratio(self, quad,
+                                                                            monkeypatch):
+        # each bootstrap error, forced on a run from t = 0, names the replica
+        # id, the round, the last sup distance and the last contraction
+        # ratio of the same rounds an unforced bootstrap takes
+        cfg = SimConfig(dt=1e-3, t_end=1.0, t_start=0.0, seed=3)
+        rounds = []
+
+        def record(*args, **kwargs):
+            res = picard_bootstrap(*args, **kwargs)
+            rounds.append(res.sup_distances)
+            return res
+
+        monkeypatch.setattr(sde, "picard_bootstrap", record)
+        simulate(quad, 0.0, cfg, replica=4)
+        sups, = rounds
+        assert len(sups) > 3
+        forced = [(3, "did not reach tolerance 1e-10",
+                   {"picard_bootstrap": functools.partial(picard_bootstrap, max_rounds=3)}),
+                  (2, "is not contracting",
+                   {"picard_bootstrap": picard_bootstrap, "_BOOTSTRAP_MAX_RATIO": 0.0})]
+        for k, what, patches in forced:
+            with monkeypatch.context() as m:
+                for name, value in patches.items():
+                    m.setattr(sde, name, value)
+                with pytest.raises(NumericFailureError, match=what) as err:
+                    simulate(quad, 0.0, cfg, replica=4)
+            found = re.search(r"^replica (\d+): .*\(round (\d+), last sup distance (\S+), "
+                              r"contraction ratio (\S+)\)", str(err.value))
+            assert (int(found[1]), int(found[2])) == (4, k)
+            assert float(found[3]) == sups[k - 1]
+            assert float(found[4]) == sups[k - 1] / sups[k - 2]
 
     def test_interval_too_long_rejected(self, quad):
         dt, m = 1e-2, 60  # delta = 0.6 > 1/3
