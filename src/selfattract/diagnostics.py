@@ -4,12 +4,19 @@ rate fits.
 
 Every rate constant reported here is a least-squares fit with a bootstrap
 band, never an asserted equality: the underlying bounds are existential.
+
+The replicas' W2 curves are independent of each other, so the ergodicity
+check computes them one replica per forked worker process, at most one per
+CPU the process may run on, and in-process where there is one worker or no
+"fork" start method.  Each curve is the same arithmetic wherever it runs,
+so the report does not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,6 +201,37 @@ def _prefix_chunks(xs, pre_pos, pre_cum, dt, c):
         yield pos, cum
 
 
+# (target, records, checkpoint times) of the running ergodicity check; forked
+# workers inherit it, so only replica indices and curves cross processes
+_pass = None
+
+
+def _w2_curve(i: int) -> list[float]:
+    """W2 of record i's sorted prefixes to the target, one per checkpoint."""
+    target, records, ts = _pass
+    return [target.w2(chunks) for chunks in _sorted_prefixes(records[i], ts)]
+
+
+def _w2_curves(target: QuantileTarget, records: list[TrajectoryRecord],
+               ts: np.ndarray, workers: int) -> list[list[float]]:
+    """`_w2_curve` of every record, over a pool of `workers` forked
+    processes, or in-process with one worker or without "fork"."""
+    global _pass
+    _pass = (target, records, ts)
+    pool = None
+    try:
+        if workers > 1:
+            import multiprocessing
+            if "fork" in multiprocessing.get_all_start_methods():
+                pool = multiprocessing.get_context("fork").Pool(workers)
+        return list((pool.map if pool else map)(_w2_curve, range(len(records))))
+    finally:
+        _pass = None
+        if pool is not None:
+            pool.close()
+            pool.join()
+
+
 def ergodicity_check(w: PotentialSpec, records: list[TrajectoryRecord],
                      rho_inf: GridDensity, per_decade: int = 10,
                      final_w2_bound: float = 0.1, min_passing: int | None = None,
@@ -203,30 +241,36 @@ def ergodicity_check(w: PotentialSpec, records: list[TrajectoryRecord],
     checkpoints, with a fitted decay exponent for exp(-a (log t)^(1/(k+1))).
 
     The checkpoints run from max(2 t_start, t_start + 1) to the records' end,
-    which must lie beyond it."""
+    which must lie beyond it; every record must reach the last checkpoint.
+    The curves are computed one replica per forked worker, with at most one
+    worker per CPU in the affinity mask, and in-process with one worker or
+    without "fork"; each worker holds its own sort buffer and chunks, and
+    the report is the same whatever the worker count."""
     if not records:
         raise InvalidInputError("need at least one replica")
     report = DiagnosticsReport(experiment="ergodicity")
     k = w.bound_degree
     t0 = float(records[0].times[0])
-    t1 = float(records[0].times[-1])
+    t1 = max(float(rec.times[-1]) for rec in records)
     first = max(t0 * 2, t0 + 1.0)
     if t1 <= first:
         raise InvalidInputError(
             f"ergodicity checkpoints start at max(2 t_start, t_start + 1) = {first:g}; "
             f"the records end at t = {t1:g}, they must run beyond it")
     ts = _checkpoints(first, t1, per_decade)
-    target = QuantileTarget(centered(w, rho_inf) if w.convexity_constant > 0 else rho_inf)
-    curves = []
-    finals = []
     for rec in records:
-        vals = [target.w2(chunks) for chunks in _sorted_prefixes(rec, ts)]
+        if rec.times[-1] < ts[-1] - 1e-9:
+            raise InvalidInputError(
+                f"replica {rec.replica} ends at t = {float(rec.times[-1]):g}, before "
+                f"the last ergodicity checkpoint t = {float(ts[-1]):g}")
+    target = QuantileTarget(centered(w, rho_inf) if w.convexity_constant > 0 else rho_inf)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    curves = _w2_curves(target, records, ts, min(len(records), cpus))
+    for rec, vals in zip(records, curves):
         report.series.extend((f"w2_replica{rec.replica}", float(t), d)
                              for t, d in zip(ts, vals))
-        curves.append(vals)
-        finals.append(vals[-1])
     curves = np.asarray(curves)
-    finals = np.asarray(finals)
+    finals = curves[:, -1]
 
     xs = np.log(ts) ** (1.0 / (k + 1))
     mean_curve = curves.mean(axis=0)

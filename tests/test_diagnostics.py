@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -310,3 +312,86 @@ def test_ergodicity_rejects_records_ending_before_the_checkpoints(quad):
     rho = gaussian_density(0, 1, -8, 8, 512)
     with pytest.raises(InvalidInputError, match=r"max\(2 t_start, t_start \+ 1\) = 2"):
         ergodicity_check(quad, records, rho)
+
+
+@pytest.mark.parametrize("short_first", [False, True])
+def test_ergodicity_rejects_a_record_ending_before_the_last_checkpoint(quad, short_first):
+    # a record that stops early would otherwise repeat its full-path W2 at
+    # the checkpoints it never reached
+    records = simulate_ensemble(quad, 0.0, SimConfig(dt=0.01, t_end=60.0, seed=8), 2)
+    short = simulate(quad, 0.0, SimConfig(dt=0.01, t_end=20.0, seed=9), replica=5)
+    records = [short, *records] if short_first else [*records, short]
+    rho = gaussian_density(0, 1, -8, 8, 512)
+    with pytest.raises(InvalidInputError, match=r"replica 5 ends at t = 20\b"):
+        ergodicity_check(quad, records, rho, min_passing=0, n_boot=10)
+
+
+def _cpus(monkeypatch, n):
+    """Make the ergodicity check see n CPUs in its affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _pool_sizes(monkeypatch) -> list[int]:
+    """The worker counts of the fork pools made from now on."""
+    fork = multiprocessing.get_context("fork")
+    sizes, make_pool = [], fork.Pool
+    monkeypatch.setattr(fork, "Pool", lambda n: sizes.append(n) or make_pool(n))
+    return sizes
+
+
+class TestWorkerPool:
+    @pytest.fixture(scope="class")
+    def records(self):
+        quad = quadratic_symmetric(1.0)
+        gen = make_rng(41)
+        warm = ParticleMeasure(gen.standard_normal(300), gen.uniform(0.5, 1.0, 300))
+        cfg = SimConfig(dt=0.01, t_end=60.0, t_start=5.0, seed=17)
+        plain = simulate_ensemble(quad, 0.0, cfg, 2)
+        warmed = simulate(quad, 0.0, cfg, replica=2, initial_occupation=warm)
+        return [*plain, warmed]
+
+    def test_pooled_and_in_process_reports_are_identical(self, quad, records,
+                                                         monkeypatch):
+        # chunks of 97 atoms: the warm record's 300 pre-history atoms fall
+        # across chunk boundaries in every worker
+        monkeypatch.setattr(diagnostics, "_PREFIX_CHUNK", 97)
+        pools = _pool_sizes(monkeypatch)
+        rho = gaussian_density(0, 1, -8, 8, 512)
+        reports = []
+        for cpus in (2, 1):
+            _cpus(monkeypatch, cpus)
+            reports.append(ergodicity_check(quad, records, rho, min_passing=0, n_boot=20))
+        assert pools == [2]
+        pooled, in_process = reports
+        assert pooled.to_jsonl() == in_process.to_jsonl()   # repr of every float
+        assert multiprocessing.active_children() == []
+
+    def test_worker_count_is_capped_by_the_records_and_needs_fork(self, quad, records,
+                                                                  monkeypatch):
+        pools = _pool_sizes(monkeypatch)
+        _cpus(monkeypatch, 8)
+        rho = gaussian_density(0, 1, -8, 8, 512)
+        ergodicity_check(quad, records[:2], rho, min_passing=0, n_boot=10)
+        ergodicity_check(quad, records[:1], rho, min_passing=0, n_boot=10)
+        assert pools == [2]
+        # without a "fork" start method the curves are computed in-process
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        ergodicity_check(quad, records, rho, min_passing=0, n_boot=10)
+        assert pools == [2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("error", [NumericFailureError, InvalidInputError])
+    def test_worker_errors_reach_the_caller(self, quad, records, monkeypatch, cpus,
+                                            error):
+        def fail(self, chunks):
+            raise error("W2 pass failed: quantile pieces out of order")
+
+        monkeypatch.setattr(diagnostics.QuantileTarget, "w2", fail)
+        _cpus(monkeypatch, cpus)
+        rho = gaussian_density(0, 1, -8, 8, 512)
+        with pytest.raises(error) as caught:
+            ergodicity_check(quad, records, rho, min_passing=0, n_boot=10)
+        assert type(caught.value) is error
+        assert str(caught.value) == "W2 pass failed: quantile pieces out of order"
+        assert multiprocessing.active_children() == []
+        assert diagnostics._pass is None
