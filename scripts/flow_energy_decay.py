@@ -22,12 +22,11 @@ def main():
 
     w = quadratic_symmetric(args.strength)
     init = smooth(dirac(0.0), 0.5, lo=-8.0, hi=8.0, cells=1024)
-    states = run_flow(w, init, Schedule(n_start=1, n_end=args.n_end))
-    rep = envelope_compare(states, RateParams(c7=args.c7, k=w.bound_degree))
+    run = run_flow(w, init, Schedule(n_start=1, n_end=args.n_end))
+    rep = envelope_compare(run.time, run.relative, RateParams(c7=args.c7, k=w.bound_degree))
 
     write_series_csv(args.out, ["n", "t", "relative_energy", "envelope"],
-                     [[st.n for st in states], rep["times"], rep["energy_trace"],
-                      rep["envelope_trace"]])
+                     [run.n, rep["times"], rep["energy_trace"], rep["envelope_trace"]])
     print(f"wrote {args.out}")
     print(f"decay exponent fit: {rep['decay_exponent']:.4f}")
     print(f"envelope satisfied at {rep['fraction_satisfied']:.1%} of steps")

@@ -73,25 +73,22 @@ def _cmd_simulate(cfg: ExperimentConfig, do_assert: bool) -> int:
 
 
 def _cmd_flow(cfg: ExperimentConfig, do_assert: bool) -> int:
+    """The flow's scalars per state and its last density.  A given
+    [fixpoint] section sets the reference fixed point's solve; without it
+    `run_flow`'s defaults stand."""
     out = _out_dir(cfg)
     init = _initial_density(cfg)
-    states = run_flow(cfg.potential, init, cfg.schedule, v=cfg.external)
-    steps = [st.n for st in states]
-    energies = [st.free_energy for st in states]
-    totals = [e.total for e in energies]
-    relatives = [e.relative for e in energies]
+    fix = cfg.fixpoint_args() if "fixpoint" in cfg.raw else {}
+    run = run_flow(cfg.potential, init, cfg.schedule, v=cfg.external, **fix)
     write_series_csv(out / "flow.csv", ["n", "t", "free_energy", "relative",
                                         "center", "step_tp"],
-                     [steps, [st.time for st in states], totals, relatives,
-                      [st.center for st in states], [st.step_distance for st in states]])
+                     [run.n, run.time, run.total, run.relative, run.center, run.step_tp])
     write_series_csv(out / "energy_trace.csv",
                      ["step", "entropy", "interaction", "total", "relative"],
-                     [steps, [e.entropy for e in energies],
-                      [e.interaction_term for e in energies], totals, relatives])
-    write_grid_density(out / "final_density.csv", states[-1].density)
+                     [run.n, run.entropy, run.interaction, run.total, run.relative])
+    write_grid_density(out / "final_density.csv", run.final.density)
     write_manifest(out / "manifest.json", "flow", cfg.resolved(), cfg.sim.seed)
-    rel = np.array(relatives)
-    monotone = bool(np.all(np.diff(rel) <= 1e-8))
+    monotone = bool(np.all(np.diff(run.relative) <= 1e-8))
     if do_assert and not monotone:
         print("FAIL: relative free energy increased along the flow", file=sys.stderr)
         return 1
@@ -101,9 +98,8 @@ def _cmd_flow(cfg: ExperimentConfig, do_assert: bool) -> int:
 def _cmd_fixpoint(cfg: ExperimentConfig, do_assert: bool) -> int:
     out = _out_dir(cfg)
     init = _initial_density(cfg)
-    result = solve_fixed_point(cfg.potential, init, v=cfg.external,
-                               damping=cfg.damping, tol=cfg.fixpoint_tol,
-                               max_iter=cfg.fixpoint_max_iter, track_energy=True)
+    result = solve_fixed_point(cfg.potential, init, v=cfg.external, track_energy=True,
+                               **cfg.fixpoint_args())
     write_grid_density(out / "density.csv", result.density)
     write_series_csv(out / "convergence.csv", ["iteration", "residual", "free_energy"],
                      [np.arange(1, len(result.residuals) + 1), result.residuals,
@@ -136,8 +132,7 @@ def _cmd_diagnose(cfg: ExperimentConfig, do_assert: bool) -> int:
     records = simulate_ensemble(cfg.potential, cfg.init_position, cfg.sim,
                                 cfg.replicas, v=cfg.external)
     rho = solve_fixed_point(cfg.potential, _initial_density(cfg), v=cfg.external,
-                            damping=cfg.damping, tol=cfg.fixpoint_tol,
-                            max_iter=cfg.fixpoint_max_iter).density
+                            **cfg.fixpoint_args()).density
     reports = [ergodicity_check(cfg.potential, records, rho)]
     horizon = cfg.schedule.time(cfg.schedule.n_end)
     if horizon <= cfg.sim.t_end + 1e-9 and cfg.schedule.time(cfg.schedule.n_start) >= cfg.sim.t_start:

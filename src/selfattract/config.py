@@ -54,6 +54,11 @@ class ExperimentConfig:
     fixpoint_max_iter: int = 500
     raw: dict = field(default_factory=dict)
 
+    def fixpoint_args(self) -> dict:
+        """The [fixpoint] keywords of `solve_fixed_point`."""
+        return {"damping": self.damping, "tol": self.fixpoint_tol,
+                "max_iter": self.fixpoint_max_iter}
+
     def resolved(self) -> dict:
         """Plain dict for hashing and manifests.  It leaves out the output
         directory, which names where a run writes, not what it computes."""

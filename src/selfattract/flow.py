@@ -6,6 +6,10 @@ center, the free-energy breakdown and the translation distance moved.
 Each density is read once (`measures.density_sums`, a few floats kept on
 its state) for its center, its free energy and the next step's Gibbs
 image.
+
+The flow holds one density: `run_flow` keeps its current state, appends
+that state's scalars to columns and drops the state at the next step, so
+its memory is the grid's, whatever the step count (`FlowRun`).
 """
 
 from __future__ import annotations
@@ -98,8 +102,8 @@ def euler_step(w: PotentialSpec, state: FlowState, next_time: float,
     if rho is not state.density or sums is None or sums.potential != w:
         sums = density_sums(w, rho)
     image = gibbs_map(w, sums, v=v, grid=rho)
-    mixed = GridDensity(rho.lo, rho.hi, (1.0 - lam) * rho.values + lam * image.values)
-    mixed = mixed.normalized()
+    mixed = GridDensity.proportional_to(
+        rho.lo, rho.hi, (1.0 - lam) * rho.values + lam * image.values)
     sums = density_sums(w, mixed)
     c = center(w, sums) if w.convexity_constant > 0 else mixed.mean()
     step = tp_distance_1d(w, state.density, mixed)
@@ -108,32 +112,69 @@ def euler_step(w: PotentialSpec, state: FlowState, next_time: float,
                      center=float(c), free_energy=e, step_distance=step, sums=sums)
 
 
+@dataclass(frozen=True)
+class FlowRun:
+    """What a flow keeps: one column per scalar of its states, n_start to
+    n_end, and its last state, whose density is the only one it holds.  Its
+    length is the number of states."""
+
+    n: np.ndarray
+    time: np.ndarray
+    center: np.ndarray
+    step_tp: np.ndarray
+    entropy: np.ndarray
+    interaction: np.ndarray
+    total: np.ndarray
+    relative: np.ndarray
+    final: FlowState
+
+    def __len__(self) -> int:
+        return self.n.size
+
+
+def _scalars(st: FlowState) -> tuple:
+    """A state's row of the `FlowRun` columns, in their order."""
+    e = st.free_energy
+    return (st.n, st.time, st.center, st.step_distance, e.entropy,
+            e.interaction_term, e.total, e.relative)
+
+
 def run_flow(w: PotentialSpec, init: GridDensity, s: Schedule,
              v: PotentialSpec | None = None,
-             rho_inf: GridDensity | None = None) -> list[FlowState]:
-    """All states from n_start to n_end, with energies relative to the fixed
-    point (solved on the same grid when not supplied)."""
+             rho_inf: GridDensity | None = None, damping: float = 0.5,
+             tol: float = 1e-11, max_iter: int = 500) -> FlowRun:
+    """The flow from n_start to n_end, with energies relative to the fixed
+    point.  When not supplied, the fixed point is solved on the same grid by
+    `solve_fixed_point` with ``damping``, ``tol`` and ``max_iter``.
+
+    Each step replaces the one state held and appends its scalars to the
+    columns, so no density outlives the step after it."""
     if rho_inf is None:
-        rho_inf = solve_fixed_point(w, init, v=v, damping=0.5, tol=1e-11).density
+        rho_inf = solve_fixed_point(w, init, v=v, damping=damping, tol=tol,
+                                    max_iter=max_iter).density
     ref = free_energy(w, rho_inf, v=v).total
-    states = [initial_state(w, init, s, v=v, reference_total=ref)]
+    state = initial_state(w, init, s, v=v, reference_total=ref)
+    rows = [_scalars(state)]
     for n in s.indices():
-        states.append(euler_step(w, states[-1], s.time(n + 1), v=v,
-                                 reference_total=ref))
-    return states
+        state = euler_step(w, state, s.time(n + 1), v=v, reference_total=ref)
+        rows.append(_scalars(state))
+    return FlowRun(*map(np.array, zip(*rows)), final=state)
 
 
-def envelope_compare(states: list[FlowState], params: RateParams,
-                     tol: float = 1e-9) -> dict:
-    """Overlay the rate envelope on the recorded relative-energy trace.
+def envelope_compare(times, relative, params: RateParams, tol: float = 1e-9) -> dict:
+    """Overlay the rate envelope on a relative-energy trace: the relative
+    free energies ``relative`` at the schedule times ``times``, as a
+    `FlowRun` holds them.
 
     Reports the fraction of steps with F <= y and a least-squares decay
     exponent of F against exp(-a (log t)^(1/(k+1))).
     """
-    times = np.array([st.time for st in states])
-    f_rel = np.array([st.free_energy.relative for st in states], dtype=float)
+    times = np.asarray(times, dtype=float)
+    f_rel = np.asarray(relative, dtype=float)
+    if times.shape != f_rel.shape:
+        raise InvalidInputError("times and relative energies differ in length")
     if np.any(np.isnan(f_rel)):
-        raise InvalidInputError("states must carry relative free energies")
+        raise InvalidInputError("relative free energies must be numbers")
     y0 = max(float(f_rel[0]), 1.0)
     ts, ys = energy_envelope(params, y0, float(times[0]), float(times[-1]))
     y_at = np.interp(np.log(times), np.log(ts), ys)
@@ -146,7 +187,7 @@ def envelope_compare(states: list[FlowState], params: RateParams,
         a_fit = -float(slope)
     return {
         "fraction_satisfied": float(satisfied.mean()),
-        "n_steps": len(states),
+        "n_steps": times.size,
         "decay_exponent": a_fit,
         "envelope_start": y0,
         "times": times,

@@ -103,7 +103,7 @@ def _box_follows(g: GridDensity, c: float) -> GridDensity:
         vals[:-k] = g.values[k:]
     else:
         vals[-k:] = g.values[:k]
-    return GridDensity(g.lo + k * h, g.hi + k * h, vals).normalized()
+    return GridDensity.proportional_to(g.lo + k * h, g.hi + k * h, vals)
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,8 @@ def solve_fixed_point(w: PotentialSpec, init: GridDensity,
             if moved is not rho:
                 rho, sums = moved, density_sums(w, moved)
         image = gibbs_map(w, sums, v=v, grid=rho)
-        mixed = GridDensity(rho.lo, rho.hi,
-                            (1.0 - damping) * rho.values + damping * image.values)
-        mixed = mixed.normalized()
+        mixed = GridDensity.proportional_to(
+            rho.lo, rho.hi, (1.0 - damping) * rho.values + damping * image.values)
         res = tp_distance_1d(w, rho, mixed)
         residuals.append(res)
         rho, sums = mixed, density_sums(w, mixed)

@@ -111,11 +111,19 @@ class GridDensity:
     def mass(self) -> float:
         return float(self.values.sum() * self.spacing)
 
-    def normalized(self) -> "GridDensity":
-        m = self.mass
+    @classmethod
+    def proportional_to(cls, lo: float, hi: float, values: np.ndarray) -> "GridDensity":
+        """The density on [lo, hi] proportional to ``values``: the values
+        divided by their midpoint-rule mass, checked once, as the density
+        they make.  A mixture of densities is built this way, never as an
+        unnormalized density first."""
+        m = float(values.sum() * ((hi - lo) / values.size))
         if not math.isfinite(m) or m <= 0:
             raise NumericFailureError("cannot normalize grid with non-finite or zero mass")
-        return GridDensity(self.lo, self.hi, self.values / m)
+        return cls(lo, hi, values / m)
+
+    def normalized(self) -> "GridDensity":
+        return GridDensity.proportional_to(self.lo, self.hi, self.values)
 
     def require_probability(self):
         if abs(self.mass - 1.0) > _MASS_TOL:

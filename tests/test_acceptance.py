@@ -70,19 +70,18 @@ def test_criterion_3_energy_identity_and_mixing_bound():
 
 
 @pytest.fixture(scope="module")
-def flow_states():
+def flow_run():
     init = smooth(dirac(0.0), 0.5, lo=-8.0, hi=8.0, cells=1024)
     start = time.perf_counter()
-    states = run_flow(QUAD, init, Schedule(n_start=1, n_end=400))
+    run = run_flow(QUAD, init, Schedule(n_start=1, n_end=400))
     elapsed = time.perf_counter() - start
-    return states, elapsed
+    return run, elapsed
 
 
-def test_criterion_4_monotone_flow(flow_states):
-    states, elapsed = flow_states
-    rel = np.array([st.free_energy.relative for st in states])
-    monotone = bool(np.all(np.diff(rel) <= 1e-8))
-    final = states[-1]
+def test_criterion_4_monotone_flow(flow_run):
+    run, elapsed = flow_run
+    monotone = bool(np.all(np.diff(run.relative) <= 1e-8))
+    final = run.final
     centered = recenter(final.density, final.center)
     target = gaussian_density(0.0, 1.0, float(centered.lo),
                               float(centered.hi), 1024)
@@ -207,9 +206,9 @@ def test_criterion_10_counterexample_center_drift():
            f"mean center-vs-log-t slope {mean_slope:.3f} (in [0.9, 1.1])")
 
 
-def test_criterion_11_rate_shape_fit(flow_states):
-    states, _ = flow_states
-    rep = envelope_compare(states, RateParams(c7=1.0, k=QUAD.bound_degree))
+def test_criterion_11_rate_shape_fit(flow_run):
+    run, _ = flow_run
+    rep = envelope_compare(run.time, run.relative, RateParams(c7=1.0, k=QUAD.bound_degree))
     a_fit = rep["decay_exponent"]
     # bootstrap the fitted exponent over step resamples
     times = rep["times"]
@@ -227,7 +226,8 @@ def test_criterion_11_rate_shape_fit(flow_states):
     c7_fit = None
     fraction = 0.0
     for c7 in np.geomspace(1e-3, 4.0, 24):
-        cand = envelope_compare(states, RateParams(c7=float(c7), k=QUAD.bound_degree))
+        cand = envelope_compare(run.time, run.relative,
+                                RateParams(c7=float(c7), k=QUAD.bound_degree))
         if cand["fraction_satisfied"] >= 0.95:
             c7_fit = float(c7)
             fraction = cand["fraction_satisfied"]

@@ -348,6 +348,15 @@ class TestCommands:
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "diagnose"]) == 3
         assert "fixed point not reached in 1 iterations" in capsys.readouterr().err
 
+    def test_flow_reads_fixpoint_section(self, tmp_path, capsys):
+        # a given [fixpoint] sets the flow's reference fixed point, as it
+        # sets the fixpoint command's: both stop after 5 iterations
+        text = self.SHIPPED_FLOW.read_text() + "[fixpoint]\nmax_iter = 5\ntol = 1e-3\n"
+        cfg = write(tmp_path / "f5.cfg", text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "p"), "fixpoint"]) == 3
+        assert main(["--config", cfg, "--out", str(tmp_path / "f"), "flow"]) == 3
+        assert "fixed point not reached in 5 iterations" in capsys.readouterr().err
+
     def test_diagnose_runs(self, tmp_path):
         cfg = write(tmp_path / "d.cfg",
                     "[sim]\ndt = 0.01\nt_end = 130.0\nseed = 4\n"

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from selfattract import (InvalidInputError, RateParams, Schedule, dirac,
-                         envelope_compare, euler_step, even_polynomial,
+                         envelope_compare, euler_step,
                          external_polynomial,
                          gaussian_density, quadratic_symmetric, run_flow,
                          smooth, solve_fixed_point, tp_distance_1d,
                          uniform_density)
-from selfattract import transport
+from selfattract import cli, transport
 from selfattract.flow import initial_state
 from selfattract.powersums import convolution_matrix
 from selfattract.energy import free_energy
@@ -40,6 +40,16 @@ class TestSchedule:
     def test_rejects_bad_range(self):
         with pytest.raises(InvalidInputError):
             Schedule(n_end=1)
+
+
+def _walk(w, init, s, reference_total=0.0):
+    """Every state of the flow in turn, as `run_flow` steps them, for the
+    tests that read each state's density."""
+    state = initial_state(w, init, s, reference_total=reference_total)
+    yield state
+    for n in s.indices():
+        state = euler_step(w, state, s.time(n + 1), reference_total=reference_total)
+        yield state
 
 
 @pytest.fixture(scope="module")
@@ -91,21 +101,18 @@ class TestEulerStep:
 
     def test_energy_decreases_from_smoothed_atom(self, quad):
         init = smooth(dirac(0.0), 0.5, lo=-8, hi=8, cells=1024)
-        states = run_flow(quad, init, Schedule(n_end=40))
-        rel = np.array([st.free_energy.relative for st in states])
-        assert np.all(np.diff(rel) <= 1e-8)
+        run = run_flow(quad, init, Schedule(n_end=40))
+        assert np.all(np.diff(run.relative) <= 1e-8)
 
 
 class TestRunFlow:
     def test_start_at_fixed_point_stays_there(self, quad, rho_quad):
-        states = run_flow(quad, rho_quad, Schedule(n_end=12), rho_inf=rho_quad)
-        for st in states:
+        for st in _walk(quad, rho_quad, Schedule(n_end=12)):
             assert tp_distance_1d(quad, st.density, rho_quad) <= 1e-7
 
     def test_smoothed_atom_approaches_gaussian(self, quad, rho_quad):
         init = smooth(dirac(0.0), 0.5, lo=-8, hi=8, cells=1024)
-        states = run_flow(quad, init, Schedule(n_end=120), rho_inf=rho_quad)
-        final = states[-1]
+        final = run_flow(quad, init, Schedule(n_end=120), rho_inf=rho_quad).final
         from selfattract import recenter
 
         centered = recenter(final.density, final.center)
@@ -115,8 +122,8 @@ class TestRunFlow:
 
     def test_center_increments_flatten(self, quad):
         init = smooth(dirac(0.4), 0.5, lo=-8, hi=8, cells=1024)
-        states = run_flow(quad, init, Schedule(n_end=80))
-        inc = np.abs(np.diff([st.center for st in states]))
+        run = run_flow(quad, init, Schedule(n_end=80))
+        inc = np.abs(np.diff(run.center))
         first_half = inc[: inc.size // 2].sum()
         second_half = inc[inc.size // 2:].sum()
         assert second_half <= 0.2 * first_half + 1e-12
@@ -125,64 +132,84 @@ class TestRunFlow:
         # without V nothing pulls the measure anywhere: the box follows it,
         # and it stays at 3
         init = smooth(dirac(3.0), 0.5, lo=-8, hi=8, cells=1024)
-        states = run_flow(quad, init, Schedule(n_end=60))
-        assert np.abs(np.array([st.center for st in states]) - 3.0).max() <= 1e-9
-        assert states[-1].density.lo > -8.0
+        run = run_flow(quad, init, Schedule(n_end=60))
+        assert np.abs(run.center - 3.0).max() <= 1e-9
+        assert run.final.density.lo > -8.0
 
     def test_energy_decreases_from_off_center_start_with_v(self, quad):
         v = external_polynomial([0.5])   # V = x^2 / 2 pulls the measure to 0
         init = smooth(dirac(3.0), 0.5, lo=-8, hi=8, cells=1024)
-        states = run_flow(quad, init, Schedule(n_end=40), v=v)
-        rel = np.array([st.free_energy.relative for st in states])
-        assert np.all(np.diff(rel) <= 1e-8)
-        assert states[-1].center < 1.0
+        run = run_flow(quad, init, Schedule(n_end=40), v=v)
+        assert np.all(np.diff(run.relative) <= 1e-8)
+        assert run.final.center < 1.0
 
-    @pytest.mark.parametrize("n_end", [51, 101])
-    def test_memory_is_its_states_values_and_a_constant(self, n_end):
-        # a state keeps its density's values and a few floats, never a view
-        # of the density: the peak is the states' value arrays plus the
-        # fixed point, the step's temporaries and the caches, none of which
-        # grows with the step count
+    def test_columns_are_the_states_scalars(self, quad):
+        # one row per state, its length the number of states: the columns
+        # hold, bit for bit, what each state of the walk holds, and the
+        # final state is the walk's last
+        init = smooth(dirac(3.0), 0.5, lo=-8, hi=8, cells=512)
+        s = Schedule(n_start=3, n_end=30)
+        run = run_flow(quad, init, s, rho_inf=init)
+        ref = free_energy(quad, init).total
+        states = list(_walk(quad, init, s, reference_total=ref))
+        assert len(run) == len(states) == s.n_end - s.n_start + 1
+        assert run.n.tolist() == [st.n for st in states]
+        assert run.time.tolist() == [st.time for st in states]
+        assert run.center.tolist() == [st.center for st in states]
+        assert run.step_tp.tolist() == [st.step_distance for st in states]
+        assert run.entropy.tolist() == [st.free_energy.entropy for st in states]
+        assert run.interaction.tolist() == [st.free_energy.interaction_term for st in states]
+        assert run.total.tolist() == [st.free_energy.total for st in states]
+        assert run.relative.tolist() == [st.free_energy.relative for st in states]
+        assert run.final.n == s.n_end
+        assert np.array_equal(run.final.density.values, states[-1].density.values)
+
+    @pytest.mark.parametrize("n_end", [50, 400])
+    def test_flow_memory_does_not_grow_with_the_step_count(self, tmp_path, n_end):
+        # the flow holds one density: the peak of the whole command is the
+        # fixed point, one state, the step's temporaries, the caches and the
+        # writing of the final density, none of which grows with the steps
         cells = 4096
-        w = even_polynomial([0.5, 0.1])
-        init = smooth(dirac(0.0), 0.5, lo=-8, hi=8, cells=cells)
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("[potential]\nkind = even-polynomial\ncoefficients = 0.5 0.1\n"
+                       f"[schedule]\nn_end = {n_end}\n[grid]\ncells = {cells}\n"
+                       "[init]\nkind = atom\n")
         convolution_matrix.cache_clear()
         transport._lattice_primitives.cache_clear()
         tracemalloc.start()
         try:
-            states = run_flow(w, init, Schedule(n_end=n_end))
+            rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "flow"])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(states) == n_end
-        values = sum(st.density.values.nbytes for st in states)
-        assert peak <= 1.1 * values + 32 * 8 * cells
+        assert rc == 0
+        assert (tmp_path / "out" / "flow.csv").read_text().count("\n") == n_end + 1
+        assert peak <= 96 * 8 * cells
 
     def test_tail_certificates_stay_bounded(self, quad):
         init = smooth(dirac(0.0), 0.5, lo=-8, hi=8, cells=1024)
-        states = run_flow(quad, init, Schedule(n_end=50))
         # fitted tail constants along the run stay within a bounded multiple
         # of the initial one
         track = np.array([tail_certificate(quad, st.density, quad.convexity_constant)
-                          for st in states])
+                          for st in _walk(quad, init, Schedule(n_end=50))])
         assert np.all(np.isfinite(track))
         assert track.max() <= 2.0 * track[0]
 
 
 class TestEnvelopeCompare:
     def test_flat_zero_trace_fully_satisfied(self, quad, rho_quad):
-        states = run_flow(quad, rho_quad, Schedule(n_end=10), rho_inf=rho_quad)
-        report = envelope_compare(states, RateParams())
+        run = run_flow(quad, rho_quad, Schedule(n_end=10), rho_inf=rho_quad)
+        report = envelope_compare(run.time, run.relative, RateParams())
         assert report["fraction_satisfied"] == 1.0
 
     def test_huge_rate_constant_dominates(self, quad):
         init = smooth(dirac(0.0), 0.5, lo=-8, hi=8, cells=1024)
-        states = run_flow(quad, init, Schedule(n_end=40))
-        report = envelope_compare(states, RateParams(c7=1e-6))
+        run = run_flow(quad, init, Schedule(n_end=40))
+        report = envelope_compare(run.time, run.relative, RateParams(c7=1e-6))
         assert report["fraction_satisfied"] == 1.0
 
     def test_decay_exponent_positive_on_contracting_run(self, quad):
         init = smooth(dirac(0.0), 0.5, lo=-8, hi=8, cells=1024)
-        states = run_flow(quad, init, Schedule(n_end=60))
-        report = envelope_compare(states, RateParams())
+        run = run_flow(quad, init, Schedule(n_end=60))
+        report = envelope_compare(run.time, run.relative, RateParams())
         assert report["decay_exponent"] > 0
