@@ -11,8 +11,9 @@ from .energy import (EnergyBreakdown, RateParams, energy_envelope, entropy,
                      free_energy, frozen_energy_difference, mixing_inequality,
                      rate_function, relative_free_energy)
 from .errors import InvalidInputError, NumericFailureError, UnsupportedInputError
-from .flow import FlowRun, FlowState, Schedule, envelope_compare, euler_step, run_flow
-from .gibbs import gibbs_map, solve_fixed_point
+from .flow import (FlowRun, FlowState, Schedule, envelope_compare, euler_step, run_flow,
+                   solve_fixed_point)
+from .gibbs import gibbs_map
 from .measures import (GridDensity, ParticleMeasure, center, convolve_potential, dirac,
                        gaussian_density, p_norm, recenter, smooth, uniform_density)
 from .potentials import (CertificateReport, DominatingPolynomial, PotentialSpec,

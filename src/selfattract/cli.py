@@ -18,8 +18,7 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .diagnostics import center_convergence, ergodicity_check, one_step_error
 from .errors import InvalidInputError, NumericFailureError
-from .flow import run_flow
-from .gibbs import solve_fixed_point
+from .flow import run_flow, solve_fixed_point
 from .measures import (GridDensity, centered, dirac, gaussian_density, smooth,
                        uniform_density)
 from .persist import (format_column, load_measure, write_grid_density, write_manifest,
@@ -97,8 +96,7 @@ def _cmd_flow(cfg: ExperimentConfig, do_assert: bool) -> int:
 
 def _cmd_fixpoint(cfg: ExperimentConfig, do_assert: bool) -> int:
     out = _out_dir(cfg)
-    init = _initial_density(cfg)
-    result = solve_fixed_point(cfg.potential, init, v=cfg.external, track_energy=True,
+    result = solve_fixed_point(cfg.potential, _initial_density(cfg), v=cfg.external,
                                **cfg.fixpoint_args())
     write_grid_density(out / "density.csv", result.density)
     write_series_csv(out / "convergence.csv", ["iteration", "residual", "free_energy"],

@@ -1,26 +1,37 @@
-"""Euler-discretized measure flow on the polynomial time schedule.
+"""The damped mixing step, the measure flow it makes and the fixed point.
 
-One step mixes the current density with its Gibbs image, weighted by the
-relative length of the next schedule interval; every state records the
-center, the free-energy breakdown and the translation distance moved.
-Each density is read once (`measures.density_sums`, a few floats kept on
-its state) for its center, its free energy and the next step's Gibbs
-image.
+One step, `mix_step`, maps rho to (1 - lam) rho + lam Pi(rho), Pi the Gibbs
+map: the box first follows the center, then the Gibbs image and the
+normalized mixture are built, and the mixture is read once
+(`measures.density_sums`, a few floats kept on its state) for its center,
+its free energy and the next step's Gibbs image; the translation distance
+from the density it mixed is the step's distance.  Its two callers differ
+only in lam and in how far the center may stray from the box middle before
+the box moves (the slack):
+
+- `euler_step`, the Euler-discretized flow on the polynomial time
+  schedule: lam = dT / T_next and a slack of 10% of the half-width;
+- `solve_fixed_point`: lam = ``damping`` and a slack of 0 when W has a
+  center, so the box follows every iterate, and an infinite one otherwise,
+  so the box stays where it starts.
 
 The flow holds one density: `run_flow` keeps its current state, appends
 that state's scalars to columns and drops the state at the next step, so
-its memory is the grid's, whatever the step count (`FlowRun`).
+its memory is the grid's, whatever the step count (`FlowRun`).  The fixed
+point likewise keeps only its current iterate.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .energy import EnergyBreakdown, RateParams, energy_envelope, free_energy
-from .errors import InvalidInputError
-from .gibbs import _box_follows, gibbs_map, solve_fixed_point
+from .errors import InvalidInputError, NumericFailureError
+from .gibbs import gibbs_map
 from .measures import DensitySums, GridDensity, center, density_sums
 from .potentials import PotentialSpec
 from .transport import tp_distance_1d
@@ -60,56 +71,125 @@ class FlowState:
     sums: DensitySums | None = field(default=None, repr=False, compare=False)
 
 
-def _recenter_policy(w: PotentialSpec, g: GridDensity, c: float) -> GridDensity:
-    """The box follows the measure: once the center c strays past 10% of the
-    half-width from the box middle, the box moves by whole cells to put its
-    middle at c, and the measure stays where it is."""
-    mid = 0.5 * (g.lo + g.hi)
-    half = 0.5 * (g.hi - g.lo)
-    return _box_follows(g, c) if abs(c - mid) > 0.1 * half else g
+@contextmanager
+def _failing_at(place: str):
+    """A `NumericFailureError` raised inside names ``place`` before its text."""
+    try:
+        yield
+    except NumericFailureError as exc:
+        raise NumericFailureError(f"{place}: {exc}") from exc
+
+
+def _box_follows(g: GridDensity, c: float) -> GridDensity:
+    """The grid with its box moved by the whole number of cells nearest
+    to c minus the box middle, and the measure left in place: the values move
+    the same number of slots the other way, zero-filled, and are renormalized
+    for the tail that leaves the box.  Whole cells keep the old and the new
+    grid on one lattice."""
+    h = g.spacing
+    k = round((c - 0.5 * (g.lo + g.hi)) / h)
+    if k == 0:
+        return g
+    vals = np.zeros_like(g.values)
+    if k > 0:
+        vals[:-k] = g.values[k:]
+    else:
+        vals[-k:] = g.values[:k]
+    return GridDensity.proportional_to(g.lo + k * h, g.hi + k * h, vals)
+
+
+def _state(w: PotentialSpec, density: GridDensity, n: int, time: float, step: float,
+           v: PotentialSpec | None, reference_total: float | None) -> FlowState:
+    """The state of a density, read once (`density_sums`) for its center
+    (its mean when W has none) and its free energy."""
+    sums = density_sums(w, density)
+    c = center(w, sums) if w.convexity_constant > 0 else density.mean()
+    e = free_energy(w, density, v=v, relative_to=reference_total, sums=sums)
+    return FlowState(n=n, time=time, density=density, center=float(c), free_energy=e,
+                     step_distance=step, sums=sums)
 
 
 def initial_state(w: PotentialSpec, init: GridDensity, s: Schedule,
                   v: PotentialSpec | None = None,
                   reference_total: float | None = None) -> FlowState:
     init.require_probability()
-    sums = density_sums(w, init)
-    c = center(w, sums) if w.convexity_constant > 0 else init.mean()
-    e = free_energy(w, init, v=v, relative_to=reference_total, sums=sums)
-    return FlowState(n=s.n_start, time=s.time(s.n_start), density=init,
-                     center=float(c), free_energy=e, step_distance=0.0, sums=sums)
+    return _state(w, init, s.n_start, s.time(s.n_start), 0.0, v, reference_total)
 
 
-def euler_step(w: PotentialSpec, state: FlowState, next_time: float,
-               v: PotentialSpec | None = None,
-               reference_total: float | None = None) -> FlowState:
-    """One mixing step: rho <- rho + lam (Pi(rho) - rho), lam = dT / T_next,
-    with the box first following the state's center (`_recenter_policy`).
+def mix_step(w: PotentialSpec, state: FlowState, lam: float, slack: float, time: float,
+             v: PotentialSpec | None = None,
+             reference_total: float | None = None) -> FlowState:
+    """The damped mixing step rho <- (1 - lam) rho + lam Pi(rho), as the
+    state n + 1 at ``time``.
 
-    Each derived quantity is computed once.  The new density is read once
-    (`density_sums`) for its center, its free energy and, through the
-    returned state, the next step's Gibbs image; the state's density is read
-    again only when its box moves or the state was read for another W.
-    The convolution matrices and tp's lattice primitives come from their
-    caches, so a step whose box stands still builds neither."""
-    if next_time <= state.time:
-        raise InvalidInputError("next_time must exceed the state time")
-    lam = (next_time - state.time) / next_time
-    if not 0.0 < lam < 1.0:
-        raise InvalidInputError(f"mixing weight {lam} outside (0, 1)")
-    rho = _recenter_policy(w, state.density, state.center)
-    sums = state.sums
+    Once the state's center strays more than ``slack`` half-widths from the
+    box middle, the box moves by whole cells to put its middle at the center
+    (`_box_follows`), and the measure stays where it is.  Each derived
+    quantity is computed once: the state's density is read again only when
+    its box moves or it was read for another W, and the mixture is read once
+    (`_state`).  The convolution matrices and tp's lattice primitives come
+    from their caches, so a step whose box stands still builds neither.  The
+    step distance is tp from the density mixed, on the box it was mixed in."""
+    rho, sums = state.density, state.sums
+    if abs(state.center - 0.5 * (rho.lo + rho.hi)) > slack * 0.5 * (rho.hi - rho.lo):
+        rho = _box_follows(rho, state.center)
     if rho is not state.density or sums is None or sums.potential != w:
         sums = density_sums(w, rho)
     image = gibbs_map(w, sums, v=v, grid=rho)
     mixed = GridDensity.proportional_to(
         rho.lo, rho.hi, (1.0 - lam) * rho.values + lam * image.values)
-    sums = density_sums(w, mixed)
-    c = center(w, sums) if w.convexity_constant > 0 else mixed.mean()
-    step = tp_distance_1d(w, state.density, mixed)
-    e = free_energy(w, mixed, v=v, relative_to=reference_total, sums=sums)
-    return FlowState(n=state.n + 1, time=next_time, density=mixed,
-                     center=float(c), free_energy=e, step_distance=step, sums=sums)
+    step = tp_distance_1d(w, rho, mixed)
+    return _state(w, mixed, state.n + 1, time, step, v, reference_total)
+
+
+def euler_step(w: PotentialSpec, state: FlowState, next_time: float,
+               v: PotentialSpec | None = None,
+               reference_total: float | None = None) -> FlowState:
+    """One flow step: `mix_step` at lam = dT / T_next, the box following the
+    center once it strays past 10% of the half-width."""
+    if next_time <= state.time:
+        raise InvalidInputError("next_time must exceed the state time")
+    lam = (next_time - state.time) / next_time
+    if not 0.0 < lam < 1.0:
+        raise InvalidInputError(f"mixing weight {lam} outside (0, 1)")
+    with _failing_at(f"flow step from n = {state.n}, t = {state.time!r}"):
+        return mix_step(w, state, lam, 0.1, next_time, v=v,
+                        reference_total=reference_total)
+
+
+@dataclass(frozen=True)
+class FixedPointResult:
+    density: GridDensity
+    residuals: tuple[float, ...]
+    energies: tuple[float, ...]
+
+
+def solve_fixed_point(w: PotentialSpec, init: GridDensity,
+                      v: PotentialSpec | None = None, damping: float = 0.5,
+                      tol: float = 1e-12, max_iter: int = 500) -> FixedPointResult:
+    """Damped iteration of `mix_step` at lam = ``damping``.
+
+    When W has a center, the box follows every iterate (slack 0); otherwise
+    it stays where it starts.  Convergence is measured by the translation
+    distance between successive iterates.  The result carries the last
+    iterate, the residuals and the free energy of every iterate.
+    """
+    if not 0.0 < damping <= 1.0:
+        raise InvalidInputError("damping must lie in (0, 1]")
+    init.require_probability()
+    slack = 0.0 if w.convexity_constant > 0 else math.inf
+    state = _state(w, init, 0, 0.0, 0.0, v, None)
+    residuals, energies = [], []
+    for k in range(1, max_iter + 1):
+        last = f"{residuals[-1]:.3e}" if residuals else "none"
+        with _failing_at(f"fixed-point iteration {k} (last residual {last})"):
+            state = mix_step(w, state, damping, slack, float(k), v=v)
+        residuals.append(state.step_distance)
+        energies.append(state.free_energy.total)
+        if state.step_distance < tol:
+            return FixedPointResult(state.density, tuple(residuals), tuple(energies))
+    raise NumericFailureError(
+        f"fixed point not reached in {max_iter} iterations (residual {residuals[-1]:.3e})")
 
 
 @dataclass(frozen=True)
@@ -150,8 +230,9 @@ def run_flow(w: PotentialSpec, init: GridDensity, s: Schedule,
     Each step replaces the one state held and appends its scalars to the
     columns, so no density outlives the step after it."""
     if rho_inf is None:
-        rho_inf = solve_fixed_point(w, init, v=v, damping=damping, tol=tol,
-                                    max_iter=max_iter).density
+        with _failing_at("the flow's reference fixed point"):
+            rho_inf = solve_fixed_point(w, init, v=v, damping=damping, tol=tol,
+                                        max_iter=max_iter).density
     ref = free_energy(w, rho_inf, v=v).total
     state = initial_state(w, init, s, v=v, reference_total=ref)
     rows = [_scalars(state)]

@@ -1,24 +1,25 @@
-"""The Gibbs map m -> Z^-1 exp(-(V + W*m)) dx and its fixed point.
+"""The Gibbs map m -> Z^-1 exp(-(V + W*m)) dx.
 
 `gibbs_map` returns the image as a `GridDensity`.  Normalization subtracts
 the exponent's minimum before exponentiating, so that the polynomial growth
-of the exponent never underflows the partition sum.
+of the exponent never underflows the partition sum.  Its fixed point is
+solved in `flow` by the flow's own mixing step at a constant weight
+(`flow.solve_fixed_point`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericFailureError
+from .errors import NumericFailureError
 from .gridkernel import potential_on_grid
 from .measures import (DensitySums, GridDensity, Measure, _finite_norm, _summable,
                        center, convolve_potential, density_sums, p_norm)
 from .potentials import PotentialSpec
 from .powersums import PowerSums
-from .transport import tp_distance_1d
+from .transport import tp_distance_1d  # noqa: F401  (bench/tracer.py wraps it here)
 
 
 def _auto_grid(w: PotentialSpec, v: PotentialSpec | None, m: Measure | PowerSums,
@@ -86,72 +87,3 @@ def gibbs_map(w: PotentialSpec, m: Measure | PowerSums, v: PotentialSpec | None 
             f"Gibbs density keeps {boundary:.2e} mass at the grid boundary; "
             "re-center or widen the grid")
     return density
-
-
-def _box_follows(g: GridDensity, c: float) -> GridDensity:
-    """The grid with its box moved by the whole number of cells nearest
-    to c minus the box middle, and the measure left in place: the values move
-    the same number of slots the other way, zero-filled, and are renormalized
-    for the tail that leaves the box.  Whole cells keep the old and the new
-    grid on one lattice."""
-    h = g.spacing
-    k = round((c - 0.5 * (g.lo + g.hi)) / h)
-    if k == 0:
-        return g
-    vals = np.zeros_like(g.values)
-    if k > 0:
-        vals[:-k] = g.values[k:]
-    else:
-        vals[-k:] = g.values[:k]
-    return GridDensity.proportional_to(g.lo + k * h, g.hi + k * h, vals)
-
-
-@dataclass(frozen=True)
-class FixedPointResult:
-    density: GridDensity
-    residuals: tuple[float, ...]
-    energies: tuple[float, ...] = ()
-
-
-def solve_fixed_point(w: PotentialSpec, init: GridDensity,
-                      v: PotentialSpec | None = None, damping: float = 0.5,
-                      tol: float = 1e-12, max_iter: int = 500,
-                      track_energy: bool = False) -> FixedPointResult:
-    """Damped iteration rho <- (1 - damping) rho + damping * Pi(rho).
-
-    When W has a center, the grid box follows the iterate: before each
-    Gibbs image the box moves by whole cells to the iterate's center
-    (`_box_follows`), and the iterate stays where it is.  Convergence is
-    measured by the translation distance between successive iterates.  The
-    result carries the last iterate, the residuals and, with
-    ``track_energy``, the free energy of every iterate.  Each iterate is read
-    once (`density_sums`) for its center, its Gibbs image and its free
-    energy, and again only when its box moves.
-    """
-    if not 0.0 < damping <= 1.0:
-        raise InvalidInputError("damping must lie in (0, 1]")
-    init.require_probability()
-    follow = w.convexity_constant > 0
-    rho = init
-    sums = density_sums(w, rho)
-    residuals = []
-    energies = []
-    for _ in range(max_iter):
-        if follow:
-            moved = _box_follows(rho, center(w, sums))
-            if moved is not rho:
-                rho, sums = moved, density_sums(w, moved)
-        image = gibbs_map(w, sums, v=v, grid=rho)
-        mixed = GridDensity.proportional_to(
-            rho.lo, rho.hi, (1.0 - damping) * rho.values + damping * image.values)
-        res = tp_distance_1d(w, rho, mixed)
-        residuals.append(res)
-        rho, sums = mixed, density_sums(w, mixed)
-        if track_energy:
-            from .energy import free_energy
-
-            energies.append(free_energy(w, rho, v=v, sums=sums).total)
-        if res < tol:
-            return FixedPointResult(rho, tuple(residuals), tuple(energies))
-    raise NumericFailureError(
-        f"fixed point not reached in {max_iter} iterations (residual {residuals[-1]:.3e})")

@@ -8,7 +8,7 @@ import pytest
 
 from selfattract.cli import main
 from selfattract.config import _SCHEMA, load_config
-from selfattract.errors import InvalidInputError
+from selfattract.errors import InvalidInputError, NumericFailureError
 from selfattract.persist import load_measure, write_series_csv
 from selfattract import simulate, simulate_ensemble
 
@@ -356,6 +356,69 @@ class TestCommands:
         assert main(["--config", cfg, "--out", str(tmp_path / "p"), "fixpoint"]) == 3
         assert main(["--config", cfg, "--out", str(tmp_path / "f"), "flow"]) == 3
         assert "fixed point not reached in 5 iterations" in capsys.readouterr().err
+
+    GIBBS_AT_BOUNDARY = "Gibbs density keeps 1.00e+00 mass at the grid boundary"
+
+    def test_fixed_point_failure_names_its_iteration(self, tmp_path, capsys):
+        # a quartic V pulls the whole Gibbs image of a start at 30 out of its
+        # box about 30: the first iteration fails, in both commands, and the
+        # flow says the failure came from its reference fixed point
+        text = self.SHIPPED_FLOW.read_text().replace(
+            "kind = atom\n", "kind = gaussian\nmean = 30.0\nsigma = 1.0\n")
+        cfg = write(tmp_path / "v.cfg",
+                    text + "[external]\nkind = external\ncoefficients = 0.0 0.5\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "p"), "fixpoint"]) == 3
+        err = capsys.readouterr().err
+        assert "fixed-point iteration 1 (last residual none): " + self.GIBBS_AT_BOUNDARY in err
+        assert main(["--config", cfg, "--out", str(tmp_path / "f"), "flow"]) == 3
+        err = capsys.readouterr().err
+        assert "the flow's reference fixed point: fixed-point iteration 1 " in err
+        assert self.GIBBS_AT_BOUNDARY in err
+
+    @pytest.mark.parametrize("command", ["fixpoint", "flow"])
+    def test_failure_in_a_later_step_names_it(self, tmp_path, capsys, monkeypatch,
+                                              command):
+        # the Gibbs map fails on its 4th call: in `fixpoint`, the 4th
+        # iteration, after 3 residuals; in `flow`, whose reference fixed
+        # point stops after one iteration here, the step from n = 3
+        from selfattract import flow
+
+        calls = []
+        gibbs_map = flow.gibbs_map
+
+        def fails_on_the_4th(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 4:
+                raise NumericFailureError("forced")
+            return gibbs_map(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "gibbs_map", fails_on_the_4th)
+        text = self.SHIPPED_FLOW.read_text()
+        if command == "flow":
+            text += "[fixpoint]\nmax_iter = 1\ntol = 1e9\n"
+        cfg = write(tmp_path / "c.cfg", text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), command]) == 3
+        err = capsys.readouterr().err
+        if command == "fixpoint":
+            assert re.search(r"fixed-point iteration 4 \(last residual \d\.\d{3}e[+-]\d+\): "
+                             "forced$", err.strip())
+        else:
+            assert err.strip().endswith(f"flow step from n = 3, t = {3 ** 1.5!r}: forced")
+
+    def test_box_of_a_w_without_center_stays_in_the_fixed_point(self, tmp_path):
+        # W = 0.1 x^4 has no uniform convexity, hence no center: the fixed
+        # point keeps its start box about the atom at 3 while a quartic V
+        # pulls the measure toward 0
+        text = self.SHIPPED_FLOW.read_text()
+        text = text.replace("kind = quadratic-symmetric\ncoefficients = 1.0\n",
+                            "kind = even-polynomial\ncoefficients = 0 0.1\n")
+        text = text.replace("position = 0.0\n", "position = 3.0\n")
+        assert "coefficients = 0 0.1\n" in text and "position = 3.0\n" in text
+        cfg = write(tmp_path / "nc.cfg",
+                    text + "[external]\nkind = external\ncoefficients = 0.0 0.5\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "p"), "fixpoint"]) == 0
+        dens = load_measure(tmp_path / "p/density.csv")
+        assert (float(dens.lo), float(dens.hi)) == (-5.0, 11.0)
 
     def test_diagnose_runs(self, tmp_path):
         cfg = write(tmp_path / "d.cfg",

@@ -9,7 +9,7 @@ from selfattract import (GridDensity, NumericFailureError, ParticleMeasure,
                          gibbs_map, quadratic_shifted, quadratic_symmetric,
                          recenter, smooth, solve_fixed_point, tp_distance_1d,
                          uniform_density, zero_interaction)
-from selfattract import gibbs as gibbs_module
+from selfattract import flow as flow_module
 from selfattract import transport
 from selfattract.errors import InvalidInputError
 from selfattract.powersums import convolution_matrix
@@ -167,17 +167,17 @@ class TestFixedPoint:
         v = external_polynomial([0.5])
         init = smooth(dirac(2.3), 0.5, lo=-8, hi=8, cells=512)
         boxes = set()
-        follows = gibbs_module._box_follows
+        follows = flow_module._box_follows
 
         def record(g, c):
             moved = follows(g, c)
             boxes.add(moved.lo)
             return moved
 
-        monkeypatch.setattr(gibbs_module, "_box_follows", record)
-        warm = solve_fixed_point(w, init, v=v, tol=1e-11, track_energy=True)
+        monkeypatch.setattr(flow_module, "_box_follows", record)
+        warm = solve_fixed_point(w, init, v=v, tol=1e-11)
         assert len(boxes) >= 3
-        tp = gibbs_module.tp_distance_1d
+        tp = flow_module.tp_distance_1d
 
         def tp_then_clear(*args):
             out = tp(*args)
@@ -185,8 +185,8 @@ class TestFixedPoint:
             transport._lattice_primitives.cache_clear()
             return out
 
-        monkeypatch.setattr(gibbs_module, "tp_distance_1d", tp_then_clear)
-        cold = solve_fixed_point(w, init, v=v, tol=1e-11, track_energy=True)
+        monkeypatch.setattr(flow_module, "tp_distance_1d", tp_then_clear)
+        cold = solve_fixed_point(w, init, v=v, tol=1e-11)
         assert warm.residuals == cold.residuals and warm.energies == cold.energies
         assert np.array_equal(warm.density.values, cold.density.values)
 

@@ -8,7 +8,7 @@ from selfattract import (DominatingPolynomial, GridDensity, InvalidInputError,
                          ParticleMeasure, dirac, gaussian_density, p_norm, recenter,
                          tp_distance_1d, w2_distance)
 from selfattract import even_polynomial, transport
-from selfattract.gibbs import _box_follows
+from selfattract.flow import _box_follows
 from selfattract.powersums import convolution_matrix
 from selfattract.measures import centered
 from selfattract.transport import _quantile_pieces
