@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .energy import (EnergyBreakdown, RateParams, energy_envelope, entropy,
                      free_energy, frozen_energy_difference, mixing_inequality,
                      rate_function, relative_free_energy)
-from .errors import InvalidInputError, NumericFailureError, UnsupportedInputError
+from .errors import InvalidInputError, NumericFailureError
 from .flow import (FlowRun, FlowState, Schedule, envelope_compare, euler_step, run_flow,
                    solve_fixed_point)
 from .gibbs import gibbs_map

@@ -72,13 +72,13 @@ def _cmd_simulate(cfg: ExperimentConfig, do_assert: bool) -> int:
 
 
 def _cmd_flow(cfg: ExperimentConfig, do_assert: bool) -> int:
-    """The flow's scalars per state and its last density.  A given
-    [fixpoint] section sets the reference fixed point's solve; without it
-    `run_flow`'s defaults stand."""
+    """The flow's scalars per state and its last density.  Its reference
+    fixed point is solved with the [fixpoint] settings, as `fixpoint` and
+    `diagnose` solve theirs."""
     out = _out_dir(cfg)
     init = _initial_density(cfg)
-    fix = cfg.fixpoint_args() if "fixpoint" in cfg.raw else {}
-    run = run_flow(cfg.potential, init, cfg.schedule, v=cfg.external, **fix)
+    run = run_flow(cfg.potential, init, cfg.schedule, v=cfg.external,
+                   **cfg.fixpoint_args())
     write_series_csv(out / "flow.csv", ["n", "t", "free_energy", "relative",
                                         "center", "step_tp"],
                      [run.n, run.time, run.total, run.relative, run.center, run.step_tp])

@@ -106,10 +106,30 @@ def _number(section: str, key: str, text: str, want: type):
     return out
 
 
-def _build_potential(kv: dict) -> PotentialSpec:
+# the keys each potential kind reads besides kind, coefficients and the
+# envelope's bound_scale and bound_degree; the quadratic kinds read one
+# coefficient
+_KIND_KEYS = {"quadratic-symmetric": set(), "quadratic-shifted": {"symmetric"},
+              "even-polynomial": {"convexity_constant"},
+              "external": {"convexity_constant"}}
+
+
+def _build_potential(section: str, kv: dict) -> PotentialSpec:
+    """The potential of a [potential] or [external] section.  A key its kind
+    does not read is an input error, so the manifest records only what
+    ran."""
     kind = kv.get("kind", "quadratic-symmetric")
+    if kind not in _KIND_KEYS:
+        raise InvalidInputError(f"unknown potential kind {kind!r}")
     coeffs = [float(c) for c in str(kv.get("coefficients", "1.0")).split()]
     extra = {key: kv[key] for key in ("bound_scale", "bound_degree") if key in kv}
+    ignored = sorted(set(kv) - {"kind", "coefficients", *extra} - _KIND_KEYS[kind])
+    if ignored:
+        raise InvalidInputError(f"[{section}] kind {kind!r} does not read "
+                                + ", ".join(ignored))
+    if kind.startswith("quadratic") and len(coeffs) != 1:
+        raise InvalidInputError(f"[{section}] coefficients: kind {kind!r} reads one "
+                                f"strength, got {len(coeffs)} values")
     if kind == "quadratic-symmetric":
         return quadratic_symmetric(coeffs[0], **extra)
     if kind == "quadratic-shifted":
@@ -124,11 +144,8 @@ def _build_potential(kv: dict) -> PotentialSpec:
         return even_polynomial(coeffs,
                                convexity_constant=kv.get("convexity_constant"),
                                **extra)
-    if kind == "external":
-        return external_polynomial(coeffs,
-                                   convexity_constant=kv.get("convexity_constant"),
-                                   **extra)
-    raise InvalidInputError(f"unknown potential kind {kind!r}")
+    return external_polynomial(coeffs, convexity_constant=kv.get("convexity_constant"),
+                               **extra)
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> ExperimentConfig:
@@ -175,8 +192,8 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Exper
         name=exp.get("name", "experiment"),
         out=out,
         replicas=int(exp.get("replicas", 1) if replicas is None else replicas),
-        potential=_build_potential(sections.get("potential", {})),
-        external=(_build_potential(sections["external"])
+        potential=_build_potential("potential", sections.get("potential", {})),
+        external=(_build_potential("external", sections["external"])
                   if "external" in sections else None),
         sim=sim,
         schedule=schedule,

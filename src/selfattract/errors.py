@@ -7,7 +7,3 @@ class InvalidInputError(ValueError):
 
 class NumericFailureError(RuntimeError):
     """An iterative or quadrature procedure failed to produce a usable result."""
-
-
-class UnsupportedInputError(InvalidInputError):
-    """The input is well-formed but outside the supported problem class."""

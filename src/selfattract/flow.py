@@ -221,18 +221,16 @@ def _scalars(st: FlowState) -> tuple:
 
 def run_flow(w: PotentialSpec, init: GridDensity, s: Schedule,
              v: PotentialSpec | None = None,
-             rho_inf: GridDensity | None = None, damping: float = 0.5,
-             tol: float = 1e-11, max_iter: int = 500) -> FlowRun:
+             rho_inf: GridDensity | None = None, **fixpoint) -> FlowRun:
     """The flow from n_start to n_end, with energies relative to the fixed
     point.  When not supplied, the fixed point is solved on the same grid by
-    `solve_fixed_point` with ``damping``, ``tol`` and ``max_iter``.
+    `solve_fixed_point`, with its defaults or the keywords ``fixpoint``.
 
     Each step replaces the one state held and appends its scalars to the
     columns, so no density outlives the step after it."""
     if rho_inf is None:
         with _failing_at("the flow's reference fixed point"):
-            rho_inf = solve_fixed_point(w, init, v=v, damping=damping, tol=tol,
-                                        max_iter=max_iter).density
+            rho_inf = solve_fixed_point(w, init, v=v, **fixpoint).density
     ref = free_energy(w, rho_inf, v=v).total
     state = initial_state(w, init, s, v=v, reference_total=ref)
     rows = [_scalars(state)]

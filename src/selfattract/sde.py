@@ -17,12 +17,13 @@ wherever the path sits, so a path started at x0 + s is the x0 path shifted
 by s.
 
 Every self-driven path is a row of a replica ensemble: `simulate` and
-`simulate_ensemble` share one body for every start time.  The ensemble
-keeps the sums of all R replicas as one (count, R) array, adds the
-dt-weighted powers dt y^j of the new positions to it each step, and takes
-its drift from one contraction per step; the occupation mass is the same
-for every replica.  Each replica's increments are drawn into its row of the
-positions array, which the stepper overwrites step by step.  The center of
+`simulate_ensemble` share one body and one stepper call for every start
+time.  The ensemble keeps the sums of all R replicas as one (count, R)
+array that starts from the pre-history's sums, adds the dt-weighted powers
+dt y^j of the new positions to it each step, and takes its drift from one
+contraction per step; the occupation mass is the same for every replica.
+Each replica's increments are drawn into its row of the positions array,
+which the stepper overwrites step by step.  The center of
 W' * mu feeds nothing back into the drift, so the stepper only copies the
 sums at each center knot and solves a block of knots at once, by Newton
 from each column's running mean.  For quadratic W without V (drift
@@ -30,15 +31,17 @@ t00 + t11 (x - mean)) the Euler scheme reduces to a scalar linear
 recursion in y = x - mean with the mean carried by the occupation mass; it
 is summed in closed form with blockwise scaled cumulative sums (`_ar1`)
 instead of stepped, which matches the stepped scheme to rounding; its
-increments are drawn into the centers array, where the means are summed
-and the centers finished in place.  A run
-from t = 0 builds each row from a short contraction-bootstrap segment and
-a running-moment tail anchored at x0.
+means and then the centers are summed in place in the centers array.  A
+run from t = 0 has no pre-history: the Euler scheme is explicit, so its
+step 0 drifts against the start atom alone, W'(0) + V'(x0), and from
+t = dt on each row's pre-history is its own first position, of mass dt,
+with its sums still anchored at x0.
 
-Also here: the Ornstein-Uhlenbeck domination coupling, the contraction
-bootstrap for starting at time zero (each Picard round steps one float
-loop over the drift of the previous iterate), and the non-symmetric
-counterexample pair whose center drifts like log t.
+Also here: the Ornstein-Uhlenbeck domination coupling; the contraction
+(Picard) bootstrap, which checks on a short interval the fixed-point
+argument by which the continuous process from t = 0 exists (each round
+steps one float loop over the drift of the previous iterate); and the
+non-symmetric counterexample pair whose center drifts like log t.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import InvalidInputError, NumericFailureError, UnsupportedInputError
+from .errors import InvalidInputError, NumericFailureError
 from .measures import ParticleMeasure
 from .potentials import PotentialSpec
 from .powersums import PowerSums, anchor, convolution_matrix, power_sums, reanchor
@@ -80,6 +83,8 @@ class SimConfig:
             raise InvalidInputError("dt must be positive")
         if self.t_end <= self.t_start or self.t_start < 0:
             raise InvalidInputError("need t_end > t_start >= 0")
+        if self.n_steps < 1:
+            raise InvalidInputError("t_end - t_start must hold at least one step dt")
         if self.noise_scale < 0:
             raise InvalidInputError("noise scale must be non-negative")
 
@@ -287,33 +292,30 @@ def _step_driven(B, a, x, noise, dts):
     return out
 
 
-def _run_moments(w, v, x0, prehistory, draw, shape, dt, origin, every=_CENTER_EVERY,
+def _run_moments(T, v, x0, sums, positions, centers, dt, origin, every=_CENTER_EVERY,
                  y0=0.0):
-    """Positions and centers (R, n+1) in x of the running-moment Euler scheme
-    for R replicas started at x0 + y0, their sums anchored at x0, on the
-    (R, n) = ``shape`` increments that ``draw(out)`` writes into ``out``.
-    Quadratic W without V takes the closed form, which draws into its
-    centers, everything else the column stepper, which draws into its
-    positions and places a center every ``every`` steps.  A non-finite path
+    """The running-moment Euler scheme for R replicas started at x0 + y0,
+    their sums anchored at x0: ``sums`` (count, R), or (count, 1) for a
+    pre-history every replica shares, holds the pre-history's power sums
+    about x0, whose mass is the same for every replica.  ``positions``
+    (R, n+1) holds each replica's n increments in columns 1..n; the scheme
+    overwrites it with the positions in x and writes the centers into
+    ``centers`` (R, n+1).  Quadratic W without V takes the closed form, everything else the column
+    stepper, which places a center every ``every`` steps.  A non-finite path
     raises `NumericFailureError` naming the replica, step and t that
     ``origin`` (`_check_finite`) gives."""
-    T = convolution_matrix(w, 1)
-    R, n = shape
     if T.shape[0] == 2 and v is None:
-        centers = np.empty((R, n + 1))
-        draw(centers[:, 1:])
-        positions, centers = _run_quadratic_closed_form(T, x0, prehistory, centers, dt, y0)
+        _run_quadratic_closed_form(T, x0, sums, positions, centers, dt, y0)
         _check_finite(positions, 0, origin, dt)
-        return positions, centers
-    positions = np.empty((R, n + 1))
-    draw(positions[:, 1:])
-    return _run_moment_columns(T, v, x0, prehistory, positions, dt, every, origin, y0)
+    else:
+        _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y0)
 
 
-def _run_moment_columns(T, v, x0, prehistory, positions, dt, every, origin, y0=0.0):
+def _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y0=0.0):
     """The Euler scheme for R replicas side by side.  ``positions`` (R, n+1)
     holds each replica's n increments in columns 1..n: step i reads column i
     and overwrites it with the new position, so no noise array is kept.
+    ``sums`` holds the pre-history's power sums about x0 (`_run_moments`).
 
     The sums about each column's anchor are one (count, R) array S.  P holds
     the dt-weighted powers dt y^j of the current positions, the products one
@@ -344,18 +346,16 @@ def _run_moment_columns(T, v, x0, prehistory, positions, dt, every, origin, y0=0
     interpolation and checks its positions for finiteness.  Once a column's
     running mean S1/S0 leaves the unit radius, its anchor moves onto that
     mean, with an exact re-anchor of its sums, before the next position is
-    stored.  Returns positions and centers (R, n+1) in x.
+    stored.  Writes positions and centers (R, n+1) in x.
     """
     count = T.shape[0]
     R, n = positions.shape[0], positions.shape[1] - 1
-    sums = power_sums(*prehistory, float(x0), count)
-    mass = float(sums[0])
-    S = np.repeat(sums[:, None], R, axis=1)
+    mass = float(sums[0, 0])
+    S = np.broadcast_to(sums, (count, R)).copy()
     a = np.full(R, float(x0))
     vg = _v_gradient(v)
     if count <= 2:
         every = 1
-    centers = np.empty((R, n + 1))
     knot_S = np.empty((_CENTER_BLOCK, count, R))
     knot_mass = np.empty((_CENTER_BLOCK, 1))
     knot_a = np.empty((_CENTER_BLOCK, R))
@@ -421,7 +421,6 @@ def _run_moment_columns(T, v, x0, prehistory, positions, dt, every, origin, y0=0
     segments.append((n + 1, None))
     for (start, a_seg), (stop, _) in zip(segments, segments[1:]):
         positions[:, start:stop] += a_seg[:, None]
-    return positions, centers
 
 
 def simulate(w: PotentialSpec, x0: float, cfg: SimConfig,
@@ -430,10 +429,10 @@ def simulate(w: PotentialSpec, x0: float, cfg: SimConfig,
     """One path of the self-attracting diffusion.
 
     The occupation measure starts as a pre-history block of mass t_start
-    (an atom at x0, or ``initial_occupation`` rescaled to that mass); runs
-    started at t = 0 have no pre-history, so they take no
-    ``initial_occupation``, and first build a short segment with the
-    contraction bootstrap and then switch to stepping.
+    (an atom at x0, or ``initial_occupation`` rescaled to that mass).  A run
+    from t = 0 has no pre-history, so it takes no ``initial_occupation``:
+    its first Euler step drifts against the start atom alone, and from
+    t = dt on the path's own first position is its pre-history.
     """
     _check_dt(w, cfg)
     return _simulate_replicas(w, x0, cfg, [replica], v, initial_occupation)[0]
@@ -444,37 +443,46 @@ def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
                       initial_occupation: ParticleMeasure | None = None
                       ) -> list[TrajectoryRecord]:
     """Replica ensemble with independent noise streams; replica r is the
-    path ``simulate(..., replica=r)`` returns.  Running-moment replicas step
-    in lock-step (quadratic W without V in closed form); runs from t = 0
-    take each replica through its own contraction bootstrap.  The records
-    share ``times`` and one read-only ``weights`` array and hold row views
-    of one positions and one centers array."""
+    path ``simulate(..., replica=r)`` returns.  The replicas step in
+    lock-step (quadratic W without V in closed form), from every start
+    time.  The records share ``times`` and one read-only ``weights`` array
+    and hold row views of one positions and one centers array."""
     _check_dt(w, cfg)
     return _simulate_replicas(w, x0, cfg, range(n_replicas), v, initial_occupation)
 
 
 def _simulate_replicas(w, x0, cfg, replicas, v, initial_occupation):
-    """Records of the given replica ids, each driven by its own noise row."""
+    """Records of the given replica ids, each driven by its own noise row.
+
+    A run from t = 0 takes its first Euler step for every replica here: the
+    drift of step 0 is W'(0) + V'(x0), taken against the start atom, and
+    its center is that atom's.  From t = dt on, each row's pre-history is
+    its own first position, of mass dt, and its sums stay anchored at x0,
+    so a path without attraction keeps x0 as its center."""
     if cfg.t_start == 0.0 and initial_occupation is not None:
         raise InvalidInputError("a run from t = 0 has no pre-history to warm-start")
-    n = cfg.n_steps
-    dt = cfg.dt
-
-    def draw(out):
-        for row, r in zip(out, replicas):
-            _increments(cfg, n, r, out=row)
-
+    n, dt, R = cfg.n_steps, cfg.dt, len(replicas)
+    T = convolution_matrix(w, 1)
+    positions = np.empty((R, n + 1))
+    centers = np.empty((R, n + 1))
+    for row, r in zip(positions, replicas):
+        _increments(cfg, n, r, out=row[1:])
     if cfg.t_start == 0.0:
-        noise = np.empty((len(replicas), n))
-        draw(noise)
-        positions = np.empty((len(replicas), n + 1))
-        centers = np.empty_like(positions)
-        for k, (r, incs) in enumerate(zip(replicas, noise)):
-            positions[k], centers[k] = _from_zero(w, x0, dt, v, incs, r)
+        # step 0 against the start atom; the new positions in y = x - x0 and
+        # their dt-weighted powers are the pre-history of the steps after it
+        drift = T[0, 0] if v is None else T[0, 0] + _horner(_v_gradient(v), x0)
+        y = positions[:, 1] - drift * dt
+        sums = np.cumprod([np.full(R, dt)] + [y] * (T.shape[0] - 1), axis=0)
+        atom = np.eye(T.shape[0], 1)   # the sums of a unit atom at x0
+        positions[:, 0] = x0
+        centers[:, 0] = x0 + _block_centers(T, atom[None], np.ones((1, 1)))[0]
+        first = 1
     else:
         pre = _prehistory(x0, cfg.t_start, initial_occupation)
-        positions, centers = _run_moments(w, v, x0, pre, draw, (len(replicas), n), dt,
-                                          (replicas, 0, cfg.t_start))
+        sums = power_sums(*pre, float(x0), T.shape[0])[:, None]
+        y, first = 0.0, 0
+    _run_moments(T, v, x0, sums, positions[:, first:], centers[:, first:], dt,
+                 (replicas, first, cfg.t_start), y0=y)
     times = cfg.t_start + dt * np.arange(n + 1)
     # occupation weights: t_start for the pre-history, then dt; every
     # replica shares the one read-only array
@@ -507,7 +515,7 @@ def _ar1(alpha, z, f, out):
     return out
 
 
-def _run_quadratic_closed_form(T, x0, prehistory, centers, dt, y0=0.0):
+def _run_quadratic_closed_form(T, x0, sums, positions, centers, dt, y0=0.0):
     """The Euler scheme for drift t00 + t11 (x - mean), summed in closed form.
 
     With y = x - mean, alpha = 1 - t11 dt, S0_i the occupation mass after i
@@ -515,45 +523,51 @@ def _run_quadratic_closed_form(T, x0, prehistory, centers, dt, y0=0.0):
         y_(i+1) = (S0_i / S0_(i+1)) (alpha y_i + eta_i),
         mean_(i+1) = mean_i + dt y_(i+1) / S0_i,
     so z_i = y_i S0_i follows z_(i+1) = alpha z_i + S0_i eta_i (`_ar1`).
-    Paths start at x0 + y0, their sums anchored at x0.  ``centers`` (R, n+1)
-    holds each replica's n increments in columns 1..n and is the working
-    space: those columns hold S0 eta, then the means, then the centers,
-    while z and then y stand in the positions.  Returns positions and
-    centers (R, n+1).  t11 != 0 because `convolution_matrix` trims zero
+    Paths start at x0 + y0, their sums anchored at x0 and starting from
+    ``sums`` (`_run_moments`).  ``positions`` (R, n+1) holds each replica's
+    n increments in columns 1..n; columns 1..n of ``centers`` are the
+    working space: they hold S0 eta, then the means, then the centers, while
+    z and then y stand in the positions.  Writes positions and centers
+    (R, n+1).  t11 != 0 because `convolution_matrix` trims zero
     coefficients.
     """
     t00, t11 = T[0, 0], T[1, 0]
     R, n = centers.shape[0], centers.shape[1] - 1
-    s0, s1 = power_sums(*prehistory, float(x0), 2)
+    s0, s1 = sums[0, 0], sums[1]
+    mean = x0 + s1 / s0
     S0 = s0 + dt * np.arange(n + 1)
-    positions = np.empty((R, n + 1))
-    positions[:, 0] = x0 + y0
-    centers[:, 0] = x0 + s1 / s0 - t00 / t11
     tail = centers[:, 1:]
-    tail -= t00 * dt
+    np.subtract(positions[:, 1:], t00 * dt, out=tail)
     tail *= S0[:-1]
+    positions[:, 0] = x0 + y0
+    centers[:, 0] = mean - t00 / t11
     y = _ar1(1.0 - t11 * dt, np.full(R, (y0 - s1 / s0) * s0), tail, positions[:, 1:])
     y /= S0[1:]
     np.divide(y, S0[:-1], out=tail)
     tail *= dt
     np.cumsum(tail, axis=1, out=tail)
-    tail += x0 + s1 / s0
+    tail += mean[:, None]
     y += tail
     tail -= t00 / t11
-    return positions, centers
 
 
 # ---------------------------------------------------------------------------
 # Ornstein-Uhlenbeck domination coupling
 
 
-def blend(r: float, low: float = 0.1) -> float:
-    """Smooth ramp: 0 near the origin, 1 from radius 1 on (quintic spline)."""
-    if r <= low:
+_BLEND_LOW = 0.1       # radius below which the coupling takes no path noise
+_OU_BURN_IN = 10.0     # time after t_start before the domination is checked
+_OU_Z_MIN = 1e-6       # the OU modulus reflects here
+
+
+def blend(r: float) -> float:
+    """Smooth ramp: 0 up to radius `_BLEND_LOW`, 1 from radius 1 on (quintic
+    spline)."""
+    if r <= _BLEND_LOW:
         return 0.0
     if r >= 1.0:
         return 1.0
-    s = (r - low) / (1.0 - low)
+    s = (r - _BLEND_LOW) / (1.0 - _BLEND_LOW)
     return s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
@@ -569,35 +583,33 @@ class OuDominationResult:
     eps_disc: float
 
 
-def ou_domination(w: PotentialSpec, cfg: SimConfig, seed: int | None = None,
-                  x0: float = 0.0, burn_in: float = 10.0,
-                  eps_disc: float | None = None, z_min: float = 1e-6,
-                  blend_low: float = 0.1) -> OuDominationResult:
-    """Couple the path with the modulus of a 3d-dimensional OU process through
-    the blended noise and report how often the domination inequality
-    |X - c| <= 2 + Z + eps fails after burn-in (d = 1 here, so 3d - 1 = 2).
+def ou_domination(w: PotentialSpec, cfg: SimConfig) -> OuDominationResult:
+    """Couple the path from x0 = 0 with the modulus of a 3d-dimensional OU
+    process through the blended noise and report how often the domination
+    inequality |X - c| <= 2 + Z + eps fails after a burn-in of
+    `_OU_BURN_IN` (d = 1 here, so 3d - 1 = 2).
 
-    eps allows for the Euler discretization; it defaults to 0.05 at dt = 1e-3
-    and scales with sqrt(dt).  X does not depend on Z, so the path and its
-    every-step center come from the running-moment stepper first.
+    eps allows for the Euler discretization: 0.05 at dt = 1e-3, scaled with
+    sqrt(dt).  X does not depend on Z, so the path and its every-step center
+    come from the running-moment stepper first, on an atom of mass t_start
+    at 0 as the pre-history.
     """
     _check_dt(w, cfg)
     if w.convexity_constant <= 0:
         raise InvalidInputError("domination needs a uniformly convex interaction")
-    if seed is None:
-        seed = cfg.seed
     dt = cfg.dt
     n = cfg.n_steps
-    if eps_disc is None:
-        eps_disc = 0.05 * math.sqrt(dt / 1e-3)
+    eps_disc = 0.05 * math.sqrt(dt / 1e-3)
     c_w = w.convexity_constant
     sq_dt = math.sqrt(dt)
-    db = sq_dt * rng.normal_increments(seed, n, 0, rng.NOISE)
-    dbeta = (sq_dt * rng.normal_increments(seed, n, 0, rng.AUX_NOISE)).tolist()
+    db = sq_dt * rng.normal_increments(cfg.seed, n, 0, rng.NOISE)
+    dbeta = (sq_dt * rng.normal_increments(cfg.seed, n, 0, rng.AUX_NOISE)).tolist()
 
-    (xs,), (cs,) = _run_moments(w, None, x0, _prehistory(x0, cfg.t_start, None),
-                                lambda out: np.multiply(cfg.noise_scale, db, out=out[0]),
-                                (1, n), dt, ((0,), 0, cfg.t_start), every=1)
+    T = convolution_matrix(w, 1)
+    xs, cs = np.empty((2, n + 1))
+    np.multiply(cfg.noise_scale, db, out=xs[1:])
+    _run_moments(T, None, 0.0, cfg.t_start * np.eye(T.shape[0], 1), xs[None], cs[None],
+                 dt, ((0,), 0, cfg.t_start), every=1)
     gaps = (xs - cs).tolist()
     db = db.tolist()
     z = max(1.0, abs(gaps[0]))
@@ -606,16 +618,16 @@ def ou_domination(w: PotentialSpec, cfg: SimConfig, seed: int | None = None,
     violations = 0
     checked = 0
     reflections = 0
-    t_check = cfg.t_start + burn_in
+    t_check = cfg.t_start + _OU_BURN_IN
     times = cfg.t_start + dt * np.arange(n + 1)
     for i in range(n):
         gap = gaps[i]
-        a = blend(abs(gap), blend_low)
+        a = blend(abs(gap))
         dg = (a * (db[i] if gap >= 0 else -db[i])
               + math.sqrt(max(0.0, 1.0 - a * a)) * dbeta[i])
         z += _SQRT2 * dg - (0.5 * c_w * z - 2.0 / z) * dt
-        if z < z_min:
-            z = z_min
+        if z < _OU_Z_MIN:
+            z = _OU_Z_MIN
             reflections += 1
         zs[i + 1] = z
         if times[i + 1] >= t_check:
@@ -711,68 +723,31 @@ def _lipschitz_radius2(w: PotentialSpec) -> float:
     return float(np.abs(h).max())
 
 
-def _from_zero(w, x0, dt, v, incs, replica):
-    """Positions and centers (n+1) of replica ``replica``'s run from t = 0
-    on the n increments ``incs``: the contraction bootstrap on a short first
-    segment, then the running-moment tail.  The tail's sums stay anchored at
-    x0 like the bootstrap's, so a path without attraction keeps x0 as its
-    center."""
-    if v is not None:
-        raise UnsupportedInputError("the t = 0 bootstrap handles the pure "
-                                    "interaction case only")
-    lip = _lipschitz_radius2(w)
-    n = incs.size
-    noise_path = np.concatenate(([0.0], np.cumsum(incs)))
-    # the bootstrap segment: at most half the run, delta * Lip(grad W) below
-    # 1/3.2, and the noise path inside the half-unit ball
-    m = n // 2
-    if lip > 0:
-        m = min(m, max(2, math.floor((1.0 / (3.2 * lip)) / dt)))
-    while m >= 2 and float(np.abs(noise_path[:m + 1]).max()) > 0.5:
-        m //= 2
-    if m < 2:
-        raise InvalidInputError(
-            "the t = 0 bootstrap needs 2 or more steps in the first half of the "
-            f"run ({n} steps) on which the noise path stays within 0.5 of x0; "
-            "lengthen the run, or lower dt or noise_scale")
-    try:
-        boot = picard_bootstrap(w, x0, dt * np.arange(m + 1), noise_path[:m + 1])
-    except NumericFailureError as exc:
-        raise NumericFailureError(f"replica {replica}: {exc}") from exc
-    # the tail goes on with the same increment stream
-    (positions,), (centers,) = _run_moments(w, None, x0, (boot.path[1:], np.full(m, dt)),
-                                            lambda out: np.copyto(out[0], incs[m:]),
-                                            (1, n - m), dt, ((replica,), m, 0.0),
-                                            y0=boot.path[-1] - x0)
-    return (np.concatenate((boot.path[:-1], positions)),
-            np.concatenate((np.full(m, centers[0]), centers)))
-
-
 # ---------------------------------------------------------------------------
 # non-symmetric counterexample pair
 
 
-def counterexample_system(t_end: float, dt: float, seed: int,
-                          y0: float = 0.0, c0: float = 1.0,
-                          t_start: float = 1.0, growth: float = 0.01
+_CE_GROWTH = 0.01      # the counterexample's steps grow to this fraction of t
+
+
+def counterexample_system(t_end: float, dt: float, seed: int
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduced Markov pair for the shifted quadratic attraction.
+    """Reduced Markov pair for the shifted quadratic attraction, from
+    Y = 0 and center 1 at t = 1.
 
     Y is the path seen from the moving center and follows a linear SDE whose
     conditional transition is Gaussian with closed-form moments, so steps can
-    grow proportionally to t (factor ``growth``) without integration bias;
+    grow proportionally to t (factor `_CE_GROWTH`) without integration bias;
     the center increments use log-exact quadrature plus a trapezoid for the
     fluctuation part.  The center grows like log t.
     """
-    if t_start <= 0 or t_end <= t_start or dt <= 0:
-        raise InvalidInputError("need t_end > t_start > 0 and dt > 0")
+    if t_end <= 1.0 or dt <= 0:
+        raise InvalidInputError("need t_end > 1 and dt > 0")
     gen = rng.stream(seed, 0, rng.NOISE)
-    ts = [t_start]
-    ys = [y0]
-    cs = [c0]
-    t, y, c = t_start, y0, c0
+    t, y, c = 1.0, 0.0, 1.0
+    ts, ys, cs = [t], [y], [c]
     while t < t_end - 1e-12:
-        h = min(max(dt, growth * t), t_end - t)
+        h = min(max(dt, _CE_GROWTH * t), t_end - t)
         T = t + h
         eh = math.exp(-h)
         phi = eh * t / T

@@ -13,21 +13,26 @@ import numpy as np
 
 from selfattract.errors import NumericFailureError
 from selfattract.measures import GridDensity, center
-from selfattract.powersums import power_sums, reanchor
+from selfattract.powersums import reanchor
 from selfattract.sde import (_CENTER_BLOCK, _CENTER_EVERY, _REANCHOR_RADIUS, _block_centers,
                              _check_finite, _horner, _increments, _prehistory, _v_gradient)
 
 
 def full_history_path(w, x0, cfg, v=None, replica=0, initial_occupation=None):
     """Brute-force drift summed over every past atom, on the noise of
-    ``simulate(..., replica=replica)`` with t_start > 0: the exactness
-    oracle for the running-moment steppers.  Returns positions and centers
-    (n+1), the centers placed where the moment steppers place them and
-    interpolated between."""
+    ``simulate(..., replica=replica)``: the exactness oracle for the
+    running-moment steppers.  With t_start > 0 the history starts with the
+    pre-history block; from t = 0 there is none, step 0 drifts against the
+    start atom alone and step i > 0 against the path's atoms 1..i.  Returns
+    positions and centers (n+1), the centers placed where the moment
+    steppers place them and interpolated between."""
     n = cfg.n_steps
     dt = cfg.dt
     increments = _increments(cfg, n, replica)
-    base_pos, base_w = _prehistory(x0, cfg.t_start, initial_occupation)
+    if cfg.t_start > 0:
+        base_pos, base_w = _prehistory(x0, cfg.t_start, initial_occupation)
+    else:
+        base_pos, base_w = np.empty(0), np.empty(0)
     positions = np.empty(n + 1)
     positions[0] = x0
     g = np.polynomial.polynomial.polytrim(
@@ -36,46 +41,55 @@ def full_history_path(w, x0, cfg, v=None, replica=0, initial_occupation=None):
     x = float(x0)
     mass = float(base_w.sum())
     for i in range(n):
-        d = float(base_w @ np.polynomial.polynomial.polyval(x - base_pos, g))
-        if i > 0:
-            d += dt * float(np.polynomial.polynomial.polyval(
-                x - positions[1:i + 1], g).sum())
-        d = d / mass
+        if mass == 0:   # step 0 from t = 0: the start atom, of unit mass
+            d = float(np.polynomial.polynomial.polyval(x - x0, g))
+        else:
+            d = float(base_w @ np.polynomial.polynomial.polyval(x - base_pos, g))
+            if i > 0:
+                d += dt * float(np.polynomial.polynomial.polyval(
+                    x - positions[1:i + 1], g).sum())
+            d = d / mass
         if vg is not None:
             d += float(np.polynomial.polynomial.polyval(x, vg))
         x += -d * dt + increments[i]
         mass += dt
         positions[i + 1] = x
     # center knots where the moment steppers place them: every step for a
-    # linear drift; no attraction keeps the start point
+    # linear drift, else every _CENTER_EVERY steps from the stepper's first
+    # row (row 1 from t = 0, whose row 0 is the start atom's center); no
+    # attraction keeps the start point
     atoms = np.concatenate((base_pos, positions[1:]))
     weights = np.concatenate((base_w, np.full(n, dt)))
+    first = 0 if base_w.size else 1
+    knots = range(first, n + 1, 1 if g.size <= 2 else _CENTER_EVERY)
+    if first:
+        knots = [0, *knots]
     centers = np.full(n + 1, np.nan)
     c = float(x0)
-    for i in range(0, n + 1, 1 if g.size <= 2 else _CENTER_EVERY):
+    for i in knots:
         if g.any():
-            c = history_center(g, atoms[:base_w.size + i], weights[:base_w.size + i], c)
+            c = (history_center(g, np.array([x0]), np.ones(1), c) if i == 0 and first
+                 else history_center(g, atoms[:base_w.size + i], weights[:base_w.size + i], c))
         centers[i] = c
     _interpolate_center_gaps(centers)
     return positions, centers
 
 
-def loop_moment_columns(T, v, x0, prehistory, positions, dt, every, origin, y0=0.0):
+def loop_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y0=0.0):
     """The column stepper as first written, one fresh view and keyword
     ``out`` per numpy call: the bitwise reference for
-    `sde._run_moment_columns`, which must return the same positions and
+    `sde._run_moment_columns`, which must write the same positions and
     centers to the last bit on the same arguments (positions (R, n+1)
-    holding the increments in columns 1..n, overwritten in place)."""
+    holding the increments in columns 1..n, overwritten in place, and the
+    pre-history's power sums (count, R) or (count, 1))."""
     count = T.shape[0]
     R, n = positions.shape[0], positions.shape[1] - 1
-    sums = power_sums(*prehistory, float(x0), count)
-    mass = float(sums[0])
-    S = np.repeat(sums[:, None], R, axis=1)
+    mass = float(sums[0, 0])
+    S = np.broadcast_to(sums, (count, R)).copy()
     a = np.full(R, float(x0))
     vg = _v_gradient(v)
     if count <= 2:
         every = 1
-    centers = np.empty((R, n + 1))
     knot_S = np.empty((_CENTER_BLOCK, count, R))
     knot_mass = np.empty((_CENTER_BLOCK, 1))
     knot_a = np.empty((_CENTER_BLOCK, R))
@@ -131,7 +145,6 @@ def loop_moment_columns(T, v, x0, prehistory, positions, dt, every, origin, y0=0
     segments.append((n + 1, None))
     for (start, a_seg), (stop, _) in zip(segments, segments[1:]):
         positions[:, start:stop] += a_seg[:, None]
-    return positions, centers
 
 
 def _interpolate_center_gaps(centers):

@@ -154,7 +154,7 @@ def test_criterion_8_ou_domination():
     fractions = []
     for seed in (1, 2, 3, 4):
         cfg = SimConfig(dt=1e-3, t_end=201.0, t_start=1.0, seed=seed)
-        res = ou_domination(QUAD, cfg, burn_in=10.0)
+        res = ou_domination(QUAD, cfg)
         fractions.append(res.violation_fraction)
     report("criterion 8 (OU domination coupling)",
            all(f <= 0.01 for f in fractions),

@@ -11,6 +11,7 @@ from selfattract.config import _SCHEMA, load_config
 from selfattract.errors import InvalidInputError, NumericFailureError
 from selfattract.persist import load_measure, write_series_csv
 from selfattract import simulate, simulate_ensemble
+from oracles import full_history_path
 
 
 def write(path: Path, text: str) -> str:
@@ -109,6 +110,25 @@ class TestConfig:
         bad = write(tmp_path / "c.cfg", text.replace("[sim]", "convexity_constant = 1.0\n[sim]"))
         assert main(["--config", bad, "--out", str(tmp_path / "c"), "simulate"]) == 2
 
+    @pytest.mark.parametrize("kind,line,named", [
+        ("quadratic-symmetric", "coefficients = 1.0 0.5", "coefficients"),
+        ("quadratic-symmetric", "coefficients = 1.0\nconvexity_constant = 5.0",
+         "convexity_constant"),
+        ("quadratic-shifted", "coefficients = 1.0\nconvexity_constant = 5.0",
+         "convexity_constant"),
+        ("even-polynomial", "coefficients = 0.5 0.1\nsymmetric = false", "symmetric")],
+        ids=["quadratic-two-coefficients", "quadratic-convexity", "shifted-convexity",
+             "even-polynomial-symmetric"])
+    def test_key_the_kind_does_not_read_is_a_config_error(self, tmp_path, capsys, kind,
+                                                          line, named):
+        # each key would be recorded in the manifest but change nothing
+        cfg = write(tmp_path / "k.cfg", f"[potential]\nkind = {kind}\n{line}\n"
+                    "[sim]\nt_end = 3.0\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "simulate"]) == 2
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [potential] ") and named in err and kind in err
+
     def test_manifest_leaves_out_the_output_directory(self, tmp_path):
         # the hashed config says what ran, not where the files went
         manifests = []
@@ -194,8 +214,8 @@ class TestCommands:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_simulate_replicas_from_time_zero(self, tmp_path):
-        # replicas started at t = 0 each run through their own bootstrap;
-        # each CSV path is the thinned single-replica path, digit for digit
+        # replicas started at t = 0 step side by side; each CSV path is the
+        # thinned single-replica path, digit for digit
         cfg = write(tmp_path / "z.cfg",
                     "[sim]\ndt = 0.01\nt_start = 0.0\nt_end = 5.0\nseed = 3\n"
                     "[experiment]\nreplicas = 2\n")
@@ -230,10 +250,16 @@ class TestCommands:
                     "[sim]\nt_start = 0.0\n")
         assert main(["--config", cfg, "--out", str(tmp_path / "oz"), "simulate"]) == 0
 
-    def test_too_short_run_from_time_zero_exit_code(self, tmp_path, capsys):
+    def test_short_run_from_time_zero_matches_the_oracle(self, tmp_path):
+        # no bootstrap segment to fit: three steps from t = 0 run
         cfg = write(tmp_path / "s.cfg", "[sim]\nt_start = 0.0\nt_end = 0.03\n")
-        assert main(["--config", cfg, "--out", str(tmp_path / "os"), "simulate"]) == 2
-        assert "t = 0 bootstrap" in capsys.readouterr().err
+        assert main(["--config", cfg, "--out", str(tmp_path / "os"), "simulate"]) == 0
+        loaded = load_config(cfg)
+        positions, centers = full_history_path(loaded.potential, 0.0, loaded.sim)
+        got = np.loadtxt(tmp_path / "os" / "path_r0.csv", delimiter=",", skiprows=1)
+        assert got.shape == (4, 3)
+        assert np.abs(got[:, 1] - positions).max() <= 1e-12
+        assert np.abs(got[:, 2] - centers).max() <= 1e-12
 
     def test_threads_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

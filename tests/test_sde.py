@@ -1,4 +1,3 @@
-import functools
 import math
 import re
 import tracemalloc
@@ -74,6 +73,13 @@ class TestSimulate:
     def test_dt_cap_enforced(self, quad):
         with pytest.raises(InvalidInputError):
             simulate(quad, 0.0, SimConfig(dt=0.05, t_end=2.0, t_start=1.0, seed=0))
+
+    @pytest.mark.parametrize("t_start", [0.0, 1.0])
+    def test_run_without_a_step_rejected(self, t_start):
+        # a run from t = 0 takes its first step before the stepper, and a
+        # path without a step has nothing to report
+        with pytest.raises(InvalidInputError, match="at least one step"):
+            SimConfig(dt=0.01, t_end=t_start + 0.004, t_start=t_start)
 
     def test_noiseless_run_contracts_to_center(self, quad):
         # pre-history sits at the origin, the path starts away from it
@@ -203,21 +209,23 @@ class TestEnsemble:
                 ens[1].weights[0] = 2.0
 
     def test_stepped_ensemble_memory_is_its_outputs(self):
-        # the stepper draws the increments into the positions and the
-        # quadratic closed form into the centers, so positions and centers
-        # (R, n + 1) bound the peak
-        cfg = SimConfig(dt=0.01, t_end=201.0, t_start=1.0, seed=3)
-        R, n = 64, cfg.n_steps
-        for w in (even_polynomial([0.5, 0.1]), quadratic_symmetric(1.0)):
-            tracemalloc.start()
-            try:
-                ens = simulate_ensemble(w, 0.0, cfg, R)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert len(ens) == R and n == 20_000
-            assert peak <= 1.1 * 8 * 2 * R * (n + 1)
-            del ens
+        # the increments are drawn into the positions, which the stepper
+        # and the quadratic closed form overwrite, so positions and centers
+        # (R, n + 1) bound the peak, also from t = 0
+        R = 64
+        for t_start in (1.0, 0.0):
+            cfg = SimConfig(dt=0.01, t_end=t_start + 200.0, t_start=t_start, seed=3)
+            n = cfg.n_steps
+            for w in (even_polynomial([0.5, 0.1]), quadratic_symmetric(1.0)):
+                tracemalloc.start()
+                try:
+                    ens = simulate_ensemble(w, 0.0, cfg, R)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert len(ens) == R and n == 20_000
+                assert peak <= 1.1 * 8 * 2 * R * (n + 1)
+                del ens
 
     @pytest.mark.parametrize("v", [None, external_polynomial([0.3])], ids=["W", "W+V"])
     def test_block_centers_are_exact_and_independent_of_the_block_length(self, v,
@@ -316,15 +324,16 @@ class TestEnsemble:
             gen = make_rng(27)
             init = ParticleMeasure(x0 + gen.standard_normal(10), gen.uniform(0.5, 1.0, 10))
         cfg = SimConfig(dt=0.01, t_end=501.0, t_start=1.0, seed=58)
-        pre = sde._prehistory(x0, cfg.t_start, init)
+        sums = power_sums(*sde._prehistory(x0, cfg.t_start, init), x0, 2)[:, None]
         T = convolution_matrix(w, 1)
         noise = np.stack([cfg.noise_scale * math.sqrt(cfg.dt)
                           * rng.normal_increments(cfg.seed, cfg.n_steps, r) for r in range(2)])
-        steps = np.empty((2, cfg.n_steps + 1))
-        steps[:, 1:] = noise
-        summed = sde._run_quadratic_closed_form(T, x0, pre, steps.copy(), cfg.dt)
-        stepped = sde._run_moment_columns(T, None, x0, pre, steps, cfg.dt, 1,
-                                          (range(2), 0, cfg.t_start))
+        summed, stepped = np.empty((2, 2, 2, cfg.n_steps + 1))
+        for positions, _ in (summed, stepped):
+            positions[:, 1:] = noise
+        sde._run_quadratic_closed_form(T, x0, sums, *summed, cfg.dt)
+        sde._run_moment_columns(T, None, x0, sums, *stepped, cfg.dt, 1,
+                                (range(2), 0, cfg.t_start))
         assert summed[0].shape == (2, 50_001)
         for got, want in zip(summed, stepped):
             assert np.abs(got - want).max() <= 1e-11
@@ -387,8 +396,8 @@ class TestColumnStepper:
         w, v, x0, warm, R, n = self.CASES[case]
         cfg = SimConfig(dt=0.01, t_end=1.0 + 0.01 * n, t_start=1.0, seed=11)
         assert cfg.n_steps == n
-        pre = sde._prehistory(x0, cfg.t_start, warm)
         T = convolution_matrix(w, 1)
+        sums = power_sums(*sde._prehistory(x0, cfg.t_start, warm), x0, T.shape[0])[:, None]
         increments = np.zeros((R, n + 1))
         for r in range(R):
             sde._increments(cfg, n, r, out=increments[r, 1:])
@@ -400,10 +409,12 @@ class TestColumnStepper:
             return reanchor(S, shift)
 
         monkeypatch.setattr(sde, "reanchor", record)
-        args = (T, v, x0, pre)
+        args = (T, v, x0, sums)
         rest = (cfg.dt, sde._CENTER_EVERY, (range(R), 0, cfg.t_start))
-        got = sde._run_moment_columns(*args, increments.copy(), *rest)
-        want = loop_moment_columns(*args, increments.copy(), *rest)
+        got = increments.copy(), np.empty((R, n + 1))
+        want = increments.copy(), np.empty((R, n + 1))
+        sde._run_moment_columns(*args, *got, *rest)
+        loop_moment_columns(*args, *want, *rest)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert np.all(np.isfinite(got[1]))
@@ -459,12 +470,12 @@ def one_update_residual(T, ps):
 class TestOuDomination:
     def test_violation_fraction_small(self, quad):
         cfg = SimConfig(dt=1e-3, t_end=51.0, t_start=1.0, seed=17)
-        res = ou_domination(quad, cfg, burn_in=10.0)
+        res = ou_domination(quad, cfg)
         assert res.violation_fraction <= 0.01
 
     def test_reflection_events_counted(self, quad):
         cfg = SimConfig(dt=1e-3, t_end=3.0, t_start=1.0, seed=29)
-        res = ou_domination(quad, cfg, burn_in=0.5)
+        res = ou_domination(quad, cfg)
         assert res.n_reflections >= 0
         assert np.all(res.z_path >= 1e-6 - 1e-15)
 
@@ -544,13 +555,34 @@ class TestPicardBootstrap:
         assert rec.times.size == cfg.n_steps + 1
         assert np.abs(rec.positions[1:] - np.cumsum(incs)).max() <= 1e-13
 
-    @pytest.mark.parametrize("kw", [dict(dt=0.01, t_end=0.03),
-                                    dict(dt=0.01, t_end=1.0, noise_scale=20.0),
-                                    dict(dt=1e-3, t_end=1.0, noise_scale=20.0)],
-                             ids=["short", "noisy", "noisy-at-two-steps"])
-    def test_start_at_zero_names_the_bootstrap_condition(self, quad, kw):
-        with pytest.raises(InvalidInputError, match="t = 0 bootstrap needs 2 or more steps"):
-            simulate(quad, 0.0, SimConfig(t_start=0.0, **kw))
+    @pytest.mark.parametrize("t_end", [0.03, 0.01], ids=["three-steps", "one-step"])
+    def test_short_runs_from_zero_match_the_oracle(self, quad, t_end):
+        # a run from t = 0 needs no bootstrap segment, so one step is enough
+        cfg = SimConfig(dt=0.01, t_end=t_end, t_start=0.0, seed=3)
+        for r, rec in enumerate(simulate_ensemble(quad, 0.0, cfg, 2)):
+            positions, centers = full_history_path(quad, 0.0, cfg, replica=r)
+            assert rec.positions.size == cfg.n_steps + 1 == round(100 * t_end) + 1
+            assert np.abs(rec.positions - positions).max() <= 1e-12
+            assert np.abs(rec.center_track - centers).max() <= 1e-12
+
+    @pytest.mark.parametrize("w,v,x0", [
+        (quadratic_symmetric(1.0), None, 0.4), (even_polynomial([0.5, 0.1]), None, 0.4),
+        (quadratic_shifted(1.0), None, 0.4),
+        (even_polynomial([0.5, 0.1]), external_polynomial([0.5]), 0.4),
+        (quadratic_symmetric(1.0), None, 1000.0), (even_polynomial([0.5, 0.1]), None, 1000.0),
+        (quadratic_shifted(1.0), None, 1000.0)],
+        ids=["quadratic", "quartic", "shifted", "quartic+V", "quadratic-1000", "quartic-1000",
+             "shifted-1000"])
+    def test_ensemble_from_zero_matches_the_full_history(self, w, v, x0):
+        # step 0 drifts against the start atom alone, step i > 0 against the
+        # path's atoms 1..i; relative away from the origin, where one ulp of
+        # x is 1e-13
+        cfg = SimConfig(dt=1e-3, t_end=2.0, t_start=0.0, seed=83)
+        for r, rec in enumerate(simulate_ensemble(w, x0, cfg, 3, v=v)):
+            positions, centers = full_history_path(w, x0, cfg, v=v, replica=r)
+            assert rec.positions[0] == x0
+            assert np.abs(rec.positions - positions).max() <= 1e-12 * max(1.0, x0)
+            assert np.abs(rec.center_track - centers).max() <= 1e-12 * max(1.0, x0)
 
     @pytest.mark.parametrize("run", [
         lambda w, cfg, occ: simulate(w, 0.0, cfg, initial_occupation=occ),
@@ -564,36 +596,25 @@ class TestPicardBootstrap:
 
     def test_failures_from_a_zero_start_name_replica_round_sup_and_ratio(self, quad,
                                                                             monkeypatch):
-        # each bootstrap error, forced on a run from t = 0, names the replica
-        # id, the round, the last sup distance and the last contraction
-        # ratio of the same rounds an unforced bootstrap takes
-        cfg = SimConfig(dt=1e-3, t_end=1.0, t_start=0.0, seed=3)
-        rounds = []
-
-        def record(*args, **kwargs):
-            res = picard_bootstrap(*args, **kwargs)
-            rounds.append(res.sup_distances)
-            return res
-
-        monkeypatch.setattr(sde, "picard_bootstrap", record)
-        simulate(quad, 0.0, cfg, replica=4)
-        sups, = rounds
+        # each bootstrap error names the round, the last sup distance and the
+        # last contraction ratio of the same rounds an unforced bootstrap takes
+        dt, m = 1e-3, 120
+        args = (quad, 0.0, dt * np.arange(m + 1), self._noise(m, dt))
+        sups = picard_bootstrap(*args).sup_distances
         assert len(sups) > 3
-        forced = [(3, "did not reach tolerance 1e-10",
-                   {"picard_bootstrap": functools.partial(picard_bootstrap, max_rounds=3)}),
-                  (2, "is not contracting",
-                   {"picard_bootstrap": picard_bootstrap, "_BOOTSTRAP_MAX_RATIO": 0.0})]
-        for k, what, patches in forced:
-            with monkeypatch.context() as m:
+        forced = [(3, "did not reach tolerance 1e-10", {"max_rounds": 3}, {}),
+                  (2, "is not contracting", {}, {"_BOOTSTRAP_MAX_RATIO": 0.0})]
+        for k, what, kwargs, patches in forced:
+            with monkeypatch.context() as mp:
                 for name, value in patches.items():
-                    m.setattr(sde, name, value)
+                    mp.setattr(sde, name, value)
                 with pytest.raises(NumericFailureError, match=what) as err:
-                    simulate(quad, 0.0, cfg, replica=4)
-            found = re.search(r"^replica (\d+): .*\(round (\d+), last sup distance (\S+), "
+                    picard_bootstrap(*args, **kwargs)
+            found = re.search(r"\(round (\d+), last sup distance (\S+), "
                               r"contraction ratio (\S+)\)", str(err.value))
-            assert (int(found[1]), int(found[2])) == (4, k)
-            assert float(found[3]) == sups[k - 1]
-            assert float(found[4]) == sups[k - 1] / sups[k - 2]
+            assert int(found[1]) == k
+            assert float(found[2]) == sups[k - 1]
+            assert float(found[3]) == sups[k - 1] / sups[k - 2]
 
     def test_interval_too_long_rejected(self, quad):
         dt, m = 1e-2, 60  # delta = 0.6 > 1/3
