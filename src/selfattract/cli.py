@@ -51,18 +51,20 @@ def _initial_density(cfg: ExperimentConfig) -> GridDensity:
 
 def _cmd_simulate(cfg: ExperimentConfig, do_assert: bool) -> int:
     """Per replica, its thinned path (t, x, center) and its occupation
-    histogram.  The records share one ``times`` array, so the time column
-    is formatted once for every path file."""
+    histogram.  The records share one ``times`` and one ``weights`` array, so
+    the time column is formatted and the weights are normalized once for
+    every path, and no occupation measure is built."""
     out = _out_dir(cfg)
     records = simulate_ensemble(cfg.potential, cfg.init_position, cfg.sim,
                                 cfg.replicas, v=cfg.external)
     thin = max(1, records[0].times.size // 2000)
     times = format_column(records[0].times[::thin])
+    first = int(records[0].weights[0] == 0)   # from t = 0: no pre-history atom
+    w = records[0].weights[first:] / records[0].weights[first:].sum()
     for rec in records:
         write_series_csv(out / f"path_r{rec.replica}.csv", ["t", "x", "center"],
                          [times, rec.positions[::thin], rec.center_track[::thin]])
-        occ = rec.occupation()
-        hist, edges = np.histogram(occ.positions, bins=128, weights=occ.weights)
+        hist, edges = np.histogram(rec.positions[first:], bins=128, weights=w)
         mids = 0.5 * (edges[:-1] + edges[1:])
         width = edges[1] - edges[0]
         write_series_csv(out / f"occupation_r{rec.replica}.csv", ["x", "density"],

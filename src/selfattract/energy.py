@@ -47,9 +47,8 @@ class EnergyBreakdown:
 def entropy(m: GridDensity) -> float:
     """Quadrature of m log m with the continuous extension 0 log 0 = 0 (a
     `GridDensity` is non-negative by construction)."""
-    v = m.values
-    mask = v > _ENTROPY_FLOOR
-    return float((v[mask] * np.log(v[mask])).sum() * m.spacing)
+    v = m.values[m.values > _ENTROPY_FLOOR]
+    return float((v * np.log(v)).sum() * m.spacing)
 
 
 def free_energy(w: PotentialSpec, m: GridDensity,

@@ -1,13 +1,23 @@
 """The damped mixing step, the measure flow it makes and the fixed point.
 
 One step, `mix_step`, maps rho to (1 - lam) rho + lam Pi(rho), Pi the Gibbs
-map: the box first follows the center, then the Gibbs image and the
-normalized mixture are built, and the mixture is read once
-(`measures.density_sums`, a few floats kept on its state) for its center,
-its free energy and the next step's Gibbs image; the translation distance
-from the density it mixed is the step's distance.  Its two callers differ
-only in lam and in how far the center may stray from the box middle before
-the box moves (the slack):
+map.  The box first follows the center.  Then the step computes:
+
+- the Gibbs image, from the few floats the state keeps of rho
+  (`measures.density_sums`);
+- the mixture, built once, already normalized;
+- the mixture's normalized CDF, for the translation distance from rho, the
+  step's distance (rho kept its own CDF from the step before);
+- one read of the mixture (`density_sums`) for its center, its free energy
+  and the next step's Gibbs image.
+
+Neither the image nor the mixture is checked again: both are valid by
+construction.  What the box fixes -- its cell centers, the envelope at them
+and tp's primitives at its edges -- is memoized per (envelope, box ends,
+cell count) (`measures.box_geometry`), so a step whose box stands still
+evaluates none of it.  The two callers of the step differ only in lam and
+in how far the center may stray from the box middle before the box moves
+(the slack):
 
 - `euler_step`, the Euler-discretized flow on the polynomial time
   schedule: lam = dT / T_next and a slack of 10% of the half-width;
@@ -127,9 +137,10 @@ def mix_step(w: PotentialSpec, state: FlowState, lam: float, slack: float, time:
     (`_box_follows`), and the measure stays where it is.  Each derived
     quantity is computed once: the state's density is read again only when
     its box moves or it was read for another W, and the mixture is read once
-    (`_state`).  The convolution matrices and tp's lattice primitives come
-    from their caches, so a step whose box stands still builds neither.  The
-    step distance is tp from the density mixed, on the box it was mixed in."""
+    (`_state`).  The convolution matrices and the box's geometry come from
+    their caches, so a step whose box stands still builds neither.  The
+    step distance is tp from the density mixed, on the box it was mixed in,
+    whose CDF the density mixed kept from the step before."""
     rho, sums = state.density, state.sums
     if abs(state.center - 0.5 * (rho.lo + rho.hi)) > slack * 0.5 * (rho.hi - rho.lo):
         rho = _box_follows(rho, state.center)
@@ -137,7 +148,7 @@ def mix_step(w: PotentialSpec, state: FlowState, lam: float, slack: float, time:
         sums = density_sums(w, rho)
     image = gibbs_map(w, sums, v=v, grid=rho)
     mixed = GridDensity.proportional_to(
-        rho.lo, rho.hi, (1.0 - lam) * rho.values + lam * image.values)
+        rho.lo, rho.hi, (1.0 - lam) * rho.values + lam * image.values, trusted=True)
     step = tp_distance_1d(w, rho, mixed)
     return _state(w, mixed, state.n + 1, time, step, v, reference_total)
 

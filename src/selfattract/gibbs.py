@@ -56,7 +56,9 @@ def gibbs_map(w: PotentialSpec, m: Measure | PowerSums, v: PotentialSpec | None 
     through them.  A grid density is read once (`density_sums`), and its
     `DensitySums` may be passed instead, as the flow and the fixed point
     do.  The evaluation grid defaults to an auto-sized box around the center
-    of m; pass ``grid`` to reuse an existing geometry (the flow does).
+    of m; pass ``grid`` to reuse an existing geometry (the flow does).  The
+    grid's centers come from its box's memoized geometry, and the image,
+    valid by construction, is not checked again.
     NumericFailureError when the envelope norm of m diverges, or for bare
     `PowerSums`, when they overflowed.
     """
@@ -71,7 +73,7 @@ def gibbs_map(w: PotentialSpec, m: Measure | PowerSums, v: PotentialSpec | None 
         p_norm(w, m)
     if grid is None:
         grid = _auto_grid(w, v, m, cells)
-    phi = convolve_potential(w, m, grid.centers())
+    phi = convolve_potential(w, m, grid.geometry(w).centers)
     if v is not None:
         phi = phi + potential_on_grid(v, grid)
     weights = np.exp(phi.min() - phi)
@@ -80,7 +82,7 @@ def gibbs_map(w: PotentialSpec, m: Measure | PowerSums, v: PotentialSpec | None 
         raise NumericFailureError(
             "all Gibbs cell weights underflowed; the grid is misplaced -- "
             "re-center it on the measure before applying the map")
-    density = GridDensity(grid.lo, grid.hi, weights / (z * grid.spacing))
+    density = GridDensity._view(grid.lo, grid.hi, weights / (z * grid.spacing))
     boundary = float((density.values[0] + density.values[-1]) * density.spacing)
     if boundary > 1e-5:
         raise NumericFailureError(

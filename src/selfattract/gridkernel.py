@@ -25,8 +25,9 @@ def potential_on_grid(p: PotentialSpec, grid: GridDensity) -> np.ndarray:
 
 def grid_power_sums(p: PotentialSpec, grid: GridDensity, values: np.ndarray) -> np.ndarray:
     """Power sums of the cell masses values * h about the grid's midpoint, as
-    many as the interaction form of p reads; values may be signed."""
-    pts = grid.centers()
+    many as the interaction form of p reads; values may be signed.  The
+    centers are the box's memoized ones (`GridDensity.geometry`)."""
+    pts = grid.geometry(p).centers
     return power_sums(pts, values * grid.spacing, anchor(pts),
                       convolution_matrix(p).shape[0])
 

@@ -6,10 +6,20 @@ measures of simulated paths) and densities on a uniform grid (anything
 that needs an entropy or a Gibbs image).  All quadrature is midpoint
 rule on the grid, with reductions in a fixed order so that results are
 reproducible bit for bit.
+
+What a grid's box fixes under an envelope P -- its cell centers, P(|x|) at
+them, and tp's envelope primitives at its edges -- is memoized per
+(envelope, box ends, cell count) and read-only (`box_geometry`), and a
+density keeps its normalized CDF once taken (`GridDensity.cdf`), its values
+turning read-only with it.  A flow step or a fixed-point iteration on a box
+that stands still therefore evaluates none of the box's geometry and takes
+one CDF, its mixture's.  A density built from checked ones by a step -- a
+Gibbs image, a mixture -- is not checked again (`GridDensity._view`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +30,7 @@ from .potentials import PotentialSpec, as_envelope, polynomial_derivative
 from .powersums import PowerSums, anchor, convolution_matrix, power_sums
 
 _MASS_TOL = 1e-9
+_BOX_CACHE = 2   # boxes whose geometry is kept: a box, and the union box of a move
 
 
 @dataclass(frozen=True)
@@ -74,7 +85,8 @@ class GridDensity:
     """Probability density sampled at the cell midpoints of a uniform grid on
     the interval [lo, hi] of the line (d = 1 of the paper's R^d): finite
     floats lo < hi and values of shape (cells,), in units of 1/length.  The
-    checks run once, here; views of the density (`as_atoms`) trust them."""
+    checks run once, here; views of the density (`as_atoms`) trust them, and
+    so does a density built from checked ones (`_view`)."""
 
     lo: float
     hi: float
@@ -105,22 +117,48 @@ class GridDensity:
 
     def centers(self) -> np.ndarray:
         """Cell midpoints."""
-        return self.lo + (np.arange(self.values.size) + 0.5) * self.spacing
+        return _cell_centers(self.lo, self.hi, self.values.size)
+
+    def geometry(self, envelope) -> "BoxGeometry":
+        """The memoized geometry of this density's box under ``envelope``
+        (`box_geometry`)."""
+        return box_geometry(as_envelope(envelope), self.lo, self.hi, self.values.size)
+
+    @functools.cached_property
+    def cdf(self) -> np.ndarray:
+        """The normalized CDF at the cells' right edges, taken once and
+        read-only; the values turn read-only with it, so it never goes stale."""
+        cum = np.cumsum(self.values * self.spacing)
+        cum /= cum[-1]
+        _read_only(self.values)
+        return _read_only(cum)
 
     @property
     def mass(self) -> float:
         return float(self.values.sum() * self.spacing)
 
     @classmethod
-    def proportional_to(cls, lo: float, hi: float, values: np.ndarray) -> "GridDensity":
+    def _view(cls, lo: float, hi: float, values: np.ndarray) -> "GridDensity":
+        """A density valid by construction -- a Gibbs image on a checked box,
+        a mixture of checked densities -- built without checking it again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "lo", lo)
+        object.__setattr__(g, "hi", hi)
+        object.__setattr__(g, "values", values)
+        return g
+
+    @classmethod
+    def proportional_to(cls, lo: float, hi: float, values: np.ndarray,
+                        trusted: bool = False) -> "GridDensity":
         """The density on [lo, hi] proportional to ``values``: the values
         divided by their midpoint-rule mass, checked once, as the density
         they make.  A mixture of densities is built this way, never as an
-        unnormalized density first."""
+        unnormalized density first; it passes ``trusted``, since only its
+        mass can fail, and is not checked again (`_view`)."""
         m = float(values.sum() * ((hi - lo) / values.size))
         if not math.isfinite(m) or m <= 0:
             raise NumericFailureError("cannot normalize grid with non-finite or zero mass")
-        return cls(lo, hi, values / m)
+        return (cls._view if trusted else cls)(lo, hi, values / m)
 
     def normalized(self) -> "GridDensity":
         return GridDensity.proportional_to(self.lo, self.hi, self.values)
@@ -134,6 +172,51 @@ class GridDensity:
 
 
 Measure = ParticleMeasure | GridDensity
+
+
+def _cell_centers(lo: float, hi: float, cells: int) -> np.ndarray:
+    return lo + (np.arange(cells) + 0.5) * ((hi - lo) / cells)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def envelope_primitives(env, xs: np.ndarray):
+    """(xs, Phi0, Phi1, dPhi0, dPhi1, dx): the odd primitive Phi0 of P(|x|)
+    and the even primitive Phi1 of x P(|x|) at the sorted points xs, and
+    their differences over each interval (tp's integration tail)."""
+    phi0, phi1 = env.antiderivative(xs), env.moment_antiderivative(xs)
+    return xs, phi0, phi1, np.diff(phi0), np.diff(phi1), np.diff(xs)
+
+
+class BoxGeometry:
+    """What the uniform grid of ``cells`` cells on [lo, hi] fixes under an
+    envelope P: its cell centers, P(|x|) at them, and tp's
+    `envelope_primitives` at its cells + 1 edges.  Each is evaluated when
+    first read, and is read-only (a write raises ``ValueError``)."""
+
+    def __init__(self, env, lo: float, hi: float, cells: int):
+        self.env, self.lo, self.hi, self.cells = env, lo, hi, cells
+
+    @functools.cached_property
+    def centers(self) -> np.ndarray:
+        return _read_only(_cell_centers(self.lo, self.hi, self.cells))
+
+    @functools.cached_property
+    def envelope(self) -> np.ndarray:
+        return _read_only(self.env(np.abs(self.centers)))
+
+    @functools.cached_property
+    def primitives(self) -> tuple:
+        edges = np.linspace(self.lo, self.hi, self.cells + 1)
+        return tuple(map(_read_only, envelope_primitives(self.env, edges)))
+
+
+# one geometry per (envelope, box ends, cell count): a flow or a fixed point
+# evaluates its box's once, for as long as the box stands still
+box_geometry = functools.lru_cache(maxsize=_BOX_CACHE)(BoxGeometry)
 
 
 def uniform_density(lo: float, hi: float, cells: int = 1024) -> GridDensity:
@@ -182,13 +265,18 @@ class DensitySums(PowerSums):
 
 
 def density_sums(p: PotentialSpec, g: GridDensity) -> DensitySums:
-    """Read the grid density g once for the potential p (`DensitySums`)."""
-    atoms = as_atoms(g)
-    a = anchor(atoms.positions)
-    sums = power_sums(atoms.positions, atoms.weights, a,
-                      max(2, convolution_matrix(p).shape[0]))
-    return DensitySums(a, sums, p, atoms.mean(), _envelope_integral(p, atoms),
-                       atoms.positions.size == g.values.size)
+    """Read the grid density g once for the potential p (`DensitySums`):
+    the atoms of `as_atoms`, at the centers of the box's geometry and with
+    the envelope at them, which its cache evaluated once."""
+    geo = g.geometry(p)
+    pos, env, w = geo.centers, geo.envelope, g.values * g.spacing
+    keep = w > 0
+    if not keep.all():
+        pos, env, w = pos[keep], env[keep], w[keep]
+    a = anchor(pos)
+    sums = power_sums(pos, w, a, max(2, convolution_matrix(p).shape[0]))
+    return DensitySums(a, sums, p, float(w @ pos) / float(sums[0]), float(w @ env),
+                       pos.size == g.values.size)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +388,6 @@ def smooth(m: ParticleMeasure, h: float, lo: float | None = None,
 # envelope norm
 
 
-def _envelope_integral(p, atoms: ParticleMeasure) -> float:
-    return float(atoms.weights @ as_envelope(p)(np.abs(atoms.positions)))
-
-
 def _finite_norm(out: float) -> float:
     """The envelope norm out, or NumericFailureError when it diverged."""
     if not math.isfinite(out):
@@ -313,4 +397,5 @@ def _finite_norm(out: float) -> float:
 
 def p_norm(p, m: Measure) -> float:
     """Integral of P(|y|) against |m|; at least the total mass since P >= 1."""
-    return _finite_norm(_envelope_integral(p, as_atoms(m)))
+    atoms = as_atoms(m)
+    return _finite_norm(float(atoms.weights @ as_envelope(p)(np.abs(atoms.positions))))

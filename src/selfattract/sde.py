@@ -592,11 +592,13 @@ def ou_domination(w: PotentialSpec, cfg: SimConfig) -> OuDominationResult:
     eps allows for the Euler discretization: 0.05 at dt = 1e-3, scaled with
     sqrt(dt).  X does not depend on Z, so the path and its every-step center
     come from the running-moment stepper first, on an atom of mass t_start
-    at 0 as the pre-history.
+    at 0 as the pre-history, so the coupling needs t_start > 0.
     """
     _check_dt(w, cfg)
     if w.convexity_constant <= 0:
         raise InvalidInputError("domination needs a uniformly convex interaction")
+    if cfg.t_start <= 0:
+        raise InvalidInputError("the coupling needs a pre-history: t_start > 0")
     dt = cfg.dt
     n = cfg.n_steps
     eps_disc = 0.05 * math.sqrt(dt / 1e-3)

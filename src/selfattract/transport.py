@@ -15,11 +15,15 @@ Phi1 the even primitive of x P(|x|), both valid across x = 0.  Two grids on
 one lattice (one cell width, boxes a whole number of cells apart, as the
 flow's and the fixed point's box moves leave them) skip the knots: the gap
 is the difference of the two normalized CDFs at the edges of the union box,
-linear on each cell; Phi0 and Phi1 at those edges and their differences
-are the lattice's primitives, memoized per (envelope, box ends, cell count)
-in a small cache (`_lattice_primitives`), so a flow or a fixed point
-reuses them while its box stands still.  Both cases (`_lattice_gap`,
-`_merged_gap`) end in the same integration tail, `_abs_gap_integral`.
+linear on each cell.  Each density takes its CDF once and keeps it
+(`GridDensity.cdf`), and two grids on one box, as every flow step and
+fixed-point iteration compares, skip the lattice check.  Phi0 and Phi1 at
+the edges and their differences are the primitives of the union box's
+memoized geometry (`measures.box_geometry`, per envelope, box ends and cell
+count).  So on a box that stands still, a step's tp takes one new
+cumulative sum, the mixture's, and evaluates no primitive.  Both cases
+(`_lattice_gap`, `_merged_gap`) end in the same integration tail,
+`_abs_gap_integral`.
 For W2 the quantile gap is linear between merged probability knots and its
 square integrates to w (ga^2 + ga gb + gb^2) / 3.  `QuantileTarget` does the
 same against one fixed measure for many sorted atom measures (the prefix
@@ -29,17 +33,16 @@ atom measure in chunks.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .errors import NumericFailureError
-from .measures import GridDensity, Measure, ParticleMeasure
+from .measures import (GridDensity, Measure, ParticleMeasure, box_geometry,
+                       envelope_primitives)
 from .potentials import as_envelope
 
 _MASS_GAP_TOL = 1e-9
-_LATTICE_CACHE = 2   # lattices whose tp primitives are kept: a box, and the union box of a move
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +65,7 @@ def _quantile_pieces(m: Measure):
         cum /= cum[-1]
         return cum, pos, None
     edges = np.linspace(m.lo, m.hi, m.values.size + 1)
-    cum = np.cumsum(m.values * m.spacing)
-    cum /= cum[-1]
+    cum = m.cdf
     keep = np.diff(cum, prepend=0.0) > 0
     return cum[keep], edges[:-1][keep], edges[1:][keep]
 
@@ -211,32 +213,18 @@ def _cdf_after_knot(segments, j: np.ndarray, xs: np.ndarray):
     return level[j] + s * (xs - knots[j - 1]), s
 
 
-def _primitives(env, xs: np.ndarray):
-    """(xs, Phi0, Phi1, dPhi0, dPhi1, dx): the envelope primitives at the
-    sorted knots xs and their differences over each interval."""
-    phi0, phi1 = env.antiderivative(xs), env.moment_antiderivative(xs)
-    return xs, phi0, phi1, np.diff(phi0), np.diff(phi1), np.diff(xs)
-
-
-@functools.lru_cache(maxsize=_LATTICE_CACHE)
-def _lattice_primitives(env, lo: float, hi: float, cells: int):
-    """`_primitives` at the cells + 1 edges of the uniform lattice on
-    [lo, hi], read-only: a flow or a fixed point reuses them for as long as
-    its box stands still."""
-    prim = _primitives(env, np.linspace(lo, hi, cells + 1))
-    for a in prim:
-        a.flags.writeable = False
-    return prim
-
-
 def _lattice_gap(m1: Measure, m2: Measure):
     """(lattice, gap) for two 1-d grids on one lattice -- the same cell
     width, boxes a whole number of cells apart to a few ulps of their
     coordinates: the union box as (lo, hi, cells), and the gap at its
-    edges, the difference of the two normalized CDFs, each 0 before its box
-    and 1 after it.  None for any other pair."""
+    edges, the difference of the two normalized CDFs (`GridDensity.cdf`),
+    each 0 before its box and 1 after it.  None for any other pair.  Two
+    grids on one box are one lattice without a check."""
     if not (isinstance(m1, GridDensity) and isinstance(m2, GridDensity)):
         return None
+    box = (m1.lo, m1.hi, m1.values.size)
+    if box == (m2.lo, m2.hi, m2.values.size):
+        return box, np.concatenate(([0.0], m1.cdf - m2.cdf))
     ends = np.array([m1.lo, m1.hi, m2.lo, m2.hi])
     base, h = ends[[0, 2]].min(), m1.spacing
     k = np.rint((ends - base) / h).astype(np.intp)
@@ -246,8 +234,8 @@ def _lattice_gap(m1: Measure, m2: Measure):
     cells = int(max(k[1], k[3]))
     gap = np.zeros(cells + 1)
     for m, first, sign in ((m1, k[0], 1.0), (m2, k[2], -1.0)):
-        cum = np.cumsum(m.values * m.spacing)
-        gap[first + 1:first + cum.size + 1] += sign * (cum / cum[-1])
+        cum = m.cdf
+        gap[first + 1:first + cum.size + 1] += sign * cum
         gap[first + cum.size + 1:] += sign
     return (float(base), float(ends[[1, 3]].max()), cells), gap
 
@@ -269,7 +257,8 @@ def _merged_gap(m1: Measure, m2: Measure):
 def _abs_gap_integral(env, prim, ga: np.ndarray, c1: np.ndarray) -> float:
     """Integral of P(|x|) |g| over [xs[0], xs[-1]] when g = ga + c1 (x - lo)
     on each interval [lo, hi] between the sorted knots xs, given with
-    their `_primitives`.  An interval is split only where g changes sign."""
+    their `envelope_primitives`.  An interval is split only where g changes
+    sign."""
     xs, phi0, phi1, dphi0, dphi1, dx = prim
     lo = xs[:-1]
     c0 = ga - c1 * lo
@@ -297,10 +286,10 @@ def tp_distance_1d(envelope, m1: Measure, m2: Measure) -> float:
     lattice = _lattice_gap(m1, m2)
     if lattice is None:
         xs, ga, c1 = _merged_gap(m1, m2)
-        prim = _primitives(env, xs)
+        prim = envelope_primitives(env, xs)
     else:
         box, gap = lattice
-        prim = _lattice_primitives(env, *box)
+        prim = box_geometry(env, *box).primitives
         ga, c1 = gap[:-1], np.diff(gap) / prim[-1]   # prim[-1]: the cell widths
     total = _abs_gap_integral(env, prim, ga, c1)
     return 0.5 * (mass1 + mass2) * total

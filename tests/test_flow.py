@@ -1,17 +1,20 @@
+import cProfile
 import dataclasses
+import pstats
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from selfattract import (InvalidInputError, RateParams, Schedule, dirac,
-                         envelope_compare, euler_step,
-                         external_polynomial,
+from selfattract import (DominatingPolynomial, GridDensity, InvalidInputError,
+                         RateParams, Schedule, dirac, envelope_compare,
+                         euler_step, even_polynomial, external_polynomial,
                          gaussian_density, quadratic_symmetric, run_flow,
                          smooth, solve_fixed_point, tp_distance_1d,
                          uniform_density)
-from selfattract import cli, transport
+from selfattract import cli
 from selfattract.flow import initial_state
+from selfattract.measures import box_geometry
 from selfattract.powersums import convolution_matrix
 from selfattract.energy import free_energy
 from oracles import tail_certificate
@@ -175,7 +178,7 @@ class TestRunFlow:
                        f"[schedule]\nn_end = {n_end}\n[grid]\ncells = {cells}\n"
                        "[init]\nkind = atom\n")
         convolution_matrix.cache_clear()
-        transport._lattice_primitives.cache_clear()
+        box_geometry.cache_clear()
         tracemalloc.start()
         try:
             rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "flow"])
@@ -185,6 +188,35 @@ class TestRunFlow:
         assert rc == 0
         assert (tmp_path / "out" / "flow.csv").read_text().count("\n") == n_end + 1
         assert peak <= 96 * 8 * cells
+
+    def test_a_still_box_derives_each_quantity_once(self):
+        # cProfile's call counts are deterministic: on a box that never
+        # moves, each tp call takes at most one new cumulative sum (the
+        # earlier density's CDF is kept on it), no step validates a density
+        # it built, and the box's centers and envelope are evaluated once
+        w = even_polynomial([0.5, 0.1])
+        init = smooth(dirac(0.0), 0.5, lo=-8, hi=8, cells=1024)
+        convolution_matrix.cache_clear()
+        box_geometry.cache_clear()
+        prof = cProfile.Profile()
+        run = prof.runcall(run_flow, w, init, Schedule(n_end=31))
+        stats = pstats.Stats(prof).stats
+
+        def calls(file, name, line=None):
+            return sum(count for (f, ln, fn), (_, count, *_) in stats.items()
+                       if f.endswith(file) and fn == name and (line is None or ln == line))
+
+        def calls_of(fn):
+            code = fn.__code__
+            return calls(code.co_filename, fn.__name__, code.co_firstlineno)
+
+        assert (run.final.density.lo, run.final.density.hi) == (init.lo, init.hi)
+        steps = calls_of(tp_distance_1d)
+        assert steps > 30   # the flow's 30 steps and its fixed point's iterations
+        assert calls("~", "<method 'cumsum' of 'numpy.ndarray' objects>") <= steps + 1
+        assert calls_of(GridDensity.__post_init__) <= steps
+        assert calls("selfattract/measures.py", "centers") == 1
+        assert calls_of(DominatingPolynomial.__call__) == 1
 
     def test_tail_certificates_stay_bounded(self, quad):
         init = smooth(dirac(0.0), 0.5, lo=-8, hi=8, cells=1024)

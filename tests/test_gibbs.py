@@ -10,8 +10,8 @@ from selfattract import (GridDensity, NumericFailureError, ParticleMeasure,
                          recenter, smooth, solve_fixed_point, tp_distance_1d,
                          uniform_density, zero_interaction)
 from selfattract import flow as flow_module
-from selfattract import transport
 from selfattract.errors import InvalidInputError
+from selfattract.measures import box_geometry
 from selfattract.powersums import convolution_matrix
 from selfattract.potentials import as_envelope
 from conftest import make_rng, random_mixture
@@ -182,7 +182,9 @@ class TestFixedPoint:
         def tp_then_clear(*args):
             out = tp(*args)
             convolution_matrix.cache_clear()
-            transport._lattice_primitives.cache_clear()
+            box_geometry.cache_clear()
+            for m in args[1:]:
+                vars(m).pop("cdf", None)   # each density's memoized CDF
             return out
 
         monkeypatch.setattr(flow_module, "tp_distance_1d", tp_then_clear)

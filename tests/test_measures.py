@@ -10,7 +10,8 @@ from selfattract import (GridDensity, InvalidInputError, NumericFailureError,
                          even_polynomial, free_energy, gaussian_density, gibbs_map, p_norm,
                          quadratic_shifted, quadratic_symmetric, recenter,
                          smooth, tp_distance_1d, uniform_density)
-from selfattract.measures import as_atoms, density_sums
+from selfattract.measures import as_atoms, box_geometry, density_sums
+from selfattract.potentials import as_envelope
 from conftest import make_rng, random_atoms
 from oracles import tail_certificate
 
@@ -192,6 +193,34 @@ class TestDensitySums:
     def test_grid_box_must_be_finite(self):
         with pytest.raises(InvalidInputError, match="finite"):
             GridDensity(-np.inf, 0.0, np.ones(16))
+
+
+class TestMemoizedGeometry:
+    """What a box or a density fixes is derived once, shared and read-only."""
+
+    def test_box_geometry_is_memoized_and_read_only(self):
+        w = even_polynomial([0.5, 0.1])
+        g = gaussian_density(0.3, 1.0, -6.0, 6.0, 256)
+        geo = g.geometry(w)
+        assert GridDensity(g.lo, g.hi, g.values.copy()).geometry(as_envelope(w)) is geo
+        assert np.array_equal(geo.centers, g.centers())
+        assert np.array_equal(geo.envelope, as_envelope(w)(np.abs(g.centers())))
+        for a in (geo.centers, geo.envelope, *geo.primitives):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        box_geometry.cache_clear()
+        assert g.geometry(w) is not geo
+
+    def test_values_are_read_only_once_the_cdf_is_cached(self):
+        vals = make_rng(4).uniform(0.0, 2.0, 64)
+        g = GridDensity(-2.0, 2.0, vals)
+        g.values[0] = 1.0   # writable until the CDF is taken
+        cdf = g.cdf
+        cum = np.cumsum(g.values * g.spacing)
+        assert g.cdf is cdf and np.array_equal(cdf, cum / cum[-1])
+        for a in (g.values, cdf):
+            with pytest.raises(ValueError):
+                a[0] = 0.5
 
 
 def test_grid_rejects_too_few_cells():

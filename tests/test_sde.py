@@ -479,6 +479,13 @@ class TestOuDomination:
         assert res.n_reflections >= 0
         assert np.all(res.z_path >= 1e-6 - 1e-15)
 
+    def test_start_at_zero_needs_a_pre_history(self, quad):
+        # the path is stepped on an atom of mass t_start: from t = 0 it has
+        # none, which is an input error, not an explosion of the path
+        cfg = SimConfig(dt=1e-3, t_end=3.0, t_start=0.0)
+        with pytest.raises(InvalidInputError, match="pre-history"):
+            ou_domination(quad, cfg)
+
 
 class TestPicardBootstrap:
     def _noise(self, m, dt, seed=5, scale=math.sqrt(2.0)):

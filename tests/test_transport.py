@@ -10,7 +10,7 @@ from selfattract import (DominatingPolynomial, GridDensity, InvalidInputError,
 from selfattract import even_polynomial, transport
 from selfattract.flow import _box_follows
 from selfattract.powersums import convolution_matrix
-from selfattract.measures import centered
+from selfattract.measures import box_geometry, centered
 from selfattract.transport import _quantile_pieces
 from conftest import make_rng, random_atoms
 from oracles import displacement_interpolate
@@ -229,9 +229,10 @@ class TestTpOnLattice:
 
     @pytest.mark.parametrize("k", [3, -40])
     def test_moved_box_matches_cold_caches(self, k):
-        # the lattice primitives are keyed by envelope, box ends and cell
-        # count: after `_box_follows` moves a box, tp reads the new box's
-        # primitives, bit for bit what it computes with every cache cleared
+        # the box geometry (and its lattice primitives) is keyed by envelope,
+        # box ends and cell count: after `_box_follows` moves a box, tp reads
+        # the new box's primitives and each density's CDF, bit for bit what
+        # it computes with every cache cleared
         w = even_polynomial([0.5, 0.1])
         gen = make_rng(77 + k)
         a, b = (lattice_grid(gen, -5.0, 3.0, 400) for _ in range(2))
@@ -244,7 +245,9 @@ class TestTpOnLattice:
         cold = []
         for m1, m2 in pairs:
             convolution_matrix.cache_clear()
-            transport._lattice_primitives.cache_clear()
+            box_geometry.cache_clear()
+            for m in (m1, m2):
+                vars(m).pop("cdf", None)   # each density's memoized CDF
             cold.append(tp_distance_1d(w, m1, m2))
         assert warm == cold
         assert min(warm[1:]) > 0.0
