@@ -29,33 +29,26 @@ from .sde import simulate  # noqa: F401  (bench/tracer.py wraps it here)
 from .transport import tp_distance_1d, w2_distance
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _initial_density(cfg: ExperimentConfig) -> GridDensity:
-    """The start density on the box of half-width ``grid_half_width``
-    centered on the init's location: the atom's position, the Gaussian's
-    mean, 0 for uniform."""
-    mid = {"atom": cfg.init_position, "gaussian": cfg.init_mean}.get(cfg.init_kind, 0.0)
-    lo, hi = mid - cfg.grid_half_width, mid + cfg.grid_half_width
-    if cfg.init_kind == "uniform":
-        return uniform_density(lo, hi, cfg.grid_cells)
-    if cfg.init_kind == "gaussian":
-        return gaussian_density(cfg.init_mean, cfg.init_sigma, lo, hi, cfg.grid_cells)
-    atom = dirac(cfg.init_position)
-    return smooth(atom, cfg.init_width, lo=lo, hi=hi, cells=cfg.grid_cells)
+    """The start density on the box of half-width [grid] half_width centered
+    on the init's location: the atom's position, the Gaussian's mean, 0 for
+    uniform."""
+    init, cells = cfg.init, cfg.grid["cells"]
+    mid = {"atom": init["position"], "gaussian": init["mean"]}.get(init["kind"], 0.0)
+    lo, hi = mid - cfg.grid["half_width"], mid + cfg.grid["half_width"]
+    if init["kind"] == "uniform":
+        return uniform_density(lo, hi, cells)
+    if init["kind"] == "gaussian":
+        return gaussian_density(init["mean"], init["sigma"], lo, hi, cells)
+    return smooth(dirac(init["position"]), init["width"], lo=lo, hi=hi, cells=cells)
 
 
-def _cmd_simulate(cfg: ExperimentConfig, do_assert: bool) -> int:
+def _cmd_simulate(cfg: ExperimentConfig, out: Path, args) -> int:
     """Per replica, its thinned path (t, x, center) and its occupation
     histogram.  The records share one ``times`` and one ``weights`` array, so
     the time column is formatted and the weights are normalized once for
     every path, and no occupation measure is built."""
-    out = _out_dir(cfg)
-    records = simulate_ensemble(cfg.potential, cfg.init_position, cfg.sim,
+    records = simulate_ensemble(cfg.potential, cfg.init["position"], cfg.sim,
                                 cfg.replicas, v=cfg.external)
     thin = max(1, records[0].times.size // 2000)
     times = format_column(records[0].times[::thin])
@@ -69,18 +62,15 @@ def _cmd_simulate(cfg: ExperimentConfig, do_assert: bool) -> int:
         width = edges[1] - edges[0]
         write_series_csv(out / f"occupation_r{rec.replica}.csv", ["x", "density"],
                          [mids, hist / width])
-    write_manifest(out / "manifest.json", "simulate", cfg.resolved(), cfg.sim.seed)
     return 0
 
 
-def _cmd_flow(cfg: ExperimentConfig, do_assert: bool) -> int:
+def _cmd_flow(cfg: ExperimentConfig, out: Path, args) -> int:
     """The flow's scalars per state and its last density.  Its reference
     fixed point is solved with the [fixpoint] settings, as `fixpoint` and
     `diagnose` solve theirs."""
-    out = _out_dir(cfg)
-    init = _initial_density(cfg)
-    run = run_flow(cfg.potential, init, cfg.schedule, v=cfg.external,
-                   **cfg.fixpoint_args())
+    run = run_flow(cfg.potential, _initial_density(cfg), cfg.schedule, v=cfg.external,
+                   **cfg.fixpoint)
     write_series_csv(out / "flow.csv", ["n", "t", "free_energy", "relative",
                                         "center", "step_tp"],
                      [run.n, run.time, run.total, run.relative, run.center, run.step_tp])
@@ -88,27 +78,24 @@ def _cmd_flow(cfg: ExperimentConfig, do_assert: bool) -> int:
                      ["step", "entropy", "interaction", "total", "relative"],
                      [run.n, run.entropy, run.interaction, run.total, run.relative])
     write_grid_density(out / "final_density.csv", run.final.density)
-    write_manifest(out / "manifest.json", "flow", cfg.resolved(), cfg.sim.seed)
     monotone = bool(np.all(np.diff(run.relative) <= 1e-8))
-    if do_assert and not monotone:
+    if args.do_assert and not monotone:
         print("FAIL: relative free energy increased along the flow", file=sys.stderr)
         return 1
     return 0
 
 
-def _cmd_fixpoint(cfg: ExperimentConfig, do_assert: bool) -> int:
-    out = _out_dir(cfg)
+def _cmd_fixpoint(cfg: ExperimentConfig, out: Path, args) -> int:
     result = solve_fixed_point(cfg.potential, _initial_density(cfg), v=cfg.external,
-                               **cfg.fixpoint_args())
+                               **cfg.fixpoint)
     write_grid_density(out / "density.csv", result.density)
     write_series_csv(out / "convergence.csv", ["iteration", "residual", "free_energy"],
                      [np.arange(1, len(result.residuals) + 1), result.residuals,
                       result.energies])
-    write_manifest(out / "manifest.json", "fixpoint", cfg.resolved(), cfg.sim.seed)
     return 0
 
 
-def _cmd_compare(args, cfg: ExperimentConfig) -> int:
+def _cmd_compare(cfg: ExperimentConfig, out: None, args) -> int:
     a = load_measure(Path(args.measures[0]))
     b = load_measure(Path(args.measures[1]))
     w = cfg.potential
@@ -127,12 +114,11 @@ def _cmd_compare(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_diagnose(cfg: ExperimentConfig, do_assert: bool) -> int:
-    out = _out_dir(cfg)
-    records = simulate_ensemble(cfg.potential, cfg.init_position, cfg.sim,
+def _cmd_diagnose(cfg: ExperimentConfig, out: Path, args) -> int:
+    records = simulate_ensemble(cfg.potential, cfg.init["position"], cfg.sim,
                                 cfg.replicas, v=cfg.external)
     rho = solve_fixed_point(cfg.potential, _initial_density(cfg), v=cfg.external,
-                            **cfg.fixpoint_args()).density
+                            **cfg.fixpoint).density
     reports = [ergodicity_check(cfg.potential, records, rho)]
     horizon = cfg.schedule.time(cfg.schedule.n_end)
     if horizon <= cfg.sim.t_end + 1e-9 and cfg.schedule.time(cfg.schedule.n_start) >= cfg.sim.t_start:
@@ -145,14 +131,12 @@ def _cmd_diagnose(cfg: ExperimentConfig, do_assert: bool) -> int:
     summary = "".join(rep.summary() for rep in reports)
     (out / "diagnostics.txt").write_text(summary)
     sys.stdout.write(summary)
-    write_manifest(out / "manifest.json", "diagnose", cfg.resolved(), cfg.sim.seed)
-    if do_assert and not all(rep.passed for rep in reports):
+    if args.do_assert and not all(rep.passed for rep in reports):
         return 1
     return 0
 
 
-def _cmd_appendix2(cfg: ExperimentConfig, do_assert: bool) -> int:
-    out = _out_dir(cfg)
+def _cmd_appendix2(cfg: ExperimentConfig, out: Path, args) -> int:
     slopes = []
     for r in range(cfg.replicas):
         ts, ys, cs = counterexample_system(cfg.sim.t_end, cfg.sim.dt,
@@ -165,14 +149,13 @@ def _cmd_appendix2(cfg: ExperimentConfig, do_assert: bool) -> int:
     mean_slope = float(np.mean(slopes))
     write_series_csv(out / "slopes.csv", ["replica", "slope"],
                      [np.arange(len(slopes)), slopes])
-    write_manifest(out / "manifest.json", "appendix2", cfg.resolved(), cfg.sim.seed)
     print(f"center-vs-log-time slope (replica mean): {mean_slope:.4f}")
-    if do_assert and not 0.9 <= mean_slope <= 1.1:
+    if args.do_assert and not 0.9 <= mean_slope <= 1.1:
         return 1
     return 0
 
 
-def _cmd_certify(cfg: ExperimentConfig, args) -> int:
+def _cmd_certify(cfg: ExperimentConfig, out: None, args) -> int:
     report = certify(cfg.potential, sample_radius=args.radius,
                      n_samples=args.samples)
     print(f"min directional curvature: {report.min_directional_curvature:.6g}")
@@ -186,6 +169,20 @@ def _cmd_certify(cfg: ExperimentConfig, args) -> int:
     return 1
 
 
+# command -> (handler, whether it writes a manifest).  A handler takes the
+# config, the output directory (made for it when it writes a manifest, else
+# None) and the parsed flags, and returns the exit code.
+COMMANDS = {
+    "simulate": (_cmd_simulate, True),
+    "flow": (_cmd_flow, True),
+    "fixpoint": (_cmd_fixpoint, True),
+    "compare": (_cmd_compare, False),
+    "diagnose": (_cmd_diagnose, True),
+    "appendix2": (_cmd_appendix2, True),
+    "certify": (_cmd_certify, False),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selfattract",
@@ -197,20 +194,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--assert", dest="do_assert", action="store_true",
                         help="exit nonzero when a verdict fails")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "flow", "fixpoint", "diagnose", "appendix2"):
-        sub.add_parser(name)
-    cmp_parser = sub.add_parser("compare")
-    cmp_parser.add_argument("measures", nargs=2, help="two measure CSV files")
-    cmp_parser.add_argument("--out-file", default=None)
-    cert_parser = sub.add_parser("certify")
-    cert_parser.add_argument("--radius", type=float, default=10.0)
-    cert_parser.add_argument("--samples", type=int, default=512)
+    commands = {name: sub.add_parser(name) for name in COMMANDS}
+    commands["compare"].add_argument("measures", nargs=2, help="two measure CSV files")
+    commands["compare"].add_argument("--out-file", default=None)
+    commands["certify"].add_argument("--radius", type=float, default=10.0)
+    commands["certify"].add_argument("--samples", type=int, default=512)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, overrides={
             "seed": args.seed, "out": args.out, "replicas": args.replicas,
@@ -218,28 +211,22 @@ def main(argv=None) -> int:
     except InvalidInputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    handler, manifest = COMMANDS[args.command]
+    out = None
+    if manifest:
+        out = Path(cfg.out)
+        out.mkdir(parents=True, exist_ok=True)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, args.do_assert)
-        if args.command == "flow":
-            return _cmd_flow(cfg, args.do_assert)
-        if args.command == "fixpoint":
-            return _cmd_fixpoint(cfg, args.do_assert)
-        if args.command == "compare":
-            return _cmd_compare(args, cfg)
-        if args.command == "diagnose":
-            return _cmd_diagnose(cfg, args.do_assert)
-        if args.command == "appendix2":
-            return _cmd_appendix2(cfg, args.do_assert)
-        if args.command == "certify":
-            return _cmd_certify(cfg, args)
+        code = handler(cfg, out, args)
     except InvalidInputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError("unreachable")
+    if manifest:
+        write_manifest(out / "manifest.json", args.command, cfg.resolved(), cfg.sim.seed)
+    return code
 
 
 if __name__ == "__main__":

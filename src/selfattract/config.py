@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import InvalidInputError
@@ -18,46 +18,53 @@ from .potentials import (PotentialSpec, even_polynomial, external_polynomial,
                          quadratic_shifted, quadratic_symmetric, zero_interaction)
 from .sde import SimConfig
 
-_SCHEMA: dict[str, dict[str, type]] = {
-    "experiment": {"name": str, "out": str, "replicas": int},
-    "potential": {"kind": str, "coefficients": str, "convexity_constant": float,
-                  "symmetric": bool, "bound_scale": float, "bound_degree": int},
-    "external": {"kind": str, "coefficients": str},
-    "sim": {"dt": float, "t_end": float, "t_start": float, "seed": int,
-            "noise_scale": float},
-    "schedule": {"n_start": int, "n_end": int, "exponent": float},
-    "grid": {"cells": int, "half_width": float},
-    "init": {"kind": str, "position": float, "width": float, "mean": float,
-             "sigma": float},
-    "fixpoint": {"damping": float, "tol": float, "max_iter": int},
+# section -> key -> (type, default).  A default of None is derived by the
+# potential from its kind and coefficients ("auto" in config-schema.txt).
+_POTENTIAL = {"kind": (str, "quadratic-symmetric"), "coefficients": (str, "1.0")}
+_SCHEMA: dict[str, dict[str, tuple]] = {
+    "experiment": {"name": (str, "experiment"), "out": (str, "out"), "replicas": (int, 1)},
+    "potential": {**_POTENTIAL, "convexity_constant": (float, None),
+                  "symmetric": (bool, False), "bound_scale": (float, None),
+                  "bound_degree": (int, None)},
+    "external": _POTENTIAL,
+    "sim": {"dt": (float, 0.01), "t_end": (float, 100.0), "t_start": (float, 1.0),
+            "seed": (int, 0), "noise_scale": (float, math.sqrt(2.0))},
+    "schedule": {"n_start": (int, 1), "n_end": (int, 100), "exponent": (float, 1.5)},
+    "grid": {"cells": (int, 1024), "half_width": (float, 8.0)},
+    "init": {"kind": (str, "uniform"), "position": (float, 0.0), "width": (float, 0.5),
+             "mean": (float, 0.0), "sigma": (float, 1.0)},
+    "fixpoint": {"damping": (float, 0.5), "tol": (float, 1e-12), "max_iter": (int, 500)},
+}
+
+# what the commands need of a value, checked on load so that a bad value
+# fails before any command work: (section, key) -> (test, what it asks)
+_VALID = {
+    ("grid", "cells"): (lambda x: x >= 16, "must be at least 16"),
+    ("grid", "half_width"): (lambda x: x > 0, "must be positive"),
+    ("init", "width"): (lambda x: x > 0, "must be positive"),
+    ("init", "sigma"): (lambda x: x > 0, "must be positive"),
+    ("fixpoint", "damping"): (lambda x: 0 < x <= 1, "must lie in (0, 1]"),
+    ("fixpoint", "max_iter"): (lambda x: x >= 1, "must be positive"),
 }
 
 
 @dataclass
 class ExperimentConfig:
-    name: str = "experiment"
-    out: str = "out"
-    replicas: int = 1
-    potential: PotentialSpec = field(default_factory=quadratic_symmetric)
-    external: PotentialSpec | None = None
-    sim: SimConfig = field(default_factory=lambda: SimConfig(dt=0.01, t_end=100.0, seed=0))
-    schedule: Schedule = field(default_factory=lambda: Schedule(n_end=100))
-    grid_cells: int = 1024
-    grid_half_width: float = 8.0
-    init_kind: str = "uniform"
-    init_position: float = 0.0
-    init_width: float = 0.5
-    init_mean: float = 0.0
-    init_sigma: float = 1.0
-    damping: float = 0.5
-    fixpoint_tol: float = 1e-12
-    fixpoint_max_iter: int = 500
-    raw: dict = field(default_factory=dict)
+    """A loaded config: the objects its sections build, the [grid], [init]
+    and [fixpoint] sections over their defaults, and ``raw``, the sections
+    as the file gave them, which the manifest records."""
 
-    def fixpoint_args(self) -> dict:
-        """The [fixpoint] keywords of `solve_fixed_point`."""
-        return {"damping": self.damping, "tol": self.fixpoint_tol,
-                "max_iter": self.fixpoint_max_iter}
+    name: str
+    out: str
+    replicas: int
+    potential: PotentialSpec
+    external: PotentialSpec | None
+    sim: SimConfig
+    schedule: Schedule
+    grid: dict
+    init: dict
+    fixpoint: dict
+    raw: dict
 
     def resolved(self) -> dict:
         """Plain dict for hashing and manifests.  It leaves out the output
@@ -66,28 +73,19 @@ class ExperimentConfig:
         exp = out.setdefault("experiment", {})
         exp.pop("out", None)
         exp.update(name=self.name, replicas=self.replicas)
-        out["sim_effective"] = {
-            "dt": self.sim.dt, "t_start": self.sim.t_start, "t_end": self.sim.t_end,
-            "seed": self.sim.seed, "noise_scale": self.sim.noise_scale,
-        }
+        out["sim_effective"] = asdict(self.sim)
         return out
-
-
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("1", "true", "yes", "on"):
-        return True
-    if s.lower() in ("0", "false", "no", "off"):
-        return False
-    raise InvalidInputError(f"not a boolean: {s!r}")
 
 
 def _coerce(section: str, key: str, value: str):
     try:
-        want = _SCHEMA[section][key]
+        want = _SCHEMA[section][key][0]
     except KeyError:
         raise InvalidInputError(f"unknown config key [{section}] {key}")
     if want is bool:
-        return _parse_bool(value)
+        if value.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise InvalidInputError(f"bad value for [{section}] {key}: {value!r}")
+        return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
     if want is str:
         if key == "coefficients":   # kept as text for the manifest, checked here
             for token in value.split():
@@ -106,111 +104,99 @@ def _number(section: str, key: str, text: str, want: type):
     return out
 
 
-# the keys each potential kind reads besides kind, coefficients and the
-# envelope's bound_scale and bound_degree; the quadratic kinds read one
-# coefficient
-_KIND_KEYS = {"quadratic-symmetric": set(), "quadratic-shifted": {"symmetric"},
-              "even-polynomial": {"convexity_constant"},
-              "external": {"convexity_constant"}}
-
-
-def _build_potential(section: str, kv: dict) -> PotentialSpec:
-    """The potential of a [potential] or [external] section.  A key its kind
-    does not read is an input error, so the manifest records only what
-    ran."""
-    kind = kv.get("kind", "quadratic-symmetric")
-    if kind not in _KIND_KEYS:
-        raise InvalidInputError(f"unknown potential kind {kind!r}")
-    coeffs = [float(c) for c in str(kv.get("coefficients", "1.0")).split()]
-    extra = {key: kv[key] for key in ("bound_scale", "bound_degree") if key in kv}
-    ignored = sorted(set(kv) - {"kind", "coefficients", *extra} - _KIND_KEYS[kind])
+def _check_kind(section: str, kind: str, given: dict, reads: dict) -> None:
+    """The section's kind must be one of ``reads``, which maps each kind to
+    the keys it reads besides kind.  A key the kind does not read is an
+    input error, so the manifest records only what ran."""
+    if kind not in reads:
+        raise InvalidInputError(f"unknown {section} kind {kind!r}")
+    ignored = sorted(set(given) - {"kind"} - reads[kind])
     if ignored:
         raise InvalidInputError(f"[{section}] kind {kind!r} does not read "
                                 + ", ".join(ignored))
+
+
+# the keys each potential kind reads; the quadratic kinds read one coefficient
+_COMMON = {"coefficients", "bound_scale", "bound_degree"}
+_KIND_KEYS = {"quadratic-symmetric": _COMMON, "quadratic-shifted": {*_COMMON, "symmetric"},
+              "even-polynomial": {*_COMMON, "convexity_constant"},
+              "external": {*_COMMON, "convexity_constant"}}
+
+# the keys each start reads; every start reads position, the start point of
+# `simulate` and `diagnose`
+_INIT_KEYS = {"uniform": {"position"}, "atom": {"position", "width"},
+              "gaussian": {"position", "mean", "sigma"}}
+
+
+def _build_potential(section: str, given: dict) -> PotentialSpec:
+    """The potential of a [potential] or [external] section."""
+    kv = {key: default for key, (_, default) in _SCHEMA["potential"].items()} | given
+    kind = kv["kind"]
+    _check_kind(section, kind, given, _KIND_KEYS)
+    coeffs = [float(c) for c in kv["coefficients"].split()]
+    extra = {key: given[key] for key in ("bound_scale", "bound_degree") if key in given}
     if kind.startswith("quadratic") and len(coeffs) != 1:
         raise InvalidInputError(f"[{section}] coefficients: kind {kind!r} reads one "
                                 f"strength, got {len(coeffs)} values")
     if kind == "quadratic-symmetric":
         return quadratic_symmetric(coeffs[0], **extra)
     if kind == "quadratic-shifted":
-        return quadratic_shifted(coeffs[0], claim_symmetric=kv.get("symmetric", False),
-                                 **extra)
+        return quadratic_shifted(coeffs[0], claim_symmetric=kv["symmetric"], **extra)
     if kind == "even-polynomial":
         if not coeffs or all(c == 0.0 for c in coeffs):
-            if "convexity_constant" in kv:
+            if "convexity_constant" in given:
                 raise InvalidInputError("W = 0 (all coefficients zero) has no "
                                         "convexity_constant to claim")
             return zero_interaction(**extra)
-        return even_polynomial(coeffs,
-                               convexity_constant=kv.get("convexity_constant"),
+        return even_polynomial(coeffs, convexity_constant=kv["convexity_constant"],
                                **extra)
-    return external_polynomial(coeffs, convexity_constant=kv.get("convexity_constant"),
+    return external_polynomial(coeffs, convexity_constant=kv["convexity_constant"],
                                **extra)
+
+
+def _read(path: str | Path | None) -> dict[str, dict]:
+    """The sections the file gives, each key coerced to its type."""
+    if path is None:
+        return {}
+    parser = configparser.ConfigParser()
+    if not parser.read(path):
+        raise InvalidInputError(f"cannot read config file {path}")
+    sections = {}
+    for section in parser.sections():
+        if section not in _SCHEMA:
+            raise InvalidInputError(f"unknown config section [{section}]")
+        sections[section] = {key: _coerce(section, key, value)
+                             for key, value in parser.items(section)}
+    return sections
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse the config file, apply flag overrides, validate preconditions."""
-    sections: dict[str, dict] = {}
-    if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise InvalidInputError(f"cannot read config file {path}")
-        for section in parser.sections():
-            if section not in _SCHEMA:
-                raise InvalidInputError(f"unknown config section [{section}]")
-            sections[section] = {
-                key: _coerce(section, key, value)
-                for key, value in parser.items(section)
-            }
+    """Parse the config file, lay its keys and the flag overrides over the
+    defaults, validate preconditions."""
+    given = _read(path)
+    kv = {section: {key: default for key, (_, default) in keys.items()} | given.get(section, {})
+          for section, keys in _SCHEMA.items()}
     overrides = overrides or {}
-    exp = sections.get("experiment", {})
-    sim_kv = dict(sections.get("sim", {}))
-    if "seed" in overrides and overrides["seed"] is not None:
-        sim_kv["seed"] = int(overrides["seed"])
-    sim = SimConfig(
-        dt=sim_kv.get("dt", 0.01),
-        t_end=sim_kv.get("t_end", 100.0),
-        t_start=sim_kv.get("t_start", 1.0),
-        seed=sim_kv.get("seed", 0),
-        noise_scale=sim_kv.get("noise_scale", math.sqrt(2.0)),
-    )
-    sched_kv = sections.get("schedule", {})
-    schedule = Schedule(n_end=sched_kv.get("n_end", 100),
-                        n_start=sched_kv.get("n_start", 1),
-                        exponent=sched_kv.get("exponent", 1.5))
-    grid = sections.get("grid", {})
-    init = sections.get("init", {})
-    fix = sections.get("fixpoint", {})
-    replicas = overrides.get("replicas")
+    if overrides.get("seed") is not None:
+        kv["sim"]["seed"] = int(overrides["seed"])
+    exp, init = kv["experiment"], kv["init"]
     out, source = overrides.get("out"), "--out"
     if out is None:
-        out, source = exp.get("out", "out"), "[experiment] out"
+        out, source = exp["out"], "[experiment] out"
     if not out:
         raise InvalidInputError(f"{source} needs a directory name")
-    cfg = ExperimentConfig(
-        name=exp.get("name", "experiment"),
-        out=out,
-        replicas=int(exp.get("replicas", 1) if replicas is None else replicas),
-        potential=_build_potential("potential", sections.get("potential", {})),
-        external=(_build_potential("external", sections["external"])
-                  if "external" in sections else None),
-        sim=sim,
-        schedule=schedule,
-        grid_cells=grid.get("cells", 1024),
-        grid_half_width=grid.get("half_width", 8.0),
-        init_kind=init.get("kind", "uniform"),
-        init_position=init.get("position", 0.0),
-        init_width=init.get("width", 0.5),
-        init_mean=init.get("mean", 0.0),
-        init_sigma=init.get("sigma", 1.0),
-        damping=fix.get("damping", 0.5),
-        fixpoint_tol=fix.get("tol", 1e-12),
-        fixpoint_max_iter=fix.get("max_iter", 500),
-        raw={k: dict(v) for k, v in sections.items()},
-    )
-    if cfg.replicas < 1:
+    replicas = int(exp["replicas"] if overrides.get("replicas") is None
+                   else overrides["replicas"])
+    if replicas < 1:
         raise InvalidInputError("replicas must be positive")
-    if cfg.init_kind not in ("uniform", "atom", "gaussian"):
-        raise InvalidInputError(f"unknown init kind {cfg.init_kind!r}")
-    return cfg
+    _check_kind("init", init["kind"], given.get("init", {}), _INIT_KEYS)
+    for (section, key), (ok, what) in _VALID.items():
+        if not ok(kv[section][key]):
+            raise InvalidInputError(f"[{section}] {key} {what}, got {kv[section][key]!r}")
+    return ExperimentConfig(
+        name=exp["name"], out=out, replicas=replicas,
+        potential=_build_potential("potential", given.get("potential", {})),
+        external=(_build_potential("external", given["external"])
+                  if "external" in given else None),
+        sim=SimConfig(**kv["sim"]), schedule=Schedule(**kv["schedule"]),
+        grid=kv["grid"], init=init, fixpoint=kv["fixpoint"], raw=given)

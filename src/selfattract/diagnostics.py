@@ -32,6 +32,9 @@ from .sde import TrajectoryRecord
 from .transport import QuantileTarget, tp_distance_1d
 from .transport import w2_distance  # noqa: F401  (bench/tracer.py wraps it here)
 
+_TAIL_THRESHOLD = 0.5   # the center increments' tail sum must stay below this
+_PER_DECADE = 10        # ergodicity checkpoints per decade of time
+
 
 @dataclass
 class DiagnosticsReport:
@@ -108,8 +111,7 @@ def one_step_error(w: PotentialSpec, record: TrajectoryRecord, schedule: Schedul
     return report
 
 
-def center_convergence(record: TrajectoryRecord, schedule: Schedule,
-                       tail_threshold: float = 0.5) -> DiagnosticsReport:
+def center_convergence(record: TrajectoryRecord, schedule: Schedule) -> DiagnosticsReport:
     """Partial sums of |center increments| across schedule knots and window
     oscillations; verdicts check Cauchy flattening of the increment series."""
     report = DiagnosticsReport(experiment="center-convergence")
@@ -130,7 +132,7 @@ def center_convergence(record: TrajectoryRecord, schedule: Schedule,
     half = increments.size // 2
     tail_sum = float(increments[half:].sum())
     report.verdicts.append(("increment tail sum below threshold",
-                            tail_sum < tail_threshold, tail_threshold - tail_sum))
+                            tail_sum < _TAIL_THRESHOLD, _TAIL_THRESHOLD - tail_sum))
     first = max(oscillations[: max(1, len(oscillations) // 4)])
     last = max(oscillations[-max(1, len(oscillations) // 4):])
     report.verdicts.append(("window oscillation shrinks", last <= first,
@@ -139,9 +141,9 @@ def center_convergence(record: TrajectoryRecord, schedule: Schedule,
     return report
 
 
-def _checkpoints(t0: float, t1: float, per_decade: int = 10) -> np.ndarray:
+def _checkpoints(t0: float, t1: float) -> np.ndarray:
     lo, hi = math.log10(max(t0, 1e-12)), math.log10(t1)
-    n = max(2, int(round((hi - lo) * per_decade)) + 1)
+    n = max(2, int(round((hi - lo) * _PER_DECADE)) + 1)
     return np.logspace(lo, hi, n)
 
 
@@ -233,9 +235,8 @@ def _w2_curves(target: QuantileTarget, records: list[TrajectoryRecord],
 
 
 def ergodicity_check(w: PotentialSpec, records: list[TrajectoryRecord],
-                     rho_inf: GridDensity, per_decade: int = 10,
-                     final_w2_bound: float = 0.1, min_passing: int | None = None,
-                     n_boot: int = 200) -> DiagnosticsReport:
+                     rho_inf: GridDensity, final_w2_bound: float = 0.1,
+                     min_passing: int | None = None, n_boot: int = 200) -> DiagnosticsReport:
     """Per-replica Wasserstein distance of the centered occupation measure to
     the fixed point (centered too when W has a center) at logarithmic
     checkpoints, with a fitted decay exponent for exp(-a (log t)^(1/(k+1))).
@@ -257,7 +258,7 @@ def ergodicity_check(w: PotentialSpec, records: list[TrajectoryRecord],
         raise InvalidInputError(
             f"ergodicity checkpoints start at max(2 t_start, t_start + 1) = {first:g}; "
             f"the records end at t = {t1:g}, they must run beyond it")
-    ts = _checkpoints(first, t1, per_decade)
+    ts = _checkpoints(first, t1)
     for rec in records:
         if rec.times[-1] < ts[-1] - 1e-9:
             raise InvalidInputError(

@@ -46,6 +46,8 @@ from .measures import DensitySums, GridDensity, center, density_sums
 from .potentials import PotentialSpec
 from .transport import tp_distance_1d
 
+_ENVELOPE_TOL = 1e-9   # slack of F <= y in `envelope_compare`
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -187,6 +189,8 @@ def solve_fixed_point(w: PotentialSpec, init: GridDensity,
     """
     if not 0.0 < damping <= 1.0:
         raise InvalidInputError("damping must lie in (0, 1]")
+    if max_iter < 1:
+        raise InvalidInputError("max_iter must be positive")
     init.require_probability()
     slack = 0.0 if w.convexity_constant > 0 else math.inf
     state = _state(w, init, 0, 0.0, 0.0, v, None)
@@ -251,7 +255,7 @@ def run_flow(w: PotentialSpec, init: GridDensity, s: Schedule,
     return FlowRun(*map(np.array, zip(*rows)), final=state)
 
 
-def envelope_compare(times, relative, params: RateParams, tol: float = 1e-9) -> dict:
+def envelope_compare(times, relative, params: RateParams) -> dict:
     """Overlay the rate envelope on a relative-energy trace: the relative
     free energies ``relative`` at the schedule times ``times``, as a
     `FlowRun` holds them.
@@ -268,7 +272,7 @@ def envelope_compare(times, relative, params: RateParams, tol: float = 1e-9) -> 
     y0 = max(float(f_rel[0]), 1.0)
     ts, ys = energy_envelope(params, y0, float(times[0]), float(times[-1]))
     y_at = np.interp(np.log(times), np.log(ts), ys)
-    satisfied = f_rel <= y_at + tol
+    satisfied = f_rel <= y_at + _ENVELOPE_TOL
     positive = f_rel > 0
     a_fit = float("nan")
     if positive.sum() >= 2:

@@ -31,6 +31,8 @@ from .powersums import PowerSums, anchor, convolution_matrix, power_sums
 
 _MASS_TOL = 1e-9
 _BOX_CACHE = 2   # boxes whose geometry is kept: a box, and the union box of a move
+_CENTER_TOL = 1e-10      # |W' * m| at which `center` stops
+_CENTER_MAX_ITER = 50    # Newton updates `center` takes before it fails
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,8 @@ class ParticleMeasure:
         return float(self.weights @ self.positions) / self.total_mass
 
 
-def dirac(position: float, weight: float = 1.0) -> ParticleMeasure:
-    return ParticleMeasure(np.array([position], dtype=float), np.array([weight]))
+def dirac(position: float) -> ParticleMeasure:
+    return ParticleMeasure(np.array([position], dtype=float), np.array([1.0]))
 
 
 @dataclass(frozen=True)
@@ -317,7 +319,7 @@ def convolve_potential(p: PotentialSpec, m: Measure, x, order: int = 0):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def center(p: PotentialSpec, m: Measure, tol: float = 1e-10, max_iter: int = 50) -> float:
+def center(p: PotentialSpec, m: Measure) -> float:
     """Unique root of W' * m; Newton from the mean with the exact derivative.
 
     Works in y = x - a about the anchor a of the measure, on one expansion,
@@ -329,9 +331,9 @@ def center(p: PotentialSpec, m: Measure, tol: float = 1e-10, max_iter: int = 50)
         raise InvalidInputError("center requires a uniformly convex potential")
     a, grad = _expansion(p, atoms, 1)
     c = atoms.mean() - a
-    for _ in range(max_iter):
+    for _ in range(_CENTER_MAX_ITER):
         g = polynomial_derivative(grad, c)
-        if abs(g) <= tol:
+        if abs(g) <= _CENTER_TOL:
             return float(a + c)
         c = c - g / polynomial_derivative(grad, c, 1)
     raise NumericFailureError(f"center Newton did not converge (|grad|={abs(g):.3e})")

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InvalidInputError
 
 KINDS = ("quadratic-symmetric", "quadratic-shifted", "even-polynomial", "external")
+_PROBE_RADIUS = 50.0   # the automatic envelope's probe covers [-R, R]
 
 
 @dataclass(frozen=True)
@@ -97,16 +98,20 @@ class PotentialSpec:
 
     def poly1d_coefficients(self) -> np.ndarray:
         """Ascending-power coefficients of W as a 1-d polynomial in x."""
-        if self.kind == "quadratic-symmetric":
-            c = self.coefficients[0]
-            return np.array([0.0, 0.0, 0.5 * c])
-        if self.kind == "quadratic-shifted":
-            c = self.coefficients[0]
-            return np.array([0.5 * c, -c, 0.5 * c])
-        out = np.zeros(2 * len(self.coefficients) + 1)
-        for j, cj in enumerate(self.coefficients, start=1):
-            out[2 * j] = cj
-        return out
+        return _poly1d(self.kind, self.coefficients)
+
+
+def _poly1d(kind: str, coefficients: tuple[float, ...]) -> np.ndarray:
+    if kind == "quadratic-symmetric":
+        c = coefficients[0]
+        return np.array([0.0, 0.0, 0.5 * c])
+    if kind == "quadratic-shifted":
+        c = coefficients[0]
+        return np.array([0.5 * c, -c, 0.5 * c])
+    out = np.zeros(2 * len(coefficients) + 1)
+    for j, cj in enumerate(coefficients, start=1):
+        out[2 * j] = cj
+    return out
 
 
 def polynomial_derivative(coeffs, y, order: int = 0):
@@ -212,11 +217,23 @@ def certify(p: PotentialSpec, sample_radius: float, n_samples: int = 512) -> Cer
     )
 
 
-def _auto_envelope(poly: np.ndarray, degree: int, probe_radius: float = 50.0) -> float:
+def _spec(kind: str, coefficients: tuple[float, ...], convexity_constant: float,
+          symmetric: bool, bound_degree: int, bound_scale: float | None) -> PotentialSpec:
+    """The spec a factory returns; without ``bound_scale``, the envelope's
+    scale is `_auto_envelope`'s for W's polynomial."""
+    if bound_scale is None:
+        bound_scale = _auto_envelope(_poly1d(kind, coefficients), bound_degree)
+    return PotentialSpec(kind, coefficients, float(convexity_constant), symmetric,
+                         bound_degree, float(bound_scale))
+
+
+def _auto_envelope(poly: np.ndarray, degree: int) -> float:
     """Smallest comfortable A so that A(1+r^k) dominates |W|+|W'|+|W''| and
     P stays sub-multiplicative.  Probes both half-lines: the shifted family
     is not even."""
-    xs = np.linspace(-probe_radius, probe_radius, 8001)
+    if degree < 2:   # the spec's own check, before the probe divides by it
+        raise InvalidInputError("envelope must have degree >= 2 and scale >= 1")
+    xs = np.linspace(-_PROBE_RADIUS, _PROBE_RADIUS, 8001)
     need = sum(np.abs(polynomial_derivative(poly, xs, k)) for k in range(3))
     dom = float((need / (1.0 + np.abs(xs) ** degree)).max()) * 1.05
     # sub-multiplicativity worst case sits at r1 = r2 = (1 - 2^(1-k))^(1/k)
@@ -230,12 +247,8 @@ def quadratic_symmetric(strength: float = 1.0, bound_scale: float | None = None,
     """W(x) = strength/2 * |x|^2."""
     if strength <= 0:
         raise InvalidInputError("strength must be positive")
-    spec = PotentialSpec("quadratic-symmetric", (float(strength),), float(strength),
-                         True, bound_degree, 2.0)
-    if bound_scale is None:
-        bound_scale = _auto_envelope(spec.poly1d_coefficients(), bound_degree)
-    return PotentialSpec("quadratic-symmetric", (float(strength),), float(strength),
-                         True, bound_degree, float(bound_scale))
+    return _spec("quadratic-symmetric", (float(strength),), strength, True,
+                 bound_degree, bound_scale)
 
 
 def quadratic_shifted(strength: float = 1.0, bound_scale: float | None = None,
@@ -243,12 +256,8 @@ def quadratic_shifted(strength: float = 1.0, bound_scale: float | None = None,
     """W(x) = strength/2 * (x-1)^2; attracts toward one unit right of the mean."""
     if strength <= 0:
         raise InvalidInputError("strength must be positive")
-    probe = PotentialSpec("quadratic-shifted", (float(strength),), float(strength),
-                          claim_symmetric, bound_degree, 2.0)
-    if bound_scale is None:
-        bound_scale = _auto_envelope(probe.poly1d_coefficients(), bound_degree)
-    return PotentialSpec("quadratic-shifted", (float(strength),), float(strength),
-                         claim_symmetric, bound_degree, float(bound_scale))
+    return _spec("quadratic-shifted", (float(strength),), strength, claim_symmetric,
+                 bound_degree, bound_scale)
 
 
 def even_polynomial(coefficients, convexity_constant: float | None = None,
@@ -259,26 +268,25 @@ def even_polynomial(coefficients, convexity_constant: float | None = None,
     The default convexity claim 2*c_1 comes from the quadratic term; it is a
     claim, not a certificate -- run `certify` to check it.
     """
-    coefficients = tuple(float(c) for c in coefficients)
-    if convexity_constant is None:
-        convexity_constant = 2.0 * coefficients[0] if coefficients else 0.0
-    if bound_degree is None:
-        bound_degree = max(2, 2 * len(coefficients))
-    probe = PotentialSpec("even-polynomial", coefficients, max(convexity_constant, 1e-300),
-                          True, bound_degree, 2.0 ** max(1, bound_degree - 1))
-    if bound_scale is None:
-        bound_scale = _auto_envelope(probe.poly1d_coefficients(), bound_degree)
-    return PotentialSpec("even-polynomial", coefficients, float(convexity_constant),
-                         True, bound_degree, float(bound_scale))
+    return _even("even-polynomial", coefficients, convexity_constant, bound_scale,
+                 bound_degree)
 
 
 def external_polynomial(coefficients, convexity_constant: float | None = None,
                         bound_scale: float | None = None,
                         bound_degree: int | None = None) -> PotentialSpec:
     """External potential V with the same radial-even-polynomial shape."""
-    base = even_polynomial(coefficients, convexity_constant, bound_scale, bound_degree)
-    return PotentialSpec("external", base.coefficients, base.convexity_constant,
-                         True, base.bound_degree, base.bound_scale)
+    return _even("external", coefficients, convexity_constant, bound_scale, bound_degree)
+
+
+def _even(kind, coefficients, convexity_constant, bound_scale, bound_degree) -> PotentialSpec:
+    """The spec of `even_polynomial` or `external_polynomial`."""
+    coefficients = tuple(float(c) for c in coefficients)
+    if convexity_constant is None:
+        convexity_constant = 2.0 * coefficients[0] if coefficients else 0.0
+    if bound_degree is None:
+        bound_degree = max(2, 2 * len(coefficients))
+    return _spec(kind, coefficients, convexity_constant, True, bound_degree, bound_scale)
 
 
 def zero_interaction(bound_scale: float = 1.0, bound_degree: int = 2) -> PotentialSpec:

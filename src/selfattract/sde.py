@@ -67,6 +67,9 @@ _REANCHOR_RADIUS = 1.0   # the anchor follows the mean once it is this far
 _CENTER_EVERY = 10       # steps between Newton centers of a nonlinear drift
 _CENTER_BLOCK = 64       # center knots the column stepper solves at once
 _NEWTON_ITERS = 60       # Newton updates a center knot gets before it fails
+_NEWTON_TOL = 1e-12      # |drift| at which a center knot stops
+_BOOTSTRAP_TOL = 1e-10   # sup distance between Picard rounds that ends the bootstrap
+_BOOTSTRAP_MAX_ROUNDS = 80   # Picard rounds before the bootstrap fails
 _BOOTSTRAP_MAX_RATIO = 0.9   # a Picard round shrinking the sup distance less fails
 
 
@@ -196,15 +199,15 @@ def _horner(b, y):
     return out
 
 
-def _block_centers(T, S, mass, locate=None, tol=1e-12):
+def _block_centers(T, S, mass, locate=None):
     """Roots in y of the drift polynomials T S / mass of a block of knots,
     S (K, count, R) and mass (K, 1): zero without attraction, closed form
     for a linear drift, Newton from each column's running mean S1/S0
     otherwise.  Every operation is elementwise, a column stops at its own
-    first iterate with |g| <= tol and divides only while it moves, so its
-    root does not depend on the other columns or on the block length.
+    first iterate with |g| <= `_NEWTON_TOL` and divides only while it moves,
+    so its root does not depend on the other columns or on the block length.
 
-    A column still above tol after `_NEWTON_ITERS` updates raises
+    A column still above it after `_NEWTON_ITERS` updates raises
     NumericFailureError naming the earliest such knot by ``locate(knot,
     column)`` (`_locate`'s words; block indices without it) and its final
     |g|."""
@@ -218,7 +221,7 @@ def _block_centers(T, S, mass, locate=None, tol=1e-12):
     c = S[:, 1] / S[:, 0]
     for it in range(_NEWTON_ITERS + 1):
         g = _horner(b, c)
-        moving = np.abs(g) > tol
+        moving = np.abs(g) > _NEWTON_TOL
         if not moving.any():
             return c
         if it < _NEWTON_ITERS:
@@ -659,8 +662,7 @@ class PicardResult:
 
 
 def picard_bootstrap(w: PotentialSpec, x0: float, times: np.ndarray,
-                     noise_path: np.ndarray, tol: float = 1e-10,
-                     max_rounds: int = 80) -> PicardResult:
+                     noise_path: np.ndarray) -> PicardResult:
     """Construct the path on a short initial interval by fixed-point iteration.
 
     The iteration map rebuilds the path from the supplied noise with the
@@ -680,15 +682,13 @@ def picard_bootstrap(w: PotentialSpec, x0: float, times: np.ndarray,
     if float(np.abs(noise).max()) > 0.5 + 1e-12:
         raise InvalidInputError("noise path leaves the half-unit ball; resample "
                                 "with a smaller delta")
-    if max_rounds < 1:
-        raise InvalidInputError("max_rounds must be positive")
     T = convolution_matrix(w, 1)
     count = T.shape[0]
     dts = np.diff(times)
     increments = np.diff(noise)
     path = x0 + noise
     sups = []
-    for _ in range(max_rounds):
+    for _ in range(_BOOTSTRAP_MAX_ROUNDS):
         # step j > 0 drifts against the old path's atoms 1..j, each of mass
         # dt: prefix sums of its dt-weighted powers; step 0, before any
         # occupation accrues, against its first atom
@@ -705,9 +705,9 @@ def picard_bootstrap(w: PotentialSpec, x0: float, times: np.ndarray,
             raise NumericFailureError(
                 f"bootstrap iteration is not contracting ({_rounds(sups, ratio)}); "
                 "the interval is too long")
-        if sup < tol:
+        if sup < _BOOTSTRAP_TOL:
             return PicardResult(times=times, path=path, sup_distances=tuple(sups))
-    raise NumericFailureError(f"bootstrap did not reach tolerance {tol!r} "
+    raise NumericFailureError(f"bootstrap did not reach tolerance {_BOOTSTRAP_TOL!r} "
                               f"({_rounds(sups, ratio)})")
 
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from selfattract.cli import main
-from selfattract.config import _SCHEMA, load_config
+from selfattract import cli
+from selfattract.config import _SCHEMA, _coerce, load_config
 from selfattract.errors import InvalidInputError, NumericFailureError
-from selfattract.persist import load_measure, write_series_csv
+from selfattract.persist import config_digest, load_measure, write_series_csv
 from selfattract import simulate, simulate_ensemble
 from oracles import full_history_path
 
@@ -110,24 +111,73 @@ class TestConfig:
         bad = write(tmp_path / "c.cfg", text.replace("[sim]", "convexity_constant = 1.0\n[sim]"))
         assert main(["--config", bad, "--out", str(tmp_path / "c"), "simulate"]) == 2
 
-    @pytest.mark.parametrize("kind,line,named", [
-        ("quadratic-symmetric", "coefficients = 1.0 0.5", "coefficients"),
-        ("quadratic-symmetric", "coefficients = 1.0\nconvexity_constant = 5.0",
+    @pytest.mark.parametrize("section,kind,line,named", [
+        ("potential", "quadratic-symmetric", "coefficients = 1.0 0.5", "coefficients"),
+        ("potential", "quadratic-symmetric", "coefficients = 1.0\nconvexity_constant = 5.0",
          "convexity_constant"),
-        ("quadratic-shifted", "coefficients = 1.0\nconvexity_constant = 5.0",
+        ("potential", "quadratic-shifted", "coefficients = 1.0\nconvexity_constant = 5.0",
          "convexity_constant"),
-        ("even-polynomial", "coefficients = 0.5 0.1\nsymmetric = false", "symmetric")],
+        ("potential", "even-polynomial", "coefficients = 0.5 0.1\nsymmetric = false",
+         "symmetric"),
+        ("init", "uniform", "position = 1.0\nwidth = 0.5", "does not read width"),
+        ("init", "uniform", "mean = 1.0\nsigma = 2.0", "does not read mean, sigma"),
+        ("init", "atom", "position = 1.0\nsigma = 1.0", "does not read sigma"),
+        ("init", "gaussian", "width = 0.5\nmean = 1.0", "does not read width")],
         ids=["quadratic-two-coefficients", "quadratic-convexity", "shifted-convexity",
-             "even-polynomial-symmetric"])
-    def test_key_the_kind_does_not_read_is_a_config_error(self, tmp_path, capsys, kind,
-                                                          line, named):
+             "even-polynomial-symmetric", "uniform-width", "uniform-gaussian",
+             "atom-sigma", "gaussian-width"])
+    def test_key_the_kind_does_not_read_is_a_config_error(self, tmp_path, capsys, section,
+                                                          kind, line, named):
         # each key would be recorded in the manifest but change nothing
-        cfg = write(tmp_path / "k.cfg", f"[potential]\nkind = {kind}\n{line}\n"
+        cfg = write(tmp_path / "k.cfg", f"[{section}]\nkind = {kind}\n{line}\n"
                     "[sim]\nt_end = 3.0\n")
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "simulate"]) == 2
         assert not (tmp_path / "o").exists()
         err = capsys.readouterr().err
-        assert err.startswith("config error: [potential] ") and named in err and kind in err
+        assert err.startswith(f"config error: [{section}] ") and named in err and kind in err
+
+    @pytest.mark.parametrize("text,named", [
+        ("[fixpoint]\nmax_iter = 0\n", "[fixpoint] max_iter"),
+        ("[fixpoint]\ndamping = 0\n", "[fixpoint] damping"),
+        ("[grid]\nhalf_width = 0\n", "[grid] half_width"),
+        ("[grid]\ncells = 8\n", "[grid] cells"),
+        ("[init]\nkind = atom\nwidth = 0\n", "[init] width"),
+        ("[init]\nkind = gaussian\nsigma = 0\n", "[init] sigma"),
+        ("[init]\nkind = gaussian\nsigma = -1\n", "[init] sigma")],
+        ids=["max-iter-zero", "damping-zero", "half-width-zero", "too-few-cells",
+             "width-zero", "sigma-zero", "sigma-negative"])
+    def test_value_no_command_can_use_is_a_config_error(self, tmp_path, capsys,
+                                                        monkeypatch, text, named):
+        # each one fails on load, before `diagnose` simulates its ensemble,
+        # and names its key
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "simulate_ensemble", no_work)
+        cfg = write(tmp_path / "v.cfg", text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "diagnose"]) == 2
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {named} ") and err.count("\n") == 1
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    @pytest.mark.parametrize("path,digest", [
+        ("configs/flow_from_atom.cfg",
+         "fb78f063cd184778f0a5cdee3497a911613ae463b56af4a0f730c422406fb83f"),
+        ("configs/quadratic_ergodicity.cfg",
+         "a70a612f43c3f18a6cb7a808b38c9a0e641467555efcecd3d509996e8878bbe6"),
+        ("bench/configs/flow_wide.cfg",
+         "37a58fb9260a94e2c9526e10aba8778d19ebc46f55d0333f864f6cbddd07f63f"),
+        ("bench/configs/paths_quartic.cfg",
+         "ca039295e0c7d3f6db59d0fcb4f7cfe23cd9a1a81aa4845f113ab9d4c215be35"),
+        (None, "52a5a02ba068c678ef5adfae1f72e5f9888d94ab2552df30fb052d342f77d075")],
+        ids=["flow-from-atom", "quadratic-ergodicity", "flow-wide", "paths-quartic",
+             "no-file"])
+    def test_config_digest_is_pinned(self, path, digest):
+        # the manifests' config_sha256 of the shipped and bench configs
+        cfg = load_config(None if path is None else self.ROOT / path)
+        assert config_digest(cfg.resolved()) == digest
 
     def test_manifest_leaves_out_the_output_directory(self, tmp_path):
         # the hashed config says what ran, not where the files went
@@ -163,19 +213,24 @@ class TestConfig:
         assert "unknown config key [sim] history_mode" in capsys.readouterr().err
 
     def test_schema_file_matches_parser(self):
-        # a knob deleted from one of the two must not linger in the other
-        text = (Path(__file__).resolve().parents[1] / "config-schema.txt").read_text()
-        declared: dict[str, set] = {}
+        # a knob deleted from one of the two must not linger in the other,
+        # and each key's default is the one the file gives ("auto": derived
+        # by the potential)
+        text = (self.ROOT / "config-schema.txt").read_text()
+        declared: dict[str, dict] = {}
         section = None
         for line in text.splitlines():
             head = re.match(r"\[(\w+)\]", line)
-            key = re.match(r"(\w+)\s*=", line)
+            key = re.match(r"(\w+)\s*=\s*(\S+)", line)
             if head:
                 section = head.group(1)
-                declared[section] = set()
+                declared[section] = {}
             elif key:
-                declared[section].add(key.group(1))
-        assert declared == {name: set(keys) for name, keys in _SCHEMA.items()}
+                name, value = key.groups()
+                declared[section][name] = (None if value == "auto"
+                                           else _coerce(section, name, value))
+        assert declared == {name: {key: default for key, (_, default) in keys.items()}
+                            for name, keys in _SCHEMA.items()}
 
 
 class TestCommands:
@@ -223,7 +278,7 @@ class TestCommands:
         assert main(["--config", cfg, "--out", str(out), "simulate"]) == 0
         loaded = load_config(cfg)
         for r in range(2):
-            rec = simulate(loaded.potential, loaded.init_position, loaded.sim, replica=r)
+            rec = simulate(loaded.potential, loaded.init["position"], loaded.sim, replica=r)
             thin = max(1, rec.times.size // 2000)
             want = np.column_stack((rec.times, rec.positions, rec.center_track))[::thin]
             got = np.loadtxt(out / f"path_r{r}.csv", delimiter=",", skiprows=1)
@@ -238,7 +293,7 @@ class TestCommands:
         out = tmp_path / "oq"
         assert main(["--config", cfg, "--out", str(out), "--replicas", "1", "simulate"]) == 0
         loaded = load_config(cfg)
-        rec = simulate_ensemble(loaded.potential, loaded.init_position, loaded.sim, 3)[0]
+        rec = simulate_ensemble(loaded.potential, loaded.init["position"], loaded.sim, 3)[0]
         thin = max(1, rec.times.size // 2000)
         want = np.column_stack((rec.times, rec.positions, rec.center_track))[::thin]
         got = np.loadtxt(out / "path_r0.csv", delimiter=",", skiprows=1)
@@ -321,14 +376,19 @@ class TestCommands:
 
     SHIPPED_FLOW = Path(__file__).resolve().parents[1] / "configs" / "flow_from_atom.cfg"
 
+    def gaussian_at_30(self) -> str:
+        """The shipped flow config with its atom start made a unit Gaussian
+        at 30, which reads no width."""
+        text = self.SHIPPED_FLOW.read_text()
+        assert "kind = atom\n" in text and "width = 0.5\n" in text
+        return text.replace("kind = atom\n", "kind = gaussian\nmean = 30.0\nsigma = 1.0\n"
+                            ).replace("width = 0.5\n", "")
+
     def test_gaussian_start_box_follows_its_mean(self, tmp_path):
         # the start box is centered on the init: without V the flow keeps the
         # Gaussian's center at 30, where a box about 0 would hold only its
         # far tail
-        text = self.SHIPPED_FLOW.read_text()
-        assert "kind = atom\n" in text
-        cfg = write(tmp_path / "g.cfg", text.replace(
-            "kind = atom\n", "kind = gaussian\nmean = 30.0\nsigma = 1.0\n"))
+        cfg = write(tmp_path / "g.cfg", self.gaussian_at_30())
         assert main(["--config", cfg, "--out", str(tmp_path / "g"), "--assert", "flow"]) == 0
         rows = np.loadtxt(tmp_path / "g/flow.csv", delimiter=",", skiprows=1)
         assert rows.shape[0] > 300
@@ -389,10 +449,8 @@ class TestCommands:
         # a quartic V pulls the whole Gibbs image of a start at 30 out of its
         # box about 30: the first iteration fails, in both commands, and the
         # flow says the failure came from its reference fixed point
-        text = self.SHIPPED_FLOW.read_text().replace(
-            "kind = atom\n", "kind = gaussian\nmean = 30.0\nsigma = 1.0\n")
         cfg = write(tmp_path / "v.cfg",
-                    text + "[external]\nkind = external\ncoefficients = 0.0 0.5\n")
+                    self.gaussian_at_30() + "[external]\nkind = external\ncoefficients = 0.0 0.5\n")
         assert main(["--config", cfg, "--out", str(tmp_path / "p"), "fixpoint"]) == 3
         err = capsys.readouterr().err
         assert "fixed-point iteration 1 (last residual none): " + self.GIBBS_AT_BOUNDARY in err

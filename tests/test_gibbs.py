@@ -196,3 +196,8 @@ class TestFixedPoint:
         with pytest.raises(Exception):
             solve_fixed_point(quad, uniform_density(-5, 5, 512), damping=0.0)
 
+    def test_no_iteration_rejected(self, quad):
+        # max_iter = 0 has no residual to report
+        with pytest.raises(InvalidInputError, match="max_iter must be positive"):
+            solve_fixed_point(quad, uniform_density(-5, 5, 512), max_iter=0)
+

@@ -609,14 +609,14 @@ class TestPicardBootstrap:
         args = (quad, 0.0, dt * np.arange(m + 1), self._noise(m, dt))
         sups = picard_bootstrap(*args).sup_distances
         assert len(sups) > 3
-        forced = [(3, "did not reach tolerance 1e-10", {"max_rounds": 3}, {}),
-                  (2, "is not contracting", {}, {"_BOOTSTRAP_MAX_RATIO": 0.0})]
-        for k, what, kwargs, patches in forced:
+        forced = [(3, "did not reach tolerance 1e-10", {"_BOOTSTRAP_MAX_ROUNDS": 3}),
+                  (2, "is not contracting", {"_BOOTSTRAP_MAX_RATIO": 0.0})]
+        for k, what, patches in forced:
             with monkeypatch.context() as mp:
                 for name, value in patches.items():
                     mp.setattr(sde, name, value)
                 with pytest.raises(NumericFailureError, match=what) as err:
-                    picard_bootstrap(*args, **kwargs)
+                    picard_bootstrap(*args)
             found = re.search(r"\(round (\d+), last sup distance (\S+), "
                               r"contraction ratio (\S+)\)", str(err.value))
             assert int(found[1]) == k
