@@ -24,8 +24,7 @@ from .measures import (GridDensity, centered, dirac, gaussian_density, smooth,
 from .persist import (format_column, load_measure, write_grid_density, write_manifest,
                       write_series_csv)
 from .potentials import certify
-from .sde import counterexample_system, simulate_ensemble
-from .sde import simulate  # noqa: F401  (bench/tracer.py wraps it here)
+from .sde import Replicas, counterexample_system, simulate, simulate_ensemble
 from .transport import tp_distance_1d, w2_distance
 
 
@@ -115,16 +114,26 @@ def _cmd_compare(cfg: ExperimentConfig, out: None, args) -> int:
 
 
 def _cmd_diagnose(cfg: ExperimentConfig, out: Path, args) -> int:
-    records = simulate_ensemble(cfg.potential, cfg.init["position"], cfg.sim,
-                                cfg.replicas, v=cfg.external)
-    rho = solve_fixed_point(cfg.potential, _initial_density(cfg), v=cfg.external,
-                            **cfg.fixpoint).density
-    reports = [ergodicity_check(cfg.potential, records, rho)]
+    """The ergodicity report of every replica, then the one-step error and
+    the center convergence of replica 0 when its path covers the schedule.
+    The fixed point comes first; then the workers simulate the replicas one
+    at a time, each returning its W2 curve, while this process simulates
+    replica 0 again for its own two reports.  No process holds the
+    ensemble."""
+    w, x0, v = cfg.potential, cfg.init["position"], cfg.external
+    rho = solve_fixed_point(w, _initial_density(cfg), v=v, **cfg.fixpoint).density
+    own = []
+
+    def replica_zero():
+        record = simulate(w, x0, cfg.sim, v=v)
+        own.append(one_step_error(w, record, cfg.schedule, v=v))
+        own.append(center_convergence(record, cfg.schedule))
+
     horizon = cfg.schedule.time(cfg.schedule.n_end)
-    if horizon <= cfg.sim.t_end + 1e-9 and cfg.schedule.time(cfg.schedule.n_start) >= cfg.sim.t_start:
-        reports.append(one_step_error(cfg.potential, records[0], cfg.schedule,
-                                      v=cfg.external))
-        reports.append(center_convergence(records[0], cfg.schedule))
+    covered = (horizon <= cfg.sim.t_end + 1e-9
+               and cfg.schedule.time(cfg.schedule.n_start) >= cfg.sim.t_start)
+    reports = [ergodicity_check(w, Replicas(w, x0, cfg.sim, cfg.replicas, v), rho,
+                                meanwhile=replica_zero if covered else None), *own]
     with open(out / "diagnostics.jsonl", "w") as fh:
         for rep in reports:
             fh.write(rep.to_jsonl())

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -37,8 +38,16 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 }
 
 # what the commands need of a value, checked on load so that a bad value
-# fails before any command work: (section, key) -> (test, what it asks)
+# fails before any command work and names its key: (section, key) -> (test,
+# what it asks).  A None value is derived ("auto") and passes.
 _VALID = {
+    ("sim", "dt"): (lambda x: x > 0, "must be positive"),
+    ("sim", "t_start"): (lambda x: x >= 0, "must be non-negative"),
+    ("sim", "noise_scale"): (lambda x: x >= 0, "must be non-negative"),
+    ("schedule", "n_start"): (lambda x: x >= 1, "must be positive"),
+    ("schedule", "exponent"): (lambda x: x > 1, "must exceed 1"),
+    ("potential", "bound_degree"): (lambda x: x is None or x >= 2, "must be at least 2"),
+    ("potential", "bound_scale"): (lambda x: x is None or x >= 1, "must be at least 1"),
     ("grid", "cells"): (lambda x: x >= 16, "must be at least 16"),
     ("grid", "half_width"): (lambda x: x > 0, "must be positive"),
     ("init", "width"): (lambda x: x > 0, "must be positive"),
@@ -185,18 +194,38 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Exper
         out, source = exp["out"], "[experiment] out"
     if not out:
         raise InvalidInputError(f"{source} needs a directory name")
-    replicas = int(exp["replicas"] if overrides.get("replicas") is None
-                   else overrides["replicas"])
+    replicas, source = overrides.get("replicas"), "--replicas"
+    if replicas is None:
+        replicas, source = exp["replicas"], "[experiment] replicas"
     if replicas < 1:
-        raise InvalidInputError("replicas must be positive")
+        raise InvalidInputError(f"{source} must be positive, got {replicas!r}")
     _check_kind("init", init["kind"], given.get("init", {}), _INIT_KEYS)
     for (section, key), (ok, what) in _VALID.items():
         if not ok(kv[section][key]):
             raise InvalidInputError(f"[{section}] {key} {what}, got {kv[section][key]!r}")
+    with _naming("potential", given):
+        potential = _build_potential("potential", given.get("potential", {}))
+    with _naming("external", given):
+        external = (_build_potential("external", given["external"])
+                    if "external" in given else None)
+    with _naming("sim", given):
+        sim = SimConfig(**kv["sim"])
+    with _naming("schedule", given):
+        schedule = Schedule(**kv["schedule"])
     return ExperimentConfig(
-        name=exp["name"], out=out, replicas=replicas,
-        potential=_build_potential("potential", given.get("potential", {})),
-        external=(_build_potential("external", given["external"])
-                  if "external" in given else None),
-        sim=SimConfig(**kv["sim"]), schedule=Schedule(**kv["schedule"]),
+        name=exp["name"], out=out, replicas=replicas, potential=potential,
+        external=external, sim=sim, schedule=schedule,
         grid=kv["grid"], init=init, fixpoint=kv["fixpoint"], raw=given)
+
+
+@contextmanager
+def _naming(section: str, given: dict):
+    """An input error raised inside that does not name its section is
+    raised again naming the section and the values the file gave it."""
+    try:
+        yield
+    except InvalidInputError as exc:
+        if str(exc).startswith(f"[{section}]"):
+            raise
+        shown = ", ".join(f"{key} = {value}" for key, value in given.get(section, {}).items())
+        raise InvalidInputError(f"[{section}] {shown or 'defaults'}: {exc}") from None

@@ -6,10 +6,15 @@ Every rate constant reported here is a least-squares fit with a bootstrap
 band, never an asserted equality: the underlying bounds are existential.
 
 The replicas' W2 curves are independent of each other, so the ergodicity
-check computes them one replica per forked worker process, at most one per
-CPU the process may run on, and in-process where there is one worker or no
-"fork" start method.  Each curve is the same arithmetic wherever it runs,
-so the report does not depend on the worker count.
+check maps the replica indices over forked worker processes, at most one
+per CPU the process may run on, and in-process where there is one worker or
+no "fork" start method.  Each task reads its record and returns the
+record's curve.  Read from `sde.Replicas`, a record is simulated in the
+process that reads it, so no process holds more than one path at a time
+and the caller can work on its own while the pool runs (``meanwhile``).
+Each curve is the same arithmetic wherever it runs, and every error is
+chosen only once all tasks are done, so neither the report nor the error
+depends on the worker count or on which task finished first.
 """
 
 from __future__ import annotations
@@ -17,18 +22,19 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
-from .errors import InvalidInputError
-from .flow import Schedule
+from .errors import InvalidInputError, NumericFailureError
+from .flow import Schedule, _failing_at
 from .gibbs import gibbs_map
 from .measures import GridDensity, centered, recenter
 from .potentials import PotentialSpec
 from .powersums import convolution_matrix
-from .sde import TrajectoryRecord
+from .sde import Replicas, TrajectoryRecord
 from .transport import QuantileTarget, tp_distance_1d
 from .transport import w2_distance  # noqa: F401  (bench/tracer.py wraps it here)
 
@@ -84,7 +90,9 @@ def one_step_error(w: PotentialSpec, record: TrajectoryRecord, schedule: Schedul
     log-log slope of that error against the window length.
 
     The Gibbs image reads the pre-window occupation only through its power
-    sums, which the record gives at every knot in one pass over the path."""
+    sums, which the record gives at every knot in one pass over the path.
+    A `NumericFailureError` of a window's image or distance names the
+    window's index and (t0, t1)."""
     report = DiagnosticsReport(experiment="one-step-error")
     windows = [(schedule.time(n), schedule.time(n + 1)) for n in schedule.indices()]
     for t0, t1 in windows:
@@ -93,11 +101,12 @@ def one_step_error(w: PotentialSpec, record: TrajectoryRecord, schedule: Schedul
     count = max(2, convolution_matrix(w).shape[0])
     pres = record.power_sums_at([t0 for t0, _ in windows], count)
     errors = []
-    for (t0, t1), pre in zip(windows, pres):
-        image = gibbs_map(w, pre, v=v)
-        c = record.center_at(t0)
-        window = record.window_occupation(t0, t1)
-        err = tp_distance_1d(w, recenter(window, c), recenter(image, c))
+    for k, ((t0, t1), pre) in enumerate(zip(windows, pres)):
+        with _failing_at(f"one-step window {k} (t0 = {t0!r}, t1 = {t1!r})"):
+            image = gibbs_map(w, pre, v=v)
+            c = record.center_at(t0)
+            window = record.window_occupation(t0, t1)
+            err = tp_distance_1d(w, recenter(window, c), recenter(image, c))
         errors.append(err)
         report.series.append(("tp_error", t0, err))
     errors = np.asarray(errors)
@@ -208,67 +217,105 @@ def _prefix_chunks(xs, pre_pos, pre_cum, dt, c):
 _pass = None
 
 
-def _w2_curve(i: int) -> list[float]:
-    """W2 of record i's sorted prefixes to the target, one per checkpoint."""
+def _w2_curve(i: int):
+    """(None, W2 of record i's sorted prefixes to the target, one per
+    checkpoint), or (rank, error) when reading the record or its curve
+    fails: a record that failed to simulate ranks by its path step, a
+    failed curve after every such record, and then by i."""
     target, records, ts = _pass
-    return [target.w2(chunks) for chunks in _sorted_prefixes(records[i], ts)]
+    try:
+        rec = records[i]
+    except (InvalidInputError, NumericFailureError) as exc:
+        step = getattr(exc, "step", None)
+        return (0, -1 if step is None else step, i), exc
+    try:
+        return None, [target.w2(chunks) for chunks in _sorted_prefixes(rec, ts)]
+    except (InvalidInputError, NumericFailureError) as exc:
+        return (1, 0, i), exc
 
 
-def _w2_curves(target: QuantileTarget, records: list[TrajectoryRecord],
-               ts: np.ndarray, workers: int) -> list[list[float]]:
+def _w2_curves(target: QuantileTarget, records, ts: np.ndarray, workers: int,
+               meanwhile=None) -> list[list[float]]:
     """`_w2_curve` of every record, over a pool of `workers` forked
-    processes, or in-process with one worker or without "fork"."""
+    processes, or in-process with one worker or without "fork".
+    ``meanwhile()`` runs in this process while the pool works (before the
+    curves without a pool).
+
+    Errors are raised once every task is done: the lowest-ranked task's
+    (`_w2_curve`), so a path that failed to simulate is reported at its
+    earliest step and then its lowest index, as one ensemble run meets
+    them, and then ``meanwhile``'s own.  The pool is shut down on every
+    way out."""
     global _pass
     _pass = (target, records, ts)
-    pool = None
+    pool = late = None
     try:
         if workers > 1:
             import multiprocessing
             if "fork" in multiprocessing.get_all_start_methods():
                 pool = multiprocessing.get_context("fork").Pool(workers)
-        return list((pool.map if pool else map)(_w2_curve, range(len(records))))
+        tasks = range(len(records))
+        pending = pool.map_async(_w2_curve, tasks) if pool else None
+        if meanwhile is not None:
+            try:
+                meanwhile()
+            except (InvalidInputError, NumericFailureError) as exc:
+                late = exc
+        results = pending.get() if pool else list(map(_w2_curve, tasks))
     finally:
         _pass = None
         if pool is not None:
-            pool.close()
+            pool.terminate()
             pool.join()
+    failed = [result for result in results if result[0] is not None]
+    if failed:
+        raise min(failed, key=lambda result: result[0])[1]
+    if late is not None:
+        raise late
+    return [curve for _, curve in results]
 
 
-def ergodicity_check(w: PotentialSpec, records: list[TrajectoryRecord],
+def ergodicity_check(w: PotentialSpec, records: Sequence[TrajectoryRecord],
                      rho_inf: GridDensity, final_w2_bound: float = 0.1,
-                     min_passing: int | None = None, n_boot: int = 200) -> DiagnosticsReport:
+                     min_passing: int | None = None, n_boot: int = 200,
+                     meanwhile=None) -> DiagnosticsReport:
     """Per-replica Wasserstein distance of the centered occupation measure to
     the fixed point (centered too when W has a center) at logarithmic
     checkpoints, with a fitted decay exponent for exp(-a (log t)^(1/(k+1))).
 
     The checkpoints run from max(2 t_start, t_start + 1) to the records' end,
     which must lie beyond it; every record must reach the last checkpoint.
-    The curves are computed one replica per forked worker, with at most one
-    worker per CPU in the affinity mask, and in-process with one worker or
-    without "fork"; each worker holds its own sort buffer and chunks, and
-    the report is the same whatever the worker count."""
+    `sde.Replicas` gives these times from its config, so no record is
+    simulated for them.  The curves are computed over forked workers, at
+    most one per CPU in the affinity mask, and in-process with one worker
+    or without "fork"; each worker reads one record at a time and holds its
+    own sort buffer and chunks.  ``meanwhile()``, when given, runs in this
+    process while the workers compute (`_w2_curves`, which also says which
+    error wins).  The report is the same whatever the worker count."""
     if not records:
         raise InvalidInputError("need at least one replica")
     report = DiagnosticsReport(experiment="ergodicity")
     k = w.bound_degree
-    t0 = float(records[0].times[0])
-    t1 = max(float(rec.times[-1]) for rec in records)
+    spans = records.time_spans() if isinstance(records, Replicas) else [
+        (rec.replica, float(rec.times[0]), float(rec.times[-1])) for rec in records]
+    t0 = spans[0][1]
+    t1 = max(end for _, _, end in spans)
     first = max(t0 * 2, t0 + 1.0)
     if t1 <= first:
         raise InvalidInputError(
             f"ergodicity checkpoints start at max(2 t_start, t_start + 1) = {first:g}; "
             f"the records end at t = {t1:g}, they must run beyond it")
     ts = _checkpoints(first, t1)
-    for rec in records:
-        if rec.times[-1] < ts[-1] - 1e-9:
+    for replica, _, end in spans:
+        if end < ts[-1] - 1e-9:
             raise InvalidInputError(
-                f"replica {rec.replica} ends at t = {float(rec.times[-1]):g}, before "
+                f"replica {replica} ends at t = {end:g}, before "
                 f"the last ergodicity checkpoint t = {float(ts[-1]):g}")
     target = QuantileTarget(centered(w, rho_inf) if w.convexity_constant > 0 else rho_inf)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    curves = _w2_curves(target, records, ts, min(len(records), cpus))
-    for rec, vals in zip(records, curves):
-        report.series.extend((f"w2_replica{rec.replica}", float(t), d)
+    curves = _w2_curves(target, records, ts, min(len(records), cpus), meanwhile)
+    for (replica, _, _), vals in zip(spans, curves):
+        report.series.extend((f"w2_replica{replica}", float(t), d)
                              for t, d in zip(ts, vals))
     curves = np.asarray(curves)
     finals = curves[:, -1]

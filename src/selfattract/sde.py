@@ -47,6 +47,7 @@ non-symmetric counterexample pair whose center drifts like log t.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,8 +210,8 @@ def _block_centers(T, S, mass, locate=None):
 
     A column still above it after `_NEWTON_ITERS` updates raises
     NumericFailureError naming the earliest such knot by ``locate(knot,
-    column)`` (`_locate`'s words; block indices without it) and its final
-    |g|."""
+    column)`` (`_locate`'s step and words; block indices without it) and
+    its final |g|."""
     count = T.shape[0]
     if count < 2:
         return np.zeros((S.shape[0], S.shape[2]))
@@ -227,25 +228,27 @@ def _block_centers(T, S, mass, locate=None):
         if it < _NEWTON_ITERS:
             c = c - np.divide(g, _horner(db, c), out=np.zeros_like(c), where=moving)
     knot, col = (int(i) for i in np.argwhere(moving)[0])
-    where = f"knot {knot}, column {col}" if locate is None else locate(knot, col)
+    step, where = (None, f"knot {knot}, column {col}") if locate is None else \
+        locate(knot, col)
     raise NumericFailureError(
         f"center Newton on running moments did not converge at {where}: "
-        f"|g| = {float(abs(g[knot, col]))!r} after {_NEWTON_ITERS} iterations")
+        f"|g| = {float(abs(g[knot, col]))!r} after {_NEWTON_ITERS} iterations", step=step)
 
 
 def _locate(origin, step, row, dt):
-    """Step, t and replica id of ``row`` at ``step`` of a column run, from
-    ``origin`` = (the rows' replica ids, the path step of column 0, the
-    path's time at step 0)."""
+    """The path step of ``row`` at ``step`` of a column run, and words naming
+    that step, its t and the row's replica id, from ``origin`` = (the rows'
+    replica ids, the path step of column 0, the path's time at step 0)."""
     ids, step0, t0 = origin
     step += step0
-    return f"step {step}, t = {t0 + dt * step!r}, replica {ids[row]}"
+    return step, f"step {step}, t = {t0 + dt * step!r}, replica {ids[row]}"
 
 
 def _check_finite(positions, first, origin, dt):
     """NumericFailureError when a block of paths, columns ``first``.. of
     (R, n+1) positions, holds a non-finite entry.  The message names the
-    earliest one's replica, step and t (`_locate`)."""
+    earliest one's replica, step and t (`_locate`), and the error carries
+    the step."""
     # min and max propagate NaN, so two reductions check every entry
     # without a mask the size of the positions
     if (np.isfinite(positions.min(initial=0.0))
@@ -253,10 +256,9 @@ def _check_finite(positions, first, origin, dt):
         return
     bad = ~np.isfinite(positions)
     col = int(np.argmax(bad.any(axis=0)))
-    raise NumericFailureError(
-        f"path lost finiteness (explosion) at "
-        f"{_locate(origin, first + col, int(np.argmax(bad[:, col])), dt)}; "
-        "check the step size against the potential")
+    step, where = _locate(origin, first + col, int(np.argmax(bad[:, col])), dt)
+    raise NumericFailureError(f"path lost finiteness (explosion) at {where}; "
+                              "check the step size against the potential", step=step)
 
 
 def _prehistory(x0: float, t_start: float,
@@ -452,6 +454,34 @@ def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
     and hold row views of one positions and one centers array."""
     _check_dt(w, cfg)
     return _simulate_replicas(w, x0, cfg, range(n_replicas), v, initial_occupation)
+
+
+@dataclass(frozen=True)
+class Replicas(Sequence):
+    """The records of `simulate_ensemble(w, x0, cfg, n, v)`, each simulated
+    by `simulate` when it is read and kept by no one, so a reader holds one
+    path at a time.  Item r is the ensemble's row r, bit for bit up to
+    degree 7 (`_run_moment_columns`)."""
+
+    w: PotentialSpec
+    x0: float
+    cfg: SimConfig
+    n: int
+    v: PotentialSpec | None = None
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, r: int) -> TrajectoryRecord:
+        if not 0 <= r < self.n:
+            raise IndexError(r)
+        return simulate(self.w, self.x0, self.cfg, v=self.v, replica=r)
+
+    def time_spans(self) -> list[tuple[int, float, float]]:
+        """(replica, first time, last time) of each record, as its ``times``
+        would give them, without simulating."""
+        cfg = self.cfg
+        return [(r, cfg.t_start, cfg.t_start + cfg.dt * cfg.n_steps) for r in range(self.n)]
 
 
 def _simulate_replicas(w, x0, cfg, replicas, v, initial_occupation):

@@ -1,13 +1,16 @@
 import json
 import math
+import multiprocessing
+import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from selfattract.cli import main
-from selfattract import cli
+from selfattract import cli, diagnostics
 from selfattract.config import _SCHEMA, _coerce, load_config
 from selfattract.errors import InvalidInputError, NumericFailureError
 from selfattract.persist import config_digest, load_measure, write_series_csv
@@ -60,7 +63,7 @@ class TestConfig:
         cfg = write(tmp_path / "r.cfg", "[experiment]\nreplicas = 3\n")
         assert main(["--config", cfg, "--out", str(tmp_path / "o"),
                      "--replicas", "0", "simulate"]) == 2
-        assert capsys.readouterr().err == "config error: replicas must be positive\n"
+        assert capsys.readouterr().err == "config error: --replicas must be positive, got 0\n"
         assert not (tmp_path / "o").exists()
 
     def test_empty_out_flag_is_a_config_error(self, tmp_path, capsys, monkeypatch):
@@ -154,11 +157,33 @@ class TestConfig:
             raise AssertionError("the command ran")
 
         monkeypatch.setattr(cli, "simulate_ensemble", no_work)
+        monkeypatch.setattr(cli, "simulate", no_work)
         cfg = write(tmp_path / "v.cfg", text)
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "diagnose"]) == 2
         assert not (tmp_path / "o").exists()
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {named} ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text,flags,line", [
+        ("[sim]\ndt = 0\n", [], "[sim] dt must be positive, got 0.0"),
+        ("[potential]\nbound_degree = 0\n", [],
+         "[potential] bound_degree must be at least 2, got 0"),
+        ("[experiment]\nreplicas = 3\n", ["--replicas", "0"],
+         "--replicas must be positive, got 0"),
+        ("[experiment]\nreplicas = 0\n", [], "[experiment] replicas must be positive, got 0"),
+        ("[sim]\nt_end = 1.0\n", [], "[sim] t_end = 1.0: need t_end > t_start >= 0"),
+        ("[schedule]\nn_start = 5\nn_end = 5\n", [],
+         "[schedule] n_start = 5, n_end = 5: need n_end > n_start >= 1"),
+        ("[potential]\ncoefficients = -1\n", [],
+         "[potential] coefficients = -1: strength must be positive")],
+        ids=["dt-zero", "bound-degree-zero", "replicas-flag-zero", "replicas-zero",
+             "t-end-at-t-start", "n-end-at-n-start", "negative-strength"])
+    def test_config_error_names_its_source(self, tmp_path, capsys, text, flags, line):
+        # the key or flag that holds the value, and the value given
+        cfg = write(tmp_path / "e.cfg", text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), *flags, "diagnose"]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not (tmp_path / "o").exists()
 
     ROOT = Path(__file__).resolve().parents[1]
 
@@ -503,6 +528,69 @@ class TestCommands:
         assert main(["--config", cfg, "--out", str(tmp_path / "p"), "fixpoint"]) == 0
         dens = load_measure(tmp_path / "p/density.csv")
         assert (float(dens.lo), float(dens.hi)) == (-5.0, 11.0)
+
+    EXPLODES = ("[experiment]\nreplicas = 4\n[potential]\nkind = even-polynomial\n"
+                "coefficients = 0.5 1.0\n[sim]\nt_start = 1.0\nt_end = 50.0\n"
+                "noise_scale = 30.0\n")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_diagnose_reports_the_ensembles_first_explosion(self, tmp_path, capsys,
+                                                           monkeypatch, cpus):
+        # replica 0 explodes at step 22 and replica 3 at step 12: simulated
+        # one by one in the workers, the run names the earliest step (then
+        # the lowest replica), as one ensemble run does, whoever fails first
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = write(tmp_path / "x.cfg", self.EXPLODES)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["--config", cfg, "--out", str(tmp_path / "o"), "diagnose"]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: path lost finiteness (explosion) at step 12, t = 1.12, "
+            "replica 3; check the step size against the potential\n")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failure_of_the_parents_own_work_shuts_the_pool_down(self, tmp_path, capsys,
+                                                                monkeypatch, cpus):
+        # the one-step error runs in this process while the workers compute
+        # the W2 curves; its failure names its window and leaves no worker
+        def forced(*args, **kwargs):
+            raise NumericFailureError("forced")
+
+        monkeypatch.setattr(diagnostics, "gibbs_map", forced)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = write(tmp_path / "d.cfg", "[sim]\nt_end = 60.0\n[experiment]\nreplicas = 3\n"
+                    "[schedule]\nn_start = 4\nn_end = 12\n[grid]\ncells = 256\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "diagnose"]) == 3
+        assert capsys.readouterr().err == (
+            f"numeric failure: one-step window 0 (t0 = {4 ** 1.5!r}, t1 = {5 ** 1.5!r}): "
+            "forced\n")
+        assert multiprocessing.active_children() == []
+
+    def test_diagnose_memory_is_bounded_in_the_replica_count(self, tmp_path, monkeypatch):
+        # this process holds one path at a time, whether the workers read
+        # the replicas (2 CPUs) or it reads them itself (1 CPU): its peak
+        # stays below the positions and centers of 12 paths at 2 and at 16
+        # replicas, where a 16-replica ensemble alone holds 16
+        cfg = write(tmp_path / "m.cfg", "[sim]\ndt = 0.01\nt_end = 400.0\nseed = 4\n"
+                    "[schedule]\nn_start = 2\nn_end = 20\n[grid]\ncells = 256\n")
+        path_bytes = 2 * 8 * 39901
+
+        def diagnose(cpus, replicas):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            return main(["--config", cfg, "--out", str(tmp_path / "o"), "--replicas",
+                         str(replicas), "diagnose"])
+
+        assert diagnose(2, 2) == 0   # the pool's one-time imports and caches
+        peaks = {}
+        for cpus in (2, 1):
+            for replicas in (2, 16):
+                tracemalloc.start()
+                try:
+                    assert diagnose(cpus, replicas) == 0
+                    peaks[cpus, replicas] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert max(peaks.values()) <= 12 * path_bytes, peaks
 
     def test_diagnose_runs(self, tmp_path):
         cfg = write(tmp_path / "d.cfg",

@@ -16,6 +16,7 @@ from selfattract import (InvalidInputError, NumericFailureError, ParticleMeasure
 from selfattract import diagnostics
 from selfattract.diagnostics import (center_convergence, ergodicity_check,
                                      one_step_error)
+from selfattract.sde import Replicas
 from selfattract.powersums import PowerSums, power_sums
 from conftest import make_rng
 
@@ -55,6 +56,24 @@ class TestOneStepError:
     def test_requires_coverage(self, quad, medium_record):
         with pytest.raises(Exception):
             one_step_error(quad, medium_record, Schedule(n_start=10, n_end=200))
+
+    @pytest.mark.parametrize("name", ["gibbs_map", "tp_distance_1d"])
+    def test_failure_names_its_window(self, quad, medium_record, monkeypatch, name):
+        # the third window's Gibbs image or distance fails
+        calls, real = [], getattr(diagnostics, name)
+
+        def fails_on_the_3rd(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NumericFailureError("forced")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, name, fails_on_the_3rd)
+        sched = Schedule(n_start=10, n_end=45)
+        with pytest.raises(NumericFailureError) as caught:
+            one_step_error(quad, medium_record, sched)
+        assert str(caught.value) == (f"one-step window 2 (t0 = {sched.time(12)!r}, "
+                                     f"t1 = {sched.time(13)!r}): forced")
 
 
 class TestCenterConvergence:
@@ -378,6 +397,55 @@ class TestWorkerPool:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         ergodicity_check(quad, records, rho, min_passing=0, n_boot=10)
         assert pools == [2]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_replicas_read_one_at_a_time_give_the_ensembles_report(self, quad,
+                                                                   monkeypatch, cpus):
+        # each worker simulates the replicas it reads; the record times come
+        # from the config, and `meanwhile` runs once, in this process
+        cfg = SimConfig(dt=0.01, t_end=60.0, seed=17)
+        ensemble = simulate_ensemble(quad, 0.0, cfg, 3)
+        lazy = Replicas(quad, 0.0, cfg, 3)
+        assert lazy.time_spans() == [(rec.replica, float(rec.times[0]), float(rec.times[-1]))
+                                     for rec in ensemble]
+        for rec, read in zip(ensemble, lazy):
+            assert read.replica == rec.replica
+            assert np.array_equal(read.positions, rec.positions)
+            assert np.array_equal(read.center_track, rec.center_track)
+        with pytest.raises(IndexError):
+            lazy[3]
+        _cpus(monkeypatch, cpus)
+        rho = gaussian_density(0, 1, -8, 8, 512)
+        ran = []
+        streamed = ergodicity_check(quad, lazy, rho, min_passing=0, n_boot=10,
+                                    meanwhile=lambda: ran.append(os.getpid()))
+        held = ergodicity_check(quad, ensemble, rho, min_passing=0, n_boot=10)
+        assert streamed.to_jsonl() == held.to_jsonl()
+        assert ran == [os.getpid()]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_errors_of_meanwhile_come_after_the_workers(self, quad, records, monkeypatch,
+                                                       cpus):
+        def own_work():
+            raise NumericFailureError("own work failed")
+
+        _cpus(monkeypatch, cpus)
+        rho = gaussian_density(0, 1, -8, 8, 512)
+        with pytest.raises(NumericFailureError, match="^own work failed$"):
+            ergodicity_check(quad, records, rho, min_passing=0, n_boot=10,
+                             meanwhile=own_work)
+        assert multiprocessing.active_children() == []
+
+        def fail(self, chunks):
+            raise InvalidInputError("W2 pass failed")
+
+        monkeypatch.setattr(diagnostics.QuantileTarget, "w2", fail)
+        with pytest.raises(InvalidInputError, match="^W2 pass failed$"):
+            ergodicity_check(quad, records, rho, min_passing=0, n_boot=10,
+                             meanwhile=own_work)
+        assert multiprocessing.active_children() == []
+        assert diagnostics._pass is None
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("error", [NumericFailureError, InvalidInputError])
