@@ -2,8 +2,10 @@
 
 Subcommands: simulate, flow, fixpoint, compare, diagnose, appendix2, certify.
 Each run writes CSV / JSON-lines artifacts plus a manifest (config hash,
-seed, versions) into the output directory.  Exit codes: 0 success, 1 failed
-verdicts under --assert, 2 configuration errors, 3 numeric failures.
+seed, versions) into the output directory.  `simulate` and `diagnose`
+spread their replicas over forked workers through the one fork map of
+`workers`.  Exit codes: 0 success, 1 failed verdicts under --assert,
+2 configuration errors, 3 numeric failures.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .persist import (format_column, load_measure, write_grid_density, write_man
 from .potentials import certify
 from .sde import Replicas, counterexample_system, simulate, simulate_ensemble
 from .transport import tp_distance_1d, w2_distance
+from .workers import fork_map, workers
 
 
 def _initial_density(cfg: ExperimentConfig) -> GridDensity:
@@ -44,23 +47,35 @@ def _initial_density(cfg: ExperimentConfig) -> GridDensity:
 
 def _cmd_simulate(cfg: ExperimentConfig, out: Path, args) -> int:
     """Per replica, its thinned path (t, x, center) and its occupation
-    histogram.  The records share one ``times`` and one ``weights`` array, so
-    the time column is formatted and the weights are normalized once for
-    every path, and no occupation measure is built."""
-    records = simulate_ensemble(cfg.potential, cfg.init["position"], cfg.sim,
-                                cfg.replicas, v=cfg.external)
-    thin = max(1, records[0].times.size // 2000)
-    times = format_column(records[0].times[::thin])
-    first = int(records[0].weights[0] == 0)   # from t = 0: no pre-history atom
-    w = records[0].weights[first:] / records[0].weights[first:].sum()
-    for rec in records:
-        write_series_csv(out / f"path_r{rec.replica}.csv", ["t", "x", "center"],
-                         [times, rec.positions[::thin], rec.center_track[::thin]])
-        hist, edges = np.histogram(rec.positions[first:], bins=128, weights=w)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        width = edges[1] - edges[0]
-        write_series_csv(out / f"occupation_r{rec.replica}.csv", ["x", "density"],
-                         [mids, hist / width])
+    histogram.  The replicas are cut into contiguous blocks, one per
+    worker (`workers.workers`), each simulated as an ensemble and written
+    in a forked worker (`workers.fork_map`), so no process holds the whole
+    ensemble.  A block's rows are the ensemble's rows, so the files are the
+    same whatever the CPU set, and a failure is reported at its earliest
+    step, then its lowest replica, as one ensemble run reports it.  The
+    records of a block share one ``times`` and one ``weights`` array, so
+    the time column is formatted and the weights are normalized once per
+    block, and no occupation measure is built."""
+    n, blocks = cfg.replicas, workers(cfg.replicas)
+
+    def block(k):
+        lo = n * k // blocks
+        records = simulate_ensemble(cfg.potential, cfg.init["position"], cfg.sim,
+                                    n * (k + 1) // blocks - lo, v=cfg.external, first=lo)
+        thin = max(1, records[0].times.size // 2000)
+        times = format_column(records[0].times[::thin])
+        first = int(records[0].weights[0] == 0)   # from t = 0: no pre-history atom
+        w = records[0].weights[first:] / records[0].weights[first:].sum()
+        for rec in records:
+            write_series_csv(out / f"path_r{rec.replica}.csv", ["t", "x", "center"],
+                             [times, rec.positions[::thin], rec.center_track[::thin]])
+            hist, edges = np.histogram(rec.positions[first:], bins=128, weights=w)
+            mids = 0.5 * (edges[:-1] + edges[1:])
+            width = edges[1] - edges[0]
+            write_series_csv(out / f"occupation_r{rec.replica}.csv", ["x", "density"],
+                             [mids, hist / width])
+
+    fork_map(block, blocks)
     return 0
 
 
@@ -118,21 +133,26 @@ def _cmd_diagnose(cfg: ExperimentConfig, out: Path, args) -> int:
     the center convergence of replica 0 when its path covers the schedule.
     The fixed point comes first; then the workers simulate the replicas one
     at a time, each returning its W2 curve, while this process simulates
-    replica 0 again for its own two reports.  No process holds the
-    ensemble."""
+    replica 0 for its own two reports (`workers.fork_map`).  Without
+    workers that record is held for the W2 curve of replica 0, which this
+    process computes next, so each replica is simulated once.  No process
+    holds the ensemble."""
     w, x0, v = cfg.potential, cfg.init["position"], cfg.external
     rho = solve_fixed_point(w, _initial_density(cfg), v=v, **cfg.fixpoint).density
+    replicas = Replicas(w, x0, cfg.sim, cfg.replicas, v)
     own = []
 
     def replica_zero():
         record = simulate(w, x0, cfg.sim, v=v)
+        if workers(cfg.replicas) == 1:   # the W2 pass reads replica 0 here next
+            replicas.hold(record)
         own.append(one_step_error(w, record, cfg.schedule, v=v))
         own.append(center_convergence(record, cfg.schedule))
 
     horizon = cfg.schedule.time(cfg.schedule.n_end)
     covered = (horizon <= cfg.sim.t_end + 1e-9
                and cfg.schedule.time(cfg.schedule.n_start) >= cfg.sim.t_start)
-    reports = [ergodicity_check(w, Replicas(w, x0, cfg.sim, cfg.replicas, v), rho,
+    reports = [ergodicity_check(w, replicas, rho,
                                 meanwhile=replica_zero if covered else None), *own]
     with open(out / "diagnostics.jsonl", "w") as fh:
         for rep in reports:

@@ -6,22 +6,20 @@ Every rate constant reported here is a least-squares fit with a bootstrap
 band, never an asserted equality: the underlying bounds are existential.
 
 The replicas' W2 curves are independent of each other, so the ergodicity
-check maps the replica indices over forked worker processes, at most one
-per CPU the process may run on, and in-process where there is one worker or
-no "fork" start method.  Each task reads its record and returns the
-record's curve.  Read from `sde.Replicas`, a record is simulated in the
+check maps the replica indices over the package's one fork map
+(`workers.fork_map`), which says how many workers run, when the tasks run
+in-process and which error wins.  Each task reads its record and returns
+the record's curve.  Read from `sde.Replicas`, a record is simulated in the
 process that reads it, so no process holds more than one path at a time
 and the caller can work on its own while the pool runs (``meanwhile``).
-Each curve is the same arithmetic wherever it runs, and every error is
-chosen only once all tasks are done, so neither the report nor the error
-depends on the worker count or on which task finished first.
+Each curve is the same arithmetic wherever it runs, so the report does not
+depend on the worker count.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -37,6 +35,7 @@ from .powersums import convolution_matrix
 from .sde import Replicas, TrajectoryRecord
 from .transport import QuantileTarget, tp_distance_1d
 from .transport import w2_distance  # noqa: F401  (bench/tracer.py wraps it here)
+from .workers import fork_map
 
 _TAIL_THRESHOLD = 0.5   # the center increments' tail sum must stay below this
 _PER_DECADE = 10        # ergodicity checkpoints per decade of time
@@ -212,69 +211,6 @@ def _prefix_chunks(xs, pre_pos, pre_cum, dt, c):
         yield pos, cum
 
 
-# (target, records, checkpoint times) of the running ergodicity check; forked
-# workers inherit it, so only replica indices and curves cross processes
-_pass = None
-
-
-def _w2_curve(i: int):
-    """(None, W2 of record i's sorted prefixes to the target, one per
-    checkpoint), or (rank, error) when reading the record or its curve
-    fails: a record that failed to simulate ranks by its path step, a
-    failed curve after every such record, and then by i."""
-    target, records, ts = _pass
-    try:
-        rec = records[i]
-    except (InvalidInputError, NumericFailureError) as exc:
-        step = getattr(exc, "step", None)
-        return (0, -1 if step is None else step, i), exc
-    try:
-        return None, [target.w2(chunks) for chunks in _sorted_prefixes(rec, ts)]
-    except (InvalidInputError, NumericFailureError) as exc:
-        return (1, 0, i), exc
-
-
-def _w2_curves(target: QuantileTarget, records, ts: np.ndarray, workers: int,
-               meanwhile=None) -> list[list[float]]:
-    """`_w2_curve` of every record, over a pool of `workers` forked
-    processes, or in-process with one worker or without "fork".
-    ``meanwhile()`` runs in this process while the pool works (before the
-    curves without a pool).
-
-    Errors are raised once every task is done: the lowest-ranked task's
-    (`_w2_curve`), so a path that failed to simulate is reported at its
-    earliest step and then its lowest index, as one ensemble run meets
-    them, and then ``meanwhile``'s own.  The pool is shut down on every
-    way out."""
-    global _pass
-    _pass = (target, records, ts)
-    pool = late = None
-    try:
-        if workers > 1:
-            import multiprocessing
-            if "fork" in multiprocessing.get_all_start_methods():
-                pool = multiprocessing.get_context("fork").Pool(workers)
-        tasks = range(len(records))
-        pending = pool.map_async(_w2_curve, tasks) if pool else None
-        if meanwhile is not None:
-            try:
-                meanwhile()
-            except (InvalidInputError, NumericFailureError) as exc:
-                late = exc
-        results = pending.get() if pool else list(map(_w2_curve, tasks))
-    finally:
-        _pass = None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-    failed = [result for result in results if result[0] is not None]
-    if failed:
-        raise min(failed, key=lambda result: result[0])[1]
-    if late is not None:
-        raise late
-    return [curve for _, curve in results]
-
-
 def ergodicity_check(w: PotentialSpec, records: Sequence[TrajectoryRecord],
                      rho_inf: GridDensity, final_w2_bound: float = 0.1,
                      min_passing: int | None = None, n_boot: int = 200,
@@ -286,12 +222,13 @@ def ergodicity_check(w: PotentialSpec, records: Sequence[TrajectoryRecord],
     The checkpoints run from max(2 t_start, t_start + 1) to the records' end,
     which must lie beyond it; every record must reach the last checkpoint.
     `sde.Replicas` gives these times from its config, so no record is
-    simulated for them.  The curves are computed over forked workers, at
-    most one per CPU in the affinity mask, and in-process with one worker
-    or without "fork"; each worker reads one record at a time and holds its
-    own sort buffer and chunks.  ``meanwhile()``, when given, runs in this
-    process while the workers compute (`_w2_curves`, which also says which
-    error wins).  The report is the same whatever the worker count."""
+    simulated for them.  The curves are computed over `workers.fork_map`;
+    each worker reads one record at a time and holds its own sort buffer
+    and chunks.  ``meanwhile()``, when given, runs in this process while
+    the workers compute.  A failed record is reported at its earliest path
+    step, then its lowest index, as one ensemble run meets them; a failed
+    curve after every failed record, and ``meanwhile``'s own error last.
+    The report is the same whatever the worker count."""
     if not records:
         raise InvalidInputError("need at least one replica")
     report = DiagnosticsReport(experiment="ergodicity")
@@ -312,8 +249,16 @@ def ergodicity_check(w: PotentialSpec, records: Sequence[TrajectoryRecord],
                 f"replica {replica} ends at t = {end:g}, before "
                 f"the last ergodicity checkpoint t = {float(ts[-1]):g}")
     target = QuantileTarget(centered(w, rho_inf) if w.convexity_constant > 0 else rho_inf)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    curves = _w2_curves(target, records, ts, min(len(records), cpus), meanwhile)
+
+    def curve(i):
+        rec = records[i]
+        try:
+            return [target.w2(chunks) for chunks in _sorted_prefixes(rec, ts)]
+        except (InvalidInputError, NumericFailureError) as exc:
+            exc.step = math.inf   # a failed curve ranks after every failed path
+            raise
+
+    curves = fork_map(curve, len(records), meanwhile)
     for (replica, _, _), vals in zip(spans, curves):
         report.series.extend((f"w2_replica{replica}", float(t), d)
                              for t, d in zip(ts, vals))

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -308,12 +308,14 @@ def _run_moments(T, v, x0, sums, positions, centers, dt, origin, every=_CENTER_E
     ``centers`` (R, n+1).  Quadratic W without V takes the closed form, everything else the column
     stepper, which places a center every ``every`` steps.  A non-finite path
     raises `NumericFailureError` naming the replica, step and t that
-    ``origin`` (`_check_finite`) gives."""
-    if T.shape[0] == 2 and v is None:
-        _run_quadratic_closed_form(T, x0, sums, positions, centers, dt, y0)
-        _check_finite(positions, 0, origin, dt)
-    else:
-        _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y0)
+    ``origin`` (`_check_finite`) gives; the overflows and invalid values
+    of the steps that lead to it warn nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if T.shape[0] == 2 and v is None:
+            _run_quadratic_closed_form(T, x0, sums, positions, centers, dt, y0)
+            _check_finite(positions, 0, origin, dt)
+        else:
+            _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y0)
 
 
 def _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y0=0.0):
@@ -445,29 +447,35 @@ def simulate(w: PotentialSpec, x0: float, cfg: SimConfig,
 
 def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
                       n_replicas: int, v: PotentialSpec | None = None,
-                      initial_occupation: ParticleMeasure | None = None
-                      ) -> list[TrajectoryRecord]:
-    """Replica ensemble with independent noise streams; replica r is the
-    path ``simulate(..., replica=r)`` returns.  The replicas step in
-    lock-step (quadratic W without V in closed form), from every start
-    time.  The records share ``times`` and one read-only ``weights`` array
-    and hold row views of one positions and one centers array."""
+                      initial_occupation: ParticleMeasure | None = None,
+                      first: int = 0) -> list[TrajectoryRecord]:
+    """Replica ensemble with independent noise streams: replicas ``first``
+    .. ``first + n_replicas - 1``, where replica r is the path
+    ``simulate(..., replica=r)`` returns, so a block of replicas gives the
+    rows of the whole ensemble.  The replicas step in lock-step (quadratic
+    W without V in closed form), from every start time.  The records share
+    ``times`` and one read-only ``weights`` array and hold row views of one
+    positions and one centers array."""
     _check_dt(w, cfg)
-    return _simulate_replicas(w, x0, cfg, range(n_replicas), v, initial_occupation)
+    return _simulate_replicas(w, x0, cfg, range(first, first + n_replicas), v,
+                              initial_occupation)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Replicas(Sequence):
     """The records of `simulate_ensemble(w, x0, cfg, n, v)`, each simulated
     by `simulate` when it is read and kept by no one, so a reader holds one
     path at a time.  Item r is the ensemble's row r, bit for bit up to
-    degree 7 (`_run_moment_columns`)."""
+    degree 7 (`_run_moment_columns`).  A record given to `hold` is returned
+    by the next read instead of simulated again when that read is of its
+    replica; any read lets it go."""
 
     w: PotentialSpec
     x0: float
     cfg: SimConfig
     n: int
     v: PotentialSpec | None = None
+    _held: TrajectoryRecord | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.n
@@ -475,7 +483,14 @@ class Replicas(Sequence):
     def __getitem__(self, r: int) -> TrajectoryRecord:
         if not 0 <= r < self.n:
             raise IndexError(r)
+        held, self._held = self._held, None
+        if held is not None and held.replica == r:
+            return held
         return simulate(self.w, self.x0, self.cfg, v=self.v, replica=r)
+
+    def hold(self, record: TrajectoryRecord) -> None:
+        """Keep ``record``, a record of these replicas, for the next read."""
+        self._held = record
 
     def time_spans(self) -> list[tuple[int, float, float]]:
         """(replica, first time, last time) of each record, as its ``times``

@@ -3,6 +3,8 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from selfattract.cli import main
-from selfattract import cli, diagnostics
+from selfattract import cli, diagnostics, sde
 from selfattract.config import _SCHEMA, _coerce, load_config
 from selfattract.errors import InvalidInputError, NumericFailureError
 from selfattract.persist import config_digest, load_measure, write_series_csv
@@ -591,6 +593,104 @@ class TestCommands:
                 finally:
                     tracemalloc.stop()
         assert max(peaks.values()) <= 12 * path_bytes, peaks
+
+    EXPLOSION = ("numeric failure: path lost finiteness (explosion) at step 12, t = 1.12, "
+                 "replica 3; check the step size against the potential\n")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_simulate_reports_the_ensembles_first_explosion(self, tmp_path, capsys,
+                                                           monkeypatch, cpus):
+        # at 2 CPUs replica 0 explodes at step 22 in block [0, 2) and replica
+        # 3 at step 12 in block [2, 4): the run names the earliest step (then
+        # the lowest replica), as one ensemble run does, whichever block fails
+        # first
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = write(tmp_path / "x.cfg", self.EXPLODES)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "simulate"]) == 3
+        assert capsys.readouterr().err == self.EXPLOSION
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_explosion_prints_only_its_failure(self, tmp_path, command, cpus):
+        # a fresh interpreter shows numpy's warnings on stderr: the steps that
+        # overflow on the way to the failure warn nothing, here or in a worker
+        cfg = write(tmp_path / "x.cfg", self.EXPLODES)
+        run = ("import os, sys; os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1]))); "
+               "from selfattract.cli import main; sys.exit(main(sys.argv[2:]))")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+               "PYTHONWARNINGS": "default"}
+        done = subprocess.run([sys.executable, "-c", run, str(cpus), "--config", cfg,
+                               "--out", str(tmp_path / "o"), command],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert (done.returncode, done.stderr) == (3, self.EXPLOSION)
+
+    def test_diagnose_on_one_cpu_simulates_each_replica_once(self, tmp_path, monkeypatch):
+        # in-process, the record of replica 0 that this process simulates
+        # for its own reports is the one its W2 curve reads: 3 replicas are
+        # 3 simulations, and the report is the pooled run's
+        calls = []
+        run = sde._simulate_replicas
+        monkeypatch.setattr(sde, "_simulate_replicas",
+                            lambda *args: calls.append(list(args[3])) or run(*args))
+        cfg = write(tmp_path / "d.cfg", "[sim]\nt_end = 60.0\n[experiment]\nreplicas = 3\n"
+                    "[schedule]\nn_start = 4\nn_end = 12\n[grid]\ncells = 256\n")
+        reports = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = tmp_path / f"o{cpus}"
+            assert main(["--config", cfg, "--out", str(out), "diagnose"]) == 0
+            reports.append((out / "diagnostics.jsonl").read_bytes())
+            if cpus == 1:
+                assert calls == [[0], [1], [2]]
+        assert reports[0] == reports[1]
+        assert multiprocessing.active_children() == []
+
+    _QUARTIC = "[potential]\nkind = even-polynomial\ncoefficients = 0.5 0.1\n"
+    BLOCKED = {
+        "quadratic": "[sim]\nt_end = 21.0\n",
+        "quartic": _QUARTIC + "[sim]\nt_end = 21.0\n",
+        "sextic": "[potential]\nkind = even-polynomial\ncoefficients = 0.5 0.1 0.01\n"
+                  "[sim]\nt_end = 21.0\n",
+        "quartic-with-v": _QUARTIC + "[sim]\nt_end = 21.0\n"
+                          "[external]\nkind = external\ncoefficients = 0.5\n",
+        "quartic-from-t0": _QUARTIC + "[sim]\nt_start = 0.0\nt_end = 20.0\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(BLOCKED))
+    def test_simulate_writes_the_same_bytes_in_any_number_of_blocks(self, tmp_path,
+                                                                    monkeypatch, name):
+        # 5 replicas in one block (the ensemble), in [0, 2) and [2, 5), and
+        # in [0, 1), [1, 3) and [3, 5)
+        cfg = write(tmp_path / "b.cfg", "[experiment]\nreplicas = 5\n" + self.BLOCKED[name])
+        outputs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = tmp_path / f"o{cpus}"
+            assert main(["--config", cfg, "--out", str(out), "simulate"]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outputs[0]) == sorted(
+            ["manifest.json"] + [f"{kind}_r{r}.csv" for kind in ("path", "occupation")
+                                 for r in range(5)])
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert multiprocessing.active_children() == []
+
+    def test_simulate_holds_no_path_in_this_process(self, tmp_path, monkeypatch):
+        # with 2 CPUs the workers simulate and write the blocks: this
+        # process's peak stays below the positions and centers of one path,
+        # where the 4-replica ensemble holds four
+        cfg = write(tmp_path / "m.cfg", "[experiment]\nreplicas = 4\n[sim]\nt_end = 801.0\n")
+        path_bytes = 2 * 8 * 80001
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        argv = ["--config", cfg, "--out", str(tmp_path / "o"), "simulate"]
+        assert main(argv) == 0   # the pool's one-time imports and caches
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path_bytes, peak
 
     def test_diagnose_runs(self, tmp_path):
         cfg = write(tmp_path / "d.cfg",

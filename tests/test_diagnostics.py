@@ -13,7 +13,7 @@ from selfattract import (InvalidInputError, NumericFailureError, ParticleMeasure
                          external_polynomial, gaussian_density, gibbs_map,
                          quadratic_symmetric, recenter, simulate,
                          simulate_ensemble, w2_distance, zero_interaction)
-from selfattract import diagnostics
+from selfattract import diagnostics, workers
 from selfattract.diagnostics import (center_convergence, ergodicity_check,
                                      one_step_error)
 from selfattract.sde import Replicas
@@ -445,7 +445,7 @@ class TestWorkerPool:
             ergodicity_check(quad, records, rho, min_passing=0, n_boot=10,
                              meanwhile=own_work)
         assert multiprocessing.active_children() == []
-        assert diagnostics._pass is None
+        assert workers._task is None
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("error", [NumericFailureError, InvalidInputError])
@@ -462,4 +462,4 @@ class TestWorkerPool:
         assert type(caught.value) is error
         assert str(caught.value) == "W2 pass failed: quantile pieces out of order"
         assert multiprocessing.active_children() == []
-        assert diagnostics._pass is None
+        assert workers._task is None

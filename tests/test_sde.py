@@ -192,6 +192,18 @@ class TestEnsemble:
             single = simulate(w, 3.0, cfg, replica=r, initial_occupation=dirac(0.0))
             assert np.array_equal(rec.positions, single.positions)
 
+    @pytest.mark.parametrize("w", [even_polynomial([0.5, 0.1]), quadratic_symmetric(1.0)],
+                             ids=["quartic", "quadratic"])
+    @pytest.mark.parametrize("t_start", [1.0, 0.0])
+    def test_a_block_of_replicas_is_rows_of_the_ensemble(self, w, t_start):
+        cfg = SimConfig(dt=0.01, t_end=21.0, t_start=t_start, seed=12)
+        ens = simulate_ensemble(w, 0.4, cfg, 5)
+        block = simulate_ensemble(w, 0.4, cfg, 2, first=3)
+        assert [rec.replica for rec in block] == [3, 4]
+        for rec, row in zip(block, ens[3:]):
+            assert np.array_equal(rec.positions, row.positions)
+            assert np.array_equal(rec.center_track, row.center_track)
+
     def test_one_replica_ensemble_matches_single_run(self):
         w = even_polynomial([0.5, 0.1])
         cfg = SimConfig(dt=0.01, t_end=101.0, t_start=1.0, seed=9)
