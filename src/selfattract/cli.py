@@ -2,23 +2,25 @@
 
 Subcommands: simulate, flow, fixpoint, compare, diagnose, appendix2, certify.
 Each run writes CSV / JSON-lines artifacts plus a manifest (config hash,
-seed, versions) into the output directory.  `simulate` and `diagnose`
-spread their replicas over forked workers through the one fork map of
-`workers`.  Exit codes: 0 success, 1 failed verdicts under --assert,
-2 configuration errors, 3 numeric failures.
+seed, versions) into the output directory.  `simulate` spreads blocks of
+replicas and `diagnose` single replicas over forked workers, each with one
+call of the fork map of `workers`.  Exit codes: 0 success, 1 failed
+verdicts under --assert, 2 configuration errors, 3 numeric failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .diagnostics import center_convergence, ergodicity_check, one_step_error
+from .diagnostics import (center_convergence, checkpoints, ergodicity_check,
+                          one_step_error, w2_curve)
 from .errors import InvalidInputError, NumericFailureError
 from .flow import run_flow, solve_fixed_point
 from .measures import (GridDensity, centered, dirac, gaussian_density, smooth,
@@ -26,7 +28,7 @@ from .measures import (GridDensity, centered, dirac, gaussian_density, smooth,
 from .persist import (format_column, load_measure, write_grid_density, write_manifest,
                       write_series_csv)
 from .potentials import certify
-from .sde import Replicas, counterexample_system, simulate, simulate_ensemble
+from .sde import counterexample_system, simulate, simulate_ensemble
 from .transport import tp_distance_1d, w2_distance
 from .workers import fork_map, workers
 
@@ -131,29 +133,30 @@ def _cmd_compare(cfg: ExperimentConfig, out: None, args) -> int:
 def _cmd_diagnose(cfg: ExperimentConfig, out: Path, args) -> int:
     """The ergodicity report of every replica, then the one-step error and
     the center convergence of replica 0 when its path covers the schedule.
-    The fixed point comes first; then the workers simulate the replicas one
-    at a time, each returning its W2 curve, while this process simulates
-    replica 0 for its own two reports (`workers.fork_map`).  Without
-    workers that record is held for the W2 curve of replica 0, which this
-    process computes next, so each replica is simulated once.  No process
-    holds the ensemble."""
-    w, x0, v = cfg.potential, cfg.init["position"], cfg.external
+    The checkpoints and the fixed point come first; then each task of the
+    fork map (`workers.fork_map`) simulates one replica and returns only its
+    W2 curve, and replica 0's task its two reports too, so each replica is
+    simulated once and no process holds more than one path.  A failed curve
+    or report ranks after every failed path, then by replica."""
+    w, x0, v, sched = cfg.potential, cfg.init["position"], cfg.external, cfg.schedule
+    ts = checkpoints(cfg.sim)
     rho = solve_fixed_point(w, _initial_density(cfg), v=v, **cfg.fixpoint).density
-    replicas = Replicas(w, x0, cfg.sim, cfg.replicas, v)
-    own = []
+    covered = (sched.time(sched.n_end) <= cfg.sim.t_last + 1e-9
+               and sched.time(sched.n_start) >= cfg.sim.t_start)
 
-    def replica_zero():
-        record = simulate(w, x0, cfg.sim, v=v)
-        if workers(cfg.replicas) == 1:   # the W2 pass reads replica 0 here next
-            replicas.hold(record)
-        own.append(one_step_error(w, record, cfg.schedule, v=v))
-        own.append(center_convergence(record, cfg.schedule))
+    def replica(r):
+        record = simulate(w, x0, cfg.sim, v=v, replica=r)
+        try:
+            curve = w2_curve(w, record, rho, ts)
+            own = ([one_step_error(w, record, sched, v=v), center_convergence(record, sched)]
+                   if r == 0 and covered else [])
+        except (InvalidInputError, NumericFailureError) as exc:
+            exc.step = math.inf   # after every failed path (`workers._ranked`)
+            raise
+        return (r, curve), own
 
-    horizon = cfg.schedule.time(cfg.schedule.n_end)
-    covered = (horizon <= cfg.sim.t_end + 1e-9
-               and cfg.schedule.time(cfg.schedule.n_start) >= cfg.sim.t_start)
-    reports = [ergodicity_check(w, replicas, rho,
-                                meanwhile=replica_zero if covered else None), *own]
+    done = fork_map(replica, cfg.replicas)
+    reports = [ergodicity_check(w, ts, [curve for curve, _ in done]), *done[0][1]]
     with open(out / "diagnostics.jsonl", "w") as fh:
         for rep in reports:
             fh.write(rep.to_jsonl())

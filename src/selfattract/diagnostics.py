@@ -5,22 +5,18 @@ rate fits.
 Every rate constant reported here is a least-squares fit with a bootstrap
 band, never an asserted equality: the underlying bounds are existential.
 
-The replicas' W2 curves are independent of each other, so the ergodicity
-check maps the replica indices over the package's one fork map
-(`workers.fork_map`), which says how many workers run, when the tasks run
-in-process and which error wins.  Each task reads its record and returns
-the record's curve.  Read from `sde.Replicas`, a record is simulated in the
-process that reads it, so no process holds more than one path at a time
-and the caller can work on its own while the pool runs (``meanwhile``).
-Each curve is the same arithmetic wherever it runs, so the report does not
-depend on the worker count.
+Ergodicity comes in three pieces, so that a caller can work one replica at
+a time: `checkpoints` gives the times from a path's config before anything
+is simulated, `w2_curve` the W2 curve of one record at those times, and
+`ergodicity_check` fits the report from the (replica, curve) pairs.  A
+curve is the same arithmetic wherever it runs, so the report does not
+depend on where or in which order the curves were computed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,10 +28,9 @@ from .gibbs import gibbs_map
 from .measures import GridDensity, centered, recenter
 from .potentials import PotentialSpec
 from .powersums import convolution_matrix
-from .sde import Replicas, TrajectoryRecord
+from .sde import SimConfig, TrajectoryRecord
 from .transport import QuantileTarget, tp_distance_1d
 from .transport import w2_distance  # noqa: F401  (bench/tracer.py wraps it here)
-from .workers import fork_map
 
 _TAIL_THRESHOLD = 0.5   # the center increments' tail sum must stay below this
 _PER_DECADE = 10        # ergodicity checkpoints per decade of time
@@ -149,10 +144,17 @@ def center_convergence(record: TrajectoryRecord, schedule: Schedule) -> Diagnost
     return report
 
 
-def _checkpoints(t0: float, t1: float) -> np.ndarray:
-    lo, hi = math.log10(max(t0, 1e-12)), math.log10(t1)
-    n = max(2, int(round((hi - lo) * _PER_DECADE)) + 1)
-    return np.logspace(lo, hi, n)
+def checkpoints(sim: SimConfig) -> np.ndarray:
+    """The ergodicity checkpoints of a path of ``sim``: `_PER_DECADE` per
+    decade, log-spaced from max(2 t_start, t_start + 1) to the path's last
+    step `SimConfig.t_last`, which must lie beyond that start."""
+    first, last = max(sim.t_start * 2, sim.t_start + 1.0), sim.t_last
+    if last <= first:
+        raise InvalidInputError(
+            f"ergodicity checkpoints start at max(2 t_start, t_start + 1) = {first:g}; "
+            f"the paths end at t = {last:g}, they must run beyond it")
+    lo, hi = math.log10(first), math.log10(last)
+    return np.logspace(lo, hi, max(2, int(round((hi - lo) * _PER_DECADE)) + 1))
 
 
 _PREFIX_CHUNK = 32768   # atoms per chunk of a sorted prefix
@@ -211,58 +213,36 @@ def _prefix_chunks(xs, pre_pos, pre_cum, dt, c):
         yield pos, cum
 
 
-def ergodicity_check(w: PotentialSpec, records: Sequence[TrajectoryRecord],
-                     rho_inf: GridDensity, final_w2_bound: float = 0.1,
-                     min_passing: int | None = None, n_boot: int = 200,
-                     meanwhile=None) -> DiagnosticsReport:
-    """Per-replica Wasserstein distance of the centered occupation measure to
-    the fixed point (centered too when W has a center) at logarithmic
-    checkpoints, with a fitted decay exponent for exp(-a (log t)^(1/(k+1))).
+def w2_curve(w: PotentialSpec, rec: TrajectoryRecord, rho_inf: GridDensity,
+             ts: np.ndarray) -> list[float]:
+    """Wasserstein distance of the record's centered occupation measure up
+    to each checkpoint ``ts`` to the fixed point (centered too when W has a
+    center).  The record must reach the last checkpoint.  The pass holds
+    one sort buffer and a few chunks beside the record (`_sorted_prefixes`)."""
+    end = float(rec.times[-1])
+    if end < ts[-1] - 1e-9:
+        raise InvalidInputError(
+            f"replica {rec.replica} ends at t = {end:g}, before "
+            f"the last ergodicity checkpoint t = {float(ts[-1]):g}")
+    target = QuantileTarget(centered(w, rho_inf) if w.convexity_constant > 0 else rho_inf)
+    return [target.w2(chunks) for chunks in _sorted_prefixes(rec, ts)]
 
-    The checkpoints run from max(2 t_start, t_start + 1) to the records' end,
-    which must lie beyond it; every record must reach the last checkpoint.
-    `sde.Replicas` gives these times from its config, so no record is
-    simulated for them.  The curves are computed over `workers.fork_map`;
-    each worker reads one record at a time and holds its own sort buffer
-    and chunks.  ``meanwhile()``, when given, runs in this process while
-    the workers compute.  A failed record is reported at its earliest path
-    step, then its lowest index, as one ensemble run meets them; a failed
-    curve after every failed record, and ``meanwhile``'s own error last.
-    The report is the same whatever the worker count."""
-    if not records:
+
+def ergodicity_check(w: PotentialSpec, ts: np.ndarray, curves: list[tuple[int, list[float]]],
+                     final_w2_bound: float = 0.1, min_passing: int | None = None,
+                     n_boot: int = 200) -> DiagnosticsReport:
+    """The ergodicity report from each replica's `w2_curve` at the
+    checkpoints ``ts``, given as (replica, curve) pairs: the curves, a
+    fitted decay exponent for exp(-a (log t)^(1/(k+1))) with a bootstrap
+    band, and the verdicts on the final distances and the exponent."""
+    if not curves:
         raise InvalidInputError("need at least one replica")
     report = DiagnosticsReport(experiment="ergodicity")
     k = w.bound_degree
-    spans = records.time_spans() if isinstance(records, Replicas) else [
-        (rec.replica, float(rec.times[0]), float(rec.times[-1])) for rec in records]
-    t0 = spans[0][1]
-    t1 = max(end for _, _, end in spans)
-    first = max(t0 * 2, t0 + 1.0)
-    if t1 <= first:
-        raise InvalidInputError(
-            f"ergodicity checkpoints start at max(2 t_start, t_start + 1) = {first:g}; "
-            f"the records end at t = {t1:g}, they must run beyond it")
-    ts = _checkpoints(first, t1)
-    for replica, _, end in spans:
-        if end < ts[-1] - 1e-9:
-            raise InvalidInputError(
-                f"replica {replica} ends at t = {end:g}, before "
-                f"the last ergodicity checkpoint t = {float(ts[-1]):g}")
-    target = QuantileTarget(centered(w, rho_inf) if w.convexity_constant > 0 else rho_inf)
-
-    def curve(i):
-        rec = records[i]
-        try:
-            return [target.w2(chunks) for chunks in _sorted_prefixes(rec, ts)]
-        except (InvalidInputError, NumericFailureError) as exc:
-            exc.step = math.inf   # a failed curve ranks after every failed path
-            raise
-
-    curves = fork_map(curve, len(records), meanwhile)
-    for (replica, _, _), vals in zip(spans, curves):
+    for replica, vals in curves:
         report.series.extend((f"w2_replica{replica}", float(t), d)
                              for t, d in zip(ts, vals))
-    curves = np.asarray(curves)
+    curves = np.asarray([vals for _, vals in curves])
     finals = curves[:, -1]
 
     xs = np.log(ts) ** (1.0 / (k + 1))
@@ -283,7 +263,7 @@ def ergodicity_check(w: PotentialSpec, records: Sequence[TrajectoryRecord],
 
     n_pass = int((finals <= final_w2_bound).sum())
     if min_passing is None:
-        min_passing = len(records) - 1
+        min_passing = len(curves) - 1
     report.verdicts.append((
         f"final w2 <= {final_w2_bound} for >= {min_passing} replicas",
         n_pass >= min_passing, float(n_pass - min_passing)))

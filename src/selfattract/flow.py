@@ -185,8 +185,14 @@ def solve_fixed_point(w: PotentialSpec, init: GridDensity,
     When W has a center, the box follows every iterate (slack 0); otherwise
     it stays where it starts.  Convergence is measured by the translation
     distance between successive iterates.  The result carries the last
-    iterate, the residuals and the free energy of every iterate.
+    iterate, the residuals and the free energy of every iterate.  A
+    quadratic-shifted W without V is rejected: its Gibbs map sends every
+    measure of mean m to N(m + 1, 1/c), so the iterates drift and never settle.
     """
+    if w.kind == "quadratic-shifted" and v is None:
+        raise InvalidInputError(
+            "a quadratic-shifted W without V has no fixed point: the Gibbs map "
+            "translates every measure by +1; `appendix2` follows its drifting center")
     if not 0.0 < damping <= 1.0:
         raise InvalidInputError("damping must lie in (0, 1]")
     if max_iter < 1:

@@ -18,7 +18,9 @@ by s.
 
 Every self-driven path is a row of a replica ensemble: `simulate` and
 `simulate_ensemble` share one body and one stepper call for every start
-time.  The ensemble keeps the sums of all R replicas as one (count, R)
+time, so ``simulate(..., replica=r)`` is row r of every ensemble, and a
+caller may simulate its replicas one at a time (`diagnose` does, one per
+task) or in blocks (`simulate` does, one per worker).  The ensemble keeps the sums of all R replicas as one (count, R)
 array that starts from the pre-history's sums, adds the dt-weighted powers
 dt y^j of the new positions to it each step, and takes its drift from one
 contraction per step; the occupation mass is the same for every replica.
@@ -47,8 +49,7 @@ non-symmetric counterexample pair whose center drifts like log t.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,6 +96,12 @@ class SimConfig:
     @property
     def n_steps(self) -> int:
         return int(round((self.t_end - self.t_start) / self.dt))
+
+    @property
+    def t_last(self) -> float:
+        """The time of a path's last step, t_start + dt n_steps: t_end
+        rounded to the step grid, where the path ends."""
+        return self.t_start + self.dt * self.n_steps
 
 
 def _check_dt(w: PotentialSpec, cfg: SimConfig):
@@ -459,44 +466,6 @@ def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
     _check_dt(w, cfg)
     return _simulate_replicas(w, x0, cfg, range(first, first + n_replicas), v,
                               initial_occupation)
-
-
-@dataclass
-class Replicas(Sequence):
-    """The records of `simulate_ensemble(w, x0, cfg, n, v)`, each simulated
-    by `simulate` when it is read and kept by no one, so a reader holds one
-    path at a time.  Item r is the ensemble's row r, bit for bit up to
-    degree 7 (`_run_moment_columns`).  A record given to `hold` is returned
-    by the next read instead of simulated again when that read is of its
-    replica; any read lets it go."""
-
-    w: PotentialSpec
-    x0: float
-    cfg: SimConfig
-    n: int
-    v: PotentialSpec | None = None
-    _held: TrajectoryRecord | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, r: int) -> TrajectoryRecord:
-        if not 0 <= r < self.n:
-            raise IndexError(r)
-        held, self._held = self._held, None
-        if held is not None and held.replica == r:
-            return held
-        return simulate(self.w, self.x0, self.cfg, v=self.v, replica=r)
-
-    def hold(self, record: TrajectoryRecord) -> None:
-        """Keep ``record``, a record of these replicas, for the next read."""
-        self._held = record
-
-    def time_spans(self) -> list[tuple[int, float, float]]:
-        """(replica, first time, last time) of each record, as its ``times``
-        would give them, without simulating."""
-        cfg = self.cfg
-        return [(r, cfg.t_start, cfg.t_start + cfg.dt * cfg.n_steps) for r in range(self.n)]
 
 
 def _simulate_replicas(w, x0, cfg, replicas, v, initial_occupation):

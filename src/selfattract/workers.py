@@ -1,6 +1,7 @@
 """The one fork map of the package: independent tasks over forked workers.
 
-`simulate` maps blocks of replicas and `diagnose` maps replicas over it.
+`simulate` maps blocks of replicas and `diagnose` single replicas over it,
+each command with one call and nothing else running beside the pool.
 A task is ``fn(i)`` for an index i; the workers are forked after ``fn`` is
 set, so they inherit it and whatever it reads, and only indices and results
 cross processes.  There are at most as many workers as CPUs in the affinity
@@ -45,29 +46,23 @@ def _ranked(i: int):
         return (-1 if step is None else step, i), exc
 
 
-def fork_map(fn, tasks: int, meanwhile=None) -> list:
+def fork_map(fn, tasks: int) -> list:
     """``[fn(i) for i in range(tasks)]`` over `workers(tasks)` forked
-    workers, or in-process where that is 1.  ``meanwhile()`` runs in this
-    process while the pool works (before the tasks without a pool).
+    workers, or in-process where that is 1.
 
     Errors are raised once every task is done: the lowest-ranked task's
-    (`_ranked`), then ``meanwhile``'s own.  The pool is shut down on every
-    way out."""
+    (`_ranked`).  The pool is shut down on every way out."""
     global _task
     _task = fn
-    pool = late = None
+    pool = None
     n = workers(tasks)
     try:
         if n > 1:
             import multiprocessing
             pool = multiprocessing.get_context("fork").Pool(n)
-        pending = pool.map_async(_ranked, range(tasks)) if pool else None
-        if meanwhile is not None:
-            try:
-                meanwhile()
-            except (InvalidInputError, NumericFailureError) as exc:
-                late = exc
-        results = pending.get() if pool else list(map(_ranked, range(tasks)))
+            results = pool.map(_ranked, range(tasks))
+        else:
+            results = list(map(_ranked, range(tasks)))
     finally:
         _task = None
         if pool is not None:
@@ -76,6 +71,4 @@ def fork_map(fn, tasks: int, meanwhile=None) -> list:
     failed = [result for result in results if result[0] is not None]
     if failed:
         raise min(failed, key=lambda result: result[0])[1]
-    if late is not None:
-        raise late
     return [value for _, value in results]

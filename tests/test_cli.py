@@ -553,8 +553,8 @@ class TestCommands:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_failure_of_the_parents_own_work_shuts_the_pool_down(self, tmp_path, capsys,
                                                                 monkeypatch, cpus):
-        # the one-step error runs in this process while the workers compute
-        # the W2 curves; its failure names its window and leaves no worker
+        # replica 0's one-step error runs in its task, in this process at 1 CPU
+        # and in a worker at 2; its failure names its window and leaves no worker
         def forced(*args, **kwargs):
             raise NumericFailureError("forced")
 
@@ -568,11 +568,43 @@ class TestCommands:
             "forced\n")
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_curves_and_reports_rank_after_failed_paths_then_by_replica(
+            self, tmp_path, capsys, monkeypatch, cpus):
+        # the W2 curves of replicas 1 and 2 fail, and so does the one-step
+        # error of replica 0: the explosion of replica 3 comes first, and
+        # without one replica 0's report, named by its window; no worker is left
+        curve = cli.w2_curve
+
+        def fails_after_replica_zero(w, rec, rho, ts):
+            if rec.replica:
+                raise NumericFailureError(f"curve of replica {rec.replica} failed")
+            return curve(w, rec, rho, ts)
+
+        def forced(*args, **kwargs):
+            raise NumericFailureError("forced")
+
+        monkeypatch.setattr(cli, "w2_curve", fails_after_replica_zero)
+        monkeypatch.setattr(diagnostics, "gibbs_map", forced)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = write(tmp_path / "x.cfg", self.EXPLODES)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["--config", cfg, "--out", str(tmp_path / "x"), "diagnose"]) == 3
+        assert capsys.readouterr().err == self.EXPLOSION
+        cfg = write(tmp_path / "d.cfg", "[sim]\nt_end = 60.0\n[experiment]\nreplicas = 3\n"
+                    "[schedule]\nn_start = 4\nn_end = 12\n[grid]\ncells = 256\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "diagnose"]) == 3
+        assert capsys.readouterr().err == (
+            f"numeric failure: one-step window 0 (t0 = {4 ** 1.5!r}, t1 = {5 ** 1.5!r}): "
+            "forced\n")
+        assert multiprocessing.active_children() == []
+
     def test_diagnose_memory_is_bounded_in_the_replica_count(self, tmp_path, monkeypatch):
-        # this process holds one path at a time, whether the workers read
-        # the replicas (2 CPUs) or it reads them itself (1 CPU): its peak
-        # stays below the positions and centers of 12 paths at 2 and at 16
-        # replicas, where a 16-replica ensemble alone holds 16
+        # each task simulates one replica and returns only its numbers: with
+        # workers (2 CPUs) this process holds no path, and its peak stays
+        # below the positions and centers of one; without (1 CPU) it holds
+        # one path at a time.  Either way the peak stays below 12 paths at 2
+        # and at 16 replicas, where a 16-replica ensemble alone holds 16
         cfg = write(tmp_path / "m.cfg", "[sim]\ndt = 0.01\nt_end = 400.0\nseed = 4\n"
                     "[schedule]\nn_start = 2\nn_end = 20\n[grid]\ncells = 256\n")
         path_bytes = 2 * 8 * 39901
@@ -593,6 +625,7 @@ class TestCommands:
                 finally:
                     tracemalloc.stop()
         assert max(peaks.values()) <= 12 * path_bytes, peaks
+        assert max(peaks[2, 2], peaks[2, 16]) < path_bytes, peaks
 
     EXPLOSION = ("numeric failure: path lost finiteness (explosion) at step 12, t = 1.12, "
                  "replica 3; check the step size against the potential\n")
@@ -626,13 +659,18 @@ class TestCommands:
         assert (done.returncode, done.stderr) == (3, self.EXPLOSION)
 
     def test_diagnose_on_one_cpu_simulates_each_replica_once(self, tmp_path, monkeypatch):
-        # in-process, the record of replica 0 that this process simulates
-        # for its own reports is the one its W2 curve reads: 3 replicas are
-        # 3 simulations, and the report is the pooled run's
-        calls = []
+        # one task per replica, in this process (1 CPU) or in the workers
+        # (2 CPUs), which append to the log they inherit: 3 replicas are 3
+        # simulations either way, and the reports are the same bytes
+        log = tmp_path / "simulated.log"
         run = sde._simulate_replicas
-        monkeypatch.setattr(sde, "_simulate_replicas",
-                            lambda *args: calls.append(list(args[3])) or run(*args))
+
+        def logged(*args):
+            with open(log, "a") as fh:
+                fh.write(" ".join(map(str, args[3])) + "\n")
+            return run(*args)
+
+        monkeypatch.setattr(sde, "_simulate_replicas", logged)
         cfg = write(tmp_path / "d.cfg", "[sim]\nt_end = 60.0\n[experiment]\nreplicas = 3\n"
                     "[schedule]\nn_start = 4\nn_end = 12\n[grid]\ncells = 256\n")
         reports = []
@@ -641,8 +679,8 @@ class TestCommands:
             out = tmp_path / f"o{cpus}"
             assert main(["--config", cfg, "--out", str(out), "diagnose"]) == 0
             reports.append((out / "diagnostics.jsonl").read_bytes())
-            if cpus == 1:
-                assert calls == [[0], [1], [2]]
+            assert sorted(log.read_text().split("\n")[:-1]) == ["0", "1", "2"], cpus
+            log.unlink()
         assert reports[0] == reports[1]
         assert multiprocessing.active_children() == []
 
@@ -702,3 +740,33 @@ class TestCommands:
         assert code == 0
         assert (out / "diagnostics.jsonl").exists()
         assert (out / "diagnostics.txt").exists()
+
+    @pytest.mark.parametrize("t_end, reports", [
+        (96.2, ["ergodicity"]),
+        (96.2345, ["ergodicity"]),
+        (96.24, ["ergodicity", "one-step-error", "center-convergence"]),
+    ])
+    def test_diagnose_checks_the_schedule_against_the_paths_end(self, tmp_path, t_end,
+                                                                reports):
+        # the path ends at t_start + dt n_steps: 96.23 for t_end = 96.2345,
+        # before T_21 = 96.234, so replica 0's path does not cover the schedule
+        cfg = write(tmp_path / "d.cfg", f"[experiment]\nreplicas = 2\n[sim]\nt_end = {t_end}\n"
+                    "[schedule]\nn_start = 4\nn_end = 21\n[grid]\ncells = 256\n")
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "diagnose"]) == 0
+        lines = map(json.loads, (out / "diagnostics.jsonl").read_text().splitlines())
+        assert [line["experiment"] for line in lines if "experiment" in line] == reports
+
+    @pytest.mark.parametrize("command", ["fixpoint", "flow", "diagnose"])
+    def test_shifted_w_without_v_has_no_fixed_point(self, tmp_path, capsys, command):
+        # its Gibbs map translates every measure by +1: rejected before any
+        # iteration, not after max_iter iterations of drift
+        text = self.SHIPPED_FLOW.read_text().replace("kind = quadratic-symmetric\n",
+                                                     "kind = quadratic-shifted\n")
+        assert "kind = quadratic-shifted\n" in text
+        cfg = write(tmp_path / "s.cfg", text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: a quadratic-shifted W without V has no fixed "
+                              "point: the Gibbs map translates every measure by +1")
+        assert "`appendix2`" in err

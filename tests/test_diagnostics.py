@@ -16,9 +16,20 @@ from selfattract import (InvalidInputError, NumericFailureError, ParticleMeasure
 from selfattract import diagnostics, workers
 from selfattract.diagnostics import (center_convergence, ergodicity_check,
                                      one_step_error)
-from selfattract.sde import Replicas
 from selfattract.powersums import PowerSums, power_sums
 from conftest import make_rng
+
+
+def ergodicity(w, records, rho, **kwargs):
+    """The ergodicity report of the records as `diagnose` makes it from its
+    replicas: the checkpoints of the longest path, each record's W2 curve
+    as one task of the fork map, then the fit."""
+    ts = diagnostics.checkpoints(max((rec.config for rec in records),
+                                     key=lambda cfg: cfg.t_last))
+    curves = workers.fork_map(
+        lambda i: (records[i].replica, diagnostics.w2_curve(w, records[i], rho, ts)),
+        len(records))
+    return ergodicity_check(w, ts, curves, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +116,7 @@ class TestErgodicity:
         cfg = SimConfig(dt=0.01, t_end=420.0, t_start=1.0, seed=3)
         records = simulate_ensemble(quad, 0.0, cfg, 4)
         rho = gaussian_density(0, 1, -8, 8, 1024)
-        report = ergodicity_check(quad, records, rho, final_w2_bound=0.25,
-                                  min_passing=3)
+        report = ergodicity(quad, records, rho, final_w2_bound=0.25, min_passing=3)
         assert report.passed
         fit = report.fits[0][1]
         assert fit["a"] > 0 and fit["ci_low"] > 0
@@ -117,8 +127,8 @@ class TestErgodicity:
         cfg = SimConfig(dt=0.01, t_end=250.0, t_start=100.0, seed=21)
         records = simulate_ensemble(quad, 0.0, cfg, 2, initial_occupation=warm)
         rho = gaussian_density(0, 1, -8, 8, 1024)
-        report = ergodicity_check(quad, records, rho, final_w2_bound=0.1,
-                                  min_passing=2, n_boot=50)
+        report = ergodicity(quad, records, rho, final_w2_bound=0.1,
+                            min_passing=2, n_boot=50)
         dists = [v for label, _, v in report.series if label.startswith("w2")]
         assert max(dists) < 0.05
 
@@ -133,7 +143,7 @@ class TestErgodicity:
         from_zero = simulate(quad, 0.0, SimConfig(dt=1e-3, t_end=20.0, t_start=0.0, seed=4))
         rho = gaussian_density(0, 1, -8, 8, 512)
         for rec in (plain[0], warmed[0], from_zero):
-            report = ergodicity_check(quad, [rec], rho, min_passing=0, n_boot=10)
+            report = ergodicity(quad, [rec], rho, min_passing=0, n_boot=10)
             series = [(t, v) for label, t, v in report.series if label.startswith("w2")]
             assert len(series) >= 10
             for t, got in series:
@@ -155,7 +165,7 @@ class TestErgodicity:
         rec = dataclasses.replace(rec, initial_occupation=ParticleMeasure(
             warm, gen.uniform(0.5, 1.0, warm.size)))
         rho = gaussian_density(0, 1, -8, 8, 512)
-        ts = diagnostics._checkpoints(10.0, 40.0)
+        ts = diagnostics.checkpoints(rec.config)
         for t, chunks in zip(ts, diagnostics._sorted_prefixes(rec, ts)):
             chunks = list(chunks)
             assert all(pos.size == chunk for pos, _ in chunks[:-1])
@@ -166,7 +176,7 @@ class TestErgodicity:
             assert np.array_equal(pos, occ.positions[order] - rec.center_at(t))
             assert np.abs(cum - np.cumsum(occ.weights[order])).max() <= 1e-12
             assert cum[-1] == 1.0
-        report = ergodicity_check(quad, [rec], rho, min_passing=0, n_boot=10)
+        report = ergodicity(quad, [rec], rho, min_passing=0, n_boot=10)
         series = [(t, v) for label, t, v in report.series if label.startswith("w2")]
         assert len(series) == ts.size
         for t, got in series:
@@ -200,15 +210,15 @@ class TestErgodicity:
         w, v = zero_interaction(), external_polynomial([0.5])
         records = simulate_ensemble(w, 0.0, SimConfig(dt=0.01, t_end=60.0, seed=5), 2, v=v)
         rho = gaussian_density(0, 1, -8, 8, 512)
-        report = ergodicity_check(w, records, rho, min_passing=0, n_boot=10)
+        report = ergodicity(w, records, rho, min_passing=0, n_boot=10)
         assert len([label for label, _, _ in report.series]) >= 20
 
     def test_report_is_reproducible(self, quad):
         cfg = SimConfig(dt=0.01, t_end=60.0, t_start=1.0, seed=14)
         records = simulate_ensemble(quad, 0.0, cfg, 2)
         rho = gaussian_density(0, 1, -8, 8, 512)
-        r1 = ergodicity_check(quad, records, rho, n_boot=40)
-        r2 = ergodicity_check(quad, records, rho, n_boot=40)
+        r1 = ergodicity(quad, records, rho, n_boot=40)
+        r2 = ergodicity(quad, records, rho, n_boot=40)
         assert r1.to_jsonl() == r2.to_jsonl()
 
 
@@ -261,7 +271,7 @@ class TestPrefixSums:
                                base.center_track, initial_occupation=pre)
         assert np.unique(rec.positions).size < rec.positions.size // 10
         rho = gaussian_density(0, 1, -8, 8, 512)
-        report = ergodicity_check(quad, [rec], rho, min_passing=0, n_boot=10)
+        report = ergodicity(quad, [rec], rho, min_passing=0, n_boot=10)
         series = [(t, v) for label, t, v in report.series if label.startswith("w2")]
         assert len(series) >= 10
         for t, got in series:
@@ -319,7 +329,7 @@ class TestPrefixSums:
         rho = gaussian_density(0, 1, -8, 8, 512)
         far = gaussian_density(1000, 1, 992, 1008, 512)
         for run in (lambda r, g: one_step_error(quad, r, sched),
-                    lambda r, g: ergodicity_check(quad, [r], g, min_passing=0, n_boot=10)):
+                    lambda r, g: ergodicity(quad, [r], g, min_passing=0, n_boot=10)):
             base, shifted = run(rec, rho).series, run(moved, far).series
             assert [(label, t) for label, t, _ in base] == [(label, t) for label, t, _
                                                             in shifted]
@@ -330,7 +340,16 @@ def test_ergodicity_rejects_records_ending_before_the_checkpoints(quad):
     records = simulate_ensemble(quad, 0.0, SimConfig(dt=0.01, t_start=1.0, t_end=1.5), 2)
     rho = gaussian_density(0, 1, -8, 8, 512)
     with pytest.raises(InvalidInputError, match=r"max\(2 t_start, t_start \+ 1\) = 2"):
-        ergodicity_check(quad, records, rho)
+        ergodicity(quad, records, rho)
+
+
+def test_checkpoints_end_where_the_path_ends(quad):
+    # t_end = 60.004 lies off the step grid: the path, and so the last
+    # checkpoint, ends at t_start + dt n_steps = 60
+    cfg = SimConfig(dt=0.01, t_end=60.004, seed=8)
+    ts = diagnostics.checkpoints(cfg)
+    assert cfg.t_last == simulate(quad, 0.0, cfg).times[-1]
+    assert abs(ts[0] - 2.0) <= 1e-12 and abs(ts[-1] - cfg.t_last) <= 1e-12
 
 
 @pytest.mark.parametrize("short_first", [False, True])
@@ -342,11 +361,11 @@ def test_ergodicity_rejects_a_record_ending_before_the_last_checkpoint(quad, sho
     records = [short, *records] if short_first else [*records, short]
     rho = gaussian_density(0, 1, -8, 8, 512)
     with pytest.raises(InvalidInputError, match=r"replica 5 ends at t = 20\b"):
-        ergodicity_check(quad, records, rho, min_passing=0, n_boot=10)
+        ergodicity(quad, records, rho, min_passing=0, n_boot=10)
 
 
 def _cpus(monkeypatch, n):
-    """Make the ergodicity check see n CPUs in its affinity mask."""
+    """Make the fork map see n CPUs in its affinity mask."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
@@ -379,7 +398,7 @@ class TestWorkerPool:
         reports = []
         for cpus in (2, 1):
             _cpus(monkeypatch, cpus)
-            reports.append(ergodicity_check(quad, records, rho, min_passing=0, n_boot=20))
+            reports.append(ergodicity(quad, records, rho, min_passing=0, n_boot=20))
         assert pools == [2]
         pooled, in_process = reports
         assert pooled.to_jsonl() == in_process.to_jsonl()   # repr of every float
@@ -390,62 +409,35 @@ class TestWorkerPool:
         pools = _pool_sizes(monkeypatch)
         _cpus(monkeypatch, 8)
         rho = gaussian_density(0, 1, -8, 8, 512)
-        ergodicity_check(quad, records[:2], rho, min_passing=0, n_boot=10)
-        ergodicity_check(quad, records[:1], rho, min_passing=0, n_boot=10)
+        ergodicity(quad, records[:2], rho, min_passing=0, n_boot=10)
+        ergodicity(quad, records[:1], rho, min_passing=0, n_boot=10)
         assert pools == [2]
         # without a "fork" start method the curves are computed in-process
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        ergodicity_check(quad, records, rho, min_passing=0, n_boot=10)
+        ergodicity(quad, records, rho, min_passing=0, n_boot=10)
         assert pools == [2]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_replicas_read_one_at_a_time_give_the_ensembles_report(self, quad,
                                                                    monkeypatch, cpus):
-        # each worker simulates the replicas it reads; the record times come
-        # from the config, and `meanwhile` runs once, in this process
+        # each task simulates the one replica it reads, as `diagnose` does:
+        # the same path as the ensemble's row, and the same report
         cfg = SimConfig(dt=0.01, t_end=60.0, seed=17)
         ensemble = simulate_ensemble(quad, 0.0, cfg, 3)
-        lazy = Replicas(quad, 0.0, cfg, 3)
-        assert lazy.time_spans() == [(rec.replica, float(rec.times[0]), float(rec.times[-1]))
-                                     for rec in ensemble]
-        for rec, read in zip(ensemble, lazy):
+        for rec in ensemble:
+            read = simulate(quad, 0.0, cfg, replica=rec.replica)
             assert read.replica == rec.replica
             assert np.array_equal(read.positions, rec.positions)
             assert np.array_equal(read.center_track, rec.center_track)
-        with pytest.raises(IndexError):
-            lazy[3]
         _cpus(monkeypatch, cpus)
         rho = gaussian_density(0, 1, -8, 8, 512)
-        ran = []
-        streamed = ergodicity_check(quad, lazy, rho, min_passing=0, n_boot=10,
-                                    meanwhile=lambda: ran.append(os.getpid()))
-        held = ergodicity_check(quad, ensemble, rho, min_passing=0, n_boot=10)
+        ts = diagnostics.checkpoints(cfg)
+        curves = workers.fork_map(lambda r: (r, diagnostics.w2_curve(
+            quad, simulate(quad, 0.0, cfg, replica=r), rho, ts)), 3)
+        streamed = ergodicity_check(quad, ts, curves, min_passing=0, n_boot=10)
+        held = ergodicity(quad, ensemble, rho, min_passing=0, n_boot=10)
         assert streamed.to_jsonl() == held.to_jsonl()
-        assert ran == [os.getpid()]
         assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_errors_of_meanwhile_come_after_the_workers(self, quad, records, monkeypatch,
-                                                       cpus):
-        def own_work():
-            raise NumericFailureError("own work failed")
-
-        _cpus(monkeypatch, cpus)
-        rho = gaussian_density(0, 1, -8, 8, 512)
-        with pytest.raises(NumericFailureError, match="^own work failed$"):
-            ergodicity_check(quad, records, rho, min_passing=0, n_boot=10,
-                             meanwhile=own_work)
-        assert multiprocessing.active_children() == []
-
-        def fail(self, chunks):
-            raise InvalidInputError("W2 pass failed")
-
-        monkeypatch.setattr(diagnostics.QuantileTarget, "w2", fail)
-        with pytest.raises(InvalidInputError, match="^W2 pass failed$"):
-            ergodicity_check(quad, records, rho, min_passing=0, n_boot=10,
-                             meanwhile=own_work)
-        assert multiprocessing.active_children() == []
-        assert workers._task is None
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("error", [NumericFailureError, InvalidInputError])
@@ -458,7 +450,7 @@ class TestWorkerPool:
         _cpus(monkeypatch, cpus)
         rho = gaussian_density(0, 1, -8, 8, 512)
         with pytest.raises(error) as caught:
-            ergodicity_check(quad, records, rho, min_passing=0, n_boot=10)
+            ergodicity(quad, records, rho, min_passing=0, n_boot=10)
         assert type(caught.value) is error
         assert str(caught.value) == "W2 pass failed: quantile pieces out of order"
         assert multiprocessing.active_children() == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -386,6 +387,44 @@ class TestEnsemble:
                 z = alpha * z + float(f[r, k])
                 want[r, k] = z
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestStrongOrder:
+    FINE = 0.01 / 32   # the step of the reference path
+
+    @pytest.mark.parametrize("w, v", [
+        (quadratic_symmetric(1.0), None),
+        (even_polynomial([0.5, 0.1]), None),
+        (quadratic_symmetric(1.0), external_polynomial([0.3])),
+    ], ids=["closed-form", "column-stepper", "quadratic-with-v"])
+    def test_euler_converges_at_strong_order_one(self, w, v, monkeypatch):
+        # every step size sums the same fine Brownian increments, so the
+        # paths at t = 11 differ from the finest by the scheme's error alone;
+        # with additive noise its strong order is 1, in the positions and in
+        # the centers
+        draw = sde._increments
+
+        def coarse(cfg, n, replica, out=None):
+            m = int(round(cfg.dt / self.FINE))
+            fine = draw(dataclasses.replace(cfg, dt=self.FINE), n * m, replica)
+            if out is None:
+                out = np.empty(n)
+            out[:] = fine.reshape(n, m).sum(axis=1)
+            return out
+
+        monkeypatch.setattr(sde, "_increments", coarse)
+
+        def ends(dt):
+            cfg = SimConfig(dt=dt, t_end=11.0, t_start=1.0)
+            records = simulate_ensemble(w, 0.3, cfg, 16, v=v)
+            return np.array([[rec.positions[-1], rec.center_track[-1]] for rec in records])
+
+        steps = 0.01 / 2.0 ** np.arange(5)
+        exact = ends(self.FINE)
+        errors = np.array([np.abs(ends(dt) - exact).mean(axis=0) for dt in steps])
+        slopes = [np.polyfit(np.log(steps), np.log(errors[:, k]), 1)[0] for k in (0, 1)]
+        assert 0.9 <= slopes[0] <= 1.3, slopes
+        assert slopes[1] >= 0.9, slopes
 
 
 class TestColumnStepper:
