@@ -15,7 +15,7 @@ from .flow import (FlowRun, FlowState, Schedule, envelope_compare, euler_step, r
                    solve_fixed_point)
 from .gibbs import gibbs_map
 from .measures import (GridDensity, ParticleMeasure, center, convolve_potential, dirac,
-                       gaussian_density, p_norm, recenter, smooth, uniform_density)
+                       gaussian_density, recenter, smooth, uniform_density)
 from .potentials import (CertificateReport, DominatingPolynomial, PotentialSpec,
                          certify, even_polynomial, external_polynomial,
                          quadratic_shifted, quadratic_symmetric, zero_interaction)

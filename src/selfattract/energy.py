@@ -6,8 +6,9 @@ package implements d = 1 of the paper's R^d).  Every interaction integral
 -- self, cross and against a signed difference -- is the bilinear form of
 `powersums` in cell power sums taken about the shared grid's midpoint.  For
 polynomial W it equals the cell-by-cell double sum up to rounding, in O(n)
-time and memory, so the quadratic-expansion identities below hold to
-rounding on a shared grid.
+time and memory, with no n-by-n kernel, so the quadratic-expansion
+identities below hold to rounding on a shared grid.  The cell centers and V
+at them come from the box's memoized geometry (`measures.box_geometry`).
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError
-from .gridkernel import grid_power_sums, interaction_energy, potential_on_grid
 from .measures import DensitySums, GridDensity
 from .potentials import PotentialSpec
-from .powersums import interaction_form
+from .powersums import anchor, convolution_matrix, interaction_form, power_sums
 
 _ENTROPY_FLOOR = 1e-300
 
@@ -31,17 +31,10 @@ class EnergyBreakdown:
     entropy: float
     external_term: float
     interaction_term: float
-    relative_to: float | None = None
 
     @property
     def total(self) -> float:
         return self.entropy + self.external_term + self.interaction_term
-
-    @property
-    def relative(self) -> float | None:
-        if self.relative_to is None:
-            return None
-        return self.total - self.relative_to
 
 
 def entropy(m: GridDensity) -> float:
@@ -51,20 +44,39 @@ def entropy(m: GridDensity) -> float:
     return float((v * np.log(v)).sum() * m.spacing)
 
 
+def grid_power_sums(p: PotentialSpec, grid: GridDensity, values: np.ndarray) -> np.ndarray:
+    """Power sums of the cell masses values * h about the grid's midpoint, as
+    many as the interaction form of p reads; values may be signed.  The
+    centers are the box's memoized ones (`GridDensity.geometry`)."""
+    pts = grid.geometry(p).centers
+    return power_sums(pts, values * grid.spacing, anchor(pts),
+                      convolution_matrix(p).shape[0])
+
+
+def interaction_energy(p: PotentialSpec, grid: GridDensity,
+                       sums: DensitySums | None = None) -> float:
+    """Half the double integral of mu(x) W(x-y) mu(y) over the cells: the
+    bilinear form in the cell power sums about the grid midpoint, equal to
+    the direct double sum up to rounding.  ``sums``, the grid read by
+    `density_sums`, give those cell sums when they cover every cell."""
+    s = (sums.sums if sums is not None and sums.whole
+         else grid_power_sums(p, grid, grid.values))
+    return 0.5 * interaction_form(p, s, s)
+
+
 def free_energy(w: PotentialSpec, m: GridDensity,
                 v: PotentialSpec | None = None,
-                relative_to: float | None = None,
                 sums: DensitySums | None = None) -> EnergyBreakdown:
-    """Entropy + external term + half the interaction double integral.
-    ``sums``, m read by `density_sums`, spares the interaction term a second
-    pass over the cells when they cover every cell."""
+    """Entropy + external term + half the interaction double integral.  V
+    at the cells comes from the box's memoized geometry.  ``sums``, m read
+    by `density_sums`, spares the interaction term a second pass over the
+    cells when they cover every cell."""
     ent = entropy(m)
     ext = 0.0
     if v is not None:
-        ext = float((potential_on_grid(v, m) * m.values).sum()) * m.spacing
+        ext = float((m.geometry(w).potential(v) * m.values).sum()) * m.spacing
     inter = interaction_energy(w, m, sums)
-    return EnergyBreakdown(entropy=ent, external_term=ext, interaction_term=inter,
-                           relative_to=relative_to)
+    return EnergyBreakdown(entropy=ent, external_term=ext, interaction_term=inter)
 
 
 def relative_free_energy(w: PotentialSpec, m: GridDensity, rho_inf: GridDensity,

@@ -111,26 +111,24 @@ def _box_follows(g: GridDensity, c: float) -> GridDensity:
 
 
 def _state(w: PotentialSpec, density: GridDensity, n: int, time: float, step: float,
-           v: PotentialSpec | None, reference_total: float | None) -> FlowState:
+           v: PotentialSpec | None) -> FlowState:
     """The state of a density, read once (`density_sums`) for its center
     (its mean when W has none) and its free energy."""
     sums = density_sums(w, density)
     c = center(w, sums) if w.convexity_constant > 0 else density.mean()
-    e = free_energy(w, density, v=v, relative_to=reference_total, sums=sums)
+    e = free_energy(w, density, v=v, sums=sums)
     return FlowState(n=n, time=time, density=density, center=float(c), free_energy=e,
                      step_distance=step, sums=sums)
 
 
 def initial_state(w: PotentialSpec, init: GridDensity, s: Schedule,
-                  v: PotentialSpec | None = None,
-                  reference_total: float | None = None) -> FlowState:
+                  v: PotentialSpec | None = None) -> FlowState:
     init.require_probability()
-    return _state(w, init, s.n_start, s.time(s.n_start), 0.0, v, reference_total)
+    return _state(w, init, s.n_start, s.time(s.n_start), 0.0, v)
 
 
 def mix_step(w: PotentialSpec, state: FlowState, lam: float, slack: float, time: float,
-             v: PotentialSpec | None = None,
-             reference_total: float | None = None) -> FlowState:
+             v: PotentialSpec | None = None) -> FlowState:
     """The damped mixing step rho <- (1 - lam) rho + lam Pi(rho), as the
     state n + 1 at ``time``.
 
@@ -139,8 +137,9 @@ def mix_step(w: PotentialSpec, state: FlowState, lam: float, slack: float, time:
     (`_box_follows`), and the measure stays where it is.  Each derived
     quantity is computed once: the state's density is read again only when
     its box moves or it was read for another W, and the mixture is read once
-    (`_state`).  The convolution matrices and the box's geometry come from
-    their caches, so a step whose box stands still builds neither.  The
+    (`_state`).  The convolution matrices and the box's geometry, V at its
+    cells included, come from their caches, so a step whose box stands
+    still builds neither.  The
     step distance is tp from the density mixed, on the box it was mixed in,
     whose CDF the density mixed kept from the step before."""
     rho, sums = state.density, state.sums
@@ -152,12 +151,11 @@ def mix_step(w: PotentialSpec, state: FlowState, lam: float, slack: float, time:
     mixed = GridDensity.proportional_to(
         rho.lo, rho.hi, (1.0 - lam) * rho.values + lam * image.values, trusted=True)
     step = tp_distance_1d(w, rho, mixed)
-    return _state(w, mixed, state.n + 1, time, step, v, reference_total)
+    return _state(w, mixed, state.n + 1, time, step, v)
 
 
 def euler_step(w: PotentialSpec, state: FlowState, next_time: float,
-               v: PotentialSpec | None = None,
-               reference_total: float | None = None) -> FlowState:
+               v: PotentialSpec | None = None) -> FlowState:
     """One flow step: `mix_step` at lam = dT / T_next, the box following the
     center once it strays past 10% of the half-width."""
     if next_time <= state.time:
@@ -166,8 +164,7 @@ def euler_step(w: PotentialSpec, state: FlowState, next_time: float,
     if not 0.0 < lam < 1.0:
         raise InvalidInputError(f"mixing weight {lam} outside (0, 1)")
     with _failing_at(f"flow step from n = {state.n}, t = {state.time!r}"):
-        return mix_step(w, state, lam, 0.1, next_time, v=v,
-                        reference_total=reference_total)
+        return mix_step(w, state, lam, 0.1, next_time, v=v)
 
 
 @dataclass(frozen=True)
@@ -199,7 +196,7 @@ def solve_fixed_point(w: PotentialSpec, init: GridDensity,
         raise InvalidInputError("max_iter must be positive")
     init.require_probability()
     slack = 0.0 if w.convexity_constant > 0 else math.inf
-    state = _state(w, init, 0, 0.0, 0.0, v, None)
+    state = _state(w, init, 0, 0.0, 0.0, v)
     residuals, energies = [], []
     for k in range(1, max_iter + 1):
         last = f"{residuals[-1]:.3e}" if residuals else "none"
@@ -216,14 +213,16 @@ def solve_fixed_point(w: PotentialSpec, init: GridDensity,
 @dataclass(frozen=True)
 class FlowRun:
     """What a flow keeps: one column per scalar of its states, n_start to
-    n_end, and its last state, whose density is the only one it holds.  Its
-    length is the number of states."""
+    n_end, the total free energy relative to the fixed point's, and its last
+    state, whose density is the only one it holds.  Its length is the number
+    of states."""
 
     n: np.ndarray
     time: np.ndarray
     center: np.ndarray
     step_tp: np.ndarray
     entropy: np.ndarray
+    external: np.ndarray
     interaction: np.ndarray
     total: np.ndarray
     relative: np.ndarray
@@ -236,8 +235,8 @@ class FlowRun:
 def _scalars(st: FlowState) -> tuple:
     """A state's row of the `FlowRun` columns, in their order."""
     e = st.free_energy
-    return (st.n, st.time, st.center, st.step_distance, e.entropy,
-            e.interaction_term, e.total, e.relative)
+    return (st.n, st.time, st.center, st.step_distance, e.entropy, e.external_term,
+            e.interaction_term, e.total)
 
 
 def run_flow(w: PotentialSpec, init: GridDensity, s: Schedule,
@@ -253,12 +252,13 @@ def run_flow(w: PotentialSpec, init: GridDensity, s: Schedule,
         with _failing_at("the flow's reference fixed point"):
             rho_inf = solve_fixed_point(w, init, v=v, **fixpoint).density
     ref = free_energy(w, rho_inf, v=v).total
-    state = initial_state(w, init, s, v=v, reference_total=ref)
+    state = initial_state(w, init, s, v=v)
     rows = [_scalars(state)]
     for n in s.indices():
-        state = euler_step(w, state, s.time(n + 1), v=v, reference_total=ref)
+        state = euler_step(w, state, s.time(n + 1), v=v)
         rows.append(_scalars(state))
-    return FlowRun(*map(np.array, zip(*rows)), final=state)
+    cols = [np.array(c) for c in zip(*rows)]
+    return FlowRun(*cols, relative=cols[-1] - ref, final=state)
 
 
 def envelope_compare(times, relative, params: RateParams) -> dict:

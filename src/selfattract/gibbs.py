@@ -1,10 +1,12 @@
 """The Gibbs map m -> Z^-1 exp(-(V + W*m)) dx.
 
-`gibbs_map` returns the image as a `GridDensity`.  Normalization subtracts
-the exponent's minimum before exponentiating, so that the polynomial growth
-of the exponent never underflows the partition sum.  Its fixed point is
-solved in `flow` by the flow's own mixing step at a constant weight
-(`flow.solve_fixed_point`).
+`gibbs_map` returns the image as a `GridDensity`.  It reads the measure
+only through its power sums (`measures.density_sums`) and V only through
+the box's memoized geometry (`BoxGeometry.potential`).  Normalization
+subtracts the exponent's minimum before exponentiating, so that the
+polynomial growth of the exponent never underflows the partition sum.  Its
+fixed point is solved in `flow` by the flow's own mixing step at a constant
+weight (`flow.solve_fixed_point`).
 """
 
 from __future__ import annotations
@@ -14,19 +16,19 @@ import math
 import numpy as np
 
 from .errors import NumericFailureError
-from .gridkernel import potential_on_grid
-from .measures import (DensitySums, GridDensity, Measure, _finite_norm, _summable,
-                       center, convolve_potential, density_sums, p_norm)
+from .measures import (DensitySums, GridDensity, Measure, center, convolve_potential,
+                       density_sums)
 from .potentials import PotentialSpec
 from .powersums import PowerSums
 from .transport import tp_distance_1d  # noqa: F401  (bench/tracer.py wraps it here)
 
+_CELLS = 1024   # cells of the auto-sized box
 
-def _auto_grid(w: PotentialSpec, v: PotentialSpec | None, m: Measure | PowerSums,
-               cells: int) -> GridDensity:
+
+def _auto_grid(w: PotentialSpec, v: PotentialSpec | None, m: PowerSums) -> GridDensity:
     """Grid centered at the measure's center, wide enough that the Gibbs
     exponent at the boundary is ~ 46 nats above the minimum (tail < 1e-10)."""
-    c = center(w, m) if w.convexity_constant > 0 else _summable(m).mean()
+    c = center(w, m) if w.convexity_constant > 0 else m.mean()
     conv = w.convexity_constant + (v.convexity_constant if v is not None else 0.0)
     radius = max(4.0, 2.0 * math.sqrt(46.0 / max(conv, 1e-2)))
     for _ in range(40):
@@ -37,10 +39,10 @@ def _auto_grid(w: PotentialSpec, v: PotentialSpec | None, m: Measure | PowerSums
         radius *= 1.5
     else:
         raise NumericFailureError("could not bracket the Gibbs density support")
-    return GridDensity(c - radius, c + radius, np.full(cells, 1.0 / (2 * radius)))
+    return GridDensity(c - radius, c + radius, np.full(_CELLS, 1.0 / (2 * radius)))
 
 
-def _exponent(w: PotentialSpec, v: PotentialSpec | None, m: Measure | PowerSums,
+def _exponent(w: PotentialSpec, v: PotentialSpec | None, m: PowerSums,
               xs: np.ndarray) -> np.ndarray:
     out = convolve_potential(w, m, xs)
     if v is not None:
@@ -49,33 +51,32 @@ def _exponent(w: PotentialSpec, v: PotentialSpec | None, m: Measure | PowerSums,
 
 
 def gibbs_map(w: PotentialSpec, m: Measure | PowerSums, v: PotentialSpec | None = None,
-              grid: GridDensity | None = None, cells: int = 1024) -> GridDensity:
+              grid: GridDensity | None = None) -> GridDensity:
     """The normalized density proportional to exp(-(V + W*m)) on a grid.
 
-    m is a measure or its `PowerSums`: the exponent reads m only
-    through them.  A grid density is read once (`density_sums`), and its
-    `DensitySums` may be passed instead, as the flow and the fixed point
-    do.  The evaluation grid defaults to an auto-sized box around the center
-    of m; pass ``grid`` to reuse an existing geometry (the flow does).  The
-    grid's centers come from its box's memoized geometry, and the image,
-    valid by construction, is not checked again.
-    NumericFailureError when the envelope norm of m diverges, or for bare
-    `PowerSums`, when they overflowed.
+    m is a measure or its `PowerSums`: the exponent reads m only through
+    them.  A measure is read once (`density_sums`), and its `DensitySums`
+    may be passed instead, as the flow and the fixed point do.  The
+    evaluation grid defaults to an auto-sized box of `_CELLS` cells around
+    the center of m; pass ``grid`` to reuse an existing geometry (the flow
+    does).  The grid's centers and V at them come from its box's memoized
+    geometry, and the image, valid by construction, is not checked again.
+    NumericFailureError when the envelope norm of a read measure diverges,
+    or when bare `PowerSums` overflowed.
     """
-    if isinstance(m, GridDensity):
+    if not isinstance(m, PowerSums):
         m = density_sums(w, m)
     if isinstance(m, DensitySums):
-        _finite_norm(m.envelope_norm)
-    elif isinstance(m, PowerSums):
-        if not np.all(np.isfinite(m.sums)):
-            raise NumericFailureError("power sums of the measure overflowed")
-    else:
-        p_norm(w, m)
+        if not math.isfinite(m.envelope_norm):
+            raise NumericFailureError("envelope norm diverged")
+    elif not np.all(np.isfinite(m.sums)):
+        raise NumericFailureError("power sums of the measure overflowed")
     if grid is None:
-        grid = _auto_grid(w, v, m, cells)
-    phi = convolve_potential(w, m, grid.geometry(w).centers)
+        grid = _auto_grid(w, v, m)
+    geo = grid.geometry(w)
+    phi = convolve_potential(w, m, geo.centers)
     if v is not None:
-        phi = phi + potential_on_grid(v, grid)
+        phi = phi + geo.potential(v)
     weights = np.exp(phi.min() - phi)
     z = float(weights.sum())
     if not math.isfinite(z) or z <= 0.0:

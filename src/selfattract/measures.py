@@ -7,14 +7,20 @@ that needs an entropy or a Gibbs image).  All quadrature is midpoint
 rule on the grid, with reductions in a fixed order so that results are
 reproducible bit for bit.
 
+Every object that depends on a measure -- W*m, its center, the Gibbs
+image, the interaction energy -- reads it through its power sums about an
+anchor, and `density_sums` is the one reader: it takes atoms or a grid
+density and returns those sums with the measure's mean and envelope norm.
+
 What a grid's box fixes under an envelope P -- its cell centers, P(|x|) at
-them, and tp's envelope primitives at its edges -- is memoized per
-(envelope, box ends, cell count) and read-only (`box_geometry`), and a
-density keeps its normalized CDF once taken (`GridDensity.cdf`), its values
-turning read-only with it.  A flow step or a fixed-point iteration on a box
-that stands still therefore evaluates none of the box's geometry and takes
-one CDF, its mixture's.  A density built from checked ones by a step -- a
-Gibbs image, a mixture -- is not checked again (`GridDensity._view`).
+them, tp's envelope primitives at its edges and a potential V at its
+centers -- is memoized per (envelope, box ends, cell count) and read-only
+(`box_geometry`), and a density keeps its normalized CDF once taken
+(`GridDensity.cdf`), its values turning read-only with it.  A flow step or
+a fixed-point iteration on a box that stands still therefore evaluates
+none of the box's geometry, V included, and takes one CDF, its mixture's.
+A density built from checked ones by a step -- a Gibbs image, a mixture --
+is not checked again (`GridDensity._view`).
 """
 
 from __future__ import annotations
@@ -58,15 +64,6 @@ class ParticleMeasure:
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def _view(cls, positions: np.ndarray, weights: np.ndarray) -> "ParticleMeasure":
-        """Atoms read off a validated `GridDensity`, built without checking
-        them again."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "positions", positions)
-        object.__setattr__(m, "weights", weights)
-        return m
-
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
@@ -87,8 +84,8 @@ class GridDensity:
     """Probability density sampled at the cell midpoints of a uniform grid on
     the interval [lo, hi] of the line (d = 1 of the paper's R^d): finite
     floats lo < hi and values of shape (cells,), in units of 1/length.  The
-    checks run once, here; views of the density (`as_atoms`) trust them, and
-    so does a density built from checked ones (`_view`)."""
+    checks run once, here; its reader (`density_sums`) trusts them, and so
+    does a density built from checked ones (`_view`)."""
 
     lo: float
     hi: float
@@ -195,12 +192,21 @@ def envelope_primitives(env, xs: np.ndarray):
 
 class BoxGeometry:
     """What the uniform grid of ``cells`` cells on [lo, hi] fixes under an
-    envelope P: its cell centers, P(|x|) at them, and tp's
-    `envelope_primitives` at its cells + 1 edges.  Each is evaluated when
-    first read, and is read-only (a write raises ``ValueError``)."""
+    envelope P: its cell centers, P(|x|) at them, tp's `envelope_primitives`
+    at its cells + 1 edges, and a potential's values at its centers
+    (`potential`).  Each is evaluated when first read, and is read-only (a
+    write raises ``ValueError``)."""
 
     def __init__(self, env, lo: float, hi: float, cells: int):
         self.env, self.lo, self.hi, self.cells = env, lo, hi, cells
+        self._potentials: dict[PotentialSpec, np.ndarray] = {}
+
+    def potential(self, v: PotentialSpec) -> np.ndarray:
+        """V at the cell centers, evaluated once per potential."""
+        if v not in self._potentials:
+            self._potentials[v] = _read_only(
+                polynomial_derivative(v.poly1d_coefficients(), self.centers))
+        return self._potentials[v]
 
     @functools.cached_property
     def centers(self) -> np.ndarray:
@@ -232,30 +238,17 @@ def gaussian_density(mean: float, sigma: float, lo: float, hi: float,
     return GridDensity(lo, hi, vals).normalized()
 
 
-def as_atoms(m: Measure) -> ParticleMeasure:
-    """View of the measure as weighted atoms at cell midpoints; cells with no
-    mass are dropped.  The grid was validated when it was built, so the
-    view is not checked again."""
-    if isinstance(m, ParticleMeasure):
-        return m
-    pos, w = m.centers(), m.values * m.spacing
-    keep = w > 0
-    if not keep.all():
-        pos, w = pos[keep], w[keep]
-    return ParticleMeasure._view(pos, w)
-
-
 @dataclass(frozen=True, slots=True)
 class DensitySums(PowerSums):
-    """A grid density read once as weighted atoms (`as_atoms`) for the
-    potential W: the atoms' `PowerSums` about their anchor, as many as W's
-    convolution reads and at least two, with what else the flow and the
-    fixed point read off the same atoms -- their own mean, from which
-    `center` starts Newton (`mean` returns it), and their envelope norm,
-    which `gibbs_map` checks.  ``whole`` says every cell is an atom: the
-    sums are then also the cell sums about the grid's midpoint that the
+    """A measure read once as weighted atoms for the potential W
+    (`density_sums`): the atoms' `PowerSums` about their anchor, as many as
+    W's convolution reads and at least two, with what else the flow and the
+    Gibbs map read off the same atoms -- their own mean, from which `center`
+    starts Newton (`mean` returns it), and their envelope norm, which
+    `gibbs_map` checks.  ``whole`` says the atoms are every cell of a grid:
+    the sums are then also the cell sums about the grid's midpoint that the
     free energy reads.  `gibbs_map`, `center` and `convolve_potential` take
-    it in place of the density and give the same numbers bit for bit."""
+    it in place of the measure and give the same numbers bit for bit."""
 
     potential: PotentialSpec
     atom_mean: float
@@ -266,41 +259,41 @@ class DensitySums(PowerSums):
         return self.atom_mean
 
 
-def density_sums(p: PotentialSpec, g: GridDensity) -> DensitySums:
-    """Read the grid density g once for the potential p (`DensitySums`):
-    the atoms of `as_atoms`, at the centers of the box's geometry and with
-    the envelope at them, which its cache evaluated once."""
-    geo = g.geometry(p)
-    pos, env, w = geo.centers, geo.envelope, g.values * g.spacing
-    keep = w > 0
-    if not keep.all():
-        pos, env, w = pos[keep], env[keep], w[keep]
+def density_sums(p: PotentialSpec, m: Measure) -> DensitySums:
+    """Read the measure m once for the potential p (`DensitySums`).  Atoms
+    are read as they are, with P(|x|) evaluated at them.  A grid density is
+    read as atoms at its cells with mass, at the centers of its box's
+    geometry and with the envelope there, which its cache evaluated once;
+    InvalidInputError when no cell has mass."""
+    if isinstance(m, ParticleMeasure):
+        pos, env, w = m.positions, as_envelope(p)(np.abs(m.positions)), m.weights
+    else:
+        geo = m.geometry(p)
+        pos, env, w = geo.centers, geo.envelope, m.values * m.spacing
+        keep = w > 0
+        if not keep.any():
+            raise InvalidInputError("empty measure")
+        if not keep.all():
+            pos, env, w = pos[keep], env[keep], w[keep]
     a = anchor(pos)
     sums = power_sums(pos, w, a, max(2, convolution_matrix(p).shape[0]))
     return DensitySums(a, sums, p, float(w @ pos) / float(sums[0]), float(w @ env),
-                       pos.size == g.values.size)
+                       isinstance(m, GridDensity) and pos.size == m.values.size)
 
 
 # ---------------------------------------------------------------------------
 # convolution, center, recentering
 
 
-def _summable(m):
-    """The measure as weighted atoms, or as given when it is `PowerSums`."""
-    return m if isinstance(m, PowerSums) else as_atoms(m)
-
-
-def _expansion(p: PotentialSpec, atoms, order: int):
-    """Anchor a and the ascending coefficients in y = x - a of
-    (d^order W * m)(x), from the power sums of m about a (`PowerSums` bring
-    their own anchor and sums)."""
+def _expansion(p: PotentialSpec, m, order: int):
+    """The power sums of m -- read once (`density_sums`) unless they are
+    given as `PowerSums` -- and the ascending coefficients in y = x - a of
+    (d^order W * m)(x), a their anchor."""
+    s = m if isinstance(m, PowerSums) else density_sums(p, m)
     T = convolution_matrix(p, order)
-    if isinstance(atoms, PowerSums):
-        if atoms.sums.size < T.shape[0]:
-            raise InvalidInputError(f"W reads {T.shape[0]} power sums, got {atoms.sums.size}")
-        return atoms.anchor, T @ atoms.sums[:T.shape[0]]
-    a = anchor(atoms.positions)
-    return a, T @ power_sums(atoms.positions, atoms.weights, a, T.shape[0])
+    if s.sums.size < T.shape[0]:
+        raise InvalidInputError(f"W reads {T.shape[0]} power sums, got {s.sums.size}")
+    return s, T @ s.sums[:T.shape[0]]
 
 
 def convolve_potential(p: PotentialSpec, m: Measure, x, order: int = 0):
@@ -308,14 +301,11 @@ def convolve_potential(p: PotentialSpec, m: Measure, x, order: int = 0):
     by the anchored power-sum expansion, exact for the polynomial families
     (midpoint quadrature for grids).  m may be a measure or its
     `PowerSums`."""
-    atoms = _summable(m)
-    if atoms.total_mass <= 0:
-        raise InvalidInputError("empty measure")
+    s, coeffs = _expansion(p, m, order)
     x = np.asarray(x, dtype=float)
     if x.ndim == 1 and x.size == 1:
         x = x.reshape(())
-    a, coeffs = _expansion(p, atoms, order)
-    out = polynomial_derivative(coeffs, x - a)
+    out = polynomial_derivative(coeffs, x - s.anchor)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -326,11 +316,11 @@ def center(p: PotentialSpec, m: Measure) -> float:
     so the iteration is the same wherever the measure sits.  m may be a
     measure or its `PowerSums`.
     """
-    atoms = _summable(m)
     if p.convexity_constant <= 0:
         raise InvalidInputError("center requires a uniformly convex potential")
-    a, grad = _expansion(p, atoms, 1)
-    c = atoms.mean() - a
+    s, grad = _expansion(p, m, 1)
+    a = s.anchor
+    c = s.mean() - a
     for _ in range(_CENTER_MAX_ITER):
         g = polynomial_derivative(grad, c)
         if abs(g) <= _CENTER_TOL:
@@ -384,20 +374,3 @@ def smooth(m: ParticleMeasure, h: float, lo: float | None = None,
         cdf = np.clip((edges[None, :] - (pp - h)) / (2 * h), 0.0, 1.0)
         masses += (ww * np.diff(cdf, axis=1)).sum(axis=0)
     return GridDensity(lo, hi, masses / width)
-
-
-# ---------------------------------------------------------------------------
-# envelope norm
-
-
-def _finite_norm(out: float) -> float:
-    """The envelope norm out, or NumericFailureError when it diverged."""
-    if not math.isfinite(out):
-        raise NumericFailureError("envelope norm diverged")
-    return out
-
-
-def p_norm(p, m: Measure) -> float:
-    """Integral of P(|y|) against |m|; at least the total mass since P >= 1."""
-    atoms = as_atoms(m)
-    return _finite_norm(float(atoms.weights @ as_envelope(p)(np.abs(atoms.positions))))

@@ -399,7 +399,34 @@ class TestCommands:
         assert (out / "flow.csv").exists()
         assert (out / "final_density.csv").exists()
         header = (out / "energy_trace.csv").read_text().splitlines()[0]
-        assert header == "step,entropy,interaction,total,relative"
+        assert header == "step,entropy,external,interaction,total,relative"
+
+    def test_energy_trace_columns_add_up_to_the_total_with_v(self, tmp_path):
+        # an atom at 3 pulled back by V = x^2/2: V's term is a column of its
+        # own, and the terms add up to the total
+        text = (self.SHIPPED_FLOW.read_text().replace("position = 0.0\n", "position = 3.0\n")
+                .replace("n_end = 400\n", "n_end = 40\n")
+                + "[external]\nkind = external\ncoefficients = 0.5\n")
+        cfg = write(tmp_path / "v.cfg", text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "flow"]) == 0
+        trace = np.genfromtxt(tmp_path / "o/energy_trace.csv", delimiter=",", names=True)
+        assert trace["external"][0] > 4.0
+        parts = trace["entropy"] + trace["external"] + trace["interaction"]
+        assert np.abs(parts - trace["total"]).max() <= 1e-12
+
+    def test_flow_assert_on_a_w_that_is_not_symmetric_says_why(self, tmp_path, capsys):
+        # the free energy sees only W's symmetric part, so it need not
+        # decrease along the flow of a shifted W: the verdict says so
+        text = (self.SHIPPED_FLOW.read_text()
+                .replace("kind = quadratic-symmetric\n", "kind = quadratic-shifted\n")
+                .replace("n_end = 400\n", "n_end = 60\n")
+                + "[external]\nkind = external\ncoefficients = 0.5\n")
+        assert "kind = quadratic-shifted\n" in text and "n_end = 60\n" in text
+        cfg = write(tmp_path / "s.cfg", text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--assert", "flow"]) == 1
+        assert capsys.readouterr().err == (
+            "FAIL: relative free energy increased along the flow; W is not symmetric, "
+            "so the decrease of the free energy is not claimed there\n")
 
     SHIPPED_FLOW = Path(__file__).resolve().parents[1] / "configs" / "flow_from_atom.cfg"
 

@@ -34,7 +34,7 @@ def gauss_values(xs, mean, sigma=1.0):
 class TestGibbsMap:
     def test_quadratic_gives_gaussian_at_the_mean(self, quad):
         m = ParticleMeasure(np.array([0.1, 1.3]), np.array([0.5, 0.5]))
-        image = gibbs_map(quad, m, cells=1024)
+        image = gibbs_map(quad, m)
         xs = image.centers()
         assert np.abs(image.values - gauss_values(xs, 0.7)).max() <= 1e-6
         assert center(quad, image) == pytest.approx(0.7, abs=1e-8)
@@ -43,7 +43,7 @@ class TestGibbsMap:
         w = quadratic_shifted(1.0)
         m = ParticleMeasure(np.array([-0.5, 0.9]), np.array([0.5, 0.5]))
         mean = m.mean()
-        image = gibbs_map(w, m, cells=1024)
+        image = gibbs_map(w, m)
         xs = image.centers()
         assert np.abs(image.values - gauss_values(xs, mean + 1.0)).max() <= 1e-6
 
@@ -53,7 +53,7 @@ class TestGibbsMap:
         assert np.abs(image.values - rho.values).max() <= 1e-8
 
     def test_mass_is_exactly_one_and_positive(self, quad):
-        image = gibbs_map(quad, dirac(0.4), cells=512)
+        image = gibbs_map(quad, dirac(0.4))
         assert image.mass == pytest.approx(1.0, abs=1e-12)
         assert np.all(image.values > 0)
 

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from selfattract import (GridDensity, InvalidInputError, NumericFailureError,
                          ParticleMeasure, center, convolve_potential, dirac, entropy,
-                         even_polynomial, free_energy, gaussian_density, gibbs_map, p_norm,
+                         even_polynomial, free_energy, gaussian_density, gibbs_map,
                          quadratic_shifted, quadratic_symmetric, recenter,
                          smooth, tp_distance_1d, uniform_density)
-from selfattract.measures import as_atoms, box_geometry, density_sums
+from selfattract.measures import box_geometry, density_sums
 from selfattract.potentials import as_envelope
 from conftest import make_rng, random_atoms
 from oracles import tail_certificate
@@ -124,6 +124,11 @@ class TestSmooth:
             smooth(dirac(0.0), 0.1, lo=-4.0, hi=4.0, cells=64)
 
 
+def p_norm(w, m) -> float:
+    """The envelope norm of m, as its reader takes it."""
+    return density_sums(w, m).envelope_norm
+
+
 class TestPNorm:
     def test_examples(self):
         w = quadratic_symmetric(1.0, bound_scale=1.0)
@@ -158,29 +163,40 @@ def test_grid_mass_one_after_normalize(seed):
     assert abs(g.mass - 1.0) <= 1e-12
 
 
+def grid_atoms(g: GridDensity) -> ParticleMeasure:
+    """The grid's cells with mass as weighted atoms at their centers."""
+    keep = g.values > 0
+    return ParticleMeasure(g.centers()[keep], (g.values * g.spacing)[keep])
+
+
 class TestDensitySums:
-    """A grid density read once stands in for it bit for bit."""
+    """A measure read once stands in for it bit for bit, and a grid reads
+    as its cells with mass read as atoms."""
 
     @pytest.mark.parametrize("w", [quadratic_symmetric(1.0), quadratic_shifted(0.7),
                                    even_polynomial([0.5, 0.1])],
                              ids=["quadratic", "shifted", "quartic"])
     @pytest.mark.parametrize("start", ["atom", "full"])
     def test_read_matches_the_density(self, w, start):
-        # the smoothed atom has empty cells, which the atom view drops: its
+        # the smoothed atom has empty cells, which the reader drops: its
         # anchor and sums then differ from the grid's, and the free energy
         # reads its own; the full Gaussian covers every cell
         g = (smooth(dirac(1.3), 0.5, lo=-6.5, hi=9.5, cells=512) if start == "atom"
              else gaussian_density(1.3, 1.0, -6.5, 9.5, 512))
-        read = density_sums(w, g)
+        read, atoms = density_sums(w, g), grid_atoms(g)
         assert read.whole == (start == "full")
-        assert read.mean() == as_atoms(g).mean()
+        assert read.mean() == atoms.mean()
+        by_atoms = density_sums(w, atoms)
+        assert (by_atoms.anchor, by_atoms.mean(), by_atoms.envelope_norm) == \
+            (read.anchor, read.mean(), read.envelope_norm)
+        assert np.array_equal(by_atoms.sums, read.sums) and not by_atoms.whole
         assert center(w, read) == center(w, g)
         xs = np.linspace(-3.0, 5.0, 7)
         for order in (0, 1, 2):
             assert np.array_equal(convolve_potential(w, read, xs, order),
                                   convolve_potential(w, g, xs, order))
         assert np.array_equal(gibbs_map(w, read, grid=g).values,
-                              gibbs_map(w, as_atoms(g), grid=g).values)
+                              gibbs_map(w, atoms, grid=g).values)
         assert free_energy(w, g, sums=read) == free_energy(w, g)
 
     def test_divergent_envelope_norm_fails(self):

@@ -16,7 +16,7 @@ from selfattract import (GridDensity, ParticleMeasure, SimConfig, center,
                          frozen_energy_difference, gaussian_density, gibbs_map,
                          quadratic_shifted, quadratic_symmetric, simulate,
                          simulate_ensemble, zero_interaction)
-from selfattract.gridkernel import interaction_energy
+from selfattract.energy import interaction_energy
 from selfattract.powersums import convolution_matrix, power_sums, reanchor
 from conftest import make_rng
 from oracles import full_history_path

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from selfattract import (DominatingPolynomial, GridDensity, InvalidInputError,
-                         ParticleMeasure, dirac, gaussian_density, p_norm, recenter,
+                         ParticleMeasure, dirac, gaussian_density, recenter,
                          tp_distance_1d, w2_distance)
 from selfattract import even_polynomial, transport
 from selfattract.flow import _box_follows
 from selfattract.powersums import convolution_matrix
-from selfattract.measures import box_geometry, centered
+from selfattract.measures import box_geometry, centered, density_sums
 from selfattract.transport import _quantile_pieces
 from conftest import make_rng, random_atoms
 from oracles import displacement_interpolate
@@ -397,7 +397,7 @@ class TestCenteredDistance:
             c = float(np.average(m.positions, weights=m.weights))
             a = recenter(m, c)
             d = tp_distance_1d(quad, a, recenter(shifted, c))
-            bound = abs(v) * env(abs(v)) * p_norm(quad, a)
+            bound = abs(v) * env(abs(v)) * density_sums(quad, a).envelope_norm
             assert d <= bound + 1e-9
 
     def test_own_center_cancels_translation(self, quad):
