@@ -96,8 +96,8 @@ def _box_follows(g: GridDensity, c: float) -> GridDensity:
     """The grid with its box moved by the whole number of cells nearest
     to c minus the box middle, and the measure left in place: the values move
     the same number of slots the other way, zero-filled, and are renormalized
-    for the tail that leaves the box.  Whole cells keep the old and the new
-    grid on one lattice."""
+    for the tail that leaves the box.  Whole cells move the values without
+    interpolating them."""
     h = g.spacing
     k = round((c - 0.5 * (g.lo + g.hi)) / h)
     if k == 0:

@@ -15,10 +15,12 @@ density and returns those sums with the measure's mean and envelope norm.
 What a grid's box fixes under an envelope P -- its cell centers, P(|x|) at
 them, tp's envelope primitives at its edges and a potential V at its
 centers -- is memoized per (envelope, box ends, cell count) and read-only
-(`box_geometry`), and a density keeps its normalized CDF once taken
-(`GridDensity.cdf`), its values turning read-only with it.  A flow step or
-a fixed-point iteration on a box that stands still therefore evaluates
-none of the box's geometry, V included, and takes one CDF, its mixture's.
+(`box_geometry`); the cell centers, which need no envelope, per box alone,
+so a density's `centers()` and `mean()` read the same array.  A density
+keeps its normalized CDF once taken (`GridDensity.cdf`), its values turning
+read-only with it.  A flow step or a fixed-point iteration on a box that
+stands still therefore evaluates none of the box's geometry, V included,
+and takes one CDF, its mixture's.
 A density built from checked ones by a step -- a Gibbs image, a mixture --
 is not checked again (`GridDensity._view`).
 """
@@ -36,7 +38,7 @@ from .potentials import PotentialSpec, as_envelope, polynomial_derivative
 from .powersums import PowerSums, anchor, convolution_matrix, power_sums
 
 _MASS_TOL = 1e-9
-_BOX_CACHE = 2   # boxes whose geometry is kept: a box, and the union box of a move
+_BOX_CACHE = 1   # boxes whose geometry is kept: the one a flow or a fixed point is on
 _CENTER_TOL = 1e-10      # |W' * m| at which `center` stops
 _CENTER_MAX_ITER = 50    # Newton updates `center` takes before it fails
 
@@ -115,7 +117,7 @@ class GridDensity:
         return (self.hi - self.lo) / self.values.size
 
     def centers(self) -> np.ndarray:
-        """Cell midpoints."""
+        """Cell midpoints, memoized per box and read-only."""
         return _cell_centers(self.lo, self.hi, self.values.size)
 
     def geometry(self, envelope) -> "BoxGeometry":
@@ -173,8 +175,10 @@ class GridDensity:
 Measure = ParticleMeasure | GridDensity
 
 
+@functools.lru_cache(maxsize=_BOX_CACHE)
 def _cell_centers(lo: float, hi: float, cells: int) -> np.ndarray:
-    return lo + (np.arange(cells) + 0.5) * ((hi - lo) / cells)
+    """The cell midpoints of a box, evaluated once per box and read-only."""
+    return _read_only(lo + (np.arange(cells) + 0.5) * ((hi - lo) / cells))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -210,7 +214,7 @@ class BoxGeometry:
 
     @functools.cached_property
     def centers(self) -> np.ndarray:
-        return _read_only(_cell_centers(self.lo, self.hi, self.cells))
+        return _cell_centers(self.lo, self.hi, self.cells)
 
     @functools.cached_property
     def envelope(self) -> np.ndarray:
@@ -344,9 +348,10 @@ def centered(p: PotentialSpec, m: Measure) -> Measure:
 # smoothing: exact overlap of the flat kernel with cells
 
 
-def smooth(m: ParticleMeasure, h: float, lo: float | None = None,
-           hi: float | None = None, cells: int | None = None) -> GridDensity:
-    """Convolve atoms with the uniform kernel on [-h, h] and bin exactly.
+def smooth(m: ParticleMeasure, h: float, lo: float, hi: float, cells: int) -> GridDensity:
+    """Convolve atoms with the uniform kernel on [-h, h] and bin exactly on
+    the grid of ``cells`` cells on [lo, hi], which must cover every atom's
+    kernel with cells no wider than h/4.
 
     Mass is preserved exactly up to rounding because every atom's kernel is
     split over cells by its true overlap length.
@@ -354,23 +359,12 @@ def smooth(m: ParticleMeasure, h: float, lo: float | None = None,
     if h <= 0:
         raise InvalidInputError("smoothing width must be positive")
     pos = m.positions
-    if lo is None:
-        lo = float(pos.min()) - h
-    if hi is None:
-        hi = float(pos.max()) + h
     if pos.min() - h < lo - 1e-12 or pos.max() + h > hi + 1e-12:
         raise InvalidInputError("domain does not cover the smoothed support")
-    if cells is None:
-        cells = max(16, int(math.ceil((hi - lo) / (h / 4.0))))
     width = (hi - lo) / cells
     if width > h / 4.0 + 1e-12:
         raise InvalidInputError("cell width must be at most h/4")
     edges = np.linspace(lo, hi, cells + 1)
-    masses = np.zeros(cells)
-    chunk = max(1, int(4e6 // (cells + 1)))
-    for start in range(0, pos.size, chunk):
-        pp = pos[start:start + chunk, None]
-        ww = m.weights[start:start + chunk, None]
-        cdf = np.clip((edges[None, :] - (pp - h)) / (2 * h), 0.0, 1.0)
-        masses += (ww * np.diff(cdf, axis=1)).sum(axis=0)
+    cdf = np.clip((edges - (pos[:, None] - h)) / (2 * h), 0.0, 1.0)
+    masses = (m.weights[:, None] * np.diff(cdf, axis=1)).sum(axis=0)
     return GridDensity(lo, hi, masses / width)

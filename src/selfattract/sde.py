@@ -119,8 +119,6 @@ class TrajectoryRecord:
     the run starts at t = 0, where there is no pre-history).
     """
 
-    potential: PotentialSpec
-    external: PotentialSpec | None
     config: SimConfig
     replica: int
     times: np.ndarray
@@ -506,7 +504,7 @@ def _simulate_replicas(w, x0, cfg, replicas, v, initial_occupation):
     weights = np.full(n + 1, dt)
     weights[0] = cfg.t_start
     weights.flags.writeable = False
-    return [TrajectoryRecord(w, v, cfg, r, times, positions[k], weights, centers[k],
+    return [TrajectoryRecord(cfg, r, times, positions[k], weights, centers[k],
                              initial_occupation=initial_occupation)
             for k, r in enumerate(replicas)]
 

@@ -12,18 +12,16 @@ P(|x|) |F1 - F2| dx, the CDF gap is linear, g = c0 + c1 x, between merged
 x-knots; an interval is split only where g changes sign, and P(|x|) g
 integrates to c0 dPhi0 + c1 dPhi1 with Phi0 the odd primitive of P(|x|) and
 Phi1 the even primitive of x P(|x|), both valid across x = 0.  Two grids on
-one lattice (one cell width, boxes a whole number of cells apart, as the
-flow's and the fixed point's box moves leave them) skip the knots: the gap
-is the difference of the two normalized CDFs at the edges of the union box,
-linear on each cell.  Each density takes its CDF once and keeps it
-(`GridDensity.cdf`), and two grids on one box, as every flow step and
-fixed-point iteration compares, skip the lattice check.  Phi0 and Phi1 at
-the edges and their differences are the primitives of the union box's
-memoized geometry (`measures.box_geometry`, per envelope, box ends and cell
-count).  So on a box that stands still, a step's tp takes one new
-cumulative sum, the mixture's, and evaluates no primitive.  Both cases
-(`_lattice_gap`, `_merged_gap`) end in the same integration tail,
-`_abs_gap_integral`.
+one box, as every flow step and fixed-point iteration compares, skip the
+knots: the gap is the difference of the two normalized CDFs at the box's
+edges, linear on each cell, and each density takes its CDF once and keeps
+it (`GridDensity.cdf`).  Phi0 and Phi1 at the edges and their differences
+are the primitives of the box's memoized geometry (`measures.box_geometry`,
+per envelope, box ends and cell count).  So on a box that stands still, a
+step's tp takes one new cumulative sum, the mixture's, and evaluates no
+primitive.  Every other pair, two grids on different boxes included, takes
+the merged knots; both cases (`_lattice_gap`, `_merged_gap`) end in the
+same integration tail, `_abs_gap_integral`.
 For W2 the quantile gap is linear between merged probability knots and its
 square integrates to w (ga^2 + ga gb + gb^2) / 3.  `QuantileTarget` does the
 same against one fixed measure for many sorted atom measures (the prefix
@@ -38,8 +36,7 @@ import math
 import numpy as np
 
 from .errors import NumericFailureError
-from .measures import (GridDensity, Measure, ParticleMeasure, box_geometry,
-                       envelope_primitives)
+from .measures import GridDensity, Measure, ParticleMeasure, envelope_primitives
 from .potentials import as_envelope
 
 _MASS_GAP_TOL = 1e-9
@@ -214,30 +211,14 @@ def _cdf_after_knot(segments, j: np.ndarray, xs: np.ndarray):
 
 
 def _lattice_gap(m1: Measure, m2: Measure):
-    """(lattice, gap) for two 1-d grids on one lattice -- the same cell
-    width, boxes a whole number of cells apart to a few ulps of their
-    coordinates: the union box as (lo, hi, cells), and the gap at its
-    edges, the difference of the two normalized CDFs (`GridDensity.cdf`),
-    each 0 before its box and 1 after it.  None for any other pair.  Two
-    grids on one box are one lattice without a check."""
-    if not (isinstance(m1, GridDensity) and isinstance(m2, GridDensity)):
+    """The CDF gap of two grids on one box, as every flow step and
+    fixed-point iteration compares: the difference of their normalized CDFs
+    (`GridDensity.cdf`) at the box's cells + 1 edges.  None for any other
+    pair."""
+    if not (isinstance(m1, GridDensity) and isinstance(m2, GridDensity)
+            and (m1.lo, m1.hi, m1.values.size) == (m2.lo, m2.hi, m2.values.size)):
         return None
-    box = (m1.lo, m1.hi, m1.values.size)
-    if box == (m2.lo, m2.hi, m2.values.size):
-        return box, np.concatenate(([0.0], m1.cdf - m2.cdf))
-    ends = np.array([m1.lo, m1.hi, m2.lo, m2.hi])
-    base, h = ends[[0, 2]].min(), m1.spacing
-    k = np.rint((ends - base) / h).astype(np.intp)
-    if (k[3] - k[2] != m2.values.size
-            or np.abs(ends - base - k * h).max() > 8 * np.spacing(np.abs(ends).max())):
-        return None
-    cells = int(max(k[1], k[3]))
-    gap = np.zeros(cells + 1)
-    for m, first, sign in ((m1, k[0], 1.0), (m2, k[2], -1.0)):
-        cum = m.cdf
-        gap[first + 1:first + cum.size + 1] += sign * cum
-        gap[first + cum.size + 1:] += sign
-    return (float(base), float(ends[[1, 3]].max()), cells), gap
+    return np.concatenate(([0.0], m1.cdf - m2.cdf))
 
 
 def _merged_gap(m1: Measure, m2: Measure):
@@ -283,13 +264,12 @@ def tp_distance_1d(envelope, m1: Measure, m2: Measure) -> float:
             "total masses differ; the CDF gap does not vanish at infinity "
             "(extend the grid or normalize the inputs)")
     env = as_envelope(envelope)
-    lattice = _lattice_gap(m1, m2)
-    if lattice is None:
+    gap = _lattice_gap(m1, m2)
+    if gap is None:
         xs, ga, c1 = _merged_gap(m1, m2)
         prim = envelope_primitives(env, xs)
     else:
-        box, gap = lattice
-        prim = box_geometry(env, *box).primitives
+        prim = m1.geometry(env).primitives
         ga, c1 = gap[:-1], np.diff(gap) / prim[-1]   # prim[-1]: the cell widths
     total = _abs_gap_integral(env, prim, ga, c1)
     return 0.5 * (mass1 + mass2) * total

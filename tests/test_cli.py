@@ -16,7 +16,7 @@ from selfattract import cli, diagnostics, sde
 from selfattract.config import _SCHEMA, _coerce, load_config
 from selfattract.errors import InvalidInputError, NumericFailureError
 from selfattract.persist import config_digest, load_measure, write_series_csv
-from selfattract import simulate, simulate_ensemble
+from selfattract import RateParams, envelope_compare, simulate, simulate_ensemble
 from oracles import full_history_path
 
 
@@ -400,6 +400,24 @@ class TestCommands:
         assert (out / "final_density.csv").exists()
         header = (out / "energy_trace.csv").read_text().splitlines()[0]
         assert header == "step,entropy,external,interaction,total,relative"
+
+    def test_flow_energy_decay_script_reads_the_run_it_is_given(self, tmp_path):
+        # a run started with --seed: the script takes W's envelope degree (4
+        # for a quartic W) from the run's manifest and its trace from flow.csv
+        cfg = write(tmp_path / "q.cfg", "[potential]\nkind = even-polynomial\n"
+                    "coefficients = 0.5 0.1\n[schedule]\nn_end = 20\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--seed", "3", "flow"]) == 0
+        script = Path(__file__).resolve().parents[1] / "scripts" / "flow_energy_decay.py"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, str(script), str(tmp_path / "o"),
+                               "--out", str(tmp_path / "trace.csv")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        run = np.genfromtxt(tmp_path / "o/flow.csv", delimiter=",", names=True)
+        want = envelope_compare(run["t"], run["relative"], RateParams(c7=1.0, k=4))
+        trace = np.genfromtxt(tmp_path / "trace.csv", delimiter=",", names=True)
+        assert np.array_equal(trace["envelope"], want["envelope_trace"])
+        assert f"decay exponent fit: {want['decay_exponent']:.4f}" in done.stdout
 
     def test_energy_trace_columns_add_up_to_the_total_with_v(self, tmp_path):
         # an atom at 3 pulled back by V = x^2/2: V's term is a column of its

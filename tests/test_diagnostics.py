@@ -184,13 +184,13 @@ class TestErgodicity:
             assert abs(got - want) <= 1e-12
 
     @pytest.mark.parametrize("n", [1_000_000, 4_000_000], ids=["1M", "4M"])
-    def test_prefix_pass_memory_is_its_sort_buffer_and_a_constant(self, quad, n):
+    def test_prefix_pass_memory_is_its_sort_buffer_and_a_constant(self, n):
         # a record of n path atoms with views for its weights and centers;
         # the W2 pass over its full prefix holds the one sort buffer and
         # chunks of a fixed size, whatever n is
         cfg = SimConfig(dt=0.01, t_end=1.0 + 0.01 * n)
         times = cfg.t_start + cfg.dt * np.arange(n + 1)
-        rec = TrajectoryRecord(quad, None, cfg, 0, times, make_rng(5).standard_normal(n + 1),
+        rec = TrajectoryRecord(cfg, 0, times, make_rng(5).standard_normal(n + 1),
                                np.broadcast_to(cfg.dt, (n + 1,)),
                                np.broadcast_to(0.0, (n + 1,)))
         target = diagnostics.QuantileTarget(gaussian_density(0, 1, -8, 8, 1024))
@@ -249,9 +249,8 @@ def _shifted(rec: TrajectoryRecord, s: float) -> TrajectoryRecord:
     warm = rec.initial_occupation
     if warm is not None:
         warm = ParticleMeasure(warm.positions + s, warm.weights)
-    return TrajectoryRecord(rec.potential, rec.external, rec.config, rec.replica,
-                            rec.times, rec.positions + s, rec.weights,
-                            rec.center_track + s, initial_occupation=warm)
+    return TrajectoryRecord(rec.config, rec.replica, rec.times, rec.positions + s,
+                            rec.weights, rec.center_track + s, initial_occupation=warm)
 
 
 class TestPrefixSums:
@@ -266,9 +265,8 @@ class TestPrefixSums:
         base = simulate(quad, 0.0, SimConfig(dt=0.01, t_end=60.0, t_start=4.0, seed=5))
         pre = (ParticleMeasure(np.round(gen.standard_normal(200), 2),
                                gen.uniform(0.5, 1.0, 200)) if warm else None)
-        rec = TrajectoryRecord(quad, None, base.config, 0, base.times,
-                               np.round(base.positions, 2), base.weights,
-                               base.center_track, initial_occupation=pre)
+        rec = TrajectoryRecord(base.config, 0, base.times, np.round(base.positions, 2),
+                               base.weights, base.center_track, initial_occupation=pre)
         assert np.unique(rec.positions).size < rec.positions.size // 10
         rho = gaussian_density(0, 1, -8, 8, 512)
         report = ergodicity(quad, [rec], rho, min_passing=0, n_boot=10)

@@ -12,9 +12,9 @@ from selfattract import (DominatingPolynomial, GridDensity, InvalidInputError,
                          gaussian_density, quadratic_symmetric, run_flow,
                          smooth, solve_fixed_point, tp_distance_1d,
                          uniform_density)
-from selfattract import cli
+from selfattract import cli, transport
 from selfattract.flow import initial_state
-from selfattract.measures import box_geometry
+from selfattract.measures import _cell_centers, box_geometry
 from selfattract.powersums import convolution_matrix
 from selfattract.energy import free_energy
 from oracles import tail_certificate
@@ -145,6 +145,22 @@ class TestRunFlow:
         assert np.all(np.diff(run.relative) <= 1e-8)
         assert run.final.center < 1.0
 
+    @pytest.mark.parametrize("w", [quadratic_symmetric(1.0), even_polynomial([0.5, 0.1])],
+                             ids=["quadratic", "quartic"])
+    def test_a_moving_box_compares_grids_on_one_box(self, w, monkeypatch):
+        # an atom at 3 with V = x^2 / 2: both boxes move, and still every tp
+        # the flow and the fixed point take is between two grids on one box,
+        # so none reaches the general pass that any other pair takes
+        def refuse(m1, m2):
+            raise AssertionError("tp merged the knots of two measures")
+
+        monkeypatch.setattr(transport, "_merged_gap", refuse)
+        v = external_polynomial([0.5])
+        init = smooth(dirac(3.0), 0.5, lo=-5, hi=11, cells=1024)
+        run = run_flow(w, init, Schedule(n_end=400), v=v)
+        fixed = solve_fixed_point(w, init, v=v)
+        assert run.final.density.lo < init.lo and fixed.density.lo < init.lo
+
     def test_columns_are_the_states_scalars(self, quad):
         # one row per state, its length the number of states: the columns
         # hold, bit for bit, what each state of the walk holds, and the
@@ -235,6 +251,21 @@ class TestRunFlow:
         run = run_flow(w, init, Schedule(n_end=31), v=v)
         assert (run.final.density.lo, run.final.density.hi) == (init.lo, init.hi)
         assert len(on_cells) == 1
+
+    def test_cell_centers_are_evaluated_once_without_a_center(self):
+        # a W without a center takes each state's center as its density's
+        # mean, which reads the cell centers: they are memoized per box, as
+        # the box's geometry reads them, so a still box evaluates them once
+        w, v = even_polynomial([0.0, 0.1]), external_polynomial([0.5])
+        init = smooth(dirac(0.0), 0.5, lo=-8, hi=8, cells=1024)
+        box_geometry.cache_clear()
+        _cell_centers.cache_clear()
+        prof = cProfile.Profile()
+        run = prof.runcall(run_flow, w, init, Schedule(n_end=31), v=v)
+        evaluations = sum(count for (f, _, fn), (_, count, *_) in pstats.Stats(prof).stats.items()
+                          if f.endswith("selfattract/measures.py") and fn == "_cell_centers")
+        assert (run.final.density.lo, run.final.density.hi) == (init.lo, init.hi)
+        assert evaluations == 1
 
     def test_tail_certificates_stay_bounded(self, quad):
         init = smooth(dirac(0.0), 0.5, lo=-8, hi=8, cells=1024)

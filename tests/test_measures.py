@@ -97,7 +97,7 @@ class TestRecenter:
 
 class TestSmooth:
     def test_flat_bump(self):
-        g = smooth(dirac(0.0), 0.5)
+        g = smooth(dirac(0.0), 0.5, lo=-0.5, hi=0.5, cells=16)
         inside = np.abs(g.centers()) < 0.45
         assert np.allclose(g.values[inside], 1.0)
         assert g.mass == pytest.approx(1.0, abs=1e-12)
@@ -105,19 +105,21 @@ class TestSmooth:
     def test_mass_and_mean_preserved(self):
         gen = make_rng(3)
         m = random_atoms(gen, n_max=40)
-        g = smooth(m, 0.3)
+        # the box of the smoothed support, in cells of at most h/4
+        lo, hi = m.positions.min() - 0.3, m.positions.max() + 0.3
+        g = smooth(m, 0.3, lo=lo, hi=hi, cells=math.ceil((hi - lo) / 0.075))
         assert g.mass == pytest.approx(m.total_mass, abs=1e-9)
         # mean is preserved up to the midpoint-binning quadrature error
         assert g.mean() == pytest.approx(m.mean(), abs=1e-4)
 
     def test_entropy_of_smoothed_atom(self):
         for h in (0.5, 1.0):
-            g = smooth(dirac(0.0), h, cells=512)
+            g = smooth(dirac(0.0), h, lo=-h, hi=h, cells=512)
             assert entropy(g) == pytest.approx(-math.log(2 * h), abs=1e-9)
 
     def test_rejects_bad_width(self):
         with pytest.raises(InvalidInputError):
-            smooth(dirac(0.0), 0.0)
+            smooth(dirac(0.0), 0.0, lo=-4.0, hi=4.0, cells=64)
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(InvalidInputError):

@@ -198,9 +198,9 @@ def lattice_grid(gen, lo, hi, cells):
 
 
 class TestTpOnLattice:
-    """Two grids of one cell width whose boxes lie a whole number of cells
-    apart take a direct pass over the union box's edges, with no knot
-    merge; it must give what the general pass gives."""
+    """Two grids on one box take a direct pass over the box's edges, with
+    no knot merge; it must give what the general pass gives, which every
+    other pair takes, two grids a whole number of cells apart included."""
 
     H = 8.0 / 400
 
@@ -210,9 +210,26 @@ class TestTpOnLattice:
             mp.setattr(transport, "_lattice_gap", lambda a, b: None)
             return tp_distance_1d(env, m1, m2)
 
+    @staticmethod
+    def on_union_box(a, b):
+        """a and b zero-padded onto the one box that holds both: the same
+        two measures on one box, which the lattice pass reads."""
+        lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
+        cells = int(round((hi - lo) / a.spacing))
+        padded = []
+        for g in (a, b):
+            vals = np.zeros(cells)
+            first = int(round((g.lo - lo) / g.spacing))
+            vals[first:first + g.values.size] = g.values
+            padded.append(GridDensity(lo, hi, vals))
+        return padded
+
     @pytest.mark.parametrize("degree", [2, 4])
     @pytest.mark.parametrize("k", [0, 1, -1, 37, -150])
     def test_matches_the_general_pass(self, degree, k, monkeypatch):
+        # on one box (k = 0) the lattice pass against the general one; on
+        # boxes k cells apart the general pass against the lattice pass of
+        # the same two grids on their union box
         env = DominatingPolynomial(1.5, degree)
         gen = make_rng(1000 + 7 * degree + k)
         changes = 0
@@ -220,19 +237,23 @@ class TestTpOnLattice:
             a = lattice_grid(gen, -5.0, 3.0, 400)
             b = lattice_grid(gen, -5.0 + k * self.H, 3.0 + k * self.H, 400)
             assert a.values[0] == 0.0 and b.values[-1] == 0.0
-            assert transport._lattice_gap(a, b) is not None
+            assert (transport._lattice_gap(a, b) is None) == (k != 0)
             changes += gap_sign_changes(a, b)
-            for m1, m2 in ((a, b), (b, a)):
-                want = self.general(env, m1, m2, monkeypatch)
+            pa, pb = self.on_union_box(a, b)
+            assert transport._lattice_gap(pa, pb) is not None
+            for (m1, m2), (p1, p2) in (((a, b), (pa, pb)), ((b, a), (pb, pa))):
+                want = (self.general(env, m1, m2, monkeypatch) if k == 0
+                        else tp_distance_1d(env, p1, p2))
                 assert tp_distance_1d(env, m1, m2) == pytest.approx(want, rel=1e-13)
         assert changes >= 4   # the gap changes sign: the split is covered
 
     @pytest.mark.parametrize("k", [3, -40])
     def test_moved_box_matches_cold_caches(self, k):
-        # the box geometry (and its lattice primitives) is keyed by envelope,
-        # box ends and cell count: after `_box_follows` moves a box, tp reads
-        # the new box's primitives and each density's CDF, bit for bit what
-        # it computes with every cache cleared
+        # the box geometry (and its primitives) is keyed by envelope, box
+        # ends and cell count: after `_box_follows` moves a box, tp reads the
+        # new box's primitives and each density's CDF, and the old and the
+        # new box's grids take the general pass, bit for bit what each
+        # computes with every cache cleared
         w = even_polynomial([0.5, 0.1])
         gen = make_rng(77 + k)
         a, b = (lattice_grid(gen, -5.0, 3.0, 400) for _ in range(2))
