@@ -70,7 +70,8 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path, args) -> int:
         w = records[0].weights[first:] / records[0].weights[first:].sum()
         for rec in records:
             write_series_csv(out / f"path_r{rec.replica}.csv", ["t", "x", "center"],
-                             [times, rec.positions[::thin], rec.center_track[::thin]])
+                             [times, rec.positions[::thin],
+                              rec.centers(slice(None, None, thin))])
             hist, edges = np.histogram(rec.positions[first:], bins=128, weights=w)
             mids = 0.5 * (edges[:-1] + edges[1:])
             width = edges[1] - edges[0]

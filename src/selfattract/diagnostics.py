@@ -127,7 +127,7 @@ def center_convergence(record: TrajectoryRecord, schedule: Schedule) -> Diagnost
     for n, t0 in enumerate(knots[:-1]):
         i0 = record.index_at(t0)
         i1 = record.index_at(knots[n + 1])
-        seg = record.center_track[i0:i1 + 1]
+        seg = record.centers(slice(i0, i1 + 1))
         osc = float(seg.max() - seg.min())
         oscillations.append(osc)
         report.series.append(("window_oscillation", t0, osc))

@@ -28,7 +28,9 @@ Each replica's increments are drawn into its row of the positions array,
 which the stepper overwrites step by step.  The center of
 W' * mu feeds nothing back into the drift, so the stepper only copies the
 sums at each center knot and solves a block of knots at once, by Newton
-from each column's running mean.  For quadratic W without V (drift
+from each column's running mean; a path holds its positions and these
+center knots, and its record rebuilds the centers between knots by linear
+interpolation when they are read.  For quadratic W without V (drift
 t00 + t11 (x - mean)) the Euler scheme reduces to a scalar linear
 recursion in y = x - mean with the mean carried by the occupation mass; it
 is summed in closed form with blockwise scaled cumulative sums (`_ar1`)
@@ -117,6 +119,12 @@ class TrajectoryRecord:
     ``weights[i]`` is the occupation weight of the atom at ``times[i]``: the
     pre-history block t_start for the first atom, dt for the rest (zero when
     the run starts at t = 0, where there is no pre-history).
+
+    The centers are held at their knots only: ``center_knots[k]`` is the
+    center at step k for k < ``center_first`` (step 0 of a run from t = 0,
+    the start atom's), then at steps center_first + m ``center_every``.
+    The steps between two knots take their linear interpolation and the
+    steps after the last knot its value, which `centers` rebuilds.
     """
 
     config: SimConfig
@@ -124,7 +132,9 @@ class TrajectoryRecord:
     times: np.ndarray
     positions: np.ndarray
     weights: np.ndarray
-    center_track: np.ndarray
+    center_knots: np.ndarray
+    center_every: int = 1
+    center_first: int = 0
     initial_occupation: ParticleMeasure | None = None
 
     def index_at(self, t: float) -> int:
@@ -186,7 +196,28 @@ class TrajectoryRecord:
         return ParticleMeasure(pos, np.full(pos.shape[0], 1.0 / pos.shape[0]))
 
     def center_at(self, t: float) -> float:
-        return float(self.center_track[self.index_at(t)])
+        return float(self.centers(self.index_at(t)))
+
+    def centers(self, steps):
+        """The centers at ``steps``, a step index or a slice of steps, with
+        the stepper's arithmetic: j steps past knot k the center is
+        slope j + c[k], slope = (c[k+1] - c[k]) / every, so the values
+        are the ones it would have interpolated, bit for bit."""
+        c, every, first = self.center_knots, self.center_every, self.center_first
+        if every == 1:
+            return c[steps]
+        i = range(self.times.size)[steps]
+        i = np.arange(i.start, i.stop, i.step) if isinstance(i, range) else np.asarray(i)
+        past = np.maximum(i - first, 0)
+        k, j = np.minimum(i, first) + past // every, past % every
+        slope = (c[np.minimum(k + 1, c.size - 1)] - c[k]) / every
+        return np.where((j == 0) | (k == c.size - 1), c[k], slope * j + c[k])
+
+    @property
+    def center_track(self) -> np.ndarray:
+        """The center at every step: the knots themselves when every step
+        is a knot, else rebuilt at full length."""
+        return self.center_knots if self.center_every == 1 else self.centers(slice(None))
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +333,16 @@ def _step_driven(B, a, x, noise, dts):
     return out
 
 
-def _run_moments(T, v, x0, sums, positions, centers, dt, origin, every=_CENTER_EVERY,
-                 y0=0.0):
+def _run_moments(T, v, x0, sums, positions, centers, dt, origin, every, y0=0.0):
     """The running-moment Euler scheme for R replicas started at x0 + y0,
     their sums anchored at x0: ``sums`` (count, R), or (count, 1) for a
     pre-history every replica shares, holds the pre-history's power sums
     about x0, whose mass is the same for every replica.  ``positions``
     (R, n+1) holds each replica's n increments in columns 1..n; the scheme
-    overwrites it with the positions in x and writes the centers into
-    ``centers`` (R, n+1).  Quadratic W without V takes the closed form, everything else the column
-    stepper, which places a center every ``every`` steps.  A non-finite path
+    overwrites it with the positions in x and writes the center knots,
+    steps 0, every, 2 every, .., into ``centers`` (R, n // every + 1).
+    Quadratic W without V takes the closed form, which needs every = 1,
+    everything else the column stepper.  A non-finite path
     raises `NumericFailureError` naming the replica, step and t that
     ``origin`` (`_check_finite`) gives; the overflows and invalid values
     of the steps that lead to it warn nothing."""
@@ -353,12 +384,14 @@ def _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y
 
     The center of W' * mu feeds nothing back into the drift.  Every
     ``every`` steps the loop copies (S, mass, anchor) into a buffer of
-    `_CENTER_BLOCK` knots and solves a full buffer at once (`_block_centers`);
-    each block fills the center gaps up to its last knot by linear
-    interpolation and checks its positions for finiteness.  Once a column's
-    running mean S1/S0 leaves the unit radius, its anchor moves onto that
-    mean, with an exact re-anchor of its sums, before the next position is
-    stored.  Writes positions and centers (R, n+1) in x.
+    `_CENTER_BLOCK` knots and solves a full buffer at once (`_block_centers`)
+    into the next columns of ``centers`` (R, n // every + 1), after it
+    checks the block's positions for finiteness.  The steps between knots
+    are not written: `TrajectoryRecord.centers` interpolates them when they
+    are read.  Once a column's running mean S1/S0 leaves the unit radius, its
+    anchor moves onto that mean, with an exact re-anchor of its sums, before
+    the next position is stored.  Writes the positions (R, n+1) and the
+    center knots in x.
     """
     count = T.shape[0]
     R, n = positions.shape[0], positions.shape[1] - 1
@@ -366,12 +399,10 @@ def _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y
     S = np.broadcast_to(sums, (count, R)).copy()
     a = np.full(R, float(x0))
     vg = _v_gradient(v)
-    if count <= 2:
-        every = 1
     knot_S = np.empty((_CENTER_BLOCK, count, R))
     knot_mass = np.empty((_CENTER_BLOCK, 1))
     knot_a = np.empty((_CENTER_BLOCK, R))
-    k = 0                              # knots in the buffer
+    k = done = 0                       # knots in the buffer, knots solved
     checked = 0                        # positions before this index are finite
     P = np.zeros((max(count, 2), R))   # a zero drift (count 1) never reads row 1
     P[0] = dt
@@ -413,17 +444,10 @@ def _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y
                     shift = mean * far
         if k == _CENTER_BLOCK or i == n:
             _check_finite(positions[:, checked:i + 1], checked, origin, dt)
-            last = i - i % every   # the block's last knot; it holds k of them
-            first = last - (k - 1) * every
-            centers[:, first:last + 1:every] = (_block_centers(
+            centers[:, done:done + k] = (_block_centers(
                 T, knot_S[:k], knot_mass[:k],
-                lambda j, r: _locate(origin, first + j * every, r, dt)) + knot_a[:k]).T
-            lo = max(first - every, 0)   # the previous block's last knot
-            slope = (centers[:, lo + every:last + 1:every] - centers[:, lo:last:every]) / every
-            for j in range(1, every):
-                centers[:, lo + j:last:every] = slope * j + centers[:, lo:last:every]
-            centers[:, last + 1:i + 1] = centers[:, last, None]
-            k, checked = 0, i + 1
+                lambda j, r: _locate(origin, (done + j) * every, r, dt)) + knot_a[:k]).T
+            k, done, checked = 0, done + k, i + 1
         if i < n:
             einsum("ij,jr,ir->r", T, S, powers, out=d)
             divide(d, mass, d)
@@ -460,7 +484,7 @@ def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
     rows of the whole ensemble.  The replicas step in lock-step (quadratic
     W without V in closed form), from every start time.  The records share
     ``times`` and one read-only ``weights`` array and hold row views of one
-    positions and one centers array."""
+    positions and one center knots array."""
     _check_dt(w, cfg)
     return _simulate_replicas(w, x0, cfg, range(first, first + n_replicas), v,
                               initial_occupation)
@@ -478,11 +502,13 @@ def _simulate_replicas(w, x0, cfg, replicas, v, initial_occupation):
         raise InvalidInputError("a run from t = 0 has no pre-history to warm-start")
     n, dt, R = cfg.n_steps, cfg.dt, len(replicas)
     T = convolution_matrix(w, 1)
+    every = _CENTER_EVERY if T.shape[0] > 2 else 1   # a linear drift: every step
+    first = int(cfg.t_start == 0.0)                  # the step taken here
     positions = np.empty((R, n + 1))
-    centers = np.empty((R, n + 1))
+    centers = np.empty((R, first + (n - first) // every + 1))   # the center knots
     for row, r in zip(positions, replicas):
         _increments(cfg, n, r, out=row[1:])
-    if cfg.t_start == 0.0:
+    if first:
         # step 0 against the start atom; the new positions in y = x - x0 and
         # their dt-weighted powers are the pre-history of the steps after it
         drift = T[0, 0] if v is None else T[0, 0] + _horner(_v_gradient(v), x0)
@@ -491,20 +517,19 @@ def _simulate_replicas(w, x0, cfg, replicas, v, initial_occupation):
         atom = np.eye(T.shape[0], 1)   # the sums of a unit atom at x0
         positions[:, 0] = x0
         centers[:, 0] = x0 + _block_centers(T, atom[None], np.ones((1, 1)))[0]
-        first = 1
     else:
         pre = _prehistory(x0, cfg.t_start, initial_occupation)
         sums = power_sums(*pre, float(x0), T.shape[0])[:, None]
-        y, first = 0.0, 0
+        y = 0.0
     _run_moments(T, v, x0, sums, positions[:, first:], centers[:, first:], dt,
-                 (replicas, first, cfg.t_start), y0=y)
+                 (replicas, first, cfg.t_start), every, y0=y)
     times = cfg.t_start + dt * np.arange(n + 1)
     # occupation weights: t_start for the pre-history, then dt; every
     # replica shares the one read-only array
     weights = np.full(n + 1, dt)
     weights[0] = cfg.t_start
     weights.flags.writeable = False
-    return [TrajectoryRecord(cfg, r, times, positions[k], weights, centers[k],
+    return [TrajectoryRecord(cfg, r, times, positions[k], weights, centers[k], every, first,
                              initial_occupation=initial_occupation)
             for k, r in enumerate(replicas)]
 
@@ -626,7 +651,7 @@ def ou_domination(w: PotentialSpec, cfg: SimConfig) -> OuDominationResult:
     xs, cs = np.empty((2, n + 1))
     np.multiply(cfg.noise_scale, db, out=xs[1:])
     _run_moments(T, None, 0.0, cfg.t_start * np.eye(T.shape[0], 1), xs[None], cs[None],
-                 dt, ((0,), 0, cfg.t_start), every=1)
+                 dt, ((0,), 0, cfg.t_start), 1)
     gaps = (xs - cs).tolist()
     db = db.tolist()
     z = max(1.0, abs(gaps[0]))

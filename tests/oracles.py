@@ -4,13 +4,18 @@ The full-history drift is the definition the running-moment simulator
 reproduces: the gradient of W summed over every past atom of the path, on
 the same noise and pre-history as `simulate`.  `loop_moment_columns` is
 the column stepper's loop as first written, the bitwise reference for the
-stepper's per-call rewrites.  The tail certificate and the displacement
-interpolant are the 1-d measurements that tail and convexity properties of
-the Gibbs map, the flow and the free energy are stated in.
+stepper's per-call rewrites; `loop_center_tracks` runs the simulator with
+it to give every step's center as the stepper once stored it.  The tail
+certificate and the displacement interpolant are the 1-d measurements that
+tail and convexity properties of the Gibbs map, the flow and the free
+energy are stated in.
 """
+
+from unittest import mock
 
 import numpy as np
 
+from selfattract import sde
 from selfattract.errors import NumericFailureError
 from selfattract.measures import GridDensity, center
 from selfattract.powersums import reanchor
@@ -95,7 +100,7 @@ def loop_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y
     knot_a = np.empty((_CENTER_BLOCK, R))
     k = 0                              # knots in the buffer
     checked = 0                        # positions before this index are finite
-    y = np.full(R, float(y0))
+    y = np.full(R, y0, dtype=float)   # one start or one per replica
     P = np.zeros((max(count, 2), R))   # a zero drift (count 1) never reads row 1
     P[0] = dt
     powers = P[:count]
@@ -145,6 +150,27 @@ def loop_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y
     segments.append((n + 1, None))
     for (start, a_seg), (stop, _) in zip(segments, segments[1:]):
         positions[:, start:stop] += a_seg[:, None]
+
+
+def loop_center_tracks(*args, **kwargs):
+    """(R, n+1) centers of ``sde.simulate_ensemble(*args, **kwargs)`` with
+    its column stepper replaced by `loop_moment_columns`, which writes the
+    center at every step: the knots, their linear interpolation between
+    them and the last knot's value after it.  Step 0 of a run from t = 0
+    (not stepped) keeps the start atom's center."""
+    tracks = []
+
+    def stepper(T, v, x0, sums, positions, knots, dt, every, origin, y0=0.0):
+        full = np.empty(positions.shape)
+        loop_moment_columns(T, v, x0, sums, positions, full, dt, every, origin, y0)
+        knots[...] = full[:, ::every]
+        tracks.append(full)
+
+    with mock.patch.object(sde, "_run_moment_columns", stepper):
+        records = sde.simulate_ensemble(*args, **kwargs)
+    (full,) = tracks
+    first = records[0].center_first
+    return np.hstack([[rec.center_knots[:first] for rec in records], full])
 
 
 def _interpolate_center_gaps(centers):

@@ -17,7 +17,7 @@ from selfattract.config import _SCHEMA, _coerce, load_config
 from selfattract.errors import InvalidInputError, NumericFailureError
 from selfattract.persist import config_digest, load_measure, write_series_csv
 from selfattract import RateParams, envelope_compare, simulate, simulate_ensemble
-from oracles import full_history_path
+from oracles import full_history_path, loop_center_tracks
 
 
 def write(path: Path, text: str) -> str:
@@ -325,6 +325,23 @@ class TestCommands:
         want = np.column_stack((rec.times, rec.positions, rec.center_track))[::thin]
         got = np.loadtxt(out / "path_r0.csv", delimiter=",", skiprows=1)
         assert thin == 2 and np.array_equal(got, want)
+
+    def test_thinned_centers_are_the_interpolated_track(self, tmp_path):
+        # a thinning stride of 26, not a multiple of the knot spacing 10:
+        # the center column, rebuilt at the thinned rows from the knots, is
+        # the track the stepper once interpolated in full
+        cfg = write(tmp_path / "q.cfg",
+                    "[potential]\nkind = even-polynomial\ncoefficients = 0.5 0.1\n"
+                    "[sim]\ndt = 0.01\nt_end = 523.17\nseed = 4\n[experiment]\nreplicas = 2\n")
+        out = tmp_path / "oq"
+        assert main(["--config", cfg, "--out", str(out), "simulate"]) == 0
+        loaded = load_config(cfg)
+        tracks = loop_center_tracks(loaded.potential, loaded.init["position"], loaded.sim, 2)
+        thin = tracks.shape[1] // 2000
+        assert thin == 26
+        for r, track in enumerate(tracks):
+            got = np.loadtxt(out / f"path_r{r}.csv", delimiter=",", skiprows=1)
+            assert np.array_equal(got[:, 2], track[::thin])
 
     def test_simulate_from_time_zero_without_interaction(self, tmp_path):
         cfg = write(tmp_path / "z.cfg",

@@ -12,11 +12,11 @@ from selfattract import (InvalidInputError, NumericFailureError, ParticleMeasure
                          even_polynomial, external_polynomial, ou_domination,
                          picard_bootstrap,
                          quadratic_shifted, quadratic_symmetric, simulate,
-                         simulate_ensemble, zero_interaction)
+                         simulate_ensemble, TrajectoryRecord, zero_interaction)
 from selfattract import sde
 from selfattract.powersums import anchor, convolution_matrix, power_sums
 from conftest import make_rng
-from oracles import full_history_path, history_drift, loop_moment_columns
+from oracles import full_history_path, history_drift, loop_center_tracks, loop_moment_columns
 
 
 def checked_blocks(monkeypatch) -> list:
@@ -223,13 +223,16 @@ class TestEnsemble:
 
     def test_stepped_ensemble_memory_is_its_outputs(self):
         # the increments are drawn into the positions, which the stepper
-        # and the quadratic closed form overwrite, so positions and centers
-        # (R, n + 1) bound the peak, also from t = 0
+        # and the quadratic closed form overwrite, so the positions (R, n + 1)
+        # and the center knots bound the peak, also from t = 0: one knot
+        # every 10 steps for the quartic W, every step for the closed form,
+        # whose centers array is its working space
         R = 64
         for t_start in (1.0, 0.0):
             cfg = SimConfig(dt=0.01, t_end=t_start + 200.0, t_start=t_start, seed=3)
             n = cfg.n_steps
-            for w in (even_polynomial([0.5, 0.1]), quadratic_symmetric(1.0)):
+            for w, knots in ((even_polynomial([0.5, 0.1]), n // 10 + 1),
+                             (quadratic_symmetric(1.0), n + 1)):
                 tracemalloc.start()
                 try:
                     ens = simulate_ensemble(w, 0.0, cfg, R)
@@ -237,7 +240,8 @@ class TestEnsemble:
                 finally:
                     tracemalloc.stop()
                 assert len(ens) == R and n == 20_000
-                assert peak <= 1.1 * 8 * 2 * R * (n + 1)
+                assert ens[0].center_knots.size == knots
+                assert peak <= 1.1 * 8 * R * ((n + 1) + knots)
                 del ens
 
     @pytest.mark.parametrize("v", [None, external_polynomial([0.3])], ids=["W", "W+V"])
@@ -461,17 +465,72 @@ class TestColumnStepper:
 
         monkeypatch.setattr(sde, "reanchor", record)
         args = (T, v, x0, sums)
-        rest = (cfg.dt, sde._CENTER_EVERY, (range(R), 0, cfg.t_start))
-        got = increments.copy(), np.empty((R, n + 1))
+        every = sde._CENTER_EVERY if T.shape[0] > 2 else 1   # as the simulator places them
+        rest = (cfg.dt, every, (range(R), 0, cfg.t_start))
+        got = increments.copy(), np.empty((R, n // every + 1))
         want = increments.copy(), np.empty((R, n + 1))
         sde._run_moment_columns(*args, *got, *rest)
         loop_moment_columns(*args, *want, *rest)
         assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        # the stepper writes the knots alone; a record rebuilds the loop's
+        # interpolated centers between them
+        assert np.array_equal(got[1], want[1][:, ::every])
         assert np.all(np.isfinite(got[1]))
+        times = cfg.t_start + cfg.dt * np.arange(n + 1)
+        for r in range(R):
+            rec = TrajectoryRecord(cfg, r, times, got[0][r], np.full(n + 1, cfg.dt),
+                                   got[1][r], every)
+            assert np.array_equal(rec.center_track, want[1][r])
         assert T.shape[0] == {"zero-W": 1, "quadratic+V": 2, "degree-6": 6}.get(case, 4)
         if case == "re-anchor":
             assert shifts and np.count_nonzero(shifts[0]) == R
+
+    # (W, V, x0, warm start, t_start, steps), none a multiple of 10 steps,
+    # so a tail is held after the last knot, and each ends in a partial
+    # block of knots: from t = 0 with V, whose knots start at step 1;
+    # degree 6; re-anchors as the mean leaves the warm start at 0
+    TRACKS = {
+        "t0+V": (even_polynomial([0.5, 0.1]), external_polynomial([0.3]), 0.5, None, 0.0,
+                 2 * 640 + 17),
+        "degree-6": (even_polynomial([0.5, 0.1, 0.01]), None, 0.0, None, 1.0, 3 * 640 + 7),
+        "re-anchor": (even_polynomial([0.5, 0.1]), None, 3.0, dirac(0.0), 1.0, 1503),
+    }
+
+    @pytest.mark.parametrize("case", TRACKS)
+    def test_rebuilt_centers_are_the_interpolated_track_bit_for_bit(self, case, monkeypatch):
+        w, v, x0, warm, t_start, n = self.TRACKS[case]
+        cfg = SimConfig(dt=0.01, t_end=t_start + 0.01 * n, t_start=t_start, seed=13)
+        assert cfg.n_steps == n and n % sde._CENTER_EVERY
+        shifts = []
+        reanchor = sde.reanchor
+        monkeypatch.setattr(sde, "reanchor",
+                            lambda S, shift: shifts.append(shift) or reanchor(S, shift))
+        ens = simulate_ensemble(w, x0, cfg, 3, v=v, initial_occupation=warm)
+        assert bool(shifts) == (case == "re-anchor")
+        tracks = loop_center_tracks(w, x0, cfg, 3, v=v, initial_occupation=warm)
+        first = int(t_start == 0)
+        for rec, track in zip(ens, tracks):
+            knots = rec.center_knots.size - first
+            assert (rec.center_every, rec.center_first) == (sde._CENTER_EVERY, first)
+            assert knots == (n - first) // sde._CENTER_EVERY + 1 and knots % sde._CENTER_BLOCK
+            assert np.array_equal(rec.center_track, track)
+            for steps in (slice(None, None, 26), slice(5, -3, 7), slice(n - 12, None)):
+                assert np.array_equal(rec.centers(steps), track[steps])
+            for i in (0, 1, 2, 11, 12, n - 1, n, -4):
+                assert rec.centers(i) == track[i]
+            assert rec.center_at(rec.times[-4]) == track[-4]
+
+    @pytest.mark.parametrize("t_start", [1.0, 0.0])
+    def test_every_step_knots_are_the_track_itself(self, t_start):
+        # a linear drift (quadratic W, with V or not) solves its center at
+        # every step: the record's track is the knots array, not a copy
+        cfg = SimConfig(dt=0.01, t_end=t_start + 5.0, t_start=t_start, seed=2)
+        for v in (None, external_polynomial([0.3])):
+            for rec in simulate_ensemble(quadratic_symmetric(1.0), 0.5, cfg, 2, v=v):
+                assert rec.center_every == 1
+                assert rec.center_track is rec.center_knots
+                assert rec.center_knots.size == cfg.n_steps + 1
+                assert np.shares_memory(rec.centers(slice(3, None, 7)), rec.center_knots)
 
     def test_drawn_row_is_the_allocated_draw(self):
         rows = np.zeros((2, 1001))
