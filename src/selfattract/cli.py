@@ -55,9 +55,11 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path, args) -> int:
     ensemble.  A block's rows are the ensemble's rows, so the files are the
     same whatever the CPU set, and a failure is reported at its earliest
     step, then its lowest replica, as one ensemble run reports it.  The
-    records of a block share one ``times`` and one ``weights`` array, so
-    the time column is formatted and the weights are normalized once per
-    block, and no occupation measure is built."""
+    histogram bins a record's occupation atoms, its positions from
+    `TrajectoryRecord.first` on (the start atom, none from t = 0) with
+    their weights.  The records of a block share one ``times`` and one
+    ``weights`` array, so the time column is formatted and the weights are
+    normalized once per block, and no occupation measure is built."""
     n, blocks = cfg.replicas, workers(cfg.replicas)
 
     def block(k):
@@ -66,7 +68,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path, args) -> int:
                                     n * (k + 1) // blocks - lo, v=cfg.external, first=lo)
         thin = max(1, records[0].times.size // 2000)
         times = format_column(records[0].times[::thin])
-        first = int(records[0].weights[0] == 0)   # from t = 0: no pre-history atom
+        first = records[0].first
         w = records[0].weights[first:] / records[0].weights[first:].sum()
         for rec in records:
             write_series_csv(out / f"path_r{rec.replica}.csv", ["t", "x", "center"],

@@ -166,51 +166,39 @@ def _sorted_prefixes(rec: TrajectoryRecord, ts: np.ndarray):
     iterator of consecutive (positions, cum) chunks of `_PREFIX_CHUNK`
     atoms, to be read before the next time's.
 
-    Each prefix's path atoms (all of weight dt) are copied into one buffer,
-    allocated once, and sorted there; the pre-history block, sorted once,
-    goes into the chunks it falls in, before equal positions, as a stable
-    sort of the whole occupation would place it.  Cumulative weights are
-    counted, dt times the path atoms so far plus the pre-history mass so
-    far, not summed atom by atom.  So the pass holds the buffer and a few
+    Each prefix's atoms, the start atom included, are copied into one
+    buffer, allocated once, and sorted there; the start atom takes the
+    rank of the first of the positions equal to it, where a stable sort of
+    the occupation places it.  So the pass holds the buffer and a few
     chunks, whatever the path length.
     """
-    pre_pos, pre_w = rec.prehistory()
-    order = np.argsort(pre_pos, kind="stable")
-    pre_pos = pre_pos[order]
-    pre_cum = np.concatenate(([0.0], np.cumsum(pre_w[order])))
-    buf = np.empty(rec.index_at(ts[-1]))
+    first, x0 = rec.first, rec.positions[0]
+    buf = np.empty(rec.index_at(ts[-1]) + 1 - first)
     for t in ts:
         i = rec.index_at(t)
-        xs = buf[:i]
-        xs[:] = rec.positions[1:i + 1]
+        xs = buf[:i + 1 - first]
+        xs[:] = rec.positions[first:i + 1]
         xs.sort()
-        yield _prefix_chunks(xs, pre_pos, pre_cum, rec.config.dt, rec.center_at(t))
+        rank = xs.size if first else int(np.searchsorted(xs, x0, side="left"))
+        yield _prefix_chunks(xs, rank, rec.weights[0], rec.config.dt, rec.center_at(t))
 
 
-def _prefix_chunks(xs, pre_pos, pre_cum, dt, c):
-    """The chunks of `_sorted_prefixes` for the sorted path atoms xs."""
-    total = dt * xs.size + pre_cum[-1]
-    merged = np.searchsorted(xs, pre_pos, side="left")   # index of each pre atom
-    merged += np.arange(merged.size)                      # in the whole prefix
-    for s in range(0, xs.size + pre_pos.size, _PREFIX_CHUNK):
-        e = min(s + _PREFIX_CHUNK, xs.size + pre_pos.size)
-        p0, p1 = np.searchsorted(merged, (s, e))   # pre atoms in [s, e)
-        if p0 == p1:   # path atoms only, as in most chunks
-            pos = xs[s - p0:e - p1] - c
-            cum = dt * np.arange(s - p0 + 1, e - p1 + 1) + pre_cum[p0]
-        else:
-            at = merged[p0:p1] - s
-            from_pre = np.zeros(e - s, dtype=bool)
-            from_pre[at] = True
-            pos = np.empty(e - s)
-            pos[at] = pre_pos[p0:p1]
-            pos[~from_pre] = xs[s - p0:e - p1]
-            pos -= c
-            n_pre = np.cumsum(from_pre)   # pre atoms at or before each atom
-            n_pre += p0
-            cum = dt * (np.arange(s + 1, e + 1) - n_pre) + pre_cum[n_pre]
+def _prefix_chunks(xs, rank, t_start, dt, c):
+    """The chunks of `_sorted_prefixes` for the sorted atoms xs, the start
+    atom, of mass t_start, at ``rank`` (xs.size when there is none).
+    Cumulative weights are counted, not summed atom by atom: dt (j + 1)
+    up to atom j before the start atom, dt j + t_start from it on."""
+    n = xs.size
+    total = dt * n if rank == n else dt * (n - 1) + t_start
+    for s in range(0, n, _PREFIX_CHUNK):
+        e = min(s + _PREFIX_CHUNK, n)
+        r = min(max(rank, s), e) - s    # the chunk's atoms from the start atom on
+        counts = np.arange(s + 1, e + 1)
+        counts[r:] -= 1
+        cum = dt * counts
+        cum[r:] += t_start
         cum /= total
-        yield pos, cum
+        yield xs[s:e] - c, cum
 
 
 def w2_curve(w: PotentialSpec, rec: TrajectoryRecord, rho_inf: GridDensity,
@@ -234,7 +222,9 @@ def ergodicity_check(w: PotentialSpec, ts: np.ndarray, curves: list[tuple[int, l
     """The ergodicity report from each replica's `w2_curve` at the
     checkpoints ``ts``, given as (replica, curve) pairs: the curves, a
     fitted decay exponent for exp(-a (log t)^(1/(k+1))) with a bootstrap
-    band, and the verdicts on the final distances and the exponent."""
+    band, and the verdicts on the final distances and the exponent: at
+    least ``min_passing`` replicas (by default all but one, and at least
+    one) must end within ``final_w2_bound``."""
     if not curves:
         raise InvalidInputError("need at least one replica")
     report = DiagnosticsReport(experiment="ergodicity")
@@ -262,8 +252,8 @@ def ergodicity_check(w: PotentialSpec, ts: np.ndarray, curves: list[tuple[int, l
         float(np.std(boots))))
 
     n_pass = int((finals <= final_w2_bound).sum())
-    if min_passing is None:
-        min_passing = len(curves) - 1
+    if min_passing is None:   # all but one replica, and at least one
+        min_passing = max(1, len(curves) - 1)
     report.verdicts.append((
         f"final w2 <= {final_w2_bound} for >= {min_passing} replicas",
         n_pass >= min_passing, float(n_pass - min_passing)))

@@ -21,7 +21,7 @@ Every self-driven path is a row of a replica ensemble: `simulate` and
 time, so ``simulate(..., replica=r)`` is row r of every ensemble, and a
 caller may simulate its replicas one at a time (`diagnose` does, one per
 task) or in blocks (`simulate` does, one per worker).  The ensemble keeps the sums of all R replicas as one (count, R)
-array that starts from the pre-history's sums, adds the dt-weighted powers
+array that starts from the start atom's sums, adds the dt-weighted powers
 dt y^j of the new positions to it each step, and takes its drift from one
 contraction per step; the occupation mass is the same for every replica.
 Each replica's increments are drawn into its row of the positions array,
@@ -35,11 +35,15 @@ t00 + t11 (x - mean)) the Euler scheme reduces to a scalar linear
 recursion in y = x - mean with the mean carried by the occupation mass; it
 is summed in closed form with blockwise scaled cumulative sums (`_ar1`)
 instead of stepped, which matches the stepped scheme to rounding; its
-means and then the centers are summed in place in the centers array.  A
-run from t = 0 has no pre-history: the Euler scheme is explicit, so its
-step 0 drifts against the start atom alone, W'(0) + V'(x0), and from
-t = dt on each row's pre-history is its own first position, of mass dt,
-with its sums still anchored at x0.
+means and then the centers are summed in place in the centers array.
+
+The occupation measure of a path is its own atoms.  A run from
+t_start > 0 starts it with one atom of mass t_start at x0, the start atom,
+which stands for the path's pre-history; a run from t = 0 has none: the
+Euler scheme is explicit, so its step 0 drifts against the start atom
+alone, W'(0) + V'(x0), and from t = dt on each row's occupation is its own
+positions from step 1 on, each of mass dt, with its sums still anchored at
+x0.
 
 Also here: the Ornstein-Uhlenbeck domination coupling; the contraction
 (Picard) bootstrap, which checks on a short interval the fixed-point
@@ -116,15 +120,17 @@ def _check_dt(w: PotentialSpec, cfg: SimConfig):
 class TrajectoryRecord:
     """One path with its occupation bookkeeping.
 
-    ``weights[i]`` is the occupation weight of the atom at ``times[i]``: the
-    pre-history block t_start for the first atom, dt for the rest (zero when
-    the run starts at t = 0, where there is no pre-history).
+    The occupation up to step i is the record's own atoms
+    ``positions[first:i + 1]`` with ``weights[first:i + 1]``: the start
+    atom, of mass t_start at x0 (``weights[0]``), then one atom of mass dt
+    per step.  A run from t = 0 has no start atom, so its occupation
+    begins at step 1 (`first`).
 
     The centers are held at their knots only: ``center_knots[k]`` is the
-    center at step k for k < ``center_first`` (step 0 of a run from t = 0,
-    the start atom's), then at steps center_first + m ``center_every``.
-    The steps between two knots take their linear interpolation and the
-    steps after the last knot its value, which `centers` rebuilds.
+    center at step k for k < `first` (step 0 of a run from t = 0, the
+    start atom's), then at steps first + m ``center_every``.  The steps
+    between two knots take their linear interpolation and the steps after
+    the last knot its value, which `centers` rebuilds.
     """
 
     config: SimConfig
@@ -134,30 +140,23 @@ class TrajectoryRecord:
     weights: np.ndarray
     center_knots: np.ndarray
     center_every: int = 1
-    center_first: int = 0
-    initial_occupation: ParticleMeasure | None = None
+
+    @property
+    def first(self) -> int:
+        """The step of the occupation's first atom: 0, the start atom, or 1
+        for a run from t = 0, which has none."""
+        return int(self.config.t_start == 0)
 
     def index_at(self, t: float) -> int:
         """Largest step index with times[index] <= t (+ tolerance)."""
         return int(np.searchsorted(self.times, t + 1e-12, side="right") - 1)
 
-    def prehistory(self) -> tuple[np.ndarray, np.ndarray]:
-        """Atoms and weights of the pre-history block: the warm-start
-        occupation scaled to mass weights[0] when one was supplied, otherwise
-        an atom of mass t_start at the starting point, and nothing for a run
-        from t = 0."""
-        if self.weights[0] == 0:
-            return self.positions[:0], self.weights[:0]
-        return _prehistory(self.positions[0], self.weights[0], self.initial_occupation)
-
     def occupation(self, upto: float | None = None) -> ParticleMeasure:
         """Normalized occupation measure of the path up to time ``upto``:
-        the pre-history block, then one atom of weight dt per step."""
+        the record's atoms from `first` on, with their weights."""
         i = self.times.size - 1 if upto is None else self.index_at(upto)
-        pre_pos, pre_w = self.prehistory()
-        pos = np.concatenate((pre_pos, self.positions[1:i + 1]))
-        w = np.concatenate((pre_w, self.weights[1:i + 1]))
-        return ParticleMeasure(pos, w / w.sum())
+        w = self.weights[self.first:i + 1]
+        return ParticleMeasure(self.positions[self.first:i + 1], w / w.sum())
 
     def power_sums_at(self, times, count: int) -> list[PowerSums]:
         """Power sums S_j, j < count, of the normalized occupation up to each
@@ -166,11 +165,11 @@ class TrajectoryRecord:
 
         The path atoms between consecutive times are summed as one segment
         (one `np.add.reduceat` per power) and the segments are cumulated on
-        top of the pre-history block, so no prefix occupation is built.
+        top of the start atom's sums, so no prefix occupation is built.
         """
         idx = np.array([self.index_at(t) for t in times])
         a = anchor(self.positions[:idx[-1] + 1])
-        pre_pos, pre_w = self.prehistory()
+        start = slice(0, 1 - self.first)      # the start atom; none from t = 0
         y = self.positions[1:idx[-1] + 1] - a
         bounds = np.concatenate(([0], idx))
         full = np.diff(bounds) > 0            # reduceat misreads empty segments
@@ -181,7 +180,8 @@ class TrajectoryRecord:
             seg[full, j] = np.add.reduceat(acc, bounds[:-1][full])
             if j + 1 < count:
                 acc = acc * y
-        sums = power_sums(pre_pos, pre_w, a, count) + self.config.dt * np.cumsum(seg, axis=0)
+        sums = (power_sums(self.positions[start], self.weights[start], a, count)
+                + self.config.dt * np.cumsum(seg, axis=0))
         if not np.all(sums[:, 0] > 0):
             raise InvalidInputError("the occupation is empty at the first time")
         return [PowerSums(a, row) for row in sums / sums[:, :1]]
@@ -203,7 +203,7 @@ class TrajectoryRecord:
         the stepper's arithmetic: j steps past knot k the center is
         slope j + c[k], slope = (c[k+1] - c[k]) / every, so the values
         are the ones it would have interpolated, bit for bit."""
-        c, every, first = self.center_knots, self.center_every, self.center_first
+        c, every, first = self.center_knots, self.center_every, self.first
         if every == 1:
             return c[steps]
         i = range(self.times.size)[steps]
@@ -295,15 +295,6 @@ def _check_finite(positions, first, origin, dt):
     step, where = _locate(origin, first + col, int(np.argmax(bad[:, col])), dt)
     raise NumericFailureError(f"path lost finiteness (explosion) at {where}; "
                               "check the step size against the potential", step=step)
-
-
-def _prehistory(x0: float, t_start: float,
-                initial_occupation: ParticleMeasure | None):
-    """Atoms and weights of the pre-history block of mass t_start."""
-    if initial_occupation is None:
-        return np.array([float(x0)]), np.array([t_start])
-    return (initial_occupation.positions,
-            initial_occupation.weights * (t_start / initial_occupation.total_mass))
 
 
 def _increments(cfg: SimConfig, n: int, replica: int, out=None) -> np.ndarray:
@@ -460,23 +451,20 @@ def _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y
 
 
 def simulate(w: PotentialSpec, x0: float, cfg: SimConfig,
-             v: PotentialSpec | None = None, replica: int = 0,
-             initial_occupation: ParticleMeasure | None = None) -> TrajectoryRecord:
+             v: PotentialSpec | None = None, replica: int = 0) -> TrajectoryRecord:
     """One path of the self-attracting diffusion.
 
-    The occupation measure starts as a pre-history block of mass t_start
-    (an atom at x0, or ``initial_occupation`` rescaled to that mass).  A run
-    from t = 0 has no pre-history, so it takes no ``initial_occupation``:
-    its first Euler step drifts against the start atom alone, and from
-    t = dt on the path's own first position is its pre-history.
+    The occupation measure starts as the start atom, of mass t_start at x0.
+    A run from t = 0 has none: its first Euler step drifts against the
+    start atom alone, and from t = dt on the path's own positions are its
+    occupation.
     """
     _check_dt(w, cfg)
-    return _simulate_replicas(w, x0, cfg, [replica], v, initial_occupation)[0]
+    return _simulate_replicas(w, x0, cfg, [replica], v)[0]
 
 
 def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
                       n_replicas: int, v: PotentialSpec | None = None,
-                      initial_occupation: ParticleMeasure | None = None,
                       first: int = 0) -> list[TrajectoryRecord]:
     """Replica ensemble with independent noise streams: replicas ``first``
     .. ``first + n_replicas - 1``, where replica r is the path
@@ -486,20 +474,19 @@ def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
     ``times`` and one read-only ``weights`` array and hold row views of one
     positions and one center knots array."""
     _check_dt(w, cfg)
-    return _simulate_replicas(w, x0, cfg, range(first, first + n_replicas), v,
-                              initial_occupation)
+    return _simulate_replicas(w, x0, cfg, range(first, first + n_replicas), v)
 
 
-def _simulate_replicas(w, x0, cfg, replicas, v, initial_occupation):
+def _simulate_replicas(w, x0, cfg, replicas, v):
     """Records of the given replica ids, each driven by its own noise row.
 
-    A run from t = 0 takes its first Euler step for every replica here: the
-    drift of step 0 is W'(0) + V'(x0), taken against the start atom, and
-    its center is that atom's.  From t = dt on, each row's pre-history is
-    its own first position, of mass dt, and its sums stay anchored at x0,
-    so a path without attraction keeps x0 as its center."""
-    if cfg.t_start == 0.0 and initial_occupation is not None:
-        raise InvalidInputError("a run from t = 0 has no pre-history to warm-start")
+    A run from t_start > 0 starts every row's sums at the start atom's,
+    t_start at its own anchor x0.  A run from t = 0 takes its first Euler
+    step for every replica here: the drift of step 0 is W'(0) + V'(x0),
+    taken against the start atom, and its center is that atom's.  From
+    t = dt on, each row's occupation is its own positions, the first of
+    mass dt, and its sums stay anchored at x0, so a path without attraction
+    keeps x0 as its center."""
     n, dt, R = cfg.n_steps, cfg.dt, len(replicas)
     T = convolution_matrix(w, 1)
     every = _CENTER_EVERY if T.shape[0] > 2 else 1   # a linear drift: every step
@@ -510,7 +497,7 @@ def _simulate_replicas(w, x0, cfg, replicas, v, initial_occupation):
         _increments(cfg, n, r, out=row[1:])
     if first:
         # step 0 against the start atom; the new positions in y = x - x0 and
-        # their dt-weighted powers are the pre-history of the steps after it
+        # their dt-weighted powers are the sums the steps after it start from
         drift = T[0, 0] if v is None else T[0, 0] + _horner(_v_gradient(v), x0)
         y = positions[:, 1] - drift * dt
         sums = np.cumprod([np.full(R, dt)] + [y] * (T.shape[0] - 1), axis=0)
@@ -518,19 +505,16 @@ def _simulate_replicas(w, x0, cfg, replicas, v, initial_occupation):
         positions[:, 0] = x0
         centers[:, 0] = x0 + _block_centers(T, atom[None], np.ones((1, 1)))[0]
     else:
-        pre = _prehistory(x0, cfg.t_start, initial_occupation)
-        sums = power_sums(*pre, float(x0), T.shape[0])[:, None]
-        y = 0.0
+        sums, y = cfg.t_start * np.eye(T.shape[0], 1), 0.0   # the start atom's sums
     _run_moments(T, v, x0, sums, positions[:, first:], centers[:, first:], dt,
                  (replicas, first, cfg.t_start), every, y0=y)
     times = cfg.t_start + dt * np.arange(n + 1)
-    # occupation weights: t_start for the pre-history, then dt; every
+    # occupation weights: t_start for the start atom, then dt; every
     # replica shares the one read-only array
     weights = np.full(n + 1, dt)
     weights[0] = cfg.t_start
     weights.flags.writeable = False
-    return [TrajectoryRecord(cfg, r, times, positions[k], weights, centers[k], every, first,
-                             initial_occupation=initial_occupation)
+    return [TrajectoryRecord(cfg, r, times, positions[k], weights, centers[k], every)
             for k, r in enumerate(replicas)]
 
 

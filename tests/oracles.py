@@ -2,7 +2,7 @@
 
 The full-history drift is the definition the running-moment simulator
 reproduces: the gradient of W summed over every past atom of the path, on
-the same noise and pre-history as `simulate`.  `loop_moment_columns` is
+the same noise and start atom as `simulate`.  `loop_moment_columns` is
 the column stepper's loop as first written, the bitwise reference for the
 stepper's per-call rewrites; `loop_center_tracks` runs the simulator with
 it to give every step's center as the stepper once stored it.  The tail
@@ -20,22 +20,23 @@ from selfattract.errors import NumericFailureError
 from selfattract.measures import GridDensity, center
 from selfattract.powersums import reanchor
 from selfattract.sde import (_CENTER_BLOCK, _CENTER_EVERY, _REANCHOR_RADIUS, _block_centers,
-                             _check_finite, _horner, _increments, _prehistory, _v_gradient)
+                             _check_finite, _horner, _increments, _v_gradient)
 
 
-def full_history_path(w, x0, cfg, v=None, replica=0, initial_occupation=None):
+def full_history_path(w, x0, cfg, v=None, replica=0):
     """Brute-force drift summed over every past atom, on the noise of
     ``simulate(..., replica=replica)``: the exactness oracle for the
     running-moment steppers.  With t_start > 0 the history starts with the
-    pre-history block; from t = 0 there is none, step 0 drifts against the
-    start atom alone and step i > 0 against the path's atoms 1..i.  Returns
+    start atom, of mass t_start at x0; from t = 0 there is none, step 0
+    drifts against the start atom alone and step i > 0 against the path's
+    atoms 1..i.  Returns
     positions and centers (n+1), the centers placed where the moment
     steppers place them and interpolated between."""
     n = cfg.n_steps
     dt = cfg.dt
     increments = _increments(cfg, n, replica)
-    if cfg.t_start > 0:
-        base_pos, base_w = _prehistory(x0, cfg.t_start, initial_occupation)
+    if cfg.t_start > 0:   # the start atom
+        base_pos, base_w = np.array([float(x0)]), np.array([cfg.t_start])
     else:
         base_pos, base_w = np.empty(0), np.empty(0)
     positions = np.empty(n + 1)
@@ -169,7 +170,7 @@ def loop_center_tracks(*args, **kwargs):
     with mock.patch.object(sde, "_run_moment_columns", stepper):
         records = sde.simulate_ensemble(*args, **kwargs)
     (full,) = tracks
-    first = records[0].center_first
+    first = records[0].first
     return np.hstack([[rec.center_knots[:first] for rec in records], full])
 
 

@@ -803,6 +803,17 @@ class TestCommands:
         assert (out / "diagnostics.jsonl").exists()
         assert (out / "diagnostics.txt").exists()
 
+    def test_diagnose_assert_fails_a_lone_replica_far_from_the_fixed_point(self, tmp_path,
+                                                                           capsys):
+        # the schema's one replica must itself end within W2 0.1 of the
+        # fixed point; at t = 30 it does not, as with two replicas
+        cfg = write(tmp_path / "d.cfg", "[sim]\nt_end = 30.0\n")
+        for replicas in ("1", "2"):
+            out = tmp_path / f"o{replicas}"
+            assert main(["--config", cfg, "--out", str(out), "--replicas", replicas,
+                         "--assert", "diagnose"]) == 1
+            assert "[FAIL] final w2 <= 0.1 for >= 1 replicas" in capsys.readouterr().out
+
     @pytest.mark.parametrize("t_end, reports", [
         (96.2, ["ergodicity"]),
         (96.2345, ["ergodicity"]),

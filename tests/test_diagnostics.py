@@ -7,11 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from selfattract import (InvalidInputError, NumericFailureError, ParticleMeasure,
-                         Schedule, SimConfig, TrajectoryRecord,
-                         counterexample_system, even_polynomial,
+from selfattract import (InvalidInputError, NumericFailureError, Schedule, SimConfig,
+                         TrajectoryRecord, counterexample_system, even_polynomial,
                          external_polynomial, gaussian_density, gibbs_map,
-                         quadratic_symmetric, recenter, simulate,
+                         quadratic_shifted, quadratic_symmetric, recenter, simulate,
                          simulate_ensemble, w2_distance, zero_interaction)
 from selfattract import diagnostics, workers
 from selfattract.diagnostics import (center_convergence, ergodicity_check,
@@ -51,13 +50,12 @@ class TestOneStepError:
         assert report.passed
 
     def test_stationary_frozen_windows_sit_at_monte_carlo_floor(self, quad):
-        # pre-history drawn from the fixed point, so every window samples the
-        # stationary law; errors sit at the ergodic-average scale and shrink
-        # with the window length roughly like its inverse square root
-        gen = make_rng(44)
-        warm = ParticleMeasure(gen.standard_normal(20_000), np.full(20_000, 5e-5))
+        # a heavy start atom at the fixed point's center holds the center
+        # there, so every window samples the stationary law; errors sit at
+        # the ergodic-average scale and shrink with the window length
+        # roughly like its inverse square root
         cfg = SimConfig(dt=0.01, t_end=1700.0, t_start=200.0, seed=9)
-        rec = simulate(quad, 0.0, cfg, initial_occupation=warm)
+        rec = simulate(quad, 0.0, cfg)
         sched = Schedule(n_start=35, n_end=140)
         report = one_step_error(quad, rec, sched)
         errors = np.array([v for _, _, v in report.series])
@@ -99,6 +97,16 @@ class TestCenterConvergence:
         report = center_convergence(medium_record, Schedule(n_start=4, n_end=46))
         assert report.passed
 
+    def test_shifted_attraction_fails_the_tail_sum(self):
+        # negative control: without V the shifted W pushes the center on
+        # like log t, so the increments' tail sum stays above the threshold
+        cfg = SimConfig(dt=0.01, t_end=2000.0, t_start=1.0, seed=2)
+        rec = simulate(quadratic_shifted(1.0), 0.0, cfg)
+        report = center_convergence(rec, Schedule(n_start=10, n_end=150))
+        (ok, margin), = [(ok, m) for name, ok, m in report.verdicts
+                         if name == "increment tail sum below threshold"]
+        assert not ok and margin < -0.4
+
     def test_counterexample_partial_sums_grow_like_log_t(self):
         # negative control: the shifted potential keeps pushing the center
         ts, _, cs = counterexample_system(2.2e4, 0.01, seed=5)
@@ -121,28 +129,40 @@ class TestErgodicity:
         fit = report.fits[0][1]
         assert fit["a"] > 0 and fit["ci_low"] > 0
 
-    def test_warm_start_stays_at_floor(self, quad):
-        gen = make_rng(12)
-        warm = ParticleMeasure(gen.standard_normal(50_000), np.full(50_000, 1.0))
-        cfg = SimConfig(dt=0.01, t_end=250.0, t_start=100.0, seed=21)
-        records = simulate_ensemble(quad, 0.0, cfg, 2, initial_occupation=warm)
-        rho = gaussian_density(0, 1, -8, 8, 1024)
-        report = ergodicity(quad, records, rho, final_w2_bound=0.1,
-                            min_passing=2, n_boot=50)
-        dists = [v for label, _, v in report.series if label.startswith("w2")]
-        assert max(dists) < 0.05
+    @pytest.mark.parametrize("noise_scale, failing", [
+        (2.0, "fitted decay exponent positive"),
+        (1.0, "final w2 <= 0.1 for >= 7 replicas")])
+    def test_the_shipped_run_with_the_wrong_noise_fails(self, quad, noise_scale, failing):
+        # negative controls: the shipped run's paths with a noise scale
+        # other than sqrt(2) settle at another law than the fixed point, so
+        # the named verdict fails (noise 2: the fit's bootstrap low is -0.23)
+        cfg = SimConfig(dt=0.01, t_end=5000.0, t_start=1.0, seed=55, noise_scale=noise_scale)
+        records = simulate_ensemble(quad, 0.0, cfg, 8)
+        report = ergodicity(quad, records, gaussian_density(0, 1, -8, 8, 2048))
+        verdicts = {name: (ok, margin) for name, ok, margin in report.verdicts}
+        ok, margin = verdicts[failing]
+        assert not ok and margin < 0
+
+    def test_one_replica_must_pass_the_final_w2(self, quad):
+        # by default all but one replica must end within the bound, and at
+        # least one: a lone replica that ends far from the fixed point fails
+        ts = np.array([2.0, 5.0, 10.0, 20.0])
+        far, near = [0.5, 0.4, 0.3, 0.2], [0.5, 0.3, 0.1, 0.05]
+        for curves, ok, margin in (([(0, far)], False, -1.0), ([(0, near)], True, 0.0),
+                                   ([(0, far), (1, near)], True, 0.0)):
+            report = ergodicity_check(quad, ts, curves, n_boot=10)
+            assert report.verdicts[0] == ("final w2 <= 0.1 for >= 1 replicas", ok, margin)
 
     def test_sorted_prefixes_match_per_checkpoint_occupations(self, quad):
         # each checkpoint's W2 comes from one sort of the whole path; it must
-        # equal W2 of that checkpoint's own occupation measure
-        gen = make_rng(13)
-        warm = ParticleMeasure(gen.standard_normal(300), gen.uniform(0.5, 1.0, 300))
+        # equal W2 of that checkpoint's own occupation measure: a start atom
+        # of mass 1 and of mass 5 (heavier than many path atoms), and none
         plain = simulate_ensemble(quad, 0.0, SimConfig(dt=0.01, t_end=80.0, seed=2), 1)
-        warmed = simulate_ensemble(quad, 0.0, SimConfig(dt=0.01, t_end=80.0, t_start=5.0,
-                                                        seed=3), 1, initial_occupation=warm)
+        heavy = simulate_ensemble(quad, 0.7, SimConfig(dt=0.01, t_end=80.0, t_start=5.0,
+                                                       seed=3), 1)
         from_zero = simulate(quad, 0.0, SimConfig(dt=1e-3, t_end=20.0, t_start=0.0, seed=4))
         rho = gaussian_density(0, 1, -8, 8, 512)
-        for rec in (plain[0], warmed[0], from_zero):
+        for rec in (plain[0], heavy[0], from_zero):
             report = ergodicity(quad, [rec], rho, min_passing=0, n_boot=10)
             series = [(t, v) for label, t, v in report.series if label.startswith("w2")]
             assert len(series) >= 10
@@ -153,35 +173,50 @@ class TestErgodicity:
     @pytest.mark.parametrize("chunk", [2, 97])
     def test_sorted_prefix_chunks_match_across_chunk_boundaries(self, quad, chunk,
                                                                monkeypatch):
-        # with chunks of 2 or 97 atoms, pre-history atoms, their ties with
-        # path atoms and the fixed point's knots fall on chunk boundaries
+        # with chunks of 2 or 97 atoms the start atom falls mid-chunk and on
+        # chunk boundaries; it ties with path atoms, and a record from t = 0
+        # has none
         monkeypatch.setattr(diagnostics, "_PREFIX_CHUNK", chunk)
-        gen = make_rng(31)
         cfg = SimConfig(dt=0.01, t_end=40.0, t_start=5.0, seed=7)
-        (rec,) = simulate_ensemble(quad, 0.0, cfg, 1,
-                                   initial_occupation=ParticleMeasure(np.zeros(1), np.ones(1)))
-        tied = rec.positions[1::23][:150]   # each equal to a path atom
-        warm = np.concatenate((tied, gen.standard_normal(150)))
-        rec = dataclasses.replace(rec, initial_occupation=ParticleMeasure(
-            warm, gen.uniform(0.5, 1.0, warm.size)))
+        (rec,) = simulate_ensemble(quad, 0.0, cfg, 1)
+        ts = diagnostics.checkpoints(cfg)
+        ranked = np.sort(rec.positions[1:rec.index_at(ts[-1]) + 1])
+
+        def starting_at(x0):   # the record with its start atom moved to x0
+            return dataclasses.replace(rec, positions=np.concatenate(([x0], rec.positions[1:])))
+
+        tied = rec.positions.copy()
+        tied[1::23] = tied[0]   # path atoms equal to the start atom
+        records = [dataclasses.replace(rec, positions=tied),
+                   # at the last checkpoint, rank 3 chunk opens a chunk and
+                   # rank 3 chunk + 1 is inside one
+                   starting_at(ranked[3 * chunk]),
+                   starting_at(ranked[3 * chunk + 1]),
+                   simulate(quad, 0.0, dataclasses.replace(cfg, t_start=0.0))]
         rho = gaussian_density(0, 1, -8, 8, 512)
-        ts = diagnostics.checkpoints(rec.config)
-        for t, chunks in zip(ts, diagnostics._sorted_prefixes(rec, ts)):
-            chunks = list(chunks)
-            assert all(pos.size == chunk for pos, _ in chunks[:-1])
-            occ = rec.occupation(t)
-            order = np.argsort(occ.positions, kind="stable")   # pre-history first
-            pos = np.concatenate([p for p, _ in chunks])
-            cum = np.concatenate([c for _, c in chunks])
-            assert np.array_equal(pos, occ.positions[order] - rec.center_at(t))
-            assert np.abs(cum - np.cumsum(occ.weights[order])).max() <= 1e-12
-            assert cum[-1] == 1.0
-        report = ergodicity(quad, [rec], rho, min_passing=0, n_boot=10)
-        series = [(t, v) for label, t, v in report.series if label.startswith("w2")]
-        assert len(series) == ts.size
-        for t, got in series:
-            want = w2_distance(recenter(rec.occupation(t), rec.center_at(t)), rho)
-            assert abs(got - want) <= 1e-12
+        ranks = set()
+        for rec in records:
+            ts = diagnostics.checkpoints(rec.config)
+            for t, chunks in zip(ts, diagnostics._sorted_prefixes(rec, ts)):
+                chunks = list(chunks)
+                assert all(pos.size == chunk for pos, _ in chunks[:-1])
+                occ = rec.occupation(t)
+                order = np.argsort(occ.positions, kind="stable")   # start atom first
+                pos = np.concatenate([p for p, _ in chunks])
+                cum = np.concatenate([c for _, c in chunks])
+                assert np.array_equal(pos, occ.positions[order] - rec.center_at(t))
+                assert np.abs(cum - np.cumsum(occ.weights[order])).max() <= 1e-12
+                assert cum[-1] == 1.0
+                if rec.first == 0:
+                    ranks.add(int(np.flatnonzero(order == 0)[0]) % chunk == 0)
+            report = ergodicity(quad, [rec], rho, min_passing=0, n_boot=10)
+            series = [(t, v) for label, t, v in report.series if label.startswith("w2")]
+            assert len(series) == ts.size
+            for t, got in series:
+                want = w2_distance(recenter(rec.occupation(t), rec.center_at(t)), rho)
+                assert abs(got - want) <= 1e-12
+        assert ranks == {True, False}
+        assert np.count_nonzero(records[0].positions == records[0].positions[0]) > 100
 
     @pytest.mark.parametrize("n", [1_000_000, 4_000_000], ids=["1M", "4M"])
     def test_prefix_pass_memory_is_its_sort_buffer_and_a_constant(self, n):
@@ -232,42 +267,38 @@ def test_report_jsonl_round_trips(quad, medium_record):
 
 
 def _records():
-    """A plain, a warm-started and a t = 0 record, short enough for oracles."""
+    """A plain record, one whose start atom of mass 5 away from the origin
+    outweighs its first 500 path atoms, and a t = 0 record, short enough
+    for oracles."""
     quad = quadratic_symmetric(1.0)
-    gen = make_rng(31)
-    warm = ParticleMeasure(gen.standard_normal(300), gen.uniform(0.5, 1.0, 300))
     return {
         "plain": simulate(quad, 0.0, SimConfig(dt=0.01, t_end=80.0, seed=2)),
-        "warm": simulate(quad, 0.0, SimConfig(dt=0.01, t_end=80.0, t_start=5.0, seed=3),
-                         initial_occupation=warm),
+        "heavy": simulate(quad, 0.7, SimConfig(dt=0.01, t_end=80.0, t_start=5.0, seed=3)),
         "from_zero": simulate(quad, 0.0, SimConfig(dt=1e-3, t_end=20.0, t_start=0.0,
                                                    seed=4)),
     }
 
 
 def _shifted(rec: TrajectoryRecord, s: float) -> TrajectoryRecord:
-    warm = rec.initial_occupation
-    if warm is not None:
-        warm = ParticleMeasure(warm.positions + s, warm.weights)
     return TrajectoryRecord(rec.config, rec.replica, rec.times, rec.positions + s,
-                            rec.weights, rec.center_track + s, initial_occupation=warm)
+                            rec.weights, rec.center_track + s)
 
 
 class TestPrefixSums:
     """The diagnostics read prefixes as sorted atoms and as power sums; both
     must equal what the prefix occupation measure gives."""
 
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_tied_atoms_match_occupation_w2(self, quad, warm):
+    @pytest.mark.parametrize("from_zero", [False, True])
+    def test_tied_atoms_match_occupation_w2(self, quad, from_zero):
         # positions on a 0.01 lattice: many path atoms tie with each other
-        # and with the pre-history atoms
-        gen = make_rng(32)
-        base = simulate(quad, 0.0, SimConfig(dt=0.01, t_end=60.0, t_start=4.0, seed=5))
-        pre = (ParticleMeasure(np.round(gen.standard_normal(200), 2),
-                               gen.uniform(0.5, 1.0, 200)) if warm else None)
+        # and with the start atom at 0, which has mass 4, or from t = 0 is
+        # not there
+        cfg = SimConfig(dt=0.01, t_end=60.0, t_start=0.0 if from_zero else 4.0, seed=5)
+        base = simulate(quad, 0.0, cfg)
         rec = TrajectoryRecord(base.config, 0, base.times, np.round(base.positions, 2),
-                               base.weights, base.center_track, initial_occupation=pre)
+                               base.weights, base.center_track)
         assert np.unique(rec.positions).size < rec.positions.size // 10
+        assert np.count_nonzero(rec.positions[1:] == rec.positions[0]) > 10
         rho = gaussian_density(0, 1, -8, 8, 512)
         report = ergodicity(quad, [rec], rho, min_passing=0, n_boot=10)
         series = [(t, v) for label, t, v in report.series if label.startswith("w2")]
@@ -276,7 +307,7 @@ class TestPrefixSums:
             want = w2_distance(recenter(rec.occupation(t), rec.center_at(t)), rho)
             assert abs(got - want) <= 1e-12
 
-    @pytest.mark.parametrize("name", ["plain", "warm", "from_zero"])
+    @pytest.mark.parametrize("name", ["plain", "heavy", "from_zero"])
     def test_power_sums_at_knots_match_occupation(self, name):
         rec = _records()[name]
         knots = [rec.times[0] + 0.5, 7.3, 12.0, 12.0, 19.999, rec.times[-1]]
@@ -294,7 +325,7 @@ class TestPrefixSums:
         (quadratic_symmetric(1.0), external_polynomial([0.3])),
     ])
     def test_gibbs_map_on_sums_matches_occupation(self, w, v):
-        rec = _records()["warm"]
+        rec = _records()["heavy"]
         for t, pre in zip((6.0, 30.0, 80.0), rec.power_sums_at((6.0, 30.0, 80.0), 5)):
             want = gibbs_map(w, rec.occupation(t), v=v)
             got = gibbs_map(w, pre, v=v)
@@ -318,7 +349,7 @@ class TestPrefixSums:
         report = one_step_error(quad, medium_record, Schedule(n_start=10, n_end=45))
         assert len(report.series) == 35
 
-    @pytest.mark.parametrize("name", ["plain", "warm"])
+    @pytest.mark.parametrize("name", ["plain", "heavy"])
     def test_series_are_translation_invariant(self, quad, name):
         rec = _records()[name]
         moved = _shifted(rec, 1000.0)
@@ -378,18 +409,17 @@ def _pool_sizes(monkeypatch) -> list[int]:
 class TestWorkerPool:
     @pytest.fixture(scope="class")
     def records(self):
+        # two records with a start atom of mass 5 and one from t = 0
         quad = quadratic_symmetric(1.0)
-        gen = make_rng(41)
-        warm = ParticleMeasure(gen.standard_normal(300), gen.uniform(0.5, 1.0, 300))
         cfg = SimConfig(dt=0.01, t_end=60.0, t_start=5.0, seed=17)
         plain = simulate_ensemble(quad, 0.0, cfg, 2)
-        warmed = simulate(quad, 0.0, cfg, replica=2, initial_occupation=warm)
-        return [*plain, warmed]
+        from_zero = simulate(quad, 0.0, dataclasses.replace(cfg, t_start=0.0), replica=2)
+        return [*plain, from_zero]
 
     def test_pooled_and_in_process_reports_are_identical(self, quad, records,
                                                          monkeypatch):
-        # chunks of 97 atoms: the warm record's 300 pre-history atoms fall
-        # across chunk boundaries in every worker
+        # chunks of 97 atoms: the start atoms fall at their own ranks in
+        # the chunks of every worker
         monkeypatch.setattr(diagnostics, "_PREFIX_CHUNK", 97)
         pools = _pool_sizes(monkeypatch)
         rho = gaussian_density(0, 1, -8, 8, 512)

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from selfattract import (GridDensity, ParticleMeasure, SimConfig, center,
-                         convolve_potential, dirac, even_polynomial, free_energy,
-                         frozen_energy_difference, gaussian_density, gibbs_map,
+                         convolve_potential, even_polynomial, external_polynomial,
+                         free_energy, frozen_energy_difference, gaussian_density, gibbs_map,
                          quadratic_shifted, quadratic_symmetric, simulate,
                          simulate_ensemble, zero_interaction)
+from selfattract import sde
 from selfattract.energy import interaction_energy
 from selfattract.powersums import convolution_matrix, power_sums, reanchor
 from conftest import make_rng
@@ -238,13 +239,18 @@ def test_energies_on_a_wide_grid_need_linear_memory():
 
 
 
-def test_reanchored_paths_match_the_full_history_oracle():
-    # the pre-history sits at 0 and the path starts at 4, so the center is
-    # far from the anchor x0 at the first recomputation and the sums re-anchor
-    w = even_polynomial([0.5, 0.25])
+def test_reanchored_paths_match_the_full_history_oracle(monkeypatch):
+    # V = x^2 / 2 pulls the path from x0 = 4 toward the origin, so the mean
+    # leaves the unit radius about the anchor x0 and the sums re-anchor
+    shifts = []
+    original = sde.reanchor
+    monkeypatch.setattr(sde, "reanchor",
+                        lambda sums, shift: shifts.append(shift) or original(sums, shift))
+    w, v = even_polynomial([0.5, 0.25]), external_polynomial([0.5])
     cfg = SimConfig(dt=0.01, t_end=6.0, t_start=1.0, seed=5)
-    single = simulate(w, 4.0, cfg, initial_occupation=dirac(0.0))
-    oracle, _ = full_history_path(w, 4.0, cfg, initial_occupation=dirac(0.0))
+    single = simulate(w, 4.0, cfg, v=v)
+    assert shifts
+    oracle, _ = full_history_path(w, 4.0, cfg, v=v)
     assert np.abs(single.positions - oracle).max() <= 1e-12
-    ensemble = simulate_ensemble(w, 4.0, cfg, 2, initial_occupation=dirac(0.0))
+    ensemble = simulate_ensemble(w, 4.0, cfg, 2, v=v)
     assert np.abs(ensemble[0].positions - single.positions).max() <= 1e-13

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from selfattract import rng
-from selfattract import (InvalidInputError, NumericFailureError, ParticleMeasure, SimConfig,
-                         counterexample_system, dirac,
+from selfattract import (InvalidInputError, NumericFailureError, SimConfig,
+                         counterexample_system,
                          even_polynomial, external_polynomial, ou_domination,
                          picard_bootstrap,
                          quadratic_shifted, quadratic_symmetric, simulate,
@@ -52,6 +52,27 @@ def short_cfg(**kw):
     return SimConfig(**base)
 
 
+def stepped_from(pre_pos, pre_w, w, x0, cfg, replicas, v=None):
+    """Positions and every-step centers (R, n+1) of the replicas' paths
+    from x0 whose sums start from the atoms ``pre_pos`` with weights
+    ``pre_w`` instead of the start atom: the `sde._run_moments` call of
+    `simulate` on those atoms' sums about x0 and each replica's noise."""
+    T = convolution_matrix(w, 1)
+    every = sde._CENTER_EVERY if T.shape[0] > 2 else 1   # as the simulator places them
+    n = cfg.n_steps
+    positions = np.empty((len(replicas), n + 1))
+    knots = np.empty((len(replicas), n // every + 1))
+    for row, r in zip(positions, replicas):
+        sde._increments(cfg, n, r, out=row[1:])
+    sums = power_sums(pre_pos, pre_w, x0, T.shape[0])[:, None]
+    sde._run_moments(T, v, x0, sums, positions, knots, cfg.dt, (replicas, 0, cfg.t_start),
+                     every)
+    times = cfg.t_start + cfg.dt * np.arange(n + 1)
+    tracks = [TrajectoryRecord(cfg, r, times, row, np.full(n + 1, cfg.dt), k, every).center_track
+              for r, row, k in zip(replicas, positions, knots)]
+    return positions, np.array(tracks)
+
+
 class TestSimulate:
     def test_running_moments_equal_full_history(self, quad):
         r1 = simulate(quad, 0.5, short_cfg())
@@ -82,19 +103,30 @@ class TestSimulate:
         with pytest.raises(InvalidInputError, match="at least one step"):
             SimConfig(dt=0.01, t_end=t_start + 0.004, t_start=t_start)
 
-    def test_noiseless_run_contracts_to_center(self, quad):
-        # pre-history sits at the origin, the path starts away from it
-        cfg = short_cfg(noise_scale=0.0, t_end=20.0, dt=1e-3)
-        rec = simulate(quad, 5.0, cfg, initial_occupation=dirac(0.0))
-        gap = np.abs(rec.positions - rec.center_track)
+    def test_noiseless_run_contracts_to_center(self, quad, monkeypatch):
+        # the first increment kicks the path from the start atom at 5 to the
+        # origin, and no noise follows: from step 1 on the path sits away
+        # from its center and contracts to it
+        def kick(cfg, n, replica, out=None):
+            out = np.empty(n) if out is None else out
+            out[:] = 0.0
+            out[0] = -5.0
+            return out
+
+        monkeypatch.setattr(sde, "_increments", kick)
+        cfg = short_cfg(t_end=20.0, dt=1e-3)
+        rec = simulate(quad, 5.0, cfg)
+        assert abs(rec.positions[1]) <= 1e-12
+        gap = np.abs(rec.positions - rec.center_track)[1:]
         assert np.all(np.diff(gap) <= 1e-12)
         assert gap[-1] < 1e-3 * gap[0]
 
     def test_noiseless_run_first_order_in_dt(self, quad):
+        # V = x^2 / 2 pulls the path from 5 toward the origin
         runs = {}
         for dt in (4e-3, 2e-3, 1e-3):
             cfg = short_cfg(noise_scale=0.0, dt=dt, t_end=3.0)
-            runs[dt] = simulate(quad, 5.0, cfg, initial_occupation=dirac(0.0))
+            runs[dt] = simulate(quad, 5.0, cfg, v=external_polynomial([0.5]))
         e1 = abs(runs[4e-3].positions[-1] - runs[1e-3].positions[-1])
         e2 = abs(runs[2e-3].positions[-1] - runs[1e-3].positions[-1])
         assert 1.3 <= e1 / e2 <= 3.5
@@ -139,14 +171,14 @@ class TestSimulate:
             assert np.abs(moments.center_track - centers).max() <= 1e-9
 
     def test_warm_start_occupation(self, quad):
-        gen = make_rng(8)
-        warm = ParticleMeasure(gen.standard_normal(4000), np.full(4000, 1 / 4000))
+        # a start at t_start = 50: the start atom keeps its place in the
+        # occupation and carries mass t_start / t_end
         cfg = SimConfig(dt=0.01, t_end=60.0, t_start=50.0, seed=31)
-        rec = simulate(quad, 0.0, cfg, initial_occupation=warm)
+        rec = simulate(quad, 0.0, cfg)
         occ = rec.occupation()
-        # the warm block keeps its atoms and carries mass t_start / t_end
-        assert occ.positions.size == 4000 + cfg.n_steps
-        assert occ.weights[:4000].sum() == pytest.approx(50.0 / 60.0, abs=1e-9)
+        assert occ.positions.size == 1 + cfg.n_steps
+        assert occ.positions[0] == 0.0
+        assert occ.weights[0] == pytest.approx(50.0 / 60.0, abs=1e-9)
         assert abs(occ.mean()) < 0.3
 
 
@@ -173,9 +205,10 @@ class TestEnsemble:
             assert np.array_equal(rec.center_track, single.center_track)
 
     def test_replicas_reanchor_at_different_steps(self, monkeypatch):
-        # the pre-history at 0 pulls every center away from the anchor
-        # x0 = 3 at once; under the weak attraction the centers then wander
-        # off on their own schedules, so later re-anchors move some columns
+        # sums that start from an atom at 0 pull every center away from the
+        # anchor x0 = 3 at once; under the weak attraction the centers then
+        # wander off on their own schedules, so later re-anchors move some
+        # columns, and each row is still the one-row run
         shifts = []
         original = sde.reanchor
 
@@ -186,12 +219,12 @@ class TestEnsemble:
         monkeypatch.setattr(sde, "reanchor", recording_reanchor)
         w = even_polynomial([0.05, 0.01])
         cfg = SimConfig(dt=0.01, t_end=101.0, t_start=1.0, seed=8)
-        ens = simulate_ensemble(w, 3.0, cfg, 4, initial_occupation=dirac(0.0))
+        ens, _ = stepped_from([0.0], [1.0], w, 3.0, cfg, range(4))
         partial = [s for s in shifts if s.ndim == 1 and (s == 0).any() and (s != 0).any()]
         assert partial
-        for r, rec in enumerate(ens):
-            single = simulate(w, 3.0, cfg, replica=r, initial_occupation=dirac(0.0))
-            assert np.array_equal(rec.positions, single.positions)
+        for r, row in enumerate(ens):
+            single, _ = stepped_from([0.0], [1.0], w, 3.0, cfg, [r])
+            assert np.array_equal(row, single[0])
 
     @pytest.mark.parametrize("w", [even_polynomial([0.5, 0.1]), quadratic_symmetric(1.0)],
                              ids=["quartic", "quadratic"])
@@ -248,24 +281,22 @@ class TestEnsemble:
     def test_block_centers_are_exact_and_independent_of_the_block_length(self, v,
                                                                         monkeypatch):
         # 301 knots: four full blocks of the default length and a partial one,
-        # with re-anchors as the mean leaves the warm start at 0 for x0 = 3
+        # with re-anchors as the mean leaves the atom at 0 the sums start
+        # from, for x0 = 3
         w = even_polynomial([0.5, 0.1])
         cfg = SimConfig(dt=0.01, t_end=31.0, t_start=1.0, seed=6)
-        ens = simulate_ensemble(w, 3.0, cfg, 3, v=v, initial_occupation=dirac(0.0))
+        positions, tracks = stepped_from([0.0], [1.0], w, 3.0, cfg, range(3), v=v)
         monkeypatch.setattr(sde, "_CENTER_BLOCK", 1)
-        for rec, one in zip(ens, simulate_ensemble(w, 3.0, cfg, 3, v=v,
-                                                   initial_occupation=dirac(0.0))):
-            assert np.array_equal(rec.positions, one.positions)
-            assert np.array_equal(rec.center_track, one.center_track)
+        one = stepped_from([0.0], [1.0], w, 3.0, cfg, range(3), v=v)
+        assert np.array_equal(positions, one[0])
+        assert np.array_equal(tracks, one[1])
         # at every knot the center is a root of W' * mu summed over the history
         g = np.polynomial.polynomial.polyder(w.poly1d_coefficients())
-        for rec in ens:
-            pre_pos, pre_w = rec.prehistory()
-            atoms = np.concatenate((pre_pos, rec.positions[1:]))
-            wts = np.concatenate((pre_w, rec.weights[1:]))
+        for row, track in zip(positions, tracks):
+            atoms = np.concatenate(([0.0], row[1:]))
+            wts = np.concatenate(([1.0], np.full(cfg.n_steps, cfg.dt)))
             for i in range(0, cfg.n_steps + 1, sde._CENTER_EVERY):
-                m = pre_w.size + i
-                assert abs(history_drift(g, atoms[:m], wts[:m], rec.center_track[i])) <= 1e-12
+                assert abs(history_drift(g, atoms[:i + 1], wts[:i + 1], track[i])) <= 1e-12
 
     def test_exploding_stepped_path_is_a_numeric_failure(self, monkeypatch):
         # a steep V overshoots from x0 = 30 at once; the stepper checks each
@@ -315,19 +346,6 @@ class TestEnsemble:
         ens = simulate_ensemble(quad, 0.0, short_cfg(), 2)
         assert np.abs(ens[0].positions - ens[1].positions).max() > 1e-3
 
-    def test_full_history_ensemble_keeps_warm_block(self, quad):
-        # every row of a warm-started ensemble is its replica's path under
-        # the drift summed over the warm block and the path's own atoms
-        warm = ParticleMeasure(make_rng(19).standard_normal(10) + 1.0, np.full(10, 0.1))
-        cfg = short_cfg(seed=41)
-        ens = simulate_ensemble(quad, 0.0, cfg, 2, initial_occupation=warm)
-        for r, rec in enumerate(ens):
-            positions, centers = full_history_path(quad, 0.0, cfg, replica=r,
-                                                   initial_occupation=warm)
-            assert rec.initial_occupation is warm
-            assert np.abs(rec.positions - positions).max() <= 1e-12
-            assert np.abs(rec.center_track - centers).max() <= 1e-12
-
     @pytest.mark.parametrize("w", [quadratic_symmetric(1.0), quadratic_symmetric(0.3),
                                    quadratic_shifted(1.0)],
                              ids=["unit", "weak", "shifted"])
@@ -335,13 +353,15 @@ class TestEnsemble:
     @pytest.mark.parametrize("warm", [False, True], ids=["atom", "warm"])
     def test_closed_form_matches_euler_loop(self, w, x0, warm):
         # the quadratic closed form sums the Euler recursion that the column
-        # stepper takes one step at a time, on the same noise
-        init = None
+        # stepper takes one step at a time, on the same noise, from the start
+        # atom's sums or from those of ten atoms about x0 of the same mass
+        cfg = SimConfig(dt=0.01, t_end=501.0, t_start=1.0, seed=58)
+        pre = [x0], [cfg.t_start]
         if warm:
             gen = make_rng(27)
-            init = ParticleMeasure(x0 + gen.standard_normal(10), gen.uniform(0.5, 1.0, 10))
-        cfg = SimConfig(dt=0.01, t_end=501.0, t_start=1.0, seed=58)
-        sums = power_sums(*sde._prehistory(x0, cfg.t_start, init), x0, 2)[:, None]
+            pos, wts = x0 + gen.standard_normal(10), gen.uniform(0.5, 1.0, 10)
+            pre = pos, wts * (cfg.t_start / wts.sum())
+        sums = power_sums(*pre, x0, 2)[:, None]
         T = convolution_matrix(w, 1)
         noise = np.stack([cfg.noise_scale * math.sqrt(cfg.dt)
                           * rng.normal_increments(cfg.seed, cfg.n_steps, r) for r in range(2)])
@@ -354,11 +374,13 @@ class TestEnsemble:
         assert summed[0].shape == (2, 50_001)
         for got, want in zip(summed, stepped):
             assert np.abs(got - want).max() <= 1e-11
+        if warm:
+            return
         # and against the full-history oracle on a short run (relative away
         # from the origin, where one ulp of x is 1e-13)
         short = SimConfig(dt=0.01, t_end=6.0, t_start=1.0, seed=58)
-        rec = simulate(w, x0, short, initial_occupation=init)
-        positions, centers = full_history_path(w, x0, short, initial_occupation=init)
+        rec = simulate(w, x0, short)
+        positions, centers = full_history_path(w, x0, short)
         assert np.abs(rec.positions - positions).max() <= 1e-12 * max(1.0, x0)
         assert np.abs(rec.center_track - centers).max() <= 1e-12 * max(1.0, x0)
 
@@ -433,8 +455,9 @@ class TestStrongOrder:
 
 class TestColumnStepper:
     # the stepper against the loop it replaced, on one set of increments:
-    # (W, V, x0, warm start, replicas, steps); 3 * 640 + 11 steps leave the
-    # last center block partial
+    # (W, V, x0, the atoms (positions, weights) the sums start from when not
+    # the start atom, replicas, steps); 3 * 640 + 11 steps leave the last
+    # center block partial
     CASES = {
         "zero-W": (zero_interaction(), external_polynomial([0.3]), 0.0, None, 3, 1931),
         "quadratic+V": (quadratic_symmetric(1.0), external_polynomial([0.3]), 0.5, None,
@@ -443,16 +466,16 @@ class TestColumnStepper:
         "quartic+V": (even_polynomial([0.5, 0.1]), external_polynomial([0.3]), 1.0, None,
                       4, 3 * 640 + 11),
         "degree-6": (even_polynomial([0.5, 0.1, 0.01]), None, 0.0, None, 3, 3 * 640 + 11),
-        "re-anchor": (even_polynomial([0.5, 0.1]), None, 3.0, dirac(0.0), 3, 1500),
+        "re-anchor": (even_polynomial([0.5, 0.1]), None, 3.0, ([0.0], [1.0]), 3, 1500),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_stepper_matches_the_loop_reference_bit_for_bit(self, case, monkeypatch):
-        w, v, x0, warm, R, n = self.CASES[case]
+        w, v, x0, pre, R, n = self.CASES[case]
         cfg = SimConfig(dt=0.01, t_end=1.0 + 0.01 * n, t_start=1.0, seed=11)
         assert cfg.n_steps == n
         T = convolution_matrix(w, 1)
-        sums = power_sums(*sde._prehistory(x0, cfg.t_start, warm), x0, T.shape[0])[:, None]
+        sums = power_sums(*(pre or ([x0], [cfg.t_start])), x0, T.shape[0])[:, None]
         increments = np.zeros((R, n + 1))
         for r in range(R):
             sde._increments(cfg, n, r, out=increments[r, 1:])
@@ -485,33 +508,34 @@ class TestColumnStepper:
         if case == "re-anchor":
             assert shifts and np.count_nonzero(shifts[0]) == R
 
-    # (W, V, x0, warm start, t_start, steps), none a multiple of 10 steps,
-    # so a tail is held after the last knot, and each ends in a partial
-    # block of knots: from t = 0 with V, whose knots start at step 1;
-    # degree 6; re-anchors as the mean leaves the warm start at 0
+    # (W, V, x0, t_start, steps), none a multiple of 10 steps, so a tail
+    # is held after the last knot, and each ends in a partial block of
+    # knots: from t = 0 with V, whose knots start at step 1; degree 6;
+    # re-anchors as V pulls the mean away from x0 = 3
     TRACKS = {
-        "t0+V": (even_polynomial([0.5, 0.1]), external_polynomial([0.3]), 0.5, None, 0.0,
+        "t0+V": (even_polynomial([0.5, 0.1]), external_polynomial([0.3]), 0.5, 0.0,
                  2 * 640 + 17),
-        "degree-6": (even_polynomial([0.5, 0.1, 0.01]), None, 0.0, None, 1.0, 3 * 640 + 7),
-        "re-anchor": (even_polynomial([0.5, 0.1]), None, 3.0, dirac(0.0), 1.0, 1503),
+        "degree-6": (even_polynomial([0.5, 0.1, 0.01]), None, 0.0, 1.0, 3 * 640 + 7),
+        "re-anchor": (even_polynomial([0.5, 0.1]), external_polynomial([0.3]), 3.0, 1.0,
+                      1503),
     }
 
     @pytest.mark.parametrize("case", TRACKS)
     def test_rebuilt_centers_are_the_interpolated_track_bit_for_bit(self, case, monkeypatch):
-        w, v, x0, warm, t_start, n = self.TRACKS[case]
+        w, v, x0, t_start, n = self.TRACKS[case]
         cfg = SimConfig(dt=0.01, t_end=t_start + 0.01 * n, t_start=t_start, seed=13)
         assert cfg.n_steps == n and n % sde._CENTER_EVERY
         shifts = []
         reanchor = sde.reanchor
         monkeypatch.setattr(sde, "reanchor",
                             lambda S, shift: shifts.append(shift) or reanchor(S, shift))
-        ens = simulate_ensemble(w, x0, cfg, 3, v=v, initial_occupation=warm)
+        ens = simulate_ensemble(w, x0, cfg, 3, v=v)
         assert bool(shifts) == (case == "re-anchor")
-        tracks = loop_center_tracks(w, x0, cfg, 3, v=v, initial_occupation=warm)
+        tracks = loop_center_tracks(w, x0, cfg, 3, v=v)
         first = int(t_start == 0)
         for rec, track in zip(ens, tracks):
             knots = rec.center_knots.size - first
-            assert (rec.center_every, rec.center_first) == (sde._CENTER_EVERY, first)
+            assert (rec.center_every, rec.first) == (sde._CENTER_EVERY, first)
             assert knots == (n - first) // sde._CENTER_EVERY + 1 and knots % sde._CENTER_BLOCK
             assert np.array_equal(rec.center_track, track)
             for steps in (slice(None, None, 26), slice(5, -3, 7), slice(n - 12, None)):
@@ -700,16 +724,6 @@ class TestPicardBootstrap:
             assert rec.positions[0] == x0
             assert np.abs(rec.positions - positions).max() <= 1e-12 * max(1.0, x0)
             assert np.abs(rec.center_track - centers).max() <= 1e-12 * max(1.0, x0)
-
-    @pytest.mark.parametrize("run", [
-        lambda w, cfg, occ: simulate(w, 0.0, cfg, initial_occupation=occ),
-        lambda w, cfg, occ: simulate_ensemble(w, 0.0, cfg, 2, initial_occupation=occ)],
-        ids=["simulate", "ensemble"])
-    def test_warm_start_at_zero_rejected(self, quad, run):
-        # at t = 0 the pre-history has no mass to carry a warm start
-        cfg = SimConfig(dt=1e-3, t_end=1.0, t_start=0.0, seed=3)
-        with pytest.raises(InvalidInputError, match="no pre-history"):
-            run(quad, cfg, dirac(3.0))
 
     def test_failures_from_a_zero_start_name_replica_round_sup_and_ratio(self, quad,
                                                                             monkeypatch):
