@@ -80,7 +80,7 @@ class FlowState:
     free_energy: EnergyBreakdown
     step_distance: float
     # the density read for the flow's W: a few floats, never its atoms
-    sums: DensitySums | None = field(default=None, repr=False, compare=False)
+    sums: DensitySums = field(repr=False, compare=False)
 
 
 @contextmanager
@@ -145,11 +145,11 @@ def mix_step(w: PotentialSpec, state: FlowState, lam: float, slack: float, time:
     rho, sums = state.density, state.sums
     if abs(state.center - 0.5 * (rho.lo + rho.hi)) > slack * 0.5 * (rho.hi - rho.lo):
         rho = _box_follows(rho, state.center)
-    if rho is not state.density or sums is None or sums.potential != w:
+    if rho is not state.density or sums.potential != w:
         sums = density_sums(w, rho)
     image = gibbs_map(w, sums, v=v, grid=rho)
     mixed = GridDensity.proportional_to(
-        rho.lo, rho.hi, (1.0 - lam) * rho.values + lam * image.values, trusted=True)
+        rho.lo, rho.hi, (1.0 - lam) * rho.values + lam * image.values)
     step = tp_distance_1d(w, rho, mixed)
     return _state(w, mixed, state.n + 1, time, step, v)
 

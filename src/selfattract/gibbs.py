@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NumericFailureError
 from .measures import (DensitySums, GridDensity, Measure, center, convolve_potential,
                        density_sums)
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, polynomial_derivative
 from .powersums import PowerSums
 from .transport import tp_distance_1d  # noqa: F401  (bench/tracer.py wraps it here)
 
@@ -46,7 +46,7 @@ def _exponent(w: PotentialSpec, v: PotentialSpec | None, m: PowerSums,
               xs: np.ndarray) -> np.ndarray:
     out = convolve_potential(w, m, xs)
     if v is not None:
-        out = out + np.polynomial.polynomial.polyval(xs, v.poly1d_coefficients())
+        out = out + polynomial_derivative(v.poly1d_coefficients(), xs)
     return out
 
 

@@ -10,7 +10,10 @@ reproducible bit for bit.
 Every object that depends on a measure -- W*m, its center, the Gibbs
 image, the interaction energy -- reads it through its power sums about an
 anchor, and `density_sums` is the one reader: it takes atoms or a grid
-density and returns those sums with the measure's mean and envelope norm.
+density and returns those sums with the measure's envelope norm.  The
+center is the root of W' * m that the path stepper's solver finds
+(`powersums.block_centers`), from the mean S1/S0 about the anchor, so it
+moves exactly with the measure.
 
 What a grid's box fixes under an envelope P -- its cell centers, P(|x|) at
 them, tp's envelope primitives at its edges and a potential V at its
@@ -21,8 +24,8 @@ keeps its normalized CDF once taken (`GridDensity.cdf`), its values turning
 read-only with it.  A flow step or a fixed-point iteration on a box that
 stands still therefore evaluates none of the box's geometry, V included,
 and takes one CDF, its mixture's.
-A density built from checked ones by a step -- a Gibbs image, a mixture --
-is not checked again (`GridDensity._view`).
+A density built from checked ones -- a Gibbs image, a mixture, a
+renormalized density -- is not checked again (`GridDensity._view`).
 """
 
 from __future__ import annotations
@@ -35,12 +38,10 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericFailureError
 from .potentials import PotentialSpec, as_envelope, polynomial_derivative
-from .powersums import PowerSums, anchor, convolution_matrix, power_sums
+from .powersums import PowerSums, anchor, block_centers, convolution_matrix, power_sums
 
 _MASS_TOL = 1e-9
 _BOX_CACHE = 1   # boxes whose geometry is kept: the one a flow or a fixed point is on
-_CENTER_TOL = 1e-10      # |W' * m| at which `center` stops
-_CENTER_MAX_ITER = 50    # Newton updates `center` takes before it fails
 
 
 @dataclass(frozen=True)
@@ -149,17 +150,16 @@ class GridDensity:
         return g
 
     @classmethod
-    def proportional_to(cls, lo: float, hi: float, values: np.ndarray,
-                        trusted: bool = False) -> "GridDensity":
-        """The density on [lo, hi] proportional to ``values``: the values
-        divided by their midpoint-rule mass, checked once, as the density
-        they make.  A mixture of densities is built this way, never as an
-        unnormalized density first; it passes ``trusted``, since only its
-        mass can fail, and is not checked again (`_view`)."""
+    def proportional_to(cls, lo: float, hi: float, values: np.ndarray) -> "GridDensity":
+        """The density on [lo, hi] proportional to ``values``, which come
+        from checked densities: the values divided by their midpoint-rule
+        mass.  Only the mass can fail, so it is checked and the density is
+        not (`_view`).  A mixture of densities is built this way, never as
+        an unnormalized density first."""
         m = float(values.sum() * ((hi - lo) / values.size))
         if not math.isfinite(m) or m <= 0:
             raise NumericFailureError("cannot normalize grid with non-finite or zero mass")
-        return (cls._view if trusted else cls)(lo, hi, values / m)
+        return cls._view(lo, hi, values / m)
 
     def normalized(self) -> "GridDensity":
         return GridDensity.proportional_to(self.lo, self.hi, self.values)
@@ -246,21 +246,15 @@ def gaussian_density(mean: float, sigma: float, lo: float, hi: float,
 class DensitySums(PowerSums):
     """A measure read once as weighted atoms for the potential W
     (`density_sums`): the atoms' `PowerSums` about their anchor, as many as
-    W's convolution reads and at least two, with what else the flow and the
-    Gibbs map read off the same atoms -- their own mean, from which `center`
-    starts Newton (`mean` returns it), and their envelope norm, which
+    W's convolution reads and at least two, with their envelope norm, which
     `gibbs_map` checks.  ``whole`` says the atoms are every cell of a grid:
     the sums are then also the cell sums about the grid's midpoint that the
     free energy reads.  `gibbs_map`, `center` and `convolve_potential` take
     it in place of the measure and give the same numbers bit for bit."""
 
     potential: PotentialSpec
-    atom_mean: float
     envelope_norm: float
     whole: bool
-
-    def mean(self) -> float:
-        return self.atom_mean
 
 
 def density_sums(p: PotentialSpec, m: Measure) -> DensitySums:
@@ -281,7 +275,7 @@ def density_sums(p: PotentialSpec, m: Measure) -> DensitySums:
             pos, env, w = pos[keep], env[keep], w[keep]
     a = anchor(pos)
     sums = power_sums(pos, w, a, max(2, convolution_matrix(p).shape[0]))
-    return DensitySums(a, sums, p, float(w @ pos) / float(sums[0]), float(w @ env),
+    return DensitySums(a, sums, p, float(w @ env),
                        isinstance(m, GridDensity) and pos.size == m.values.size)
 
 
@@ -289,15 +283,15 @@ def density_sums(p: PotentialSpec, m: Measure) -> DensitySums:
 # convolution, center, recentering
 
 
-def _expansion(p: PotentialSpec, m, order: int):
+def _sums(p: PotentialSpec, m, order: int):
     """The power sums of m -- read once (`density_sums`) unless they are
-    given as `PowerSums` -- and the ascending coefficients in y = x - a of
-    (d^order W * m)(x), a their anchor."""
+    given as `PowerSums` -- and p's order-``order`` convolution matrix T,
+    which reads the first T.shape[0] of them."""
     s = m if isinstance(m, PowerSums) else density_sums(p, m)
     T = convolution_matrix(p, order)
     if s.sums.size < T.shape[0]:
         raise InvalidInputError(f"W reads {T.shape[0]} power sums, got {s.sums.size}")
-    return s, T @ s.sums[:T.shape[0]]
+    return s, T
 
 
 def convolve_potential(p: PotentialSpec, m: Measure, x, order: int = 0):
@@ -305,32 +299,24 @@ def convolve_potential(p: PotentialSpec, m: Measure, x, order: int = 0):
     by the anchored power-sum expansion, exact for the polynomial families
     (midpoint quadrature for grids).  m may be a measure or its
     `PowerSums`."""
-    s, coeffs = _expansion(p, m, order)
+    s, T = _sums(p, m, order)
     x = np.asarray(x, dtype=float)
     if x.ndim == 1 and x.size == 1:
         x = x.reshape(())
-    out = polynomial_derivative(coeffs, x - s.anchor)
+    out = polynomial_derivative(T @ s.sums[:T.shape[0]], x - s.anchor)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def center(p: PotentialSpec, m: Measure) -> float:
-    """Unique root of W' * m; Newton from the mean with the exact derivative.
-
-    Works in y = x - a about the anchor a of the measure, on one expansion,
-    so the iteration is the same wherever the measure sits.  m may be a
-    measure or its `PowerSums`.
-    """
+    """Unique root of W' * m, found about the anchor a of m's power sums by
+    the path stepper's center solver (`powersums.block_centers`): Newton
+    from the mean S1/S0 until |W' * m| / mass <= 1e-12.  It reads m only
+    through those sums, so the center moves exactly with the measure.  m
+    may be a measure or its `PowerSums`."""
     if p.convexity_constant <= 0:
         raise InvalidInputError("center requires a uniformly convex potential")
-    s, grad = _expansion(p, m, 1)
-    a = s.anchor
-    c = s.mean() - a
-    for _ in range(_CENTER_MAX_ITER):
-        g = polynomial_derivative(grad, c)
-        if abs(g) <= _CENTER_TOL:
-            return float(a + c)
-        c = c - g / polynomial_derivative(grad, c, 1)
-    raise NumericFailureError(f"center Newton did not converge (|grad|={abs(g):.3e})")
+    s, T = _sums(p, m, 1)
+    return s.anchor + float(block_centers(T, s.sums[:T.shape[0]], s.sums[0]))
 
 
 def recenter(m: Measure, c) -> Measure:

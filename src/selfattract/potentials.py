@@ -114,22 +114,30 @@ def _poly1d(kind: str, coefficients: tuple[float, ...]) -> np.ndarray:
     return out
 
 
+def horner(c, y):
+    """The polynomial with ascending coefficients c -- a sequence of floats,
+    or of arrays side by side -- at y, by Horner's rule: numpy's polynomial
+    evaluation, multiply-add for multiply-add, without its per-call checks.
+    A constant c gives c[0] whatever y's shape."""
+    out = c[-1]
+    for ci in c[-2::-1]:
+        out = out * y + ci
+    return out
+
+
 def polynomial_derivative(coeffs, y, order: int = 0):
     """The order-th derivative at y (of y's shape) of the polynomial with
     ascending coefficients coeffs."""
-    c = np.asarray(coeffs, dtype=float)
+    c = derivative(np.asarray(coeffs, dtype=float), order)
+    return horner(c, y) if c.size > 1 else c[0] + 0.0 * y
+
+
+def derivative(c: np.ndarray, order: int = 1) -> np.ndarray:
+    """The ascending coefficients of the order-th derivative: `polyder`'s
+    products j * c[j], without its per-call overhead."""
     for _ in range(order):
-        c = _derivative(c)
-    return np.polynomial.polynomial.polyval(y, c)
-
-
-def _derivative(c: np.ndarray) -> np.ndarray:
-    """`polyder` of ascending coefficients, with the same products j * c[j]
-    but without its per-call overhead (Newton calls this on every
-    iteration)."""
-    if c.size == 1:
-        return np.zeros_like(c)
-    return c[1:] * np.arange(1.0, c.size)
+        c = c[1:] * np.arange(1.0, c.size) if c.size > 1 else np.zeros_like(c)
+    return c
 
 
 @dataclass(frozen=True)
@@ -184,8 +192,7 @@ def certify(p: PotentialSpec, sample_radius: float, n_samples: int = 512) -> Cer
     if p.kind != "quadratic-shifted":
         rs = np.abs(xs[xs != 0])
         if rs.size:
-            s_coeffs = _derivative(w)[1::2]
-            curvatures.append(np.polynomial.polynomial.polyval(rs * rs, s_coeffs).min())
+            curvatures.append(polynomial_derivative(derivative(w)[1::2], rs * rs).min())
     min_curv = float(min(curvatures))
     curvature_pass = p.convexity_constant > 0 and min_curv >= p.convexity_constant - 1e-9
 

@@ -11,6 +11,11 @@ built on them are translation-equivariant to rounding; raw sums about the
 origin are not.  Sums move from one anchor to another by an exact binomial
 re-anchor.
 
+The center of m under W, the root of W' * m, is one Newton solve on these
+sums (`block_centers`): about the anchor, from the mean S1/S0, stopping at
+|W' * m| / mass <= 1e-12.  The path stepper solves its center knots with it
+a block at a time, and `measures.center` solves a measure's center with it.
+
 The package implements d = 1 of the paper's R^d: the points are reals and
 the sums are arrays of shape (count,), or (count, R) for R measures side by
 side.
@@ -24,9 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import PotentialSpec
+from .errors import NumericFailureError
+from .potentials import PotentialSpec, derivative, horner
 
 _MATRIX_CACHE = 32   # convolution matrices kept, one per (potential, order)
+_NEWTON_ITERS = 60   # Newton updates a center gets before it fails
+_NEWTON_TOL = 1e-12  # |W' * m| / mass at which a center stops
 
 
 def anchor(x) -> float:
@@ -93,8 +101,7 @@ def convolution_matrix(p: PotentialSpec, order: int = 0) -> np.ndarray:
     `_MATRIX_CACHE` entries: every caller shares one matrix, so it is
     read-only, and a write raises ``ValueError``.
     """
-    g = np.polynomial.polynomial.polytrim(
-        np.polynomial.polynomial.polyder(p.poly1d_coefficients(), order))
+    g = np.polynomial.polynomial.polytrim(derivative(p.poly1d_coefficients(), order))
     L = g.size
     T = np.zeros((L, L))
     for i in range(L):
@@ -111,3 +118,42 @@ def interaction_form(p: PotentialSpec, sums_x: np.ndarray, sums_y: np.ndarray) -
     T = convolution_matrix(p)
     L = T.shape[0]
     return float(sums_x[:L] @ (T @ sums_y[:L]))
+
+
+def block_centers(T, S, mass, locate=None):
+    """The centers, roots in y of the drift polynomials T S / mass, of the
+    measures with power sums S about their anchors, T the order-1
+    `convolution_matrix`: S (count, K, R) and mass (K, 1) for a block of K
+    knots of R columns, or S (count,) and its mass for one measure, whose
+    center is then a scalar.  Zero without attraction, closed form for a
+    linear drift, Newton from each column's mean S1/S0 otherwise.  Every
+    operation is elementwise, a column stops at its own first iterate with
+    |g| <= `_NEWTON_TOL` and divides only while it moves, so its root does
+    not depend on the other columns or on the block length.
+
+    A column still above it after `_NEWTON_ITERS` updates raises
+    NumericFailureError naming the earliest such knot by ``locate(knot,
+    column)`` (a step and words; block indices without it) and its final
+    |g|."""
+    count = T.shape[0]
+    if count < 2:
+        return np.zeros_like(S[0])
+    b = [sum(t * s for t, s in zip(row, S)) / mass for row in T.tolist()]
+    if count == 2:
+        return -b[0] / b[1]
+    db = [k * b[k] for k in range(1, count)]
+    c = S[1] / S[0]
+    for it in range(_NEWTON_ITERS + 1):
+        g = horner(b, c)
+        moving = np.abs(g) > _NEWTON_TOL
+        if not moving.any():
+            return c
+        if it < _NEWTON_ITERS:
+            c = c - np.divide(g, horner(db, c), out=np.zeros_like(c), where=moving)
+    g, moving = np.atleast_2d(g, moving)   # one measure is knot 0, column 0
+    knot, col = (int(i) for i in np.argwhere(moving)[0])
+    step, where = (None, f"knot {knot}, column {col}") if locate is None else \
+        locate(knot, col)
+    raise NumericFailureError(
+        f"center Newton on power sums did not converge at {where}: "
+        f"|g| = {float(abs(g[knot, col]))!r} after {_NEWTON_ITERS} iterations", step=step)

@@ -27,8 +27,9 @@ contraction per step; the occupation mass is the same for every replica.
 Each replica's increments are drawn into its row of the positions array,
 which the stepper overwrites step by step.  The center of
 W' * mu feeds nothing back into the drift, so the stepper only copies the
-sums at each center knot and solves a block of knots at once, by Newton
-from each column's running mean; a path holds its positions and these
+sums at each center knot and solves a block of knots at once with the
+package's one center solver (`powersums.block_centers`), by Newton from
+each column's running mean; a path holds its positions and these
 center knots, and its record rebuilds the centers between knots by linear
 interpolation when they are read.  For quadratic W without V (drift
 t00 + t11 (x - mean)) the Euler scheme reduces to a scalar linear
@@ -62,8 +63,9 @@ import numpy as np
 from . import rng
 from .errors import InvalidInputError, NumericFailureError
 from .measures import ParticleMeasure
-from .potentials import PotentialSpec
-from .powersums import PowerSums, anchor, convolution_matrix, power_sums, reanchor
+from .potentials import PotentialSpec, derivative, horner, polynomial_derivative
+from .powersums import (PowerSums, anchor, block_centers, convolution_matrix, power_sums,
+                        reanchor)
 
 try:   # the C einsum that np.einsum calls, without its per-call Python layers
     from numpy._core.multiarray import c_einsum as _c_einsum
@@ -74,8 +76,6 @@ _SQRT2 = math.sqrt(2.0)
 _REANCHOR_RADIUS = 1.0   # the anchor follows the mean once it is this far
 _CENTER_EVERY = 10       # steps between Newton centers of a nonlinear drift
 _CENTER_BLOCK = 64       # center knots the column stepper solves at once
-_NEWTON_ITERS = 60       # Newton updates a center knot gets before it fails
-_NEWTON_TOL = 1e-12      # |drift| at which a center knot stops
 _BOOTSTRAP_TOL = 1e-10   # sup distance between Picard rounds that ends the bootstrap
 _BOOTSTRAP_MAX_ROUNDS = 80   # Picard rounds before the bootstrap fails
 _BOOTSTRAP_MAX_RATIO = 0.9   # a Picard round shrinking the sup distance less fails
@@ -225,50 +225,9 @@ class TrajectoryRecord:
 #
 # grad(W * mu)(a + y) = sum_i b_i y^i with b = T S / S_0, T the order-1
 # convolution matrix of `powersums` and S the weighted power sums of mu
-# about the anchor a.  `_horner` takes b as a sequence of floats (one
-# drift) or of arrays (columns side by side).
-
-
-def _horner(b, y):
-    out = b[-1]
-    for bi in b[-2::-1]:
-        out = out * y + bi
-    return out
-
-
-def _block_centers(T, S, mass, locate=None):
-    """Roots in y of the drift polynomials T S / mass of a block of knots,
-    S (K, count, R) and mass (K, 1): zero without attraction, closed form
-    for a linear drift, Newton from each column's running mean S1/S0
-    otherwise.  Every operation is elementwise, a column stops at its own
-    first iterate with |g| <= `_NEWTON_TOL` and divides only while it moves,
-    so its root does not depend on the other columns or on the block length.
-
-    A column still above it after `_NEWTON_ITERS` updates raises
-    NumericFailureError naming the earliest such knot by ``locate(knot,
-    column)`` (`_locate`'s step and words; block indices without it) and
-    its final |g|."""
-    count = T.shape[0]
-    if count < 2:
-        return np.zeros((S.shape[0], S.shape[2]))
-    b = [sum(T[i, j] * S[:, j] for j in range(count)) / mass for i in range(count)]
-    if count == 2:
-        return -b[0] / b[1]
-    db = [k * b[k] for k in range(1, count)]
-    c = S[:, 1] / S[:, 0]
-    for it in range(_NEWTON_ITERS + 1):
-        g = _horner(b, c)
-        moving = np.abs(g) > _NEWTON_TOL
-        if not moving.any():
-            return c
-        if it < _NEWTON_ITERS:
-            c = c - np.divide(g, _horner(db, c), out=np.zeros_like(c), where=moving)
-    knot, col = (int(i) for i in np.argwhere(moving)[0])
-    step, where = (None, f"knot {knot}, column {col}") if locate is None else \
-        locate(knot, col)
-    raise NumericFailureError(
-        f"center Newton on running moments did not converge at {where}: "
-        f"|g| = {float(abs(g[knot, col]))!r} after {_NEWTON_ITERS} iterations", step=step)
+# about the anchor a.  `potentials.horner` evaluates it, for one drift or
+# for columns side by side, and `powersums.block_centers` finds its roots,
+# the centers, as `measures.center` does for a measure.
 
 
 def _locate(origin, step, row, dt):
@@ -308,8 +267,7 @@ def _increments(cfg: SimConfig, n: int, replica: int, out=None) -> np.ndarray:
 
 def _v_gradient(v: PotentialSpec | None):
     """Coefficients of V' as a list of floats, or None without V."""
-    return None if v is None else \
-        np.polynomial.polynomial.polyder(v.poly1d_coefficients()).tolist()
+    return None if v is None else derivative(v.poly1d_coefficients()).tolist()
 
 
 def _step_driven(B, a, x, noise, dts):
@@ -319,7 +277,7 @@ def _step_driven(B, a, x, noise, dts):
     out = np.empty(len(noise) + 1)
     out[0] = x
     for k, (b, xi, h) in enumerate(zip(B.T.tolist(), noise.tolist(), dts.tolist()), 1):
-        x = x - _horner(b, x - a) * h + xi
+        x = x - horner(b, x - a) * h + xi
         out[k] = x
     return out
 
@@ -375,14 +333,15 @@ def _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y
 
     The center of W' * mu feeds nothing back into the drift.  Every
     ``every`` steps the loop copies (S, mass, anchor) into a buffer of
-    `_CENTER_BLOCK` knots and solves a full buffer at once (`_block_centers`)
-    into the next columns of ``centers`` (R, n // every + 1), after it
-    checks the block's positions for finiteness.  The steps between knots
-    are not written: `TrajectoryRecord.centers` interpolates them when they
-    are read.  Once a column's running mean S1/S0 leaves the unit radius, its
-    anchor moves onto that mean, with an exact re-anchor of its sums, before
-    the next position is stored.  Writes the positions (R, n+1) and the
-    center knots in x.
+    `_CENTER_BLOCK` knots, its sums (count, `_CENTER_BLOCK`, R), and solves
+    a full buffer at once (`powersums.block_centers`) into the next columns
+    of ``centers`` (R, n // every + 1), after it checks the block's
+    positions for finiteness.  The steps between knots are not written:
+    `TrajectoryRecord.centers` interpolates them when they are read.  Once
+    a column's running mean S1/S0 leaves the unit radius, its anchor moves
+    onto that mean, with an exact re-anchor of its sums, before the next
+    position is stored.  Writes the positions (R, n+1) and the center knots
+    in x.
     """
     count = T.shape[0]
     R, n = positions.shape[0], positions.shape[1] - 1
@@ -390,7 +349,7 @@ def _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y
     S = np.broadcast_to(sums, (count, R)).copy()
     a = np.full(R, float(x0))
     vg = _v_gradient(v)
-    knot_S = np.empty((_CENTER_BLOCK, count, R))
+    knot_S = np.empty((count, _CENTER_BLOCK, R))
     knot_mass = np.empty((_CENTER_BLOCK, 1))
     knot_a = np.empty((_CENTER_BLOCK, R))
     k = done = 0                       # knots in the buffer, knots solved
@@ -426,7 +385,7 @@ def _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y
             add(S, powers, S)
             mass += dt
         if i % every == 0:
-            knot_S[k], knot_mass[k], knot_a[k] = S, mass, a
+            knot_S[:, k], knot_mass[k], knot_a[k] = S, mass, a
             k += 1
             if count > 1:
                 mean = S1 / S0
@@ -435,15 +394,15 @@ def _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y
                     shift = mean * far
         if k == _CENTER_BLOCK or i == n:
             _check_finite(positions[:, checked:i + 1], checked, origin, dt)
-            centers[:, done:done + k] = (_block_centers(
-                T, knot_S[:k], knot_mass[:k],
+            centers[:, done:done + k] = (block_centers(
+                T, knot_S[:, :k], knot_mass[:k],
                 lambda j, r: _locate(origin, (done + j) * every, r, dt)) + knot_a[:k]).T
             k, done, checked = 0, done + k, i + 1
         if i < n:
             einsum("ij,jr,ir->r", T, S, powers, out=d)
             divide(d, mass, d)
             if vg is not None:
-                d += _horner(vg, y + a) * dt
+                d += horner(vg, y + a) * dt
     # back from y to x, one anchor segment (start index, anchors) at a time
     segments.append((n + 1, None))
     for (start, a_seg), (stop, _) in zip(segments, segments[1:]):
@@ -498,12 +457,12 @@ def _simulate_replicas(w, x0, cfg, replicas, v):
     if first:
         # step 0 against the start atom; the new positions in y = x - x0 and
         # their dt-weighted powers are the sums the steps after it start from
-        drift = T[0, 0] if v is None else T[0, 0] + _horner(_v_gradient(v), x0)
+        drift = T[0, 0] if v is None else T[0, 0] + horner(_v_gradient(v), x0)
         y = positions[:, 1] - drift * dt
         sums = np.cumprod([np.full(R, dt)] + [y] * (T.shape[0] - 1), axis=0)
         atom = np.eye(T.shape[0], 1)   # the sums of a unit atom at x0
         positions[:, 0] = x0
-        centers[:, 0] = x0 + _block_centers(T, atom[None], np.ones((1, 1)))[0]
+        centers[:, 0] = x0 + block_centers(T, atom, 1.0)
     else:
         sums, y = cfg.t_start * np.eye(T.shape[0], 1), 0.0   # the start atom's sums
     _run_moments(T, v, x0, sums, positions[:, first:], centers[:, first:], dt,
@@ -741,8 +700,7 @@ def _rounds(sups, ratio):
 
 def _lipschitz_radius2(w: PotentialSpec) -> float:
     xs = np.linspace(-2.0, 2.0, 2001)
-    h = np.polynomial.polynomial.polyval(xs, np.polynomial.polynomial.polyder(
-        w.poly1d_coefficients(), 2))
+    h = polynomial_derivative(w.poly1d_coefficients(), xs, 2)
     return float(np.abs(h).max())
 
 

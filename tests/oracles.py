@@ -18,9 +18,10 @@ import numpy as np
 from selfattract import sde
 from selfattract.errors import NumericFailureError
 from selfattract.measures import GridDensity, center
-from selfattract.powersums import reanchor
-from selfattract.sde import (_CENTER_BLOCK, _CENTER_EVERY, _REANCHOR_RADIUS, _block_centers,
-                             _check_finite, _horner, _increments, _v_gradient)
+from selfattract.potentials import horner
+from selfattract.powersums import block_centers, reanchor
+from selfattract.sde import (_CENTER_BLOCK, _CENTER_EVERY, _REANCHOR_RADIUS, _check_finite,
+                             _increments, _v_gradient)
 
 
 def full_history_path(w, x0, cfg, v=None, replica=0):
@@ -135,8 +136,8 @@ def loop_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y
             _check_finite(positions[:, checked:i + 1], checked, origin, dt)
             last = i - i % every   # the block's last knot; it holds k of them
             first = last - (k - 1) * every
-            centers[:, first:last + 1:every] = (
-                _block_centers(T, knot_S[:k], knot_mass[:k]) + knot_a[:k]).T
+            centers[:, first:last + 1:every] = (block_centers(
+                T, np.moveaxis(knot_S[:k], 1, 0), knot_mass[:k]) + knot_a[:k]).T
             lo = max(first - every, 0)   # the previous block's last knot
             slope = (centers[:, lo + every:last + 1:every] - centers[:, lo:last:every]) / every
             for j in range(1, every):
@@ -146,7 +147,7 @@ def loop_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y
         if i < n:
             d = np.einsum("ij,jr,ir->r", T, S, powers) / mass
             if vg is not None:
-                d += _horner(vg, y + a) * dt
+                d += horner(vg, y + a) * dt
     # back from y to x, one anchor segment (start index, anchors) at a time
     segments.append((n + 1, None))
     for (start, a_seg), (stop, _) in zip(segments, segments[1:]):
@@ -190,7 +191,7 @@ def history_drift(g, pos, wts, c):
 
 def history_center(g, pos, wts, c, tol=1e-12, max_iter=60):
     """Root of `history_drift` in c by Newton from c (the stopping rule of
-    `sde._block_centers`)."""
+    `powersums.block_centers`)."""
     h = np.polynomial.polynomial.polyder(g)
     for _ in range(max_iter):
         val = history_drift(g, pos, wts, c)

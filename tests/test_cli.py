@@ -496,6 +496,22 @@ class TestCommands:
         dens = load_measure(tmp_path / "p/density.csv")
         assert abs(dens.mean() - 1000.0) <= 1e-6
 
+    @pytest.mark.parametrize("position", ["1000.0", "100000.0"])
+    @pytest.mark.parametrize("w", ["quadratic", "quartic"])
+    def test_far_atom_flow_centers_are_its_position_exactly(self, tmp_path, position, w):
+        # without V the flow's center is the atom's position; the center is
+        # solved about the measure's anchor, so it carries the shift exactly
+        text = self.SHIPPED_FLOW.read_text().replace("position = 0.0\n",
+                                                     f"position = {position}\n")
+        if w == "quartic":
+            text = text.replace("kind = quadratic-symmetric\ncoefficients = 1.0\n",
+                                "kind = even-polynomial\ncoefficients = 0.5 0.1\n")
+        assert f"position = {position}\n" in text and ("0.5 0.1" in text) == (w == "quartic")
+        cfg = write(tmp_path / "a.cfg", text)
+        assert main(["--config", cfg, "--out", str(tmp_path / "f"), "flow"]) == 0
+        trace = np.genfromtxt(tmp_path / "f/flow.csv", delimiter=",", names=True)
+        assert trace.size == 400 and np.all(trace["center"] == float(position))
+
     def test_csv_rows_end_in_newline_alone(self, tmp_path):
         sim = write(tmp_path / "s.cfg", "[sim]\ndt = 0.01\nt_end = 5.0\nseed = 7\n")
         flow = write(tmp_path / "f.cfg",

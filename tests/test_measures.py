@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from selfattract import (GridDensity, InvalidInputError, NumericFailureError,
                          even_polynomial, free_energy, gaussian_density, gibbs_map,
                          quadratic_shifted, quadratic_symmetric, recenter,
                          smooth, tp_distance_1d, uniform_density)
+from selfattract import powersums
 from selfattract.measures import box_geometry, density_sums
 from selfattract.potentials import as_envelope
 from conftest import make_rng, random_atoms
-from oracles import tail_certificate
+from oracles import history_drift, tail_certificate
 
 
 def halves(a=-1.0, b=1.0):
@@ -61,6 +63,34 @@ class TestCenter:
             m = random_atoms(gen)
             c = center(quad, m)
             assert center(quad, recenter(m, c)) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("w", [quadratic_symmetric(1.0), even_polynomial([0.5, 0.1]),
+                                   even_polynomial([0.5, 0.1, 0.02])],
+                             ids=["quadratic", "quartic", "sextic"])
+    def test_center_stops_within_the_newton_tolerance(self, w):
+        # |W' * m| / mass <= 1e-12 at the center, summed atom by atom, for
+        # measures of mass 1 to 7 about 0 and about 40
+        gen = make_rng(5)
+        g = np.polynomial.polynomial.polyder(w.poly1d_coefficients())
+        for k in range(20):
+            m = random_atoms(gen)
+            pos, wts = m.positions + 40.0 * (k % 2), m.weights * (1 + k % 7)
+            c = center(w, ParticleMeasure(pos, wts))
+            assert abs(history_drift(g, pos, wts, c)) <= 1e-12
+
+    def test_newton_failure_names_its_residual_and_iterations(self, monkeypatch):
+        # one Newton update from the mean leaves a skewed measure under a
+        # quartic W short of the tolerance
+        w = even_polynomial([0.5, 0.1])
+        m = ParticleMeasure(np.array([0.0, 3.0]), np.array([0.9, 0.1]))
+        c = center(w, m)
+        monkeypatch.setattr(powersums, "_NEWTON_ITERS", 1)
+        with pytest.raises(NumericFailureError, match="center Newton") as err:
+            center(w, m)
+        found = re.search(r"\|g\| = (\S+) after 1 iterations", str(err.value))
+        assert found and float(found[1]) > 1e-12
+        assert abs(history_drift(np.polynomial.polynomial.polyder(w.poly1d_coefficients()),
+                                 m.positions, m.weights, c)) <= 1e-12
 
     def test_center_lipschitz_via_translation_distance(self, quad):
         # |c1 - c2| <= min(P(|c1|), P(|c2|)) / C_W * tp(m1, m2)
@@ -187,7 +217,8 @@ class TestDensitySums:
              else gaussian_density(1.3, 1.0, -6.5, 9.5, 512))
         read, atoms = density_sums(w, g), grid_atoms(g)
         assert read.whole == (start == "full")
-        assert read.mean() == atoms.mean()
+        # the mean of the sums about their anchor: the atoms' to rounding
+        assert read.mean() == pytest.approx(atoms.mean(), rel=0, abs=1e-15)
         by_atoms = density_sums(w, atoms)
         assert (by_atoms.anchor, by_atoms.mean(), by_atoms.envelope_norm) == \
             (read.anchor, read.mean(), read.envelope_norm)

@@ -30,6 +30,20 @@ def test_evaluate_even_polynomial_gradient():
     assert derivative(w, 1.0, 1) == pytest.approx(2.0, abs=1e-14)
 
 
+def test_horner_is_numpy_polynomial_evaluation_bit_for_bit():
+    # the package's one evaluator takes numpy's multiply-adds in numpy's
+    # order, so swapping it in moves no bit; a constant keeps y's shape
+    poly = np.polynomial.polynomial
+    gen = np.random.default_rng(4)
+    for _ in range(500):
+        c = gen.normal(size=int(gen.integers(1, 9))) * 10.0 ** gen.integers(-3, 4)
+        y = gen.normal(size=int(gen.integers(1, 40))) * 10.0 ** gen.integers(-2, 3)
+        for order in range(3):
+            want = poly.polyval(y, poly.polyder(c, order))
+            got = polynomial_derivative(c, y, order)
+            assert got.shape == y.shape and np.array_equal(got, want)
+
+
 @given(st.floats(-3.0, 3.0), st.sampled_from([1, 2]))
 @settings(max_examples=60, deadline=None)
 def test_evaluate_derivatives_match_finite_differences(x, order):

@@ -13,7 +13,7 @@ from selfattract import (InvalidInputError, NumericFailureError, SimConfig,
                          picard_bootstrap,
                          quadratic_shifted, quadratic_symmetric, simulate,
                          simulate_ensemble, TrajectoryRecord, zero_interaction)
-from selfattract import sde
+from selfattract import powersums, sde
 from selfattract.powersums import anchor, convolution_matrix, power_sums
 from conftest import make_rng
 from oracles import full_history_path, history_drift, loop_center_tracks, loop_moment_columns
@@ -335,9 +335,9 @@ class TestEnsemble:
         # column is done at once and must not divide while the other moves
         T = convolution_matrix(even_polynomial([0.0, 0.1]), 1)
         S = np.stack([power_sums([0.0], [1.0], 0.0, 4),
-                      power_sums([0.0, 1.0], [0.8, 0.2], 0.0, 4)], axis=1)[None]
+                      power_sums([0.0, 1.0], [0.8, 0.2], 0.0, 4)], axis=1)[:, None]
         with np.errstate(all="raise"):
-            c = sde._block_centers(T, S, np.ones((1, 1)))
+            c = powersums.block_centers(T, S, np.ones((1, 1)))
         assert c[0, 0] == 0.0
         assert abs(history_drift([0, 0, 0, 0.4], np.array([0.0, 1.0]),
                                  np.array([0.8, 0.2]), c[0, 1])) <= 1e-12
@@ -581,7 +581,7 @@ class TestColumnStepper:
             row = int(np.argmax(residuals[:, knot] > 1e-12))
             assert knot > 0 and residuals[:, :knot].max() <= 1e-13
             with monkeypatch.context() as m:
-                m.setattr(sde, "_NEWTON_ITERS", 1)
+                m.setattr(powersums, "_NEWTON_ITERS", 1)
                 with pytest.raises(NumericFailureError, match="center Newton") as err:
                     run()
             found = re.search(r"at step (\d+), t = (\S+), replica (\d+): \|g\| = (\S+) "
