@@ -137,6 +137,29 @@ def _cmd_compare(cfg: ExperimentConfig, out: None, args) -> int:
     return 0
 
 
+def _diagnose_covers(cfg: ExperimentConfig) -> bool:
+    """Whether the paths cover the schedule, so that `diagnose` reports
+    replica 0's one-step error and center convergence over its windows.
+    A config the comparison cannot hold for is an error before any work:
+    a noise scale other than sqrt(2), the one at which the Gibbs map is
+    the SDE's invariant law, and a covered schedule of one window, too few
+    for the error's slope or a change in the oscillations."""
+    noise, sched = cfg.sim.noise_scale, cfg.schedule
+    if not math.isclose(noise * noise / 2, 1.0, rel_tol=1e-12):
+        raise InvalidInputError(
+            f"[sim] noise_scale = {noise!r} sets the temperature noise_scale^2 / 2 = "
+            f"{noise * noise / 2!r}; diagnose compares the paths with the Gibbs map at "
+            "temperature 1, their invariant law only at noise_scale = sqrt(2)")
+    covered = (sched.time(sched.n_end) <= cfg.sim.t_last + 1e-9
+               and sched.time(sched.n_start) >= cfg.sim.t_start)
+    if covered and sched.n_end - sched.n_start < 2:
+        raise InvalidInputError(
+            f"[schedule] n_end = {sched.n_end}: diagnose fits a slope over the "
+            f"n_end - n_start = {sched.n_end - sched.n_start} windows, it needs two: "
+            f"n_end >= {sched.n_start + 2}")
+    return covered
+
+
 def _cmd_diagnose(cfg: ExperimentConfig, out: Path, args) -> int:
     """The ergodicity report of every replica, then the one-step error and
     the center convergence of replica 0 when its path covers the schedule.
@@ -146,10 +169,9 @@ def _cmd_diagnose(cfg: ExperimentConfig, out: Path, args) -> int:
     simulated once and no process holds more than one path.  A failed curve
     or report ranks after every failed path, then by replica."""
     w, x0, v, sched = cfg.potential, cfg.init["position"], cfg.external, cfg.schedule
+    covered = _diagnose_covers(cfg)
     ts = checkpoints(cfg.sim)
     rho = solve_fixed_point(w, _initial_density(cfg), v=v, **cfg.fixpoint).density
-    covered = (sched.time(sched.n_end) <= cfg.sim.t_last + 1e-9
-               and sched.time(sched.n_start) >= cfg.sim.t_start)
 
     def replica(r):
         record = simulate(w, x0, cfg.sim, v=v, replica=r)
@@ -247,6 +269,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, overrides={
             "seed": args.seed, "out": args.out, "replicas": args.replicas,
         })
+        if args.command == "diagnose":
+            _diagnose_covers(cfg)   # a config error, before `out` is made
     except InvalidInputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -177,15 +177,30 @@ class TestConfig:
         ("[schedule]\nn_start = 5\nn_end = 5\n", [],
          "[schedule] n_start = 5, n_end = 5: need n_end > n_start >= 1"),
         ("[potential]\ncoefficients = -1\n", [],
-         "[potential] coefficients = -1: strength must be positive")],
+         "[potential] coefficients = -1: strength must be positive"),
+        # the two runs diagnose cannot compare, which `simulate` runs
+        ("[sim]\nnoise_scale = 1.0\n", [],
+         "[sim] noise_scale = 1.0 sets the temperature noise_scale^2 / 2 = 0.5; diagnose "
+         "compares the paths with the Gibbs map at temperature 1, their invariant law only "
+         "at noise_scale = sqrt(2)"),
+        ("[sim]\nt_end = 60.0\n[schedule]\nn_start = 4\nn_end = 5\n", [],
+         "[schedule] n_end = 5: diagnose fits a slope over the n_end - n_start = 1 windows, "
+         "it needs two: n_end >= 6")],
         ids=["dt-zero", "bound-degree-zero", "replicas-flag-zero", "replicas-zero",
-             "t-end-at-t-start", "n-end-at-n-start", "negative-strength"])
+             "t-end-at-t-start", "n-end-at-n-start", "negative-strength", "noise-one",
+             "one-window"])
     def test_config_error_names_its_source(self, tmp_path, capsys, text, flags, line):
-        # the key or flag that holds the value, and the value given
+        # the key or flag that holds the value, and the value given; raised
+        # before `out` is made, so before any command work and any warning
         cfg = write(tmp_path / "e.cfg", text)
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), *flags, "diagnose"]) == 2
         assert capsys.readouterr().err == f"config error: {line}\n"
         assert not (tmp_path / "o").exists()
+
+    def test_simulate_runs_what_diagnose_cannot_compare(self, tmp_path):
+        cfg = write(tmp_path / "s.cfg", "[sim]\nnoise_scale = 1.0\nt_end = 60.0\n"
+                    "[schedule]\nn_start = 4\nn_end = 5\n")
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "simulate"]) == 0
 
     ROOT = Path(__file__).resolve().parents[1]
 
@@ -500,7 +515,8 @@ class TestCommands:
     @pytest.mark.parametrize("w", ["quadratic", "quartic"])
     def test_far_atom_flow_centers_are_its_position_exactly(self, tmp_path, position, w):
         # without V the flow's center is the atom's position; the center is
-        # solved about the measure's anchor, so it carries the shift exactly
+        # solved about the measure's anchor, so it carries the shift exactly.
+        # The fixed point converges there too
         text = self.SHIPPED_FLOW.read_text().replace("position = 0.0\n",
                                                      f"position = {position}\n")
         if w == "quartic":
@@ -508,7 +524,8 @@ class TestCommands:
                                 "kind = even-polynomial\ncoefficients = 0.5 0.1\n")
         assert f"position = {position}\n" in text and ("0.5 0.1" in text) == (w == "quartic")
         cfg = write(tmp_path / "a.cfg", text)
-        assert main(["--config", cfg, "--out", str(tmp_path / "f"), "flow"]) == 0
+        assert main(["--config", cfg, "--out", str(tmp_path / "f"), "--assert", "flow"]) == 0
+        assert main(["--config", cfg, "--out", str(tmp_path / "p"), "fixpoint"]) == 0
         trace = np.genfromtxt(tmp_path / "f/flow.csv", delimiter=",", names=True)
         assert trace.size == 400 and np.all(trace["center"] == float(position))
 
@@ -610,22 +627,19 @@ class TestCommands:
         assert (float(dens.lo), float(dens.hi)) == (-5.0, 11.0)
 
     EXPLODES = ("[experiment]\nreplicas = 4\n[potential]\nkind = even-polynomial\n"
-                "coefficients = 0.5 1.0\n[sim]\nt_start = 1.0\nt_end = 50.0\n"
-                "noise_scale = 30.0\n")
+                "coefficients = 0.5 300.0\n[sim]\nt_start = 1.0\nt_end = 50.0\n")
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_diagnose_reports_the_ensembles_first_explosion(self, tmp_path, capsys,
                                                            monkeypatch, cpus):
-        # replica 0 explodes at step 22 and replica 3 at step 12: simulated
+        # replica 0 explodes at step 23 and replica 3 at step 14: simulated
         # one by one in the workers, the run names the earliest step (then
         # the lowest replica), as one ensemble run does, whoever fails first
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         cfg = write(tmp_path / "x.cfg", self.EXPLODES)
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["--config", cfg, "--out", str(tmp_path / "o"), "diagnose"]) == 3
-        assert capsys.readouterr().err == (
-            "numeric failure: path lost finiteness (explosion) at step 12, t = 1.12, "
-            "replica 3; check the step size against the potential\n")
+        assert capsys.readouterr().err == self.EXPLOSION
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -705,14 +719,15 @@ class TestCommands:
         assert max(peaks.values()) <= 12 * path_bytes, peaks
         assert max(peaks[2, 2], peaks[2, 16]) < path_bytes, peaks
 
-    EXPLOSION = ("numeric failure: path lost finiteness (explosion) at step 12, t = 1.12, "
-                 "replica 3; check the step size against the potential\n")
+    EXPLOSION = ("numeric failure: path lost finiteness (explosion) at step 14, "
+                 "t = 1.1400000000000001, replica 3; check the step size against the "
+                 "potential\n")
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_simulate_reports_the_ensembles_first_explosion(self, tmp_path, capsys,
                                                            monkeypatch, cpus):
-        # at 2 CPUs replica 0 explodes at step 22 in block [0, 2) and replica
-        # 3 at step 12 in block [2, 4): the run names the earliest step (then
+        # at 2 CPUs replica 0 explodes at step 23 in block [0, 2) and replica
+        # 3 at step 14 in block [2, 4): the run names the earliest step (then
         # the lowest replica), as one ensemble run does, whichever block fails
         # first
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))

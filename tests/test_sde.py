@@ -427,7 +427,9 @@ class TestStrongOrder:
         # every step size sums the same fine Brownian increments, so the
         # paths at t = 11 differ from the finest by the scheme's error alone;
         # with additive noise its strong order is 1, in the positions and in
-        # the centers
+        # the centers.  Averaged over 64 replicas, the position slopes of
+        # seeds 0-7 lie in [1.04, 1.20], well inside the bounds (over 16:
+        # 0.90-1.25)
         draw = sde._increments
 
         def coarse(cfg, n, replica, out=None):
@@ -442,7 +444,7 @@ class TestStrongOrder:
 
         def ends(dt):
             cfg = SimConfig(dt=dt, t_end=11.0, t_start=1.0)
-            records = simulate_ensemble(w, 0.3, cfg, 16, v=v)
+            records = simulate_ensemble(w, 0.3, cfg, 64, v=v)
             return np.array([[rec.positions[-1], rec.center_track[-1]] for rec in records])
 
         steps = 0.01 / 2.0 ** np.arange(5)
