@@ -57,8 +57,8 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path, args) -> int:
     step, then its lowest replica, as one ensemble run reports it.  The
     histogram bins a record's occupation atoms, its positions from
     `TrajectoryRecord.first` on (the start atom, none from t = 0) with
-    their weights.  The records of a block share one ``times`` and one
-    ``weights`` array, so the time column is formatted and the weights are
+    their weights.  The records of a block share one config, so its time
+    grid and weights are built, the time column formatted and the weights
     normalized once per block, and no occupation measure is built."""
     n, blocks = cfg.replicas, workers(cfg.replicas)
 
@@ -66,10 +66,11 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path, args) -> int:
         lo = n * k // blocks
         records = simulate_ensemble(cfg.potential, cfg.init["position"], cfg.sim,
                                     n * (k + 1) // blocks - lo, v=cfg.external, first=lo)
-        thin = max(1, records[0].times.size // 2000)
-        times = format_column(records[0].times[::thin])
-        first = records[0].first
-        w = records[0].weights[first:] / records[0].weights[first:].sum()
+        grid, first = records[0].times, records[0].first
+        thin = max(1, grid.size // 2000)
+        times = format_column(grid[::thin])
+        w = records[0].weights[first:]
+        w = w / w.sum()
         for rec in records:
             write_series_csv(out / f"path_r{rec.replica}.csv", ["t", "x", "center"],
                              [times, rec.positions[::thin],

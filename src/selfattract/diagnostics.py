@@ -90,7 +90,7 @@ def one_step_error(w: PotentialSpec, record: TrajectoryRecord, schedule: Schedul
     report = DiagnosticsReport(experiment="one-step-error")
     windows = [(schedule.time(n), schedule.time(n + 1)) for n in schedule.indices()]
     for t0, t1 in windows:
-        if t1 > record.times[-1] + 1e-9 or t0 < record.times[0] - 1e-9:
+        if t1 > record.config.t_last + 1e-9 or t0 < record.config.t_start - 1e-9:
             raise InvalidInputError("trajectory does not cover the schedule")
     count = max(2, convolution_matrix(w).shape[0])
     pres = record.power_sums_at([t0 for t0, _ in windows], count)
@@ -180,7 +180,7 @@ def _sorted_prefixes(rec: TrajectoryRecord, ts: np.ndarray):
         xs[:] = rec.positions[first:i + 1]
         xs.sort()
         rank = xs.size if first else int(np.searchsorted(xs, x0, side="left"))
-        yield _prefix_chunks(xs, rank, rec.weights[0], rec.config.dt, rec.center_at(t))
+        yield _prefix_chunks(xs, rank, rec.config.t_start, rec.config.dt, rec.center_at(t))
 
 
 def _prefix_chunks(xs, rank, t_start, dt, c):
@@ -207,7 +207,7 @@ def w2_curve(w: PotentialSpec, rec: TrajectoryRecord, rho_inf: GridDensity,
     to each checkpoint ``ts`` to the fixed point (centered too when W has a
     center).  The record must reach the last checkpoint.  The pass holds
     one sort buffer and a few chunks beside the record (`_sorted_prefixes`)."""
-    end = float(rec.times[-1])
+    end = rec.config.t_last
     if end < ts[-1] - 1e-9:
         raise InvalidInputError(
             f"replica {rec.replica} ends at t = {end:g}, before "

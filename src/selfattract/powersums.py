@@ -146,7 +146,7 @@ def block_centers(T, S, mass, locate=None):
     for it in range(_NEWTON_ITERS + 1):
         g = horner(b, c)
         moving = np.abs(g) > _NEWTON_TOL
-        if not moving.any():
+        if not np.count_nonzero(moving):
             return c
         if it < _NEWTON_ITERS:
             c = c - np.divide(g, horner(db, c), out=np.zeros_like(c), where=moving)

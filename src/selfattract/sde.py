@@ -20,10 +20,11 @@ Every self-driven path is a row of a replica ensemble: `simulate` and
 `simulate_ensemble` share one body and one stepper call for every start
 time, so ``simulate(..., replica=r)`` is row r of every ensemble, and a
 caller may simulate its replicas one at a time (`diagnose` does, one per
-task) or in blocks (`simulate` does, one per worker).  The ensemble keeps the sums of all R replicas as one (count, R)
-array that starts from the start atom's sums, adds the dt-weighted powers
-dt y^j of the new positions to it each step, and takes its drift from one
-contraction per step; the occupation mass is the same for every replica.
+task) or in blocks (`simulate` does, one per worker).  The ensemble
+keeps the sums of all R replicas as one (count, R) array that starts
+from the start atom's sums, adds the dt-weighted powers dt y^j of the
+new positions to it each step, and takes its drift from one contraction
+per step; the occupation mass is the same for every replica.
 Each replica's increments are drawn into its row of the positions array,
 which the stepper overwrites step by step.  The center of
 W' * mu feeds nothing back into the drift, so the stepper only copies the
@@ -31,12 +32,16 @@ sums at each center knot and solves a block of knots at once with the
 package's one center solver (`powersums.block_centers`), by Newton from
 each column's running mean; a path holds its positions and these
 center knots, and its record rebuilds the centers between knots by linear
-interpolation when they are read.  For quadratic W without V (drift
-t00 + t11 (x - mean)) the Euler scheme reduces to a scalar linear
-recursion in y = x - mean with the mean carried by the occupation mass; it
-is summed in closed form with blockwise scaled cumulative sums (`_ar1`)
-instead of stepped, which matches the stepped scheme to rounding; its
-means and then the centers are summed in place in the centers array.
+interpolation when they are read.  Nothing else of the path's length is
+kept: its time grid and occupation weights follow from the `SimConfig`,
+and a record builds them only for a reader that asks for them whole.
+For quadratic W without V (drift t00 + t11 (x - mean)) the Euler scheme
+reduces to a scalar linear recursion in y = x - mean with the mean
+carried by the occupation mass; it is summed in closed form with
+blockwise scaled cumulative sums (`_ar1`) instead of stepped, which
+matches the stepped scheme to rounding; its means and then the centers
+are summed in place in the centers array, and its occupation masses are
+formed a block at a time.
 
 The occupation measure of a path is its own atoms.  A run from
 t_start > 0 starts it with one atom of mass t_start at x0, the start atom,
@@ -62,7 +67,7 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidInputError, NumericFailureError
-from .measures import ParticleMeasure
+from .measures import ParticleMeasure, _read_only
 from .potentials import PotentialSpec, derivative, horner, polynomial_derivative
 from .powersums import (PowerSums, anchor, block_centers, convolution_matrix, power_sums,
                         reanchor)
@@ -79,6 +84,8 @@ _CENTER_BLOCK = 64       # center knots the column stepper solves at once
 _BOOTSTRAP_TOL = 1e-10   # sup distance between Picard rounds that ends the bootstrap
 _BOOTSTRAP_MAX_ROUNDS = 80   # Picard rounds before the bootstrap fails
 _BOOTSTRAP_MAX_RATIO = 0.9   # a Picard round shrinking the sup distance less fails
+_SUM_GROUP = 65536       # path atoms per group of segments `power_sums_at` powers at once
+_RAMP_BLOCK = 8192       # steps per block of the closed form's occupation masses
 
 
 @dataclass(frozen=True)
@@ -118,7 +125,13 @@ def _check_dt(w: PotentialSpec, cfg: SimConfig):
 
 @dataclass
 class TrajectoryRecord:
-    """One path with its occupation bookkeeping.
+    """One path with its occupation bookkeeping: its positions and center
+    knots, and nothing else of the path's length.
+
+    The time grid and the occupation weights follow from the `SimConfig`:
+    step k is at t_start + dt k, the start atom has mass t_start and every
+    step after it mass dt.  `times` and `weights` build them, read-only,
+    when they are read; `index_at` reads the grid by arithmetic.
 
     The occupation up to step i is the record's own atoms
     ``positions[first:i + 1]`` with ``weights[first:i + 1]``: the start
@@ -135,9 +148,7 @@ class TrajectoryRecord:
 
     config: SimConfig
     replica: int
-    times: np.ndarray
     positions: np.ndarray
-    weights: np.ndarray
     center_knots: np.ndarray
     center_every: int = 1
 
@@ -147,15 +158,40 @@ class TrajectoryRecord:
         for a run from t = 0, which has none."""
         return int(self.config.t_start == 0)
 
+    @property
+    def times(self) -> np.ndarray:
+        """The time of every step, t_start + dt k, a new read-only array."""
+        cfg = self.config
+        return _read_only(cfg.t_start + cfg.dt * np.arange(cfg.n_steps + 1))
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The occupation weight of every step, t_start for the start atom,
+        then dt, a new read-only array."""
+        return _read_only(self._weights(self.config.n_steps + 1))
+
+    def _weights(self, stop: int) -> np.ndarray:
+        w = np.full(stop, self.config.dt)
+        w[:1] = self.config.t_start
+        return w
+
     def index_at(self, t: float) -> int:
-        """Largest step index with times[index] <= t (+ tolerance)."""
-        return int(np.searchsorted(self.times, t + 1e-12, side="right") - 1)
+        """Largest step index with times[index] <= t + 1e-12, -1 before the
+        first: a guess from the grid's spacing, moved onto the grid's own
+        float times t_start + dt k, so it is `times`' searchsorted."""
+        cfg, u = self.config, t + 1e-12
+        k = math.floor(min(max((u - cfg.t_start) / cfg.dt, -1.0), cfg.n_steps))
+        while k < cfg.n_steps and cfg.t_start + cfg.dt * (k + 1) <= u:
+            k += 1
+        while k >= 0 and cfg.t_start + cfg.dt * k > u:
+            k -= 1
+        return k
 
     def occupation(self, upto: float | None = None) -> ParticleMeasure:
         """Normalized occupation measure of the path up to time ``upto``:
         the record's atoms from `first` on, with their weights."""
-        i = self.times.size - 1 if upto is None else self.index_at(upto)
-        w = self.weights[self.first:i + 1]
+        i = self.config.n_steps if upto is None else self.index_at(upto)
+        w = self._weights(i + 1)[self.first:]
         return ParticleMeasure(self.positions[self.first:i + 1], w / w.sum())
 
     def power_sums_at(self, times, count: int) -> list[PowerSums]:
@@ -165,22 +201,28 @@ class TrajectoryRecord:
 
         The path atoms between consecutive times are summed as one segment
         (one `np.add.reduceat` per power) and the segments are cumulated on
-        top of the start atom's sums, so no prefix occupation is built.
+        top of the start atom's sums, so no prefix occupation is built.  The
+        powers are taken over groups of whole segments of about
+        `_SUM_GROUP` atoms, so a pass holds a group's powers, not the
+        path's, and each segment is still one reduction.
         """
         idx = np.array([self.index_at(t) for t in times])
         a = anchor(self.positions[:idx[-1] + 1])
         start = slice(0, 1 - self.first)      # the start atom; none from t = 0
-        y = self.positions[1:idx[-1] + 1] - a
         bounds = np.concatenate(([0], idx))
-        full = np.diff(bounds) > 0            # reduceat misreads empty segments
         seg = np.zeros((idx.size, count))
         seg[:, 0] = np.diff(bounds)
-        acc = y
-        for j in range(1, count):
-            seg[full, j] = np.add.reduceat(acc, bounds[:-1][full])
-            if j + 1 < count:
-                acc = acc * y
-        sums = (power_sums(self.positions[start], self.weights[start], a, count)
+        full = np.flatnonzero(seg[:, 0] > 0)  # reduceat misreads empty segments
+        groups = np.split(full, np.flatnonzero(np.diff(bounds[full] // _SUM_GROUP)) + 1)
+        for rows in groups if full.size else []:
+            lo = bounds[rows[0]]
+            y = self.positions[1 + lo:1 + bounds[rows[-1] + 1]] - a
+            acc = y
+            for j in range(1, count):
+                seg[rows, j] = np.add.reduceat(acc, bounds[rows] - lo)
+                if j + 1 < count:
+                    acc = acc * y
+        sums = (power_sums(self.positions[start], self._weights(1)[start], a, count)
                 + self.config.dt * np.cumsum(seg, axis=0))
         if not np.all(sums[:, 0] > 0):
             raise InvalidInputError("the occupation is empty at the first time")
@@ -206,7 +248,7 @@ class TrajectoryRecord:
         c, every, first = self.center_knots, self.center_every, self.first
         if every == 1:
             return c[steps]
-        i = range(self.times.size)[steps]
+        i = range(self.positions.size)[steps]
         i = np.arange(i.start, i.stop, i.step) if isinstance(i, range) else np.asarray(i)
         past = np.maximum(i - first, 0)
         k, j = np.minimum(i, first) + past // every, past % every
@@ -429,9 +471,8 @@ def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
     .. ``first + n_replicas - 1``, where replica r is the path
     ``simulate(..., replica=r)`` returns, so a block of replicas gives the
     rows of the whole ensemble.  The replicas step in lock-step (quadratic
-    W without V in closed form), from every start time.  The records share
-    ``times`` and one read-only ``weights`` array and hold row views of one
-    positions and one center knots array."""
+    W without V in closed form), from every start time.  The records hold
+    row views of one positions and one center knots array."""
     _check_dt(w, cfg)
     return _simulate_replicas(w, x0, cfg, range(first, first + n_replicas), v)
 
@@ -467,13 +508,7 @@ def _simulate_replicas(w, x0, cfg, replicas, v):
         sums, y = cfg.t_start * np.eye(T.shape[0], 1), 0.0   # the start atom's sums
     _run_moments(T, v, x0, sums, positions[:, first:], centers[:, first:], dt,
                  (replicas, first, cfg.t_start), every, y0=y)
-    times = cfg.t_start + dt * np.arange(n + 1)
-    # occupation weights: t_start for the start atom, then dt; every
-    # replica shares the one read-only array
-    weights = np.full(n + 1, dt)
-    weights[0] = cfg.t_start
-    weights.flags.writeable = False
-    return [TrajectoryRecord(cfg, r, times, positions[k], weights, centers[k], every)
+    return [TrajectoryRecord(cfg, r, positions[k], centers[k], every)
             for k, r in enumerate(replicas)]
 
 
@@ -498,6 +533,15 @@ def _ar1(alpha, z, f, out):
     return out
 
 
+def _mass_ramp(s0, dt, n):
+    """The occupation masses S0_i = s0 + dt i, i = 0 .. n, a block of
+    `_RAMP_BLOCK` steps at a time: (the block's steps p .. p+b-1 as a
+    slice, S0_p .. S0_(p+b))."""
+    for p in range(0, n, _RAMP_BLOCK):
+        S0 = s0 + dt * np.arange(p, min(p + _RAMP_BLOCK, n) + 1)
+        yield slice(p, p + S0.size - 1), S0
+
+
 def _run_quadratic_closed_form(T, x0, sums, positions, centers, dt, y0=0.0):
     """The Euler scheme for drift t00 + t11 (x - mean), summed in closed form.
 
@@ -510,23 +554,24 @@ def _run_quadratic_closed_form(T, x0, sums, positions, centers, dt, y0=0.0):
     ``sums`` (`_run_moments`).  ``positions`` (R, n+1) holds each replica's
     n increments in columns 1..n; columns 1..n of ``centers`` are the
     working space: they hold S0 eta, then the means, then the centers, while
-    z and then y stand in the positions.  Writes positions and centers
-    (R, n+1).  t11 != 0 because `convolution_matrix` trims zero
-    coefficients.
+    z and then y stand in the positions; the masses S0 are formed a block
+    at a time (`_mass_ramp`).  Writes positions and centers (R, n+1).
+    t11 != 0 because `convolution_matrix` trims zero coefficients.
     """
     t00, t11 = T[0, 0], T[1, 0]
     R, n = centers.shape[0], centers.shape[1] - 1
     s0, s1 = sums[0, 0], sums[1]
     mean = x0 + s1 / s0
-    S0 = s0 + dt * np.arange(n + 1)
     tail = centers[:, 1:]
     np.subtract(positions[:, 1:], t00 * dt, out=tail)
-    tail *= S0[:-1]
+    for cols, S0 in _mass_ramp(s0, dt, n):
+        tail[:, cols] *= S0[:-1]
     positions[:, 0] = x0 + y0
     centers[:, 0] = mean - t00 / t11
     y = _ar1(1.0 - t11 * dt, np.full(R, (y0 - s1 / s0) * s0), tail, positions[:, 1:])
-    y /= S0[1:]
-    np.divide(y, S0[:-1], out=tail)
+    for cols, S0 in _mass_ramp(s0, dt, n):
+        y[:, cols] /= S0[1:]
+        np.divide(y[:, cols], S0[:-1], out=tail[:, cols])
     tail *= dt
     np.cumsum(tail, axis=1, out=tail)
     tail += mean[:, None]

@@ -498,25 +498,13 @@ class TestCommands:
         assert rows.shape[0] > 300
         assert np.abs(rows[:, 4] - 30.0).max() <= 1e-9
 
-    def test_far_atom_start_runs_flow_and_fixpoint(self, tmp_path):
-        # an atom at 1000 lies far outside a box about 0; the start box is
-        # centered on it, so both commands run (quadratic W)
-        text = self.SHIPPED_FLOW.read_text()
-        assert "position = 0.0\n" in text and "quadratic-symmetric" in text
-        cfg = write(tmp_path / "a.cfg", text.replace("position = 0.0\n", "position = 1000.0\n"))
-        assert main(["--config", cfg, "--out", str(tmp_path / "f"), "--assert", "flow"]) == 0
-        assert main(["--config", cfg, "--out", str(tmp_path / "p"), "fixpoint"]) == 0
-        rows = np.loadtxt(tmp_path / "f/flow.csv", delimiter=",", skiprows=1)
-        assert np.abs(rows[:, 4] - 1000.0).max() <= 1e-9
-        dens = load_measure(tmp_path / "p/density.csv")
-        assert abs(dens.mean() - 1000.0) <= 1e-6
-
     @pytest.mark.parametrize("position", ["1000.0", "100000.0"])
     @pytest.mark.parametrize("w", ["quadratic", "quartic"])
     def test_far_atom_flow_centers_are_its_position_exactly(self, tmp_path, position, w):
-        # without V the flow's center is the atom's position; the center is
-        # solved about the measure's anchor, so it carries the shift exactly.
-        # The fixed point converges there too
+        # an atom far outside a box about 0: the start box is centered on it,
+        # so both commands run.  Without V the flow's center is the atom's
+        # position; the center is solved about the measure's anchor, so it
+        # carries the shift exactly.  The fixed point converges there too
         text = self.SHIPPED_FLOW.read_text().replace("position = 0.0\n",
                                                      f"position = {position}\n")
         if w == "quartic":
@@ -528,6 +516,7 @@ class TestCommands:
         assert main(["--config", cfg, "--out", str(tmp_path / "p"), "fixpoint"]) == 0
         trace = np.genfromtxt(tmp_path / "f/flow.csv", delimiter=",", names=True)
         assert trace.size == 400 and np.all(trace["center"] == float(position))
+        assert abs(load_measure(tmp_path / "p/density.csv").mean() - float(position)) <= 1e-6
 
     def test_csv_rows_end_in_newline_alone(self, tmp_path):
         sim = write(tmp_path / "s.cfg", "[sim]\ndt = 0.01\nt_end = 5.0\nseed = 7\n")

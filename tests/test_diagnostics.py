@@ -12,7 +12,7 @@ from selfattract import (InvalidInputError, NumericFailureError, Schedule, SimCo
                          external_polynomial, gaussian_density, gibbs_map,
                          quadratic_shifted, quadratic_symmetric, recenter, simulate,
                          simulate_ensemble, w2_distance, zero_interaction)
-from selfattract import diagnostics, workers
+from selfattract import diagnostics, sde, workers
 from selfattract.diagnostics import (center_convergence, ergodicity_check,
                                      one_step_error)
 from selfattract.powersums import PowerSums, power_sums
@@ -220,18 +220,16 @@ class TestErgodicity:
 
     @pytest.mark.parametrize("n", [1_000_000, 4_000_000], ids=["1M", "4M"])
     def test_prefix_pass_memory_is_its_sort_buffer_and_a_constant(self, n):
-        # a record of n path atoms with views for its weights and centers;
-        # the W2 pass over its full prefix holds the one sort buffer and
-        # chunks of a fixed size, whatever n is
+        # a record of n path atoms with a view for its centers; the W2 pass
+        # over its full prefix holds the one sort buffer and chunks of a
+        # fixed size, whatever n is
         cfg = SimConfig(dt=0.01, t_end=1.0 + 0.01 * n)
-        times = cfg.t_start + cfg.dt * np.arange(n + 1)
-        rec = TrajectoryRecord(cfg, 0, times, make_rng(5).standard_normal(n + 1),
-                               np.broadcast_to(cfg.dt, (n + 1,)),
+        rec = TrajectoryRecord(cfg, 0, make_rng(5).standard_normal(n + 1),
                                np.broadcast_to(0.0, (n + 1,)))
         target = diagnostics.QuantileTarget(gaussian_density(0, 1, -8, 8, 1024))
         tracemalloc.start()
         try:
-            (chunks,) = diagnostics._sorted_prefixes(rec, times[-1:])
+            (chunks,) = diagnostics._sorted_prefixes(rec, [cfg.t_last])
             d = target.w2(chunks)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -239,6 +237,25 @@ class TestErgodicity:
         assert 0.0 < d < 0.1
         # 8 n bytes of sort buffer, then a few arrays of a chunk's length
         assert peak - 8 * n <= 16 * 8 * diagnostics._PREFIX_CHUNK
+
+    @pytest.mark.parametrize("n", [1_000_000, 4_000_000], ids=["1M", "4M"])
+    def test_one_step_error_memory_is_a_constant(self, quad, n):
+        # a record of n path atoms and a schedule of windows that covers it:
+        # the pre-window power sums are taken over groups of whole segments,
+        # so the pass holds a group's powers and a window's atoms, whatever
+        # n is, not arrays of the path's length
+        cfg = SimConfig(dt=1e-3, t_end=1.0 + 1e-3 * n)
+        rec = TrajectoryRecord(cfg, 0, make_rng(5).standard_normal(n + 1),
+                               np.broadcast_to(0.0, (n + 1,)))
+        sched = Schedule(n_start=10, n_end=int(cfg.t_last ** (2 / 3)))
+        tracemalloc.start()
+        try:
+            report = one_step_error(quad, rec, sched)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.series) == sched.n_end - sched.n_start
+        assert peak <= 8 * 8 * sde._SUM_GROUP
 
     def test_without_a_center_the_fixed_point_is_read_as_given(self):
         # W = 0 has no center to put the fixed point at; V = x^2 / 2 places it
@@ -280,8 +297,7 @@ def _records():
 
 
 def _shifted(rec: TrajectoryRecord, s: float) -> TrajectoryRecord:
-    return TrajectoryRecord(rec.config, rec.replica, rec.times, rec.positions + s,
-                            rec.weights, rec.center_track + s)
+    return TrajectoryRecord(rec.config, rec.replica, rec.positions + s, rec.center_track + s)
 
 
 class TestPrefixSums:
@@ -295,8 +311,7 @@ class TestPrefixSums:
         # not there
         cfg = SimConfig(dt=0.01, t_end=60.0, t_start=0.0 if from_zero else 4.0, seed=5)
         base = simulate(quad, 0.0, cfg)
-        rec = TrajectoryRecord(base.config, 0, base.times, np.round(base.positions, 2),
-                               base.weights, base.center_track)
+        rec = TrajectoryRecord(base.config, 0, np.round(base.positions, 2), base.center_track)
         assert np.unique(rec.positions).size < rec.positions.size // 10
         assert np.count_nonzero(rec.positions[1:] == rec.positions[0]) > 10
         rho = gaussian_density(0, 1, -8, 8, 512)
@@ -318,6 +333,18 @@ class TestPrefixSums:
             want = power_sums(occ.positions, occ.weights, got.anchor, 5)
             scale = power_sums(np.abs(occ.positions - got.anchor), occ.weights, 0.0, 5)
             assert np.all(np.abs(got.sums - want) <= 1e-12 * scale), (t, got.sums, want)
+
+    @pytest.mark.parametrize("group", [1, 97])
+    def test_power_sums_at_are_the_same_bits_in_any_grouping(self, group, monkeypatch):
+        # the record's 7900 path atoms are one group by default; in groups of
+        # one segment, or of 97 atoms, each segment is still one reduction,
+        # empty segments (the repeated knot) included
+        rec = _records()["heavy"]
+        knots = [6.0, 6.0, 7.3, 12.0, 30.0, 79.99, 80.0]
+        want = rec.power_sums_at(knots, 5)
+        monkeypatch.setattr(sde, "_SUM_GROUP", group)
+        for got, one in zip(rec.power_sums_at(knots, 5), want, strict=True):
+            assert got.anchor == one.anchor and np.array_equal(got.sums, one.sums)
 
     @pytest.mark.parametrize("w, v", [
         (quadratic_symmetric(1.0), None),

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfattract import rng
 from selfattract import (InvalidInputError, NumericFailureError, SimConfig,
@@ -67,8 +69,7 @@ def stepped_from(pre_pos, pre_w, w, x0, cfg, replicas, v=None):
     sums = power_sums(pre_pos, pre_w, x0, T.shape[0])[:, None]
     sde._run_moments(T, v, x0, sums, positions, knots, cfg.dt, (replicas, 0, cfg.t_start),
                      every)
-    times = cfg.t_start + cfg.dt * np.arange(n + 1)
-    tracks = [TrajectoryRecord(cfg, r, times, row, np.full(n + 1, cfg.dt), k, every).center_track
+    tracks = [TrajectoryRecord(cfg, r, row, k, every).center_track
               for r, row, k in zip(replicas, positions, knots)]
     return positions, np.array(tracks)
 
@@ -182,6 +183,30 @@ class TestSimulate:
         assert abs(occ.mean()) < 0.3
 
 
+@pytest.mark.parametrize("dt", [0.01, 1e-3, 0.3])
+@pytest.mark.parametrize("from_zero", [True, False], ids=["t_start=0", "t_start>0"])
+@given(start=st.floats(0.01, 1000.0), n=st.integers(1, 500_000),
+       picks=st.lists(st.integers(0, 500_000), max_size=16))
+@settings(max_examples=20, deadline=None)
+def test_index_at_is_the_searchsorted_of_the_time_grid(dt, from_zero, start, n, picks):
+    # a record reads its time grid by arithmetic; it must find the step a
+    # search of the built times finds: on grid points, 1e-13 and 1e-12 either
+    # side of them, where t + 1e-12 ties with one and a float either side of
+    # that, before t_start and past t_last
+    t_start = 0.0 if from_zero else start
+    cfg = SimConfig(dt=dt, t_end=t_start + dt * n, t_start=t_start)
+    rec = TrajectoryRecord(cfg, 0, np.zeros(cfg.n_steps + 1), np.zeros(cfg.n_steps + 1))
+    times = rec.times
+    assert times.size == cfg.n_steps + 1 and times[-1] == cfg.t_last
+    ts = [times[0] - 1.0, times[0] - 1e-11, times[-1] + 1e-11, times[-1] + 1.0]
+    for k in {0, 1, times.size - 2, times.size - 1, *(k % times.size for k in picks)}:
+        ts += [times[k] + s for s in (0.0, 1e-13, -1e-13, 1e-12, -1e-12)]
+        tie = times[k] - 1e-12
+        ts += [np.nextafter(tie, -np.inf), tie, np.nextafter(tie, np.inf)]
+    for t in ts:
+        assert rec.index_at(t) == np.searchsorted(times, t + 1e-12, side="right") - 1, t
+
+
 class TestEnsemble:
     def test_matches_single_runs(self, quad):
         cfg = short_cfg(seed=77)
@@ -246,13 +271,21 @@ class TestEnsemble:
         assert np.array_equal(rec.positions, single.positions)
         assert np.array_equal(rec.center_track, single.center_track)
 
-    def test_records_share_one_read_only_weights_array(self):
+    def test_records_read_equal_read_only_times_and_weights_from_the_config(self):
+        # a record holds its positions and center knots alone; every replica
+        # reads the same time grid and weights, built from the config
+        cfg = short_cfg()
+        assert [f.name for f in dataclasses.fields(TrajectoryRecord)] == [
+            "config", "replica", "positions", "center_knots", "center_every"]
         for w in (quadratic_symmetric(1.0), even_polynomial([0.5, 0.1])):
-            ens = simulate_ensemble(w, 0.0, short_cfg(), 3)
-            assert all(rec.weights is ens[0].weights for rec in ens)
-            assert ens[0].weights[0] == 1.0 and np.all(ens[0].weights[1:] == 0.01)
-            with pytest.raises(ValueError):
-                ens[1].weights[0] = 2.0
+            for rec in simulate_ensemble(w, 0.0, cfg, 3):
+                assert np.array_equal(rec.times,
+                                      cfg.t_start + cfg.dt * np.arange(cfg.n_steps + 1))
+                assert rec.weights.size == rec.positions.size
+                assert rec.weights[0] == 1.0 and np.all(rec.weights[1:] == 0.01)
+                for grid in (rec.times, rec.weights):
+                    with pytest.raises(ValueError):
+                        grid[0] = 2.0
 
     def test_stepped_ensemble_memory_is_its_outputs(self):
         # the increments are drawn into the positions, which the stepper
@@ -276,6 +309,34 @@ class TestEnsemble:
                 assert ens[0].center_knots.size == knots
                 assert peak <= 1.1 * 8 * R * ((n + 1) + knots)
                 del ens
+
+    def test_one_replica_memory_is_its_positions_and_centers(self):
+        # one replica of 500k quadratic steps, as `diagnose` simulates it:
+        # its record holds the positions and the every-step centers, and no
+        # time grid, weights or occupation masses of the path's length
+        quad = quadratic_symmetric(1.0)
+        cfg = SimConfig(dt=0.01, t_end=5001.0, t_start=1.0, seed=55)
+        simulate(quad, 0.0, short_cfg())   # one-time caches outside the trace
+        tracemalloc.start()
+        try:
+            rec = simulate(quad, 0.0, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rec.positions.size == rec.center_knots.size == 500_001
+        assert peak <= 1.25 * (rec.positions.nbytes + rec.center_knots.nbytes)
+
+    @pytest.mark.parametrize("t_start", [1.0, 0.0])
+    def test_closed_form_is_the_same_bits_in_any_mass_block(self, t_start, monkeypatch):
+        # 300 steps are one block of occupation masses by default and 43
+        # blocks of 7 here: each mass is the same float either way
+        cfg = SimConfig(dt=0.01, t_end=t_start + 3.0, t_start=t_start, seed=4)
+        quad = quadratic_symmetric(1.0)
+        want = simulate_ensemble(quad, 0.5, cfg, 2)
+        monkeypatch.setattr(sde, "_RAMP_BLOCK", 7)
+        for got, one in zip(simulate_ensemble(quad, 0.5, cfg, 2), want, strict=True):
+            assert np.array_equal(got.positions, one.positions)
+            assert np.array_equal(got.center_knots, one.center_knots)
 
     @pytest.mark.parametrize("v", [None, external_polynomial([0.3])], ids=["W", "W+V"])
     def test_block_centers_are_exact_and_independent_of_the_block_length(self, v,
@@ -501,10 +562,8 @@ class TestColumnStepper:
         # interpolated centers between them
         assert np.array_equal(got[1], want[1][:, ::every])
         assert np.all(np.isfinite(got[1]))
-        times = cfg.t_start + cfg.dt * np.arange(n + 1)
         for r in range(R):
-            rec = TrajectoryRecord(cfg, r, times, got[0][r], np.full(n + 1, cfg.dt),
-                                   got[1][r], every)
+            rec = TrajectoryRecord(cfg, r, got[0][r], got[1][r], every)
             assert np.array_equal(rec.center_track, want[1][r])
         assert T.shape[0] == {"zero-W": 1, "quadratic+V": 2, "degree-6": 6}.get(case, 4)
         if case == "re-anchor":
