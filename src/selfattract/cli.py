@@ -58,8 +58,8 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path, args) -> int:
     histogram bins a record's occupation atoms, its positions from
     `TrajectoryRecord.first` on (the start atom, none from t = 0) with
     their weights.  The records of a block share one config, so its time
-    grid and weights are built, the time column formatted and the weights
-    normalized once per block, and no occupation measure is built."""
+    grid is built, the time column formatted and the normalized weights
+    taken from the first record's occupation once per block."""
     n, blocks = cfg.replicas, workers(cfg.replicas)
 
     def block(k):
@@ -69,8 +69,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path, args) -> int:
         grid, first = records[0].times, records[0].first
         thin = max(1, grid.size // 2000)
         times = format_column(grid[::thin])
-        w = records[0].weights[first:]
-        w = w / w.sum()
+        w = records[0].occupation().weights
         for rec in records:
             write_series_csv(out / f"path_r{rec.replica}.csv", ["t", "x", "center"],
                              [times, rec.positions[::thin],

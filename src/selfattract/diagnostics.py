@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from .energy import decay_exponent
 from .errors import InvalidInputError, NumericFailureError
 from .flow import Schedule, _failing_at
 from .gibbs import gibbs_map
@@ -235,17 +236,12 @@ def ergodicity_check(w: PotentialSpec, ts: np.ndarray, curves: list[tuple[int, l
     curves = np.asarray([vals for _, vals in curves])
     finals = curves[:, -1]
 
-    xs = np.log(ts) ** (1.0 / (k + 1))
-    mean_curve = curves.mean(axis=0)
-    slope, intercept = np.polyfit(xs, np.log(np.maximum(mean_curve, 1e-300)), 1)
-    a_fit = -float(slope)
+    a_fit = decay_exponent(ts, np.maximum(curves.mean(axis=0), 1e-300), k)
     gen = rng.stream(0xE660, 0, rng.RESERVOIR)  # fixed resampling stream
     boots = []
     for _ in range(n_boot):
         pick = gen.integers(0, curves.shape[0], size=curves.shape[0])
-        bc = curves[pick].mean(axis=0)
-        s, _ = np.polyfit(xs, np.log(np.maximum(bc, 1e-300)), 1)
-        boots.append(-float(s))
+        boots.append(decay_exponent(ts, np.maximum(curves[pick].mean(axis=0), 1e-300), k))
     lo_band, hi_band = np.percentile(boots, [2.5, 97.5])
     report.fits.append(("decay_exponent", {
         "a": a_fit, "ci_low": float(lo_band), "ci_high": float(hi_band)},

@@ -168,6 +168,14 @@ def rate_function(params: RateParams, energy_value: float) -> float:
     return energy_value + (g_e1 - e1)
 
 
+def decay_exponent(ts, values, k: int) -> float:
+    """The least-squares exponent a of values ~ C exp(-a (log t)^(1/(k+1)))
+    at the times ``ts``: the shape of the envelope's small-energy closed
+    form (`energy_envelope`)."""
+    slope, _ = np.polyfit(np.log(ts) ** (1.0 / (k + 1)), np.log(values), 1)
+    return -float(slope)
+
+
 def energy_envelope(params: RateParams, y0: float, t0: float, t1: float,
                     n_steps: int = 4000) -> tuple[np.ndarray, np.ndarray]:
     """Decreasing envelope y(t) solving y' = -g(y)/(2t), sampled on log-time.

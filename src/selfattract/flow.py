@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergyBreakdown, RateParams, energy_envelope, free_energy
+from .energy import (EnergyBreakdown, RateParams, decay_exponent, energy_envelope,
+                     free_energy)
 from .errors import InvalidInputError, NumericFailureError
 from .gibbs import gibbs_map
 from .measures import DensitySums, GridDensity, center, density_sums
@@ -282,9 +283,7 @@ def envelope_compare(times, relative, params: RateParams) -> dict:
     positive = f_rel > 0
     a_fit = float("nan")
     if positive.sum() >= 2:
-        xs = np.log(times[positive]) ** (1.0 / (params.k + 1))
-        slope, _ = np.polyfit(xs, np.log(f_rel[positive]), 1)
-        a_fit = -float(slope)
+        a_fit = decay_exponent(times[positive], f_rel[positive], params.k)
     return {
         "fraction_satisfied": float(satisfied.mean()),
         "n_steps": times.size,

@@ -71,9 +71,6 @@ class ParticleMeasure:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    def normalized(self) -> "ParticleMeasure":
-        return ParticleMeasure(self.positions, self.weights / self.total_mass)
-
     def mean(self) -> float:
         return float(self.weights @ self.positions) / self.total_mass
 

@@ -54,10 +54,6 @@ class PowerSums:
     anchor: float
     sums: np.ndarray
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.sums[0])
-
     def mean(self) -> float:
         return self.anchor + float(self.sums[1] / self.sums[0])
 

@@ -16,11 +16,11 @@ radius around it.  The sums then stay of the size of the path's spread
 wherever the path sits, so a path started at x0 + s is the x0 path shifted
 by s.
 
-Every self-driven path is a row of a replica ensemble: `simulate` and
-`simulate_ensemble` share one body and one stepper call for every start
-time, so ``simulate(..., replica=r)`` is row r of every ensemble, and a
-caller may simulate its replicas one at a time (`diagnose` does, one per
-task) or in blocks (`simulate` does, one per worker).  The ensemble
+Every self-driven path is a row of a replica ensemble: `simulate` is
+`simulate_ensemble` of one replica, so ``simulate(..., replica=r)`` is row
+r of every ensemble, and a caller may simulate its replicas one at a time
+(`diagnose` does, one per task) or in blocks (`simulate` does, one per
+worker).  The ensemble
 keeps the sums of all R replicas as one (count, R) array that starts
 from the start atom's sums, adds the dt-weighted powers dt y^j of the
 new positions to it each step, and takes its drift from one contraction
@@ -33,15 +33,14 @@ package's one center solver (`powersums.block_centers`), by Newton from
 each column's running mean; a path holds its positions and these
 center knots, and its record rebuilds the centers between knots by linear
 interpolation when they are read.  Nothing else of the path's length is
-kept: its time grid and occupation weights follow from the `SimConfig`,
-and a record builds them only for a reader that asks for them whole.
+kept: its time grid and occupation weights follow from the `SimConfig`.
 For quadratic W without V (drift t00 + t11 (x - mean)) the Euler scheme
 reduces to a scalar linear recursion in y = x - mean with the mean
 carried by the occupation mass; it is summed in closed form with
-blockwise scaled cumulative sums (`_ar1`) instead of stepped, which
-matches the stepped scheme to rounding; its means and then the centers
-are summed in place in the centers array, and its occupation masses are
-formed a block at a time.
+blockwise scaled cumulative sums instead of stepped, which matches the
+stepped scheme to rounding, in one pass over its blocks: each block forms
+its occupation masses, sums its recursion and its means, and writes its
+positions and centers.
 
 The occupation measure of a path is its own atoms.  A run from
 t_start > 0 starts it with one atom of mass t_start at x0, the start atom,
@@ -62,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -84,8 +84,6 @@ _CENTER_BLOCK = 64       # center knots the column stepper solves at once
 _BOOTSTRAP_TOL = 1e-10   # sup distance between Picard rounds that ends the bootstrap
 _BOOTSTRAP_MAX_ROUNDS = 80   # Picard rounds before the bootstrap fails
 _BOOTSTRAP_MAX_RATIO = 0.9   # a Picard round shrinking the sup distance less fails
-_SUM_GROUP = 65536       # path atoms per group of segments `power_sums_at` powers at once
-_RAMP_BLOCK = 8192       # steps per block of the closed form's occupation masses
 
 
 @dataclass(frozen=True)
@@ -130,14 +128,13 @@ class TrajectoryRecord:
 
     The time grid and the occupation weights follow from the `SimConfig`:
     step k is at t_start + dt k, the start atom has mass t_start and every
-    step after it mass dt.  `times` and `weights` build them, read-only,
-    when they are read; `index_at` reads the grid by arithmetic.
+    step after it mass dt.  `times` builds the grid, read-only, when it is
+    read; `index_at` reads it by arithmetic.
 
     The occupation up to step i is the record's own atoms
-    ``positions[first:i + 1]`` with ``weights[first:i + 1]``: the start
-    atom, of mass t_start at x0 (``weights[0]``), then one atom of mass dt
-    per step.  A run from t = 0 has no start atom, so its occupation
-    begins at step 1 (`first`).
+    ``positions[first:i + 1]``: the start atom, of mass t_start at x0
+    (step 0), then one atom of mass dt per step.  A run from t = 0 has no
+    start atom, so its occupation begins at step 1 (`first`).
 
     The centers are held at their knots only: ``center_knots[k]`` is the
     center at step k for k < `first` (step 0 of a run from t = 0, the
@@ -164,17 +161,6 @@ class TrajectoryRecord:
         cfg = self.config
         return _read_only(cfg.t_start + cfg.dt * np.arange(cfg.n_steps + 1))
 
-    @property
-    def weights(self) -> np.ndarray:
-        """The occupation weight of every step, t_start for the start atom,
-        then dt, a new read-only array."""
-        return _read_only(self._weights(self.config.n_steps + 1))
-
-    def _weights(self, stop: int) -> np.ndarray:
-        w = np.full(stop, self.config.dt)
-        w[:1] = self.config.t_start
-        return w
-
     def index_at(self, t: float) -> int:
         """Largest step index with times[index] <= t + 1e-12, -1 before the
         first: a guess from the grid's spacing, moved onto the grid's own
@@ -189,9 +175,12 @@ class TrajectoryRecord:
 
     def occupation(self, upto: float | None = None) -> ParticleMeasure:
         """Normalized occupation measure of the path up to time ``upto``:
-        the record's atoms from `first` on, with their weights."""
+        the record's atoms from `first` on, of mass t_start for the start
+        atom, then dt."""
         i = self.config.n_steps if upto is None else self.index_at(upto)
-        w = self._weights(i + 1)[self.first:]
+        w = np.full(i + 1, self.config.dt)
+        w[:1] = self.config.t_start
+        w = w[self.first:]
         return ParticleMeasure(self.positions[self.first:i + 1], w / w.sum())
 
     def power_sums_at(self, times, count: int) -> list[PowerSums]:
@@ -199,12 +188,11 @@ class TrajectoryRecord:
         of the increasing ``times``, all about one anchor: the midpoint of the
         path up to the last time.
 
-        The path atoms between consecutive times are summed as one segment
-        (one `np.add.reduceat` per power) and the segments are cumulated on
-        top of the start atom's sums, so no prefix occupation is built.  The
-        powers are taken over groups of whole segments of about
-        `_SUM_GROUP` atoms, so a pass holds a group's powers, not the
-        path's, and each segment is still one reduction.
+        The path atoms between consecutive times are summed as one segment,
+        one at a time (one `np.add.reduceat` per power, an empty segment
+        skipped), and the segments are cumulated on top of the start atom's
+        sums, so no prefix occupation is built and a pass holds one
+        segment's powers.
         """
         idx = np.array([self.index_at(t) for t in times])
         a = anchor(self.positions[:idx[-1] + 1])
@@ -212,17 +200,12 @@ class TrajectoryRecord:
         bounds = np.concatenate(([0], idx))
         seg = np.zeros((idx.size, count))
         seg[:, 0] = np.diff(bounds)
-        full = np.flatnonzero(seg[:, 0] > 0)  # reduceat misreads empty segments
-        groups = np.split(full, np.flatnonzero(np.diff(bounds[full] // _SUM_GROUP)) + 1)
-        for rows in groups if full.size else []:
-            lo = bounds[rows[0]]
-            y = self.positions[1 + lo:1 + bounds[rows[-1] + 1]] - a
-            acc = y
-            for j in range(1, count):
-                seg[rows, j] = np.add.reduceat(acc, bounds[rows] - lo)
-                if j + 1 < count:
-                    acc = acc * y
-        sums = (power_sums(self.positions[start], self._weights(1)[start], a, count)
+        for row, lo, hi in zip(seg, bounds[:-1], bounds[1:]):
+            if hi > lo:   # reduceat, a sequential sum, reads no empty segment
+                y = self.positions[1 + lo:1 + hi] - a
+                row[1:] = [np.add.reduceat(acc, [0])[0]
+                           for acc in accumulate([y] * (count - 1), np.multiply)]
+        sums = (power_sums(self.positions[start], [self.config.t_start][start], a, count)
                 + self.config.dt * np.cumsum(seg, axis=0))
         if not np.all(sums[:, 0] > 0):
             raise InvalidInputError("the occupation is empty at the first time")
@@ -453,32 +436,20 @@ def _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y
 
 def simulate(w: PotentialSpec, x0: float, cfg: SimConfig,
              v: PotentialSpec | None = None, replica: int = 0) -> TrajectoryRecord:
-    """One path of the self-attracting diffusion.
-
-    The occupation measure starts as the start atom, of mass t_start at x0.
-    A run from t = 0 has none: its first Euler step drifts against the
-    start atom alone, and from t = dt on the path's own positions are its
-    occupation.
-    """
-    _check_dt(w, cfg)
-    return _simulate_replicas(w, x0, cfg, [replica], v)[0]
+    """One path of the self-attracting diffusion: the ensemble of the one
+    replica ``replica`` (`simulate_ensemble`)."""
+    return simulate_ensemble(w, x0, cfg, 1, v=v, first=replica)[0]
 
 
 def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
                       n_replicas: int, v: PotentialSpec | None = None,
                       first: int = 0) -> list[TrajectoryRecord]:
     """Replica ensemble with independent noise streams: replicas ``first``
-    .. ``first + n_replicas - 1``, where replica r is the path
-    ``simulate(..., replica=r)`` returns, so a block of replicas gives the
-    rows of the whole ensemble.  The replicas step in lock-step (quadratic
-    W without V in closed form), from every start time.  The records hold
-    row views of one positions and one center knots array."""
-    _check_dt(w, cfg)
-    return _simulate_replicas(w, x0, cfg, range(first, first + n_replicas), v)
-
-
-def _simulate_replicas(w, x0, cfg, replicas, v):
-    """Records of the given replica ids, each driven by its own noise row.
+    .. ``first + n_replicas - 1``, each driven by its own noise row, so a
+    block of replicas gives the rows of the whole ensemble.  The replicas
+    step in lock-step (quadratic W without V in closed form), from every
+    start time.  The records hold row views of one positions and one
+    center knots array.
 
     A run from t_start > 0 starts every row's sums at the start atom's,
     t_start at its own anchor x0.  A run from t = 0 takes its first Euler
@@ -487,15 +458,17 @@ def _simulate_replicas(w, x0, cfg, replicas, v):
     t = dt on, each row's occupation is its own positions, the first of
     mass dt, and its sums stay anchored at x0, so a path without attraction
     keeps x0 as its center."""
-    n, dt, R = cfg.n_steps, cfg.dt, len(replicas)
+    _check_dt(w, cfg)
+    replicas = range(first, first + n_replicas)
+    n, dt, R = cfg.n_steps, cfg.dt, n_replicas
     T = convolution_matrix(w, 1)
     every = _CENTER_EVERY if T.shape[0] > 2 else 1   # a linear drift: every step
-    first = int(cfg.t_start == 0.0)                  # the step taken here
+    taken = int(cfg.t_start == 0.0)                  # the step taken here
     positions = np.empty((R, n + 1))
-    centers = np.empty((R, first + (n - first) // every + 1))   # the center knots
+    centers = np.empty((R, taken + (n - taken) // every + 1))   # the center knots
     for row, r in zip(positions, replicas):
         _increments(cfg, n, r, out=row[1:])
-    if first:
+    if taken:
         # step 0 against the start atom; the new positions in y = x - x0 and
         # their dt-weighted powers are the sums the steps after it start from
         drift = T[0, 0] if v is None else T[0, 0] + horner(_v_gradient(v), x0)
@@ -506,40 +479,10 @@ def _simulate_replicas(w, x0, cfg, replicas, v):
         centers[:, 0] = x0 + block_centers(T, atom, 1.0)
     else:
         sums, y = cfg.t_start * np.eye(T.shape[0], 1), 0.0   # the start atom's sums
-    _run_moments(T, v, x0, sums, positions[:, first:], centers[:, first:], dt,
-                 (replicas, first, cfg.t_start), every, y0=y)
+    _run_moments(T, v, x0, sums, positions[:, taken:], centers[:, taken:], dt,
+                 (replicas, taken, cfg.t_start), every, y0=y)
     return [TrajectoryRecord(cfg, r, positions[k], centers[k], every)
             for k, r in enumerate(replicas)]
-
-
-def _ar1(alpha, z, f, out):
-    """The linear recursion z_(k+1) = alpha z_k + f_k, summed along the last
-    axis: ``z`` holds z_0, ``f`` (..., n) holds f_0 .. f_(n-1) and ``out``
-    (..., n) receives z_1 .. z_n.  From a block start p,
-        z_(p+j) = alpha^j (z_p + sum_(i<j) alpha^(-i-1) f_(p+i)),
-    one scaled cumulative sum; the sum restarts every block, short enough
-    that alpha^(-j) stays below about e^30.  Returns ``out``."""
-    n = f.shape[-1]
-    block = max(8, min(8192, int(30.0 / max(abs(1.0 - alpha), 1e-12))))
-    up = alpha ** np.arange(1, min(block, n) + 1)
-    for p in range(0, n, block):
-        seg = out[..., p:p + block]
-        b = seg.shape[-1]
-        np.divide(f[..., p:p + b], up[:b], out=seg)
-        np.cumsum(seg, axis=-1, out=seg)
-        seg += z[..., None]
-        seg *= up[:b]
-        z = seg[..., -1]
-    return out
-
-
-def _mass_ramp(s0, dt, n):
-    """The occupation masses S0_i = s0 + dt i, i = 0 .. n, a block of
-    `_RAMP_BLOCK` steps at a time: (the block's steps p .. p+b-1 as a
-    slice, S0_p .. S0_(p+b))."""
-    for p in range(0, n, _RAMP_BLOCK):
-        S0 = s0 + dt * np.arange(p, min(p + _RAMP_BLOCK, n) + 1)
-        yield slice(p, p + S0.size - 1), S0
 
 
 def _run_quadratic_closed_form(T, x0, sums, positions, centers, dt, y0=0.0):
@@ -549,34 +492,50 @@ def _run_quadratic_closed_form(T, x0, sums, positions, centers, dt, y0=0.0):
     steps and eta_i = xi_i - t00 dt, one step is the linear recursion
         y_(i+1) = (S0_i / S0_(i+1)) (alpha y_i + eta_i),
         mean_(i+1) = mean_i + dt y_(i+1) / S0_i,
-    so z_i = y_i S0_i follows z_(i+1) = alpha z_i + S0_i eta_i (`_ar1`).
-    Paths start at x0 + y0, their sums anchored at x0 and starting from
-    ``sums`` (`_run_moments`).  ``positions`` (R, n+1) holds each replica's
-    n increments in columns 1..n; columns 1..n of ``centers`` are the
-    working space: they hold S0 eta, then the means, then the centers, while
-    z and then y stand in the positions; the masses S0 are formed a block
-    at a time (`_mass_ramp`).  Writes positions and centers (R, n+1).
-    t11 != 0 because `convolution_matrix` trims zero coefficients.
+    so z_i = y_i S0_i follows z_(i+1) = alpha z_i + S0_i eta_i.  From a
+    block start p,
+        z_(p+j) = alpha^j (z_p + sum_(i<j) alpha^(-i-1) S0_(p+i) eta_(p+i)),
+    one scaled cumulative sum; the sum restarts every block, short enough
+    that alpha^(-j) stays below about e^30.  Paths start at x0 + y0, their
+    sums anchored at x0 and starting from ``sums`` (`_run_moments`).
+    ``positions`` (R, n+1) holds each replica's n increments in columns
+    1..n.  One pass over the blocks does all of a block's work in place:
+    its masses S0, then in its columns of ``centers`` S0 eta, while z and
+    then y stand in its positions; then the mean increments, whose
+    cumulative sum carries over from the block before, so the means are
+    one sequential sum; then its positions and centers.  Writes positions
+    and centers (R, n+1).  t11 != 0 because `convolution_matrix` trims
+    zero coefficients.
     """
     t00, t11 = T[0, 0], T[1, 0]
     R, n = centers.shape[0], centers.shape[1] - 1
     s0, s1 = sums[0, 0], sums[1]
     mean = x0 + s1 / s0
-    tail = centers[:, 1:]
-    np.subtract(positions[:, 1:], t00 * dt, out=tail)
-    for cols, S0 in _mass_ramp(s0, dt, n):
-        tail[:, cols] *= S0[:-1]
     positions[:, 0] = x0 + y0
     centers[:, 0] = mean - t00 / t11
-    y = _ar1(1.0 - t11 * dt, np.full(R, (y0 - s1 / s0) * s0), tail, positions[:, 1:])
-    for cols, S0 in _mass_ramp(s0, dt, n):
-        y[:, cols] /= S0[1:]
-        np.divide(y[:, cols], S0[:-1], out=tail[:, cols])
-    tail *= dt
-    np.cumsum(tail, axis=1, out=tail)
-    tail += mean[:, None]
-    y += tail
-    tail -= t00 / t11
+    alpha = 1.0 - t11 * dt
+    block = max(8, min(8192, int(30.0 / max(abs(1.0 - alpha), 1e-12))))
+    up = alpha ** np.arange(1, min(block, n) + 1)
+    z = np.full(R, (y0 - s1 / s0) * s0)
+    for p in range(0, n, block):
+        y, f = positions[:, 1 + p:1 + p + block], centers[:, 1 + p:1 + p + block]
+        b = y.shape[1]
+        S0 = s0 + dt * np.arange(p, p + b + 1)
+        np.multiply(np.subtract(y, t00 * dt, out=f), S0[:-1], out=f)
+        np.cumsum(np.divide(f, up[:b], out=y), axis=1, out=y)
+        y += z[:, None]
+        y *= up[:b]
+        z = y[:, -1].copy()   # y is divided in place next
+        y /= S0[1:]
+        np.divide(y, S0[:-1], out=f)
+        f *= dt
+        if p:                 # not on the first block: 0.0 + -0.0 is +0.0
+            f[:, 0] += carry
+        np.cumsum(f, axis=1, out=f)
+        carry = f[:, -1].copy()
+        f += mean[:, None]
+        y += f
+        f -= t00 / t11
 
 
 # ---------------------------------------------------------------------------

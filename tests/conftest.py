@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,16 @@ def quad():
 @pytest.fixture
 def std_gauss_grid():
     return gaussian_density(0.0, 1.0, -8.0, 8.0, 2048)
+
+
+def peak_bytes(fn):
+    """(fn(), the peak bytes that tracemalloc saw allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +16,7 @@ from selfattract.config import _SCHEMA, _coerce, load_config
 from selfattract.errors import InvalidInputError, NumericFailureError
 from selfattract.persist import config_digest, load_measure, write_series_csv
 from selfattract import RateParams, envelope_compare, simulate, simulate_ensemble
+from conftest import peak_bytes
 from oracles import full_history_path, loop_center_tracks
 
 
@@ -699,12 +699,8 @@ class TestCommands:
         peaks = {}
         for cpus in (2, 1):
             for replicas in (2, 16):
-                tracemalloc.start()
-                try:
-                    assert diagnose(cpus, replicas) == 0
-                    peaks[cpus, replicas] = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+                rc, peaks[cpus, replicas] = peak_bytes(lambda: diagnose(cpus, replicas))
+                assert rc == 0
         assert max(peaks.values()) <= 12 * path_bytes, peaks
         assert max(peaks[2, 2], peaks[2, 16]) < path_bytes, peaks
 
@@ -745,14 +741,14 @@ class TestCommands:
         # (2 CPUs), which append to the log they inherit: 3 replicas are 3
         # simulations either way, and the reports are the same bytes
         log = tmp_path / "simulated.log"
-        run = sde._simulate_replicas
+        run = sde.simulate_ensemble
 
-        def logged(*args):
+        def logged(*args, first=0, **kwargs):
             with open(log, "a") as fh:
-                fh.write(" ".join(map(str, args[3])) + "\n")
-            return run(*args)
+                fh.write(" ".join(map(str, range(first, first + args[3]))) + "\n")
+            return run(*args, first=first, **kwargs)
 
-        monkeypatch.setattr(sde, "_simulate_replicas", logged)
+        monkeypatch.setattr(sde, "simulate_ensemble", logged)
         cfg = write(tmp_path / "d.cfg", "[sim]\nt_end = 60.0\n[experiment]\nreplicas = 3\n"
                     "[schedule]\nn_start = 4\nn_end = 12\n[grid]\ncells = 256\n")
         reports = []
@@ -804,13 +800,8 @@ class TestCommands:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         argv = ["--config", cfg, "--out", str(tmp_path / "o"), "simulate"]
         assert main(argv) == 0   # the pool's one-time imports and caches
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < path_bytes, peak
+        rc, peak = peak_bytes(lambda: main(argv))
+        assert rc == 0 and peak < path_bytes, peak
 
     def test_diagnose_runs(self, tmp_path):
         cfg = write(tmp_path / "d.cfg",

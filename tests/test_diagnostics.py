@@ -2,7 +2,6 @@ import dataclasses
 import json
 import multiprocessing
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +11,11 @@ from selfattract import (InvalidInputError, NumericFailureError, Schedule, SimCo
                          external_polynomial, gaussian_density, gibbs_map,
                          quadratic_shifted, quadratic_symmetric, recenter, simulate,
                          simulate_ensemble, w2_distance, zero_interaction)
-from selfattract import diagnostics, sde, workers
+from selfattract import diagnostics, workers
 from selfattract.diagnostics import (center_convergence, ergodicity_check,
                                      one_step_error)
 from selfattract.powersums import PowerSums, power_sums
-from conftest import make_rng
+from conftest import make_rng, peak_bytes
 
 
 def ergodicity(w, records, rho, **kwargs):
@@ -227,13 +226,8 @@ class TestErgodicity:
         rec = TrajectoryRecord(cfg, 0, make_rng(5).standard_normal(n + 1),
                                np.broadcast_to(0.0, (n + 1,)))
         target = diagnostics.QuantileTarget(gaussian_density(0, 1, -8, 8, 1024))
-        tracemalloc.start()
-        try:
-            (chunks,) = diagnostics._sorted_prefixes(rec, [cfg.t_last])
-            d = target.w2(chunks)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        d, peak = peak_bytes(
+            lambda: target.w2(*diagnostics._sorted_prefixes(rec, [cfg.t_last])))
         assert 0.0 < d < 0.1
         # 8 n bytes of sort buffer, then a few arrays of a chunk's length
         assert peak - 8 * n <= 16 * 8 * diagnostics._PREFIX_CHUNK
@@ -241,21 +235,16 @@ class TestErgodicity:
     @pytest.mark.parametrize("n", [1_000_000, 4_000_000], ids=["1M", "4M"])
     def test_one_step_error_memory_is_a_constant(self, quad, n):
         # a record of n path atoms and a schedule of windows that covers it:
-        # the pre-window power sums are taken over groups of whole segments,
-        # so the pass holds a group's powers and a window's atoms, whatever
-        # n is, not arrays of the path's length
+        # the pre-window power sums are taken one segment at a time, so the
+        # pass holds a segment's powers and a window's atoms, whatever n is,
+        # not arrays of the path's length
         cfg = SimConfig(dt=1e-3, t_end=1.0 + 1e-3 * n)
         rec = TrajectoryRecord(cfg, 0, make_rng(5).standard_normal(n + 1),
                                np.broadcast_to(0.0, (n + 1,)))
         sched = Schedule(n_start=10, n_end=int(cfg.t_last ** (2 / 3)))
-        tracemalloc.start()
-        try:
-            report = one_step_error(quad, rec, sched)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        report, peak = peak_bytes(lambda: one_step_error(quad, rec, sched))
         assert len(report.series) == sched.n_end - sched.n_start
-        assert peak <= 8 * 8 * sde._SUM_GROUP
+        assert peak <= 4 * 2 ** 20
 
     def test_without_a_center_the_fixed_point_is_read_as_given(self):
         # W = 0 has no center to put the fixed point at; V = x^2 / 2 places it
@@ -334,17 +323,28 @@ class TestPrefixSums:
             scale = power_sums(np.abs(occ.positions - got.anchor), occ.weights, 0.0, 5)
             assert np.all(np.abs(got.sums - want) <= 1e-12 * scale), (t, got.sums, want)
 
-    @pytest.mark.parametrize("group", [1, 97])
-    def test_power_sums_at_are_the_same_bits_in_any_grouping(self, group, monkeypatch):
-        # the record's 7900 path atoms are one group by default; in groups of
-        # one segment, or of 97 atoms, each segment is still one reduction,
-        # empty segments (the repeated knot) included
+    def test_power_sums_at_are_the_bits_of_one_reduction_per_segment(self):
+        # each segment of path atoms between consecutive knots is one
+        # `np.add.reduceat` per power, cumulated on the start atom's sums and
+        # normalized; the repeated knot's segment is empty and adds nothing
         rec = _records()["heavy"]
         knots = [6.0, 6.0, 7.3, 12.0, 30.0, 79.99, 80.0]
-        want = rec.power_sums_at(knots, 5)
-        monkeypatch.setattr(sde, "_SUM_GROUP", group)
-        for got, one in zip(rec.power_sums_at(knots, 5), want, strict=True):
-            assert got.anchor == one.anchor and np.array_equal(got.sums, one.sums)
+        got = rec.power_sums_at(knots, 5)
+        a = got[0].anchor
+        assert all(ps.anchor == a for ps in got)
+        bounds = [0] + [rec.index_at(t) for t in knots]
+        seg = np.zeros((len(knots), 5))
+        for row, lo, hi in zip(seg, bounds, bounds[1:]):
+            row[0] = hi - lo
+            acc = y = rec.positions[1 + lo:1 + hi] - a
+            for j in range(1, 5 if hi > lo else 1):
+                row[j] = np.add.reduceat(acc, [0])[0]
+                acc = acc * y
+        assert seg[1, 0] == 0 and seg[:, 0].sum() == rec.index_at(80.0)
+        sums = power_sums(rec.positions[:1], [rec.config.t_start], a, 5) \
+            + rec.config.dt * np.cumsum(seg, axis=0)
+        for ps, want in zip(got, sums / sums[:, :1], strict=True):
+            assert np.array_equal(ps.sums, want)
 
     @pytest.mark.parametrize("w, v", [
         (quadratic_symmetric(1.0), None),

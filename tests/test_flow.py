@@ -1,7 +1,6 @@
 import cProfile
 import dataclasses
 import pstats
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from selfattract.flow import initial_state
 from selfattract.measures import _cell_centers, box_geometry, density_sums
 from selfattract.powersums import convolution_matrix
 from selfattract.energy import free_energy
+from conftest import peak_bytes
 from oracles import tail_certificate
 
 
@@ -196,12 +196,8 @@ class TestRunFlow:
                        "[init]\nkind = atom\n")
         convolution_matrix.cache_clear()
         box_geometry.cache_clear()
-        tracemalloc.start()
-        try:
-            rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "flow"])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rc, peak = peak_bytes(
+            lambda: cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "flow"]))
         assert rc == 0
         assert (tmp_path / "out" / "flow.csv").read_text().count("\n") == n_end + 1
         assert peak <= 96 * 8 * cells

@@ -5,7 +5,6 @@ input by s must shift every output by s: centers, Gibbs densities, free
 energies and SDE paths alike.
 """
 
-import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -19,7 +18,7 @@ from selfattract import (GridDensity, ParticleMeasure, SimConfig, center,
 from selfattract import sde
 from selfattract.energy import interaction_energy
 from selfattract.powersums import convolution_matrix, power_sums, reanchor
-from conftest import make_rng
+from conftest import make_rng, peak_bytes
 from oracles import full_history_path
 
 POTENTIALS = {
@@ -228,13 +227,7 @@ def test_energies_on_a_wide_grid_need_linear_memory():
     w = even_polynomial([0.5, 0.1])
     mu = gaussian_density(0.0, 1.0, -8.0, 8.0, 4096)
     nu = gaussian_density(0.5, 1.3, -8.0, 8.0, 4096)
-    tracemalloc.start()
-    try:
-        free_energy(w, mu)
-        frozen_energy_difference(w, mu, nu)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: (free_energy(w, mu), frozen_energy_difference(w, mu, nu)))
     assert peak < 8 * 2 ** 20
 
 

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from selfattract import (InvalidInputError, NumericFailureError, SimConfig,
                          simulate_ensemble, TrajectoryRecord, zero_interaction)
 from selfattract import powersums, sde
 from selfattract.powersums import anchor, convolution_matrix, power_sums
-from conftest import make_rng
+from conftest import make_rng, peak_bytes
 from oracles import full_history_path, history_drift, loop_center_tracks, loop_moment_columns
 
 
@@ -281,11 +280,13 @@ class TestEnsemble:
             for rec in simulate_ensemble(w, 0.0, cfg, 3):
                 assert np.array_equal(rec.times,
                                       cfg.t_start + cfg.dt * np.arange(cfg.n_steps + 1))
-                assert rec.weights.size == rec.positions.size
-                assert rec.weights[0] == 1.0 and np.all(rec.weights[1:] == 0.01)
-                for grid in (rec.times, rec.weights):
-                    with pytest.raises(ValueError):
-                        grid[0] = 2.0
+                weights = np.full(rec.positions.size, 0.01)
+                weights[0] = 1.0
+                occ = rec.occupation()
+                assert np.array_equal(occ.positions, rec.positions)
+                assert np.array_equal(occ.weights, weights / weights.sum())
+                with pytest.raises(ValueError):
+                    rec.times[0] = 2.0
 
     def test_stepped_ensemble_memory_is_its_outputs(self):
         # the increments are drawn into the positions, which the stepper
@@ -299,12 +300,9 @@ class TestEnsemble:
             n = cfg.n_steps
             for w, knots in ((even_polynomial([0.5, 0.1]), n // 10 + 1),
                              (quadratic_symmetric(1.0), n + 1)):
-                tracemalloc.start()
-                try:
-                    ens = simulate_ensemble(w, 0.0, cfg, R)
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
+                simulate_ensemble(w, 0.0, short_cfg(t_start=t_start, t_end=t_start + 3.0),
+                                  2)   # one-time caches outside the trace
+                ens, peak = peak_bytes(lambda: simulate_ensemble(w, 0.0, cfg, R))
                 assert len(ens) == R and n == 20_000
                 assert ens[0].center_knots.size == knots
                 assert peak <= 1.1 * 8 * R * ((n + 1) + knots)
@@ -317,26 +315,39 @@ class TestEnsemble:
         quad = quadratic_symmetric(1.0)
         cfg = SimConfig(dt=0.01, t_end=5001.0, t_start=1.0, seed=55)
         simulate(quad, 0.0, short_cfg())   # one-time caches outside the trace
-        tracemalloc.start()
-        try:
-            rec = simulate(quad, 0.0, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rec, peak = peak_bytes(lambda: simulate(quad, 0.0, cfg))
         assert rec.positions.size == rec.center_knots.size == 500_001
         assert peak <= 1.25 * (rec.positions.nbytes + rec.center_knots.nbytes)
 
+    @pytest.mark.parametrize("w, dt, n", [
+        (quadratic_symmetric(0.01), 1e-3, 20_000),   # alpha = 1 - 1e-5: blocks of 8192
+        (quadratic_symmetric(1.0), 0.01, 10_000),    # t11 dt = 0.01 at the dt cap: ~3000
+        (quadratic_shifted(2.0), 0.005, 10_000),     # the same, with t00 != 0
+    ], ids=["near-one", "smallest-block", "shifted"])
     @pytest.mark.parametrize("t_start", [1.0, 0.0])
-    def test_closed_form_is_the_same_bits_in_any_mass_block(self, t_start, monkeypatch):
-        # 300 steps are one block of occupation masses by default and 43
-        # blocks of 7 here: each mass is the same float either way
-        cfg = SimConfig(dt=0.01, t_end=t_start + 3.0, t_start=t_start, seed=4)
-        quad = quadratic_symmetric(1.0)
-        want = simulate_ensemble(quad, 0.5, cfg, 2)
-        monkeypatch.setattr(sde, "_RAMP_BLOCK", 7)
-        for got, one in zip(simulate_ensemble(quad, 0.5, cfg, 2), want, strict=True):
-            assert np.array_equal(got.positions, one.positions)
-            assert np.array_equal(got.center_knots, one.center_knots)
+    def test_closed_form_across_blocks_matches_the_scalar_recursion(self, w, dt, n,
+                                                                    t_start):
+        # the closed form sums each block's recursion and carries z and the
+        # means' cumulative sum into the next; the Euler scheme stepped one
+        # float at a time, with the mean carried by the running mass and sum,
+        # must agree with it over every block
+        cfg = SimConfig(dt=dt, t_end=t_start + dt * n, t_start=t_start, seed=4)
+        assert cfg.n_steps == n
+        (t00, t11), x0 = convolution_matrix(w, 1)[:, 0], 0.5
+        for rec in simulate_ensemble(w, x0, cfg, 2):
+            xi = (cfg.noise_scale * math.sqrt(dt)
+                  * rng.normal_increments(cfg.seed, n, rec.replica)).tolist()
+            x, mass, total, mean = x0, t_start, t_start * x0, x0
+            positions, centers = [x], [mean - t00 / t11]
+            for k in range(n):
+                x = x - (t00 + t11 * (x - mean)) * dt + xi[k]
+                mass, total = mass + dt, total + dt * x
+                mean = total / mass
+                positions.append(x)
+                centers.append(mean - t00 / t11)
+            for got, want in ((rec.positions, positions), (rec.center_knots, centers)):
+                want = np.array(want)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("v", [None, external_polynomial([0.3])], ids=["W", "W+V"])
     def test_block_centers_are_exact_and_independent_of_the_block_length(self, v,
@@ -458,22 +469,6 @@ class TestEnsemble:
                 assert np.array_equal(rec.positions, ref.positions)
                 assert np.array_equal(rec.center_track, ref.center_track)
 
-
-    @pytest.mark.parametrize("alpha,n", [(1.0 - 1e-4, 20_000), (0.9, 2_000)],
-                             ids=["near-one", "decaying"])
-    def test_ar1_block_sum_matches_the_recursion(self, alpha, n):
-        # both runs cross more than one block of the scaled cumulative sum
-        gen = make_rng(5)
-        f = gen.standard_normal((2, n))
-        z0 = np.array([0.3, -2.0])
-        got = sde._ar1(alpha, z0, f, np.empty((2, n)))
-        want = np.empty((2, n))
-        for r in range(2):
-            z = float(z0[r])
-            for k in range(n):
-                z = alpha * z + float(f[r, k])
-                want[r, k] = z
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestStrongOrder:
@@ -827,7 +822,9 @@ class TestPicardBootstrap:
         ens = simulate_ensemble(w, 0.4, cfg, 3)
         for r, rec in enumerate(ens):
             single = simulate(w, 0.4, cfg, replica=r)
-            assert rec.times[0] == 0.0 and rec.weights[0] == 0.0
+            occ = rec.occupation()   # no start atom: step 1 on, of equal mass
+            assert rec.times[0] == 0.0 and np.array_equal(occ.positions, rec.positions[1:])
+            assert np.all(occ.weights == occ.weights[0])
             assert np.array_equal(rec.times, single.times)
             assert np.array_equal(rec.positions, single.positions)
             assert np.array_equal(rec.center_track, single.center_track)
