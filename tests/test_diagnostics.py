@@ -323,22 +323,31 @@ class TestPrefixSums:
             scale = power_sums(np.abs(occ.positions - got.anchor), occ.weights, 0.0, 5)
             assert np.all(np.abs(got.sums - want) <= 1e-12 * scale), (t, got.sums, want)
 
-    def test_power_sums_at_are_the_bits_of_one_reduction_per_segment(self):
+    @pytest.mark.parametrize("group", [1, 97])
+    def test_power_sums_at_are_the_same_bits_in_any_grouping(self, group):
         # each segment of path atoms between consecutive knots is one
         # `np.add.reduceat` per power, cumulated on the start atom's sums and
-        # normalized; the repeated knot's segment is empty and adds nothing
+        # normalized, whether the segments' powers are taken one segment at
+        # a time (group 1) or over groups of whole segments that end in the
+        # same block of 97 atoms; the repeated knot's segment is empty and
+        # adds nothing
         rec = _records()["heavy"]
         knots = [6.0, 6.0, 7.3, 12.0, 30.0, 79.99, 80.0]
         got = rec.power_sums_at(knots, 5)
         a = got[0].anchor
         assert all(ps.anchor == a for ps in got)
-        bounds = [0] + [rec.index_at(t) for t in knots]
+        bounds = np.array([0] + [rec.index_at(t) for t in knots])
         seg = np.zeros((len(knots), 5))
-        for row, lo, hi in zip(seg, bounds, bounds[1:]):
-            row[0] = hi - lo
-            acc = y = rec.positions[1 + lo:1 + hi] - a
-            for j in range(1, 5 if hi > lo else 1):
-                row[j] = np.add.reduceat(acc, [0])[0]
+        seg[:, 0] = np.diff(bounds)
+        full = np.flatnonzero(seg[:, 0] > 0)
+        last = (bounds[full + 1] - 1) // group   # the block of a segment's last atom
+        rows_of = np.split(full, np.flatnonzero(np.diff(last)) + 1)
+        assert (len(rows_of) < full.size) == (group > 1)
+        for rows in rows_of:
+            lo = bounds[rows[0]]
+            acc = y = rec.positions[1 + lo:1 + bounds[rows[-1] + 1]] - a
+            for j in range(1, 5):
+                seg[rows, j] = np.add.reduceat(acc, bounds[rows] - lo)
                 acc = acc * y
         assert seg[1, 0] == 0 and seg[:, 0].sum() == rec.index_at(80.0)
         sums = power_sums(rec.positions[:1], [rec.config.t_start], a, 5) \
