@@ -217,8 +217,7 @@ def _cmd_appendix2(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def _cmd_certify(cfg: ExperimentConfig, out: None, args) -> int:
-    report = certify(cfg.potential, sample_radius=args.radius,
-                     n_samples=args.samples)
+    report = certify(cfg.potential, sample_radius=10.0)
     print(f"min directional curvature: {report.min_directional_curvature:.6g}")
     print(f"max domination ratio:      {report.max_domination_ratio:.6g}")
     print(f"symmetry defect:           {report.symmetry_defect:.6g}")
@@ -226,7 +225,7 @@ def _cmd_certify(cfg: ExperimentConfig, out: None, args) -> int:
     if report.passed:
         print("certificate: PASS")
         return 0
-    print("certificate: FAIL (" + ", ".join(report.failures()) + ")")
+    print("certificate: FAIL (" + ", ".join(report.failures) + ")")
     return 1
 
 
@@ -258,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     commands = {name: sub.add_parser(name) for name in COMMANDS}
     commands["compare"].add_argument("measures", nargs=2, help="two measure CSV files")
     commands["compare"].add_argument("--out-file", default=None)
-    commands["certify"].add_argument("--radius", type=float, default=10.0)
-    commands["certify"].add_argument("--samples", type=int, default=512)
     return parser
 
 

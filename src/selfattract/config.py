@@ -30,7 +30,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "external": _POTENTIAL,
     "sim": {"dt": (float, 0.01), "t_end": (float, 100.0), "t_start": (float, 1.0),
             "seed": (int, 0), "noise_scale": (float, math.sqrt(2.0))},
-    "schedule": {"n_start": (int, 1), "n_end": (int, 100), "exponent": (float, 1.5)},
+    "schedule": {"n_start": (int, 1), "n_end": (int, 100)},
     "grid": {"cells": (int, 1024), "half_width": (float, 8.0)},
     "init": {"kind": (str, "uniform"), "position": (float, 0.0), "width": (float, 0.5),
              "mean": (float, 0.0), "sigma": (float, 1.0)},
@@ -45,7 +45,6 @@ _VALID = {
     ("sim", "t_start"): (lambda x: x >= 0, "must be non-negative"),
     ("sim", "noise_scale"): (lambda x: x >= 0, "must be non-negative"),
     ("schedule", "n_start"): (lambda x: x >= 1, "must be positive"),
-    ("schedule", "exponent"): (lambda x: x > 1, "must exceed 1"),
     ("potential", "bound_degree"): (lambda x: x is None or x >= 2, "must be at least 2"),
     ("potential", "bound_scale"): (lambda x: x is None or x >= 1, "must be at least 1"),
     ("grid", "cells"): (lambda x: x >= 16, "must be at least 16"),

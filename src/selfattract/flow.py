@@ -52,21 +52,18 @@ _ENVELOPE_TOL = 1e-9   # slack of F <= y in `envelope_compare`
 
 @dataclass(frozen=True)
 class Schedule:
-    """Knots T_n = n**exponent; interval lengths grow like T_n^(1/3) for the
-    default exponent 3/2."""
+    """The paper's knots T_n = n^(3/2), n_start <= n <= n_end; the interval
+    lengths grow like T_n^(1/3)."""
 
     n_end: int
     n_start: int = 1
-    exponent: float = 1.5
 
     def __post_init__(self):
         if self.n_start < 1 or self.n_end <= self.n_start:
             raise InvalidInputError("need n_end > n_start >= 1")
-        if self.exponent <= 1.0:
-            raise InvalidInputError("schedule exponent must exceed 1")
 
     def time(self, n: int) -> float:
-        return float(n) ** self.exponent
+        return float(n) ** 1.5
 
     def indices(self) -> range:
         return range(self.n_start, self.n_end)
@@ -286,9 +283,7 @@ def envelope_compare(times, relative, params: RateParams) -> dict:
         a_fit = decay_exponent(times[positive], f_rel[positive], params.k)
     return {
         "fraction_satisfied": float(satisfied.mean()),
-        "n_steps": times.size,
         "decay_exponent": a_fit,
-        "envelope_start": y0,
         "times": times,
         "energy_trace": f_rel,
         "envelope_trace": y_at,

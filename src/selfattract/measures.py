@@ -68,11 +68,11 @@ class ParticleMeasure:
         object.__setattr__(self, "weights", w)
 
     @property
-    def total_mass(self) -> float:
+    def mass(self) -> float:
         return float(self.weights.sum())
 
     def mean(self) -> float:
-        return float(self.weights @ self.positions) / self.total_mass
+        return float(self.weights @ self.positions) / self.mass
 
 
 def dirac(position: float) -> ParticleMeasure:

@@ -142,35 +142,19 @@ def derivative(c: np.ndarray, order: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Numeric check of the potential's claims on a sample grid."""
+    """Numeric check of the potential's claims on a sample grid: the four
+    measured values, and ``failures``, the names of the claims they fail, in
+    check order."""
 
-    sample_radius: float
-    n_samples: int
     min_directional_curvature: float
-    curvature_pass: bool
     max_domination_ratio: float
-    domination_pass: bool
     symmetry_defect: float
-    symmetry_pass: bool
     max_submultiplicativity_ratio: float
-    submultiplicativity_pass: bool
+    failures: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
-        return (self.curvature_pass and self.domination_pass
-                and self.symmetry_pass and self.submultiplicativity_pass)
-
-    def failures(self) -> list[str]:
-        out = []
-        if not self.curvature_pass:
-            out.append("uniform-convexity")
-        if not self.domination_pass:
-            out.append("domination")
-        if not self.symmetry_pass:
-            out.append("symmetry")
-        if not self.submultiplicativity_pass:
-            out.append("envelope-submultiplicativity")
-        return out
+        return not self.failures
 
 
 def certify(p: PotentialSpec, sample_radius: float, n_samples: int = 512) -> CertificateReport:
@@ -194,34 +178,27 @@ def certify(p: PotentialSpec, sample_radius: float, n_samples: int = 512) -> Cer
         if rs.size:
             curvatures.append(polynomial_derivative(derivative(w)[1::2], rs * rs).min())
     min_curv = float(min(curvatures))
-    curvature_pass = p.convexity_constant > 0 and min_curv >= p.convexity_constant - 1e-9
 
     env = p.bound
     ratio = (np.abs(vals) + np.abs(grads) + np.abs(hesss)) / env(np.abs(xs))
     max_ratio = float(ratio.max())
-    domination_pass = max_ratio <= 1.0 + 1e-9
 
     defect = float(np.abs(vals - vals[::-1]).max())
     scale = max(1.0, float(np.abs(vals).max()))
-    symmetry_pass = (not p.symmetric) or defect <= 1e-10 * scale
 
     rr = np.abs(xs)
     sub = env(np.abs(xs[:, None] - xs[None, :])) / (env(rr)[:, None] * env(rr)[None, :])
     max_sub = float(sub.max())
-    submult_pass = max_sub <= 1.0 + 1e-9
 
-    return CertificateReport(
-        sample_radius=sample_radius,
-        n_samples=n_samples,
-        min_directional_curvature=min_curv,
-        curvature_pass=curvature_pass,
-        max_domination_ratio=max_ratio,
-        domination_pass=domination_pass,
-        symmetry_defect=defect,
-        symmetry_pass=symmetry_pass,
-        max_submultiplicativity_ratio=max_sub,
-        submultiplicativity_pass=submult_pass,
+    claims = (
+        ("uniform-convexity",
+         p.convexity_constant > 0 and min_curv >= p.convexity_constant - 1e-9),
+        ("domination", max_ratio <= 1.0 + 1e-9),
+        ("symmetry", (not p.symmetric) or defect <= 1e-10 * scale),
+        ("envelope-submultiplicativity", max_sub <= 1.0 + 1e-9),
     )
+    return CertificateReport(min_curv, max_ratio, defect, max_sub,
+                             tuple(name for name, holds in claims if not holds))
 
 
 def _spec(kind: str, coefficients: tuple[float, ...], convexity_constant: float,

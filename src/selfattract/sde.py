@@ -560,14 +560,9 @@ def blend(r: float) -> float:
 
 @dataclass(frozen=True)
 class OuDominationResult:
-    times: np.ndarray
-    x_path: np.ndarray
-    center_track: np.ndarray
     z_path: np.ndarray
     violation_fraction: float
-    n_checked: int
     n_reflections: int
-    eps_disc: float
 
 
 def ou_domination(w: PotentialSpec, cfg: SimConfig) -> OuDominationResult:
@@ -577,38 +572,29 @@ def ou_domination(w: PotentialSpec, cfg: SimConfig) -> OuDominationResult:
     `_OU_BURN_IN` (d = 1 here, so 3d - 1 = 2).
 
     eps allows for the Euler discretization: 0.05 at dt = 1e-3, scaled with
-    sqrt(dt).  X does not depend on Z, so the path and its every-step center
-    come from the running-moment stepper first, on an atom of mass t_start
-    at 0 as the pre-history, so the coupling needs t_start > 0.
+    sqrt(dt).  X does not depend on Z, so the path and its center at every
+    step (interpolated between knots above quadratic W, as the record reads
+    them) come from `simulate` first: replica 0, driven by the noise stream
+    the coupling reads, on its start atom of mass t_start at 0, so the
+    coupling needs t_start > 0.
     """
-    _check_dt(w, cfg)
     if w.convexity_constant <= 0:
         raise InvalidInputError("domination needs a uniformly convex interaction")
     if cfg.t_start <= 0:
         raise InvalidInputError("the coupling needs a pre-history: t_start > 0")
-    dt = cfg.dt
-    n = cfg.n_steps
+    rec = simulate(w, 0.0, cfg)
+    dt, n = cfg.dt, cfg.n_steps
     eps_disc = 0.05 * math.sqrt(dt / 1e-3)
     c_w = w.convexity_constant
     sq_dt = math.sqrt(dt)
-    db = sq_dt * rng.normal_increments(cfg.seed, n, 0, rng.NOISE)
+    db = (sq_dt * rng.normal_increments(cfg.seed, n, 0, rng.NOISE)).tolist()
     dbeta = (sq_dt * rng.normal_increments(cfg.seed, n, 0, rng.AUX_NOISE)).tolist()
-
-    T = convolution_matrix(w, 1)
-    xs, cs = np.empty((2, n + 1))
-    np.multiply(cfg.noise_scale, db, out=xs[1:])
-    _run_moments(T, None, 0.0, cfg.t_start * np.eye(T.shape[0], 1), xs[None], cs[None],
-                 dt, ((0,), 0, cfg.t_start), 1)
-    gaps = (xs - cs).tolist()
-    db = db.tolist()
+    gaps = (rec.positions - rec.center_track).tolist()
     z = max(1.0, abs(gaps[0]))
     zs = np.empty(n + 1)
     zs[0] = z
-    violations = 0
-    checked = 0
-    reflections = 0
-    t_check = cfg.t_start + _OU_BURN_IN
-    times = cfg.t_start + dt * np.arange(n + 1)
+    violations = checked = reflections = 0
+    t_check, times = cfg.t_start + _OU_BURN_IN, rec.times
     for i in range(n):
         gap = gaps[i]
         a = blend(abs(gap))
@@ -624,9 +610,7 @@ def ou_domination(w: PotentialSpec, cfg: SimConfig) -> OuDominationResult:
             if abs(gaps[i + 1]) > 2.0 + z + eps_disc:
                 violations += 1
     frac = violations / checked if checked else 0.0
-    return OuDominationResult(times=times, x_path=xs, center_track=cs, z_path=zs,
-                              violation_fraction=frac, n_checked=checked,
-                              n_reflections=reflections, eps_disc=eps_disc)
+    return OuDominationResult(z_path=zs, violation_fraction=frac, n_reflections=reflections)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +619,6 @@ def ou_domination(w: PotentialSpec, cfg: SimConfig) -> OuDominationResult:
 
 @dataclass(frozen=True)
 class PicardResult:
-    times: np.ndarray
     path: np.ndarray
     sup_distances: tuple[float, ...]
 
@@ -690,7 +673,7 @@ def picard_bootstrap(w: PotentialSpec, x0: float, times: np.ndarray,
                 f"bootstrap iteration is not contracting ({_rounds(sups, ratio)}); "
                 "the interval is too long")
         if sup < _BOOTSTRAP_TOL:
-            return PicardResult(times=times, path=path, sup_distances=tuple(sups))
+            return PicardResult(path=path, sup_distances=tuple(sups))
     raise NumericFailureError(f"bootstrap did not reach tolerance {_BOOTSTRAP_TOL!r} "
                               f"({_rounds(sups, ratio)})")
 

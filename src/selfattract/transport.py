@@ -257,8 +257,7 @@ def _abs_gap_integral(env, prim, ga: np.ndarray, c1: np.ndarray) -> float:
 def tp_distance_1d(envelope, m1: Measure, m2: Measure) -> float:
     """Translation distance: integral of P(|x|) |F1(x) - F2(x)| dx, exact for
     the piecewise-linear CDFs of atoms and grid cells."""
-    mass1, mass2 = (m.total_mass if isinstance(m, ParticleMeasure) else m.mass
-                    for m in (m1, m2))
+    mass1, mass2 = m1.mass, m2.mass
     if abs(mass1 - mass2) > _MASS_GAP_TOL:
         raise NumericFailureError(
             "total masses differ; the CDF gap does not vanish at infinity "

@@ -289,12 +289,19 @@ class TestCommands:
         assert manifest["command"] == "fixpoint"
         assert (out / "convergence.csv").exists()
 
-    def test_certify_fails_for_pure_quartic(self, tmp_path, capsys):
-        cfg = write(tmp_path / "q.cfg",
-                    "[potential]\nkind = even-polynomial\ncoefficients = 0.0 0.25\n")
+    @pytest.mark.parametrize("verdict, body", [
+        ("symmetry", "kind = quadratic-shifted\nsymmetric = true\n"),
+        ("domination", "kind = quadratic-symmetric\ncoefficients = 10.0\nbound_scale = 2.0\n"),
+        ("envelope-submultiplicativity",
+         "kind = quadratic-symmetric\ncoefficients = 0.1\nbound_scale = 1.0\n"),
+        ("uniform-convexity", "kind = even-polynomial\ncoefficients = 0.0 0.25\n"),
+    ], ids=["symmetry", "domination", "envelope-submultiplicativity", "uniform-convexity"])
+    def test_certify_fails_each_verdict_alone(self, tmp_path, capsys, verdict, body):
+        # each [potential] fails one claim and no other
+        cfg = write(tmp_path / "c.cfg", "[potential]\n" + body)
         code = main(["--config", cfg, "certify"])
         assert code == 1
-        assert "uniform-convexity" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[-1] == f"certificate: FAIL ({verdict})"
 
     def test_certify_passes_for_quadratic(self, tmp_path, capsys):
         code = main(["certify"])

@@ -76,35 +76,33 @@ def test_dominating_polynomial_monotone_and_bounded_below():
 
 def test_certify_quadratic_passes():
     rep = certify(quadratic_symmetric(1.0), sample_radius=10.0)
-    assert rep.passed
+    assert rep.passed and rep.failures == ()
     assert rep.min_directional_curvature == pytest.approx(1.0, abs=1e-12)
 
 
 def test_certify_pure_quartic_fails_uniform_convexity():
     w = even_polynomial([0.0, 0.25])  # x^4/4, second derivative vanishes at 0
     rep = certify(w, sample_radius=10.0)
-    assert not rep.curvature_pass
-    assert "uniform-convexity" in rep.failures()
+    assert rep.failures == ("uniform-convexity",)
+    assert not rep.passed
 
 
 def test_certify_shifted_with_symmetry_claim_fails():
     w = quadratic_shifted(1.0, claim_symmetric=True)
     rep = certify(w, sample_radius=10.0)
-    assert not rep.symmetry_pass
-    assert "symmetry" in rep.failures()
+    assert rep.failures == ("symmetry",)
 
 
 def test_certify_shifted_without_claim_passes():
     # no symmetry claim: the auto envelope must cover the heavier left branch
     rep = certify(quadratic_shifted(1.0), sample_radius=10.0)
-    assert rep.symmetry_pass
-    assert rep.domination_pass
+    assert rep.failures == ()
     assert rep.passed
 
 
 def test_envelope_submultiplicative_on_samples():
     rep = certify(quadratic_symmetric(1.0), sample_radius=20.0, n_samples=301)
-    assert rep.submultiplicativity_pass
+    assert "envelope-submultiplicativity" not in rep.failures
 
 
 @given(st.floats(-8.0, 8.0))

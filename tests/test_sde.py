@@ -669,6 +669,19 @@ class TestOuDomination:
         assert res.n_reflections >= 0
         assert np.all(res.z_path >= 1e-6 - 1e-15)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_violation_fraction_small_above_quadratic_w(self, seed):
+        # quartic W: the coupling reads the record's centers, interpolated
+        # between the knots every `_CENTER_EVERY` steps
+        cfg = SimConfig(dt=1e-3, t_end=51.0, t_start=1.0, seed=seed)
+        res = ou_domination(even_polynomial([0.5, 0.1]), cfg)
+        assert res.violation_fraction <= 0.01
+
+    def test_dt_above_the_stability_cap_is_an_input_error(self, quad):
+        cfg = SimConfig(dt=0.02, t_end=3.0, t_start=1.0)
+        with pytest.raises(InvalidInputError, match=r"exceeds the stability cap 0\.01"):
+            ou_domination(quad, cfg)
+
     def test_start_at_zero_needs_a_pre_history(self, quad):
         # the path is stepped on an atom of mass t_start: from t = 0 it has
         # none, which is an input error, not an explosion of the path
@@ -834,7 +847,7 @@ class TestPicardBootstrap:
         rec = simulate(quad, 0.0, cfg)
         assert rec.times[0] == 0.0
         assert np.all(np.isfinite(rec.positions))
-        assert rec.occupation(0.5).total_mass == pytest.approx(1.0)
+        assert rec.occupation(0.5).mass == pytest.approx(1.0)
 
 
 class TestCounterexample:

@@ -13,6 +13,10 @@ Re-exports in ``__init__.py`` are not reads, and neither is an import
 that nothing uses.  A name that only unit tests read is surface that every
 refactor carries for nothing: report it through a command or a script, or
 delete it with its tests.
+
+Every field of a dataclass in the package is read as an attribute
+somewhere in the package, ``scripts/``, ``bench/`` or ``tests/``: a field
+that is only ever set is a result nobody looks at.
 """
 
 import ast
@@ -78,3 +82,29 @@ def test_every_package_definition_has_a_reader():
             unread.append(f"{path.stem}.{qualified} (line {node.lineno})")
     assert unread == [], "read by no command, script, bench file or acceptance test: " \
         + ", ".join(unread)
+
+
+def _attributes_read(tree: ast.AST) -> set[str]:
+    """The attribute names that ``tree`` loads."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+             *(ROOT / "bench").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    read = set().union(*(_attributes_read(_parse(p)) for p in paths))
+    unread = [f"{path.stem}.{node.name}.{item.target.id} (line {item.lineno})"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.walk(_parse(path))
+              if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+              for item in node.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+              and item.target.id not in read]
+    assert unread == [], "dataclass fields nothing reads: " + ", ".join(unread)

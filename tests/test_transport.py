@@ -23,7 +23,7 @@ def monotone_coupling_cost(env, m1, m2):
     the envelope-weighted path length for each piece."""
     def pieces(m):
         order = np.argsort(m.positions, kind="stable")
-        return m.positions[order], np.cumsum(m.weights[order]) / m.total_mass
+        return m.positions[order], np.cumsum(m.weights[order]) / m.mass
 
     x1, c1 = pieces(m1)
     x2, c2 = pieces(m2)
