@@ -2,10 +2,13 @@
 
 Subcommands: simulate, flow, fixpoint, compare, diagnose, appendix2, certify.
 Each run writes CSV / JSON-lines artifacts plus a manifest (config hash,
-seed, versions) into the output directory.  `simulate` spreads blocks of
-replicas and `diagnose` single replicas over forked workers, each with one
-call of the fork map of `workers`.  Exit codes: 0 success, 1 failed
-verdicts under --assert, 2 configuration errors, 3 numeric failures.
+seed, versions) into the output directory.  `simulate` and `diagnose`
+spread contiguous blocks of replicas over forked workers, each with one
+call of the fork map of `workers`: `simulate` one block per worker, each
+an ensemble; `diagnose` an ensemble of at most `_DIAGNOSE_BLOCK` replicas
+per task where the column stepper runs, and one replica per task where
+the closed form does.  Exit codes: 0 success, 1 failed verdicts under
+--assert, 2 configuration errors, 3 numeric failures.
 """
 
 from __future__ import annotations
@@ -28,9 +31,12 @@ from .measures import (GridDensity, centered, dirac, gaussian_density, smooth,
 from .persist import (format_column, load_measure, write_grid_density, write_manifest,
                       write_series_csv)
 from .potentials import certify
-from .sde import counterexample_system, simulate, simulate_ensemble
+from .sde import closed_form, counterexample_system, simulate_ensemble
+from .sde import simulate  # noqa: F401  (bench/tracer.py wraps it here)
 from .transport import tp_distance_1d, w2_distance
-from .workers import fork_map, workers
+from .workers import blocks, fork_map, workers
+
+_DIAGNOSE_BLOCK = 8   # replicas a `diagnose` task steps as one ensemble
 
 
 def _initial_density(cfg: ExperimentConfig) -> GridDensity:
@@ -60,12 +66,11 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path, args) -> int:
     their weights.  The records of a block share one config, so its time
     grid is built, the time column formatted and the normalized weights
     taken from the first record's occupation once per block."""
-    n, blocks = cfg.replicas, workers(cfg.replicas)
+    parts = blocks(cfg.replicas, workers(cfg.replicas))
 
     def block(k):
-        lo = n * k // blocks
         records = simulate_ensemble(cfg.potential, cfg.init["position"], cfg.sim,
-                                    n * (k + 1) // blocks - lo, v=cfg.external, first=lo)
+                                    len(parts[k]), v=cfg.external, first=parts[k].start)
         grid, first = records[0].times, records[0].first
         thin = max(1, grid.size // 2000)
         times = format_column(grid[::thin])
@@ -80,7 +85,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path, args) -> int:
             write_series_csv(out / f"occupation_r{rec.replica}.csv", ["x", "density"],
                              [mids, hist / width])
 
-    fork_map(block, blocks)
+    fork_map(block, len(parts))
     return 0
 
 
@@ -163,29 +168,39 @@ def _diagnose_covers(cfg: ExperimentConfig) -> bool:
 def _cmd_diagnose(cfg: ExperimentConfig, out: Path, args) -> int:
     """The ergodicity report of every replica, then the one-step error and
     the center convergence of replica 0 when its path covers the schedule.
-    The checkpoints and the fixed point come first; then each task of the
-    fork map (`workers.fork_map`) simulates one replica and returns only its
-    W2 curve, and replica 0's task its two reports too, so each replica is
-    simulated once and no process holds more than one path.  A failed curve
-    or report ranks after every failed path, then by replica."""
+    The checkpoints and the fixed point come first.  Then each task of the
+    fork map (`workers.fork_map`) simulates a contiguous block of replicas
+    as one ensemble: at most `_DIAGNOSE_BLOCK` where the column stepper
+    runs, whose steps cost about as much for one replica as for several,
+    and one where the closed form sums the paths (`sde.closed_form`).  The
+    block size is a constant, so the blocks, and the bytes, do not depend
+    on the CPU set.  Replica 0's task takes its two reports first; then
+    each record's W2 curve is taken in turn, a pass that takes the
+    record's path and sorts it in place (`diagnostics.w2_curve`).  A task
+    returns only its curves and reports, so each replica is simulated once
+    and no process holds more than one block of paths.  A failed curve or
+    report ranks after every failed path, then by replica."""
     w, x0, v, sched = cfg.potential, cfg.init["position"], cfg.external, cfg.schedule
     covered = _diagnose_covers(cfg)
     ts = checkpoints(cfg.sim)
     rho = solve_fixed_point(w, _initial_density(cfg), v=v, **cfg.fixpoint).density
+    size = 1 if closed_form(w, v) else _DIAGNOSE_BLOCK
+    parts = blocks(cfg.replicas, math.ceil(cfg.replicas / size))
 
-    def replica(r):
-        record = simulate(w, x0, cfg.sim, v=v, replica=r)
+    def block(k):
+        records = simulate_ensemble(w, x0, cfg.sim, len(parts[k]), v=v, first=parts[k].start)
         try:
-            curve = w2_curve(w, record, rho, ts)
-            own = ([one_step_error(w, record, sched, v=v), center_convergence(record, sched)]
-                   if r == 0 and covered else [])
+            own = ([one_step_error(w, records[0], sched, v=v),
+                    center_convergence(records[0], sched)] if k == 0 and covered else [])
+            curves = [(rec.replica, w2_curve(w, rec, rho, ts)) for rec in records]
         except (InvalidInputError, NumericFailureError) as exc:
             exc.step = math.inf   # after every failed path (`workers._ranked`)
             raise
-        return (r, curve), own
+        return curves, own
 
-    done = fork_map(replica, cfg.replicas)
-    reports = [ergodicity_check(w, ts, [curve for curve, _ in done]), *done[0][1]]
+    done = fork_map(block, len(parts))
+    curves = [curve for block_curves, _ in done for curve in block_curves]
+    reports = [ergodicity_check(w, ts, curves), *done[0][1]]
     with open(out / "diagnostics.jsonl", "w") as fh:
         for rep in reports:
             fh.write(rep.to_jsonl())

@@ -10,7 +10,11 @@ a time: `checkpoints` gives the times from a path's config before anything
 is simulated, `w2_curve` the W2 curve of one record at those times, and
 `ergodicity_check` fits the report from the (replica, curve) pairs.  A
 curve is the same arithmetic wherever it runs, so the report does not
-depend on where or in which order the curves were computed.
+depend on where or in which order the curves were computed.  The W2 pass
+takes no copy of the path: it sorts the record's own positions in place
+and owns the record from then on, so a caller reads from a record
+whatever else it needs (`one_step_error`, `center_convergence`) before
+it takes the record's curve.
 """
 
 from __future__ import annotations
@@ -167,18 +171,20 @@ def _sorted_prefixes(rec: TrajectoryRecord, ts: np.ndarray):
     iterator of consecutive (positions, cum) chunks of `_PREFIX_CHUNK`
     atoms, to be read before the next time's.
 
-    Each prefix's atoms, the start atom included, are copied into one
-    buffer, allocated once, and sorted there; the start atom takes the
-    rank of the first of the positions equal to it, where a stable sort of
-    the occupation places it.  So the pass holds the buffer and a few
-    chunks, whatever the path length.
+    The pass takes the record's positions (`TrajectoryRecord.take_positions`)
+    and sorts its atoms ``positions[first:i + 1]`` in place, one prefix
+    after another: each holds the last one, already sorted, and the path
+    atoms after it, still in path order.  The start atom takes the rank of
+    the first of the positions equal to it, where a stable sort of the
+    occupation places it, so its position is read before the first sort.
+    So the pass holds no buffer of the path's length, only a few chunks,
+    and once it has begun the record holds no path.
     """
-    first, x0 = rec.first, rec.positions[0]
-    buf = np.empty(rec.index_at(ts[-1]) + 1 - first)
+    first, atoms = rec.first, rec.take_positions()
+    x0 = atoms[0]
     for t in ts:
         i = rec.index_at(t)
-        xs = buf[:i + 1 - first]
-        xs[:] = rec.positions[first:i + 1]
+        xs = atoms[first:i + 1]
         xs.sort()
         rank = xs.size if first else int(np.searchsorted(xs, x0, side="left"))
         yield _prefix_chunks(xs, rank, rec.config.t_start, rec.config.dt, rec.center_at(t))
@@ -206,8 +212,10 @@ def w2_curve(w: PotentialSpec, rec: TrajectoryRecord, rho_inf: GridDensity,
              ts: np.ndarray) -> list[float]:
     """Wasserstein distance of the record's centered occupation measure up
     to each checkpoint ``ts`` to the fixed point (centered too when W has a
-    center).  The record must reach the last checkpoint.  The pass holds
-    one sort buffer and a few chunks beside the record (`_sorted_prefixes`)."""
+    center).  The record must reach the last checkpoint.  The pass takes
+    the record's path and sorts it in place, holding no sort buffer, only a
+    few chunks beside the record (`_sorted_prefixes`): from then on the
+    record holds no path, and reading its positions raises."""
     end = rec.config.t_last
     if end < ts[-1] - 1e-9:
         raise InvalidInputError(

@@ -18,9 +18,10 @@ by s.
 
 Every self-driven path is a row of a replica ensemble: `simulate` is
 `simulate_ensemble` of one replica, so ``simulate(..., replica=r)`` is row
-r of every ensemble, and a caller may simulate its replicas one at a time
-(`diagnose` does, one per task) or in blocks (`simulate` does, one per
-worker).  The ensemble
+r of every ensemble, and a caller may simulate its replicas in blocks of
+any size (`simulate` takes one block per worker; `diagnose` blocks of a
+fixed size where the column stepper runs and single replicas where the
+closed form does, `closed_form`).  The ensemble
 keeps the sums of all R replicas as one (count, R) array that starts
 from the start atom's sums, adds the dt-weighted powers dt y^j of the
 new positions to it each step, and takes its drift from one contraction
@@ -141,6 +142,11 @@ class TrajectoryRecord:
     start atom's), then at steps first + m ``center_every``.  The steps
     between two knots take their linear interpolation and the steps after
     the last knot its value, which `centers` rebuilds.
+
+    A pass that reorders the positions in place (`diagnostics.w2_curve`)
+    takes them first (`take_positions`): from then on the record holds no
+    path, and reading `positions`, or anything built from them, raises
+    AttributeError.  The times and centers stay readable.
     """
 
     config: SimConfig
@@ -148,6 +154,21 @@ class TrajectoryRecord:
     positions: np.ndarray
     center_knots: np.ndarray
     center_every: int = 1
+
+    def __getattr__(self, name):
+        # reached only for an attribute the record does not hold
+        if name == "positions":
+            raise AttributeError(
+                f"replica {self.replica}'s positions were taken by a pass that sorts "
+                "them in place (diagnostics.w2_curve); the record holds no path")
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def take_positions(self) -> np.ndarray:
+        """The positions, handed to a pass that reorders them in place: the
+        record holds no path from then on, and reading `positions` raises."""
+        positions = self.positions
+        del self.positions
+        return positions
 
     @property
     def first(self) -> int:
@@ -231,7 +252,7 @@ class TrajectoryRecord:
         c, every, first = self.center_knots, self.center_every, self.first
         if every == 1:
             return c[steps]
-        i = range(self.positions.size)[steps]
+        i = range(self.config.n_steps + 1)[steps]
         i = np.arange(i.start, i.stop, i.step) if isinstance(i, range) else np.asarray(i)
         past = np.maximum(i - first, 0)
         k, j = np.minimum(i, first) + past // every, past % every
@@ -434,6 +455,14 @@ def _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y
         positions[:, start:stop] += a_seg[:, None]
 
 
+def closed_form(w: PotentialSpec, v: PotentialSpec | None = None) -> bool:
+    """Whether paths under W and V are summed in closed form (quadratic W
+    without V, `_run_quadratic_closed_form`), at a cost in proportion to
+    the replicas, rather than stepped by the column stepper, whose steps
+    cost about as much for one replica as for several."""
+    return v is None and convolution_matrix(w, 1).shape[0] == 2
+
+
 def simulate(w: PotentialSpec, x0: float, cfg: SimConfig,
              v: PotentialSpec | None = None, replica: int = 0) -> TrajectoryRecord:
     """One path of the self-attracting diffusion: the ensemble of the one
@@ -547,14 +576,10 @@ _OU_BURN_IN = 10.0     # time after t_start before the domination is checked
 _OU_Z_MIN = 1e-6       # the OU modulus reflects here
 
 
-def blend(r: float) -> float:
-    """Smooth ramp: 0 up to radius `_BLEND_LOW`, 1 from radius 1 on (quintic
-    spline)."""
-    if r <= _BLEND_LOW:
-        return 0.0
-    if r >= 1.0:
-        return 1.0
-    s = (r - _BLEND_LOW) / (1.0 - _BLEND_LOW)
+def blend(r: np.ndarray) -> np.ndarray:
+    """Smooth ramp, elementwise: 0 up to radius `_BLEND_LOW`, 1 from radius 1
+    on (quintic spline)."""
+    s = np.clip((r - _BLEND_LOW) / (1.0 - _BLEND_LOW), 0.0, 1.0)
     return s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
@@ -576,7 +601,10 @@ def ou_domination(w: PotentialSpec, cfg: SimConfig) -> OuDominationResult:
     step (interpolated between knots above quadratic W, as the record reads
     them) come from `simulate` first: replica 0, driven by the noise stream
     the coupling reads, on its start atom of mass t_start at 0, so the
-    coupling needs t_start > 0.
+    coupling needs t_start > 0.  The blend of each step's gap, the mixed
+    noise it drives Z with and the violations are array operations over the
+    whole path; only the recursion of Z and its reflection at `_OU_Z_MIN`
+    step one float at a time.
     """
     if w.convexity_constant <= 0:
         raise InvalidInputError("domination needs a uniformly convex interaction")
@@ -585,31 +613,27 @@ def ou_domination(w: PotentialSpec, cfg: SimConfig) -> OuDominationResult:
     rec = simulate(w, 0.0, cfg)
     dt, n = cfg.dt, cfg.n_steps
     eps_disc = 0.05 * math.sqrt(dt / 1e-3)
-    c_w = w.convexity_constant
+    half_c = 0.5 * w.convexity_constant
     sq_dt = math.sqrt(dt)
-    db = (sq_dt * rng.normal_increments(cfg.seed, n, 0, rng.NOISE)).tolist()
-    dbeta = (sq_dt * rng.normal_increments(cfg.seed, n, 0, rng.AUX_NOISE)).tolist()
-    gaps = (rec.positions - rec.center_track).tolist()
-    z = max(1.0, abs(gaps[0]))
-    zs = np.empty(n + 1)
-    zs[0] = z
-    violations = checked = reflections = 0
-    t_check, times = cfg.t_start + _OU_BURN_IN, rec.times
-    for i in range(n):
-        gap = gaps[i]
-        a = blend(abs(gap))
-        dg = (a * (db[i] if gap >= 0 else -db[i])
-              + math.sqrt(max(0.0, 1.0 - a * a)) * dbeta[i])
-        z += _SQRT2 * dg - (0.5 * c_w * z - 2.0 / z) * dt
+    db = sq_dt * rng.normal_increments(cfg.seed, n, 0, rng.NOISE)
+    dbeta = sq_dt * rng.normal_increments(cfg.seed, n, 0, rng.AUX_NOISE)
+    gaps = rec.positions - rec.center_track
+    a = blend(np.abs(gaps[:-1]))
+    dg = a * np.where(gaps[:-1] >= 0, db, -db) + np.sqrt(np.maximum(0.0, 1.0 - a * a)) * dbeta
+    z = max(1.0, abs(float(gaps[0])))
+    zs, reflections = [z], 0
+    for kick in (_SQRT2 * dg).tolist():
+        z += kick - (half_c * z - 2.0 / z) * dt
         if z < _OU_Z_MIN:
             z = _OU_Z_MIN
             reflections += 1
-        zs[i + 1] = z
-        if times[i + 1] >= t_check:
-            checked += 1
-            if abs(gaps[i + 1]) > 2.0 + z + eps_disc:
-                violations += 1
-    frac = violations / checked if checked else 0.0
+        zs.append(z)
+    zs = np.array(zs)
+    checked = rec.times[1:] >= cfg.t_start + _OU_BURN_IN
+    violations = int(np.count_nonzero(np.abs(gaps[1:][checked])
+                                      > 2.0 + zs[1:][checked] + eps_disc))
+    n_checked = int(np.count_nonzero(checked))
+    frac = violations / n_checked if n_checked else 0.0
     return OuDominationResult(z_path=zs, violation_fraction=frac, n_reflections=reflections)
 
 

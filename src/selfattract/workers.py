@@ -1,7 +1,9 @@
 """The one fork map of the package: independent tasks over forked workers.
 
-`simulate` maps blocks of replicas and `diagnose` single replicas over it,
-each command with one call and nothing else running beside the pool.
+`simulate` and `diagnose` map contiguous blocks of replicas over it
+(`blocks`), each command with one call and nothing else running beside
+the pool: `simulate` one block per worker, `diagnose` blocks of a fixed
+size, so that its blocks do not depend on the CPU set.
 A task is ``fn(i)`` for an index i; the workers are forked after ``fn`` is
 set, so they inherit it and whatever it reads, and only indices and results
 cross processes.  There are at most as many workers as CPUs in the affinity
@@ -33,6 +35,12 @@ def workers(tasks: int) -> int:
         if "fork" not in multiprocessing.get_all_start_methods():
             return 1
     return n
+
+
+def blocks(n: int, count: int) -> list[range]:
+    """``range(n)`` cut into ``count`` contiguous blocks, in order, whose
+    sizes differ by at most one."""
+    return [range(n * k // count, n * (k + 1) // count) for k in range(count)]
 
 
 def _ranked(i: int):

@@ -5,7 +5,10 @@ reproduces: the gradient of W summed over every past atom of the path, on
 the same noise and start atom as `simulate`.  `loop_moment_columns` is
 the column stepper's loop as first written, the bitwise reference for the
 stepper's per-call rewrites; `loop_center_tracks` runs the simulator with
-it to give every step's center as the stepper once stored it.  The tail
+it to give every step's center as the stepper once stored it.
+`loop_ou_domination` is the OU domination coupling as first written, one
+step of Python floats at a time, the bitwise reference for
+`sde.ou_domination`.  The tail
 certificate and the displacement interpolant are the 1-d measurements that
 tail and convexity properties of the Gibbs map, the flow and the free
 energy are stated in.
@@ -13,14 +16,17 @@ energy are stated in.
 
 from unittest import mock
 
+import math
+
 import numpy as np
 
-from selfattract import sde
+from selfattract import rng, sde
 from selfattract.errors import NumericFailureError
 from selfattract.measures import GridDensity, center
 from selfattract.potentials import horner
 from selfattract.powersums import block_centers, reanchor
-from selfattract.sde import (_CENTER_BLOCK, _CENTER_EVERY, _REANCHOR_RADIUS, _check_finite,
+from selfattract.sde import (_BLEND_LOW, _CENTER_BLOCK, _CENTER_EVERY, _OU_BURN_IN,
+                             _OU_Z_MIN, _REANCHOR_RADIUS, _SQRT2, _check_finite,
                              _increments, _v_gradient)
 
 
@@ -173,6 +179,52 @@ def loop_center_tracks(*args, **kwargs):
     (full,) = tracks
     first = records[0].first
     return np.hstack([[rec.center_knots[:first] for rec in records], full])
+
+
+def _blend(r: float) -> float:
+    """`sde.blend` of one radius, by branches."""
+    if r <= _BLEND_LOW:
+        return 0.0
+    if r >= 1.0:
+        return 1.0
+    s = (r - _BLEND_LOW) / (1.0 - _BLEND_LOW)
+    return s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
+
+
+def loop_ou_domination(w, cfg):
+    """(z_path, violation_fraction, n_reflections) of `sde.ou_domination`
+    (whose input checks it skips), one step at a time: the blend, the mixed
+    noise, the Z recursion with its reflection and the violation check of
+    each step in one Python loop over floats."""
+    rec = sde.simulate(w, 0.0, cfg)
+    dt, n = cfg.dt, cfg.n_steps
+    eps_disc = 0.05 * math.sqrt(dt / 1e-3)
+    c_w = w.convexity_constant
+    sq_dt = math.sqrt(dt)
+    db = (sq_dt * rng.normal_increments(cfg.seed, n, 0, rng.NOISE)).tolist()
+    dbeta = (sq_dt * rng.normal_increments(cfg.seed, n, 0, rng.AUX_NOISE)).tolist()
+    gaps = (rec.positions - rec.center_track).tolist()
+    z = max(1.0, abs(gaps[0]))
+    zs = np.empty(n + 1)
+    zs[0] = z
+    violations = checked = reflections = 0
+    t_check, times = cfg.t_start + _OU_BURN_IN, rec.times
+    for i in range(n):
+        gap = gaps[i]
+        a = _blend(abs(gap))
+        dg = (a * (db[i] if gap >= 0 else -db[i])
+              + math.sqrt(max(0.0, 1.0 - a * a)) * dbeta[i])
+        z += _SQRT2 * dg - (0.5 * c_w * z - 2.0 / z) * dt
+        if z < _OU_Z_MIN:
+            z = _OU_Z_MIN
+            reflections += 1
+        zs[i + 1] = z
+        if times[i + 1] >= t_check:
+            checked += 1
+            if abs(gaps[i + 1]) > 2.0 + z + eps_disc:
+                violations += 1
+    frac = violations / checked if checked else 0.0
+    return zs, frac, reflections
 
 
 def _interpolate_center_gaps(centers):

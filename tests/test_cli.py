@@ -688,11 +688,14 @@ class TestCommands:
         assert multiprocessing.active_children() == []
 
     def test_diagnose_memory_is_bounded_in_the_replica_count(self, tmp_path, monkeypatch):
-        # each task simulates one replica and returns only its numbers: with
-        # workers (2 CPUs) this process holds no path, and its peak stays
-        # below the positions and centers of one; without (1 CPU) it holds
-        # one path at a time.  Either way the peak stays below 12 paths at 2
-        # and at 16 replicas, where a 16-replica ensemble alone holds 16
+        # each task of the closed form simulates one replica and returns only
+        # its numbers: with workers (2 CPUs) this process holds no path, and
+        # its peak stays below the positions and centers of one; without
+        # (1 CPU) it holds one path at a time, and its W2 pass no copy of
+        # it.  Either way the peak stays below 6.5 paths at 2 and at 16
+        # replicas (measured: 6.3, most of it replica 0's one-step error; a
+        # sort buffer of the path's length put it at 6.8), where a
+        # 16-replica ensemble alone holds 16
         cfg = write(tmp_path / "m.cfg", "[sim]\ndt = 0.01\nt_end = 400.0\nseed = 4\n"
                     "[schedule]\nn_start = 2\nn_end = 20\n[grid]\ncells = 256\n")
         path_bytes = 2 * 8 * 39901
@@ -708,8 +711,33 @@ class TestCommands:
             for replicas in (2, 16):
                 rc, peaks[cpus, replicas] = peak_bytes(lambda: diagnose(cpus, replicas))
                 assert rc == 0
-        assert max(peaks.values()) <= 12 * path_bytes, peaks
+        assert max(peaks.values()) <= 6.5 * path_bytes, peaks
         assert max(peaks[2, 2], peaks[2, 16]) < path_bytes, peaks
+
+    def test_stepped_diagnose_memory_is_bounded_by_the_block(self, tmp_path, monkeypatch):
+        # quartic W: a task steps a block of at most `_DIAGNOSE_BLOCK`
+        # replicas as one ensemble.  On 1 CPU, 16 replicas (two blocks of 8,
+        # one after the other) peak less than 7 paths above 2 replicas (one
+        # block of 2; measured: 6.0 above), where one ensemble of 16 would
+        # hold 14 more.  With 2 CPUs the two blocks run in the workers, and
+        # this process peaks more than a block of paths below the run on 1
+        cfg = write(tmp_path / "m.cfg", self._QUARTIC + "[sim]\ndt = 0.01\nt_end = 200.0\n"
+                    "seed = 4\n[schedule]\nn_start = 2\nn_end = 20\n[grid]\ncells = 256\n")
+        path_bytes = 8 * 19901 + 8 * 1991   # positions and center knots
+        assert cli._DIAGNOSE_BLOCK == 8
+
+        def diagnose(cpus, replicas):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            return main(["--config", cfg, "--out", str(tmp_path / "o"), "--replicas",
+                         str(replicas), "diagnose"])
+
+        assert diagnose(2, 16) == 0   # the pool's one-time imports and caches
+        peaks = {}
+        for cpus, replicas in ((1, 2), (1, 16), (2, 16)):
+            rc, peaks[cpus, replicas] = peak_bytes(lambda: diagnose(cpus, replicas))
+            assert rc == 0
+        assert peaks[1, 16] <= peaks[1, 2] + 7 * path_bytes, peaks
+        assert peaks[2, 16] < peaks[1, 16] - 8 * path_bytes, peaks
 
     EXPLOSION = ("numeric failure: path lost finiteness (explosion) at step 14, "
                  "t = 1.1400000000000001, replica 3; check the step size against the "
@@ -744,18 +772,19 @@ class TestCommands:
         assert (done.returncode, done.stderr) == (3, self.EXPLOSION)
 
     def test_diagnose_on_one_cpu_simulates_each_replica_once(self, tmp_path, monkeypatch):
-        # one task per replica, in this process (1 CPU) or in the workers
-        # (2 CPUs), which append to the log they inherit: 3 replicas are 3
-        # simulations either way, and the reports are the same bytes
+        # one task per replica of the closed form, in this process (1 CPU) or
+        # in the workers (2 CPUs), which append to the log they inherit: 3
+        # replicas are 3 simulations either way, and the reports are the
+        # same bytes
         log = tmp_path / "simulated.log"
-        run = sde.simulate_ensemble
+        run = cli.simulate_ensemble
 
         def logged(*args, first=0, **kwargs):
             with open(log, "a") as fh:
                 fh.write(" ".join(map(str, range(first, first + args[3]))) + "\n")
             return run(*args, first=first, **kwargs)
 
-        monkeypatch.setattr(sde, "simulate_ensemble", logged)
+        monkeypatch.setattr(cli, "simulate_ensemble", logged)
         cfg = write(tmp_path / "d.cfg", "[sim]\nt_end = 60.0\n[experiment]\nreplicas = 3\n"
                     "[schedule]\nn_start = 4\nn_end = 12\n[grid]\ncells = 256\n")
         reports = []
@@ -779,6 +808,37 @@ class TestCommands:
                           "[external]\nkind = external\ncoefficients = 0.5\n",
         "quartic-from-t0": _QUARTIC + "[sim]\nt_start = 0.0\nt_end = 20.0\n",
     }
+
+    @pytest.mark.parametrize("name", ["quartic", "sextic", "quartic-with-v"])
+    def test_diagnose_steps_blocks_that_give_the_bytes_of_single_replicas(
+            self, tmp_path, monkeypatch, name):
+        # a stepped W: 10 replicas are two ensembles of 5, on 1, 2 and 3
+        # CPUs alike, and the report is the bytes of one replica per task
+        log = tmp_path / "simulated.log"
+        run = cli.simulate_ensemble
+
+        def logged(*args, first=0, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(" ".join(map(str, range(first, first + args[3]))) + "\n")
+            return run(*args, first=first, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_ensemble", logged)
+        cfg = write(tmp_path / "b.cfg", "[experiment]\nreplicas = 10\n" + self.BLOCKED[name]
+                    + "[schedule]\nn_start = 2\nn_end = 7\n[grid]\ncells = 256\n")
+        blocks = [" ".join(map(str, range(5))), " ".join(map(str, range(5, 10)))]
+        reports = []
+        for cpus, size in ((1, 8), (2, 8), (3, 8), (2, 1)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            monkeypatch.setattr(cli, "_DIAGNOSE_BLOCK", size)
+            out = tmp_path / f"o{cpus}-{size}"
+            assert main(["--config", cfg, "--out", str(out), "diagnose"]) == 0
+            reports.append((out / "diagnostics.jsonl").read_bytes())
+            assert sorted(log.read_text().split("\n")[:-1]) == (
+                blocks if size == 8 else sorted(map(str, range(10)))), (cpus, size)
+            log.unlink()
+        assert reports[1:] == reports[:1] * 3
+        assert reports[0].count(b'"experiment"') == 3   # replica 0's reports too
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("name", sorted(BLOCKED))
     def test_simulate_writes_the_same_bytes_in_any_number_of_blocks(self, tmp_path,

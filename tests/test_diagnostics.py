@@ -18,14 +18,22 @@ from selfattract.powersums import PowerSums, power_sums
 from conftest import make_rng, peak_bytes
 
 
+def own_copy(rec: TrajectoryRecord) -> TrajectoryRecord:
+    """The record with a copy of its positions, for a W2 pass to take, so
+    that the caller's record keeps its path."""
+    return dataclasses.replace(rec, positions=rec.positions.copy())
+
+
 def ergodicity(w, records, rho, **kwargs):
     """The ergodicity report of the records as `diagnose` makes it from its
     replicas: the checkpoints of the longest path, each record's W2 curve
-    as one task of the fork map, then the fit."""
+    as one task of the fork map, then the fit.  Each pass takes a copy of
+    its record's path (`own_copy`), so the records stay readable."""
     ts = diagnostics.checkpoints(max((rec.config for rec in records),
                                      key=lambda cfg: cfg.t_last))
     curves = workers.fork_map(
-        lambda i: (records[i].replica, diagnostics.w2_curve(w, records[i], rho, ts)),
+        lambda i: (records[i].replica,
+                   diagnostics.w2_curve(w, own_copy(records[i]), rho, ts)),
         len(records))
     return ergodicity_check(w, ts, curves, **kwargs)
 
@@ -196,7 +204,7 @@ class TestErgodicity:
         ranks = set()
         for rec in records:
             ts = diagnostics.checkpoints(rec.config)
-            for t, chunks in zip(ts, diagnostics._sorted_prefixes(rec, ts)):
+            for t, chunks in zip(ts, diagnostics._sorted_prefixes(own_copy(rec), ts)):
                 chunks = list(chunks)
                 assert all(pos.size == chunk for pos, _ in chunks[:-1])
                 occ = rec.occupation(t)
@@ -218,10 +226,10 @@ class TestErgodicity:
         assert np.count_nonzero(records[0].positions == records[0].positions[0]) > 100
 
     @pytest.mark.parametrize("n", [1_000_000, 4_000_000], ids=["1M", "4M"])
-    def test_prefix_pass_memory_is_its_sort_buffer_and_a_constant(self, n):
+    def test_prefix_pass_memory_is_a_constant(self, n):
         # a record of n path atoms with a view for its centers; the W2 pass
-        # over its full prefix holds the one sort buffer and chunks of a
-        # fixed size, whatever n is
+        # over its full prefix sorts the record's own positions in place and
+        # holds chunks of a fixed size, whatever n is
         cfg = SimConfig(dt=0.01, t_end=1.0 + 0.01 * n)
         rec = TrajectoryRecord(cfg, 0, make_rng(5).standard_normal(n + 1),
                                np.broadcast_to(0.0, (n + 1,)))
@@ -229,8 +237,44 @@ class TestErgodicity:
         d, peak = peak_bytes(
             lambda: target.w2(*diagnostics._sorted_prefixes(rec, [cfg.t_last])))
         assert 0.0 < d < 0.1
-        # 8 n bytes of sort buffer, then a few arrays of a chunk's length
-        assert peak - 8 * n <= 16 * 8 * diagnostics._PREFIX_CHUNK
+        # no buffer of the path's length: a few arrays of a chunk's length
+        assert peak <= 16 * 8 * diagnostics._PREFIX_CHUNK
+
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_the_w2_pass_takes_the_records_path(self, monkeypatch, failing):
+        # the pass sorts the record's own positions in place, so once it has
+        # begun the record holds no path: reading it raises, where the sorted
+        # atoms would pass for one, whether the pass ends or fails; the times
+        # and the centers between knots stay readable, and the curve is the
+        # one a copy of the path gives
+        w = even_polynomial([0.5, 0.1])
+        cfg = SimConfig(dt=0.01, t_end=40.0, seed=3)
+        rec = simulate(w, 0.0, cfg, replica=2)
+        rho = gaussian_density(0, 1, -8, 8, 512)
+        ts = diagnostics.checkpoints(cfg)
+        centers, times = rec.center_track.copy(), rec.times.copy()
+        want = diagnostics.w2_curve(w, own_copy(rec), rho, ts)
+        if failing:
+            def fail(self, chunks):
+                next(iter(chunks))
+                raise NumericFailureError("forced")
+
+            monkeypatch.setattr(diagnostics.QuantileTarget, "w2", fail)
+            with pytest.raises(NumericFailureError, match="forced"):
+                diagnostics.w2_curve(w, rec, rho, ts)
+        else:
+            assert diagnostics.w2_curve(w, rec, rho, ts) == want
+        taken = r"replica 2's positions were taken by a pass that sorts them in place"
+        for read in (lambda: rec.positions, rec.occupation,
+                     lambda: rec.window_occupation(5.0, 9.0),
+                     lambda: rec.power_sums_at([5.0, 9.0], 5),
+                     lambda: diagnostics.w2_curve(w, rec, rho, ts)):
+            with pytest.raises(AttributeError, match=taken):
+                read()
+        assert rec.center_every == 10
+        assert np.array_equal(rec.center_track, centers)
+        assert np.array_equal(rec.times, times)
+        assert rec.center_at(7.3) == centers[rec.index_at(7.3)]
 
     @pytest.mark.parametrize("n", [1_000_000, 4_000_000], ids=["1M", "4M"])
     def test_one_step_error_memory_is_a_constant(self, quad, n):

@@ -31,6 +31,11 @@ CONFIGS = {
     # diagnose from t = 0, whose occupation has no start atom
     "diagnose0": "[experiment]\nreplicas = 2\n[sim]\nt_start = 0.0\nt_end = 300.0\n"
                  "[schedule]\nn_start = 4\nn_end = 30\n",
+    # diagnose of a stepped W: its 3 replicas are one ensemble, in one task
+    "diagnose-quartic": QUARTIC + "[experiment]\nreplicas = 3\n[sim]\nt_end = 101.0\n"
+                        "[schedule]\nn_start = 2\nn_end = 20\n[grid]\ncells = 256\n",
+    "diagnose-quartic-v": QUARTIC + V + "[experiment]\nreplicas = 3\n[sim]\nt_end = 101.0\n"
+                          "[schedule]\nn_start = 2\nn_end = 20\n[grid]\ncells = 256\n",
     "quartic": QUARTIC + "[sim]\nt_end = 201.0\n",
     "sextic": SEXTIC + "[sim]\nt_end = 201.0\n",
     # a thinning stride of 26 (2009 rows of 52218 steps), not a multiple of
@@ -65,6 +70,8 @@ RUNS = {
                        "--out-file", "{root}/compare-moving.jsonl"],
     "diagnose": ["--config", "{repo}/configs/quadratic_ergodicity.cfg", "--assert", "diagnose"],
     "diagnose0": ["--config", "{cfgs}/diagnose0.cfg", "--assert", "diagnose"],
+    "diagnose-quartic": ["--config", "{cfgs}/diagnose-quartic.cfg", "diagnose"],
+    "diagnose-quartic-v": ["--config", "{cfgs}/diagnose-quartic-v.cfg", "diagnose"],
     **{f"{name}-{r}": ["--config", f"{{cfgs}}/{name}.cfg", "--replicas", str(r), "simulate"]
        for name, r in SIMULATED},
 }
@@ -113,7 +120,8 @@ RERUN = ("import json, os, sys\n"
     (2, {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "67108864"},
      ["diagnose"]),
     # one CPU: no worker pool
-    (1, {}, ["diagnose", "diagnose0", "sextic523-3"])], ids=["fresh", "malloc", "one-cpu"])
+    (1, {}, ["diagnose", "diagnose0", "diagnose-quartic", "diagnose-quartic-v", "sextic523-3"])],
+    ids=["fresh", "malloc", "one-cpu"])
 def test_a_rerun_writes_the_same_bytes(runs, tmp_path, cpus, env, names):
     root, cfgs, _ = runs
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **env}

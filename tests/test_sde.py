@@ -17,7 +17,8 @@ from selfattract import (InvalidInputError, NumericFailureError, SimConfig,
 from selfattract import powersums, sde
 from selfattract.powersums import anchor, convolution_matrix, power_sums
 from conftest import make_rng, peak_bytes
-from oracles import full_history_path, history_drift, loop_center_tracks, loop_moment_columns
+from oracles import (full_history_path, history_drift, loop_center_tracks,
+                     loop_moment_columns, loop_ou_domination)
 
 
 def checked_blocks(monkeypatch) -> list:
@@ -676,6 +677,28 @@ class TestOuDomination:
         cfg = SimConfig(dt=1e-3, t_end=51.0, t_start=1.0, seed=seed)
         res = ou_domination(even_polynomial([0.5, 0.1]), cfg)
         assert res.violation_fraction <= 0.01
+
+    @pytest.mark.parametrize("w, cfg, reflects, violates", [
+        (quadratic_symmetric(1.0), SimConfig(dt=1e-3, t_end=51.0, seed=17), False, False),
+        # a strong attraction: Z reflects at its floor
+        (quadratic_symmetric(10.0), SimConfig(dt=1e-3, t_end=51.0, seed=29), True, False),
+        # a noise scale of 5: the domination fails on about a quarter of the steps
+        (quadratic_symmetric(1.0), SimConfig(dt=1e-3, t_end=21.0, seed=2, noise_scale=5.0),
+         False, True),
+        (even_polynomial([0.5, 0.1]), SimConfig(dt=1e-3, t_end=21.0, seed=1), False, False),
+        (even_polynomial([0.5, 0.1]), SimConfig(dt=1e-3, t_end=21.0, seed=2), False, False)],
+        ids=["quadratic-17", "quadratic-reflects-29", "quadratic-violates-2", "quartic-1",
+             "quartic-2"])
+    def test_array_coupling_is_the_step_loops_bits(self, w, cfg, reflects, violates):
+        # the blend, the mixed noise and the violations taken over the whole
+        # path, and the Z recursion over floats, give the step-by-step loop's
+        # Z path, violation fraction and reflection count to the last bit
+        res = ou_domination(w, cfg)
+        z_path, fraction, reflections = loop_ou_domination(w, cfg)
+        assert np.array_equal(res.z_path, z_path)
+        assert (res.violation_fraction, res.n_reflections) == (fraction, reflections)
+        assert type(res.violation_fraction) is float and type(res.n_reflections) is int
+        assert (reflections > 0, fraction > 0) == (reflects, violates)
 
     def test_dt_above_the_stability_cap_is_an_input_error(self, quad):
         cfg = SimConfig(dt=0.02, t_end=3.0, t_start=1.0)
