@@ -33,8 +33,7 @@ def main():
     rep = envelope_compare(run["t"], run["relative"], RateParams(c7=args.c7, k=k))
 
     write_series_csv(args.out, ["n", "t", "relative_energy", "envelope"],
-                     [run["n"].astype(int), rep["times"], rep["energy_trace"],
-                      rep["envelope_trace"]])
+                     [run["n"].astype(int), run["t"], run["relative"], rep["envelope_trace"]])
     print(f"wrote {args.out}")
     print(f"decay exponent fit: {rep['decay_exponent']:.4f}")
     print(f"envelope satisfied at {rep['fraction_satisfied']:.1%} of steps")

@@ -155,8 +155,7 @@ def _diagnose_covers(cfg: ExperimentConfig) -> bool:
             f"[sim] noise_scale = {noise!r} sets the temperature noise_scale^2 / 2 = "
             f"{noise * noise / 2!r}; diagnose compares the paths with the Gibbs map at "
             "temperature 1, their invariant law only at noise_scale = sqrt(2)")
-    covered = (sched.time(sched.n_end) <= cfg.sim.t_last + 1e-9
-               and sched.time(sched.n_start) >= cfg.sim.t_start)
+    covered = cfg.sim.covers(sched.time(sched.n_start), sched.time(sched.n_end))
     if covered and sched.n_end - sched.n_start < 2:
         raise InvalidInputError(
             f"[schedule] n_end = {sched.n_end}: diagnose fits a slope over the "

@@ -90,13 +90,13 @@ def one_step_error(w: PotentialSpec, record: TrajectoryRecord, schedule: Schedul
 
     The Gibbs image reads the pre-window occupation only through its power
     sums, which the record gives at every knot in one pass over the path.
-    A `NumericFailureError` of a window's image or distance names the
+    The path must cover the schedule (`SimConfig.covers`).  A
+    `NumericFailureError` of a window's image or distance names the
     window's index and (t0, t1)."""
     report = DiagnosticsReport(experiment="one-step-error")
     windows = [(schedule.time(n), schedule.time(n + 1)) for n in schedule.indices()]
-    for t0, t1 in windows:
-        if t1 > record.config.t_last + 1e-9 or t0 < record.config.t_start - 1e-9:
-            raise InvalidInputError("trajectory does not cover the schedule")
+    if not record.config.covers(windows[0][0], windows[-1][1]):
+        raise InvalidInputError("trajectory does not cover the schedule")
     count = max(2, convolution_matrix(w).shape[0])
     pres = record.power_sums_at([t0 for t0, _ in windows], count)
     errors = []
@@ -212,15 +212,17 @@ def w2_curve(w: PotentialSpec, rec: TrajectoryRecord, rho_inf: GridDensity,
              ts: np.ndarray) -> list[float]:
     """Wasserstein distance of the record's centered occupation measure up
     to each checkpoint ``ts`` to the fixed point (centered too when W has a
-    center).  The record must reach the last checkpoint.  The pass takes
+    center).  The record's path must cover the checkpoints
+    (`SimConfig.covers`), as those of `checkpoints` are.  The pass takes
     the record's path and sorts it in place, holding no sort buffer, only a
     few chunks beside the record (`_sorted_prefixes`): from then on the
     record holds no path, and reading its positions raises."""
-    end = rec.config.t_last
-    if end < ts[-1] - 1e-9:
+    cfg = rec.config
+    if not cfg.covers(ts[0], ts[-1]):
         raise InvalidInputError(
-            f"replica {rec.replica} ends at t = {end:g}, before "
-            f"the last ergodicity checkpoint t = {float(ts[-1]):g}")
+            f"replica {rec.replica} ends at t = {cfg.t_last:g} from t = {cfg.t_start:g}; "
+            f"it does not cover the ergodicity checkpoints t = {float(ts[0]):g} "
+            f"to {float(ts[-1]):g}")
     target = QuantileTarget(centered(w, rho_inf) if w.convexity_constant > 0 else rho_inf)
     return [target.w2(chunks) for chunks in _sorted_prefixes(rec, ts)]
 

@@ -264,8 +264,9 @@ def envelope_compare(times, relative, params: RateParams) -> dict:
     free energies ``relative`` at the schedule times ``times``, as a
     `FlowRun` holds them.
 
-    Reports the fraction of steps with F <= y and a least-squares decay
-    exponent of F against exp(-a (log t)^(1/(k+1))).
+    Reports the fraction of steps with F <= y, a least-squares decay
+    exponent of F against exp(-a (log t)^(1/(k+1))) and the envelope y at
+    ``times``; the caller holds the trace itself.
     """
     times = np.asarray(times, dtype=float)
     f_rel = np.asarray(relative, dtype=float)
@@ -284,7 +285,5 @@ def envelope_compare(times, relative, params: RateParams) -> dict:
     return {
         "fraction_satisfied": float(satisfied.mean()),
         "decay_exponent": a_fit,
-        "times": times,
-        "energy_trace": f_rel,
         "envelope_trace": y_at,
     }

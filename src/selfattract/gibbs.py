@@ -33,21 +33,15 @@ def _auto_grid(w: PotentialSpec, v: PotentialSpec | None, m: PowerSums) -> GridD
     radius = max(4.0, 2.0 * math.sqrt(46.0 / max(conv, 1e-2)))
     for _ in range(40):
         xs = np.array([c - radius, c, c + radius])
-        probe = _exponent(w, v, m, xs)
+        probe = convolve_potential(w, m, xs)
+        if v is not None:
+            probe = probe + polynomial_derivative(v.poly1d_coefficients(), xs)
         if min(probe[0], probe[2]) - probe[1] >= 46.0:
             break
         radius *= 1.5
     else:
         raise NumericFailureError("could not bracket the Gibbs density support")
     return GridDensity(c - radius, c + radius, np.full(_CELLS, 1.0 / (2 * radius)))
-
-
-def _exponent(w: PotentialSpec, v: PotentialSpec | None, m: PowerSums,
-              xs: np.ndarray) -> np.ndarray:
-    out = convolve_potential(w, m, xs)
-    if v is not None:
-        out = out + polynomial_derivative(v.poly1d_coefficients(), xs)
-    return out
 
 
 def gibbs_map(w: PotentialSpec, m: Measure | PowerSums, v: PotentialSpec | None = None,

@@ -119,9 +119,9 @@ def interaction_form(p: PotentialSpec, sums_x: np.ndarray, sums_y: np.ndarray) -
 def block_centers(T, S, mass, locate=None):
     """The centers, roots in y of the drift polynomials T S / mass, of the
     measures with power sums S about their anchors, T the order-1
-    `convolution_matrix`: S (count, K, R) and mass (K, 1) for a block of K
-    knots of R columns, or S (count,) and its mass for one measure, whose
-    center is then a scalar.  Zero without attraction, closed form for a
+    `convolution_matrix`: S (count, K, R) and mass (K, R), or (K, 1) for
+    one mass per knot, for a block of K knots of R columns, or S (count,)
+    and its mass for one measure, whose center is then a scalar.  Zero without attraction, closed form for a
     linear drift, Newton from each column's mean S1/S0 otherwise.  Every
     operation is elementwise, a column stops at its own first iterate with
     |g| <= `_NEWTON_TOL` and divides only while it moves, so its root does

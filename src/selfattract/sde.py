@@ -25,7 +25,8 @@ closed form does, `closed_form`).  The ensemble
 keeps the sums of all R replicas as one (count, R) array that starts
 from the start atom's sums, adds the dt-weighted powers dt y^j of the
 new positions to it each step, and takes its drift from one contraction
-per step; the occupation mass is the same for every replica.
+per step, divided by the sums' row 0, the occupation mass, the same for
+every replica.
 Each replica's increments are drawn into its row of the positions array,
 which the stepper overwrites step by step.  The center of
 W' * mu feeds nothing back into the drift, so the stepper only copies the
@@ -35,9 +36,10 @@ each column's running mean; a path holds its positions and these
 center knots, and its record rebuilds the centers between knots by linear
 interpolation when they are read.  Nothing else of the path's length is
 kept: its time grid and occupation weights follow from the `SimConfig`.
-For quadratic W without V (drift t00 + t11 (x - mean)) the Euler scheme
-reduces to a scalar linear recursion in y = x - mean with the mean
-carried by the occupation mass; it is summed in closed form with
+For quadratic W without V (drift t00 + t11 (x - mean), `closed_form`,
+the one rule `simulate_ensemble` and `diagnose` pick the stepper by) the
+Euler scheme reduces to a scalar linear recursion in y = x - mean with
+the mean carried by the occupation mass; it is summed in closed form with
 blockwise scaled cumulative sums instead of stepped, which matches the
 stepped scheme to rounding, in one pass over its blocks: each block forms
 its occupation masses, sums its recursion and its means, and writes its
@@ -114,6 +116,12 @@ class SimConfig:
         """The time of a path's last step, t_start + dt n_steps: t_end
         rounded to the step grid, where the path ends."""
         return self.t_start + self.dt * self.n_steps
+
+    def covers(self, t0: float, t1: float) -> bool:
+        """Whether a path of this config covers [t0, t1]: it starts by t0
+        and its last step `t_last` reaches t1, to a slack of 1e-9 for t1
+        given in rounded decimals."""
+        return self.t_start <= t0 and t1 <= self.t_last + 1e-9
 
 
 def _check_dt(w: PotentialSpec, cfg: SimConfig):
@@ -242,7 +250,12 @@ class TrajectoryRecord:
         return ParticleMeasure(pos, np.full(pos.shape[0], 1.0 / pos.shape[0]))
 
     def center_at(self, t: float) -> float:
-        return float(self.centers(self.index_at(t)))
+        """The center at the last step by t; InvalidInputError for a t
+        before the path's first step."""
+        i = self.index_at(t)
+        if i < 0:
+            raise InvalidInputError(f"t = {t!r} lies before the path's first step")
+        return float(self.centers(i))
 
     def centers(self, steps):
         """The centers at ``steps``, a step index or a slice of steps, with
@@ -316,54 +329,27 @@ def _v_gradient(v: PotentialSpec | None):
     return None if v is None else derivative(v.poly1d_coefficients()).tolist()
 
 
-def _step_driven(B, a, x, noise, dts):
-    """Euler steps of one path under a drift it does not generate: step k
-    moves x by -b_k(x - a) dts[k] + noise[k], with b_k = B[:, k] the drift
-    coefficients about the anchor a.  Returns the n + 1 positions."""
-    out = np.empty(len(noise) + 1)
-    out[0] = x
-    for k, (b, xi, h) in enumerate(zip(B.T.tolist(), noise.tolist(), dts.tolist()), 1):
-        x = x - horner(b, x - a) * h + xi
-        out[k] = x
-    return out
-
-
-def _run_moments(T, v, x0, sums, positions, centers, dt, origin, every, y0=0.0):
-    """The running-moment Euler scheme for R replicas started at x0 + y0,
-    their sums anchored at x0: ``sums`` (count, R), or (count, 1) for a
-    pre-history every replica shares, holds the pre-history's power sums
-    about x0, whose mass is the same for every replica.  ``positions``
-    (R, n+1) holds each replica's n increments in columns 1..n; the scheme
-    overwrites it with the positions in x and writes the center knots,
-    steps 0, every, 2 every, .., into ``centers`` (R, n // every + 1).
-    Quadratic W without V takes the closed form, which needs every = 1,
-    everything else the column stepper.  A non-finite path
-    raises `NumericFailureError` naming the replica, step and t that
-    ``origin`` (`_check_finite`) gives; the overflows and invalid values
-    of the steps that lead to it warn nothing."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if T.shape[0] == 2 and v is None:
-            _run_quadratic_closed_form(T, x0, sums, positions, centers, dt, y0)
-            _check_finite(positions, 0, origin, dt)
-        else:
-            _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y0)
-
-
 def _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y0=0.0):
-    """The Euler scheme for R replicas side by side.  ``positions`` (R, n+1)
-    holds each replica's n increments in columns 1..n: step i reads column i
-    and overwrites it with the new position, so no noise array is kept.
-    ``sums`` holds the pre-history's power sums about x0 (`_run_moments`).
+    """The running-moment Euler scheme for R replicas side by side, started
+    at x0 + y0 with their sums anchored at x0: ``sums`` (count, R), or
+    (count, 1) for a pre-history every replica shares, holds the
+    pre-history's power sums about x0.  ``positions`` (R, n+1) holds each
+    replica's n increments in columns 1..n: step i reads column i and
+    overwrites it with the new position, so no noise array is kept.  A
+    non-finite path raises `NumericFailureError` naming the replica, step
+    and t that ``origin`` (`_check_finite`) gives.
 
-    The sums about each column's anchor are one (count, R) array S.  P holds
-    the dt-weighted powers dt y^j of the current positions, the products one
-    path adds to its sums, so a step adds P to S and the drift times dt is
-    sum_ij T_ij S_j P_i / mass, one einsum contraction (the mass is the
-    same for every replica).  einsum adds each column's terms in order
-    without BLAS: BLAS takes another kernel for one column than for several,
-    and a replica's path would then depend on the ensemble size.  numpy adds
-    a lone column of 8 or more terms pairwise, so from W of degree 8 on a
-    one-replica path matches an ensemble row to rounding only.
+    The sums about each column's anchor are one (count, R) array S, whose
+    row 0 is the occupation mass: it starts from the pre-history's, each
+    step adds dt to it and a re-anchor keeps it.  P holds the dt-weighted
+    powers dt y^j of the current positions, the products one path adds to
+    its sums, so a step adds P to S and the drift times dt is
+    sum_ij T_ij S_j P_i / S_0, one einsum contraction.  einsum adds each
+    column's terms in order without BLAS: BLAS takes another kernel for one
+    column than for several, and a replica's path would then depend on the
+    ensemble size.  A one-replica path matches an ensemble row bit for bit,
+    checked up to W of degree 12 with numpy 2.4's C einsum; the `np.einsum`
+    fallback of numpy 1.x is not checked.
 
     A step is a fixed run of numpy calls on (R,) and (count, R) arrays,
     each on views built before the loop and with its output passed
@@ -372,31 +358,29 @@ def _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y
     count - 1 multiplies down the power chain P[j] = P[j-1] y; S += P; and
     the drift, contracted into the kept buffer by numpy's C einsum (which
     `np.einsum` forwards to through a Python dispatch layer) and divided by
-    the mass in place.  A step builds the one column view and allocates no
+    S_0 in place.  A step builds the one column view and allocates no
     array unless V adds its term or a knot re-anchors or solves a block; at
     64 replicas its cost is the per-call overhead of those calls, not
     their arithmetic.
 
     The center of W' * mu feeds nothing back into the drift.  Every
-    ``every`` steps the loop copies (S, mass, anchor) into a buffer of
+    ``every`` steps the loop copies (S, anchor) into a buffer of
     `_CENTER_BLOCK` knots, its sums (count, `_CENTER_BLOCK`, R), and solves
-    a full buffer at once (`powersums.block_centers`) into the next columns
-    of ``centers`` (R, n // every + 1), after it checks the block's
-    positions for finiteness.  The steps between knots are not written:
-    `TrajectoryRecord.centers` interpolates them when they are read.  Once
-    a column's running mean S1/S0 leaves the unit radius, its anchor moves
-    onto that mean, with an exact re-anchor of its sums, before the next
-    position is stored.  Writes the positions (R, n+1) and the center knots
-    in x.
+    a full buffer at once (`powersums.block_centers`, their row 0 the
+    masses) into the next columns of ``centers`` (R, n // every + 1), after
+    it checks the block's positions for finiteness.  The steps between
+    knots are not written: `TrajectoryRecord.centers` interpolates them
+    when they are read.  Once a column's running mean S1/S0 leaves the unit
+    radius, its anchor moves onto that mean, with an exact re-anchor of its
+    sums, before the next position is stored.  Writes the positions (R, n+1)
+    and the center knots in x.
     """
     count = T.shape[0]
     R, n = positions.shape[0], positions.shape[1] - 1
-    mass = float(sums[0, 0])
     S = np.broadcast_to(sums, (count, R)).copy()
     a = np.full(R, float(x0))
     vg = _v_gradient(v)
     knot_S = np.empty((count, _CENTER_BLOCK, R))
-    knot_mass = np.empty((_CENTER_BLOCK, 1))
     knot_a = np.empty((_CENTER_BLOCK, R))
     k = done = 0                       # knots in the buffer, knots solved
     checked = 0                        # positions before this index are finite
@@ -429,9 +413,8 @@ def _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y
             multiply(prev, y, cur)
         if i:
             add(S, powers, S)
-            mass += dt
         if i % every == 0:
-            knot_S[:, k], knot_mass[k], knot_a[k] = S, mass, a
+            knot_S[:, k], knot_a[k] = S, a
             k += 1
             if count > 1:
                 mean = S1 / S0
@@ -441,12 +424,12 @@ def _run_moment_columns(T, v, x0, sums, positions, centers, dt, every, origin, y
         if k == _CENTER_BLOCK or i == n:
             _check_finite(positions[:, checked:i + 1], checked, origin, dt)
             centers[:, done:done + k] = (block_centers(
-                T, knot_S[:, :k], knot_mass[:k],
+                T, knot_S[:, :k], knot_S[0, :k],
                 lambda j, r: _locate(origin, (done + j) * every, r, dt)) + knot_a[:k]).T
             k, done, checked = 0, done + k, i + 1
         if i < n:
             einsum("ij,jr,ir->r", T, S, powers, out=d)
-            divide(d, mass, d)
+            divide(d, S0, d)
             if vg is not None:
                 d += horner(vg, y + a) * dt
     # back from y to x, one anchor segment (start index, anchors) at a time
@@ -476,9 +459,11 @@ def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
     """Replica ensemble with independent noise streams: replicas ``first``
     .. ``first + n_replicas - 1``, each driven by its own noise row, so a
     block of replicas gives the rows of the whole ensemble.  The replicas
-    step in lock-step (quadratic W without V in closed form), from every
-    start time.  The records hold row views of one positions and one
-    center knots array.
+    step in lock-step, by the column stepper or, where `closed_form` says
+    so, summed in closed form, from every start time; the overflows and
+    invalid values of the steps that lead to a non-finite path warn
+    nothing, the path raises `NumericFailureError`.  The records hold row
+    views of one positions and one center knots array.
 
     A run from t_start > 0 starts every row's sums at the start atom's,
     t_start at its own anchor x0.  A run from t = 0 takes its first Euler
@@ -508,8 +493,14 @@ def simulate_ensemble(w: PotentialSpec, x0: float, cfg: SimConfig,
         centers[:, 0] = x0 + block_centers(T, atom, 1.0)
     else:
         sums, y = cfg.t_start * np.eye(T.shape[0], 1), 0.0   # the start atom's sums
-    _run_moments(T, v, x0, sums, positions[:, taken:], centers[:, taken:], dt,
-                 (replicas, taken, cfg.t_start), every, y0=y)
+    paths, knots = positions[:, taken:], centers[:, taken:]
+    origin = (replicas, taken, cfg.t_start)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if closed_form(w, v):
+            _run_quadratic_closed_form(T, x0, sums, paths, knots, dt, y)
+            _check_finite(paths, 0, origin, dt)
+        else:
+            _run_moment_columns(T, v, x0, sums, paths, knots, dt, every, origin, y)
     return [TrajectoryRecord(cfg, r, positions[k], centers[k], every)
             for k, r in enumerate(replicas)]
 
@@ -526,7 +517,7 @@ def _run_quadratic_closed_form(T, x0, sums, positions, centers, dt, y0=0.0):
         z_(p+j) = alpha^j (z_p + sum_(i<j) alpha^(-i-1) S0_(p+i) eta_(p+i)),
     one scaled cumulative sum; the sum restarts every block, short enough
     that alpha^(-j) stays below about e^30.  Paths start at x0 + y0, their
-    sums anchored at x0 and starting from ``sums`` (`_run_moments`).
+    sums anchored at x0 and starting from ``sums`` (`_run_moment_columns`).
     ``positions`` (R, n+1) holds each replica's n increments in columns
     1..n.  One pass over the blocks does all of a block's work in place:
     its masses S0, then in its columns of ``centers`` S0 eta, while z and
@@ -666,7 +657,9 @@ def picard_bootstrap(w: PotentialSpec, x0: float, times: np.ndarray,
     if times[0] != 0.0 or times.size < 3 or times.size != noise.size:
         raise InvalidInputError("need matching time/noise grids starting at 0")
     delta = float(times[-1])
-    lip = _lipschitz_radius2(w)
+    # the Lipschitz constant of W' on [-2, 2]
+    lip = float(np.abs(polynomial_derivative(w.poly1d_coefficients(),
+                                             np.linspace(-2.0, 2.0, 2001), 2)).max())
     if delta * lip >= 1.0 / 3.0:
         raise InvalidInputError(
             f"delta * Lip(grad W) = {delta * lip:.3f} >= 1/3; shrink the interval")
@@ -687,7 +680,14 @@ def picard_bootstrap(w: PotentialSpec, x0: float, times: np.ndarray,
         P = np.cumprod([dts[:-1]] + [u] * (count - 1), axis=0)
         S = np.column_stack((power_sums(path[:1], [1.0], x0, count),
                              np.cumsum(P, axis=1)))
-        new = _step_driven(T @ S / S[0], x0, x0, increments, dts)
+        # Euler steps of the new path under that drift: step k moves x by
+        # -b_k(x - x0) dts[k] + increments[k], b_k the drift about x0
+        new = np.empty(len(increments) + 1)
+        new[0] = x = x0
+        for k, (b, xi, h) in enumerate(zip((T @ S / S[0]).T.tolist(), increments.tolist(),
+                                           dts.tolist()), 1):
+            x = x - horner(b, x - x0) * h + xi
+            new[k] = x
         sup = float(np.abs(new - path).max())
         sups.append(sup)
         path = new
@@ -707,12 +707,6 @@ def _rounds(sups, ratio):
     last contraction ratio."""
     return (f"round {len(sups)}, last sup distance {sups[-1]!r}, contraction ratio "
             f"{'undefined' if ratio is None else repr(ratio)}")
-
-
-def _lipschitz_radius2(w: PotentialSpec) -> float:
-    xs = np.linspace(-2.0, 2.0, 2001)
-    h = polynomial_derivative(w.poly1d_coefficients(), xs, 2)
-    return float(np.abs(h).max())
 
 
 # ---------------------------------------------------------------------------

@@ -211,8 +211,7 @@ def test_criterion_11_rate_shape_fit(flow_run):
     rep = envelope_compare(run.time, run.relative, RateParams(c7=1.0, k=QUAD.bound_degree))
     a_fit = rep["decay_exponent"]
     # bootstrap the fitted exponent over step resamples
-    times = rep["times"]
-    trace = rep["energy_trace"]
+    times, trace = run.time, run.relative
     mask = trace > 0
     xs = np.log(times[mask]) ** (1.0 / (QUAD.bound_degree + 1))
     ys = np.log(trace[mask])

@@ -73,6 +73,14 @@ class TestOneStepError:
         with pytest.raises(Exception):
             one_step_error(quad, medium_record, Schedule(n_start=10, n_end=200))
 
+    def test_a_path_starting_after_the_first_window_does_not_cover_it(self, quad):
+        # T_4 = 8 lies 5e-10 before the path's first step: its first window
+        # would hold the start atom and read a center before the path
+        cfg = SimConfig(dt=0.01, t_end=90.0, t_start=8.0 + 5e-10, seed=3)
+        rec = simulate(quad, 0.0, cfg)
+        with pytest.raises(InvalidInputError, match="does not cover"):
+            one_step_error(quad, rec, Schedule(n_start=4, n_end=20))
+
     @pytest.mark.parametrize("name", ["gibbs_map", "tp_distance_1d"])
     def test_failure_names_its_window(self, quad, medium_record, monkeypatch, name):
         # the third window's Gibbs image or distance fails
@@ -99,6 +107,12 @@ class TestCenterConvergence:
         report = center_convergence(rec, Schedule(n_start=1, n_end=17))
         partial = [v for label, _, v in report.series if label == "partial_sum"]
         assert partial[-1] <= 1e-10
+
+    def test_a_knot_before_the_path_is_an_input_error(self, quad):
+        # T_3 = 5.196 lies before the path's first step at t = 8
+        rec = simulate(quad, 0.0, SimConfig(dt=0.01, t_end=90.0, t_start=8.0, seed=3))
+        with pytest.raises(InvalidInputError, match=r"t = 5\.196"):
+            center_convergence(rec, Schedule(n_start=3, n_end=20))
 
     def test_attracting_run_flattens(self, quad, medium_record):
         report = center_convergence(medium_record, Schedule(n_start=4, n_end=46))

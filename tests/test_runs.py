@@ -20,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 FLOW = (ROOT / "configs" / "flow_from_atom.cfg").read_text()
 QUARTIC = "[potential]\nkind = even-polynomial\ncoefficients = 0.5 0.1\n"
 SEXTIC = "[potential]\nkind = even-polynomial\ncoefficients = 0.5 0.1 0.01\n"
+OCTIC = "[potential]\nkind = even-polynomial\ncoefficients = 0.5 0.1 0.01 0.001\n"
 V = "[external]\nkind = external\ncoefficients = 0.5\n"
 
 # the variants' configs, written to {cfgs}/<name>.cfg
@@ -38,6 +39,9 @@ CONFIGS = {
                           "[schedule]\nn_start = 2\nn_end = 20\n[grid]\ncells = 256\n",
     "quartic": QUARTIC + "[sim]\nt_end = 201.0\n",
     "sextic": SEXTIC + "[sim]\nt_end = 201.0\n",
+    # 3 replicas on two CPUs are blocks of 1 and 2: the lone row's bytes are
+    # those of the ensemble's row from W of degree 8 on too
+    "octic": OCTIC + "[sim]\nt_end = 201.0\n",
     # a thinning stride of 26 (2009 rows of 52218 steps), not a multiple of
     # the 10 steps between center knots
     "sextic523": SEXTIC + "[sim]\nt_end = 523.17\n",
@@ -49,7 +53,8 @@ CONFIGS = {
 SHIPPED_FLOW = "{repo}/configs/flow_from_atom.cfg"
 # (config, replicas) of each `simulate` run; a config run at 1 and at 3
 # replicas is row 0 of the 3
-SIMULATED = ([(name, r) for name in ("quartic", "sextic", "sextic523", "quartic0") for r in (1, 3)]
+SIMULATED = ([(name, r) for name in ("quartic", "sextic", "octic", "sextic523", "quartic0")
+              for r in (1, 3)]
              + [("zero", 1), ("zero", 2), ("quartic0v", 2)])
 
 # run name -> its flags after `--out {root}/<name>`, in the order they run;
@@ -120,7 +125,8 @@ RERUN = ("import json, os, sys\n"
     (2, {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "67108864"},
      ["diagnose"]),
     # one CPU: no worker pool
-    (1, {}, ["diagnose", "diagnose0", "diagnose-quartic", "diagnose-quartic-v", "sextic523-3"])],
+    (1, {}, ["diagnose", "diagnose0", "diagnose-quartic", "diagnose-quartic-v", "sextic523-3",
+             "octic-3"])],
     ids=["fresh", "malloc", "one-cpu"])
 def test_a_rerun_writes_the_same_bytes(runs, tmp_path, cpus, env, names):
     root, cfgs, _ = runs

@@ -57,8 +57,9 @@ def short_cfg(**kw):
 def stepped_from(pre_pos, pre_w, w, x0, cfg, replicas, v=None):
     """Positions and every-step centers (R, n+1) of the replicas' paths
     from x0 whose sums start from the atoms ``pre_pos`` with weights
-    ``pre_w`` instead of the start atom: the `sde._run_moments` call of
-    `simulate` on those atoms' sums about x0 and each replica's noise."""
+    ``pre_w`` instead of the start atom: the `sde._run_moment_columns`
+    call of `simulate` on those atoms' sums about x0 and each replica's
+    noise, under the same `np.errstate`."""
     T = convolution_matrix(w, 1)
     every = sde._CENTER_EVERY if T.shape[0] > 2 else 1   # as the simulator places them
     n = cfg.n_steps
@@ -67,8 +68,9 @@ def stepped_from(pre_pos, pre_w, w, x0, cfg, replicas, v=None):
     for row, r in zip(positions, replicas):
         sde._increments(cfg, n, r, out=row[1:])
     sums = power_sums(pre_pos, pre_w, x0, T.shape[0])[:, None]
-    sde._run_moments(T, v, x0, sums, positions, knots, cfg.dt, (replicas, 0, cfg.t_start),
-                     every)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sde._run_moment_columns(T, v, x0, sums, positions, knots, cfg.dt, every,
+                                (replicas, 0, cfg.t_start))
     tracks = [TrajectoryRecord(cfg, r, row, k, every).center_track
               for r, row, k in zip(replicas, positions, knots)]
     return positions, np.array(tracks)
@@ -251,17 +253,22 @@ class TestEnsemble:
             single, _ = stepped_from([0.0], [1.0], w, 3.0, cfg, [r])
             assert np.array_equal(row, single[0])
 
-    @pytest.mark.parametrize("w", [even_polynomial([0.5, 0.1]), quadratic_symmetric(1.0)],
-                             ids=["quartic", "quadratic"])
+    @pytest.mark.parametrize("w", [even_polynomial([0.5, 0.1]), quadratic_symmetric(1.0),
+                                   even_polynomial([0.5, 0.1, 0.01, 0.001]),
+                                   even_polynomial([0.5, 0.1, 0.01, 0.001, 1e-4, 1e-5])],
+                             ids=["quartic", "quadratic", "octic", "degree-12"])
     @pytest.mark.parametrize("t_start", [1.0, 0.0])
     def test_a_block_of_replicas_is_rows_of_the_ensemble(self, w, t_start):
+        # a lone row too: the contraction adds a column's terms in the same
+        # order at any ensemble size, from W of degree 8 on as well
         cfg = SimConfig(dt=0.01, t_end=21.0, t_start=t_start, seed=12)
         ens = simulate_ensemble(w, 0.4, cfg, 5)
-        block = simulate_ensemble(w, 0.4, cfg, 2, first=3)
-        assert [rec.replica for rec in block] == [3, 4]
-        for rec, row in zip(block, ens[3:]):
-            assert np.array_equal(rec.positions, row.positions)
-            assert np.array_equal(rec.center_track, row.center_track)
+        for size in (2, 1):
+            block = simulate_ensemble(w, 0.4, cfg, size, first=3)
+            assert [rec.replica for rec in block] == [3, 4][:size]
+            for rec, row in zip(block, ens[3:]):
+                assert np.array_equal(rec.positions, row.positions)
+                assert np.array_equal(rec.center_track, row.center_track)
 
     def test_one_replica_ensemble_matches_single_run(self):
         w = even_polynomial([0.5, 0.1])
@@ -612,6 +619,20 @@ class TestColumnStepper:
                 assert rec.center_track is rec.center_knots
                 assert rec.center_knots.size == cfg.n_steps + 1
                 assert np.shares_memory(rec.centers(slice(3, None, 7)), rec.center_knots)
+
+    def test_a_center_before_the_first_step_is_an_input_error(self, quad):
+        # index -1 would read the path's last center
+        rec = simulate(quad, 0.0, SimConfig(dt=0.01, t_end=90.0, t_start=8.0, seed=3))
+        assert rec.center_at(8.0) == rec.center_knots[0]
+        with pytest.raises(InvalidInputError, match=r"t = 7\.0 lies before"):
+            rec.center_at(7.0)
+
+    def test_a_path_covers_from_its_start_to_its_last_step_and_1e_9(self):
+        cfg = SimConfig(dt=0.01, t_end=20.004, t_start=8.0)
+        assert cfg.t_last == 8.0 + 0.01 * 1200
+        assert cfg.covers(8.0, cfg.t_last + 1e-9)
+        assert not cfg.covers(math.nextafter(8.0, 0.0), cfg.t_last)
+        assert not cfg.covers(8.0, cfg.t_last + 2e-9)
 
     def test_drawn_row_is_the_allocated_draw(self):
         rows = np.zeros((2, 1001))
